@@ -14,10 +14,14 @@ class DomainError(DiracSphereError, ValueError):
 
 
 class IntegrationError(DiracSphereError, RuntimeError):
-    """Adaptive quadrature did not converge within its panel budget.
+    """A quadrature did not converge within its budget.
 
-    Carries the partial estimate so callers can distinguish a divergent
-    integral from a merely hard one.
+    Raised by the adaptive panel quadrature when its panel budget runs out,
+    and by the Gauss-Jacobi norm rules when node doubling reaches its cap
+    without two successive rules agreeing.  Norm divergence is decided
+    analytically before any quadrature, so this error means "not resolved",
+    never "divergent".  Carries the last estimate, its error estimate, and
+    the panel or node count reached.
     """
 
     def __init__(self, message, value, error_estimate, panels):

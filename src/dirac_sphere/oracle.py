@@ -127,15 +127,6 @@ class SLMatrix:
                 m += np.diag(band, d)
         return m
 
-    def norm_estimate(self):
-        """Upper bound on the spectral radius (Gershgorin over the bands)."""
-        r = np.abs(self.bands[0]).astype(float)
-        for d in range(1, self.bands.shape[0]):
-            band = np.abs(self.bands[d, : self.order - d])
-            r[d:] += band
-            r[:-d] += band
-        return float(r.max())
-
 
 def build_sl_matrix(p_fn, q_fn, grid: Grid, q_poles: Sequence[float] = ()) -> SLMatrix:
     """Flux-form discretization of -(p(w) phi')' + q(w) phi on the grid.
@@ -353,11 +344,16 @@ def verify_eigenpair(
     if p_fn is None:
         p_fn = lambda w: np.cosh(w) ** 2
     m = build_sl_matrix(p_fn, q_fn, grid, q_poles=poles)
-    vec = _sample_wavefunction(phi, grid)
+    return _residuals(m, _sample_wavefunction(phi, grid), (lam,), window)[0]
+
+
+def _residuals(m: SLMatrix, vec, lams, window):
+    """verify_eigenpair's relative residuals of one sampled vector against an
+    assembled matrix, one per level constant in lams (the product M vec is
+    formed once)."""
     if not np.all(np.isfinite(vec)):
         raise DomainError("wavefunction is not finite on the grid")
-    res = m.matvec(vec) - lam * vec
-    keep = np.ones(grid.N, dtype=bool)
+    keep = np.ones(m.grid.N, dtype=bool)
     peak = np.abs(vec).max()
     if peak == 0.0:
         raise DomainError("wavefunction vanishes identically on the grid")
@@ -366,11 +362,12 @@ def verify_eigenpair(
     if abs(vec[-1]) > 1e-10 * peak:
         keep[-1] = False
     if window is not None:
-        keep &= np.abs(grid.points()) <= window
+        keep &= np.abs(m.grid.points()) <= window
     denom = np.linalg.norm(vec[keep])
     if denom == 0.0:
         raise DomainError("wavefunction vanishes on the residual window")
-    return float(np.linalg.norm(res[keep]) / denom)
+    mv = m.matvec(vec)
+    return [float(np.linalg.norm((mv - lam * vec)[keep]) / denom) for lam in lams]
 
 
 def derive_partner_component(
@@ -722,7 +719,7 @@ def _report_model1(
     for n in range(levels):
         wf = wavefn_model1(n, p, k)
         lam = energy_model1(n, p, k, R).E_sq_bar
-        res = verify_eigenpair(closed1, wf, lam, grid, window=window)
+        (res,) = _residuals(sl1, _sample_wavefunction(wf, grid), (lam,), window)
         claims.append(
             Claim(
                 claim_id=f"d.eigenfunction.m{n}",
@@ -736,6 +733,7 @@ def _report_model1(
                     "lambda": lam,
                     "window": window,
                     "norm_finite": wf.norm_finite,
+                    **wf.norm_details(),
                 },
             )
         )
@@ -881,8 +879,9 @@ def _report_model2(
         matched = energy_model2_matched(m, p)
         for variant in ("classical", "x1"):
             wf = wavefn_model2(m, alpha, beta, polynomial=variant)
-            res = verify_eigenpair(closed1, wf, lam, grid, window=window)
-            res_matched = verify_eigenpair(closed1, wf, matched, grid, window=window)
+            res, res_matched = _residuals(
+                sl1, _sample_wavefunction(wf, grid), (lam, matched), window
+            )
             claims.append(
                 Claim(
                     claim_id=f"d.eigenfunction.{variant}.m{m}",
@@ -901,6 +900,7 @@ def _report_model2(
                         "lambda_identity": matched,
                         "window": window,
                         "norm_finite": wf.norm_finite,
+                        **wf.norm_details(),
                     },
                 )
             )

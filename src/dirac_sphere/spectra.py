@@ -7,6 +7,13 @@ eigenfunction is square-integrable; the two criteria are carried separately
 because they disagree for Model I as printed (the Model-I envelope exponent
 is negative for 0 < C1 < 1/2, so every printed eigenfunction has a divergent
 norm -- the package evaluates the form verbatim and flags it).
+
+Norms are computed in t = tanh(w), where every printed eigenfunction is an
+envelope (1-t)^a (1+t)^b times a polynomial or rational factor g.  The norm
+integral is then the Jacobi weight (1-t)^(2a-1) (1+t)^(2b-1) against g^2:
+finiteness is decided from the exponents and the poles of g before any
+quadrature, and a finite norm is integrated by a Gauss-Jacobi rule of that
+weight (exact for polynomial g, converged by node doubling for rational g).
 """
 import math
 from dataclasses import dataclass
@@ -85,9 +92,10 @@ class SpectralLine:
 class WaveFunctionSpec:
     """First-component eigenfunction candidate on the w axis.
 
-    eval is normalized to unit norm when the norm integral converges;
-    otherwise it is the raw printed form and norm_finite is False.
-    eval_raw is always the unnormalized form.
+    eval is normalized to unit norm when the norm is finite; otherwise it is
+    the raw printed form, norm_finite is False and norm_reason says why the
+    norm diverges.  eval_raw is always the unnormalized form.  norm_rule and
+    norm_nodes name the quadrature that produced norm_sq.
     """
 
     component: int
@@ -98,6 +106,15 @@ class WaveFunctionSpec:
     eval: Callable = None
     pole_warning: Optional[str] = None
     label: str = ""
+    norm_reason: Optional[str] = None
+    norm_rule: Optional[str] = None
+    norm_nodes: Optional[int] = None
+
+    def norm_details(self):
+        """How the norm was decided, as report details (no timings)."""
+        if not self.norm_finite:
+            return {"norm_divergence": self.norm_reason}
+        return {"norm_rule": self.norm_rule, "norm_nodes": self.norm_nodes}
 
     def __post_init__(self):
         if self.eval is None:
@@ -154,7 +171,7 @@ def wavefn_model1(n, p: Model1Params, k) -> WaveFunctionSpec:
     (1 - tanh w)^s (1 + tanh w)^B P_n^(2s, 2B)(tanh w) with s as in the
     energy formula and B = C1 (1 + 2 C2) / 2.  For 0 < C1 < 1/2 the exponent
     s is negative, so the norm integral diverges at w -> +inf; the record is
-    returned unnormalized with norm_finite=False.
+    returned unnormalized with norm_finite=False and the reason.
     """
     if not p.is_constrained(k):
         raise ConstraintError("Model-I closed forms need a constraint branch")
@@ -167,36 +184,73 @@ def wavefn_model1(n, p: Model1Params, k) -> WaveFunctionSpec:
         val = (1.0 - t) ** s * (1.0 + t) ** B * specfun.jacobi(int(n), 2.0 * s, 2.0 * B, t)
         return val if val.ndim else float(val)
 
-    # Norm integrand ~ (1-t)^(2s-1) (1+t)^(2B-1): integrable iff s > 0 and B > 0.
-    finite = s > 0.0 and B > 0.0
-    norm_sq = None
-    if finite:
-        norm_sq = _norm_sq_tanh(raw)
-        finite = norm_sq is not None
+    # Norm integrand (1-t)^(2s-1) (1+t)^(2B-1) P_n^2: integrable iff s > 0 and B > 0.
+    divergent = []
+    if not s > 0.0:
+        divergent.append(f"s = {s!r} <= 0: (1-t)^(2s-1) is not integrable at t -> 1")
+    if not B > 0.0:
+        divergent.append(f"B = {B!r} <= 0: (1+t)^(2B-1) is not integrable at t -> -1")
+    if divergent:
+        norm = {"norm_finite": False, "norm_reason": "; ".join(divergent)}
+    else:
+        norm = _weighted_norm(
+            lambda t: specfun.jacobi(int(n), 2.0 * s, 2.0 * B, t),
+            2.0 * s - 1.0,
+            2.0 * B - 1.0,
+            degree=int(n),
+            rational=False,
+        )
     return WaveFunctionSpec(
         component=1,
         level=int(n),
         eval_raw=raw,
-        norm_finite=finite,
-        norm_sq=norm_sq,
         label=f"model1 printed n={int(n)}",
+        **norm,
     )
 
 
-def _norm_sq_tanh(raw, tol=1e-10):
-    """Norm integral over w via the t = tanh(w) substitution; None if divergent."""
+_NORM_RTOL = 1e-12  # agreement of two successive rules for a rational factor
+_NORM_EXTRA_NODES = 8  # first rational rule: degree + this many nodes
+_NORM_MAX_NODES = 512
 
-    def integrand(t):
-        t = np.asarray(t, dtype=float)
-        w = np.arctanh(t)
-        val = raw(w) ** 2 / (1.0 - t * t)
-        return val
 
-    try:
-        res = specfun.integrate(integrand, -1.0 + 1e-14, 1.0 - 1e-14, tol=tol)
-    except IntegrationError:
-        return None
-    return res.value
+def _weighted_norm(g, alpha, beta, degree, rational):
+    """Integral of (1-t)^alpha (1+t)^beta g(t)^2 over [-1, 1] by Gauss-Jacobi rules.
+
+    A polynomial g of the given degree is integrated exactly by degree + 1
+    nodes.  A rational g (poles off [-1, 1]) starts at degree + 8 nodes and
+    doubles the count until two successive rules agree to 1e-12 relative;
+    past 512 nodes IntegrationError is raised, never a divergence verdict.
+    Returns the WaveFunctionSpec fields of a finite norm.
+    """
+
+    def rule(n):
+        t, wq = specfun.gauss_jacobi(n, alpha, beta)
+        return float(np.dot(wq, np.asarray(g(t), dtype=float) ** 2))
+
+    if not rational:
+        n = degree + 1
+        value = rule(n)
+    else:
+        n = 2 * (degree + _NORM_EXTRA_NODES)
+        prev, value = rule(n // 2), rule(n)
+        while not abs(value - prev) <= _NORM_RTOL * abs(value):
+            if 2 * n > _NORM_MAX_NODES:
+                raise IntegrationError(
+                    f"Gauss-Jacobi norm rule (alpha={alpha!r}, beta={beta!r}) did not "
+                    f"converge to {_NORM_RTOL} relative within {_NORM_MAX_NODES} nodes",
+                    value=value,
+                    error_estimate=abs(value - prev),
+                    panels=n,
+                )
+            n *= 2
+            prev, value = value, rule(n)
+    return {
+        "norm_finite": True,
+        "norm_sq": value,
+        "norm_rule": f"gauss-jacobi (alpha={alpha!r}, beta={beta!r})",
+        "norm_nodes": n,
+    }
 
 
 def energy_model2(m, alpha, beta, k, R) -> SpectralLine:
@@ -248,8 +302,8 @@ def wavefn_model2(m, alpha, beta, polynomial="classical") -> WaveFunctionSpec:
     exactly as typeset; polynomial='x1' substitutes the rational-extension
     member of the same degree.  Both share the envelope
     (1-t)^((alpha+1)/2) (1+t)^((beta+1)/2) / (alpha + beta + (alpha-beta) t).
-    The denominator vanishes on the real axis when alpha*beta < 0; the record
-    then carries a pole warning and a divergent norm.
+    The denominator vanishes inside [-1, 1] when alpha*beta <= 0; the record
+    then carries a pole warning and a divergent norm with its reason.
     """
     if polynomial not in ("classical", "x1"):
         raise DomainError(f"polynomial must be 'classical' or 'x1', got {polynomial!r}")
@@ -259,39 +313,44 @@ def wavefn_model2(m, alpha, beta, polynomial="classical") -> WaveFunctionSpec:
         raise DomainError("need alpha, beta > -1 and alpha != beta")
     m = int(m)
     ea, eb = (alpha + 1.0) / 2.0, (beta + 1.0) / 2.0
+    poly_fn = specfun.jacobi if polynomial == "classical" else specfun.x1_jacobi
+
+    def factor(t):
+        return poly_fn(m + 1, alpha, beta, t) / (alpha + beta + (alpha - beta) * t)
 
     def raw(w):
-        w = np.asarray(w, dtype=float)
-        t = np.tanh(w)
+        # not env * factor(t): this order keeps the sampled values, and so the
+        # report's residuals, as the printed form has always been evaluated
+        t = np.tanh(np.asarray(w, dtype=float))
         den = alpha + beta + (alpha - beta) * t
-        if polynomial == "classical":
-            poly = specfun.jacobi(m + 1, alpha, beta, t)
-        else:
-            poly = specfun.x1_jacobi(m + 1, alpha, beta, t)
-        val = (1.0 - t) ** ea * (1.0 + t) ** eb * poly / den
+        val = (1.0 - t) ** ea * (1.0 + t) ** eb * poly_fn(m + 1, alpha, beta, t) / den
         return val if val.ndim else float(val)
 
+    # Norm integrand (1-t)^alpha (1+t)^beta factor^2; alpha, beta > -1, so it
+    # is finite iff the denominator's root t0 lies off [-1, 1] (alpha*beta > 0).
+    t0 = -(alpha + beta) / (alpha - beta)
     pole_warning = None
-    ratio = (alpha + beta) / (alpha - beta) if alpha != beta else None
-    has_pole = ratio is not None and abs(ratio) < 1.0
-    if has_pole:
+    if abs(t0) > 1.0:
+        norm = _weighted_norm(factor, alpha, beta, degree=m + 1, rational=True)
+    else:
         pole_warning = (
-            f"envelope denominator vanishes at tanh(w) = {-ratio} "
-            "(alpha*beta < 0 branch); norm integral diverges"
+            f"envelope denominator vanishes at tanh(w) = {t0} "
+            "(alpha*beta <= 0 branch); norm integral diverges"
         )
-    norm_sq = None
-    finite = not has_pole
-    if finite:
-        norm_sq = _norm_sq_tanh(raw)
-        finite = norm_sq is not None
+        norm = {
+            "norm_finite": False,
+            "norm_reason": (
+                f"denominator alpha + beta + (alpha - beta) t vanishes at t = {t0!r} "
+                "in [-1, 1]: the squared envelope is not integrable there"
+            ),
+        }
     return WaveFunctionSpec(
         component=1,
         level=m,
         eval_raw=raw,
-        norm_finite=finite,
-        norm_sq=norm_sq,
         pole_warning=pole_warning,
         label=f"model2 {polynomial} m={m}",
+        **norm,
     )
 
 

@@ -280,3 +280,28 @@ def test_console_entry_point(tmp_path):
     )
     assert res.returncode == 0
     assert (tmp_path / "fig1" / "spectrum.csv").exists()
+
+
+def test_wavefunction_large_norm_is_normalized(tmp_path):
+    # k = 20, x1 level 3: norm^2 is about 1.8e6; the CSV must hold the
+    # normalized curve, not the raw one
+    cfg = write_config(tmp_path, model2_doc(k=20.0))
+    code = cli.main(
+        ["wavefunction", "--config", cfg, "--level", "3", "--polynomial", "x1", "--out", str(tmp_path)]
+    )
+    assert code == 0
+    _, rows = read_csv(tmp_path / "wavefunction_l3_x1.csv")
+    w = [float(a) for a, _ in rows]
+    vals = [float(v) for _, v in rows]
+    assert sum(v * v for v in vals) * (w[1] - w[0]) == pytest.approx(1.0, rel=1e-6)
+
+
+def test_unresolved_norm_exits_2(tmp_path, capsys):
+    # a denominator root just outside [-1, 1]: finite norm that no rule within
+    # the node cap resolves -- a construction error, not a divergent norm
+    doc = model2_doc(model2={"C1": 0.5, "alpha": 1.0, "beta": 1e-9})
+    cfg = write_config(tmp_path, doc)
+    code = cli.main(["wavefunction", "--config", cfg, "--polynomial", "x1", "--out", str(tmp_path)])
+    assert code == 2
+    assert "did not converge" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))

@@ -263,3 +263,33 @@ def test_derive_partner_model1_physical_case():
     pot2 = gauge.v_eff_model1(p, 2.0, 2)
     res = oracle.verify_eigenpair(pot2, partner, lam, grid, window=8.0)
     assert math.isfinite(res)
+
+
+@pytest.mark.parametrize("model", [1, 2])
+def test_report_residuals_match_verify_eigenpair_bitwise(model):
+    # the report reuses its assembled j=1 matrix and one sampled vector per
+    # wavefunction; the numbers must be exactly those of the public routine
+    k, R, grid = 2.0, 1.0, oracle.Grid(8.0, 801)
+    if model == 1:
+        p = gauge.Model1Params.from_branch(0.4, k, "half-up")
+        pot = gauge.v_eff_model1(p, k, 1)
+    else:
+        p = m2_params(C1=1 / k, k=k)
+        pot = gauge.v_eff_model2(p, 1)
+    rep = oracle.consistency_report(model, p, k, R, grid, levels=3)
+    for m in range(3):
+        if model == 1:
+            claim = rep.claim(f"d.eigenfunction.m{m}")
+            wf = spectra.wavefn_model1(m, p, k)
+            assert claim.metric == oracle.verify_eigenpair(pot, wf, claim.details["lambda"], grid, window=8.0)
+            assert "norm_divergence" in claim.details
+            continue
+        for variant in ("classical", "x1"):
+            claim = rep.claim(f"d.eigenfunction.{variant}.m{m}")
+            wf = spectra.wavefn_model2(m, p.alpha, p.beta, polynomial=variant)
+            d = claim.details
+            assert claim.metric == oracle.verify_eigenpair(pot, wf, d["lambda_printed"], grid, window=8.0)
+            assert d["residual_at_identity_energy"] == oracle.verify_eigenpair(
+                pot, wf, d["lambda_identity"], grid, window=8.0
+            )
+            assert d["norm_rule"].startswith("gauss-jacobi") and d["norm_nodes"] == wf.norm_nodes

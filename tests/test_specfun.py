@@ -182,3 +182,62 @@ def test_integrate_argument_validation():
         specfun.integrate(lambda x: x, 1.0, -1.0)
     with pytest.raises(DomainError):
         specfun.integrate(lambda x: x, -1.0, 1.0, tol=0.0)
+
+
+# ------------------------------------------------------- Gauss-Jacobi rules
+
+
+def h_closed(m, a, b):
+    """Closed-form squared norm of P_m^(a,b) under (1-x)^a (1+x)^b."""
+    if m == 0:
+        return math.exp(
+            (a + b + 1) * math.log(2) + math.lgamma(a + 1) + math.lgamma(b + 1) - math.lgamma(a + b + 2)
+        )
+    return math.exp(
+        (a + b + 1) * math.log(2)
+        - math.log(2 * m + a + b + 1)
+        + math.lgamma(m + a + 1)
+        + math.lgamma(m + b + 1)
+        - math.lgamma(m + a + b + 1)
+        - math.lgamma(m + 1)
+    )
+
+
+# Exponents in (-1, 5), kept 0.01 above -1: as alpha + beta -> -2 the
+# three-term recurrence of `jacobi` (the reference values here) loses about
+# eps / (alpha + beta + 2) relative accuracy, while the rule itself stays exact.
+exponent = st.floats(min_value=-0.99, max_value=5.0, exclude_max=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=24), exponent, exponent)
+def test_gauss_jacobi_integrates_squared_norms(n, a, b):
+    x, wq = specfun.gauss_jacobi(n, a, b)
+    for m in range(n):  # degree 2m <= 2n - 1
+        p = specfun.jacobi(m, a, b, x)
+        assert float(np.dot(wq, p * p)) == pytest.approx(h_closed(m, a, b), rel=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=64), exponent, exponent)
+def test_gauss_jacobi_nodes_and_weights(n, a, b):
+    x, wq = specfun.gauss_jacobi(n, a, b)
+    assert x.shape == wq.shape == (n,)
+    assert np.all(np.diff(x) > 0)
+    assert np.all((x > -1.0) & (x < 1.0))
+    assert np.all(wq > 0)
+    assert float(wq.sum()) == pytest.approx(h_closed(0, a, b), rel=1e-12)
+
+
+def test_gauss_jacobi_is_cached_and_read_only():
+    first = specfun.gauss_jacobi(12, 0.5, 1 / 3)
+    assert specfun.gauss_jacobi(12, 0.5, 1 / 3) is first
+    with pytest.raises(ValueError):
+        first[0][0] = 0.0
+
+
+def test_gauss_jacobi_argument_validation():
+    with pytest.raises(DomainError):
+        specfun.gauss_jacobi(0, 0.0, 0.0)
+    with pytest.raises(DomainError):
+        specfun.gauss_jacobi(4, -1.0, 0.0)

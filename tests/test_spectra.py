@@ -1,11 +1,17 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirac_sphere import gauge, spectra, specfun
-from dirac_sphere.errors import ComplexExponentError, ConstraintError, DomainError
+from dirac_sphere.errors import (
+    ComplexExponentError,
+    ConstraintError,
+    DomainError,
+    IntegrationError,
+)
 
 
 def fig1_params():
@@ -184,3 +190,91 @@ def test_partner_map_accepts_spectral_lines():
     pm = spectra.partner_map(lines, lines)
     assert pm.pairs[0].e1_sq == lines[1].E_sq_bar
     assert pm.pairs[0].e2_sq == lines[0].E_sq_bar
+
+
+# ------------------------------------------------------------------ norms
+
+
+def _mp_weighted(alpha, beta, h):
+    """Integral of (1-t)^alpha (1+t)^beta h(t) over [-1, 1] by mpmath tanh-sinh.
+
+    Each half is mapped so the endpoint power becomes smooth: 1 + t = v^(1/(beta+1))
+    on [-1, 0] and 1 - t = u^(1/(alpha+1)) on [0, 1]; the weight then cancels
+    against the Jacobian (tanh-sinh alone misses (1+t)^-0.9 at the 1e-3 level).
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(20):
+        a, b = mp.mpf(alpha), mp.mpf(beta)
+        left = mp.quad(lambda v: (2 - v ** (1 / (b + 1))) ** a * h(v ** (1 / (b + 1)) - 1), [0, 1])
+        right = mp.quad(lambda u: (2 - u ** (1 / (a + 1))) ** b * h(1 - u ** (1 / (a + 1))), [0, 1])
+        return float(left / (b + 1) + right / (a + 1))
+
+
+def _mp_norm_sq(m, alpha, beta, polynomial):
+    """Independent norm^2 of the Model-II eigenfunction: the weight (alpha, beta)
+    against (poly/den)^2, with mpmath's own Jacobi values."""
+    mp = pytest.importorskip("mpmath")
+    a, b = mp.mpf(alpha), mp.mpf(beta)
+
+    def poly(t):
+        if polynomial == "classical":
+            return mp.jacobi(m + 1, a, b, t)
+        acc = m * m + (a + b + 1) * m + a * b
+        shift = (b + a) / (b - a)
+        c = 2 * a * b / (a - b)
+        dp = (m + a + b + 1) / 2 * mp.jacobi(m - 1, a + 1, b + 1, t) if m else 0
+        return (acc * (t - shift) + c) * mp.jacobi(m, a, b, t) + (1 - t * t) * dp
+
+    return _mp_weighted(alpha, beta, lambda t: (poly(t) / (a + b + (a - b) * t)) ** 2)
+
+
+@pytest.mark.parametrize("k", [1.05, 1.5, 2.0, 20.0])
+@pytest.mark.parametrize("polynomial", ["classical", "x1"])
+def test_wavefn_model2_norms_finite_and_exact(k, polynomial):
+    # Regression: large norms (k = 20 and k = 1.05, x1 levels m >= 3) used to
+    # be reported as divergent because an absolute quadrature tolerance could
+    # not be met at that size.
+    alpha, beta = gauge.alpha_beta(k, "-", "+")
+    w = np.linspace(-40.0, 40.0, 8001)
+    for m in range(12):
+        wf = spectra.wavefn_model2(m, alpha, beta, polynomial=polynomial)
+        assert wf.norm_finite, (m, wf.norm_reason)
+        assert wf.norm_reason is None and wf.norm_nodes >= m + 2
+        assert wf.norm_sq == pytest.approx(_mp_norm_sq(m, alpha, beta, polynomial), rel=1e-10)
+        # the normalized form has unit norm on the w axis (trapezoid rule)
+        assert float(np.sum(wf.eval(w) ** 2) * (w[1] - w[0])) == pytest.approx(1.0, rel=1e-9)
+        assert wf.norm_details() == {"norm_rule": wf.norm_rule, "norm_nodes": wf.norm_nodes}
+
+
+@pytest.mark.parametrize("n,s,B", [(0, 0.3, 0.7), (3, 0.25, 1.5), (6, 1.2, 0.05)])
+def test_model1_weight_path_exact_at_n_plus_one_nodes(n, s, B):
+    # Model-I envelope (1-t)^s (1+t)^B P_n^(2s,2B): weight (2s-1, 2B-1) times
+    # the polynomial P_n^2, integrated exactly by n + 1 nodes.
+    mp = pytest.importorskip("mpmath")
+    g = lambda t: specfun.jacobi(n, 2 * s, 2 * B, t)
+    out = spectra._weighted_norm(g, 2 * s - 1, 2 * B - 1, degree=n, rational=False)
+    assert out["norm_nodes"] == n + 1
+    x, wq = specfun.gauss_jacobi(n + 8, 2 * s - 1, 2 * B - 1)
+    assert out["norm_sq"] == pytest.approx(float(np.dot(wq, g(x) ** 2)), rel=1e-12)
+    ref = _mp_weighted(2 * s - 1, 2 * B - 1, lambda t: mp.jacobi(n, 2 * s, 2 * B, t) ** 2)
+    assert out["norm_sq"] == pytest.approx(ref, rel=1e-10)
+
+
+def test_divergence_reasons_are_analytic():
+    wf1 = spectra.wavefn_model1(0, fig1_params(), 2.0)
+    assert not wf1.norm_finite
+    assert wf1.norm_reason.startswith("s = ") and "t -> 1" in wf1.norm_reason
+    assert wf1.norm_details() == {"norm_divergence": wf1.norm_reason}
+    wf2 = spectra.wavefn_model2(0, 1.0, -1 / 3)
+    assert not wf2.norm_finite and wf2.norm_nodes is None
+    assert "t = -0.5" in wf2.norm_reason
+    # a root on the boundary (beta = 0) is not integrable either
+    assert not spectra.wavefn_model2(0, 1.0, 0.0).norm_finite
+
+
+def test_unresolved_norm_raises_integration_error():
+    # alpha*beta > 0, so the norm is finite, but the pole at t0 ~ -1 - 2e-9
+    # is too close to the interval for any rule within the node cap.
+    with pytest.raises(IntegrationError) as err:
+        spectra.wavefn_model2(0, 1.0, 1e-9)
+    assert err.value.panels <= spectra._NORM_MAX_NODES
