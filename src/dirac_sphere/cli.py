@@ -29,7 +29,6 @@ from .errors import (
 from .gauge import (
     BRANCH_LABELS,
     Model1Params,
-    Model2Params,
     a_u_model1,
     a_u_model2,
     alpha_beta,
@@ -48,7 +47,6 @@ from .spectra import (
 __all__ = ["RunConfig", "load_config", "main"]
 
 _DEFAULT_GRID = {"L": 12.0, "N": 4001}
-_FIGURE_GRID = {"L": 6.0, "N": 1201}
 
 
 @dataclass
@@ -170,14 +168,11 @@ def parse_config(doc) -> RunConfig:
         if not isinstance(doc["out"], str):
             raise ConfigError("out must be a string path")
         cfg.out = doc["out"]
-    if "strict" in doc:
-        if not isinstance(doc["strict"], bool):
-            raise ConfigError("strict must be a boolean")
-        cfg.strict = doc["strict"]
-    if "corrupt_forced" in doc:
-        if not isinstance(doc["corrupt_forced"], bool):
-            raise ConfigError("corrupt_forced must be a boolean")
-        cfg.corrupt_forced = doc["corrupt_forced"]
+    for key in ("strict", "corrupt_forced"):
+        if key in doc:
+            if not isinstance(doc[key], bool):
+                raise ConfigError(f"{key} must be a boolean")
+            setattr(cfg, key, doc[key])
 
     if model == 1:
         if "model2" in doc:
@@ -224,15 +219,18 @@ def parse_config(doc) -> RunConfig:
     return cfg
 
 
-def load_config(path) -> RunConfig:
+def _read_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
-    return parse_config(doc)
+
+
+def load_config(path) -> RunConfig:
+    return parse_config(_read_config(path))
 
 
 def _atomic_write(path, text):
@@ -297,13 +295,12 @@ def _spectrum_rows(cfg: RunConfig):
     return rows
 
 
+_SPECTRUM_HEADER = ["level", "E_sq_bar", "E_minus", "E_plus", "physical", "reason"]
+
+
 def cmd_spectrum(cfg: RunConfig, outdir):
     path = os.path.join(outdir, "spectrum.csv")
-    _write_csv(
-        path,
-        ["level", "E_sq_bar", "E_minus", "E_plus", "physical", "reason"],
-        _spectrum_rows(cfg),
-    )
+    _write_csv(path, _SPECTRUM_HEADER, _spectrum_rows(cfg))
     return [path]
 
 
@@ -311,25 +308,18 @@ def _curve(cfg: RunConfig, which):
     """Sampled curve (w, value) plus pole locations for gap markers."""
     grid = cfg.grid()
     w = grid.points()
+    if which not in ("A_u", "Veff1", "Veff2"):
+        raise ConfigError(f"unknown curve {which!r}; choose A_u, Veff1 or Veff2")
+    j = 1 if which == "Veff1" else 2
     poles = ()
     if cfg.model == 1:
         p = cfg.model1_params()
-        if which == "A_u":
-            fn = a_u_model1(p)
-        elif which in ("Veff1", "Veff2"):
-            fn = v_eff_model1(p, cfg.k, 1 if which == "Veff1" else 2).fn
-        else:
-            raise ConfigError(f"unknown curve {which!r}; choose A_u, Veff1 or Veff2")
+        fn = a_u_model1(p) if which == "A_u" else v_eff_model1(p, cfg.k, j).fn
     else:
         p = cfg.model2_params()
         w0 = p.pole_w()
         poles = (w0,) if w0 is not None else ()
-        if which == "A_u":
-            fn = a_u_model2(p)
-        elif which in ("Veff1", "Veff2"):
-            fn = v_eff_model2(p, 1 if which == "Veff1" else 2).fn
-        else:
-            raise ConfigError(f"unknown curve {which!r}; choose A_u, Veff1 or Veff2")
+        fn = a_u_model2(p) if which == "A_u" else v_eff_model2(p, j).fn
     try:
         vals = np.asarray(fn(w), dtype=float)
     except PoleError:
@@ -403,32 +393,6 @@ def cmd_verify(cfg: RunConfig, outdir):
     return [path], 0
 
 
-def _fig1_config(overrides):
-    doc = {
-        "model": 1,
-        "R": 1.0,
-        "k": 2.0,
-        "levels": 6,
-        "grid": dict(_FIGURE_GRID),
-        "model1": {"C1": 0.4, "branch": "half-up"},
-    }
-    doc.update(overrides)
-    return parse_config(doc)
-
-
-def _fig2_config(overrides):
-    doc = {
-        "model": 2,
-        "R": 1.0,
-        "k": 2.0,
-        "levels": 6,
-        "grid": dict(_FIGURE_GRID),
-        "model2": {"sign_a": "-", "sign_b": "+"},
-    }
-    doc.update(overrides)
-    return parse_config(doc)
-
-
 _FIG2_NOTE = """Data behind the second figure set.
 
 The published caption for this figure states no parameter values.  The files
@@ -437,46 +401,41 @@ alpha = 1, beta = 1/3 (signs -, +), C1 = 1/k = 0.5, R = 1.  They are a
 reasonable reconstruction, not a reproduction.
 """
 
+_FIGURE_DOC = {"R": 1.0, "k": 2.0, "levels": 6, "grid": {"L": 6.0, "N": 1201}}
+# figure -> (config document, changes for the spectrum panel, extra text files)
+_FIGURES = {
+    "fig1": (
+        dict(_FIGURE_DOC, model=1, model1={"C1": 0.4, "branch": "half-up"}),
+        {"k": 200.0},  # the spectrum panel is drawn at large wave number
+        {},
+    ),
+    "fig2": (
+        dict(_FIGURE_DOC, model=2, model2={"sign_a": "-", "sign_b": "+"}),
+        {},
+        {"provenance.txt": _FIG2_NOTE},
+    ),
+}
+
 
 def cmd_figures(which, overrides, outdir):
-    written = []
-    if which == "fig1":
-        cfg = _fig1_config(overrides)
-        d = os.path.join(outdir, "fig1")
-        for curve, stem in (("A_u", "a_u"), ("Veff1", "veff1"), ("Veff2", "veff2")):
-            w, vals, _ = _curve(cfg, curve)
-            path = os.path.join(d, f"{stem}.csv")
-            _write_csv(path, ["w", "value"], [[_fmt(a), _fmt(b)] for a, b in zip(w, vals)])
-            written.append(path)
-        # spectrum panel is drawn at large wave number
-        spec_cfg = _fig1_config(dict(overrides, k=200.0))
-        path = os.path.join(d, "spectrum.csv")
-        _write_csv(
-            path,
-            ["level", "E_sq_bar", "E_minus", "E_plus", "physical", "reason"],
-            _spectrum_rows(spec_cfg),
-        )
-        written.append(path)
-    elif which == "fig2":
-        cfg = _fig2_config(overrides)
-        d = os.path.join(outdir, "fig2")
-        for curve, stem in (("A_u", "a_u"), ("Veff1", "veff1"), ("Veff2", "veff2")):
-            w, vals, _ = _curve(cfg, curve)
-            path = os.path.join(d, f"{stem}.csv")
-            _write_csv(path, ["w", "value"], [[_fmt(a), _fmt(b)] for a, b in zip(w, vals)])
-            written.append(path)
-        path = os.path.join(d, "spectrum.csv")
-        _write_csv(
-            path,
-            ["level", "E_sq_bar", "E_minus", "E_plus", "physical", "reason"],
-            _spectrum_rows(cfg),
-        )
-        written.append(path)
-        note = os.path.join(d, "provenance.txt")
-        _atomic_write(note, _FIG2_NOTE)
-        written.append(note)
-    else:
+    """Write one figure set; overrides replace keys of its config document."""
+    if which not in _FIGURES:
         raise ConfigError(f"figures takes fig1 or fig2, got {which!r}")
+    base, spectrum_changes, notes = _FIGURES[which]
+    doc = dict(base, **overrides)
+    cfg = parse_config(doc)
+    d = os.path.join(outdir, which)
+    written = []
+    for curve in ("A_u", "Veff1", "Veff2"):
+        w, vals, _ = _curve(cfg, curve)
+        path = os.path.join(d, f"{curve.lower()}.csv")
+        _write_csv(path, ["w", "value"], [[_fmt(a), _fmt(b)] for a, b in zip(w, vals)])
+        written.append(path)
+    written += cmd_spectrum(parse_config(dict(doc, **spectrum_changes)), d)
+    for name, text in notes.items():
+        path = os.path.join(d, name)
+        _atomic_write(path, text)
+        written.append(path)
     return written
 
 
@@ -495,31 +454,44 @@ def _add_common(sp):
     sp.add_argument("--strict", action="store_true", help="fail (exit 3) if a forced claim fails")
 
 
-def _apply_overrides(cfg: RunConfig, args):
+def _overrides(args, doc):
+    """The config-document keys the command-line flags replace in doc.
+
+    The merged document goes through parse_config, so an override obeys the
+    same rules as the config file.  A --k on a sign-branch model-2 document
+    drops its C1, which parse_config then re-derives as 1/k.
+    """
+    out = {}
     if args.k is not None:
-        cfg.k = args.k
-        if cfg.model == 2 and cfg.alpha is None:
-            # re-derive branch parameters for the new wave number
-            if cfg.k == 0:
+        out["k"] = args.k
+        block = doc.get("model2")
+        if isinstance(block, dict) and "alpha" not in block and "beta" not in block:
+            if args.k == 0:
                 raise ConfigError("cannot override k to 0 for a sign-branch model-2 config")
-            cfg.C1 = 1.0 / cfg.k
+            out["model2"] = {key: val for key, val in block.items() if key != "C1"}
     if args.levels is not None:
-        if args.levels < 1:
-            raise ConfigError("levels must be >= 1")
-        cfg.levels = args.levels
-    if args.grid_L is not None:
-        cfg.grid_L = args.grid_L
-    if args.grid_N is not None:
-        cfg.grid_N = args.grid_N
+        out["levels"] = args.levels
+    if args.grid_L is not None or args.grid_N is not None:
+        grid = doc.get("grid", _DEFAULT_GRID)
+        if isinstance(grid, dict):
+            grid = dict(grid)
+            if args.grid_L is not None:
+                grid["L"] = args.grid_L
+            if args.grid_N is not None:
+                grid["N"] = args.grid_N
+        out["grid"] = grid
     if args.strict:
-        cfg.strict = True
-    return cfg
+        out["strict"] = True
+    return out
 
 
 def _load_required_config(args):
     if not args.config:
         raise ConfigError("--config is required for this command")
-    return _apply_overrides(load_config(args.config), args)
+    doc = _read_config(args.config)
+    if isinstance(doc, dict):
+        doc = dict(doc, **_overrides(args, doc))
+    return parse_config(doc)
 
 
 def main(argv=None):
@@ -554,43 +526,25 @@ def main(argv=None):
 
     try:
         if args.command == "figures":
-            overrides = {}
-            if args.k is not None:
-                overrides["k"] = args.k
-            if args.levels is not None:
-                overrides["levels"] = args.levels
-            if args.grid_L is not None or args.grid_N is not None:
-                g = dict(_FIGURE_GRID)
-                if args.grid_L is not None:
-                    g["L"] = args.grid_L
-                if args.grid_N is not None:
-                    g["N"] = args.grid_N
-                overrides["grid"] = g
             cfg = load_config(args.config) if args.config else None
-            outdir = _resolve_out(cfg, args.out)
-            written = cmd_figures(args.which, overrides, outdir)
-            for path in written:
-                print(path)
-            return 0
-
-        cfg = _load_required_config(args)
+        else:
+            cfg = _load_required_config(args)
         outdir = _resolve_out(cfg, args.out)
-        if args.command == "spectrum":
+        code = 0
+        if args.command == "figures":
+            overrides = _overrides(args, _FIGURES[args.which][0])
+            written = cmd_figures(args.which, overrides, outdir)
+        elif args.command == "spectrum":
             written = cmd_spectrum(cfg, outdir)
         elif args.command == "potential":
             written = cmd_potential(cfg, args.which, outdir)
         elif args.command == "wavefunction":
             written = cmd_wavefunction(cfg, args.level, args.polynomial, outdir)
-        elif args.command == "verify":
+        else:
             written, code = cmd_verify(cfg, outdir)
-            for path in written:
-                print(path)
-            return code
-        else:  # pragma: no cover
-            raise ConfigError(f"unknown command {args.command!r}")
         for path in written:
             print(path)
-        return 0
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -24,6 +24,7 @@ from .errors import (
     InvalidBranchError,
     PoleError,
 )
+from .specfun import _elementwise
 
 __all__ = [
     "Model1Params",
@@ -98,20 +99,18 @@ class Model1Params:
 def a_u_model1(p: Model1Params) -> Callable:
     """Gauge profile C1*sech^2(w) + C2*tanh(w) + C3; asymptotes C3 +- C2."""
 
+    @_elementwise
     def a(w):
-        w = np.asarray(w, dtype=float)
-        val = p.C1 / np.cosh(w) ** 2 + p.C2 * np.tanh(w) + p.C3
-        return val if val.ndim else float(val)
+        return p.C1 / np.cosh(w) ** 2 + p.C2 * np.tanh(w) + p.C3
 
     return a
 
 
 def da_u_model1(p: Model1Params) -> Callable:
+    @_elementwise
     def da(w):
-        w = np.asarray(w, dtype=float)
         s = 1.0 / np.cosh(w) ** 2
-        val = -2.0 * p.C1 * s * np.tanh(w) + p.C2 * s
-        return val if val.ndim else float(val)
+        return -2.0 * p.C1 * s * np.tanh(w) + p.C2 * s
 
     return da
 
@@ -179,8 +178,8 @@ def alpha_beta(k, sign_a, sign_b):
     Rejects k = +-1 (pole), and branches with alpha <= -1, beta <= -1 or
     alpha == beta.  Signs are '+' or '-' (or +-1).
     """
-    sa = {"+": 1.0, "-": -1.0, 1: 1.0, -1: -1.0, 1.0: 1.0, -1.0: -1.0}.get(sign_a)
-    sb = {"+": 1.0, "-": -1.0, 1: 1.0, -1: -1.0, 1.0: 1.0, -1.0: -1.0}.get(sign_b)
+    signs = {"+": 1.0, "-": -1.0, 1: 1.0, -1: -1.0}
+    sa, sb = signs.get(sign_a), signs.get(sign_b)
     if sa is None or sb is None:
         raise DomainError(f"signs must be '+' or '-', got {sign_a!r}, {sign_b!r}")
     if k == 1.0 or k == -1.0:
@@ -196,40 +195,39 @@ def alpha_beta(k, sign_a, sign_b):
     return alpha, beta
 
 
+def _pole_factor(p: Model2Params, t):
+    """a1*tanh(w) - a2, the denominator of every Model-II rational term;
+    PoleError when it vanishes at a sample."""
+    q = p.a1 * t - p.a2
+    if np.any(q == 0.0):
+        raise PoleError(f"Model-II pole at tanh(w) = {p.a2 / p.a1}", location=p.pole_w())
+    return q
+
+
 def a_u_model2(p: Model2Params) -> Callable:
     """Rational gauge profile; raises PoleError when evaluated on its pole."""
 
+    @_elementwise
     def a(w):
-        w = np.asarray(w, dtype=float)
         t = np.tanh(w)
         s = 1.0 / np.cosh(w) ** 2
-        q = p.a1 * t - p.a2
-        if np.any(q == 0.0):
-            raise PoleError(
-                f"gauge profile pole at tanh(w) = {p.a2 / p.a1}", location=p.pole_w()
-            )
-        val = p.C1 * s + p.C2 * s * t / q + p.C3 * t + p.C4
-        return val if val.ndim else float(val)
+        q = _pole_factor(p, t)
+        return p.C1 * s + p.C2 * s * t / q + p.C3 * t + p.C4
 
     return a
 
 
 def da_u_model2(p: Model2Params) -> Callable:
+    @_elementwise
     def da(w):
-        w = np.asarray(w, dtype=float)
         t = np.tanh(w)
         s = 1.0 / np.cosh(w) ** 2
-        q = p.a1 * t - p.a2
-        if np.any(q == 0.0):
-            raise PoleError(
-                f"gauge profile pole at tanh(w) = {p.a2 / p.a1}", location=p.pole_w()
-            )
-        val = (
+        q = _pole_factor(p, t)
+        return (
             -2.0 * p.C1 * s * t
             + p.C2 * (s * (s - 2.0 * t * t) / q - p.a1 * s * s * t / (q * q))
             + p.C3 * s
         )
-        return val if val.ndim else float(val)
 
     return da
 
@@ -264,18 +262,17 @@ def v_eff_general(A, dA, k, j) -> EffectivePotential:
         raise DomainError(f"component index must be 1 or 2, got {j}")
     sgn = -1.0 if j == 1 else 1.0
 
+    @_elementwise
     def v(w):
-        w = np.asarray(w, dtype=float)
         ch = np.cosh(w)
         sh = np.sinh(w)
         aw = A(w)
-        val = (
+        return (
             ((k - aw) ** 2 + sgn * dA(w)) * ch * ch
             + sgn * (aw - k) * ch * sh
             - 0.75 * ch * ch
             + 0.25
         )
-        return val if val.ndim else float(val)
 
     return EffectivePotential(j=j, fn=v, label=f"general j={j}")
 
@@ -287,13 +284,13 @@ def v_eff_model1_raw(p: Model1Params, k) -> EffectivePotential:
     constraint branches are imposed.
     """
 
+    @_elementwise
     def v(w):
-        w = np.asarray(w, dtype=float)
         ch = np.cosh(w)
         sh = np.sinh(w)
         t = np.tanh(w)
         s = 1.0 / (ch * ch)
-        val = (
+        return (
             -p.C2
             + 2.0 * p.C1 * p.C3
             - 2.0 * p.C1 * k
@@ -303,7 +300,6 @@ def v_eff_model1_raw(p: Model1Params, k) -> EffectivePotential:
             + (p.C2 * p.C2 - p.C2 - 0.25) * sh * sh
             + p.C1 * (1.0 + 2.0 * p.C2) * t
         )
-        return val if val.ndim else float(val)
 
     return EffectivePotential(j=1, fn=v, label="model1 expanded j=1")
 
@@ -323,10 +319,9 @@ def v_eff_model1(p: Model1Params, k, j) -> EffectivePotential:
         const = (p.C2 - 0.5) ** 2 + 2.0 * p.C1 * (p.C3 - k) - 0.5
         slope = p.C1 * (1.0 + 2.0 * p.C2)
 
+        @_elementwise
         def v1(w):
-            w = np.asarray(w, dtype=float)
-            val = p.C1 * p.C1 / np.cosh(w) ** 2 + slope * np.tanh(w) + const
-            return val if val.ndim else float(val)
+            return p.C1 * p.C1 / np.cosh(w) ** 2 + slope * np.tanh(w) + const
 
         return EffectivePotential(
             j=1,
@@ -337,11 +332,11 @@ def v_eff_model1(p: Model1Params, k, j) -> EffectivePotential:
         )
     if j == 2:
 
+        @_elementwise
         def v2(w):
-            w = np.asarray(w, dtype=float)
             ch = np.cosh(w)
             sh = np.sinh(w)
-            val = (
+            return (
                 p.C1 * p.C1 / (ch * ch)
                 + p.C1 * (-1.0 + 2.0 * p.C2) * np.tanh(w)
                 + 2.0 * p.C2 * ch * ch
@@ -350,7 +345,6 @@ def v_eff_model1(p: Model1Params, k, j) -> EffectivePotential:
                 - 2.0 * p.C1 * (p.C3 - k)
                 - 0.5
             )
-            return val if val.ndim else float(val)
 
         return EffectivePotential(j=2, fn=v2, label="model1 closed j=2")
     raise DomainError(f"component index must be 1 or 2, got {j}")
@@ -365,16 +359,14 @@ def v_eff_model2_raw(p: Model2Params) -> EffectivePotential:
     """Verbatim expanded form of the first Model-II effective potential."""
     k = p.k
 
+    @_elementwise
     def v(w):
-        w = np.asarray(w, dtype=float)
         ch = np.cosh(w)
         sh = np.sinh(w)
         t = np.tanh(w)
         s = 1.0 / (ch * ch)
-        q = p.a1 * t - p.a2
-        if np.any(q == 0.0):
-            raise PoleError("potential pole", location=p.pole_w())
-        val = (
+        q = _pole_factor(p, t)
+        return (
             0.25
             - p.C3
             + 2.0 * p.C1 * p.C4
@@ -391,7 +383,6 @@ def v_eff_model2_raw(p: Model2Params) -> EffectivePotential:
             + 2.0 * p.C1 * p.C2 * s * t / q
             + p.C2 * (1.0 + 2.0 * p.C3) * t * t / q
         )
-        return val if val.ndim else float(val)
 
     return EffectivePotential(
         j=1, fn=v, poles=_model2_poles(p), label="model2 expanded j=1"
@@ -403,16 +394,14 @@ def v_eff_model2(p: Model2Params, j) -> EffectivePotential:
     k = p.k
     if j == 1:
 
+        @_elementwise
         def v1(w):
-            w = np.asarray(w, dtype=float)
             ch = np.cosh(w)
             sh = np.sinh(w)
             t = np.tanh(w)
             s = 1.0 / (ch * ch)
-            q = p.a1 * t - p.a2
-            if np.any(q == 0.0):
-                raise PoleError("potential pole", location=p.pole_w())
-            val = (
+            q = _pole_factor(p, t)
+            return (
                 0.25
                 - p.C6
                 + 2.0 * p.C1 * p.C4
@@ -424,23 +413,20 @@ def v_eff_model2(p: Model2Params, j) -> EffectivePotential:
                 - (p.C2 + p.C5) * s / q
                 + (p.a2 * p.a2 * p.C1 * p.C1 - p.a1 * p.a2 * p.C1) * s / (q * q)
             )
-            return val if val.ndim else float(val)
 
         return EffectivePotential(
             j=1, fn=v1, poles=_model2_poles(p), label="model2 closed j=1"
         )
     if j == 2:
 
+        @_elementwise
         def v2(w):
-            w = np.asarray(w, dtype=float)
             ch = np.cosh(w)
             sh = np.sinh(w)
             t = np.tanh(w)
             s = 1.0 / (ch * ch)
-            q = p.a1 * t - p.a2
-            if np.any(q == 0.0):
-                raise PoleError("potential pole", location=p.pole_w())
-            val = (
+            q = _pole_factor(p, t)
+            return (
                 0.25
                 - p.C3
                 + 2.0 * p.C1 * p.C4
@@ -455,7 +441,6 @@ def v_eff_model2(p: Model2Params, j) -> EffectivePotential:
                 - 2.0 * p.a1 * p.C1 * p.C1 * s * t / q
                 + p.a1 * p.C1 * (1.0 - 2.0 * p.C3) * t * t / q
             )
-            return val if val.ndim else float(val)
 
         return EffectivePotential(
             j=2, fn=v2, poles=_model2_poles(p), label="model2 closed j=2"
@@ -499,8 +484,8 @@ def midya_rhs(alpha, beta, n, variant="sech2") -> Callable:
     a1c, a2c, a3c, a4c, a5c, a6c = midya_constants(alpha, beta, n)
     d, s = beta - alpha, beta + alpha
 
+    @_elementwise
     def rhs(w):
-        w = np.asarray(w, dtype=float)
         ch = np.cosh(w)
         sh = np.sinh(w)
         t = np.tanh(w)
@@ -509,7 +494,6 @@ def midya_rhs(alpha, beta, n, variant="sech2") -> Callable:
         if np.any(q == 0.0):
             raise PoleError("right-hand-side pole", location=None)
         mid = a5c * sc2 / q if variant == "sech2" else a5c * (1.0 / ch) / q
-        val = a6c * sc2 / (q * q) + mid + a4c * ch * ch + a3c * sh * ch + a2c + a1c * t
-        return val if val.ndim else float(val)
+        return a6c * sc2 / (q * q) + mid + a4c * ch * ch + a3c * sh * ch + a2c + a1c * t
 
     return rhs

@@ -11,28 +11,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .specfun import _elementwise, _scalar_or_array
 
 __all__ = ["SphereChart", "w_from_v", "v_from_w", "conformal_factor"]
 
 
+@_elementwise
 def w_from_v(v):
     """Isothermal coordinate w = log(tan v + sec v) = asinh(tan v), |v| < pi/2.
 
     The asinh form is used throughout: it is the same function, without the
     cancellation of log(tan v + sec v) near the poles.
     """
-    v = np.asarray(v, dtype=float)
     if np.any(np.abs(v) >= math.pi / 2):
         raise DomainError("chart excludes the poles: need |v| < pi/2")
-    w = np.arcsinh(np.tan(v))
-    return w if w.ndim else float(w)
+    return np.arcsinh(np.tan(v))
 
 
+@_elementwise
 def v_from_w(w):
     """Inverse map: the v with cosh(w) = sec(v) and sign(v) = sign(w)."""
-    w = np.asarray(w, dtype=float)
-    v = np.arcsin(np.tanh(w))
-    return v if v.ndim else float(v)
+    return np.arcsin(np.tanh(w))
 
 
 @dataclass(frozen=True)
@@ -48,6 +47,4 @@ class SphereChart:
 
 def conformal_factor(chart, w):
     """Conformal factor R*sech(w): positive, even, decreasing in |w|."""
-    w = np.asarray(w, dtype=float)
-    val = chart.R / np.cosh(w)
-    return val if val.ndim else float(val)
+    return _scalar_or_array(chart.R / np.cosh(np.asarray(w, dtype=float)))

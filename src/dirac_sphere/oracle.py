@@ -6,8 +6,10 @@ conservative (flux-form) finite-difference scheme on a uniform grid over
 in its banded storage, so real spectra are structural.  A discrete first-order
 factorization with configurable sign conventions provides the forced
 isospectrality check (the two compositions of one matrix share their nonzero
-spectrum no matter what), and the consistency-report engine attaches a
-verdict to every closed-form formula of both gauge models.
+spectrum no matter what).  One consistency-report engine attaches a verdict
+to every closed-form formula of both gauge models; each model enters it as a
+small spec of its formulas (potentials, levels, eigenfunction readings and
+solvable-structure identity), so both reports share every claim family.
 
 Verdict policy: mathematically forced claims must PASS; transcription claims
 are always 'recorded' with their metric, because the closed forms contain
@@ -15,7 +17,7 @@ apparent typos that this package is meant to expose, not hide.
 """
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import eig_banded, eigh_tridiagonal
@@ -36,11 +38,13 @@ from .gauge import (
     v_eff_model2,
     v_eff_model2_raw,
 )
+from .specfun import _elementwise
 from .spectra import (
     WaveFunctionSpec,
     energy_model1,
     energy_model2,
     energy_model2_matched,
+    partner_map,
     wavefn_model1,
     wavefn_model2,
 )
@@ -64,6 +68,10 @@ __all__ = [
 _EPS = np.finfo(float).eps
 
 
+def _cosh2(w):
+    return np.cosh(w) ** 2
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform interior grid on [-L, L] with Dirichlet boundaries at +-L."""
@@ -72,8 +80,8 @@ class Grid:
     N: int
 
     def __post_init__(self):
-        if not self.L > 0:
-            raise DomainError(f"grid half-width must be positive, got {self.L}")
+        if not 0.0 < self.L < math.inf:
+            raise DomainError(f"grid half-width must be positive and finite, got {self.L}")
         if self.N < 3 or int(self.N) != self.N:
             raise DomainError(f"need at least 3 interior points, got {self.N}")
 
@@ -103,10 +111,6 @@ class SLMatrix:
     @property
     def order(self):
         return self.bands.shape[1]
-
-    @property
-    def bandwidth(self):
-        return self.bands.shape[0] - 1
 
     def matvec(self, x):
         y = self.bands[0] * x
@@ -341,9 +345,7 @@ def verify_eigenpair(
     """
     q_fn = pot.fn if isinstance(pot, EffectivePotential) else pot
     poles = pot.poles if isinstance(pot, EffectivePotential) else ()
-    if p_fn is None:
-        p_fn = lambda w: np.cosh(w) ** 2
-    m = build_sl_matrix(p_fn, q_fn, grid, q_poles=poles)
+    m = build_sl_matrix(p_fn or _cosh2, q_fn, grid, q_poles=poles)
     return _residuals(m, _sample_wavefunction(phi, grid), (lam,), window)[0]
 
 
@@ -397,10 +399,9 @@ def derive_partner_component(
     w = grid.points()
     norm_sq = float(grid.h * np.dot(out, out))
 
+    @_elementwise
     def eval_interp(x, _w=w, _v=out.copy()):
-        x = np.asarray(x, dtype=float)
-        val = np.interp(x, _w, _v, left=0.0, right=0.0)
-        return val if val.ndim else float(val)
+        return np.interp(x, _w, _v, left=0.0, right=0.0)
 
     return WaveFunctionSpec(
         component=2,
@@ -498,56 +499,91 @@ _ISO_TOL = 1e-8
 _COMPOSE_GRID = Grid(4.0, 401)
 _CONVENTION_GRID = Grid(6.0, 801)
 _RESIDUAL_WINDOW = 8.0
+_CONSTANCY_GRID = {"w_lo": -4.0, "w_hi": 4.0, "n_pts": 2001}
+
+
+@dataclass(frozen=True)
+class _ModelSpec:
+    """What one gauge model brings to its report: the formulas and the words.
+
+    Every claim family is built from these fields by _model_report, the same
+    way for both models.  Callables take the level index; eigenfunctions
+    holds (claim-id infix, description, level -> WaveFunctionSpec) per
+    polynomial reading.
+    """
+
+    params: Dict[str, object]
+    A: Callable
+    dA: Callable
+    raw1: EffectivePotential
+    closed1: EffectivePotential
+    closed2: EffectivePotential
+    b_descriptions: Tuple[str, str]
+    printed: Callable  # level -> SpectralLine of the printed spectrum
+    implied: Callable  # level -> level constant implied by the identity, or None
+    spectrum_details: Callable  # (line, oracle, implied) -> extra c.* details
+    printed_key: str  # d.* details key of the printed level constant
+    eigenfunctions: Tuple[Tuple[str, str, Callable], ...]
+    identity_claims: Callable  # printed level-0 constant -> the g.* claims
 
 
 def consistency_report(
-    model,
-    params,
-    k,
-    R,
-    grid: Grid,
-    levels: int = 4,
-    residual_window: float = _RESIDUAL_WINDOW,
-    compose_grid: Grid = _COMPOSE_GRID,
-    convention_grid: Grid = _CONVENTION_GRID,
-    corrupt_forced: bool = False,
+    model, params, k, R, grid: Grid, levels: int = 4, corrupt_forced: bool = False
 ) -> VerificationReport:
     """Assemble the full verification report for one model.
 
     Claim families: forced linear-algebra invariants (f.*), the factorization
     convention scan, transcription constancy checks (a.*, b.*), closed-form
-    spectrum versus oracle eigenvalues (c.*), eigenfunction residuals (d.*),
-    partner-level pairing (e.*), and the model's solvable-structure identity
-    (g.*).  Forced claims must pass; everything else is recorded with a finite
-    metric and the grid it was measured on.  corrupt_forced is a test hook
-    that perturbs one composed matrix so the forced claim fails.
+    spectrum versus oracle eigenvalues (c.*), eigenfunction residuals (d.*,
+    over |w| <= 8), partner-level pairing (e.*), and the model's
+    solvable-structure identity (g.*).  Both models run through one assembler
+    over a per-model spec of formulas.  Forced claims must pass; everything
+    else is recorded with a finite metric and the grid it was measured on.
+    corrupt_forced is a test hook that perturbs one composed matrix so the
+    forced claim fails.
     """
     if model == 1:
         if not isinstance(params, Model1Params):
             raise DomainError("model 1 requires Model1Params")
-        return _report_model1(
-            params, k, R, grid, levels, residual_window, compose_grid,
-            convention_grid, corrupt_forced,
-        )
-    if model == 2:
+        spec = _model1_spec(params, k, R)
+    elif model == 2:
         if not isinstance(params, Model2Params):
             raise DomainError("model 2 requires Model2Params")
         if params.k != k:
             raise DomainError(
                 f"wave number mismatch: params carry k={params.k}, report got k={k}"
             )
-        return _report_model2(
-            params, k, R, grid, levels, residual_window, compose_grid,
-            convention_grid, corrupt_forced,
-        )
-    raise DomainError(f"model must be 1 or 2, got {model}")
+        spec = _model2_spec(params, k, R)
+    else:
+        raise DomainError(f"model must be 1 or 2, got {model}")
+    return _model_report(model, spec, k, R, grid, levels, corrupt_forced)
 
 
 def _gdict(g: Grid):
     return {"L": g.L, "N": g.N}
 
 
-def _forced_claims(A, k, gen_v1, gen_v2, compose_grid, convention_grid, corrupt, q_poles=()):
+def _recorded(claim_id, paper_ref, description, metric, grid, details):
+    """A claim with its metric recorded and no pass/fail threshold."""
+    return Claim(
+        claim_id=claim_id,
+        paper_ref=paper_ref,
+        description=description,
+        metric=metric,
+        tolerance=float("nan"),
+        verdict="recorded",
+        grid=grid,
+        details=details,
+    )
+
+
+def _nearest_match(spectrum, ref):
+    """Max over ref of the relative distance to the nearest value in spectrum."""
+    gap = np.min(np.abs(spectrum[None, :] - ref[:, None]), axis=1)
+    return float(np.max(gap / (1.0 + np.abs(ref))))
+
+
+def _forced_claims(A, k, gen_v1, gen_v2, corrupt, q_poles=()):
     """Shared forced + convention claims.
 
     gen_v1/gen_v2 are the general-form j=1/j=2 potentials (callables): the
@@ -556,11 +592,10 @@ def _forced_claims(A, k, gen_v1, gen_v2, compose_grid, convention_grid, corrupt,
     not against the printed closed forms.
     """
     claims = []
-    ddt, dtd = compose_factorized(A, k, compose_grid)
+    ddt, dtd = compose_factorized(A, k, _COMPOSE_GRID)
     if corrupt:
-        ddt.bands[0, compose_grid.N // 2] += 1e-3 * (
-            1.0 + abs(ddt.bands[0, compose_grid.N // 2])
-        )
+        mid = _COMPOSE_GRID.N // 2
+        ddt.bands[0, mid] += 1e-3 * (1.0 + abs(ddt.bands[0, mid]))
     sym_defect = 0.0
     for mat in (ddt, dtd):
         d = mat.dense()
@@ -573,7 +608,7 @@ def _forced_claims(A, k, gen_v1, gen_v2, compose_grid, convention_grid, corrupt,
             metric=sym_defect,
             tolerance=0.0,
             verdict="pass" if sym_defect <= 0.0 else "fail",
-            grid=_gdict(compose_grid),
+            grid=_gdict(_COMPOSE_GRID),
         )
     )
 
@@ -589,384 +624,255 @@ def _forced_claims(A, k, gen_v1, gen_v2, compose_grid, convention_grid, corrupt,
             metric=metric,
             tolerance=_ISO_TOL,
             verdict="pass" if metric <= _ISO_TOL else "fail",
-            grid=_gdict(compose_grid),
+            grid=_gdict(_COMPOSE_GRID),
             details={"zero_floor": floor, "n_below_floor": n_zero},
         )
     )
 
     per_convention = {}
     best_name, best_metric = None, float("inf")
-    sl1 = build_sl_matrix(lambda w: np.cosh(w) ** 2, gen_v1, convention_grid, q_poles=q_poles)
-    sl2 = build_sl_matrix(lambda w: np.cosh(w) ** 2, gen_v2, convention_grid, q_poles=q_poles)
+    sl1 = build_sl_matrix(_cosh2, gen_v1, _CONVENTION_GRID, q_poles=q_poles)
+    sl2 = build_sl_matrix(_cosh2, gen_v2, _CONVENTION_GRID, q_poles=q_poles)
     ref1 = np.array([v for v, _ in eig_lowest(sl1, 5)])
     ref2 = np.array([v for v, _ in eig_lowest(sl2, 5)])
     for conv in CONVENTIONS:
-        m1, m2 = compose_factorized(A, k, convention_grid, conv)
-        s1 = eig_values(m1)
-        s2 = eig_values(m2)
-        d1 = float(
-            np.max(np.min(np.abs(s1[None, :] - ref1[:, None]), axis=1) / (1.0 + np.abs(ref1)))
-        )
-        d2 = float(
-            np.max(np.min(np.abs(s2[None, :] - ref2[:, None]), axis=1) / (1.0 + np.abs(ref2)))
-        )
+        m1, m2 = compose_factorized(A, k, _CONVENTION_GRID, conv)
+        d1 = _nearest_match(eig_values(m1), ref1)
+        d2 = _nearest_match(eig_values(m2), ref2)
         per_convention[conv.name] = {"match_j1": d1, "match_j2": d2}
         if d1 < best_metric:
             best_metric, best_name = d1, conv.name
     claims.append(
-        Claim(
-            claim_id="conventions.factorization-match",
-            paper_ref="factorization.first-order",
-            description=(
-                "which first-order sign convention reproduces the transformed "
-                "second-order operators (nearest-eigenvalue match of the "
-                "compositions against the flux-form discretizations)"
-            ),
-            metric=best_metric,
-            tolerance=float("nan"),
-            verdict="recorded",
-            grid=_gdict(convention_grid),
-            details={"per_convention": per_convention, "best_convention": best_name},
+        _recorded(
+            "conventions.factorization-match",
+            "factorization.first-order",
+            "which first-order sign convention reproduces the transformed "
+            "second-order operators (nearest-eigenvalue match of the "
+            "compositions against the flux-form discretizations)",
+            best_metric,
+            _gdict(_CONVENTION_GRID),
+            {"per_convention": per_convention, "best_convention": best_name},
         )
     )
     return claims
 
 
-def _constancy_claim(claim_id, paper_ref, description, diff_fn, grid_used):
-    metric, mean = _constancy(diff_fn)
-    return Claim(
-        claim_id=claim_id,
-        paper_ref=paper_ref,
-        description=description,
-        metric=metric,
-        tolerance=_CONSTANCY_TOL,
-        verdict="recorded",
-        grid=grid_used,
-        details={"additive_constant": mean},
-    )
+def _model_report(model, spec: _ModelSpec, k, R, grid, levels, corrupt):
+    """The claims of one model in report order, built from its spec.
 
+    Formulas are evaluated in report order, so the first claim an invalid
+    configuration breaks is the one that raises.
+    """
+    ref = f"model{model}"
+    gen1 = v_eff_general(spec.A, spec.dA, k, 1)
+    gen2 = v_eff_general(spec.A, spec.dA, k, 2)
+    raw1, closed1, closed2 = spec.raw1, spec.closed1, spec.closed2
+    claims = _forced_claims(spec.A, k, gen1.fn, gen2.fn, corrupt, q_poles=closed1.poles)
 
-_CONSTANCY_GRID = {"w_lo": -4.0, "w_hi": 4.0, "n_pts": 2001}
-
-
-def _report_model1(
-    p, k, R, grid, levels, window, compose_grid, convention_grid, corrupt
-):
-    A, dA = a_u_model1(p), da_u_model1(p)
-    gen1 = v_eff_general(A, dA, k, 1)
-    gen2 = v_eff_general(A, dA, k, 2)
-    raw1 = v_eff_model1_raw(p, k)
-    closed1 = v_eff_model1(p, k, 1)
-    closed2 = v_eff_model1(p, k, 2)
-
-    claims = _forced_claims(
-        A, k, gen1.fn, gen2.fn, compose_grid, convention_grid, corrupt
-    )
-
-    claims.append(
-        _constancy_claim(
+    b1, b2 = spec.b_descriptions
+    for claim_id, formula, description, diff_fn in (
+        (
             "a.veff1-expansion",
-            "model1.veff1.expanded",
+            "veff1.expanded",
             "expanded first-component potential minus the general form (identity up to constant)",
             lambda w: raw1(w) - gen1(w),
-            _CONSTANCY_GRID,
-        )
-    )
-    claims.append(
-        _constancy_claim(
-            "b.veff1-constrained",
-            "model1.veff1.closed",
-            "Rosen-Morse closed form minus the constrained expanded form; the constant gap is the bookkeeping discrepancy",
-            lambda w: closed1(w) - raw1(w),
-            _CONSTANCY_GRID,
-        )
-    )
-    claims.append(
-        _constancy_claim(
-            "b.veff2-constrained",
-            "model1.veff2.closed",
-            "second-component closed form minus the constrained general form",
-            lambda w: closed2(w) - gen2(w),
-            _CONSTANCY_GRID,
-        )
-    )
-
-    sl1 = build_sl_matrix(lambda w: np.cosh(w) ** 2, closed1.fn, grid)
-    pairs1 = eig_lowest(sl1, levels)
-    sl2 = build_sl_matrix(lambda w: np.cosh(w) ** 2, closed2.fn, grid)
-    pairs2 = eig_lowest(sl2, levels)
-
-    for n in range(levels):
-        line = energy_model1(n, p, k, R)
-        lam_oracle = pairs1[n][0]
+        ),
+        ("b.veff1-constrained", "veff1.closed", b1, lambda w: closed1(w) - raw1(w)),
+        ("b.veff2-constrained", "veff2.closed", b2, lambda w: closed2(w) - gen2(w)),
+    ):
+        metric, mean = _constancy(diff_fn)
         claims.append(
             Claim(
-                claim_id=f"c.spectrum.m{n}",
-                paper_ref="model1.spectrum.closed",
-                description="closed-form level constant vs oracle eigenvalue of the closed j=1 potential",
-                metric=abs(line.E_sq_bar - lam_oracle),
-                tolerance=float("nan"),
+                claim_id=claim_id,
+                paper_ref=f"{ref}.{formula}",
+                description=description,
+                metric=metric,
+                tolerance=_CONSTANCY_TOL,
                 verdict="recorded",
-                grid=_gdict(grid),
-                details={
+                grid=_CONSTANCY_GRID,
+                details={"additive_constant": mean},
+            )
+        )
+
+    sl1 = build_sl_matrix(_cosh2, closed1.fn, grid, q_poles=closed1.poles)
+    e1 = [v for v, _ in eig_lowest(sl1, levels)]
+    sl2 = build_sl_matrix(_cosh2, closed2.fn, grid, q_poles=closed2.poles)
+    e2 = [v for v, _ in eig_lowest(sl2, levels)]
+
+    printed, implied = [], []
+    for n in range(levels):
+        line = spec.printed(n)
+        printed.append(line.E_sq_bar)
+        implied.append(spec.implied(n))
+        claims.append(
+            _recorded(
+                f"c.spectrum.m{n}",
+                f"{ref}.spectrum.closed",
+                "closed-form level constant vs oracle eigenvalue of the closed j=1 potential",
+                abs(line.E_sq_bar - e1[n]),
+                _gdict(grid),
+                {
                     "closed_form": line.E_sq_bar,
-                    "oracle": lam_oracle,
-                    "radicand_ok": line.radicand_ok,
+                    "oracle": e1[n],
+                    **spec.spectrum_details(line, e1[n], implied[n]),
                 },
             )
         )
 
     for n in range(levels):
-        wf = wavefn_model1(n, p, k)
-        lam = energy_model1(n, p, k, R).E_sq_bar
-        (res,) = _residuals(sl1, _sample_wavefunction(wf, grid), (lam,), window)
-        claims.append(
-            Claim(
-                claim_id=f"d.eigenfunction.m{n}",
-                paper_ref="model1.eigenfunction.closed",
-                description="windowed eigenpair residual of the printed eigenfunction at the printed level constant",
-                metric=res,
-                tolerance=float("nan"),
-                verdict="recorded",
-                grid=_gdict(grid),
-                details={
-                    "lambda": lam,
-                    "window": window,
-                    "norm_finite": wf.norm_finite,
-                    **wf.norm_details(),
-                },
-            )
-        )
-
-    e1 = [v for v, _ in pairs1]
-    e2 = [v for v, _ in pairs2]
-    for m in range(1, levels):
-        claims.append(
-            Claim(
-                claim_id=f"e.partner.m{m}",
-                paper_ref="partner.level-pairing",
-                description="oracle spectra of the two components paired with the one-level shift",
-                metric=abs(e1[m] - e2[m - 1]),
-                tolerance=float("nan"),
-                verdict="recorded",
-                grid=_gdict(grid),
-                details={
-                    "e1": e1[m],
-                    "e2_shifted": e2[m - 1],
-                    "unshifted_deviation": abs(e1[m] - e2[m]),
-                },
-            )
-        )
-
-    # Solvable-structure identity: for a true eigenfunction the local energy
-    # (H phi)/phi is constant; evaluated analytically for the printed ground state.
-    s = (-1.0 + math.sqrt(1.0 - 4.0 * p.C1 * p.C1)) / 2.0
-    B = p.C1 * (1.0 + 2.0 * p.C2) / 2.0
-
-    def local_energy(w):
-        t = np.tanh(np.asarray(w, dtype=float))
-        dlog = -s / (1.0 - t) + B / (1.0 + t)
-        d2log = -s / (1.0 - t) ** 2 - B / (1.0 + t) ** 2
-        return -(1.0 - t * t) * (dlog * dlog + d2log) + closed1(w)
-
-    metric, mean = _constancy(local_energy)
-    claims.append(
-        Claim(
-            claim_id="g.local-energy-constancy",
-            paper_ref="model1.eigenfunction.closed",
-            description=(
-                "local energy (H phi)/phi of the printed ground state under the "
-                "closed j=1 potential; constant iff the printed pair solves the operator"
-            ),
-            metric=metric,
-            tolerance=float("nan"),
-            verdict="recorded",
-            grid=_CONSTANCY_GRID,
-            details={
-                "mean_local_energy": mean,
-                "closed_form_level0": energy_model1(0, p, k, R).E_sq_bar,
-            },
-        )
-    )
-
-    return VerificationReport(
-        model=1,
-        k=k,
-        R=R,
-        levels=levels,
-        params={"C1": p.C1, "C2": p.C2, "C3": p.C3, "branch": p.branch},
-        claims=claims,
-    )
-
-
-def _report_model2(
-    p, k, R, grid, levels, window, compose_grid, convention_grid, corrupt
-):
-    A, dA = a_u_model2(p), da_u_model2(p)
-    gen1 = v_eff_general(A, dA, k, 1)
-    gen2 = v_eff_general(A, dA, k, 2)
-    raw1 = v_eff_model2_raw(p)
-    closed1 = v_eff_model2(p, 1)
-    closed2 = v_eff_model2(p, 2)
-    alpha, beta = p.alpha, p.beta
-
-    claims = _forced_claims(
-        A, k, gen1.fn, gen2.fn, compose_grid, convention_grid, corrupt,
-        q_poles=closed1.poles,
-    )
-
-    claims.append(
-        _constancy_claim(
-            "a.veff1-expansion",
-            "model2.veff1.expanded",
-            "expanded first-component potential minus the general form (identity up to constant)",
-            lambda w: raw1(w) - gen1(w),
-            _CONSTANCY_GRID,
-        )
-    )
-    claims.append(
-        _constancy_claim(
-            "b.veff1-constrained",
-            "model2.veff1.closed",
-            "closed rational form minus the constrained expanded form; the add-and-subtract bookkeeping gap",
-            lambda w: closed1(w) - raw1(w),
-            _CONSTANCY_GRID,
-        )
-    )
-    claims.append(
-        _constancy_claim(
-            "b.veff2-constrained",
-            "model2.veff2.closed",
-            "second-component closed form minus the constrained general form (any w-dependence is a transcription defect)",
-            lambda w: closed2(w) - gen2(w),
-            _CONSTANCY_GRID,
-        )
-    )
-
-    sl1 = build_sl_matrix(
-        lambda w: np.cosh(w) ** 2, closed1.fn, grid, q_poles=closed1.poles
-    )
-    pairs1 = eig_lowest(sl1, levels)
-    sl2 = build_sl_matrix(
-        lambda w: np.cosh(w) ** 2, closed2.fn, grid, q_poles=closed2.poles
-    )
-    pairs2 = eig_lowest(sl2, levels)
-
-    for m in range(levels):
-        line = energy_model2(m, alpha, beta, k, R)
-        lam_oracle = pairs1[m][0]
-        matched = energy_model2_matched(m, p)
-        claims.append(
-            Claim(
-                claim_id=f"c.spectrum.m{m}",
-                paper_ref="model2.spectrum.closed",
-                description="closed-form level constant vs oracle eigenvalue of the closed j=1 potential",
-                metric=abs(line.E_sq_bar - lam_oracle),
-                tolerance=float("nan"),
-                verdict="recorded",
-                grid=_gdict(grid),
-                details={
-                    "closed_form": line.E_sq_bar,
-                    "oracle": lam_oracle,
-                    "identity_matched": matched,
-                    "oracle_minus_matched": lam_oracle - matched,
-                },
-            )
-        )
-
-    for m in range(levels):
-        lam = energy_model2(m, alpha, beta, k, R).E_sq_bar
-        matched = energy_model2_matched(m, p)
-        for variant in ("classical", "x1"):
-            wf = wavefn_model2(m, alpha, beta, polynomial=variant)
-            res, res_matched = _residuals(
-                sl1, _sample_wavefunction(wf, grid), (lam, matched), window
-            )
+        lam, matched = printed[n], implied[n]
+        lams = (lam,) if matched is None else (lam, matched)
+        for infix, description, wavefn in spec.eigenfunctions:
+            wf = wavefn(n)
+            res = _residuals(sl1, _sample_wavefunction(wf, grid), lams, _RESIDUAL_WINDOW)
+            details = {spec.printed_key: lam}
+            if matched is not None:
+                details.update(residual_at_identity_energy=res[1], lambda_identity=matched)
+            details.update(window=_RESIDUAL_WINDOW, norm_finite=wf.norm_finite)
+            details.update(wf.norm_details())
             claims.append(
-                Claim(
-                    claim_id=f"d.eigenfunction.{variant}.m{m}",
-                    paper_ref="model2.eigenfunction.closed",
-                    description=(
-                        f"windowed eigenpair residual of the {variant} polynomial "
-                        "interpretation at the printed level constant"
-                    ),
-                    metric=res,
-                    tolerance=float("nan"),
-                    verdict="recorded",
-                    grid=_gdict(grid),
-                    details={
-                        "lambda_printed": lam,
-                        "residual_at_identity_energy": res_matched,
-                        "lambda_identity": matched,
-                        "window": window,
-                        "norm_finite": wf.norm_finite,
-                        **wf.norm_details(),
-                    },
+                _recorded(
+                    f"d.eigenfunction.{infix}m{n}",
+                    f"{ref}.eigenfunction.closed",
+                    description,
+                    res[0],
+                    _gdict(grid),
+                    details,
                 )
             )
 
-    e1 = [v for v, _ in pairs1]
-    e2 = [v for v, _ in pairs2]
-    for m in range(1, levels):
+    for pair in partner_map(e1, e2).pairs:
         claims.append(
-            Claim(
-                claim_id=f"e.partner.m{m}",
-                paper_ref="partner.level-pairing",
-                description="oracle spectra of the two components paired with the one-level shift",
-                metric=abs(e1[m] - e2[m - 1]),
-                tolerance=float("nan"),
-                verdict="recorded",
-                grid=_gdict(grid),
-                details={
-                    "e1": e1[m],
-                    "e2_shifted": e2[m - 1],
-                    "unshifted_deviation": abs(e1[m] - e2[m]),
+            _recorded(
+                f"e.partner.m{pair.m}",
+                "partner.level-pairing",
+                "oracle spectra of the two components paired with the one-level shift",
+                pair.deviation,
+                _gdict(grid),
+                {
+                    "e1": pair.e1_sq,
+                    "e2_shifted": pair.e2_sq,
+                    "unshifted_deviation": abs(e1[pair.m] - e2[pair.m]),
                 },
             )
         )
 
-    printed0 = energy_model2(0, alpha, beta, k, R).E_sq_bar
-    for variant in ("sech2", "sech1"):
-        rhs = midya_rhs(alpha, beta, 1, variant=variant)
-        metric, mean = _constancy(lambda w: closed1(w) + rhs(w))
-        claims.append(
-            Claim(
-                claim_id=f"g.midya-rhs.{variant}",
-                paper_ref="model2.solvable-rhs",
-                description=(
+    claims.extend(spec.identity_claims(printed[0]))
+    return VerificationReport(
+        model=model, k=k, R=R, levels=levels, params=spec.params, claims=claims
+    )
+
+
+def _model1_spec(p: Model1Params, k, R) -> _ModelSpec:
+    closed1 = v_eff_model1(p, k, 1)
+
+    def identity_claims(level0):
+        # Solvable-structure identity: for a true eigenfunction the local energy
+        # (H phi)/phi is constant; evaluated analytically for the printed ground state.
+        s = (-1.0 + math.sqrt(1.0 - 4.0 * p.C1 * p.C1)) / 2.0
+        B = p.C1 * (1.0 + 2.0 * p.C2) / 2.0
+
+        def local_energy(w):
+            t = np.tanh(np.asarray(w, dtype=float))
+            dlog = -s / (1.0 - t) + B / (1.0 + t)
+            d2log = -s / (1.0 - t) ** 2 - B / (1.0 + t) ** 2
+            return -(1.0 - t * t) * (dlog * dlog + d2log) + closed1(w)
+
+        metric, mean = _constancy(local_energy)
+        return [
+            _recorded(
+                "g.local-energy-constancy",
+                "model1.eigenfunction.closed",
+                "local energy (H phi)/phi of the printed ground state under the "
+                "closed j=1 potential; constant iff the printed pair solves the operator",
+                metric,
+                _CONSTANCY_GRID,
+                {"mean_local_energy": mean, "closed_form_level0": level0},
+            )
+        ]
+
+    return _ModelSpec(
+        params={name: getattr(p, name) for name in ("C1", "C2", "C3", "branch")},
+        A=a_u_model1(p),
+        dA=da_u_model1(p),
+        raw1=v_eff_model1_raw(p, k),
+        closed1=closed1,
+        closed2=v_eff_model1(p, k, 2),
+        b_descriptions=(
+            "Rosen-Morse closed form minus the constrained expanded form; the constant gap is the bookkeeping discrepancy",
+            "second-component closed form minus the constrained general form",
+        ),
+        printed=lambda n: energy_model1(n, p, k, R),
+        implied=lambda n: None,
+        spectrum_details=lambda line, oracle, implied: {"radicand_ok": line.radicand_ok},
+        printed_key="lambda",
+        eigenfunctions=(
+            (
+                "",
+                "windowed eigenpair residual of the printed eigenfunction at the printed level constant",
+                lambda n: wavefn_model1(n, p, k),
+            ),
+        ),
+        identity_claims=identity_claims,
+    )
+
+
+def _model2_spec(p: Model2Params, k, R) -> _ModelSpec:
+    alpha, beta = p.alpha, p.beta
+    closed1 = v_eff_model2(p, 1)
+
+    def identity_claims(level0):
+        claims = []
+        for variant in ("sech2", "sech1"):
+            rhs = midya_rhs(alpha, beta, 1, variant=variant)
+            metric, mean = _constancy(lambda w: closed1(w) + rhs(w))
+            claims.append(
+                _recorded(
+                    f"g.midya-rhs.{variant}",
+                    "model2.solvable-rhs",
                     "closed j=1 potential plus the solvable-model right-hand side "
                     f"({variant} single-pole term); constant iff the identity holds, "
-                    "and the constant is the implied ground level"
-                ),
-                metric=metric,
-                tolerance=float("nan"),
-                verdict="recorded",
-                grid=_CONSTANCY_GRID,
-                details={
-                    "implied_level0": mean,
-                    "printed_level0": printed0,
-                    "implied_minus_printed": mean - printed0,
-                },
+                    "and the constant is the implied ground level",
+                    metric,
+                    _CONSTANCY_GRID,
+                    {
+                        "implied_level0": mean,
+                        "printed_level0": level0,
+                        "implied_minus_printed": mean - level0,
+                    },
+                )
             )
+        return claims
+
+    def reading(variant):
+        return (
+            f"{variant}.",
+            f"windowed eigenpair residual of the {variant} polynomial "
+            "interpretation at the printed level constant",
+            lambda m: wavefn_model2(m, alpha, beta, polynomial=variant),
         )
 
-    return VerificationReport(
-        model=2,
-        k=k,
-        R=R,
-        levels=levels,
+    return _ModelSpec(
         params={
-            "C1": p.C1,
-            "a1": p.a1,
-            "a2": p.a2,
-            "k": p.k,
-            "alpha": alpha,
-            "beta": beta,
-            "C2": p.C2,
-            "C3": p.C3,
-            "C4": p.C4,
-            "C5": p.C5,
-            "C6": p.C6,
+            name: getattr(p, name)
+            for name in ("C1", "a1", "a2", "k", "alpha", "beta", "C2", "C3", "C4", "C5", "C6")
         },
-        claims=claims,
+        A=a_u_model2(p),
+        dA=da_u_model2(p),
+        raw1=v_eff_model2_raw(p),
+        closed1=closed1,
+        closed2=v_eff_model2(p, 2),
+        b_descriptions=(
+            "closed rational form minus the constrained expanded form; the add-and-subtract bookkeeping gap",
+            "second-component closed form minus the constrained general form (any w-dependence is a transcription defect)",
+        ),
+        printed=lambda m: energy_model2(m, alpha, beta, k, R),
+        implied=lambda m: energy_model2_matched(m, p),
+        spectrum_details=lambda line, oracle, implied: {
+            "identity_matched": implied,
+            "oracle_minus_matched": oracle - implied,
+        },
+        printed_key="lambda_printed",
+        eigenfunctions=(reading("classical"), reading("x1")),
+        identity_claims=identity_claims,
     )

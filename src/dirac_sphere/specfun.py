@@ -32,6 +32,22 @@ class OutsideDomainWarning(UserWarning):
 _CLAMP_SLACK = 1e-12
 
 
+def _scalar_or_array(val):
+    """The package's return policy for functions of a scalar or an array: a
+    0-d result comes back as a Python float, anything else unchanged."""
+    return val if val.ndim else float(val)
+
+
+def _elementwise(fn):
+    """Decorate fn(x) to receive x as a float array and return by _scalar_or_array."""
+
+    @functools.wraps(fn)
+    def wrapped(x):
+        return _scalar_or_array(fn(np.asarray(x, dtype=float)))
+
+    return wrapped
+
+
 def _check_index(n, alpha, beta):
     if n < 0 or int(n) != n:
         raise DomainError(f"polynomial degree must be a non-negative integer, got {n}")
@@ -64,7 +80,7 @@ def jacobi(n, alpha, beta, x):
     n = int(n)
     p_prev = np.ones_like(x)
     if n == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
+        return _scalar_or_array(p_prev)
     p = (alpha - beta) / 2.0 + (alpha + beta + 2.0) / 2.0 * x
     for m in range(2, n + 1):
         s = 2.0 * m + alpha + beta
@@ -73,26 +89,30 @@ def jacobi(n, alpha, beta, x):
         c = (s - 1.0) * s * (s - 2.0)
         d = 2.0 * (m + alpha - 1.0) * (m + beta - 1.0) * s
         p, p_prev = ((b + c * x) * p - d * p_prev) / a, p
-    return p if p.ndim else float(p)
+    return _scalar_or_array(p)
 
 
 def jacobi_deriv(n, alpha, beta, x):
     """d/dx P_n^(alpha,beta)(x) via the parameter-shift identity; 0 for n = 0."""
     _check_index(n, alpha, beta)
     if n == 0:
-        x = np.asarray(x, dtype=float)
-        z = np.zeros_like(x)
-        return z if z.ndim else 0.0
+        return _scalar_or_array(np.zeros_like(np.asarray(x, dtype=float)))
     return 0.5 * (n + alpha + beta + 1.0) * jacobi(n - 1, alpha + 1.0, beta + 1.0, x)
 
 
-def _check_x1_params(alpha, beta):
+def _x1_terms(nu, alpha, beta):
+    """Validated (m, A, b, c) of the degree-nu rational-extension member."""
+    if nu < 1 or int(nu) != nu:
+        raise DomainError(f"degree must be a positive integer, got {nu}")
     if alpha <= -1 or beta <= -1:
         raise DomainError(f"parameters must exceed -1, got alpha={alpha}, beta={beta}")
     if alpha == beta:
         raise DomainError("rational-extension family needs alpha != beta")
     if alpha * beta == 0.0:
         raise DomainError("rational-extension family needs alpha*beta != 0")
+    m = int(nu) - 1
+    acc = m * m + (alpha + beta + 1.0) * m + alpha * beta
+    return m, acc, (beta + alpha) / (beta - alpha), 2.0 * alpha * beta / (alpha - beta)
 
 
 def x1_jacobi(nu, alpha, beta, x):
@@ -108,29 +128,17 @@ def x1_jacobi(nu, alpha, beta, x):
     These are the polynomial factors of the bound states of the second
     gauge-field model; orthogonality is exercised in the test suite.
     """
-    if nu < 1 or int(nu) != nu:
-        raise DomainError(f"degree must be a positive integer, got {nu}")
-    _check_x1_params(alpha, beta)
-    m = int(nu) - 1
-    acc = m * m + (alpha + beta + 1.0) * m + alpha * beta
-    b = (beta + alpha) / (beta - alpha)
-    c = 2.0 * alpha * beta / (alpha - beta)
+    m, acc, b, c = _x1_terms(nu, alpha, beta)
     x = np.asarray(x, dtype=float)
     val = (acc * (x - b) + c) * jacobi(m, alpha, beta, x) + (1.0 - x * x) * jacobi_deriv(
         m, alpha, beta, x
     )
-    return val if val.ndim else float(val)
+    return _scalar_or_array(val)
 
 
 def x1_jacobi_deriv(nu, alpha, beta, x):
     """Derivative of x1_jacobi in x (product rule on the defining combination)."""
-    if nu < 1 or int(nu) != nu:
-        raise DomainError(f"degree must be a positive integer, got {nu}")
-    _check_x1_params(alpha, beta)
-    m = int(nu) - 1
-    acc = m * m + (alpha + beta + 1.0) * m + alpha * beta
-    b = (beta + alpha) / (beta - alpha)
-    c = 2.0 * alpha * beta / (alpha - beta)
+    m, acc, b, c = _x1_terms(nu, alpha, beta)
     x = np.asarray(x, dtype=float)
     p = jacobi(m, alpha, beta, x)
     dp = jacobi_deriv(m, alpha, beta, x)
@@ -143,7 +151,7 @@ def x1_jacobi_deriv(nu, alpha, beta, x):
     else:
         ddp = np.zeros_like(x)
     val = acc * p + (acc * (x - b) + c) * dp - 2.0 * x * dp + (1.0 - x * x) * ddp
-    return val if val.ndim else float(val)
+    return _scalar_or_array(val)
 
 
 @functools.lru_cache(maxsize=256)

@@ -27,7 +27,6 @@ from .errors import (
     ConstraintError,
     DomainError,
     IntegrationError,
-    ZeroModeError,
 )
 from .gauge import Model1Params, Model2Params, midya_constants
 
@@ -178,11 +177,10 @@ def wavefn_model1(n, p: Model1Params, k) -> WaveFunctionSpec:
     s = _check_model1_level(n, p)
     B = p.C1 * (1.0 + 2.0 * p.C2) / 2.0
 
+    @specfun._elementwise
     def raw(w):
-        w = np.asarray(w, dtype=float)
         t = np.tanh(w)
-        val = (1.0 - t) ** s * (1.0 + t) ** B * specfun.jacobi(int(n), 2.0 * s, 2.0 * B, t)
-        return val if val.ndim else float(val)
+        return (1.0 - t) ** s * (1.0 + t) ** B * specfun.jacobi(int(n), 2.0 * s, 2.0 * B, t)
 
     # Norm integrand (1-t)^(2s-1) (1+t)^(2B-1) P_n^2: integrable iff s > 0 and B > 0.
     divergent = []
@@ -318,13 +316,13 @@ def wavefn_model2(m, alpha, beta, polynomial="classical") -> WaveFunctionSpec:
     def factor(t):
         return poly_fn(m + 1, alpha, beta, t) / (alpha + beta + (alpha - beta) * t)
 
+    @specfun._elementwise
     def raw(w):
         # not env * factor(t): this order keeps the sampled values, and so the
         # report's residuals, as the printed form has always been evaluated
-        t = np.tanh(np.asarray(w, dtype=float))
+        t = np.tanh(w)
         den = alpha + beta + (alpha - beta) * t
-        val = (1.0 - t) ** ea * (1.0 + t) ** eb * poly_fn(m + 1, alpha, beta, t) / den
-        return val if val.ndim else float(val)
+        return (1.0 - t) ** ea * (1.0 + t) ** eb * poly_fn(m + 1, alpha, beta, t) / den
 
     # Norm integrand (1-t)^alpha (1+t)^beta factor^2; alpha, beta > -1, so it
     # is finite iff the denominator's root t0 lies off [-1, 1] (alpha*beta > 0).

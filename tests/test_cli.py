@@ -256,6 +256,20 @@ def test_cli_overrides(tmp_path):
     assert len(rows) == 5
 
 
+@pytest.mark.parametrize("command", ["spectrum", "potential", "wavefunction", "verify"])
+@pytest.mark.parametrize(
+    "flag",
+    [("--grid-L", "inf"), ("--grid-L", "-1"), ("--grid-L", "nan"), ("--grid-N", "2"), ("--k", "nan")],
+    ids=["L-inf", "L-negative", "L-nan", "N-2", "k-nan"],
+)
+def test_invalid_override_exits_1_writes_nothing(tmp_path, command, flag):
+    # overrides obey the config-file rules: finite numbers, L > 0, N >= 3
+    cfg = write_config(tmp_path, model1_doc())
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, *flag, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_csv_line_endings_lf(tmp_path):
     cfg = write_config(tmp_path, model2_doc(grid={"L": 6.0, "N": 401}, levels=2))
     assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 0

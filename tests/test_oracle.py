@@ -26,6 +26,9 @@ def test_grid_validation():
         oracle.Grid(0.0, 100)
     with pytest.raises(DomainError):
         oracle.Grid(1.0, 2)
+    for L in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            oracle.Grid(L, 5)
     g = oracle.Grid(2.0, 399)
     assert g.h == pytest.approx(4.0 / 400)
     assert len(g.points()) == 399
@@ -293,3 +296,50 @@ def test_report_residuals_match_verify_eigenpair_bitwise(model):
                 pot, wf, d["lambda_identity"], grid, window=8.0
             )
             assert d["norm_rule"].startswith("gauss-jacobi") and d["norm_nodes"] == wf.norm_nodes
+
+
+_SHARED_HEAD = [
+    ("f.matrix-symmetry", ()),
+    ("f.isospectrality", ("zero_floor", "n_below_floor")),
+    ("conventions.factorization-match", ("per_convention", "best_convention")),
+    ("a.veff1-expansion", ("additive_constant",)),
+    ("b.veff1-constrained", ("additive_constant",)),
+    ("b.veff2-constrained", ("additive_constant",)),
+]
+_PARTNER = ("e1", "e2_shifted", "unshifted_deviation")
+_M2_EIGEN = (
+    "lambda_printed", "residual_at_identity_energy", "lambda_identity",
+    "window", "norm_finite", "norm_rule", "norm_nodes",
+)
+_REPORT_LAYOUT = {
+    1: _SHARED_HEAD
+    + [(f"c.spectrum.m{n}", ("closed_form", "oracle", "radicand_ok")) for n in range(3)]
+    + [(f"d.eigenfunction.m{n}", ("lambda", "window", "norm_finite", "norm_divergence")) for n in range(3)]
+    + [("e.partner.m1", _PARTNER), ("e.partner.m2", _PARTNER)]
+    + [("g.local-energy-constancy", ("mean_local_energy", "closed_form_level0"))],
+    2: _SHARED_HEAD
+    + [
+        (f"c.spectrum.m{n}", ("closed_form", "oracle", "identity_matched", "oracle_minus_matched"))
+        for n in range(3)
+    ]
+    + [(f"d.eigenfunction.{v}.m{n}", _M2_EIGEN) for n in range(3) for v in ("classical", "x1")]
+    + [("e.partner.m1", _PARTNER), ("e.partner.m2", _PARTNER)]
+    + [
+        (f"g.midya-rhs.{v}", ("implied_level0", "printed_level0", "implied_minus_printed"))
+        for v in ("sech2", "sech1")
+    ],
+}
+
+
+@pytest.mark.parametrize("model", [1, 2])
+def test_report_layout_pinned(model):
+    # claim ids, their order and the order of keys inside details are the
+    # report's format; numbers are left to the value tests
+    k = 2.0
+    if model == 1:
+        p = gauge.Model1Params.from_branch(0.4, k, "half-up")
+    else:
+        p = m2_params(C1=1 / k, k=k)
+    rep = oracle.consistency_report(model, p, k, 1.0, oracle.Grid(8.0, 801), levels=3)
+    layout = [(c["claim_id"], tuple(c["details"])) for c in rep.as_dict()["claims"]]
+    assert layout == _REPORT_LAYOUT[model]
