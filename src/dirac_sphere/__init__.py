@@ -41,9 +41,7 @@ from .gauge import (
     v_eff_model2_raw,
 )
 from .oracle import (
-    CONVENTIONS,
     Claim,
-    FactorizationConvention,
     Grid,
     SLMatrix,
     VerificationReport,

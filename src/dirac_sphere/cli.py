@@ -444,8 +444,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(sp):
-    sp.add_argument("--config", help="path to the JSON run configuration")
+def _add_common(sp, config=True):
+    """The shared flags; figures takes no --config (its documents are fixed)."""
+    if config:
+        sp.add_argument("--config", help="path to the JSON run configuration")
     sp.add_argument("--out", help="output directory (overrides config and environment)")
     sp.add_argument("--k", type=float, help="override the wave number")
     sp.add_argument("--levels", type=int, help="override the level count")
@@ -516,7 +518,7 @@ def main(argv=None):
 
     sp = sub.add_parser("figures", help="emit the data behind the published figure sets")
     sp.add_argument("which", choices=["fig1", "fig2"])
-    _add_common(sp)
+    _add_common(sp, config=False)
 
     try:
         args = parser.parse_args(argv)
@@ -525,10 +527,7 @@ def main(argv=None):
         return 1
 
     try:
-        if args.command == "figures":
-            cfg = load_config(args.config) if args.config else None
-        else:
-            cfg = _load_required_config(args)
+        cfg = None if args.command == "figures" else _load_required_config(args)
         outdir = _resolve_out(cfg, args.out)
         code = 0
         if args.command == "figures":

@@ -228,6 +228,16 @@ def test_figures_fig1_spectrum_at_large_wavenumber(tmp_path):
     assert all(r[4] == "false" for r in rows)
 
 
+def test_figures_rejects_config_writes_nothing(tmp_path, capsys):
+    # the figure documents are fixed; a config would be silently ignored, so
+    # figures does not take one
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, model1_doc(k=3.0, model1={"C1": 0.1, "branch": "neg-half"}))
+    assert cli.main(["figures", "fig1", "--config", cfg, "--out", str(out)]) == 1
+    assert "--config" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_figures_fig2_files_and_note(tmp_path):
     assert cli.main(["figures", "fig2", "--out", str(tmp_path)]) == 0
     files = sorted(os.listdir(tmp_path / "fig2"))

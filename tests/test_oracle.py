@@ -68,12 +68,6 @@ def test_curved_kinetic_matrix_nonnegative():
     assert vals[0][0] > 0.0
 
 
-def test_matrix_symmetry_is_structural():
-    m = oracle.build_sl_matrix(COSH2, ZERO, oracle.Grid(4.0, 301))
-    d = m.dense()
-    assert np.abs(d - d.T).max() == 0.0
-
-
 def test_truncation_stability_bound_state():
     # -phi'' - 5 sech^2(w) phi with flat kinetic term: one deep bound state
     q = lambda w: -5.0 / np.cosh(np.asarray(w, dtype=float)) ** 2
@@ -120,29 +114,84 @@ def test_compose_isospectrality_model_profiles():
     assert metric <= 1e-8
 
 
-def test_compose_trivial_profile_identical_spectra():
-    # A == k with the bare convention: D is the pure first-difference kinetic
-    # factor, so both compositions have identical spectra
+def test_compose_zero_f_profile_is_flux_kinetic():
+    # A = k - tanh(w)/2 makes f = cosh (A - k) + sinh/2 vanish, so Dt*D is the
+    # bare flux-form kinetic operator on the nodes
     grid = oracle.Grid(3.0, 199)
-    conv = oracle.FactorizationConvention(half_sinh=False)
     k = 1.3
-    m1, m2 = oracle.compose_factorized(
-        lambda w: np.full_like(np.asarray(w, dtype=float), k), k, grid, conv
-    )
-    s1, s2 = oracle.eig_values(m1), oracle.eig_values(m2)
-    assert np.abs(s1 - s2).max() <= 1e-10 * max(1.0, np.abs(s1).max())
+    a = lambda w: k - 0.5 * np.tanh(np.asarray(w, dtype=float))
+    dtd, ddt = oracle.compose_factorized(a, k, grid)
+    kin = oracle.build_sl_matrix(COSH2, ZERO, grid)
+    assert dtd.order == grid.N and ddt.order == grid.N + 1
+    assert np.abs(dtd.bands - kin.bands).max() <= 1e-12 * np.abs(kin.bands).max()
 
 
 def test_compose_matches_dense_composition():
     grid = oracle.Grid(3.0, 101)
     a = gauge.a_u_model1(gauge.Model1Params.from_branch(0.3, 1.0, "neg-half"))
-    m1, m2 = oracle.compose_factorized(a, 1.0, grid)
-    from dirac_sphere.oracle import _first_order_diagonals
+    dtd, ddt = oracle.compose_factorized(a, 1.0, grid)
+    # D from its defining stencil: cosh (phi_{j+1} - phi_j)/h + f (phi_j + phi_{j+1})/2
+    # at the half points, phi = 0 on the walls
+    wh = grid.half_points()
+    f = np.cosh(wh) * (a(wh) - 1.0) + 0.5 * np.sinh(wh)
+    D = np.zeros((grid.N + 1, grid.N))
+    for r in range(grid.N + 1):
+        if r < grid.N:
+            D[r, r] = np.cosh(wh[r]) / grid.h + f[r] / 2
+        if r > 0:
+            D[r, r - 1] = -np.cosh(wh[r]) / grid.h + f[r] / 2
 
-    fa, fb, fc = _first_order_diagonals(a, 1.0, grid, oracle.FactorizationConvention())
-    D = np.diag(fa) + np.diag(fb, 1) + np.diag(fc, -1)
-    assert np.abs(m1.dense() - D @ D.T).max() <= 1e-9
-    assert np.abs(m2.dense() - D.T @ D).max() <= 1e-9
+    def dense(m):
+        sub = m.bands[1, : m.order - 1]
+        return np.diag(m.bands[0]) + np.diag(sub, 1) + np.diag(sub, -1)
+
+    scale = np.abs(dtd.bands).max()
+    assert np.abs(dense(dtd) - D.T @ D).max() <= 1e-13 * scale
+    assert np.abs(dense(ddt) - D @ D.T).max() <= 1e-13 * scale
+
+
+def test_matrix_symmetry_checks_products():
+    # the forced product check sees a wrong band entry off the diagonal too
+    grid = oracle.Grid(4.0, 401)
+    a = gauge.a_u_model1(gauge.Model1Params.from_branch(0.4, 2.0, "half-up"))
+    dtd, ddt = oracle.compose_factorized(a, 2.0, grid)
+    assert oracle._product_defect(a, 2.0, grid, dtd, ddt) <= 1e-13
+    ddt.bands[1, 200] *= 1.0 + 1e-6
+    assert oracle._product_defect(a, 2.0, grid, dtd, ddt) > 1e-10
+
+
+def test_isospectrality_counts_one_kernel_vector():
+    grid = oracle.Grid(4.0, 401)
+    a = gauge.a_u_model2(m2_params())
+    dtd, ddt = oracle.compose_factorized(a, 2.0, grid)
+    metric, floor, n_below = oracle.isospectrality_metric(dtd, ddt)
+    assert metric <= 1e-8 and n_below == 1
+    # one more row without one more kernel vector fails outright
+    padded = oracle.SLMatrix(np.concatenate([dtd.bands, [[1e3], [0.0]]], axis=1), grid)
+    metric, _, _ = oracle.isospectrality_metric(dtd, padded)
+    assert metric == math.inf
+    with pytest.raises(DomainError):
+        oracle.isospectrality_metric(dtd, oracle.SLMatrix(np.zeros((2, grid.N + 2)), grid))
+
+
+@pytest.mark.parametrize("branch", ["neg-half", "half-up"])
+def test_factorization_match_second_order(branch):
+    # Dt*D against the flux-form j=1 operator of the general potential: the
+    # one-to-one gap of the five lowest eigenvalues is a discretization error
+    # and falls like h^2
+    p = gauge.Model1Params.from_branch(0.4, 2.0, branch)
+    a, da = gauge.a_u_model1(p), gauge.da_u_model1(p)
+    v1 = gauge.v_eff_general(a, da, 2.0, 1)
+    gaps = []
+    for n in (801, 1603):
+        grid = oracle.Grid(6.0, n)
+        dtd, _ = oracle.compose_factorized(a, 2.0, grid)
+        got = np.array([v for v, _ in oracle.eig_lowest(dtd, 5)])
+        sl1 = oracle.build_sl_matrix(COSH2, v1.fn, grid)
+        ref = np.array([v for v, _ in oracle.eig_lowest(sl1, 5)])
+        gaps.append(np.max(np.abs(got - ref) / (1.0 + np.abs(ref))))
+    assert gaps[0] <= 2e-4
+    assert gaps[0] >= 3.5 * gaps[1]
 
 
 # ----------------------------------------------------------- residuals
@@ -200,18 +249,19 @@ def test_derive_partner_component():
         oracle.derive_partner_component(vec, 0.0, a, 2.0, 1.0, grid)
 
 
-def test_derive_partner_sign_convention_flips():
+def test_derive_partner_is_exact_partner_map():
+    # D maps an eigenvector of Dt*D to one of D*Dt at the same eigenvalue (up
+    # to the solver's eps * |matrix| floor), and 1/E keeps the h-weighted norm
     p = m2_params()
-    grid = oracle.Grid(6.0, 801)
+    grid = oracle.Grid(4.0, 401)
     a = gauge.a_u_model2(p)
-    phi = lambda w: np.exp(-np.asarray(w, dtype=float) ** 2)
-    base = oracle.derive_partner_component(phi, 1.0, a, 2.0, 1.0, grid)
-    flipped = oracle.derive_partner_component(
-        phi, 1.0, a, 2.0, 1.0, grid,
-        convention=oracle.FactorizationConvention(sign_k=-1, sign_A=1, half_sinh=True),
-    )
-    w = grid.points()
-    assert not np.allclose(base.eval(w), flipped.eval(w))
+    dtd, ddt = oracle.compose_factorized(a, 2.0, grid)
+    for lam, vec in oracle.eig_lowest(dtd, 3):
+        partner = oracle.derive_partner_component(vec, math.sqrt(lam), a, 2.0, 1.0, grid)
+        psi = partner.eval(grid.half_points())
+        scale = np.abs(ddt.bands).max() * np.linalg.norm(psi)
+        assert np.linalg.norm(ddt.matvec(psi) - lam * psi) <= 1e-12 * scale
+        assert partner.norm_sq == pytest.approx(1.0, rel=1e-8)
 
 
 # ----------------------------------------------------------- reports
@@ -244,9 +294,8 @@ def test_report_corrupt_hook_fails_forced_claim():
     rep = oracle.consistency_report(
         1, p, 2.0, 1.0, oracle.Grid(6.0, 801), levels=2, corrupt_forced=True
     )
-    assert rep.forced_failures()
     bad = {c.claim_id for c in rep.forced_failures()}
-    assert "f.isospectrality" in bad or "f.matrix-symmetry" in bad
+    assert bad == {"f.isospectrality", "f.matrix-symmetry"}
 
 
 def test_derive_partner_model1_physical_case():
@@ -301,7 +350,7 @@ def test_report_residuals_match_verify_eigenpair_bitwise(model):
 _SHARED_HEAD = [
     ("f.matrix-symmetry", ()),
     ("f.isospectrality", ("zero_floor", "n_below_floor")),
-    ("conventions.factorization-match", ("per_convention", "best_convention")),
+    ("conventions.factorization-match", ("convention", "match_j2")),
     ("a.veff1-expansion", ("additive_constant",)),
     ("b.veff1-constrained", ("additive_constant",)),
     ("b.veff2-constrained", ("additive_constant",)),
