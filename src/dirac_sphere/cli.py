@@ -29,6 +29,7 @@ from .errors import (
 from .gauge import (
     BRANCH_LABELS,
     Model1Params,
+    _model2_poles,
     a_u_model1,
     a_u_model2,
     alpha_beta,
@@ -317,8 +318,7 @@ def _curve(cfg: RunConfig, which):
         fn = a_u_model1(p) if which == "A_u" else v_eff_model1(p, cfg.k, j).fn
     else:
         p = cfg.model2_params()
-        w0 = p.pole_w()
-        poles = (w0,) if w0 is not None else ()
+        poles = _model2_poles(p)
         fn = a_u_model2(p) if which == "A_u" else v_eff_model2(p, j).fn
     try:
         vals = np.asarray(fn(w), dtype=float)

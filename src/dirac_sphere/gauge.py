@@ -58,12 +58,12 @@ BRANCH_LABELS = {
 
 
 def model1_branches(k):
-    """The four constrained (C2, C3) pairs for wave number k, in fixed order.
+    """The four constrained (C2, C3) pairs for wave number k, in BRANCH_LABELS order.
 
     Each pair zeroes both constraint polynomials (2*C2 - 1)*(C3 - k) and
     C2^2 - C2 - 3/4 + (C3 - k)^2 exactly.
     """
-    return [(-0.5, k), (0.5, k - 1.0), (0.5, k + 1.0), (1.5, k)]
+    return [(c2, k + dc3) for c2, dc3 in BRANCH_LABELS.values()]
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,11 @@ class Model1Params:
         r2 = self.C2 * self.C2 - self.C2 - 0.75 + (self.C3 - k) ** 2
         return r1, r2
 
-    def is_constrained(self, k, tol=1e-9):
-        scale = 1.0 + abs(k)
+    def is_constrained(self, k):
+        """Both constraint residuals within 1e-9 (1 + |k|)."""
+        tol = 1e-9 * (1.0 + abs(k))
         r1, r2 = self.constraint_residuals(k)
-        return abs(r1) <= tol * scale and abs(r2) <= tol * scale
+        return abs(r1) <= tol and abs(r2) <= tol
 
 
 def a_u_model1(p: Model1Params) -> Callable:
@@ -237,16 +238,11 @@ class EffectivePotential:
     """Potential of one transformed spinor component.
 
     fn maps w (scalar or array) to the potential value; poles lists the real
-    singular points, if any; the asymptote fields hold the finite limits at
-    w -> +-inf when those exist.
+    singular points, if any.
     """
 
-    j: int
     fn: Callable
     poles: Tuple[float, ...] = ()
-    asymptote_minus: Optional[float] = None
-    asymptote_plus: Optional[float] = None
-    label: str = ""
 
     def __call__(self, w):
         return self.fn(w)
@@ -274,7 +270,7 @@ def v_eff_general(A, dA, k, j) -> EffectivePotential:
             + 0.25
         )
 
-    return EffectivePotential(j=j, fn=v, label=f"general j={j}")
+    return EffectivePotential(fn=v)
 
 
 def v_eff_model1_raw(p: Model1Params, k) -> EffectivePotential:
@@ -301,7 +297,7 @@ def v_eff_model1_raw(p: Model1Params, k) -> EffectivePotential:
             + p.C1 * (1.0 + 2.0 * p.C2) * t
         )
 
-    return EffectivePotential(j=1, fn=v, label="model1 expanded j=1")
+    return EffectivePotential(fn=v)
 
 
 def _require_constrained(p: Model1Params, k):
@@ -323,13 +319,7 @@ def v_eff_model1(p: Model1Params, k, j) -> EffectivePotential:
         def v1(w):
             return p.C1 * p.C1 / np.cosh(w) ** 2 + slope * np.tanh(w) + const
 
-        return EffectivePotential(
-            j=1,
-            fn=v1,
-            asymptote_minus=const - slope,
-            asymptote_plus=const + slope,
-            label="model1 closed j=1 (Rosen-Morse)",
-        )
+        return EffectivePotential(fn=v1)
     if j == 2:
 
         @_elementwise
@@ -346,7 +336,7 @@ def v_eff_model1(p: Model1Params, k, j) -> EffectivePotential:
                 - 0.5
             )
 
-        return EffectivePotential(j=2, fn=v2, label="model1 closed j=2")
+        return EffectivePotential(fn=v2)
     raise DomainError(f"component index must be 1 or 2, got {j}")
 
 
@@ -384,9 +374,7 @@ def v_eff_model2_raw(p: Model2Params) -> EffectivePotential:
             + p.C2 * (1.0 + 2.0 * p.C3) * t * t / q
         )
 
-    return EffectivePotential(
-        j=1, fn=v, poles=_model2_poles(p), label="model2 expanded j=1"
-    )
+    return EffectivePotential(fn=v, poles=_model2_poles(p))
 
 
 def v_eff_model2(p: Model2Params, j) -> EffectivePotential:
@@ -414,9 +402,7 @@ def v_eff_model2(p: Model2Params, j) -> EffectivePotential:
                 + (p.a2 * p.a2 * p.C1 * p.C1 - p.a1 * p.a2 * p.C1) * s / (q * q)
             )
 
-        return EffectivePotential(
-            j=1, fn=v1, poles=_model2_poles(p), label="model2 closed j=1"
-        )
+        return EffectivePotential(fn=v1, poles=_model2_poles(p))
     if j == 2:
 
         @_elementwise
@@ -442,9 +428,7 @@ def v_eff_model2(p: Model2Params, j) -> EffectivePotential:
                 + p.a1 * p.C1 * (1.0 - 2.0 * p.C3) * t * t / q
             )
 
-        return EffectivePotential(
-            j=2, fn=v2, poles=_model2_poles(p), label="model2 closed j=2"
-        )
+        return EffectivePotential(fn=v2, poles=_model2_poles(p))
     raise DomainError(f"component index must be 1 or 2, got {j}")
 
 

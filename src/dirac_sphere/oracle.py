@@ -3,13 +3,13 @@
 The second-order operator -(cosh^2 w phi')' + V(w) phi is discretized with a
 conservative (flux-form) finite-difference scheme on a uniform grid over
 [-L, L] with Dirichlet walls.  Every oracle matrix is symmetric tridiagonal
-and is stored as its diagonal and subdiagonal, so real spectra are
-structural and one tridiagonal eigensolver serves every solve.  The first-order
-operator D = cosh d/dw + f, f = cosh (A - k) + sinh/2, that factors the
-general j=1 potential is discretized on the staggered grid (nodes to half
-points); Dt*D then carries exactly the flux-form kinetic stencil, and the two
-compositions Dt*D and D*Dt share their nonzero spectrum -- the forced
-isospectrality check.  One consistency-report engine attaches a verdict to
+and is stored as its diagonal and off-diagonal arrays (SLMatrix diag, off),
+so real spectra are structural and one tridiagonal eigensolver serves every
+solve.  The first-order operator D = cosh d/dw + f, f = cosh (A - k) + sinh/2,
+that factors the general j=1 potential is discretized on the staggered grid
+(nodes to half points); Dt*D then carries exactly the flux-form kinetic
+stencil, and the two compositions Dt*D and D*Dt share their nonzero spectrum
+-- the forced isospectrality check.  One consistency-report engine attaches a verdict to
 every closed-form formula of both gauge models; each model enters it as a
 small spec of its formulas (potentials, levels, eigenfunction readings and
 solvable-structure identity), so both reports share every claim family.
@@ -99,26 +99,25 @@ class Grid:
 
 @dataclass
 class SLMatrix:
-    """Symmetric tridiagonal matrix: bands[0] is the diagonal and
-    bands[1, :order-1] the subdiagonal (bands[1, -1] is unused).
+    """Symmetric tridiagonal matrix: diag (order entries) and off, the
+    order - 1 entries next to it.
 
     The order is grid.N on the nodes, or grid.N + 1 for D*Dt on the half
     points.
     """
 
-    bands: np.ndarray
+    diag: np.ndarray
+    off: np.ndarray
     grid: Grid
-    provenance: str = ""
 
     @property
     def order(self):
-        return self.bands.shape[1]
+        return self.diag.size
 
     def matvec(self, x):
-        band = self.bands[1, : self.order - 1]
-        y = self.bands[0] * x
-        y[1:] += band * x[:-1]
-        y[:-1] += band * x[1:]
+        y = self.diag * x
+        y[1:] += self.off * x[:-1]
+        y[:-1] += self.off * x[1:]
         return y
 
 
@@ -148,14 +147,11 @@ def build_sl_matrix(p_fn, q_fn, grid: Grid, q_poles: Sequence[float] = ()) -> SL
             f"potential is not finite at w = {w[bad][0]}", location=float(w[bad][0])
         )
     h2 = grid.h * grid.h
-    bands = np.zeros((2, grid.N))
-    bands[0] = (ph[:-1] + ph[1:]) / h2 + qv
-    bands[1, : grid.N - 1] = -ph[1:-1] / h2
-    return SLMatrix(bands=bands, grid=grid, provenance="sturm-liouville flux scheme")
+    return SLMatrix(diag=(ph[:-1] + ph[1:]) / h2 + qv, off=-ph[1:-1] / h2, grid=grid)
 
 
 def _eigh(m: SLMatrix, **kwargs):
-    return eigh_tridiagonal(m.bands[0], m.bands[1, : m.order - 1], **kwargs)
+    return eigh_tridiagonal(m.diag, m.off, **kwargs)
 
 
 def eig_lowest(m: SLMatrix, count: int):
@@ -218,27 +214,20 @@ def compose_factorized(A, k, grid: Grid):
     invariant).  Both are assembled entry-wise from the diagonals of D.
     """
     lo, up = _staggered_factor(A, k, grid)
-    n = grid.N
-    dtd = np.zeros((2, n))
-    dtd[0] = up[:-1] ** 2 + lo[1:] ** 2
-    dtd[1, : n - 1] = up[1:-1] * lo[1:-1]
-    ddt = np.zeros((2, n + 1))
-    ddt[0] = up**2 + lo**2
-    ddt[1, :n] = lo[1:] * up[:-1]
     return (
-        SLMatrix(bands=dtd, grid=grid, provenance=f"Dt*D on the nodes [{_D_NAME}]"),
-        SLMatrix(bands=ddt, grid=grid, provenance=f"D*Dt on the half points [{_D_NAME}]"),
+        SLMatrix(diag=up[:-1] ** 2 + lo[1:] ** 2, off=up[1:-1] * lo[1:-1], grid=grid),
+        SLMatrix(diag=up**2 + lo**2, off=lo[1:] * up[:-1], grid=grid),
     )
 
 
 def _band_deviation(product, m: SLMatrix):
     """max |product - m| / max |m| for a dense product, overwritten in place."""
     i = np.arange(m.order)
-    sub = m.bands[1, : m.order - 1]
-    product[i, i] -= m.bands[0]
-    product[i[1:], i[:-1]] -= sub
-    product[i[:-1], i[1:]] -= sub
-    return float(np.abs(product, out=product).max() / np.abs(m.bands).max())
+    product[i, i] -= m.diag
+    product[i[1:], i[:-1]] -= m.off
+    product[i[:-1], i[1:]] -= m.off
+    scale = max(np.abs(m.diag).max(), np.abs(m.off).max())
+    return float(np.abs(product, out=product).max() / scale)
 
 
 def _product_defect(A, k, grid: Grid, dtd: SLMatrix, ddt: SLMatrix):
@@ -355,13 +344,7 @@ def derive_partner_component(phi1, E, A, k, R, grid: Grid) -> WaveFunctionSpec:
         return np.interp(x, _w, _v, left=0.0, right=0.0)
 
     return WaveFunctionSpec(
-        component=2,
-        level=-1,
-        eval_raw=eval_interp,
-        norm_finite=True,
-        norm_sq=norm_sq,
-        eval=eval_interp,
-        label=f"partner-derived [{_D_NAME}]",
+        eval_raw=eval_interp, norm_finite=True, norm_sq=norm_sq, eval=eval_interp
     )
 
 
@@ -437,9 +420,12 @@ class VerificationReport:
         raise KeyError(claim_id)
 
 
-def _constancy(diff_fn, w_lo=-4.0, w_hi=4.0, n_pts=2001):
-    """max |d(w) - mean d| and the mean, over a fixed uniform sample."""
-    w = np.linspace(w_lo, w_hi, n_pts)
+_CONSTANCY_GRID = {"w_lo": -4.0, "w_hi": 4.0, "n_pts": 2001}
+
+
+def _constancy(diff_fn):
+    """max |d(w) - mean d| and the mean, over the uniform sample _CONSTANCY_GRID."""
+    w = np.linspace(_CONSTANCY_GRID["w_lo"], _CONSTANCY_GRID["w_hi"], _CONSTANCY_GRID["n_pts"])
     d = np.asarray(diff_fn(w), dtype=float)
     mean = float(d.mean())
     return float(np.abs(d - mean).max()), mean
@@ -451,7 +437,6 @@ _PRODUCT_TOL = 1e-12
 _COMPOSE_GRID = Grid(4.0, 401)
 _CONVENTION_GRID = Grid(6.0, 801)
 _RESIDUAL_WINDOW = 8.0
-_CONSTANCY_GRID = {"w_lo": -4.0, "w_hi": 4.0, "n_pts": 2001}
 
 
 @dataclass(frozen=True)
@@ -548,7 +533,7 @@ def _forced_claims(A, k, gen_v1, gen_v2, corrupt, q_poles=()):
     dtd, ddt = compose_factorized(A, k, _COMPOSE_GRID)
     if corrupt:
         mid = _COMPOSE_GRID.N // 2
-        dtd.bands[0, mid] += 1e-3 * (1.0 + abs(dtd.bands[0, mid]))
+        dtd.diag[mid] += 1e-3 * (1.0 + abs(dtd.diag[mid]))
     defect = _product_defect(A, k, _COMPOSE_GRID, dtd, ddt)
     claims.append(
         Claim(

@@ -142,14 +142,11 @@ def x1_jacobi_deriv(nu, alpha, beta, x):
     x = np.asarray(x, dtype=float)
     p = jacobi(m, alpha, beta, x)
     dp = jacobi_deriv(m, alpha, beta, x)
-    if m >= 1:
+    ddp = np.zeros_like(x)  # P_m'' vanishes for m <= 1
+    if m >= 2:
         ddp = 0.25 * (m + alpha + beta + 1.0) * (m + alpha + beta + 2.0) * jacobi(
-            max(m - 2, 0), alpha + 2.0, beta + 2.0, x
+            m - 2, alpha + 2.0, beta + 2.0, x
         )
-        if m == 1:
-            ddp = np.zeros_like(x)
-    else:
-        ddp = np.zeros_like(x)
     val = acc * p + (acc * (x - b) + c) * dp - 2.0 * x * dp + (1.0 - x * x) * ddp
     return _scalar_or_array(val)
 

@@ -1,12 +1,17 @@
 """Closed-form spectra and eigenfunctions for both models, with physicality flags.
 
 Energies are computed first as the dimensionless square (E*R)^2; the pair
-E = -+sqrt/R is attached only when the square is non-negative.  A level is
+E = -+sqrt/R exists only when the square is non-negative.  A level is
 *physical* when both the closed-form square is non-negative and the printed
-eigenfunction is square-integrable; the two criteria are carried separately
-because they disagree for Model I as printed (the Model-I envelope exponent
-is negative for 0 < C1 < 1/2, so every printed eigenfunction has a divergent
-norm -- the package evaluates the form verbatim and flags it).
+eigenfunction is square-integrable.  A SpectralLine stores only the square,
+R and the norm verdict; the energy pair, physicality and its reason are
+derived from them in one place (its properties), so no level can carry a
+verdict that contradicts its own numbers.  The two criteria disagree for
+Model I as printed (the Model-I envelope exponent is negative for
+0 < C1 < 1/2, so every printed eigenfunction has a divergent norm -- the
+package evaluates the form verbatim and flags it).  Model-II norms are
+finite exactly when alpha*beta > 0 (_model2_norm_finite), for the level
+table and the eigenfunction record alike.
 
 Norms are computed in t = tanh(w), where every printed eigenfunction is an
 envelope (1-t)^a (1+t)^b times a polynomial or rational factor g.  The norm
@@ -16,7 +21,7 @@ quadrature, and a finite norm is integrated by a Gauss-Jacobi rule of that
 weight (exact for polynomial g, converged by node doubling for rational g).
 """
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -47,44 +52,37 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralLine:
-    """One level: dimensionless (E*R)^2, physicality verdict, and the energy pair."""
+    """One level: dimensionless (E*R)^2, the radius, and the norm verdict
+    (None when not checked); the energy pair and physicality follow from them."""
 
     level: int
     E_sq_bar: float
     R: float
-    physical: bool
-    reason: Optional[str] = None
-    E_minus: Optional[float] = None
-    E_plus: Optional[float] = None
-    radicand_ok: bool = False
     norm_finite: Optional[bool] = None
 
-    @staticmethod
-    def build(level, e_sq, R, norm_finite=None):
-        radicand_ok = e_sq >= 0.0
-        if radicand_ok:
-            e_plus = math.sqrt(e_sq) / R
-            e_minus = -e_plus
-        else:
-            e_plus = e_minus = None
-        physical = radicand_ok and norm_finite is not False
-        if not radicand_ok:
-            reason = "negative-radicand"
-        elif norm_finite is False:
-            reason = "divergent-norm"
-        else:
-            reason = None
-        return SpectralLine(
-            level=level,
-            E_sq_bar=e_sq,
-            R=R,
-            physical=physical,
-            reason=reason,
-            E_minus=e_minus,
-            E_plus=e_plus,
-            radicand_ok=radicand_ok,
-            norm_finite=norm_finite,
-        )
+    @property
+    def radicand_ok(self):
+        return self.E_sq_bar >= 0.0
+
+    @property
+    def E_plus(self):
+        return math.sqrt(self.E_sq_bar) / self.R if self.radicand_ok else None
+
+    @property
+    def E_minus(self):
+        return -self.E_plus if self.radicand_ok else None
+
+    @property
+    def physical(self):
+        return self.reason is None
+
+    @property
+    def reason(self):
+        if not self.radicand_ok:
+            return "negative-radicand"
+        if self.norm_finite is False:
+            return "divergent-norm"
+        return None
 
 
 @dataclass
@@ -97,14 +95,10 @@ class WaveFunctionSpec:
     norm_nodes name the quadrature that produced norm_sq.
     """
 
-    component: int
-    level: int
     eval_raw: Callable
     norm_finite: bool
     norm_sq: Optional[float] = None
     eval: Callable = None
-    pole_warning: Optional[str] = None
-    label: str = ""
     norm_reason: Optional[str] = None
     norm_rule: Optional[str] = None
     norm_nodes: Optional[int] = None
@@ -161,7 +155,7 @@ def energy_model1(n, p: Model1Params, k, R) -> SpectralLine:
         - (s - n) ** 2
         - half_slope * half_slope / (s - n) ** 2
     )
-    return SpectralLine.build(n, e_sq, R)
+    return SpectralLine(n, e_sq, R)
 
 
 def wavefn_model1(n, p: Model1Params, k) -> WaveFunctionSpec:
@@ -198,13 +192,7 @@ def wavefn_model1(n, p: Model1Params, k) -> WaveFunctionSpec:
             degree=int(n),
             rational=False,
         )
-    return WaveFunctionSpec(
-        component=1,
-        level=int(n),
-        eval_raw=raw,
-        label=f"model1 printed n={int(n)}",
-        **norm,
-    )
+    return WaveFunctionSpec(eval_raw=raw, **norm)
 
 
 _NORM_RTOL = 1e-12  # agreement of two successive rules for a rational factor
@@ -251,11 +239,18 @@ def _weighted_norm(g, alpha, beta, degree, rational):
     }
 
 
+def _model2_norm_finite(alpha, beta):
+    """Whether the Model-II envelope denominator alpha + beta + (alpha - beta) t
+    has no root t in [-1, 1], i.e. whether the norm integral is finite."""
+    return alpha * beta > 0.0
+
+
 def energy_model2(m, alpha, beta, k, R) -> SpectralLine:
     """Closed-form Model-II level m >= 0 as printed.
 
     (E*R)^2 = (m + (a+b)/2)(m + (a+b+2)/2) + b/a - (a^2 + b^2 - 2)/4 - k^2/(1+k^2)^2.
     The level index m is offset by one from the polynomial degree (m = n - 1).
+    The norm verdict is that of wavefn_model2: finite iff alpha*beta > 0.
     """
     if alpha == 0.0:
         raise DomainError("energy formula needs alpha != 0")
@@ -270,7 +265,7 @@ def energy_model2(m, alpha, beta, k, R) -> SpectralLine:
         - (alpha * alpha + beta * beta - 2.0) / 4.0
         - k * k / (1.0 + k * k) ** 2
     )
-    return SpectralLine.build(int(m), e_sq, R, norm_finite=True)
+    return SpectralLine(int(m), e_sq, R, norm_finite=_model2_norm_finite(alpha, beta))
 
 
 def energy_model2_matched(m, p: Model2Params) -> float:
@@ -301,7 +296,7 @@ def wavefn_model2(m, alpha, beta, polynomial="classical") -> WaveFunctionSpec:
     member of the same degree.  Both share the envelope
     (1-t)^((alpha+1)/2) (1+t)^((beta+1)/2) / (alpha + beta + (alpha-beta) t).
     The denominator vanishes inside [-1, 1] when alpha*beta <= 0; the record
-    then carries a pole warning and a divergent norm with its reason.
+    then carries a divergent norm and, in norm_reason, where the root lies.
     """
     if polynomial not in ("classical", "x1"):
         raise DomainError(f"polynomial must be 'classical' or 'x1', got {polynomial!r}")
@@ -326,15 +321,10 @@ def wavefn_model2(m, alpha, beta, polynomial="classical") -> WaveFunctionSpec:
 
     # Norm integrand (1-t)^alpha (1+t)^beta factor^2; alpha, beta > -1, so it
     # is finite iff the denominator's root t0 lies off [-1, 1] (alpha*beta > 0).
-    t0 = -(alpha + beta) / (alpha - beta)
-    pole_warning = None
-    if abs(t0) > 1.0:
+    if _model2_norm_finite(alpha, beta):
         norm = _weighted_norm(factor, alpha, beta, degree=m + 1, rational=True)
     else:
-        pole_warning = (
-            f"envelope denominator vanishes at tanh(w) = {t0} "
-            "(alpha*beta <= 0 branch); norm integral diverges"
-        )
+        t0 = -(alpha + beta) / (alpha - beta)
         norm = {
             "norm_finite": False,
             "norm_reason": (
@@ -342,14 +332,7 @@ def wavefn_model2(m, alpha, beta, polynomial="classical") -> WaveFunctionSpec:
                 "in [-1, 1]: the squared envelope is not integrable there"
             ),
         }
-    return WaveFunctionSpec(
-        component=1,
-        level=m,
-        eval_raw=raw,
-        pole_warning=pole_warning,
-        label=f"model2 {polynomial} m={m}",
-        **norm,
-    )
+    return WaveFunctionSpec(eval_raw=raw, **norm)
 
 
 def classify_levels_model1(p: Model1Params, k, R, n_max) -> List[SpectralLine]:
@@ -357,10 +340,7 @@ def classify_levels_model1(p: Model1Params, k, R, n_max) -> List[SpectralLine]:
     out = []
     for n in range(int(n_max) + 1):
         line = energy_model1(n, p, k, R)
-        wf = wavefn_model1(n, p, k)
-        out.append(
-            SpectralLine.build(n, line.E_sq_bar, R, norm_finite=wf.norm_finite)
-        )
+        out.append(replace(line, norm_finite=wavefn_model1(n, p, k).norm_finite))
     return out
 
 
@@ -383,22 +363,14 @@ class PartnerMap:
         return max((p.deviation for p in self.pairs), default=0.0)
 
 
-def _e_sq_of(x):
-    return x.E_sq_bar if isinstance(x, SpectralLine) else float(x)
-
-
-def partner_map(lines1, lines2) -> PartnerMap:
+def partner_map(e1, e2) -> PartnerMap:
     """Pair level m >= 1 of system 1 with level m-1 of system 2.
 
-    Accepts SpectralLine sequences or plain level-constant sequences;
-    deviations are |e1[m] - e2[m-1]|.  Empty input gives an empty report.
+    e1 and e2 are sequences of level constants; deviations are
+    |e1[m] - e2[m-1]|.  Empty input gives an empty report.
     """
-    e1 = [_e_sq_of(x) for x in lines1]
-    e2 = [_e_sq_of(x) for x in lines2]
     pairs = []
-    for m in range(1, len(e1)):
-        if m - 1 >= len(e2):
-            break
+    for m in range(1, min(len(e1), len(e2) + 1)):
         pairs.append(
             PartnerPair(m=m, e1_sq=e1[m], e2_sq=e2[m - 1], deviation=abs(e1[m] - e2[m - 1]))
         )

@@ -98,6 +98,23 @@ def test_spectrum_model2_values(tmp_path):
     assert all(r[4] == "true" for r in rows)
 
 
+def test_spectrum_model2_pole_branch_divergent_norm(tmp_path):
+    # (+, -) at k = 0.5 puts the envelope pole inside the sphere: every level
+    # of the table has a divergent norm, which verify (exit 2) also refuses
+    pole = {"model": 2, "R": 1, "k": 0.5, "model2": {"sign_a": "+", "sign_b": "-"}}
+    cfg = write_config(tmp_path, pole)
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "spectrum.csv")
+    assert len(rows) == 4
+    assert all(r[4] == "false" and r[5] == "divergent-norm" for r in rows)
+    # the README's Model-II default config stays physical on every level
+    example = os.path.join(os.path.dirname(__file__), "..", "examples", "model2.json")
+    out = tmp_path / "example"
+    assert cli.main(["spectrum", "--config", example, "--out", str(out)]) == 0
+    _, rows = read_csv(out / "spectrum.csv")
+    assert rows and all(r[4] == "true" and r[5] == "" for r in rows)
+
+
 def test_spectrum_model1_fig1_nonphysical(tmp_path):
     cfg = write_config(tmp_path, model1_doc())
     assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 0

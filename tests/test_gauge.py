@@ -116,8 +116,8 @@ def test_expanded_form_sinh_coefficient_root():
 def test_v_eff_model1_value_at_origin():
     pot = gauge.v_eff_model1(fig1_params(), FIG1["k"], 1)
     assert pot(0.0) == pytest.approx(0.46, rel=1e-14)
-    assert pot.asymptote_plus == pytest.approx(0.3 + 0.8, rel=1e-14)
-    assert pot.asymptote_minus == pytest.approx(0.3 - 0.8, rel=1e-14)
+    assert pot(30.0) == pytest.approx(0.3 + 0.8, rel=1e-14)
+    assert pot(-30.0) == pytest.approx(0.3 - 0.8, rel=1e-14)
 
 
 def test_v_eff_model1_neg_half_branch_has_no_slope():

@@ -137,10 +137,36 @@ def test_wavefn_model2_envelope_decay():
 
 def test_wavefn_model2_pole_branch_flagged():
     wf = spectra.wavefn_model2(0, 1.0, -1 / 3)
-    assert wf.pole_warning is not None
+    assert wf.norm_reason is not None
     assert wf.norm_finite is False
     # denominator zero at tanh w = -1/2
-    assert "-0.5" in wf.pole_warning or "0.5" in wf.pole_warning
+    assert "-0.5" in wf.norm_reason or "0.5" in wf.norm_reason
+
+
+def test_energy_model2_pole_branch_not_physical():
+    # (+, -) at k = 0.5: alpha = 2, beta = -2/3, so the envelope denominator
+    # has its root in [-1, 1] and no level of the table is normalizable
+    line = spectra.energy_model2(0, 2.0, -2 / 3, 0.5, 1.0)
+    assert line.radicand_ok and line.norm_finite is False
+    assert line.physical is False
+    assert line.reason == "divergent-norm"
+    assert spectra.energy_model2(0, 1.0, 1 / 3, 2.0, 1.0).physical is True
+
+
+@pytest.mark.parametrize("alpha, beta", [(2.0, -2 / 3), (1.0, 1 / 3), (-0.5, -0.25), (0.5, -0.9)])
+def test_energy_model2_norm_verdict_matches_wavefn(alpha, beta):
+    line = spectra.energy_model2(0, alpha, beta, 2.0, 1.0)
+    assert line.norm_finite is spectra.wavefn_model2(0, alpha, beta).norm_finite
+
+
+def test_spectral_line_derives_its_verdict():
+    line = spectra.SpectralLine(2, 4.0, 2.0, norm_finite=True)
+    assert (line.E_plus, line.E_minus, line.physical, line.reason) == (1.0, -1.0, True, None)
+    negative = spectra.SpectralLine(0, -1.0, 1.0, norm_finite=False)
+    assert negative.E_plus is None and negative.E_minus is None
+    assert negative.reason == "negative-radicand" and not negative.physical
+    unchecked = spectra.SpectralLine(0, 1.0, 1.0)
+    assert unchecked.physical and unchecked.reason is None
 
 
 def test_wavefn_model2_rejects_bad_variant():
@@ -183,13 +209,6 @@ def test_partner_map_shifted_identity():
 def test_partner_map_empty():
     assert spectra.partner_map([], []).pairs == ()
     assert spectra.partner_map([1.0], []).pairs == ()
-
-
-def test_partner_map_accepts_spectral_lines():
-    lines = [spectra.energy_model2(m, 1.0, 1 / 3, 2.0, 1.0) for m in range(3)]
-    pm = spectra.partner_map(lines, lines)
-    assert pm.pairs[0].e1_sq == lines[1].E_sq_bar
-    assert pm.pairs[0].e2_sq == lines[0].E_sq_bar
 
 
 # ------------------------------------------------------------------ norms
