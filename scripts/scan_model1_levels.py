@@ -27,7 +27,7 @@ def main():
     monotone = True
     for c1 in np.linspace(0.01, 0.4999, args.points):
         p = gauge.Model1Params.from_branch(float(c1), args.k, "half-down")
-        lines = spectra.classify_levels_model1(p, args.k, 1.0, args.n_max)
+        lines = [spectra.energy_model1(n, p, args.k, 1.0) for n in range(args.n_max + 1)]
         count = sum(1 for ln in lines if ln.radicand_ok)
         print(f"{c1:10.4f} {count:18d} {lines[0].E_sq_bar:16.6f}")
         if prev is not None and count < prev:

@@ -17,7 +17,6 @@ from .errors import (
     InvalidBranchError,
     PoleError,
     SingularPotentialError,
-    ZeroModeError,
 )
 from .geometry import SphereChart, conformal_factor, v_from_w, w_from_v
 from .gauge import (
@@ -48,22 +47,17 @@ from .oracle import (
     build_sl_matrix,
     compose_factorized,
     consistency_report,
-    derive_partner_component,
     eig_lowest,
     eig_values,
     verify_eigenpair,
 )
-from .specfun import integrate, jacobi, jacobi_deriv, x1_jacobi, x1_jacobi_deriv
+from .specfun import integrate, jacobi, jacobi_deriv, x1_jacobi
 from .spectra import (
-    PartnerMap,
-    PartnerPair,
     SpectralLine,
     WaveFunctionSpec,
-    classify_levels_model1,
     energy_model1,
     energy_model2,
     energy_model2_matched,
-    partner_map,
     wavefn_model1,
     wavefn_model2,
 )

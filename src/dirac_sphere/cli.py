@@ -38,14 +38,9 @@ from .gauge import (
     v_eff_model2,
 )
 from .oracle import Grid, consistency_report
-from .spectra import (
-    classify_levels_model1,
-    energy_model2,
-    wavefn_model1,
-    wavefn_model2,
-)
+from .spectra import energy_model1, energy_model2, wavefn_model1, wavefn_model2
 
-__all__ = ["RunConfig", "load_config", "main"]
+__all__ = ["RunConfig", "main"]
 
 _DEFAULT_GRID = {"L": 12.0, "N": 4001}
 
@@ -68,7 +63,6 @@ class RunConfig:
     beta: Optional[float] = None
     out: Optional[str] = None
     strict: bool = False
-    corrupt_forced: bool = False
 
     def grid(self):
         return Grid(self.grid_L, int(self.grid_N))
@@ -140,8 +134,7 @@ def parse_config(doc) -> RunConfig:
         raise ConfigError("config must be a JSON object")
     _reject_unknown(
         doc,
-        {"model", "R", "k", "levels", "grid", "model1", "model2", "out", "strict",
-         "corrupt_forced"},
+        {"model", "R", "k", "levels", "grid", "model1", "model2", "out", "strict"},
         "",
     )
     model = _require(doc, "model", int, "")
@@ -169,11 +162,10 @@ def parse_config(doc) -> RunConfig:
         if not isinstance(doc["out"], str):
             raise ConfigError("out must be a string path")
         cfg.out = doc["out"]
-    for key in ("strict", "corrupt_forced"):
-        if key in doc:
-            if not isinstance(doc[key], bool):
-                raise ConfigError(f"{key} must be a boolean")
-            setattr(cfg, key, doc[key])
+    if "strict" in doc:
+        if not isinstance(doc["strict"], bool):
+            raise ConfigError("strict must be a boolean")
+        cfg.strict = doc["strict"]
 
     if model == 1:
         if "model2" in doc:
@@ -230,10 +222,6 @@ def _read_config(path):
         raise ConfigError(f"config {path} is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
 
 
-def load_config(path) -> RunConfig:
-    return parse_config(_read_config(path))
-
-
 def _atomic_write(path, text):
     d = os.path.dirname(path) or "."
     os.makedirs(d, exist_ok=True)
@@ -274,9 +262,8 @@ def _resolve_out(cfg: Optional[RunConfig], cli_out):
 def _spectrum_rows(cfg: RunConfig):
     rows = []
     if cfg.model == 1:
-        lines = classify_levels_model1(
-            cfg.model1_params(), cfg.k, cfg.R, cfg.levels - 1
-        )
+        p = cfg.model1_params()
+        lines = [energy_model1(n, p, cfg.k, cfg.R) for n in range(cfg.levels)]
     else:
         p = cfg.model2_params()
         lines = [
@@ -306,20 +293,26 @@ def cmd_spectrum(cfg: RunConfig, outdir):
 
 
 def _curve(cfg: RunConfig, which):
-    """Sampled curve (w, value) plus pole locations for gap markers."""
-    grid = cfg.grid()
-    w = grid.points()
+    """The curve A_u, Veff1 or Veff2 as a callable of w, and its poles."""
     if which not in ("A_u", "Veff1", "Veff2"):
         raise ConfigError(f"unknown curve {which!r}; choose A_u, Veff1 or Veff2")
     j = 1 if which == "Veff1" else 2
-    poles = ()
     if cfg.model == 1:
         p = cfg.model1_params()
-        fn = a_u_model1(p) if which == "A_u" else v_eff_model1(p, cfg.k, j).fn
-    else:
-        p = cfg.model2_params()
-        poles = _model2_poles(p)
-        fn = a_u_model2(p) if which == "A_u" else v_eff_model2(p, j).fn
+        return (a_u_model1(p) if which == "A_u" else v_eff_model1(p, cfg.k, j).fn), ()
+    p = cfg.model2_params()
+    return (a_u_model2(p) if which == "A_u" else v_eff_model2(p, j).fn), _model2_poles(p)
+
+
+def _write_curve(cfg: RunConfig, fn, poles, path):
+    """Write fn sampled on the grid as a (w, value) CSV; return the paths written.
+
+    A sample that raises PoleError reads nan.  Each pole inside the grid adds a
+    `w,nan` gap-marker row, in sorted order, and the poles are named in a
+    `*_poles.json` sidecar next to the CSV.
+    """
+    grid = cfg.grid()
+    w = grid.points()
     try:
         vals = np.asarray(fn(w), dtype=float)
     except PoleError:
@@ -329,43 +322,36 @@ def _curve(cfg: RunConfig, which):
                 vals[i] = fn(wi)
             except PoleError:
                 vals[i] = math.nan
-    return w, vals, tuple(p0 for p0 in poles if abs(p0) <= grid.L)
+    poles = [p0 for p0 in poles if abs(p0) <= grid.L]
+    rows = [[_fmt(wi), _fmt(vi)] for wi, vi in zip(w, vals)]
+    rows += [[_fmt(p0), "nan"] for p0 in poles]
+    rows.sort(key=lambda r: float(r[0]))
+    _write_csv(path, ["w", "value"], rows)
+    if not poles:
+        return [path]
+    side = path[: -len(".csv")] + "_poles.json"
+    _atomic_write(side, json.dumps({"poles_w": [float(p0) for p0 in poles]}, indent=2) + "\n")
+    return [path, side]
 
 
 def cmd_potential(cfg: RunConfig, which, outdir):
-    w, vals, poles = _curve(cfg, which)
-    rows = [[_fmt(wi), _fmt(vi)] for wi, vi in zip(w, vals)]
-    for w0 in poles:  # gap marker row at each pole, kept in sorted order
-        rows.append([_fmt(w0), "nan"])
-    rows.sort(key=lambda r: float(r[0]))
-    stem = which.lower()
-    path = os.path.join(outdir, f"potential_{stem}.csv")
-    _write_csv(path, ["w", "value"], rows)
-    written = [path]
-    if poles:
-        side = os.path.join(outdir, f"potential_{stem}_poles.json")
-        _atomic_write(
-            side,
-            json.dumps({"poles_w": [float(p0) for p0 in poles]}, indent=2) + "\n",
-        )
-        written.append(side)
-    return written
+    fn, poles = _curve(cfg, which)
+    return _write_curve(cfg, fn, poles, os.path.join(outdir, f"potential_{which.lower()}.csv"))
 
 
 def cmd_wavefunction(cfg: RunConfig, level, polynomial, outdir):
-    grid = cfg.grid()
-    w = grid.points()
+    poles = ()
     if cfg.model == 1:
         wf = wavefn_model1(level, cfg.model1_params(), cfg.k)
         name = f"wavefunction_l{level}.csv"
     else:
         p = cfg.model2_params()
         wf = wavefn_model2(level, p.alpha, p.beta, polynomial=polynomial)
+        # the envelope denominator alpha + beta + (alpha - beta) t vanishes
+        # where the profile's does, at tanh w = a2/a1
+        poles = _model2_poles(p)
         name = f"wavefunction_l{level}_{polynomial}.csv"
-    vals = np.asarray(wf.eval(w), dtype=float)
-    path = os.path.join(outdir, name)
-    _write_csv(path, ["w", "value"], [[_fmt(a), _fmt(b)] for a, b in zip(w, vals)])
-    return [path]
+    return _write_curve(cfg, wf.eval, poles, os.path.join(outdir, name))
 
 
 _REPORT_SCHEMA = "dirac-sphere-verification/1"
@@ -380,7 +366,6 @@ def cmd_verify(cfg: RunConfig, outdir):
         cfg.R,
         cfg.grid(),
         levels=cfg.levels,
-        corrupt_forced=cfg.corrupt_forced,
     )
     doc = {"schema": _REPORT_SCHEMA, "config": cfg.echo(), "report": report.as_dict()}
     path = os.path.join(outdir, f"verify_model{cfg.model}.json")
@@ -427,10 +412,8 @@ def cmd_figures(which, overrides, outdir):
     d = os.path.join(outdir, which)
     written = []
     for curve in ("A_u", "Veff1", "Veff2"):
-        w, vals, _ = _curve(cfg, curve)
-        path = os.path.join(d, f"{curve.lower()}.csv")
-        _write_csv(path, ["w", "value"], [[_fmt(a), _fmt(b)] for a, b in zip(w, vals)])
-        written.append(path)
+        fn, poles = _curve(cfg, curve)
+        written += _write_curve(cfg, fn, poles, os.path.join(d, f"{curve.lower()}.csv"))
     written += cmd_spectrum(parse_config(dict(doc, **spectrum_changes)), d)
     for name, text in notes.items():
         path = os.path.join(d, name)

@@ -55,10 +55,6 @@ class ComplexExponentError(DiracSphereError, ValueError):
     """C1 >= 1/2: the closed-form exponents leave the real axis."""
 
 
-class ZeroModeError(DiracSphereError, ValueError):
-    """Partner construction requested at E = 0 (zero modes do not pair)."""
-
-
 class SingularPotentialError(DiracSphereError, ValueError):
     """A potential has a pole inside the discretization window."""
 

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import DomainError, SingularPotentialError, ZeroModeError
+from .errors import DomainError, SingularPotentialError
 from .gauge import (
     EffectivePotential,
     Model1Params,
@@ -41,13 +41,11 @@ from .gauge import (
     v_eff_model2,
     v_eff_model2_raw,
 )
-from .specfun import _elementwise
 from .spectra import (
     WaveFunctionSpec,
     energy_model1,
     energy_model2,
     energy_model2_matched,
-    partner_map,
     wavefn_model1,
     wavefn_model2,
 )
@@ -60,7 +58,6 @@ __all__ = [
     "eig_values",
     "compose_factorized",
     "verify_eigenpair",
-    "derive_partner_component",
     "Claim",
     "VerificationReport",
     "consistency_report",
@@ -322,32 +319,6 @@ def _residuals(m: SLMatrix, vec, lams, window):
     return [float(np.linalg.norm((mv - lam * vec)[keep]) / denom) for lam in lams]
 
 
-def derive_partner_component(phi1, E, A, k, R, grid: Grid) -> WaveFunctionSpec:
-    """Partner-component grid function (1/(E*R)) * D phi1 on the half points.
-
-    Maps a first-component eigenfunction, sampled on the nodes, to its
-    second-component partner through the staggered first-order operator D of
-    compose_factorized.  E = 0 raises ZeroModeError: zero modes belong to a
-    single partner and do not propagate.
-    """
-    if E == 0:
-        raise ZeroModeError("zero modes do not map to the partner component")
-    vec = _sample_wavefunction(phi1, grid)
-    lo, up = _staggered_factor(A, k, grid)
-    out = up * np.append(vec, 0.0) + lo * np.insert(vec, 0, 0.0)
-    out /= E * R
-    w = grid.half_points()
-    norm_sq = float(grid.h * np.dot(out, out))
-
-    @_elementwise
-    def eval_interp(x, _w=w, _v=out.copy()):
-        return np.interp(x, _w, _v, left=0.0, right=0.0)
-
-    return WaveFunctionSpec(
-        eval_raw=eval_interp, norm_finite=True, norm_sq=norm_sq, eval=eval_interp
-    )
-
-
 @dataclass
 class Claim:
     """One verified statement: metric against tolerance, with provenance."""
@@ -464,9 +435,7 @@ class _ModelSpec:
     identity_claims: Callable  # printed level-0 constant -> the g.* claims
 
 
-def consistency_report(
-    model, params, k, R, grid: Grid, levels: int = 4, corrupt_forced: bool = False
-) -> VerificationReport:
+def consistency_report(model, params, k, R, grid: Grid, levels: int = 4) -> VerificationReport:
     """Assemble the full verification report for one model.
 
     Claim families: forced linear-algebra invariants (f.*), the match of the
@@ -477,8 +446,6 @@ def consistency_report(
     through one assembler over a per-model spec of formulas.  Forced claims
     must pass; everything else is recorded with a finite metric and the grid
     it was measured on.
-    corrupt_forced is a test hook that perturbs one composed matrix so both
-    forced claims fail.
     """
     if model == 1:
         if not isinstance(params, Model1Params):
@@ -494,7 +461,7 @@ def consistency_report(
         spec = _model2_spec(params, k, R)
     else:
         raise DomainError(f"model must be 1 or 2, got {model}")
-    return _model_report(model, spec, k, R, grid, levels, corrupt_forced)
+    return _model_report(model, spec, k, R, grid, levels)
 
 
 def _gdict(g: Grid):
@@ -522,7 +489,7 @@ def _lowest_match(pairs, ref_pairs):
     return float(np.max(np.abs(vals - ref) / (1.0 + np.abs(ref))))
 
 
-def _forced_claims(A, k, gen_v1, gen_v2, corrupt, q_poles=()):
+def _forced_claims(A, k, gen_v1, gen_v2, q_poles=()):
     """Forced claims on the factorization, then its match to the operators.
 
     gen_v1/gen_v2 are the general-form j=1/j=2 potentials (callables): the
@@ -531,9 +498,6 @@ def _forced_claims(A, k, gen_v1, gen_v2, corrupt, q_poles=()):
     """
     claims = []
     dtd, ddt = compose_factorized(A, k, _COMPOSE_GRID)
-    if corrupt:
-        mid = _COMPOSE_GRID.N // 2
-        dtd.diag[mid] += 1e-3 * (1.0 + abs(dtd.diag[mid]))
     defect = _product_defect(A, k, _COMPOSE_GRID, dtd, ddt)
     claims.append(
         Claim(
@@ -592,7 +556,7 @@ def _forced_claims(A, k, gen_v1, gen_v2, corrupt, q_poles=()):
     return claims
 
 
-def _model_report(model, spec: _ModelSpec, k, R, grid, levels, corrupt):
+def _model_report(model, spec: _ModelSpec, k, R, grid, levels):
     """The claims of one model in report order, built from its spec.
 
     Formulas are evaluated in report order, so the first claim an invalid
@@ -602,7 +566,7 @@ def _model_report(model, spec: _ModelSpec, k, R, grid, levels, corrupt):
     gen1 = v_eff_general(spec.A, spec.dA, k, 1)
     gen2 = v_eff_general(spec.A, spec.dA, k, 2)
     raw1, closed1, closed2 = spec.raw1, spec.closed1, spec.closed2
-    claims = _forced_claims(spec.A, k, gen1.fn, gen2.fn, corrupt, q_poles=closed1.poles)
+    claims = _forced_claims(spec.A, k, gen1.fn, gen2.fn, q_poles=closed1.poles)
 
     b1, b2 = spec.b_descriptions
     for claim_id, formula, description, diff_fn in (
@@ -676,19 +640,15 @@ def _model_report(model, spec: _ModelSpec, k, R, grid, levels, corrupt):
                 )
             )
 
-    for pair in partner_map(e1, e2).pairs:
+    for m in range(1, levels):
         claims.append(
             _recorded(
-                f"e.partner.m{pair.m}",
+                f"e.partner.m{m}",
                 "partner.level-pairing",
                 "oracle spectra of the two components paired with the one-level shift",
-                pair.deviation,
+                abs(e1[m] - e2[m - 1]),
                 _gdict(grid),
-                {
-                    "e1": pair.e1_sq,
-                    "e2_shifted": pair.e2_sq,
-                    "unshifted_deviation": abs(e1[pair.m] - e2[pair.m]),
-                },
+                {"e1": e1[m], "e2_shifted": e2[m - 1], "unshifted_deviation": abs(e1[m] - e2[m])},
             )
         )
 

@@ -17,7 +17,6 @@ __all__ = [
     "jacobi",
     "jacobi_deriv",
     "x1_jacobi",
-    "x1_jacobi_deriv",
     "gauss_jacobi",
     "integrate",
     "QuadResult",
@@ -100,21 +99,6 @@ def jacobi_deriv(n, alpha, beta, x):
     return 0.5 * (n + alpha + beta + 1.0) * jacobi(n - 1, alpha + 1.0, beta + 1.0, x)
 
 
-def _x1_terms(nu, alpha, beta):
-    """Validated (m, A, b, c) of the degree-nu rational-extension member."""
-    if nu < 1 or int(nu) != nu:
-        raise DomainError(f"degree must be a positive integer, got {nu}")
-    if alpha <= -1 or beta <= -1:
-        raise DomainError(f"parameters must exceed -1, got alpha={alpha}, beta={beta}")
-    if alpha == beta:
-        raise DomainError("rational-extension family needs alpha != beta")
-    if alpha * beta == 0.0:
-        raise DomainError("rational-extension family needs alpha*beta != 0")
-    m = int(nu) - 1
-    acc = m * m + (alpha + beta + 1.0) * m + alpha * beta
-    return m, acc, (beta + alpha) / (beta - alpha), 2.0 * alpha * beta / (alpha - beta)
-
-
 def x1_jacobi(nu, alpha, beta, x):
     """Degree-nu member (nu >= 1) of the rational extension of the Jacobi family.
 
@@ -128,26 +112,22 @@ def x1_jacobi(nu, alpha, beta, x):
     These are the polynomial factors of the bound states of the second
     gauge-field model; orthogonality is exercised in the test suite.
     """
-    m, acc, b, c = _x1_terms(nu, alpha, beta)
+    if nu < 1 or int(nu) != nu:
+        raise DomainError(f"degree must be a positive integer, got {nu}")
+    if alpha <= -1 or beta <= -1:
+        raise DomainError(f"parameters must exceed -1, got alpha={alpha}, beta={beta}")
+    if alpha == beta:
+        raise DomainError("rational-extension family needs alpha != beta")
+    if alpha * beta == 0.0:
+        raise DomainError("rational-extension family needs alpha*beta != 0")
+    m = int(nu) - 1
+    acc = m * m + (alpha + beta + 1.0) * m + alpha * beta
+    b = (beta + alpha) / (beta - alpha)
+    c = 2.0 * alpha * beta / (alpha - beta)
     x = np.asarray(x, dtype=float)
     val = (acc * (x - b) + c) * jacobi(m, alpha, beta, x) + (1.0 - x * x) * jacobi_deriv(
         m, alpha, beta, x
     )
-    return _scalar_or_array(val)
-
-
-def x1_jacobi_deriv(nu, alpha, beta, x):
-    """Derivative of x1_jacobi in x (product rule on the defining combination)."""
-    m, acc, b, c = _x1_terms(nu, alpha, beta)
-    x = np.asarray(x, dtype=float)
-    p = jacobi(m, alpha, beta, x)
-    dp = jacobi_deriv(m, alpha, beta, x)
-    ddp = np.zeros_like(x)  # P_m'' vanishes for m <= 1
-    if m >= 2:
-        ddp = 0.25 * (m + alpha + beta + 1.0) * (m + alpha + beta + 2.0) * jacobi(
-            m - 2, alpha + 2.0, beta + 2.0, x
-        )
-    val = acc * p + (acc * (x - b) + c) * dp - 2.0 * x * dp + (1.0 - x * x) * ddp
     return _scalar_or_array(val)
 
 

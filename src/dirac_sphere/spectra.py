@@ -9,9 +9,10 @@ derived from them in one place (its properties), so no level can carry a
 verdict that contradicts its own numbers.  The two criteria disagree for
 Model I as printed (the Model-I envelope exponent is negative for
 0 < C1 < 1/2, so every printed eigenfunction has a divergent norm -- the
-package evaluates the form verbatim and flags it).  Model-II norms are
-finite exactly when alpha*beta > 0 (_model2_norm_finite), for the level
-table and the eigenfunction record alike.
+package evaluates the form verbatim and flags it).  Each model decides norm
+finiteness in one predicate, shared by its level table and its eigenfunction
+records: _model1_divergence (s > 0 and B > 0) and _model2_norm_finite
+(alpha*beta > 0).
 
 Norms are computed in t = tanh(w), where every printed eigenfunction is an
 envelope (1-t)^a (1+t)^b times a polynomial or rational factor g.  The norm
@@ -21,8 +22,8 @@ quadrature, and a finite norm is integrated by a Gauss-Jacobi rule of that
 weight (exact for polynomial g, converged by node doubling for rational g).
 """
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -43,10 +44,6 @@ __all__ = [
     "energy_model2",
     "energy_model2_matched",
     "wavefn_model2",
-    "classify_levels_model1",
-    "partner_map",
-    "PartnerPair",
-    "PartnerMap",
 ]
 
 
@@ -89,34 +86,29 @@ class SpectralLine:
 class WaveFunctionSpec:
     """First-component eigenfunction candidate on the w axis.
 
-    eval is normalized to unit norm when the norm is finite; otherwise it is
-    the raw printed form, norm_finite is False and norm_reason says why the
-    norm diverges.  eval_raw is always the unnormalized form.  norm_rule and
+    eval_raw is the unnormalized printed form.  When the norm diverges,
+    norm_finite is False and norm_reason says why; otherwise norm_rule and
     norm_nodes name the quadrature that produced norm_sq.
     """
 
     eval_raw: Callable
     norm_finite: bool
     norm_sq: Optional[float] = None
-    eval: Callable = None
     norm_reason: Optional[str] = None
     norm_rule: Optional[str] = None
     norm_nodes: Optional[int] = None
+
+    def eval(self, w):
+        """The printed form scaled to unit norm when the norm is finite, else eval_raw."""
+        if not self.norm_finite:
+            return self.eval_raw(w)
+        return (1.0 / math.sqrt(self.norm_sq)) * self.eval_raw(w)
 
     def norm_details(self):
         """How the norm was decided, as report details (no timings)."""
         if not self.norm_finite:
             return {"norm_divergence": self.norm_reason}
         return {"norm_rule": self.norm_rule, "norm_nodes": self.norm_nodes}
-
-    def __post_init__(self):
-        if self.eval is None:
-            if self.norm_finite and self.norm_sq and self.norm_sq > 0:
-                scale = 1.0 / math.sqrt(self.norm_sq)
-                raw = self.eval_raw
-                self.eval = lambda w, _r=raw, _s=scale: _s * _r(w)
-            else:
-                self.eval = self.eval_raw
 
 
 def _check_model1_level(n, p: Model1Params):
@@ -133,12 +125,24 @@ def _check_model1_level(n, p: Model1Params):
     return s
 
 
+def _model1_divergence(s, B):
+    """Why the Model-I norm integrand (1-t)^(2s-1) (1+t)^(2B-1) P_n^2 is not
+    integrable, or "" when it is (s > 0 and B > 0)."""
+    divergent = []
+    if not s > 0.0:
+        divergent.append(f"s = {s!r} <= 0: (1-t)^(2s-1) is not integrable at t -> 1")
+    if not B > 0.0:
+        divergent.append(f"B = {B!r} <= 0: (1+t)^(2B-1) is not integrable at t -> -1")
+    return "; ".join(divergent)
+
+
 def energy_model1(n, p: Model1Params, k, R) -> SpectralLine:
     """Closed-form Model-I level n.
 
     (E*R)^2 = 1/2 + 2 C1 (k - C3) - (C2 - 1/2)^2 - (s - n)^2 - (C1(1+2C2)/2)^2/(s - n)^2
-    with s = (-1 + sqrt(1 - 4 C1^2))/2.  The physicality flag here reflects the
-    sign of the square only; classify_levels_model1 folds in normalizability.
+    with s = (-1 + sqrt(1 - 4 C1^2))/2.  The norm verdict is that of
+    wavefn_model1 (_model1_divergence), so physicality folds in both the sign
+    of the square and normalizability.
     """
     if not R > 0:
         raise DomainError(f"radius must be positive, got {R}")
@@ -155,7 +159,7 @@ def energy_model1(n, p: Model1Params, k, R) -> SpectralLine:
         - (s - n) ** 2
         - half_slope * half_slope / (s - n) ** 2
     )
-    return SpectralLine(n, e_sq, R)
+    return SpectralLine(n, e_sq, R, norm_finite=not _model1_divergence(s, half_slope))
 
 
 def wavefn_model1(n, p: Model1Params, k) -> WaveFunctionSpec:
@@ -176,14 +180,9 @@ def wavefn_model1(n, p: Model1Params, k) -> WaveFunctionSpec:
         t = np.tanh(w)
         return (1.0 - t) ** s * (1.0 + t) ** B * specfun.jacobi(int(n), 2.0 * s, 2.0 * B, t)
 
-    # Norm integrand (1-t)^(2s-1) (1+t)^(2B-1) P_n^2: integrable iff s > 0 and B > 0.
-    divergent = []
-    if not s > 0.0:
-        divergent.append(f"s = {s!r} <= 0: (1-t)^(2s-1) is not integrable at t -> 1")
-    if not B > 0.0:
-        divergent.append(f"B = {B!r} <= 0: (1+t)^(2B-1) is not integrable at t -> -1")
-    if divergent:
-        norm = {"norm_finite": False, "norm_reason": "; ".join(divergent)}
+    divergence = _model1_divergence(s, B)
+    if divergence:
+        norm = {"norm_finite": False, "norm_reason": divergence}
     else:
         norm = _weighted_norm(
             lambda t: specfun.jacobi(int(n), 2.0 * s, 2.0 * B, t),
@@ -333,45 +332,3 @@ def wavefn_model2(m, alpha, beta, polynomial="classical") -> WaveFunctionSpec:
             ),
         }
     return WaveFunctionSpec(eval_raw=raw, **norm)
-
-
-def classify_levels_model1(p: Model1Params, k, R, n_max) -> List[SpectralLine]:
-    """Levels 0..n_max with physicality combining radicand sign and norm check."""
-    out = []
-    for n in range(int(n_max) + 1):
-        line = energy_model1(n, p, k, R)
-        out.append(replace(line, norm_finite=wavefn_model1(n, p, k).norm_finite))
-    return out
-
-
-@dataclass(frozen=True)
-class PartnerPair:
-    m: int
-    e1_sq: float
-    e2_sq: float
-    deviation: float
-
-
-@dataclass(frozen=True)
-class PartnerMap:
-    """Pairing of level m of the first system with level m-1 of the second."""
-
-    pairs: Tuple[PartnerPair, ...]
-
-    @property
-    def max_deviation(self):
-        return max((p.deviation for p in self.pairs), default=0.0)
-
-
-def partner_map(e1, e2) -> PartnerMap:
-    """Pair level m >= 1 of system 1 with level m-1 of system 2.
-
-    e1 and e2 are sequences of level constants; deviations are
-    |e1[m] - e2[m-1]|.  Empty input gives an empty report.
-    """
-    pairs = []
-    for m in range(1, min(len(e1), len(e2) + 1)):
-        pairs.append(
-            PartnerPair(m=m, e1_sq=e1[m], e2_sq=e2[m - 1], deviation=abs(e1[m] - e2[m - 1]))
-        )
-    return PartnerMap(pairs=tuple(pairs))

@@ -64,6 +64,8 @@ def test_unknown_key_rejected(tmp_path):
     assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 1
     cfg = write_config(tmp_path, model2_doc(model2={"sign_a": "-", "sgn_b": "+"}))
     assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 1
+    cfg = write_config(tmp_path, model2_doc(corrupt_forced=True))  # not a config key
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 1
 
 
 def test_invalid_json_reports_line(tmp_path, capsys):
@@ -140,15 +142,23 @@ def test_potential_model1_asymptotes(tmp_path):
 
 
 def test_potential_singular_branch_gap_marker(tmp_path):
+    # potential and wavefunction share one curve writer: the profile and the
+    # eigenfunction envelope have their pole at the same tanh w = -1/2
     doc = model2_doc(model2={"C1": 0.5, "alpha": 1.0, "beta": -1 / 3}, grid={"L": 6.0, "N": 801})
     cfg = write_config(tmp_path, doc)
-    assert cli.main(["potential", "--config", cfg, "--which", "A_u", "--out", str(tmp_path)]) == 0
-    _, rows = read_csv(tmp_path / "potential_a_u.csv")
-    gap = [r for r in rows if r[1] == "nan"]
-    assert len(gap) == 1
-    assert float(gap[0][0]) == pytest.approx(math.atanh(-0.5), rel=1e-12)
-    side = json.loads((tmp_path / "potential_a_u_poles.json").read_text())
-    assert side["poles_w"][0] == pytest.approx(math.atanh(-0.5), rel=1e-12)
+    for args, stem in (
+        (["potential", "--which", "A_u"], "potential_a_u"),
+        (["wavefunction", "--level", "1"], "wavefunction_l1_classical"),
+    ):
+        assert cli.main(args + ["--config", cfg, "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / f"{stem}.csv")
+        ws = [float(r[0]) for r in rows]
+        assert ws == sorted(ws) and len(rows) == 802, stem
+        gap = [r for r in rows if r[1] == "nan"]
+        assert len(gap) == 1, stem
+        assert float(gap[0][0]) == pytest.approx(math.atanh(-0.5), rel=1e-12)
+        side = json.loads((tmp_path / f"{stem}_poles.json").read_text())
+        assert side["poles_w"][0] == pytest.approx(math.atanh(-0.5), rel=1e-12)
 
 
 def test_potential_veff1_bounded_for_model1(tmp_path):
@@ -199,12 +209,11 @@ def test_verify_report_structure_and_exit(tmp_path):
         assert "L" in c["grid"] or "w_lo" in c["grid"]
 
 
-def test_verify_strict_corrupt_exits_3(tmp_path):
+def test_verify_strict_corrupt_exits_3(tmp_path, forced_fault):
     doc = model2_doc(grid={"L": 8.0, "N": 1201})
-    doc["strict"] = True
-    doc["corrupt_forced"] = True
     cfg = write_config(tmp_path, doc)
-    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert cli.main(["verify", "--config", cfg, "--strict", "--out", str(tmp_path)]) == 3
 
 
 def test_verify_round_trip_bit_identical(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dirac_sphere import gauge, oracle, spectra
-from dirac_sphere.errors import DomainError, SingularPotentialError, ZeroModeError
+from dirac_sphere.errors import DomainError, SingularPotentialError
 
 ONES = lambda w: np.ones_like(np.asarray(w, dtype=float))
 ZERO = lambda w: np.zeros_like(np.asarray(w, dtype=float))
@@ -239,38 +239,6 @@ def test_verify_eigenpair_x1_candidate():
     assert res_bad > 0.5
 
 
-def test_derive_partner_component():
-    p = m2_params()
-    grid = oracle.Grid(12.0, 4001)
-    pot1 = gauge.v_eff_model2(p, 1)
-    m = oracle.build_sl_matrix(COSH2, pot1.fn, grid, q_poles=pot1.poles)
-    lam, vec = oracle.eig_lowest(m, 1)[0]
-    E = math.sqrt(abs(lam))
-    a = gauge.a_u_model2(p)
-    partner = oracle.derive_partner_component(vec, E, a, 2.0, 1.0, grid)
-    assert partner.norm_sq is not None and np.isfinite(partner.norm_sq)
-    # global phase leaves the norm unchanged
-    partner_neg = oracle.derive_partner_component(-vec, E, a, 2.0, 1.0, grid)
-    assert partner_neg.norm_sq == pytest.approx(partner.norm_sq, rel=1e-12)
-    with pytest.raises(ZeroModeError):
-        oracle.derive_partner_component(vec, 0.0, a, 2.0, 1.0, grid)
-
-
-def test_derive_partner_is_exact_partner_map():
-    # D maps an eigenvector of Dt*D to one of D*Dt at the same eigenvalue (up
-    # to the solver's eps * |matrix| floor), and 1/E keeps the h-weighted norm
-    p = m2_params()
-    grid = oracle.Grid(4.0, 401)
-    a = gauge.a_u_model2(p)
-    dtd, ddt = oracle.compose_factorized(a, 2.0, grid)
-    for lam, vec in oracle.eig_lowest(dtd, 3):
-        partner = oracle.derive_partner_component(vec, math.sqrt(lam), a, 2.0, 1.0, grid)
-        psi = partner.eval(grid.half_points())
-        scale = entry_scale(ddt) * np.linalg.norm(psi)
-        assert np.linalg.norm(ddt.matvec(psi) - lam * psi) <= 1e-12 * scale
-        assert partner.norm_sq == pytest.approx(1.0, rel=1e-8)
-
-
 # ----------------------------------------------------------- reports
 
 
@@ -296,32 +264,24 @@ def test_report_aborts_on_singular_branch():
         oracle.consistency_report(2, p, 2.0, 1.0, oracle.Grid(6.0, 801), levels=2)
 
 
-def test_report_corrupt_hook_fails_forced_claim():
+def test_report_corrupt_hook_fails_forced_claim(forced_fault):
     p = gauge.Model1Params.from_branch(0.4, 2.0, "half-up")
-    rep = oracle.consistency_report(
-        1, p, 2.0, 1.0, oracle.Grid(6.0, 801), levels=2, corrupt_forced=True
-    )
+    rep = oracle.consistency_report(1, p, 2.0, 1.0, oracle.Grid(6.0, 801), levels=2)
     bad = {c.claim_id for c in rep.forced_failures()}
     assert bad == {"f.isospectrality", "f.matrix-symmetry"}
 
 
-def test_derive_partner_model1_physical_case():
-    # near-critical Model-I level: partner has finite norm; its residual
-    # against the second-component closed potential is computable (recorded,
-    # not asserted small)
-    p = gauge.Model1Params.from_branch(0.4999, 2.0, "half-down")
-    grid = oracle.Grid(12.0, 4001)
-    pot1 = gauge.v_eff_model1(p, 2.0, 1)
-    m = oracle.build_sl_matrix(COSH2, pot1.fn, grid)
-    lam, vec = oracle.eig_lowest(m, 1)[0]
-    E = math.sqrt(abs(lam))
-    partner = oracle.derive_partner_component(
-        vec, E, gauge.a_u_model1(p), 2.0, 1.0, grid
-    )
-    assert partner.norm_sq is not None and math.isfinite(partner.norm_sq)
-    pot2 = gauge.v_eff_model1(p, 2.0, 2)
-    res = oracle.verify_eigenpair(pot2, partner, lam, grid, window=8.0)
-    assert math.isfinite(res)
+@pytest.mark.parametrize("model, levels", [(1, 3), (2, 3), (1, 1)])
+def test_report_partner_claims(model, levels):
+    # e.partner.mN pairs the c.* oracle level N of j=1 with level N-1 of j=2
+    k, grid = 2.0, oracle.Grid(6.0, 801)
+    p = gauge.Model1Params.from_branch(0.4, k, "half-up") if model == 1 else m2_params(C1=1 / k, k=k)
+    rep = oracle.consistency_report(model, p, k, 1.0, grid, levels=levels)
+    partners = [c for c in rep.claims if c.claim_id.startswith("e.")]
+    assert [c.claim_id for c in partners] == [f"e.partner.m{m}" for m in range(1, levels)]
+    for m, c in enumerate(partners, start=1):
+        assert c.details["e1"] == rep.claim(f"c.spectrum.m{m}").details["oracle"]
+        assert c.metric == abs(c.details["e1"] - c.details["e2_shifted"])
 
 
 @pytest.mark.parametrize("model", [1, 2])

@@ -136,15 +136,6 @@ def test_x1_rejects_degenerate_parameters():
         specfun.x1_jacobi(0, 1.0, 0.5, 0.0)
 
 
-def test_x1_deriv_matches_finite_difference():
-    a, b = 1.0, 1 / 3
-    for nu in (1, 2, 4):
-        for x in (-0.6, 0.1, 0.8):
-            h = 1e-6
-            fd = (specfun.x1_jacobi(nu, a, b, x + h) - specfun.x1_jacobi(nu, a, b, x - h)) / (2 * h)
-            assert specfun.x1_jacobi_deriv(nu, a, b, x) == pytest.approx(fd, rel=1e-6)
-
-
 def test_integrate_constant():
     res = specfun.integrate(lambda x: np.ones_like(x), -1.0, 1.0, tol=1e-10)
     assert res.value == pytest.approx(2.0, abs=1e-12)

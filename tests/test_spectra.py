@@ -37,7 +37,9 @@ def test_energy_model1_near_critical_value():
     # frozen from the closed-form arithmetic with s = (-1 + sqrt(1 - 4 C1^2))/2
     line = spectra.energy_model1(0, near_critical_params(), 2.0, 1.0)
     assert line.E_sq_bar == pytest.approx(0.2188852659724667, abs=1e-12)
-    assert line.physical
+    # the radicand is positive, but the printed eigenfunction has s < 0
+    assert not line.physical
+    assert line.reason == "divergent-norm"
     assert line.E_plus == pytest.approx(0.4678517564063073, abs=1e-12)
     assert line.E_minus == -line.E_plus
 
@@ -59,14 +61,23 @@ def test_energy_model1_requires_constraint():
         spectra.energy_model1(0, gauge.Model1Params(0.3, 0.1, 0.0), 2.0, 1.0)
 
 
-def test_classify_levels_model1_radicand_count():
-    lines = spectra.classify_levels_model1(near_critical_params(), 2.0, 1.0, 3)
+def test_energy_model1_radicand_count():
+    lines = [spectra.energy_model1(n, near_critical_params(), 2.0, 1.0) for n in range(4)]
     assert [ln.radicand_ok for ln in lines] == [True, False, False, False]
     # the printed envelope exponent is negative, so no level is normalizable
     assert all(ln.norm_finite is False for ln in lines)
     assert all(not ln.physical for ln in lines)
     assert lines[0].reason == "divergent-norm"
     assert lines[1].reason == "negative-radicand"
+
+
+@pytest.mark.parametrize("branch", ["neg-half", "half-down", "half-up", "three-half"])
+def test_energy_model1_norm_verdict_matches_wavefn(branch):
+    # one predicate decides both records, on every branch (neg-half has B = 0)
+    p = gauge.Model1Params.from_branch(0.3, 2.0, branch)
+    for n in range(3):
+        line = spectra.energy_model1(n, p, 2.0, 1.0)
+        assert line.norm_finite is spectra.wavefn_model1(n, p, 2.0).norm_finite
 
 
 def test_wavefn_model1_prefactor_values():
@@ -197,18 +208,6 @@ def test_e_sq_bar_independent_of_radius(R):
     a = spectra.energy_model2(1, 1.0, 1 / 3, 2.0, R).E_sq_bar
     b = spectra.energy_model2(1, 1.0, 1 / 3, 2.0, 1.0).E_sq_bar
     assert a == b
-
-
-def test_partner_map_shifted_identity():
-    e = [1.0, 2.0, 5.0, 10.0]
-    shifted = spectra.partner_map(e, e[1:])
-    assert [p.deviation for p in shifted.pairs] == [0.0, 0.0, 0.0]
-    assert shifted.max_deviation == 0.0
-
-
-def test_partner_map_empty():
-    assert spectra.partner_map([], []).pairs == ()
-    assert spectra.partner_map([1.0], []).pairs == ()
 
 
 # ------------------------------------------------------------------ norms
