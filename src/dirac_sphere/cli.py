@@ -2,8 +2,11 @@
 
 Commands: spectrum, potential, wavefunction, verify, figures.  A single JSON
 config document drives each run; unknown keys are rejected so typos in
-physics parameters cannot pass silently.  Exit codes: 0 ok, 1 config error,
-2 non-physical parameter construction, 3 strict verification failure.
+physics parameters cannot pass silently.  The config chooses the model only
+by the parameter set it builds (RunConfig.params); every command reads that
+model's formulas from oracle.model_spec, the spec the report uses.  Exit
+codes: 0 ok, 1 config error, 2 non-physical parameter construction, 3 strict
+verification failure.
 
 All files are written atomically (temp + rename), with LF line endings and
 '.' decimal points; curve files are two-column CSV, reports are JSON.  The
@@ -21,24 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DiracSphereError,
-    PoleError,
-)
-from .gauge import (
-    BRANCH_LABELS,
-    Model1Params,
-    _model2_poles,
-    a_u_model1,
-    a_u_model2,
-    alpha_beta,
-    model2_derive_params,
-    v_eff_model1,
-    v_eff_model2,
-)
-from .oracle import Grid, consistency_report
-from .spectra import energy_model1, energy_model2, wavefn_model1, wavefn_model2
+from .errors import ConfigError, DiracSphereError, DomainError, PoleError
+from .gauge import BRANCH_LABELS, Model1Params, alpha_beta, model2_derive_params
+from .oracle import Grid, consistency_report, model_spec
 
 __all__ = ["RunConfig", "main"]
 
@@ -53,8 +41,7 @@ class RunConfig:
     R: float
     k: float
     levels: int = 4
-    grid_L: float = _DEFAULT_GRID["L"]
-    grid_N: int = _DEFAULT_GRID["N"]
+    grid: Grid = Grid(**_DEFAULT_GRID)
     C1: float = 0.0
     branch: Optional[str] = None  # model 1
     sign_a: str = "-"  # model 2
@@ -64,17 +51,10 @@ class RunConfig:
     out: Optional[str] = None
     strict: bool = False
 
-    def grid(self):
-        return Grid(self.grid_L, int(self.grid_N))
-
-    def model1_params(self):
-        if self.model != 1:
-            raise ConfigError("model-1 parameters requested from a model-2 config")
-        return Model1Params.from_branch(self.C1, self.k, self.branch)
-
-    def model2_params(self):
-        if self.model != 2:
-            raise ConfigError("model-2 parameters requested from a model-1 config")
+    def params(self):
+        """The model's parameter set; oracle.model_spec turns it into formulas."""
+        if self.model == 1:
+            return Model1Params.from_branch(self.C1, self.k, self.branch)
         if self.alpha is not None and self.beta is not None:
             al, be = self.alpha, self.beta
         else:
@@ -88,7 +68,7 @@ class RunConfig:
             "R": self.R,
             "k": self.k,
             "levels": self.levels,
-            "grid": {"L": self.grid_L, "N": self.grid_N},
+            "grid": {"L": self.grid.L, "N": self.grid.N},
         }
         if self.model == 1:
             base["model1"] = {"C1": self.C1, "branch": self.branch}
@@ -154,10 +134,10 @@ def parse_config(doc) -> RunConfig:
         if not isinstance(g, dict):
             raise ConfigError("grid must be an object with keys L and N")
         _reject_unknown(g, {"L", "N"}, "grid.")
-        cfg.grid_L = _require(g, "L", float, "grid.")
-        cfg.grid_N = _require(g, "N", int, "grid.")
-        if cfg.grid_L <= 0 or cfg.grid_N < 3:
-            raise ConfigError("grid needs L > 0 and N >= 3")
+        try:
+            cfg.grid = Grid(_require(g, "L", float, "grid."), _require(g, "N", int, "grid."))
+        except DomainError as exc:
+            raise ConfigError(f"grid: {exc}") from exc
     if "out" in doc:
         if not isinstance(doc["out"], str):
             raise ConfigError("out must be a string path")
@@ -237,11 +217,7 @@ def _atomic_write(path, text):
 
 
 def _fmt(x):
-    if x is None:
-        return ""
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return repr(float(x))
+    return "nan" if x is None else repr(float(x))
 
 
 def _write_csv(path, header, rows):
@@ -260,22 +236,15 @@ def _resolve_out(cfg: Optional[RunConfig], cli_out):
 
 
 def _spectrum_rows(cfg: RunConfig):
+    spec = model_spec(cfg.params(), cfg.k, cfg.R)
     rows = []
-    if cfg.model == 1:
-        p = cfg.model1_params()
-        lines = [energy_model1(n, p, cfg.k, cfg.R) for n in range(cfg.levels)]
-    else:
-        p = cfg.model2_params()
-        lines = [
-            energy_model2(m, p.alpha, p.beta, cfg.k, cfg.R) for m in range(cfg.levels)
-        ]
-    for ln in lines:
+    for ln in map(spec.printed, range(cfg.levels)):
         rows.append(
             [
                 ln.level,
                 _fmt(ln.E_sq_bar),
-                _fmt(ln.E_minus) if ln.E_minus is not None else "nan",
-                _fmt(ln.E_plus) if ln.E_plus is not None else "nan",
+                _fmt(ln.E_minus),
+                _fmt(ln.E_plus),
                 "true" if ln.physical else "false",
                 ln.reason or "",
             ]
@@ -293,15 +262,10 @@ def cmd_spectrum(cfg: RunConfig, outdir):
 
 
 def _curve(cfg: RunConfig, which):
-    """The curve A_u, Veff1 or Veff2 as a callable of w, and its poles."""
-    if which not in ("A_u", "Veff1", "Veff2"):
-        raise ConfigError(f"unknown curve {which!r}; choose A_u, Veff1 or Veff2")
-    j = 1 if which == "Veff1" else 2
-    if cfg.model == 1:
-        p = cfg.model1_params()
-        return (a_u_model1(p) if which == "A_u" else v_eff_model1(p, cfg.k, j).fn), ()
-    p = cfg.model2_params()
-    return (a_u_model2(p) if which == "A_u" else v_eff_model2(p, j).fn), _model2_poles(p)
+    """The curve A_u, Veff1 or Veff2 as a callable of w, and the model's poles."""
+    spec = model_spec(cfg.params(), cfg.k, cfg.R)
+    fn = {"A_u": spec.A, "Veff1": spec.closed1.fn, "Veff2": spec.closed2.fn}[which]
+    return fn, spec.closed1.poles
 
 
 def _write_curve(cfg: RunConfig, fn, poles, path):
@@ -311,7 +275,7 @@ def _write_curve(cfg: RunConfig, fn, poles, path):
     `w,nan` gap-marker row, in sorted order, and the poles are named in a
     `*_poles.json` sidecar next to the CSV.
     """
-    grid = cfg.grid()
+    grid = cfg.grid
     w = grid.points()
     try:
         vals = np.asarray(fn(w), dtype=float)
@@ -340,32 +304,28 @@ def cmd_potential(cfg: RunConfig, which, outdir):
 
 
 def cmd_wavefunction(cfg: RunConfig, level, polynomial, outdir):
-    poles = ()
-    if cfg.model == 1:
-        wf = wavefn_model1(level, cfg.model1_params(), cfg.k)
-        name = f"wavefunction_l{level}.csv"
-    else:
-        p = cfg.model2_params()
-        wf = wavefn_model2(level, p.alpha, p.beta, polynomial=polynomial)
-        # the envelope denominator alpha + beta + (alpha - beta) t vanishes
-        # where the profile's does, at tanh w = a2/a1
-        poles = _model2_poles(p)
-        name = f"wavefunction_l{level}_{polynomial}.csv"
-    return _write_curve(cfg, wf.eval, poles, os.path.join(outdir, name))
+    """One eigenfunction reading sampled on the grid.  The file name carries
+    the reading only when the model has more than one."""
+    spec = model_spec(cfg.params(), cfg.k, cfg.R)
+    if polynomial not in spec.eigenfunctions:
+        raise ConfigError(
+            f"model {spec.model} has no {polynomial!r} eigenfunction reading; "
+            f"it has {', '.join(spec.eigenfunctions)}"
+        )
+    wf = spec.eigenfunctions[polynomial][1](level)
+    suffix = f"_{polynomial}" if len(spec.eigenfunctions) > 1 else ""
+    # a Model-II envelope denominator alpha + beta + (alpha - beta) t vanishes
+    # where the profile's does, at tanh w = a2/a1
+    path = os.path.join(outdir, f"wavefunction_l{level}{suffix}.csv")
+    return _write_curve(cfg, wf.eval, spec.closed1.poles, path)
 
 
 _REPORT_SCHEMA = "dirac-sphere-verification/1"
 
 
 def cmd_verify(cfg: RunConfig, outdir):
-    params = cfg.model1_params() if cfg.model == 1 else cfg.model2_params()
     report = consistency_report(
-        cfg.model,
-        params,
-        cfg.k,
-        cfg.R,
-        cfg.grid(),
-        levels=cfg.levels,
+        cfg.model, cfg.params(), cfg.k, cfg.R, cfg.grid, levels=cfg.levels
     )
     doc = {"schema": _REPORT_SCHEMA, "config": cfg.echo(), "report": report.as_dict()}
     path = os.path.join(outdir, f"verify_model{cfg.model}.json")

@@ -13,6 +13,8 @@ stencil, and the two compositions Dt*D and D*Dt share their nonzero spectrum
 every closed-form formula of both gauge models; each model enters it as a
 small spec of its formulas (potentials, levels, eigenfunction readings and
 solvable-structure identity), so both reports share every claim family.
+model_spec is the one place where a parameter set selects its model; the
+CLI commands read their curves, levels and eigenfunctions from the same spec.
 
 Verdict policy: mathematically forced claims must PASS; transcription claims
 are always 'recorded' with their metric, because the closed forms contain
@@ -43,6 +45,7 @@ from .gauge import (
 )
 from .spectra import (
     WaveFunctionSpec,
+    _model1_exponents,
     energy_model1,
     energy_model2,
     energy_model2_matched,
@@ -61,6 +64,7 @@ __all__ = [
     "Claim",
     "VerificationReport",
     "consistency_report",
+    "model_spec",
 ]
 
 _EPS = np.finfo(float).eps
@@ -415,11 +419,13 @@ class _ModelSpec:
     """What one gauge model brings to its report: the formulas and the words.
 
     Every claim family is built from these fields by _model_report, the same
-    way for both models.  Callables take the level index; eigenfunctions
-    holds (claim-id infix, description, level -> WaveFunctionSpec) per
-    polynomial reading.
+    way for both models, and the CLI commands read their curves, levels and
+    eigenfunctions from the same fields.  Callables take the level index;
+    eigenfunctions maps each polynomial reading's name to (description,
+    level -> WaveFunctionSpec), in report order.
     """
 
+    model: int
     params: Dict[str, object]
     A: Callable
     dA: Callable
@@ -431,7 +437,7 @@ class _ModelSpec:
     implied: Callable  # level -> level constant implied by the identity, or None
     spectrum_details: Callable  # (line, oracle, implied) -> extra c.* details
     printed_key: str  # d.* details key of the printed level constant
-    eigenfunctions: Tuple[Tuple[str, str, Callable], ...]
+    eigenfunctions: Dict[str, Tuple[str, Callable]]
     identity_claims: Callable  # printed level-0 constant -> the g.* claims
 
 
@@ -443,25 +449,29 @@ def consistency_report(model, params, k, R, grid: Grid, levels: int = 4) -> Veri
     (a.*, b.*), closed-form spectrum versus oracle eigenvalues (c.*),
     eigenfunction residuals (d.*, over |w| <= 8), partner-level pairing (e.*),
     and the model's solvable-structure identity (g.*).  Both models run
-    through one assembler over a per-model spec of formulas.  Forced claims
-    must pass; everything else is recorded with a finite metric and the grid
-    it was measured on.
+    through one assembler over the spec model_spec selects, which must be
+    that of `model`.  Forced claims must pass; everything else is recorded
+    with a finite metric and the grid it was measured on.
     """
-    if model == 1:
-        if not isinstance(params, Model1Params):
-            raise DomainError("model 1 requires Model1Params")
-        spec = _model1_spec(params, k, R)
-    elif model == 2:
-        if not isinstance(params, Model2Params):
-            raise DomainError("model 2 requires Model2Params")
-        if params.k != k:
-            raise DomainError(
-                f"wave number mismatch: params carry k={params.k}, report got k={k}"
-            )
-        spec = _model2_spec(params, k, R)
-    else:
-        raise DomainError(f"model must be 1 or 2, got {model}")
-    return _model_report(model, spec, k, R, grid, levels)
+    spec = model_spec(params, k, R)
+    if model != spec.model:
+        raise DomainError(f"model {model} does not match model-{spec.model} parameters")
+    return _model_report(spec, k, R, grid, levels)
+
+
+def model_spec(params, k, R) -> _ModelSpec:
+    """The formulas of the model a parameter set belongs to.
+
+    The one place where parameters select their model: the report and every
+    CLI command read the model's formulas from the spec returned here.
+    """
+    if isinstance(params, Model1Params):
+        return _model1_spec(params, k, R)
+    if not isinstance(params, Model2Params):
+        raise DomainError(f"expected Model1Params or Model2Params, got {type(params).__name__}")
+    if params.k != k:
+        raise DomainError(f"wave number mismatch: params carry k={params.k}, report got k={k}")
+    return _model2_spec(params, k, R)
 
 
 def _gdict(g: Grid):
@@ -556,13 +566,14 @@ def _forced_claims(A, k, gen_v1, gen_v2, q_poles=()):
     return claims
 
 
-def _model_report(model, spec: _ModelSpec, k, R, grid, levels):
+def _model_report(spec: _ModelSpec, k, R, grid, levels):
     """The claims of one model in report order, built from its spec.
 
     Formulas are evaluated in report order, so the first claim an invalid
-    configuration breaks is the one that raises.
+    configuration breaks is the one that raises.  A model with more than one
+    eigenfunction reading names each in its d.* claim ids.
     """
-    ref = f"model{model}"
+    ref = f"model{spec.model}"
     gen1 = v_eff_general(spec.A, spec.dA, k, 1)
     gen2 = v_eff_general(spec.A, spec.dA, k, 2)
     raw1, closed1, closed2 = spec.raw1, spec.closed1, spec.closed2
@@ -621,7 +632,8 @@ def _model_report(model, spec: _ModelSpec, k, R, grid, levels):
     for n in range(levels):
         lam, matched = printed[n], implied[n]
         lams = (lam,) if matched is None else (lam, matched)
-        for infix, description, wavefn in spec.eigenfunctions:
+        for reading, (description, wavefn) in spec.eigenfunctions.items():
+            infix = f"{reading}." if len(spec.eigenfunctions) > 1 else ""
             wf = wavefn(n)
             res = _residuals(sl1, _sample_wavefunction(wf, grid), lams, _RESIDUAL_WINDOW)
             details = {spec.printed_key: lam}
@@ -654,7 +666,7 @@ def _model_report(model, spec: _ModelSpec, k, R, grid, levels):
 
     claims.extend(spec.identity_claims(printed[0]))
     return VerificationReport(
-        model=model, k=k, R=R, levels=levels, params=spec.params, claims=claims
+        model=spec.model, k=k, R=R, levels=levels, params=spec.params, claims=claims
     )
 
 
@@ -664,8 +676,7 @@ def _model1_spec(p: Model1Params, k, R) -> _ModelSpec:
     def identity_claims(level0):
         # Solvable-structure identity: for a true eigenfunction the local energy
         # (H phi)/phi is constant; evaluated analytically for the printed ground state.
-        s = (-1.0 + math.sqrt(1.0 - 4.0 * p.C1 * p.C1)) / 2.0
-        B = p.C1 * (1.0 + 2.0 * p.C2) / 2.0
+        s, B = _model1_exponents(0, p, k)
 
         def local_energy(w):
             t = np.tanh(np.asarray(w, dtype=float))
@@ -687,6 +698,7 @@ def _model1_spec(p: Model1Params, k, R) -> _ModelSpec:
         ]
 
     return _ModelSpec(
+        model=1,
         params={name: getattr(p, name) for name in ("C1", "C2", "C3", "branch")},
         A=a_u_model1(p),
         dA=da_u_model1(p),
@@ -701,13 +713,12 @@ def _model1_spec(p: Model1Params, k, R) -> _ModelSpec:
         implied=lambda n: None,
         spectrum_details=lambda line, oracle, implied: {"radicand_ok": line.radicand_ok},
         printed_key="lambda",
-        eigenfunctions=(
-            (
-                "",
+        eigenfunctions={
+            "classical": (
                 "windowed eigenpair residual of the printed eigenfunction at the printed level constant",
                 lambda n: wavefn_model1(n, p, k),
             ),
-        ),
+        },
         identity_claims=identity_claims,
     )
 
@@ -741,13 +752,13 @@ def _model2_spec(p: Model2Params, k, R) -> _ModelSpec:
 
     def reading(variant):
         return (
-            f"{variant}.",
             f"windowed eigenpair residual of the {variant} polynomial "
             "interpretation at the printed level constant",
             lambda m: wavefn_model2(m, alpha, beta, polynomial=variant),
         )
 
     return _ModelSpec(
+        model=2,
         params={
             name: getattr(p, name)
             for name in ("C1", "a1", "a2", "k", "alpha", "beta", "C2", "C3", "C4", "C5", "C6")
@@ -768,6 +779,6 @@ def _model2_spec(p: Model2Params, k, R) -> _ModelSpec:
             "oracle_minus_matched": oracle - implied,
         },
         printed_key="lambda_printed",
-        eigenfunctions=(reading("classical"), reading("x1")),
+        eigenfunctions={variant: reading(variant) for variant in ("classical", "x1")},
         identity_claims=identity_claims,
     )

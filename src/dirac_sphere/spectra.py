@@ -28,13 +28,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import specfun
-from .errors import (
-    ComplexExponentError,
-    ConstraintError,
-    DomainError,
-    IntegrationError,
-)
-from .gauge import Model1Params, Model2Params, midya_constants
+from .errors import ComplexExponentError, DomainError, IntegrationError
+from .gauge import Model1Params, Model2Params, _require_constrained, midya_constants
 
 __all__ = [
     "SpectralLine",
@@ -111,7 +106,11 @@ class WaveFunctionSpec:
         return {"norm_rule": self.norm_rule, "norm_nodes": self.norm_nodes}
 
 
-def _check_model1_level(n, p: Model1Params):
+def _model1_exponents(n, p: Model1Params, k):
+    """The Model-I exponents (s, B) of level n: s = (-1 + sqrt(1 - 4 C1^2))/2
+    and B = C1 (1 + 2 C2)/2, once the parameters sit on a constraint branch,
+    n is a level index, s is real and the level denominator s - n is nonzero."""
+    _require_constrained(p, k)
     if n < 0 or int(n) != n:
         raise DomainError(f"level must be a non-negative integer, got {n}")
     rad = 1.0 - 4.0 * p.C1 * p.C1
@@ -121,8 +120,8 @@ def _check_model1_level(n, p: Model1Params):
         )
     s = (-1.0 + math.sqrt(rad)) / 2.0
     if s - n == 0.0:
-        raise ZeroDivisionError(f"level denominator s - n vanishes at n={n} (s={s})")
-    return s
+        raise DomainError(f"level denominator s - n vanishes at n={n} (s={s})")
+    return s, p.C1 * (1.0 + 2.0 * p.C2) / 2.0
 
 
 def _model1_divergence(s, B):
@@ -146,20 +145,15 @@ def energy_model1(n, p: Model1Params, k, R) -> SpectralLine:
     """
     if not R > 0:
         raise DomainError(f"radius must be positive, got {R}")
-    if not p.is_constrained(k):
-        raise ConstraintError(
-            f"Model-I closed forms need a constraint branch (params {p}, k={k})"
-        )
-    s = _check_model1_level(n, p)
-    half_slope = p.C1 * (1.0 + 2.0 * p.C2) / 2.0
+    s, B = _model1_exponents(n, p, k)
     e_sq = (
         0.5
         + 2.0 * p.C1 * (k - p.C3)
         - (p.C2 - 0.5) ** 2
         - (s - n) ** 2
-        - half_slope * half_slope / (s - n) ** 2
+        - B * B / (s - n) ** 2
     )
-    return SpectralLine(n, e_sq, R, norm_finite=not _model1_divergence(s, half_slope))
+    return SpectralLine(n, e_sq, R, norm_finite=not _model1_divergence(s, B))
 
 
 def wavefn_model1(n, p: Model1Params, k) -> WaveFunctionSpec:
@@ -170,10 +164,7 @@ def wavefn_model1(n, p: Model1Params, k) -> WaveFunctionSpec:
     s is negative, so the norm integral diverges at w -> +inf; the record is
     returned unnormalized with norm_finite=False and the reason.
     """
-    if not p.is_constrained(k):
-        raise ConstraintError("Model-I closed forms need a constraint branch")
-    s = _check_model1_level(n, p)
-    B = p.C1 * (1.0 + 2.0 * p.C2) / 2.0
+    s, B = _model1_exponents(n, p, k)
 
     @specfun._elementwise
     def raw(w):

@@ -81,9 +81,14 @@ def test_mixed_branch_spec_rejected(tmp_path):
     assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 1
 
 
-def test_nonphysical_construction_exits_2(tmp_path):
+def test_nonphysical_construction_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, model1_doc(model1={"C1": 0.6, "branch": "half-up"}))
     assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 2
+    # C1 = 0 gives s = 0, so the level-0 denominator s - n vanishes
+    cfg = write_config(tmp_path, model1_doc(model1={"C1": 0.0, "branch": "half-up"}))
+    for command in ("spectrum", "verify", "wavefunction"):
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 2, command
+        assert "construction error" in capsys.readouterr().err, command
 
 
 # ------------------------------------------------------------ spectrum
@@ -186,6 +191,17 @@ def test_wavefunction_model2_both_variants(tmp_path):
         assert max(map(abs, vals)) > 0.1  # normalized, O(1) peak
 
 
+def test_wavefunction_model1_rejects_x1(tmp_path, capsys):
+    # Model I has one eigenfunction reading; asking for the X1 one is a
+    # config error, not a silent classical curve
+    cfg = write_config(tmp_path, model1_doc())
+    out = tmp_path / "out"
+    code = cli.main(["wavefunction", "--config", cfg, "--polynomial", "x1", "--out", str(out)])
+    assert code == 1
+    assert "'x1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ verify
 
 
@@ -214,6 +230,25 @@ def test_verify_strict_corrupt_exits_3(tmp_path, forced_fault):
     cfg = write_config(tmp_path, doc)
     assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert cli.main(["verify", "--config", cfg, "--strict", "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("example", ["model1.json", "model2.json"])
+def test_spectrum_table_matches_verify_closed_form(tmp_path, example):
+    # both commands read the printed levels from one model spec, so the table
+    # and the report's c.* claims carry the same floats
+    cfg = os.path.join(os.path.dirname(__file__), "..", "examples", example)
+    for command in ("spectrum", "verify"):
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "spectrum.csv")
+    report = json.loads(next(tmp_path.glob("verify_model*.json")).read_text())
+    closed = {
+        c["claim_id"]: c["details"]["closed_form"]
+        for c in report["report"]["claims"]
+        if c["claim_id"].startswith("c.spectrum.m")
+    }
+    assert len(closed) == len(rows) == 4
+    for row in rows:
+        assert float(row[1]) == closed[f"c.spectrum.m{row[0]}"]
 
 
 def test_verify_round_trip_bit_identical(tmp_path):

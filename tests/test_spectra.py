@@ -51,8 +51,9 @@ def test_energy_model1_rejects_large_c1():
 
 
 def test_energy_model1_zero_denominator():
-    p = gauge.Model1Params.from_branch(0.0, 2.0, "half-up")  # s = 0
-    with pytest.raises(ZeroDivisionError):
+    # s = 0: a non-physical construction (exit 2 at the CLI), not a crash
+    p = gauge.Model1Params.from_branch(0.0, 2.0, "half-up")
+    with pytest.raises(DomainError, match="denominator"):
         spectra.energy_model1(0, p, 2.0, 1.0)
 
 
