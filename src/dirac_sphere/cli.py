@@ -306,6 +306,8 @@ def cmd_potential(cfg: RunConfig, which, outdir):
 def cmd_wavefunction(cfg: RunConfig, level, polynomial, outdir):
     """One eigenfunction reading sampled on the grid.  The file name carries
     the reading only when the model has more than one."""
+    if level < 0:
+        raise ConfigError(f"--level must be a non-negative integer, got {level}")
     spec = model_spec(cfg.params(), cfg.k, cfg.R)
     if polynomial not in spec.eigenfunctions:
         raise ConfigError(
@@ -324,6 +326,8 @@ _REPORT_SCHEMA = "dirac-sphere-verification/1"
 
 
 def cmd_verify(cfg: RunConfig, outdir):
+    if cfg.levels > cfg.grid.N:
+        raise ConfigError(f"levels must be at most grid.N = {cfg.grid.N}, got {cfg.levels}")
     report = consistency_report(
         cfg.model, cfg.params(), cfg.k, cfg.R, cfg.grid, levels=cfg.levels
     )

@@ -17,8 +17,8 @@ class IntegrationError(DiracSphereError, RuntimeError):
     """A quadrature did not converge within its budget.
 
     Raised by the adaptive panel quadrature when its panel budget runs out,
-    and by the Gauss-Jacobi norm rules when node doubling reaches its cap
-    without two successive rules agreeing.  Norm divergence is decided
+    and by the Gauss-Jacobi norm rules when the next rule would pass the node
+    cap before two successive rules agree.  Norm divergence is decided
     analytically before any quadrature, so this error means "not resolved",
     never "divergent".  Carries the last estimate, its error estimate, and
     the panel or node count reached.

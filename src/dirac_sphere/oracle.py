@@ -5,10 +5,11 @@ conservative (flux-form) finite-difference scheme on a uniform grid over
 [-L, L] with Dirichlet walls.  Every oracle matrix is symmetric tridiagonal
 and is stored as its diagonal and off-diagonal arrays (SLMatrix diag, off),
 so real spectra are structural and one tridiagonal eigensolver serves every
-solve.  The first-order operator D = cosh d/dw + f, f = cosh (A - k) + sinh/2,
-that factors the general j=1 potential is discretized on the staggered grid
-(nodes to half points); Dt*D then carries exactly the flux-form kinetic
-stencil, and the two compositions Dt*D and D*Dt share their nonzero spectrum
+solve; the solves return eigenvalues only.  The first-order operator
+D = cosh d/dw + f, f = cosh (A - k) + sinh/2, that factors the general j=1
+potential is discretized on the staggered grid (nodes to half points);
+Dt*D then carries exactly the flux-form kinetic stencil, and the two
+compositions Dt*D and D*Dt share their nonzero spectrum
 -- the forced isospectrality check.  One consistency-report engine attaches a verdict to
 every closed-form formula of both gauge models; each model enters it as a
 small spec of its formulas (potentials, levels, eigenfunction readings and
@@ -104,12 +105,11 @@ class SLMatrix:
     order - 1 entries next to it.
 
     The order is grid.N on the nodes, or grid.N + 1 for D*Dt on the half
-    points.
+    points; the matrix does not carry its grid.
     """
 
     diag: np.ndarray
     off: np.ndarray
-    grid: Grid
 
     @property
     def order(self):
@@ -148,38 +148,26 @@ def build_sl_matrix(p_fn, q_fn, grid: Grid, q_poles: Sequence[float] = ()) -> SL
             f"potential is not finite at w = {w[bad][0]}", location=float(w[bad][0])
         )
     h2 = grid.h * grid.h
-    return SLMatrix(diag=(ph[:-1] + ph[1:]) / h2 + qv, off=-ph[1:-1] / h2, grid=grid)
-
-
-def _eigh(m: SLMatrix, **kwargs):
-    return eigh_tridiagonal(m.diag, m.off, **kwargs)
+    return SLMatrix(diag=(ph[:-1] + ph[1:]) / h2 + qv, off=-ph[1:-1] / h2)
 
 
 def eig_lowest(m: SLMatrix, count: int):
-    """The `count` algebraically smallest eigenpairs, ascending.
+    """The `count` algebraically smallest eigenvalues, as an ascending array.
 
-    Eigenvectors are normalized in the h-weighted discrete norm and
-    sign-fixed so that the first component above 1e-12 of the max is
-    positive (determinism).
+    The same numbers bit for bit as scipy's eigenpair solve of the same
+    selection: bisection computes the eigenvalues whether or not vectors are
+    requested.
     """
     if count < 1 or count > m.order:
         raise DomainError(f"count must be in [1, {m.order}], got {count}")
-    vals, vecs = _eigh(m, select="i", select_range=(0, count - 1))
-    out = []
-    sqrt_h = math.sqrt(m.grid.h)
-    for i in range(count):
-        v = vecs[:, i]
-        nz = np.nonzero(np.abs(v) > 1e-12 * np.abs(v).max())[0]
-        if nz.size and v[nz[0]] < 0:
-            v = -v
-        v = v / (np.linalg.norm(v) * sqrt_h)
-        out.append((float(vals[i]), v))
-    return out
+    return eigh_tridiagonal(
+        m.diag, m.off, eigvals_only=True, select="i", select_range=(0, count - 1)
+    )
 
 
 def eig_values(m: SLMatrix):
-    """All eigenvalues, ascending (no eigenvectors)."""
-    return np.sort(_eigh(m, eigvals_only=True))
+    """All eigenvalues, ascending."""
+    return eigh_tridiagonal(m.diag, m.off, eigvals_only=True)
 
 
 # The first-order operator of the factorization, as recorded in the report.
@@ -216,8 +204,8 @@ def compose_factorized(A, k, grid: Grid):
     """
     lo, up = _staggered_factor(A, k, grid)
     return (
-        SLMatrix(diag=up[:-1] ** 2 + lo[1:] ** 2, off=up[1:-1] * lo[1:-1], grid=grid),
-        SLMatrix(diag=up**2 + lo**2, off=lo[1:] * up[:-1], grid=grid),
+        SLMatrix(diag=up[:-1] ** 2 + lo[1:] ** 2, off=up[1:-1] * lo[1:-1]),
+        SLMatrix(diag=up**2 + lo**2, off=lo[1:] * up[:-1]),
     )
 
 
@@ -297,16 +285,16 @@ def verify_eigenpair(
     q_fn = pot.fn if isinstance(pot, EffectivePotential) else pot
     poles = pot.poles if isinstance(pot, EffectivePotential) else ()
     m = build_sl_matrix(p_fn or _cosh2, q_fn, grid, q_poles=poles)
-    return _residuals(m, _sample_wavefunction(phi, grid), (lam,), window)[0]
+    return _residuals(m, grid, _sample_wavefunction(phi, grid), (lam,), window)[0]
 
 
-def _residuals(m: SLMatrix, vec, lams, window):
-    """verify_eigenpair's relative residuals of one sampled vector against an
-    assembled matrix, one per level constant in lams (the product M vec is
-    formed once)."""
+def _residuals(m: SLMatrix, grid: Grid, vec, lams, window):
+    """verify_eigenpair's relative residuals of one sampled vector against a
+    matrix assembled on the nodes of grid, one per level constant in lams
+    (the product M vec is formed once)."""
     if not np.all(np.isfinite(vec)):
         raise DomainError("wavefunction is not finite on the grid")
-    keep = np.ones(m.grid.N, dtype=bool)
+    keep = np.ones(grid.N, dtype=bool)
     peak = np.abs(vec).max()
     if peak == 0.0:
         raise DomainError("wavefunction vanishes identically on the grid")
@@ -315,7 +303,7 @@ def _residuals(m: SLMatrix, vec, lams, window):
     if abs(vec[-1]) > 1e-10 * peak:
         keep[-1] = False
     if window is not None:
-        keep &= np.abs(m.grid.points()) <= window
+        keep &= np.abs(grid.points()) <= window
     denom = np.linalg.norm(vec[keep])
     if denom == 0.0:
         raise DomainError("wavefunction vanishes on the residual window")
@@ -492,10 +480,8 @@ def _recorded(claim_id, paper_ref, description, metric, grid, details):
     )
 
 
-def _lowest_match(pairs, ref_pairs):
-    """Max relative distance between two ascending eigenvalue lists, one to one."""
-    vals = np.array([v for v, _ in pairs])
-    ref = np.array([v for v, _ in ref_pairs])
+def _lowest_match(vals, ref):
+    """Max relative distance between two ascending eigenvalue arrays, one to one."""
     return float(np.max(np.abs(vals - ref) / (1.0 + np.abs(ref))))
 
 
@@ -605,9 +591,9 @@ def _model_report(spec: _ModelSpec, k, R, grid, levels):
         )
 
     sl1 = build_sl_matrix(_cosh2, closed1.fn, grid, q_poles=closed1.poles)
-    e1 = [v for v, _ in eig_lowest(sl1, levels)]
+    e1 = eig_lowest(sl1, levels)
     sl2 = build_sl_matrix(_cosh2, closed2.fn, grid, q_poles=closed2.poles)
-    e2 = [v for v, _ in eig_lowest(sl2, levels)]
+    e2 = eig_lowest(sl2, levels)
 
     printed, implied = [], []
     for n in range(levels):
@@ -635,7 +621,7 @@ def _model_report(spec: _ModelSpec, k, R, grid, levels):
         for reading, (description, wavefn) in spec.eigenfunctions.items():
             infix = f"{reading}." if len(spec.eigenfunctions) > 1 else ""
             wf = wavefn(n)
-            res = _residuals(sl1, _sample_wavefunction(wf, grid), lams, _RESIDUAL_WINDOW)
+            res = _residuals(sl1, grid, _sample_wavefunction(wf, grid), lams, _RESIDUAL_WINDOW)
             details = {spec.printed_key: lam}
             if matched is not None:
                 details.update(residual_at_identity_energy=res[1], lambda_identity=matched)

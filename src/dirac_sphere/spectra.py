@@ -194,9 +194,10 @@ def _weighted_norm(g, alpha, beta, degree, rational):
     """Integral of (1-t)^alpha (1+t)^beta g(t)^2 over [-1, 1] by Gauss-Jacobi rules.
 
     A polynomial g of the given degree is integrated exactly by degree + 1
-    nodes.  A rational g (poles off [-1, 1]) starts at degree + 8 nodes and
-    doubles the count until two successive rules agree to 1e-12 relative;
-    past 512 nodes IntegrationError is raised, never a divergence verdict.
+    nodes.  A rational g (poles off [-1, 1]) compares rules of degree + 8 and
+    2 (degree + 8) nodes and doubles the count until two successive rules
+    agree to 1e-12 relative; a rule past 512 nodes is never built: where one
+    would be needed IntegrationError is raised, never a divergence verdict.
     Returns the WaveFunctionSpec fields of a finite norm.
     """
 
@@ -208,10 +209,9 @@ def _weighted_norm(g, alpha, beta, degree, rational):
         n = degree + 1
         value = rule(n)
     else:
-        n = 2 * (degree + _NORM_EXTRA_NODES)
-        prev, value = rule(n // 2), rule(n)
+        n, nxt, prev, value = 0, degree + _NORM_EXTRA_NODES, math.nan, math.nan
         while not abs(value - prev) <= _NORM_RTOL * abs(value):
-            if 2 * n > _NORM_MAX_NODES:
+            if nxt > _NORM_MAX_NODES:
                 raise IntegrationError(
                     f"Gauss-Jacobi norm rule (alpha={alpha!r}, beta={beta!r}) did not "
                     f"converge to {_NORM_RTOL} relative within {_NORM_MAX_NODES} nodes",
@@ -219,7 +219,7 @@ def _weighted_norm(g, alpha, beta, degree, rational):
                     error_estimate=abs(value - prev),
                     panels=n,
                 )
-            n *= 2
+            n, nxt = nxt, 2 * nxt
             prev, value = value, rule(n)
     return {
         "norm_finite": True,

@@ -101,16 +101,16 @@ def test_criterion_5_oracle_quality():
     # box eigenvalues within 1e-3 at N = 1999, eigensolve under 10 s
     start = time.perf_counter()
     m = oracle.build_sl_matrix(ONES, ZERO, oracle.Grid(math.pi / 2, 1999))
-    vals = np.array([v for v, _ in oracle.eig_lowest(m, 3)])
+    vals = oracle.eig_lowest(m, 3)
     solve_time = time.perf_counter() - start
     ok &= bool(np.all(np.abs(vals - np.array([1.0, 4.0, 9.0])) <= 1e-3))
     ok &= solve_time < 10.0
     # second-order convergence: refinement ratio in [3.5, 4.5]
     exact = np.array([1.0, 4.0, 9.0])
-    v1 = np.array([v for v, _ in oracle.eig_lowest(
-        oracle.build_sl_matrix(ONES, ZERO, oracle.Grid(math.pi / 2, 499)), 3)])
-    v2 = np.array([v for v, _ in oracle.eig_lowest(
-        oracle.build_sl_matrix(ONES, ZERO, oracle.Grid(math.pi / 2, 999)), 3)])
+    v1 = oracle.eig_lowest(
+        oracle.build_sl_matrix(ONES, ZERO, oracle.Grid(math.pi / 2, 499)), 3)
+    v2 = oracle.eig_lowest(
+        oracle.build_sl_matrix(ONES, ZERO, oracle.Grid(math.pi / 2, 999)), 3)
     ratio = (v1 - exact) / (v2 - exact)
     ok &= bool(np.all((ratio >= 3.5) & (ratio <= 4.5)))
     # truncation stability under L -> L + 2 at fixed h for a deep bound state
@@ -120,7 +120,7 @@ def test_criterion_5_oracle_quality():
     for L in (12.0, 14.0):
         N = int(round(2 * L / h)) - 1
         mm = oracle.build_sl_matrix(ONES, q, oracle.Grid(L, N))
-        got.append(oracle.eig_lowest(mm, 1)[0][0])
+        got.append(oracle.eig_lowest(mm, 1)[0])
     ok &= abs(got[0] - got[1]) < 1e-6
     _announce(5, f"oracle quality, eigensolve {solve_time:.2f}s", ok)
 

@@ -40,6 +40,10 @@ def model1_doc(**over):
     return doc
 
 
+def example_config(name):
+    return os.path.join(os.path.dirname(__file__), "..", "examples", name)
+
+
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -115,7 +119,7 @@ def test_spectrum_model2_pole_branch_divergent_norm(tmp_path):
     assert len(rows) == 4
     assert all(r[4] == "false" and r[5] == "divergent-norm" for r in rows)
     # the README's Model-II default config stays physical on every level
-    example = os.path.join(os.path.dirname(__file__), "..", "examples", "model2.json")
+    example = example_config("model2.json")
     out = tmp_path / "example"
     assert cli.main(["spectrum", "--config", example, "--out", str(out)]) == 0
     _, rows = read_csv(out / "spectrum.csv")
@@ -236,7 +240,7 @@ def test_verify_strict_corrupt_exits_3(tmp_path, forced_fault):
 def test_spectrum_table_matches_verify_closed_form(tmp_path, example):
     # both commands read the printed levels from one model spec, so the table
     # and the report's c.* claims carry the same floats
-    cfg = os.path.join(os.path.dirname(__file__), "..", "examples", example)
+    cfg = example_config(example)
     for command in ("spectrum", "verify"):
         assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
     _, rows = read_csv(tmp_path / "spectrum.csv")
@@ -379,6 +383,34 @@ def test_wavefunction_large_norm_is_normalized(tmp_path):
     w = [float(a) for a, _ in rows]
     vals = [float(v) for _, v in rows]
     assert sum(v * v for v in vals) * (w[1] - w[0]) == pytest.approx(1.0, rel=1e-6)
+
+
+def test_verify_levels_past_grid_exits_1_writes_nothing(tmp_path, capsys):
+    # more levels than grid rows is a config error, refused before any claim
+    out = tmp_path / "out"
+    code = cli.main(["verify", "--config", example_config("model1.json"), "--levels", "5000",
+                     "--out", str(out)])
+    assert code == 1
+    assert "grid.N = 4001" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_wavefunction_negative_level_exits_1_writes_nothing(tmp_path):
+    out = tmp_path / "out"
+    code = cli.main(["wavefunction", "--config", example_config("model2.json"), "--level", "-1",
+                     "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+
+
+def test_wavefunction_level_past_norm_node_cap_exits_2(tmp_path, capsys):
+    # the level-300 X1 norm would need a rule past the 512-node cap
+    out = tmp_path / "out"
+    code = cli.main(["wavefunction", "--config", example_config("model2.json"), "--level", "300",
+                     "--polynomial", "x1", "--out", str(out)])
+    assert code == 2
+    assert "within 512 nodes" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unresolved_norm_exits_2(tmp_path, capsys):

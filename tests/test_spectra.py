@@ -291,9 +291,18 @@ def test_divergence_reasons_are_analytic():
     assert not spectra.wavefn_model2(0, 1.0, 0.0).norm_finite
 
 
-def test_unresolved_norm_raises_integration_error():
-    # alpha*beta > 0, so the norm is finite, but the pole at t0 ~ -1 - 2e-9
-    # is too close to the interval for any rule within the node cap.
-    with pytest.raises(IntegrationError) as err:
-        spectra.wavefn_model2(0, 1.0, 1e-9)
-    assert err.value.panels <= spectra._NORM_MAX_NODES
+def test_unresolved_norm_raises_integration_error(monkeypatch):
+    # alpha*beta > 0, so each norm is finite.  At m = 0, beta = 1e-9 the pole
+    # at t0 ~ -1 - 2e-9 is too close to the interval for any rule within the
+    # node cap; at m = 300 the second rule alone (2 (m + 9) nodes) is past the
+    # cap.  Either way no rule past the cap is built.
+    built, gauss_jacobi = [], specfun.gauss_jacobi
+    monkeypatch.setattr(
+        specfun, "gauss_jacobi", lambda n, a, b: built.append(n) or gauss_jacobi(n, a, b)
+    )
+    for m, beta, polynomial in ((0, 1e-9, "classical"), (300, 1 / 3, "x1")):
+        built.clear()
+        with pytest.raises(IntegrationError) as err:
+            spectra.wavefn_model2(m, 1.0, beta, polynomial=polynomial)
+        assert built and max(built) <= spectra._NORM_MAX_NODES, (m, built)
+        assert err.value.panels <= spectra._NORM_MAX_NODES
