@@ -305,7 +305,12 @@ def cmd_potential(cfg: RunConfig, which, outdir):
 
 def cmd_wavefunction(cfg: RunConfig, level, polynomial, outdir):
     """One eigenfunction reading sampled on the grid.  The file name carries
-    the reading only when the model has more than one."""
+    the reading only when the model has more than one.
+
+    A `*_norm.json` sidecar always says whether the curve is normalized and
+    how the norm was decided: `norm_rule`/`norm_nodes` for a finite norm, or
+    `norm_divergence` (the analytic reason) for the raw printed form.
+    """
     if level < 0:
         raise ConfigError(f"--level must be a non-negative integer, got {level}")
     spec = model_spec(cfg.params(), cfg.k, cfg.R)
@@ -319,7 +324,11 @@ def cmd_wavefunction(cfg: RunConfig, level, polynomial, outdir):
     # a Model-II envelope denominator alpha + beta + (alpha - beta) t vanishes
     # where the profile's does, at tanh w = a2/a1
     path = os.path.join(outdir, f"wavefunction_l{level}{suffix}.csv")
-    return _write_curve(cfg, wf.eval, spec.closed1.poles, path)
+    written = _write_curve(cfg, wf.eval, spec.closed1.poles, path)
+    side = path[: -len(".csv")] + "_norm.json"
+    norm = {"normalized": wf.norm_finite, **wf.norm_details()}
+    _atomic_write(side, json.dumps(norm, indent=2) + "\n")
+    return written + [side]
 
 
 _REPORT_SCHEMA = "dirac-sphere-verification/1"

@@ -5,12 +5,17 @@ conservative (flux-form) finite-difference scheme on a uniform grid over
 [-L, L] with Dirichlet walls.  Every oracle matrix is symmetric tridiagonal
 and is stored as its diagonal and off-diagonal arrays (SLMatrix diag, off),
 so real spectra are structural and one tridiagonal eigensolver serves every
-solve; the solves return eigenvalues only.  The first-order operator
-D = cosh d/dw + f, f = cosh (A - k) + sinh/2, that factors the general j=1
-potential is discretized on the staggered grid (nodes to half points);
-Dt*D then carries exactly the flux-form kinetic stencil, and the two
-compositions Dt*D and D*Dt share their nonzero spectrum
--- the forced isospectrality check.  One consistency-report engine attaches a verdict to
+solve; the solves return eigenvalues only.  scipy is imported inside the two
+solve routines, so the commands that never solve do not load it.  The
+report's levels come from bisection at LAPACK's default tolerance
+(bisection_tol, recorded as oracle_tol in the c.* and e.* claims), which
+exceeds the grid's discretization error at the default L and N.
+
+The first-order operator D = cosh d/dw + f, f = cosh (A - k) + sinh/2, that
+factors the general j=1 potential is discretized on the staggered grid (nodes
+to half points); Dt*D then carries exactly the flux-form kinetic stencil, and
+the two compositions Dt*D and D*Dt share their nonzero spectrum -- the forced
+isospectrality check.  One consistency-report engine attaches a verdict to
 every closed-form formula of both gauge models; each model enters it as a
 small spec of its formulas (potentials, levels, eigenfunction readings and
 solvable-structure identity), so both reports share every claim family.
@@ -26,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import DomainError, SingularPotentialError
 from .gauge import (
@@ -60,6 +64,7 @@ __all__ = [
     "build_sl_matrix",
     "eig_lowest",
     "eig_values",
+    "bisection_tol",
     "compose_factorized",
     "verify_eigenpair",
     "Claim",
@@ -156,8 +161,10 @@ def eig_lowest(m: SLMatrix, count: int):
 
     The same numbers bit for bit as scipy's eigenpair solve of the same
     selection: bisection computes the eigenvalues whether or not vectors are
-    requested.
+    requested.  Each is accurate to bisection_tol(m).
     """
+    from scipy.linalg import eigh_tridiagonal
+
     if count < 1 or count > m.order:
         raise DomainError(f"count must be in [1, {m.order}], got {count}")
     return eigh_tridiagonal(
@@ -167,7 +174,23 @@ def eig_lowest(m: SLMatrix, count: int):
 
 def eig_values(m: SLMatrix):
     """All eigenvalues, ascending."""
+    from scipy.linalg import eigh_tridiagonal
+
     return eigh_tridiagonal(m.diag, m.off, eigvals_only=True)
+
+
+def bisection_tol(m: SLMatrix):
+    """The absolute tolerance eig_lowest's bisection stops at.
+
+    With tol=0, LAPACK's stebz uses eps * max(|gl|, |gu|) over the
+    Gershgorin bounds [gl, gu] of the whole matrix: with cosh^2(L)/h^2 in
+    the kinetic stencil this, not the grid, is the accuracy floor of the
+    report's oracle levels (about 0.16 at L=12, N=4001).
+    """
+    radius = np.zeros(m.order)
+    radius[:-1] += np.abs(m.off)
+    radius[1:] += np.abs(m.off)
+    return _EPS * max(abs((m.diag - radius).min()), abs((m.diag + radius).max()))
 
 
 # The first-order operator of the factorization, as recorded in the report.
@@ -591,9 +614,9 @@ def _model_report(spec: _ModelSpec, k, R, grid, levels):
         )
 
     sl1 = build_sl_matrix(_cosh2, closed1.fn, grid, q_poles=closed1.poles)
-    e1 = eig_lowest(sl1, levels)
+    e1, tol1 = eig_lowest(sl1, levels), bisection_tol(sl1)
     sl2 = build_sl_matrix(_cosh2, closed2.fn, grid, q_poles=closed2.poles)
-    e2 = eig_lowest(sl2, levels)
+    e2, tol2 = eig_lowest(sl2, levels), bisection_tol(sl2)
 
     printed, implied = [], []
     for n in range(levels):
@@ -611,6 +634,7 @@ def _model_report(spec: _ModelSpec, k, R, grid, levels):
                     "closed_form": line.E_sq_bar,
                     "oracle": e1[n],
                     **spec.spectrum_details(line, e1[n], implied[n]),
+                    "oracle_tol": tol1,
                 },
             )
         )
@@ -646,7 +670,12 @@ def _model_report(spec: _ModelSpec, k, R, grid, levels):
                 "oracle spectra of the two components paired with the one-level shift",
                 abs(e1[m] - e2[m - 1]),
                 _gdict(grid),
-                {"e1": e1[m], "e2_shifted": e2[m - 1], "unshifted_deviation": abs(e1[m] - e2[m])},
+                {
+                    "e1": e1[m],
+                    "e2_shifted": e2[m - 1],
+                    "unshifted_deviation": abs(e1[m] - e2[m]),
+                    "oracle_tol": max(tol1, tol2),
+                },
             )
         )
 

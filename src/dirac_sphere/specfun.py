@@ -191,8 +191,8 @@ class QuadResult:
         return f"QuadResult(value={self.value!r}, error_estimate={self.error_estimate!r}, panels={self.panels})"
 
 
-_GL10 = np.polynomial.legendre.leggauss(10)
-_GL21 = np.polynomial.legendre.leggauss(21)
+_GL10 = gauss_jacobi(10, 0.0, 0.0)  # Gauss-Legendre: the Jacobi weight at alpha = beta = 0
+_GL21 = gauss_jacobi(21, 0.0, 0.0)
 
 
 def _panel(f, a, b):

@@ -2,10 +2,12 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
-from dirac_sphere import cli
+from dirac_sphere import cli, oracle
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -193,6 +195,32 @@ def test_wavefunction_model2_both_variants(tmp_path):
         vals = [float(v) for _, v in rows]
         assert all(math.isfinite(v) for v in vals)
         assert max(map(abs, vals)) > 0.1  # normalized, O(1) peak
+
+
+@pytest.mark.parametrize(
+    "example, polynomial, stem",
+    [
+        ("model1.json", "classical", "wavefunction_l0"),
+        ("model2.json", "classical", "wavefunction_l0_classical"),
+        ("model2.json", "x1", "wavefunction_l0_x1"),
+    ],
+)
+def test_wavefunction_norm_sidecar(tmp_path, example, polynomial, stem):
+    # every wavefunction curve says whether it is normalized and how the norm
+    # was decided; Model I as printed is raw, with the analytic reason
+    code = cli.main(["wavefunction", "--config", example_config(example),
+                     "--polynomial", polynomial, "--out", str(tmp_path)])
+    assert code == 0
+    side = json.loads((tmp_path / f"{stem}_norm.json").read_text(encoding="utf-8"))
+    cfg = cli.parse_config(cli._read_config(example_config(example)))
+    wf = oracle.model_spec(cfg.params(), cfg.k, cfg.R).eigenfunctions[polynomial][1](0)
+    assert side == {"normalized": wf.norm_finite, **wf.norm_details()}
+    if example == "model1.json":
+        assert list(side) == ["normalized", "norm_divergence"] and side["normalized"] is False
+        assert "not integrable" in side["norm_divergence"]
+    else:
+        assert list(side) == ["normalized", "norm_rule", "norm_nodes"] and side["normalized"] is True
+        assert side["norm_rule"].startswith("gauss-jacobi") and side["norm_nodes"] > 0
 
 
 def test_wavefunction_model1_rejects_x1(tmp_path, capsys):
@@ -422,3 +450,45 @@ def test_unresolved_norm_exits_2(tmp_path, capsys):
     assert code == 2
     assert "did not converge" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+_MODULE_PROBE = """
+import contextlib, io, json, sys
+if sys.argv[1:]:
+    from dirac_sphere.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(sys.argv[1:])
+else:
+    import dirac_sphere.cli
+    code = 0
+print(json.dumps([code, [m for m in ("scipy", "numpy.polynomial") if m in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize(
+    "args, solves",
+    [
+        ([], False),
+        (["spectrum", "--config", example_config("model1.json")], False),
+        (["potential", "--config", example_config("model2.json"), "--which", "Veff2"], False),
+        (["wavefunction", "--config", example_config("model2.json"), "--level", "1"], False),
+        (["figures", "fig1"], False),
+        (["verify", "--config", example_config("model1.json")], True),
+    ],
+    ids=["import", "spectrum", "potential", "wavefunction", "figures", "verify"],
+)
+def test_only_verify_loads_scipy(tmp_path, args, solves):
+    # a fresh interpreter per command: only verify solves, so only verify may
+    # pay for scipy (and the numpy.polynomial it pulls in)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run(
+        [sys.executable, "-c", _MODULE_PROBE, *args] + (["--out", str(tmp_path)] if args else []),
+        capture_output=True, text=True, env=env,
+    )
+    assert res.returncode == 0, res.stderr
+    code, loaded = json.loads(res.stdout)
+    assert code == 0
+    assert ("scipy" in loaded) == solves
+    if not solves:
+        assert loaded == []

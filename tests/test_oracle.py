@@ -65,6 +65,29 @@ def test_eig_lowest_matches_eigenpair_solve_bitwise():
         assert vals.shape == (count,) and np.array_equal(vals, ref)
 
 
+def _closed_matrix(pot, grid):
+    return oracle.build_sl_matrix(COSH2, pot.fn, grid, q_poles=pot.poles)
+
+
+def test_bisection_tol_bounds_eig_lowest():
+    # the default tolerance, not the grid, limits the report's oracle levels:
+    # each level lies within bisection_tol of a solve to 1e-11
+    k, default = 2.0, oracle.Grid(12.0, 4001)
+    p1 = gauge.Model1Params.from_branch(0.4, k, "half-up")
+    p2 = m2_params(C1=1 / k, k=k)
+    cases = [(gauge.v_eff_model1(p1, k, j), default) for j in (1, 2)]
+    cases += [(gauge.v_eff_model2(p2, j), default) for j in (1, 2)]
+    cases += [(gauge.v_eff_model1(p1, k, 1), oracle.Grid(12.0, 16001))]
+    for pot, grid in cases:
+        m = _closed_matrix(pot, grid)
+        tol = oracle.bisection_tol(m)
+        tight = eigh_tridiagonal(
+            m.diag, m.off, eigvals_only=True, select="i", select_range=(0, 7), tol=1e-11
+        )
+        assert np.abs(oracle.eig_lowest(m, 8) - tight).max() <= tol
+    assert oracle.bisection_tol(_closed_matrix(cases[0][0], default)) == pytest.approx(0.16, rel=0.01)
+
+
 def test_eig_lowest_count_range():
     m = box_matrix(99)
     for count in (0, m.order + 1):
@@ -284,9 +307,15 @@ def test_report_partner_claims(model, levels):
     rep = oracle.consistency_report(model, p, k, 1.0, grid, levels=levels)
     partners = [c for c in rep.claims if c.claim_id.startswith("e.")]
     assert [c.claim_id for c in partners] == [f"e.partner.m{m}" for m in range(1, levels)]
+    spec = oracle.model_spec(p, k, 1.0)
+    tol1 = oracle.bisection_tol(_closed_matrix(spec.closed1, grid))
+    tol2 = oracle.bisection_tol(_closed_matrix(spec.closed2, grid))
+    for n in range(levels):
+        assert rep.claim(f"c.spectrum.m{n}").details["oracle_tol"] == tol1
     for m, c in enumerate(partners, start=1):
         assert c.details["e1"] == rep.claim(f"c.spectrum.m{m}").details["oracle"]
         assert c.metric == abs(c.details["e1"] - c.details["e2_shifted"])
+        assert c.details["oracle_tol"] == max(tol1, tol2)
 
 
 @pytest.mark.parametrize("model", [1, 2])
@@ -327,20 +356,23 @@ _SHARED_HEAD = [
     ("b.veff1-constrained", ("additive_constant",)),
     ("b.veff2-constrained", ("additive_constant",)),
 ]
-_PARTNER = ("e1", "e2_shifted", "unshifted_deviation")
+_PARTNER = ("e1", "e2_shifted", "unshifted_deviation", "oracle_tol")
 _M2_EIGEN = (
     "lambda_printed", "residual_at_identity_energy", "lambda_identity",
     "window", "norm_finite", "norm_rule", "norm_nodes",
 )
 _REPORT_LAYOUT = {
     1: _SHARED_HEAD
-    + [(f"c.spectrum.m{n}", ("closed_form", "oracle", "radicand_ok")) for n in range(3)]
+    + [(f"c.spectrum.m{n}", ("closed_form", "oracle", "radicand_ok", "oracle_tol")) for n in range(3)]
     + [(f"d.eigenfunction.m{n}", ("lambda", "window", "norm_finite", "norm_divergence")) for n in range(3)]
     + [("e.partner.m1", _PARTNER), ("e.partner.m2", _PARTNER)]
     + [("g.local-energy-constancy", ("mean_local_energy", "closed_form_level0"))],
     2: _SHARED_HEAD
     + [
-        (f"c.spectrum.m{n}", ("closed_form", "oracle", "identity_matched", "oracle_minus_matched"))
+        (
+            f"c.spectrum.m{n}",
+            ("closed_form", "oracle", "identity_matched", "oracle_minus_matched", "oracle_tol"),
+        )
         for n in range(3)
     ]
     + [(f"d.eigenfunction.{v}.m{n}", _M2_EIGEN) for n in range(3) for v in ("classical", "x1")]
