@@ -14,6 +14,7 @@ default output directory comes from --out, then the config, then the
 DIRAC_SPHERE_OUT environment variable, then the working directory.
 """
 import argparse
+import gc
 import json
 import math
 import os
@@ -28,7 +29,7 @@ from .errors import ConfigError, DiracSphereError, DomainError, PoleError
 from .gauge import BRANCH_LABELS, Model1Params, alpha_beta, model2_derive_params
 from .oracle import Grid, consistency_report, model_spec
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["RunConfig", "main", "console_main"]
 
 _DEFAULT_GRID = {"L": 12.0, "N": 4001}
 
@@ -508,5 +509,19 @@ def main(argv=None):
         return 2
 
 
+def console_main():
+    """The process entry of `dirac-sphere` and `python -m dirac_sphere.cli`.
+
+    Runs main() on the command line, then freezes the objects the garbage
+    collector tracks (gc.freeze) before the interpreter shuts down, so its
+    exit-time collections skip the tens of thousands of objects numpy and
+    scipy leave behind; no output depends on them.  main() itself changes no
+    process-wide state, because tests and warm callers run it in-process.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(console_main())

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import math
 import os
@@ -44,6 +45,12 @@ def model1_doc(**over):
 
 def example_config(name):
     return os.path.join(os.path.dirname(__file__), "..", "examples", name)
+
+
+def child_env():
+    """The environment for a child interpreter that imports this package's source."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def read_csv(path):
@@ -386,17 +393,42 @@ def test_usage_error_exits_1(capsys):
     assert cli.main([]) == 1
 
 
-def test_console_entry_point(tmp_path):
-    import subprocess
-    import sys
+def test_console_entry_point(tmp_path, monkeypatch):
 
-    res = subprocess.run(
-        [sys.executable, "-m", "dirac_sphere.cli", "figures", "fig1", "--out", str(tmp_path)],
-        capture_output=True,
-        text=True,
-    )
-    assert res.returncode == 0
+    def entry(*args, out):
+        return subprocess.run(
+            [sys.executable, "-m", "dirac_sphere.cli", *args, "--out", str(out)],
+            capture_output=True, text=True, env=child_env(),
+        ).returncode
+
+    assert entry("figures", "fig1", out=tmp_path) == 0
     assert (tmp_path / "fig1" / "spectrum.csv").exists()
+
+    # the process entry writes the report main() writes in-process, byte for byte
+    for model in (1, 2):
+        cfg = example_config(f"model{model}.json")
+        assert entry("verify", "--config", cfg, out=tmp_path / "entry") == 0
+        frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "main")]) == 0
+        # main() leaves the collector as it found it; only the entry freezes
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+        name = f"verify_model{model}.json"
+        assert (tmp_path / "entry" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+    assert entry("verify", "--config", example_config("model1.json"), "--levels", "5000",
+                 out=tmp_path / "refused") == 1
+    assert entry("verify", "--config", example_config("model2_pole.json"), out=tmp_path / "refused") == 2
+
+    # console_main freezes after main() returns and passes its exit code on
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    assert cli.console_main() == 3
+    assert calls == ["main", "freeze"]
+
+    # the installed script runs the same entry (a text match: no tomllib on 3.10)
+    pyproject = os.path.join(os.path.dirname(__file__), "..", "pyproject.toml")
+    with open(pyproject, encoding="utf-8") as fh:
+        assert 'dirac-sphere = "dirac_sphere.cli:console_main"' in fh.read().splitlines()
 
 
 def test_wavefunction_large_norm_is_normalized(tmp_path):
@@ -480,11 +512,9 @@ print(json.dumps([code, [m for m in ("scipy", "numpy.polynomial") if m in sys.mo
 def test_only_verify_loads_scipy(tmp_path, args, solves):
     # a fresh interpreter per command: only verify solves, so only verify may
     # pay for scipy (and the numpy.polynomial it pulls in)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     res = subprocess.run(
         [sys.executable, "-c", _MODULE_PROBE, *args] + (["--out", str(tmp_path)] if args else []),
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=child_env(),
     )
     assert res.returncode == 0, res.stderr
     code, loaded = json.loads(res.stdout)

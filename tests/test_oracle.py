@@ -185,13 +185,20 @@ def test_compose_matches_dense_composition():
 
 
 def test_matrix_symmetry_checks_products():
-    # the forced product check sees a wrong band entry off the diagonal too
+    # the forced product check sees one wrong band entry wherever it sits: the
+    # first, middle or last entry of either band of either composition
     grid = oracle.Grid(4.0, 401)
     a = gauge.a_u_model1(gauge.Model1Params.from_branch(0.4, 2.0, "half-up"))
     dtd, ddt = oracle.compose_factorized(a, 2.0, grid)
     assert oracle._product_defect(a, 2.0, grid, dtd, ddt) <= 1e-13
-    ddt.off[200] *= 1.0 + 1e-6
-    assert oracle._product_defect(a, 2.0, grid, dtd, ddt) > 1e-10
+    for which in (0, 1):
+        for band in ("diag", "off"):
+            size = getattr((dtd, ddt)[which], band).size
+            for i in (0, size // 2, size - 1):
+                pair = oracle.compose_factorized(a, 2.0, grid)
+                getattr(pair[which], band)[i] *= 1.0 + 1e-6
+                defect = oracle._product_defect(a, 2.0, grid, *pair)
+                assert defect > 1e-10, (which, band, i, defect)
 
 
 def test_isospectrality_counts_one_kernel_vector():

@@ -35,6 +35,15 @@ def test_invalid_index_rejected():
         specfun.jacobi(2, 0.0, -1.5, 0.0)
 
 
+def test_recurrence_divisor_zero_rejected():
+    # alpha + beta rounds to -2 in the m = 2 divisor: an error naming
+    # alpha + beta, not -inf (degree 2) or nan (degree 5)
+    a = -1 + 2.3e-16
+    for n in (2, 5):
+        with pytest.raises(DomainError, match=r"alpha \+ beta"):
+            specfun.jacobi(n, a, a, 0.3)
+
+
 def test_outside_domain_warns_but_evaluates():
     with pytest.warns(specfun.OutsideDomainWarning):
         val = specfun.jacobi(2, 0.0, 0.0, 1.5)
