@@ -5,11 +5,13 @@ conservative (flux-form) finite-difference scheme on a uniform grid over
 [-L, L] with Dirichlet walls.  Every oracle matrix is symmetric tridiagonal
 and is stored as its diagonal and off-diagonal arrays (SLMatrix diag, off),
 so real spectra are structural and one tridiagonal eigensolver serves every
-solve; the solves return eigenvalues only.  scipy is imported inside the two
-solve routines, so the commands that never solve do not load it.  The
-report's levels come from bisection at LAPACK's default tolerance
-(bisection_tol, recorded as oracle_tol in the c.* and e.* claims), which
-exceeds the grid's discretization error at the default L and N.
+solve; the solves return eigenvalues only.  They call LAPACK's dstebz and
+dstevd from scipy's compiled _flapack extension, loaded by path on the first
+solve: the commands that never solve do not load scipy, and verify never runs
+scipy.linalg's package init.  The report's levels come from bisection at
+LAPACK's default tolerance (bisection_tol, recorded as oracle_tol in the c.*
+and e.* claims), which exceeds the grid's discretization error at the default
+L and N.
 
 The first-order operator D = cosh d/dw + f, f = cosh (A - k) + sinh/2, that
 factors the general j=1 potential is discretized on the staggered grid (nodes
@@ -30,6 +32,8 @@ are always 'recorded' with their metric, because the closed forms contain
 apparent typos that this package is meant to expose, not hide.
 """
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -159,27 +163,69 @@ def build_sl_matrix(p_fn, q_fn, grid: Grid, q_poles: Sequence[float] = ()) -> SL
     return SLMatrix(diag=(ph[:-1] + ph[1:]) / h2 + qv, off=-ph[1:-1] / h2)
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _lapack():
+    """scipy's compiled LAPACK wrappers, the _flapack extension, once per process.
+
+    `import scipy` runs the distributor init (on Windows wheels it registers
+    the DLL directory); the extension is then loaded by path, so scipy.linalg's
+    package init, which pulls in numpy.f2py, numpy.testing and
+    numpy.polynomial, never runs.  The module is registered under its own
+    name, as an import would, so a later `import scipy.linalg` reuses it.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        import importlib.machinery
+        import importlib.util
+
+        import scipy
+
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        path = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack" + suffix)
+        if not os.path.isfile(path):
+            raise ImportError(f"scipy's LAPACK extension is missing: {path}", name=_FLAPACK, path=path)
+        loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, path)
+        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_FLAPACK, loader))
+        loader.exec_module(module)
+        sys.modules[_FLAPACK] = module
+    return module
+
+
+def _bands(m: SLMatrix):
+    """m's two bands, refused with DomainError unless every entry is finite."""
+    if not (np.isfinite(m.diag).all() and np.isfinite(m.off).all()):
+        raise DomainError(f"matrix bands of order {m.order} are not finite")
+    return m.diag, m.off
+
+
 def eig_lowest(m: SLMatrix, count: int):
     """The `count` algebraically smallest eigenvalues, as an ascending array.
 
-    The same numbers bit for bit as scipy's eigenpair solve of the same
-    selection: bisection computes the eigenvalues whether or not vectors are
-    requested.  Each is accurate to bisection_tol(m).
+    Bisection by LAPACK dstebz at its default tolerance (tol=0), the routine
+    scipy's eigh_tridiagonal calls for an index selection: the same numbers
+    bit for bit, with or without eigenvectors.  Each is accurate to
+    bisection_tol(m).  Non-finite bands or a LAPACK failure raise DomainError.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     if count < 1 or count > m.order:
         raise DomainError(f"count must be in [1, {m.order}], got {count}")
-    return eigh_tridiagonal(
-        m.diag, m.off, eigvals_only=True, select="i", select_range=(0, count - 1)
-    )
+    diag, off = _bands(m)
+    found, w, _, _, info = _lapack().dstebz(diag, off, 2, 0.0, 0.0, 1, count, 0.0, "E")
+    if info:
+        raise DomainError(f"LAPACK dstebz failed (info={info})")
+    return w[:found]
 
 
 def eig_values(m: SLMatrix):
-    """All eigenvalues, ascending."""
-    from scipy.linalg import eigh_tridiagonal
-
-    return eigh_tridiagonal(m.diag, m.off, eigvals_only=True)
+    """All eigenvalues, ascending: LAPACK dstevd, the routine
+    eigh_tridiagonal calls for a full spectrum.  Non-finite bands or a LAPACK
+    failure raise DomainError."""
+    diag, off = _bands(m)
+    w, _, info = _lapack().dstevd(diag, off, compute_v=0)
+    if info:
+        raise DomainError(f"LAPACK dstevd failed (info={info})")
+    return w
 
 
 def bisection_tol(m: SLMatrix):

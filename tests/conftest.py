@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from dirac_sphere import oracle
@@ -16,3 +17,19 @@ def forced_fault(monkeypatch):
         return dtd, ddt
 
     monkeypatch.setattr(oracle, "compose_factorized", faulty)
+
+
+class _FailingLapack:
+    # LAPACK routines that report failure through info, as dstebz does when
+    # bisection fails to converge
+    def dstebz(self, d, e, *args):
+        return 0, np.zeros(d.size), None, None, 1
+
+    def dstevd(self, d, e, compute_v):
+        return np.zeros(d.size), None, 1
+
+
+@pytest.fixture
+def lapack_failure(monkeypatch):
+    """Make every oracle eigensolve come back from LAPACK with info = 1."""
+    monkeypatch.setattr(oracle, "_lapack", _FailingLapack)

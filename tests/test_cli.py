@@ -493,7 +493,8 @@ if sys.argv[1:]:
 else:
     import dirac_sphere.cli
     code = 0
-print(json.dumps([code, [m for m in ("scipy", "numpy.polynomial") if m in sys.modules]]))
+probe = ("scipy", "scipy.linalg._flapack", "scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.polynomial")
+print(json.dumps([code, [m for m in probe if m in sys.modules]]))
 """
 
 
@@ -511,7 +512,9 @@ print(json.dumps([code, [m for m in ("scipy", "numpy.polynomial") if m in sys.mo
 )
 def test_only_verify_loads_scipy(tmp_path, args, solves):
     # a fresh interpreter per command: only verify solves, so only verify may
-    # pay for scipy (and the numpy.polynomial it pulls in)
+    # pay for scipy, and it loads the LAPACK extension alone: never the
+    # scipy.linalg package, whose init pulls in numpy.f2py, numpy.testing
+    # and numpy.polynomial
     res = subprocess.run(
         [sys.executable, "-c", _MODULE_PROBE, *args] + (["--out", str(tmp_path)] if args else []),
         capture_output=True, text=True, env=child_env(),
@@ -519,6 +522,49 @@ def test_only_verify_loads_scipy(tmp_path, args, solves):
     assert res.returncode == 0, res.stderr
     code, loaded = json.loads(res.stdout)
     assert code == 0
-    assert ("scipy" in loaded) == solves
-    if not solves:
-        assert loaded == []
+    assert loaded == (["scipy", "scipy.linalg._flapack"] if solves else [])
+
+
+_COEXIST_PROBE = """
+import contextlib, io, json, sys
+import numpy as np
+if sys.argv[1] == "package-first":
+    import scipy.linalg
+from dirac_sphere import cli, oracle
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "--config", sys.argv[2], "--out", sys.argv[3]])
+import scipy.linalg
+m = oracle.SLMatrix(diag=np.linspace(1.0, 9.0, 60) ** 2, off=np.full(59, -2.5))
+every = scipy.linalg.eigh_tridiagonal(m.diag, m.off, eigvals_only=True)
+lowest = scipy.linalg.eigh_tridiagonal(m.diag, m.off, eigvals_only=True, select="i", select_range=(0, 4))
+print(json.dumps([
+    code,
+    scipy.linalg.lapack._flapack is sys.modules["scipy.linalg._flapack"],
+    bool(np.array_equal(oracle.eig_values(m), every)),
+    bool(np.array_equal(oracle.eig_lowest(m, 5), lowest)),
+]))
+"""
+
+
+def test_lapack_extension_and_scipy_linalg_coexist(tmp_path):
+    # verify's path-loaded extension and scipy.linalg's own import, in either
+    # order in one interpreter: one module, equal eigenvalues, equal reports
+    reports = []
+    for order in ("verify-first", "package-first"):
+        out = tmp_path / order
+        res = subprocess.run(
+            [sys.executable, "-c", _COEXIST_PROBE, order, example_config("model1.json"), str(out)],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout) == [0, True, True, True], order
+        reports.append((out / "verify_model1.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_verify_lapack_failure_exits_2_writes_nothing(tmp_path, lapack_failure, capsys):
+    # a solve LAPACK reports as failed never becomes a number in a report
+    cfg = example_config("model1.json")
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "failed (info=1)" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

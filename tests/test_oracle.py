@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -63,6 +65,39 @@ def test_eig_lowest_matches_eigenpair_solve_bitwise():
         vals = oracle.eig_lowest(m, count)
         ref = eigh_tridiagonal(m.diag, m.off, select="i", select_range=(0, count - 1))[0]
         assert vals.shape == (count,) and np.array_equal(vals, ref)
+    # the full spectra f.isospectrality compares: the N=401/402 compositions,
+    # one config per model, equal to scipy's eigenvalue-only solve
+    for params in (p, m2_params(C1=1 / 2.0, k=2.0)):
+        spec = oracle.model_spec(params, 2.0, 1.0)
+        for m in oracle.compose_factorized(spec.A, 2.0, oracle._COMPOSE_GRID):
+            ref = eigh_tridiagonal(m.diag, m.off, eigvals_only=True)
+            assert np.array_equal(oracle.eig_values(m), ref)
+
+
+@pytest.mark.parametrize("band, value", [("diag", math.nan), ("off", math.inf)])
+def test_solves_refuse_non_finite_bands(band, value):
+    m = box_matrix(99)
+    getattr(m, band)[10] = value
+    for solve in (lambda m: oracle.eig_lowest(m, 3), oracle.eig_values):
+        with pytest.raises(DomainError, match="not finite"):
+            solve(m)
+
+
+def test_solves_refuse_lapack_failure(lapack_failure):
+    m = box_matrix(99)
+    with pytest.raises(DomainError, match=r"dstebz failed \(info=1\)"):
+        oracle.eig_lowest(m, 3)
+    with pytest.raises(DomainError, match=r"dstevd failed \(info=1\)"):
+        oracle.eig_values(m)
+
+
+def test_missing_lapack_extension_names_its_path(tmp_path, monkeypatch):
+    import scipy
+
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg" / "_flapack"))):
+        oracle.eig_values(box_matrix(9))
 
 
 def _closed_matrix(pot, grid):
