@@ -8,10 +8,17 @@ model's formulas from oracle.model_spec, the spec the report uses.  Exit
 codes: 0 ok, 1 config error, 2 non-physical parameter construction, 3 strict
 verification failure.
 
+One document serves every command, so a config key a command does not read
+is still accepted.  A flag is typed for one run: each command declares only
+the overrides whose settings it reads (--k for all; --levels for spectrum,
+verify and figures; --grid-L/--grid-N for all but spectrum; --strict for
+verify), and any other flag, or a flag's prefix, is a config error.
+
 All files are written atomically (temp + rename), with LF line endings and
-'.' decimal points; curve files are two-column CSV, reports are JSON.  The
-default output directory comes from --out, then the config, then the
-DIRAC_SPHERE_OUT environment variable, then the working directory.
+'.' decimal points; curve files are two-column CSV, sampled in one pass over
+the grid, reports are JSON.  The default output directory comes from --out,
+then the config, then the DIRAC_SPHERE_OUT environment variable, then the
+working directory.
 """
 import argparse
 import gc
@@ -43,46 +50,33 @@ class RunConfig:
     k: float
     levels: int = 4
     grid: Grid = Grid(**_DEFAULT_GRID)
-    C1: float = 0.0
-    branch: Optional[str] = None  # model 1
-    sign_a: str = "-"  # model 2
-    sign_b: str = "+"
-    alpha: Optional[float] = None
-    beta: Optional[float] = None
+    # the model1/model2 block as parse_config validated it, defaults filled
+    # in: {C1, branch}, {C1, alpha, beta} or {C1, sign_a, sign_b}
+    block: Optional[dict] = None
     out: Optional[str] = None
     strict: bool = False
 
     def params(self):
         """The model's parameter set; oracle.model_spec turns it into formulas."""
+        b = self.block
         if self.model == 1:
-            return Model1Params.from_branch(self.C1, self.k, self.branch)
-        if self.alpha is not None and self.beta is not None:
-            al, be = self.alpha, self.beta
+            return Model1Params.from_branch(b["C1"], self.k, b["branch"])
+        if "alpha" in b:
+            al, be = b["alpha"], b["beta"]
         else:
-            al, be = alpha_beta(self.k, self.sign_a, self.sign_b)
-        return model2_derive_params(self.C1, be - al, be + al, self.k)
+            al, be = alpha_beta(self.k, b["sign_a"], b["sign_b"])
+        return model2_derive_params(b["C1"], be - al, be + al, self.k)
 
     def echo(self):
         """Physics fields only, for deterministic report provenance."""
-        base = {
+        return {
             "model": self.model,
             "R": self.R,
             "k": self.k,
             "levels": self.levels,
             "grid": {"L": self.grid.L, "N": self.grid.N},
+            f"model{self.model}": dict(self.block),
         }
-        if self.model == 1:
-            base["model1"] = {"C1": self.C1, "branch": self.branch}
-        else:
-            block = {"C1": self.C1}
-            if self.alpha is not None and self.beta is not None:
-                block["alpha"] = self.alpha
-                block["beta"] = self.beta
-            else:
-                block["sign_a"] = self.sign_a
-                block["sign_b"] = self.sign_b
-            base["model2"] = block
-        return base
 
 
 def _require(doc, key, kind, where):
@@ -155,13 +149,13 @@ def parse_config(doc) -> RunConfig:
         if not isinstance(block, dict):
             raise ConfigError("model-1 config needs a model1 object")
         _reject_unknown(block, {"C1", "branch"}, "model1.")
-        cfg.C1 = _require(block, "C1", float, "model1.")
+        c1 = _require(block, "C1", float, "model1.")
         branch = _require(block, "branch", str, "model1.")
         if branch not in BRANCH_LABELS:
             raise ConfigError(
                 f"model1.branch must be one of {sorted(BRANCH_LABELS)}, got {branch!r}"
             )
-        cfg.branch = branch
+        cfg.block = {"C1": c1, "branch": branch}
     else:
         if "model1" in doc:
             raise ConfigError("model-2 config must not carry a model1 block")
@@ -169,27 +163,24 @@ def parse_config(doc) -> RunConfig:
         if not isinstance(block, dict):
             raise ConfigError("model-2 config needs a model2 object")
         _reject_unknown(block, {"C1", "sign_a", "sign_b", "alpha", "beta"}, "model2.")
-        has_ab = "alpha" in block or "beta" in block
-        if has_ab:
+        if "alpha" in block or "beta" in block:
             if not ("alpha" in block and "beta" in block):
                 raise ConfigError("model2 needs both alpha and beta when either is given")
             if "sign_a" in block or "sign_b" in block:
                 raise ConfigError("model2 takes either alpha/beta or sign_a/sign_b, not both")
-            cfg.alpha = _require(block, "alpha", float, "model2.")
-            cfg.beta = _require(block, "beta", float, "model2.")
+            pair = {key: _require(block, key, float, "model2.") for key in ("alpha", "beta")}
         else:
-            for key in ("sign_a", "sign_b"):
-                if key in block:
-                    val = block[key]
-                    if val not in ("+", "-"):
-                        raise ConfigError(f"model2.{key} must be '+' or '-', got {val!r}")
-                    setattr(cfg, key, val)
+            pair = {"sign_a": block.get("sign_a", "-"), "sign_b": block.get("sign_b", "+")}
+            for key, val in pair.items():
+                if val not in ("+", "-"):
+                    raise ConfigError(f"model2.{key} must be '+' or '-', got {val!r}")
         if "C1" in block:
-            cfg.C1 = _require(block, "C1", float, "model2.")
+            c1 = _require(block, "C1", float, "model2.")
+        elif k == 0:
+            raise ConfigError("model2.C1 is required when k = 0")
         else:
-            if k == 0:
-                raise ConfigError("model2.C1 is required when k = 0")
-            cfg.C1 = 1.0 / k  # the value at which the solvable identity closes
+            c1 = 1.0 / k  # the value at which the solvable identity closes
+        cfg.block = {"C1": c1, **pair}
     return cfg
 
 
@@ -272,22 +263,21 @@ def _curve(cfg: RunConfig, which):
 def _write_curve(cfg: RunConfig, fn, poles, path):
     """Write fn sampled on the grid as a (w, value) CSV; return the paths written.
 
-    A sample that raises PoleError reads nan.  Each pole inside the grid adds a
+    fn is evaluated once on the whole grid.  Each pole inside the grid adds a
     `w,nan` gap-marker row, in sorted order, and the poles are named in a
-    `*_poles.json` sidecar next to the CSV.
+    `*_poles.json` sidecar next to the CSV.  When a node sits on a pole (fn
+    raises PoleError), the node nearest each pole is dropped and fn evaluated
+    once more: the pole's marker row stands for that node.
     """
-    grid = cfg.grid
-    w = grid.points()
+    w = cfg.grid.points()
+    poles = [p0 for p0 in poles if abs(p0) <= cfg.grid.L]
     try:
-        vals = np.asarray(fn(w), dtype=float)
+        vals = fn(w)
     except PoleError:
-        vals = np.empty_like(w)
-        for i, wi in enumerate(w):
-            try:
-                vals[i] = fn(wi)
-            except PoleError:
-                vals[i] = math.nan
-    poles = [p0 for p0 in poles if abs(p0) <= grid.L]
+        keep = np.ones(w.size, dtype=bool)
+        keep[[np.abs(w - p0).argmin() for p0 in poles]] = False
+        w = w[keep]
+        vals = fn(w)
     rows = [[_fmt(wi), _fmt(vi)] for wi, vi in zip(w, vals)]
     rows += [[_fmt(p0), "nan"] for p0 in poles]
     rows.sort(key=lambda r: float(r[0]))
@@ -323,7 +313,7 @@ def cmd_wavefunction(cfg: RunConfig, level, polynomial, outdir):
     wf = spec.eigenfunctions[polynomial][1](level)
     suffix = f"_{polynomial}" if len(spec.eigenfunctions) > 1 else ""
     # a Model-II envelope denominator alpha + beta + (alpha - beta) t vanishes
-    # where the profile's does, at tanh w = a2/a1
+    # (and raises PoleError) where the profile's does, at tanh w = a2/a1
     path = os.path.join(outdir, f"wavefunction_l{level}{suffix}.csv")
     written = _write_curve(cfg, wf.eval, spec.closed1.poles, path)
     side = path[: -len(".csv")] + "_norm.json"
@@ -401,81 +391,68 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(sp, config=True):
-    """The shared flags; figures takes no --config (its documents are fixed)."""
-    if config:
-        sp.add_argument("--config", help="path to the JSON run configuration")
-    sp.add_argument("--out", help="output directory (overrides config and environment)")
-    sp.add_argument("--k", type=float, help="override the wave number")
-    sp.add_argument("--levels", type=int, help="override the level count")
-    sp.add_argument("--grid-L", type=float, dest="grid_L", help="override the grid half-width")
-    sp.add_argument("--grid-N", type=int, dest="grid_N", help="override the interior point count")
-    sp.add_argument("--strict", action="store_true", help="fail (exit 3) if a forced claim fails")
+# The config overrides a command may declare: each replaces one setting of the
+# config document, and a command declares only those whose settings it reads.
+_OVERRIDES = {
+    "--k": dict(type=float, help="override the wave number"),
+    "--levels": dict(type=int, help="override the level count"),
+    "--grid-L": dict(type=float, dest="grid_L", help="override the grid half-width"),
+    "--grid-N": dict(type=int, dest="grid_N", help="override the interior point count"),
+    # default None, not False: an absent --strict leaves the config's strict
+    "--strict": dict(action="store_true", default=None,
+                     help="fail (exit 3) if a forced claim fails"),
+}
 
 
 def _overrides(args, doc):
     """The config-document keys the command-line flags replace in doc.
 
-    The merged document goes through parse_config, so an override obeys the
-    same rules as the config file.  A --k on a sign-branch model-2 document
-    drops its C1, which parse_config then re-derives as 1/k.
+    A command's namespace holds only the overrides it declares.  The merged
+    document goes through parse_config, so an override obeys the same rules
+    as the config file.  A --k on a sign-branch model-2 document drops its
+    C1, which parse_config then re-derives as 1/k.
     """
-    out = {}
-    if args.k is not None:
-        out["k"] = args.k
+    flags = vars(args)
+    out = {key: flags[key] for key in ("k", "levels", "strict") if flags.get(key) is not None}
+    if "k" in out:
         block = doc.get("model2")
         if isinstance(block, dict) and "alpha" not in block and "beta" not in block:
-            if args.k == 0:
-                raise ConfigError("cannot override k to 0 for a sign-branch model-2 config")
             out["model2"] = {key: val for key, val in block.items() if key != "C1"}
-    if args.levels is not None:
-        out["levels"] = args.levels
-    if args.grid_L is not None or args.grid_N is not None:
-        grid = doc.get("grid", _DEFAULT_GRID)
-        if isinstance(grid, dict):
-            grid = dict(grid)
-            if args.grid_L is not None:
-                grid["L"] = args.grid_L
-            if args.grid_N is not None:
-                grid["N"] = args.grid_N
-        out["grid"] = grid
-    if args.strict:
-        out["strict"] = True
+    grid = {key: flags[f"grid_{key}"] for key in ("L", "N") if flags.get(f"grid_{key}") is not None}
+    if grid:
+        base = doc.get("grid", _DEFAULT_GRID)
+        out["grid"] = dict(base, **grid) if isinstance(base, dict) else base
     return out
 
 
-def _load_required_config(args):
-    if not args.config:
-        raise ConfigError("--config is required for this command")
-    doc = _read_config(args.config)
-    if isinstance(doc, dict):
-        doc = dict(doc, **_overrides(args, doc))
-    return parse_config(doc)
-
-
 def main(argv=None):
-    parser = _Parser(prog="dirac-sphere", description=__doc__)
+    parser = _Parser(prog="dirac-sphere", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("spectrum", help="emit the closed-form level table")
-    _add_common(sp)
+    def command(name, help_text, *overrides, config=True):
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        if config:
+            sp.add_argument("--config", required=True, help="path to the JSON run configuration")
+        sp.add_argument("--out", help="output directory (overrides config and environment)")
+        for flag in ("--k",) + overrides:
+            sp.add_argument(flag, **_OVERRIDES[flag])
+        return sp
 
-    sp = sub.add_parser("potential", help="emit a sampled curve of A_u or an effective potential")
-    _add_common(sp)
+    command("spectrum", "emit the closed-form level table", "--levels")
+    sp = command("potential", "emit a sampled curve of A_u or an effective potential",
+                 "--grid-L", "--grid-N")
     sp.add_argument("--which", choices=["A_u", "Veff1", "Veff2"], default="Veff1")
-
-    sp = sub.add_parser("wavefunction", help="emit grid samples of a closed-form eigenfunction")
-    _add_common(sp)
+    sp = command("wavefunction", "emit grid samples of a closed-form eigenfunction",
+                 "--grid-L", "--grid-N")
     sp.add_argument("--level", type=int, default=0)
     sp.add_argument("--polynomial", choices=["classical", "x1"], default="classical",
                     help="polynomial interpretation (model 2 only)")
-
-    sp = sub.add_parser("verify", help="run the oracle consistency report")
-    _add_common(sp)
-
-    sp = sub.add_parser("figures", help="emit the data behind the published figure sets")
-    sp.add_argument("which", choices=["fig1", "fig2"])
-    _add_common(sp, config=False)
+    command("verify", "run the oracle consistency report",
+            "--levels", "--grid-L", "--grid-N", "--strict")
+    # figures takes no --config: its documents are fixed
+    sp = command("figures", "emit the data behind the published figure sets",
+                 "--levels", "--grid-L", "--grid-N", config=False)
+    sp.add_argument("which", choices=sorted(_FIGURES))
 
     try:
         args = parser.parse_args(argv)
@@ -484,20 +461,24 @@ def main(argv=None):
         return 1
 
     try:
-        cfg = None if args.command == "figures" else _load_required_config(args)
-        outdir = _resolve_out(cfg, args.out)
         code = 0
         if args.command == "figures":
             overrides = _overrides(args, _FIGURES[args.which][0])
-            written = cmd_figures(args.which, overrides, outdir)
-        elif args.command == "spectrum":
-            written = cmd_spectrum(cfg, outdir)
-        elif args.command == "potential":
-            written = cmd_potential(cfg, args.which, outdir)
-        elif args.command == "wavefunction":
-            written = cmd_wavefunction(cfg, args.level, args.polynomial, outdir)
+            written = cmd_figures(args.which, overrides, _resolve_out(None, args.out))
         else:
-            written, code = cmd_verify(cfg, outdir)
+            doc = _read_config(args.config)
+            if isinstance(doc, dict):
+                doc = dict(doc, **_overrides(args, doc))
+            cfg = parse_config(doc)
+            outdir = _resolve_out(cfg, args.out)
+            if args.command == "spectrum":
+                written = cmd_spectrum(cfg, outdir)
+            elif args.command == "potential":
+                written = cmd_potential(cfg, args.which, outdir)
+            elif args.command == "wavefunction":
+                written = cmd_wavefunction(cfg, args.level, args.polynomial, outdir)
+            else:
+                written, code = cmd_verify(cfg, outdir)
         for path in written:
             print(path)
         return code

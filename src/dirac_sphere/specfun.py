@@ -202,14 +202,13 @@ class QuadResult:
         return f"QuadResult(value={self.value!r}, error_estimate={self.error_estimate!r}, panels={self.panels})"
 
 
-_GL10 = gauss_jacobi(10, 0.0, 0.0)  # Gauss-Legendre: the Jacobi weight at alpha = beta = 0
-_GL21 = gauss_jacobi(21, 0.0, 0.0)
-
-
 def _panel(f, a, b):
+    # the 10- and 21-point Gauss-Legendre rules: the Jacobi weight at alpha = beta = 0
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    lo = half * float(np.dot(_GL10[1], f(mid + half * _GL10[0])))
-    hi = half * float(np.dot(_GL21[1], f(mid + half * _GL21[0])))
+    lo, hi = (
+        half * float(np.dot(wq, f(mid + half * x)))
+        for x, wq in (gauss_jacobi(10, 0.0, 0.0), gauss_jacobi(21, 0.0, 0.0))
+    )
     return hi, abs(hi - lo)
 
 

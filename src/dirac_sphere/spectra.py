@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import specfun
-from .errors import ComplexExponentError, DomainError, IntegrationError
+from .errors import ComplexExponentError, DomainError, IntegrationError, PoleError
 from .gauge import Model1Params, Model2Params, _require_constrained, midya_constants
 
 __all__ = [
@@ -165,24 +165,38 @@ def wavefn_model1(n, p: Model1Params, k) -> WaveFunctionSpec:
     returned unnormalized with norm_finite=False and the reason.
     """
     s, B = _model1_exponents(n, p, k)
+    return _printed_wavefunction(
+        (s, B), lambda t: specfun.jacobi(int(n), 2.0 * s, 2.0 * B, t), lambda t: 1.0,
+        (2.0 * s - 1.0, 2.0 * B - 1.0), int(n), _model1_divergence(s, B), rational=False,
+    )
+
+
+def _printed_wavefunction(exponents, poly, den, weight, degree, divergence, rational):
+    """The printed eigenfunction (1-t)^a (1+t)^b poly(t)/den(t) of t = tanh w,
+    (a, b) = exponents.  Its norm integrates (poly/den)^2 against the Jacobi
+    weight (1-t)^weight[0] (1+t)^weight[1], as each model states it, unless
+    divergence gives the reason it diverges.  Both raise PoleError at a
+    sample where den vanishes, as the gauge profile does at its pole.
+    """
+    a, b = exponents
+
+    def over_den(num, t):
+        d = den(t)
+        if np.any(d == 0.0):
+            raise PoleError("eigenfunction envelope denominator vanishes at a sample")
+        return num / d
 
     @specfun._elementwise
     def raw(w):
+        # (envelope * poly) / den: this order keeps the sampled values, and so
+        # the report's residuals, as the printed form has always been evaluated
         t = np.tanh(w)
-        return (1.0 - t) ** s * (1.0 + t) ** B * specfun.jacobi(int(n), 2.0 * s, 2.0 * B, t)
+        return over_den((1.0 - t) ** a * (1.0 + t) ** b * poly(t), t)
 
-    divergence = _model1_divergence(s, B)
     if divergence:
-        norm = {"norm_finite": False, "norm_reason": divergence}
-    else:
-        norm = _weighted_norm(
-            lambda t: specfun.jacobi(int(n), 2.0 * s, 2.0 * B, t),
-            2.0 * s - 1.0,
-            2.0 * B - 1.0,
-            degree=int(n),
-            rational=False,
-        )
-    return WaveFunctionSpec(eval_raw=raw, **norm)
+        return WaveFunctionSpec(raw, norm_finite=False, norm_reason=divergence)
+    norm = _weighted_norm(lambda t: over_den(poly(t), t), *weight, degree, rational)
+    return WaveFunctionSpec(raw, **norm)
 
 
 _NORM_RTOL = 1e-12  # agreement of two successive rules for a rational factor
@@ -295,31 +309,15 @@ def wavefn_model2(m, alpha, beta, polynomial="classical") -> WaveFunctionSpec:
     if alpha <= -1 or beta <= -1 or alpha == beta:
         raise DomainError("need alpha, beta > -1 and alpha != beta")
     m = int(m)
-    ea, eb = (alpha + 1.0) / 2.0, (beta + 1.0) / 2.0
     poly_fn = specfun.jacobi if polynomial == "classical" else specfun.x1_jacobi
-
-    def factor(t):
-        return poly_fn(m + 1, alpha, beta, t) / (alpha + beta + (alpha - beta) * t)
-
-    @specfun._elementwise
-    def raw(w):
-        # not env * factor(t): this order keeps the sampled values, and so the
-        # report's residuals, as the printed form has always been evaluated
-        t = np.tanh(w)
-        den = alpha + beta + (alpha - beta) * t
-        return (1.0 - t) ** ea * (1.0 + t) ** eb * poly_fn(m + 1, alpha, beta, t) / den
-
-    # Norm integrand (1-t)^alpha (1+t)^beta factor^2; alpha, beta > -1, so it
+    # Norm integrand (1-t)^alpha (1+t)^beta (poly/den)^2; alpha, beta > -1, so it
     # is finite iff the denominator's root t0 lies off [-1, 1] (alpha*beta > 0).
-    if _model2_norm_finite(alpha, beta):
-        norm = _weighted_norm(factor, alpha, beta, degree=m + 1, rational=True)
-    else:
-        t0 = -(alpha + beta) / (alpha - beta)
-        norm = {
-            "norm_finite": False,
-            "norm_reason": (
-                f"denominator alpha + beta + (alpha - beta) t vanishes at t = {t0!r} "
-                "in [-1, 1]: the squared envelope is not integrable there"
-            ),
-        }
-    return WaveFunctionSpec(eval_raw=raw, **norm)
+    t0 = -(alpha + beta) / (alpha - beta)
+    divergence = "" if _model2_norm_finite(alpha, beta) else (
+        f"denominator alpha + beta + (alpha - beta) t vanishes at t = {t0!r} "
+        "in [-1, 1]: the squared envelope is not integrable there"
+    )
+    return _printed_wavefunction(
+        ((alpha + 1.0) / 2.0, (beta + 1.0) / 2.0), lambda t: poly_fn(m + 1, alpha, beta, t),
+        lambda t: alpha + beta + (alpha - beta) * t, (alpha, beta), m + 1, divergence, rational=True,
+    )

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -177,6 +178,31 @@ def test_potential_singular_branch_gap_marker(tmp_path):
         assert float(gap[0][0]) == pytest.approx(math.atanh(-0.5), rel=1e-12)
         side = json.loads((tmp_path / f"{stem}_poles.json").read_text())
         assert side["poles_w"][0] == pytest.approx(math.atanh(-0.5), rel=1e-12)
+
+
+def test_curve_with_a_node_on_the_pole(tmp_path):
+    # a2 = alpha + beta = 0 puts the Model-II pole at w = 0, grid node 401 of
+    # 801: each curve drops that node, and the pole's gap marker stands for it
+    doc = {"model": 2, "R": 1, "k": 2, "levels": 2, "grid": {"L": 6, "N": 801},
+           "model2": {"C1": 0.5, "alpha": 0.5, "beta": -0.5}}
+    cfg = write_config(tmp_path, doc)
+    for args, stem in (
+        (["potential", "--which", "A_u"], "potential_a_u"),
+        (["potential", "--which", "Veff1"], "potential_veff1"),
+        (["potential", "--which", "Veff2"], "potential_veff2"),
+        (["wavefunction", "--level", "1"], "wavefunction_l1_classical"),
+        (["wavefunction", "--level", "1", "--polynomial", "x1"], "wavefunction_l1_x1"),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(args + ["--config", cfg, "--out", str(tmp_path)]) == 0, stem
+        assert not caught, (stem, [str(c.message) for c in caught])
+        _, rows = read_csv(tmp_path / f"{stem}.csv")
+        assert len(rows) == 801, stem  # 800 nodes and the gap marker
+        assert [r for r in rows if r[1] == "nan"] == [["-0.0", "nan"]], stem
+        ws = [float(r[0]) for r in rows]
+        assert ws == sorted(ws) and ws.count(0.0) == 1, stem
+        assert all(math.isfinite(float(v)) for _, v in rows if v != "nan"), stem
 
 
 def test_potential_veff1_bounded_for_model1(tmp_path):
@@ -377,6 +403,42 @@ def test_invalid_override_exits_1_writes_nothing(tmp_path, command, flag):
     cfg = write_config(tmp_path, model1_doc())
     out = tmp_path / "out"
     assert cli.main([command, "--config", cfg, *flag, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+_IGNORED_FLAGS = [
+    ("spectrum", ["--grid-L", "6"]),
+    ("spectrum", ["--grid-N", "401"]),
+    ("spectrum", ["--strict"]),
+    ("potential", ["--levels", "9"]),
+    ("potential", ["--strict"]),
+    ("wavefunction", ["--levels", "9"]),
+    ("wavefunction", ["--strict"]),
+    ("figures", ["--strict"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag", _IGNORED_FLAGS, ids=[f"{command}{flag[0]}" for command, flag in _IGNORED_FLAGS]
+)
+def test_flag_the_command_ignores_exits_1_writes_nothing(tmp_path, command, flag, capsys):
+    # each command declares only the overrides whose settings it reads; a flag
+    # it would ignore is refused, as figures refuses --config
+    out = tmp_path / "out"
+    args = ["fig1"] if command == "figures" else ["--config", example_config("model1.json")]
+    assert cli.main([command, *args, *flag, "--out", str(out)]) == 1
+    assert flag[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flag_prefix_is_not_matched(tmp_path):
+    # a flag is never read as a longer one it abbreviates: spectrum has no
+    # --level, and it is not its --levels
+    out = tmp_path / "out"
+    cfg = example_config("model1.json")
+    assert cli.main(["spectrum", "--config", cfg, "--level", "2", "--out", str(out)]) == 1
+    assert cli.main(["verify", "--config", cfg, "--lev", "2", "--out", str(out)]) == 1
+    assert cli.main(["spectrum", "--conf", cfg, "--out", str(out)]) == 1
     assert not out.exists()
 
 

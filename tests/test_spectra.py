@@ -11,6 +11,7 @@ from dirac_sphere.errors import (
     ConstraintError,
     DomainError,
     IntegrationError,
+    PoleError,
 )
 
 
@@ -153,6 +154,17 @@ def test_wavefn_model2_pole_branch_flagged():
     assert wf.norm_finite is False
     # denominator zero at tanh w = -1/2
     assert "-0.5" in wf.norm_reason or "0.5" in wf.norm_reason
+
+
+@pytest.mark.parametrize("polynomial", ["classical", "x1"])
+def test_wavefn_model2_raises_on_envelope_pole(polynomial):
+    # alpha + beta = 0: the envelope denominator (alpha - beta) t vanishes at
+    # w = 0, where the printed form raises as the gauge profile does, rather
+    # than returning an infinity; off the pole it samples as before
+    wf = spectra.wavefn_model2(1, 0.5, -0.5, polynomial=polynomial)
+    with pytest.raises(PoleError):
+        wf.eval(np.array([-1.0, 0.0, 1.0]))
+    assert np.all(np.isfinite(wf.eval(np.array([-1.0, 1.0]))))
 
 
 def test_energy_model2_pole_branch_not_physical():
