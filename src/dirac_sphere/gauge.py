@@ -177,9 +177,9 @@ def alpha_beta(k, sign_a, sign_b):
     """The (alpha, beta) pair sign_a/(1-k), sign_b/(1+k) with admissibility checks.
 
     Rejects k = +-1 (pole), and branches with alpha <= -1, beta <= -1 or
-    alpha == beta.  Signs are '+' or '-' (or +-1).
+    alpha == beta.  Signs are the strings '+' or '-'.
     """
-    signs = {"+": 1.0, "-": -1.0, 1: 1.0, -1: -1.0}
+    signs = {"+": 1.0, "-": -1.0}
     sa, sb = signs.get(sign_a), signs.get(sign_b)
     if sa is None or sb is None:
         raise DomainError(f"signs must be '+' or '-', got {sign_a!r}, {sign_b!r}")

@@ -27,14 +27,15 @@ identity), so both reports share every claim family.  model_spec is the one
 place where a parameter set selects its model; the CLI commands read their
 curves, levels and eigenfunctions from the same spec.
 
-Verdict policy: mathematically forced claims must PASS; transcription claims
-are always 'recorded' with their metric, because the closed forms contain
-apparent typos that this package is meant to expose, not hide.
+Verdict policy (applied by Claim alone): mathematically forced claims (f.*)
+must PASS; transcription claims are always 'recorded' with their metric,
+because the closed forms contain apparent typos that this package is meant to
+expose, not hide.
 """
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -401,45 +402,37 @@ def _residuals(m: SLMatrix, grid: Grid, vec, lams, window):
     return [float(np.linalg.norm((mv - lam * vec)[keep]) / denom) for lam in lams]
 
 
+def _shallow(record):
+    """A dataclass's fields in declaration order, as one dict of the values
+    themselves (a shallow dict: the grid and details dicts are not copied)."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 @dataclass
 class Claim:
-    """One verified statement: metric against tolerance, with provenance."""
+    """One verified statement: metric against tolerance, with provenance.
+
+    The one place a verdict is decided: a forced claim (id f.*) passes iff
+    metric <= tolerance, so a NaN or infinite metric fails; every other claim
+    is 'recorded'.  tolerance is None for a claim with no threshold.
+    """
 
     claim_id: str
     paper_ref: str
     description: str
     metric: float
-    tolerance: float
-    verdict: str
+    tolerance: Optional[float] = field(default=None, kw_only=True)
+    verdict: str = field(init=False)
     grid: Dict[str, float]
     details: Dict[str, object] = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.verdict = "recorded"
+        if self.claim_id.startswith("f."):
+            self.verdict = "pass" if self.metric <= self.tolerance else "fail"
+
     def as_dict(self):
-        tol = _plain(self.tolerance)
-        if isinstance(tol, float) and not math.isfinite(tol):
-            tol = None  # recorded claims have no pass/fail threshold
-        return {
-            "claim_id": self.claim_id,
-            "paper_ref": self.paper_ref,
-            "description": self.description,
-            "metric": _plain(self.metric),
-            "tolerance": tol,
-            "verdict": self.verdict,
-            "grid": {key: _plain(val) for key, val in self.grid.items()},
-            "details": _plain(self.details),
-        }
-
-
-def _plain(x):
-    if isinstance(x, dict):
-        return {key: _plain(val) for key, val in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, np.ndarray):
-        return [_plain(v) for v in x.tolist()]
-    return x
+        return _shallow(self)
 
 
 @dataclass
@@ -454,17 +447,12 @@ class VerificationReport:
     claims: List[Claim]
 
     def as_dict(self):
-        return {
-            "model": self.model,
-            "k": _plain(self.k),
-            "R": _plain(self.R),
-            "levels": self.levels,
-            "params": _plain(self.params),
-            "claims": [c.as_dict() for c in self.claims],
-        }
+        out = _shallow(self)
+        out["claims"] = [c.as_dict() for c in self.claims]
+        return out
 
     def forced_failures(self):
-        return [c for c in self.claims if c.claim_id.startswith("f.") and c.verdict != "pass"]
+        return [c for c in self.claims if c.verdict == "fail"]
 
     def claim(self, claim_id):
         for c in self.claims:
@@ -556,20 +544,6 @@ def _gdict(g: Grid):
     return {"L": g.L, "N": g.N}
 
 
-def _recorded(claim_id, paper_ref, description, metric, grid, details):
-    """A claim with its metric recorded and no pass/fail threshold."""
-    return Claim(
-        claim_id=claim_id,
-        paper_ref=paper_ref,
-        description=description,
-        metric=metric,
-        tolerance=float("nan"),
-        verdict="recorded",
-        grid=grid,
-        details=details,
-    )
-
-
 def _lowest_match(vals, ref):
     """Max relative distance between two ascending eigenvalue arrays, one to one."""
     return float(np.max(np.abs(vals - ref) / (1.0 + np.abs(ref))))
@@ -596,7 +570,6 @@ def _forced_claims(A, k, gen_v1, gen_v2, q_poles=()):
             ),
             metric=defect,
             tolerance=_PRODUCT_TOL,
-            verdict="pass" if defect <= _PRODUCT_TOL else "fail",
             grid=_gdict(_COMPOSE_GRID),
         )
     )
@@ -613,7 +586,6 @@ def _forced_claims(A, k, gen_v1, gen_v2, q_poles=()):
             ),
             metric=metric,
             tolerance=_ISO_TOL,
-            verdict="pass" if metric <= _ISO_TOL else "fail",
             grid=_gdict(_COMPOSE_GRID),
             details={"zero_floor": floor, "n_below_floor": n_zero},
         )
@@ -623,7 +595,7 @@ def _forced_claims(A, k, gen_v1, gen_v2, q_poles=()):
     sl2 = build_sl_matrix(_cosh2, gen_v2, _CONVENTION_GRID, q_poles=q_poles)
     dtd, ddt = compose_factorized(A, k, _CONVENTION_GRID)
     claims.append(
-        _recorded(
+        Claim(
             "conventions.factorization-match",
             "factorization.first-order",
             "five lowest eigenvalues of Dt*D against the flux-form j=1 operator of the "
@@ -674,7 +646,6 @@ def _model_report(spec: _ModelSpec, k, R, grid, levels):
                 description=description,
                 metric=metric,
                 tolerance=_CONSTANCY_TOL,
-                verdict="recorded",
                 grid=_CONSTANCY_GRID,
                 details={"additive_constant": mean},
             )
@@ -691,7 +662,7 @@ def _model_report(spec: _ModelSpec, k, R, grid, levels):
         printed.append(line.E_sq_bar)
         implied.append(spec.implied(n))
         claims.append(
-            _recorded(
+            Claim(
                 f"c.spectrum.m{n}",
                 f"{ref}.spectrum.closed",
                 "closed-form level constant vs oracle eigenvalue of the closed j=1 potential",
@@ -719,7 +690,7 @@ def _model_report(spec: _ModelSpec, k, R, grid, levels):
             details.update(window=_RESIDUAL_WINDOW, norm_finite=wf.norm_finite)
             details.update(wf.norm_details())
             claims.append(
-                _recorded(
+                Claim(
                     f"d.eigenfunction.{infix}m{n}",
                     f"{ref}.eigenfunction.closed",
                     description,
@@ -731,7 +702,7 @@ def _model_report(spec: _ModelSpec, k, R, grid, levels):
 
     for m in range(1, levels):
         claims.append(
-            _recorded(
+            Claim(
                 f"e.partner.m{m}",
                 "partner.level-pairing",
                 "oracle spectra of the two components paired with the one-level shift",
@@ -768,7 +739,7 @@ def _model1_spec(p: Model1Params, k, R) -> _ModelSpec:
 
         metric, mean = _constancy(local_energy)
         return [
-            _recorded(
+            Claim(
                 "g.local-energy-constancy",
                 "model1.eigenfunction.closed",
                 "local energy (H phi)/phi of the printed ground state under the "
@@ -815,7 +786,7 @@ def _model2_spec(p: Model2Params, k, R) -> _ModelSpec:
             rhs = midya_rhs(alpha, beta, 1, variant=variant)
             metric, mean = _constancy(lambda w: closed1(w) + rhs(w))
             claims.append(
-                _recorded(
+                Claim(
                     f"g.midya-rhs.{variant}",
                     "model2.solvable-rhs",
                     "closed j=1 potential plus the solvable-model right-hand side "

@@ -18,8 +18,9 @@ Norms are computed in t = tanh(w), where every printed eigenfunction is an
 envelope (1-t)^a (1+t)^b times a polynomial or rational factor g.  The norm
 integral is then the Jacobi weight (1-t)^(2a-1) (1+t)^(2b-1) against g^2:
 finiteness is decided from the exponents and the poles of g before any
-quadrature, and a finite norm is integrated by a Gauss-Jacobi rule of that
-weight (exact for polynomial g, converged by node doubling for rational g).
+quadrature.  Only Model II's rational g is ever integrated, by Gauss-Jacobi
+rules of that weight converged by node doubling: the Model-I exponent
+s = (-1 + sqrt(1 - 4 C1^2))/2 is <= 0, so its norm is never finite.
 """
 import math
 from dataclasses import dataclass
@@ -160,23 +161,24 @@ def wavefn_model1(n, p: Model1Params, k) -> WaveFunctionSpec:
     """Printed Model-I eigenfunction, evaluated verbatim.
 
     (1 - tanh w)^s (1 + tanh w)^B P_n^(2s, 2B)(tanh w) with s as in the
-    energy formula and B = C1 (1 + 2 C2) / 2.  For 0 < C1 < 1/2 the exponent
-    s is negative, so the norm integral diverges at w -> +inf; the record is
-    returned unnormalized with norm_finite=False and the reason.
+    energy formula and B = C1 (1 + 2 C2) / 2.  Since sqrt(1 - 4 C1^2) <= 1,
+    s <= 0 for every accepted C1 and the norm integral diverges at w -> +inf;
+    the record is returned unnormalized with norm_finite=False and the reason.
     """
     s, B = _model1_exponents(n, p, k)
     return _printed_wavefunction(
         (s, B), lambda t: specfun.jacobi(int(n), 2.0 * s, 2.0 * B, t), lambda t: 1.0,
-        (2.0 * s - 1.0, 2.0 * B - 1.0), int(n), _model1_divergence(s, B), rational=False,
+        _model1_divergence(s, B),
     )
 
 
-def _printed_wavefunction(exponents, poly, den, weight, degree, divergence, rational):
+def _printed_wavefunction(exponents, poly, den, divergence, weight=None, degree=None):
     """The printed eigenfunction (1-t)^a (1+t)^b poly(t)/den(t) of t = tanh w,
-    (a, b) = exponents.  Its norm integrates (poly/den)^2 against the Jacobi
-    weight (1-t)^weight[0] (1+t)^weight[1], as each model states it, unless
-    divergence gives the reason it diverges.  Both raise PoleError at a
-    sample where den vanishes, as the gauge profile does at its pole.
+    (a, b) = exponents.  Unless divergence gives the reason it diverges, its
+    norm integrates (poly/den)^2 (numerator degree `degree`) against the
+    Jacobi weight (1-t)^weight[0] (1+t)^weight[1]; Model I passes no weight,
+    since its norm always diverges.  Both raise PoleError at a sample where
+    den vanishes, as the gauge profile does at its pole.
     """
     a, b = exponents
 
@@ -195,46 +197,42 @@ def _printed_wavefunction(exponents, poly, den, weight, degree, divergence, rati
 
     if divergence:
         return WaveFunctionSpec(raw, norm_finite=False, norm_reason=divergence)
-    norm = _weighted_norm(lambda t: over_den(poly(t), t), *weight, degree, rational)
+    norm = _weighted_norm(lambda t: over_den(poly(t), t), *weight, degree)
     return WaveFunctionSpec(raw, **norm)
 
 
-_NORM_RTOL = 1e-12  # agreement of two successive rules for a rational factor
-_NORM_EXTRA_NODES = 8  # first rational rule: degree + this many nodes
+_NORM_RTOL = 1e-12  # agreement of two successive rules
+_NORM_EXTRA_NODES = 8  # first rule: degree + this many nodes
 _NORM_MAX_NODES = 512
 
 
-def _weighted_norm(g, alpha, beta, degree, rational):
+def _weighted_norm(g, alpha, beta, degree):
     """Integral of (1-t)^alpha (1+t)^beta g(t)^2 over [-1, 1] by Gauss-Jacobi rules.
 
-    A polynomial g of the given degree is integrated exactly by degree + 1
-    nodes.  A rational g (poles off [-1, 1]) compares rules of degree + 8 and
-    2 (degree + 8) nodes and doubles the count until two successive rules
-    agree to 1e-12 relative; a rule past 512 nodes is never built: where one
-    would be needed IntegrationError is raised, never a divergence verdict.
-    Returns the WaveFunctionSpec fields of a finite norm.
+    g is rational, with numerator degree `degree` and poles off [-1, 1], so
+    no finite rule is exact: rules of degree + 8 and 2 (degree + 8) nodes are
+    compared and the count doubled until two successive rules agree to 1e-12
+    relative; a rule past 512 nodes is never built: where one would be
+    needed IntegrationError is raised, never a divergence verdict.  Returns
+    the WaveFunctionSpec fields of a finite norm.
     """
 
     def rule(n):
         t, wq = specfun.gauss_jacobi(n, alpha, beta)
         return float(np.dot(wq, np.asarray(g(t), dtype=float) ** 2))
 
-    if not rational:
-        n = degree + 1
-        value = rule(n)
-    else:
-        n, nxt, prev, value = 0, degree + _NORM_EXTRA_NODES, math.nan, math.nan
-        while not abs(value - prev) <= _NORM_RTOL * abs(value):
-            if nxt > _NORM_MAX_NODES:
-                raise IntegrationError(
-                    f"Gauss-Jacobi norm rule (alpha={alpha!r}, beta={beta!r}) did not "
-                    f"converge to {_NORM_RTOL} relative within {_NORM_MAX_NODES} nodes",
-                    value=value,
-                    error_estimate=abs(value - prev),
-                    panels=n,
-                )
-            n, nxt = nxt, 2 * nxt
-            prev, value = value, rule(n)
+    n, nxt, prev, value = 0, degree + _NORM_EXTRA_NODES, math.nan, math.nan
+    while not abs(value - prev) <= _NORM_RTOL * abs(value):
+        if nxt > _NORM_MAX_NODES:
+            raise IntegrationError(
+                f"Gauss-Jacobi norm rule (alpha={alpha!r}, beta={beta!r}) did not "
+                f"converge to {_NORM_RTOL} relative within {_NORM_MAX_NODES} nodes",
+                value=value,
+                error_estimate=abs(value - prev),
+                panels=n,
+            )
+        n, nxt = nxt, 2 * nxt
+        prev, value = value, rule(n)
     return {
         "norm_finite": True,
         "norm_sq": value,
@@ -319,5 +317,5 @@ def wavefn_model2(m, alpha, beta, polynomial="classical") -> WaveFunctionSpec:
     )
     return _printed_wavefunction(
         ((alpha + 1.0) / 2.0, (beta + 1.0) / 2.0), lambda t: poly_fn(m + 1, alpha, beta, t),
-        lambda t: alpha + beta + (alpha - beta) * t, (alpha, beta), m + 1, divergence, rational=True,
+        lambda t: alpha + beta + (alpha - beta) * t, divergence, (alpha, beta), m + 1,
     )

@@ -11,6 +11,10 @@ import pytest
 
 from dirac_sphere import cli, oracle
 
+# A numpy RuntimeWarning (a division by zero, an invalid value) on a CLI path
+# is a defect even when the command exits 0.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name

@@ -213,6 +213,12 @@ def test_alpha_beta_branches():
         for sb in "+-":
             with pytest.raises(InvalidBranchError):
                 gauge.alpha_beta(0.0, sa, sb)
+    # signs are the strings '+' and '-' only; no number or bool stands for one
+    for sign in (True, 1, -1, 1.0, False):
+        with pytest.raises(DomainError, match="signs must be"):
+            gauge.alpha_beta(2.0, sign, "+")
+        with pytest.raises(DomainError, match="signs must be"):
+            gauge.alpha_beta(2.0, "-", sign)
 
 
 def test_a_u_model2_reduces_to_model1_when_rational_term_off():

@@ -436,5 +436,36 @@ def test_report_layout_pinned(model):
     else:
         p = m2_params(C1=1 / k, k=k)
     rep = oracle.consistency_report(model, p, k, 1.0, oracle.Grid(8.0, 801), levels=3)
-    layout = [(c["claim_id"], tuple(c["details"])) for c in rep.as_dict()["claims"]]
+    claims = rep.as_dict()["claims"]
+    layout = [(c["claim_id"], tuple(c["details"])) for c in claims]
     assert layout == _REPORT_LAYOUT[model]
+    # each claim record carries the same keys in the same order; only the
+    # forced and the constancy claims have a threshold
+    for c in claims:
+        assert list(c) == _CLAIM_KEYS, c["claim_id"]
+        family = c["claim_id"].split(".")[0]
+        if family in ("f", "a", "b"):
+            assert isinstance(c["tolerance"], float), c["claim_id"]
+        else:
+            assert family in ("conventions", "c", "d", "e", "g") and c["tolerance"] is None
+
+
+_CLAIM_KEYS = ["claim_id", "paper_ref", "description", "metric", "tolerance", "verdict", "grid", "details"]
+
+
+@pytest.mark.parametrize(
+    "claim_id, metric, tolerance, verdict",
+    [
+        ("f.x", 1e-8, 1e-8, "pass"),
+        ("f.x", 1.5e-8, 1e-8, "fail"),
+        ("f.x", math.nan, 1e-8, "fail"),
+        ("f.x", math.inf, 1e-8, "fail"),
+        ("a.x", 1.0, 1e-9, "recorded"),
+        ("c.x", 0.0, None, "recorded"),
+        ("g.x", math.nan, None, "recorded"),
+    ],
+)
+def test_claim_decides_its_verdict(claim_id, metric, tolerance, verdict):
+    c = oracle.Claim(claim_id, "ref", "desc", metric, grid={}, tolerance=tolerance)
+    assert c.verdict == verdict
+    assert c.as_dict()["verdict"] == verdict

@@ -277,20 +277,6 @@ def test_wavefn_model2_norms_finite_and_exact(k, polynomial):
         assert wf.norm_details() == {"norm_rule": wf.norm_rule, "norm_nodes": wf.norm_nodes}
 
 
-@pytest.mark.parametrize("n,s,B", [(0, 0.3, 0.7), (3, 0.25, 1.5), (6, 1.2, 0.05)])
-def test_model1_weight_path_exact_at_n_plus_one_nodes(n, s, B):
-    # Model-I envelope (1-t)^s (1+t)^B P_n^(2s,2B): weight (2s-1, 2B-1) times
-    # the polynomial P_n^2, integrated exactly by n + 1 nodes.
-    mp = pytest.importorskip("mpmath")
-    g = lambda t: specfun.jacobi(n, 2 * s, 2 * B, t)
-    out = spectra._weighted_norm(g, 2 * s - 1, 2 * B - 1, degree=n, rational=False)
-    assert out["norm_nodes"] == n + 1
-    x, wq = specfun.gauss_jacobi(n + 8, 2 * s - 1, 2 * B - 1)
-    assert out["norm_sq"] == pytest.approx(float(np.dot(wq, g(x) ** 2)), rel=1e-12)
-    ref = _mp_weighted(2 * s - 1, 2 * B - 1, lambda t: mp.jacobi(n, 2 * s, 2 * B, t) ** 2)
-    assert out["norm_sq"] == pytest.approx(ref, rel=1e-10)
-
-
 def test_divergence_reasons_are_analytic():
     wf1 = spectra.wavefn_model1(0, fig1_params(), 2.0)
     assert not wf1.norm_finite
