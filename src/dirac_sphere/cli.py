@@ -256,8 +256,8 @@ def cmd_spectrum(cfg: RunConfig, outdir):
 def _curve(cfg: RunConfig, which):
     """The curve A_u, Veff1 or Veff2 as a callable of w, and the model's poles."""
     spec = model_spec(cfg.params(), cfg.k, cfg.R)
-    fn = {"A_u": spec.A, "Veff1": spec.closed1.fn, "Veff2": spec.closed2.fn}[which]
-    return fn, spec.closed1.poles
+    fn = {"A_u": spec.A, "Veff1": spec.closed1, "Veff2": spec.closed2}[which]
+    return fn, spec.poles
 
 
 def _write_curve(cfg: RunConfig, fn, poles, path):
@@ -313,9 +313,10 @@ def cmd_wavefunction(cfg: RunConfig, level, polynomial, outdir):
     wf = spec.eigenfunctions[polynomial][1](level)
     suffix = f"_{polynomial}" if len(spec.eigenfunctions) > 1 else ""
     # a Model-II envelope denominator alpha + beta + (alpha - beta) t vanishes
-    # (and raises PoleError) where the profile's does, at tanh w = a2/a1
+    # (and raises PoleError) where the profile's does: at tanh w = a2/a1, the
+    # pole spec.poles holds
     path = os.path.join(outdir, f"wavefunction_l{level}{suffix}.csv")
-    written = _write_curve(cfg, wf.eval, spec.closed1.poles, path)
+    written = _write_curve(cfg, wf.eval, spec.poles, path)
     side = path[: -len(".csv")] + "_norm.json"
     norm = {"normalized": wf.norm_finite, **wf.norm_details()}
     _atomic_write(side, json.dumps(norm, indent=2) + "\n")

@@ -13,7 +13,7 @@ derivatives are supplied everywhere; no numerical differentiation is used.
 """
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -123,7 +123,8 @@ class Model2Params:
     a1 = beta - alpha and a2 = beta + alpha identify the rational-extension
     parameters; the remaining constants follow from the closure relations
     (see model2_derive_params).  The profile has a real pole at
-    tanh(w) = a2/a1 whenever |a2/a1| < 1, i.e. whenever alpha*beta < 0.
+    tanh(w) = a2/a1 whenever |a2/a1| < 1, i.e. whenever alpha*beta < 0;
+    poles records it once for every potential of the model.
     """
 
     C1: float
@@ -160,12 +161,11 @@ class Model2Params:
     def beta(self):
         return (self.a2 + self.a1) / 2.0
 
-    def pole_w(self):
-        """Location of the real pole of the profile, or None when off-axis."""
+    @property
+    def poles(self):
+        """The profile's real poles: (atanh(a2/a1),) when |a2/a1| < 1, else ()."""
         r = self.a2 / self.a1
-        if abs(r) < 1.0:
-            return math.atanh(r)
-        return None
+        return (math.atanh(r),) if abs(r) < 1.0 else ()
 
 
 def model2_derive_params(C1, a1, a2, k) -> Model2Params:
@@ -201,7 +201,7 @@ def _pole_factor(p: Model2Params, t):
     PoleError when it vanishes at a sample."""
     q = p.a1 * t - p.a2
     if np.any(q == 0.0):
-        raise PoleError(f"Model-II pole at tanh(w) = {p.a2 / p.a1}", location=p.pole_w())
+        raise PoleError(f"Model-II pole at tanh(w) = {p.a2 / p.a1}", location=p.poles[0])
     return q
 
 
@@ -235,14 +235,13 @@ def da_u_model2(p: Model2Params) -> Callable:
 
 @dataclass(frozen=True)
 class EffectivePotential:
-    """Potential of one transformed spinor component.
-
-    fn maps w (scalar or array) to the potential value; poles lists the real
-    singular points, if any.
+    """Potential of one transformed spinor component, called like its fn,
+    which maps w (scalar or array) to the value.  The record stays, rather
+    than the bare callable, because callers outside the package read fn;
+    a model's real poles belong to its parameters (Model2Params.poles).
     """
 
     fn: Callable
-    poles: Tuple[float, ...] = ()
 
     def __call__(self, w):
         return self.fn(w)
@@ -301,11 +300,16 @@ def v_eff_model1_raw(p: Model1Params, k) -> EffectivePotential:
 
 
 def _require_constrained(p: Model1Params, k):
+    """ConstraintError unless p is on a constraint branch at k, the one its label names."""
     if not p.is_constrained(k):
         r1, r2 = p.constraint_residuals(k)
         raise ConstraintError(
             f"parameters violate the constraint branch at k={k}: residuals ({r1}, {r2})"
         )
+    c2, dc3 = BRANCH_LABELS.get(p.branch, (math.nan, math.nan))
+    tol = 1e-9 * (1.0 + abs(k))
+    if p.branch is not None and not (abs(p.C2 - c2) <= tol and abs(p.C3 - k - dc3) <= tol):
+        raise ConstraintError(f"parameters at k={k} are not on the {p.branch!r} branch")
 
 
 def v_eff_model1(p: Model1Params, k, j) -> EffectivePotential:
@@ -340,11 +344,6 @@ def v_eff_model1(p: Model1Params, k, j) -> EffectivePotential:
     raise DomainError(f"component index must be 1 or 2, got {j}")
 
 
-def _model2_poles(p: Model2Params):
-    w0 = p.pole_w()
-    return (w0,) if w0 is not None else ()
-
-
 def v_eff_model2_raw(p: Model2Params) -> EffectivePotential:
     """Verbatim expanded form of the first Model-II effective potential."""
     k = p.k
@@ -374,7 +373,7 @@ def v_eff_model2_raw(p: Model2Params) -> EffectivePotential:
             + p.C2 * (1.0 + 2.0 * p.C3) * t * t / q
         )
 
-    return EffectivePotential(fn=v, poles=_model2_poles(p))
+    return EffectivePotential(fn=v)
 
 
 def v_eff_model2(p: Model2Params, j) -> EffectivePotential:
@@ -402,7 +401,7 @@ def v_eff_model2(p: Model2Params, j) -> EffectivePotential:
                 + (p.a2 * p.a2 * p.C1 * p.C1 - p.a1 * p.a2 * p.C1) * s / (q * q)
             )
 
-        return EffectivePotential(fn=v1, poles=_model2_poles(p))
+        return EffectivePotential(fn=v1)
     if j == 2:
 
         @_elementwise
@@ -428,7 +427,7 @@ def v_eff_model2(p: Model2Params, j) -> EffectivePotential:
                 + p.a1 * p.C1 * (1.0 - 2.0 * p.C3) * t * t / q
             )
 
-        return EffectivePotential(fn=v2, poles=_model2_poles(p))
+        return EffectivePotential(fn=v2)
     raise DomainError(f"component index must be 1 or 2, got {j}")
 
 

@@ -25,7 +25,9 @@ both gauge models; each model enters it as a small spec of its formulas
 (potentials, levels, eigenfunction readings and solvable-structure
 identity), so both reports share every claim family.  model_spec is the one
 place where a parameter set selects its model; the CLI commands read their
-curves, levels and eigenfunctions from the same spec.
+curves, levels, eigenfunctions and poles from the same spec.  verify_eigenpair
+is the one routine that forms an eigenpair residual; the report calls it on
+the j=1 matrix it assembled.
 
 Verdict policy (applied by Claim alone): mathematically forced claims (f.*)
 must PASS; transcription claims are always 'recorded' with their metric,
@@ -57,7 +59,6 @@ from .gauge import (
     v_eff_model2_raw,
 )
 from .spectra import (
-    WaveFunctionSpec,
     _model1_exponents,
     energy_model1,
     energy_model2,
@@ -145,7 +146,7 @@ def build_sl_matrix(p_fn, q_fn, grid: Grid, q_poles: Sequence[float] = ()) -> SL
     SingularPotentialError naming the location.
     """
     for w0 in q_poles:
-        if w0 is not None and abs(w0) < grid.L:
+        if abs(w0) < grid.L:
             raise SingularPotentialError(
                 f"potential pole at w = {w0} lies inside [-{grid.L}, {grid.L}]",
                 location=w0,
@@ -348,41 +349,22 @@ def isospectrality_metric(m1: SLMatrix, m2: SLMatrix):
     return float((np.abs(above1 - above2) / np.abs(above1)).max()), floor, n_below
 
 
-def _sample_wavefunction(phi, grid: Grid):
-    if isinstance(phi, WaveFunctionSpec):
-        return np.asarray(phi.eval(grid.points()), dtype=float)
-    if callable(phi):
-        return np.asarray(phi(grid.points()), dtype=float)
-    arr = np.asarray(phi, dtype=float)
-    if arr.shape != (grid.N,):
-        raise DomainError(f"grid function must have shape ({grid.N},), got {arr.shape}")
-    return arr
+def verify_eigenpair(m: SLMatrix, grid: Grid, vec, lams, window: Optional[float] = None):
+    """Relative residuals ||M vec - lam vec|| / ||vec||, one per level
+    constant lam in lams, of a vector sampled on the nodes of grid against
+    the matrix m assembled there (build_sl_matrix); M vec is formed once.
 
-
-def verify_eigenpair(
-    pot, phi, lam, grid: Grid, window: Optional[float] = None, p_fn=None
-) -> float:
-    """Relative residual ||M phi - lam phi|| / ||phi|| on the (masked) grid.
-
-    The kinetic coefficient defaults to cosh^2 (the transformed operator);
-    pass p_fn for other problems such as the flat particle-in-a-box control.
-    The row adjacent to each Dirichlet wall is dropped unless the sampled
-    wavefunction has decayed below 1e-10 of its max there (the wall assumes a
-    zero neighbor).  An optional window keeps only |w| <= window: the flux
-    scheme's truncation error grows with cosh^2 toward the walls, so a
-    windowed residual is the meaningful adjudicator for slowly decaying or
-    growing candidates; the window used is recorded by the report.
+    The row next to each Dirichlet wall is dropped unless vec has decayed
+    below 1e-10 of its max there (the wall assumes a zero neighbor).  An
+    optional window keeps only |w| <= window: the flux scheme's truncation
+    error grows with cosh^2 toward the walls, so a windowed residual is the
+    meaningful adjudicator for slowly decaying or growing candidates.  A
+    vector of the wrong shape, not finite, or zero on the kept rows raises
+    DomainError.
     """
-    q_fn = pot.fn if isinstance(pot, EffectivePotential) else pot
-    poles = pot.poles if isinstance(pot, EffectivePotential) else ()
-    m = build_sl_matrix(p_fn or _cosh2, q_fn, grid, q_poles=poles)
-    return _residuals(m, grid, _sample_wavefunction(phi, grid), (lam,), window)[0]
-
-
-def _residuals(m: SLMatrix, grid: Grid, vec, lams, window):
-    """verify_eigenpair's relative residuals of one sampled vector against a
-    matrix assembled on the nodes of grid, one per level constant in lams
-    (the product M vec is formed once)."""
+    vec = np.asarray(vec, dtype=float)
+    if vec.shape != (grid.N,):
+        raise DomainError(f"grid function must have shape ({grid.N},), got {vec.shape}")
     if not np.all(np.isfinite(vec)):
         raise DomainError("wavefunction is not finite on the grid")
     keep = np.ones(grid.N, dtype=bool)
@@ -486,9 +468,10 @@ class _ModelSpec:
 
     Every claim family is built from these fields by _model_report, the same
     way for both models, and the CLI commands read their curves, levels and
-    eigenfunctions from the same fields.  Callables take the level index;
-    eigenfunctions maps each polynomial reading's name to (description,
-    level -> WaveFunctionSpec), in report order.
+    eigenfunctions from the same fields.  poles holds the model's real poles
+    as its parameters fix them, which every matrix and curve reads.
+    Callables take the level index; eigenfunctions maps each polynomial
+    reading's name to (description, level -> WaveFunctionSpec), in report order.
     """
 
     model: int
@@ -498,6 +481,7 @@ class _ModelSpec:
     raw1: EffectivePotential
     closed1: EffectivePotential
     closed2: EffectivePotential
+    poles: Tuple[float, ...]  # Model2Params.poles, or () for Model I
     b_descriptions: Tuple[str, str]
     printed: Callable  # level -> SpectralLine of the printed spectrum
     implied: Callable  # level -> level constant implied by the identity, or None
@@ -549,12 +533,12 @@ def _lowest_match(vals, ref):
     return float(np.max(np.abs(vals - ref) / (1.0 + np.abs(ref))))
 
 
-def _forced_claims(A, k, gen_v1, gen_v2, q_poles=()):
+def _forced_claims(A, k, gen_v1, gen_v2, poles):
     """Forced claims on the factorization, then its match to the operators.
 
-    gen_v1/gen_v2 are the general-form j=1/j=2 potentials (callables): the
-    match compares the compositions of D with the transformed operators
-    themselves, from first principles, not with the printed closed forms.
+    gen_v1/gen_v2 are the general-form j=1/j=2 potentials and poles the
+    model's real poles: the match compares the compositions of D with the
+    transformed operators themselves, not with the printed closed forms.
     """
     claims = []
     dtd, ddt = compose_factorized(A, k, _COMPOSE_GRID)
@@ -591,8 +575,8 @@ def _forced_claims(A, k, gen_v1, gen_v2, q_poles=()):
         )
     )
 
-    sl1 = build_sl_matrix(_cosh2, gen_v1, _CONVENTION_GRID, q_poles=q_poles)
-    sl2 = build_sl_matrix(_cosh2, gen_v2, _CONVENTION_GRID, q_poles=q_poles)
+    sl1 = build_sl_matrix(_cosh2, gen_v1, _CONVENTION_GRID, q_poles=poles)
+    sl2 = build_sl_matrix(_cosh2, gen_v2, _CONVENTION_GRID, q_poles=poles)
     dtd, ddt = compose_factorized(A, k, _CONVENTION_GRID)
     claims.append(
         Claim(
@@ -625,7 +609,7 @@ def _model_report(spec: _ModelSpec, k, R, grid, levels):
     gen1 = v_eff_general(spec.A, spec.dA, k, 1)
     gen2 = v_eff_general(spec.A, spec.dA, k, 2)
     raw1, closed1, closed2 = spec.raw1, spec.closed1, spec.closed2
-    claims = _forced_claims(spec.A, k, gen1.fn, gen2.fn, q_poles=closed1.poles)
+    claims = _forced_claims(spec.A, k, gen1, gen2, spec.poles)
 
     b1, b2 = spec.b_descriptions
     for claim_id, formula, description, diff_fn in (
@@ -651,9 +635,9 @@ def _model_report(spec: _ModelSpec, k, R, grid, levels):
             )
         )
 
-    sl1 = build_sl_matrix(_cosh2, closed1.fn, grid, q_poles=closed1.poles)
+    sl1 = build_sl_matrix(_cosh2, closed1, grid, q_poles=spec.poles)
     e1, tol1 = eig_lowest(sl1, levels), bisection_tol(sl1)
-    sl2 = build_sl_matrix(_cosh2, closed2.fn, grid, q_poles=closed2.poles)
+    sl2 = build_sl_matrix(_cosh2, closed2, grid, q_poles=spec.poles)
     e2, tol2 = eig_lowest(sl2, levels), bisection_tol(sl2)
 
     printed, implied = [], []
@@ -683,7 +667,7 @@ def _model_report(spec: _ModelSpec, k, R, grid, levels):
         for reading, (description, wavefn) in spec.eigenfunctions.items():
             infix = f"{reading}." if len(spec.eigenfunctions) > 1 else ""
             wf = wavefn(n)
-            res = _residuals(sl1, grid, _sample_wavefunction(wf, grid), lams, _RESIDUAL_WINDOW)
+            res = verify_eigenpair(sl1, grid, wf.eval(grid.points()), lams, _RESIDUAL_WINDOW)
             details = {spec.printed_key: lam}
             if matched is not None:
                 details.update(residual_at_identity_energy=res[1], lambda_identity=matched)
@@ -758,6 +742,7 @@ def _model1_spec(p: Model1Params, k, R) -> _ModelSpec:
         raw1=v_eff_model1_raw(p, k),
         closed1=closed1,
         closed2=v_eff_model1(p, k, 2),
+        poles=(),
         b_descriptions=(
             "Rosen-Morse closed form minus the constrained expanded form; the constant gap is the bookkeeping discrepancy",
             "second-component closed form minus the constrained general form",
@@ -821,6 +806,7 @@ def _model2_spec(p: Model2Params, k, R) -> _ModelSpec:
         raw1=v_eff_model2_raw(p),
         closed1=closed1,
         closed2=v_eff_model2(p, 2),
+        poles=p.poles,
         b_descriptions=(
             "closed rational form minus the constrained expanded form; the add-and-subtract bookkeeping gap",
             "second-component closed form minus the constrained general form (any w-dependence is a transcription defect)",

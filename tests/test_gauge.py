@@ -136,6 +136,15 @@ def test_v_eff_model1_j2_grows_in_positive_domain():
 def test_v_eff_model1_requires_constraint():
     with pytest.raises(ConstraintError):
         gauge.v_eff_model1(gauge.Model1Params(0.3, 0.4, 1.0), 2.0, 1)
+    # on the half-down branch at k = 4, but labelled half-up or with a label
+    # no table knows
+    for p in (
+        gauge.Model1Params.from_branch(0.4, 2.0, "half-up"),
+        gauge.Model1Params(0.4, 0.5, 3.0, branch="bogus"),
+    ):
+        assert p.is_constrained(4.0)
+        with pytest.raises(ConstraintError, match="branch"):
+            gauge.v_eff_model1(p, 4.0, 1)
 
 
 @settings(max_examples=30, deadline=None)
@@ -235,13 +244,14 @@ def test_a_u_model2_reduces_to_model1_when_rational_term_off():
 def test_a_u_model2_pole_branches():
     # alpha = 1, beta = 1/3: pole ratio a2/a1 = -2, off the real axis
     p = gauge.model2_derive_params(0.5, 1 / 3 - 1.0, 1 / 3 + 1.0, 2.0)
-    assert p.pole_w() is None
+    assert p.poles == ()
     # alpha = 1, beta = -1/3: pole at artanh(-1/2)
     ps = gauge.model2_derive_params(0.5, -1 / 3 - 1.0, -1 / 3 + 1.0, 2.0)
-    assert ps.pole_w() == pytest.approx(math.atanh(-0.5), rel=1e-14)
+    (w0,) = ps.poles
+    assert w0 == pytest.approx(math.atanh(-0.5), rel=1e-14)
     a = gauge.a_u_model2(ps)
     with pytest.raises(PoleError):
-        a(ps.pole_w())
+        a(w0)
 
 
 def test_da_u_model2_matches_finite_difference():

@@ -8,7 +8,9 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from dirac_sphere import gauge, oracle, spectra
-from dirac_sphere.errors import DomainError, SingularPotentialError
+from dirac_sphere.errors import ConstraintError, DomainError, SingularPotentialError
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 ONES = lambda w: np.ones_like(np.asarray(w, dtype=float))
 ZERO = lambda w: np.zeros_like(np.asarray(w, dtype=float))
@@ -60,7 +62,7 @@ def test_eig_lowest_matches_eigenpair_solve_bitwise():
     # exactly the eigenvalues of scipy's eigenpair solve of the same selection
     p = gauge.Model1Params.from_branch(0.4, 2.0, "half-up")
     closed1 = gauge.v_eff_model1(p, 2.0, 1)
-    m1 = oracle.build_sl_matrix(COSH2, closed1.fn, oracle.Grid(12.0, 4001), q_poles=closed1.poles)
+    m1 = oracle.build_sl_matrix(COSH2, closed1, oracle.Grid(12.0, 4001))
     for m, count in ((box_matrix(1999), 3), (m1, 4)):
         vals = oracle.eig_lowest(m, count)
         ref = eigh_tridiagonal(m.diag, m.off, select="i", select_range=(0, count - 1))[0]
@@ -100,8 +102,8 @@ def test_missing_lapack_extension_names_its_path(tmp_path, monkeypatch):
         oracle.eig_values(box_matrix(9))
 
 
-def _closed_matrix(pot, grid):
-    return oracle.build_sl_matrix(COSH2, pot.fn, grid, q_poles=pot.poles)
+def _closed_matrix(pot, grid, poles=()):
+    return oracle.build_sl_matrix(COSH2, pot, grid, q_poles=poles)
 
 
 def test_bisection_tol_bounds_eig_lowest():
@@ -110,11 +112,11 @@ def test_bisection_tol_bounds_eig_lowest():
     k, default = 2.0, oracle.Grid(12.0, 4001)
     p1 = gauge.Model1Params.from_branch(0.4, k, "half-up")
     p2 = m2_params(C1=1 / k, k=k)
-    cases = [(gauge.v_eff_model1(p1, k, j), default) for j in (1, 2)]
-    cases += [(gauge.v_eff_model2(p2, j), default) for j in (1, 2)]
-    cases += [(gauge.v_eff_model1(p1, k, 1), oracle.Grid(12.0, 16001))]
-    for pot, grid in cases:
-        m = _closed_matrix(pot, grid)
+    cases = [(gauge.v_eff_model1(p1, k, j), default, ()) for j in (1, 2)]
+    cases += [(gauge.v_eff_model2(p2, j), default, p2.poles) for j in (1, 2)]
+    cases += [(gauge.v_eff_model1(p1, k, 1), oracle.Grid(12.0, 16001), ())]
+    for pot, grid, poles in cases:
+        m = _closed_matrix(pot, grid, poles)
         tol = oracle.bisection_tol(m)
         tight = eigh_tridiagonal(
             m.diag, m.off, eigvals_only=True, select="i", select_range=(0, 7), tol=1e-11
@@ -152,7 +154,7 @@ def test_singular_potential_rejected():
     p = gauge.model2_derive_params(0.5, -1 / 3 - 1.0, -1 / 3 + 1.0, 2.0)  # pole inside
     pot = gauge.v_eff_model2(p, 1)
     with pytest.raises(SingularPotentialError) as err:
-        oracle.build_sl_matrix(COSH2, pot.fn, oracle.Grid(6.0, 801), q_poles=pot.poles)
+        oracle.build_sl_matrix(COSH2, pot, oracle.Grid(6.0, 801), q_poles=p.poles)
     assert err.value.location == pytest.approx(math.atanh(-0.5), rel=1e-12)
 
 
@@ -279,8 +281,9 @@ def test_verify_eigenpair_box_mode():
     L, N = math.pi / 2, 3999
     grid = oracle.Grid(L, N)
     lam = (math.pi / (2 * L)) ** 2
-    phi = lambda w: np.sin(math.pi * (np.asarray(w, dtype=float) + L) / (2 * L))
-    res = oracle.verify_eigenpair(ZERO, phi, lam, grid, p_fn=ONES)
+    phi = np.sin(math.pi * (grid.points() + L) / (2 * L))
+    m = oracle.build_sl_matrix(ONES, ZERO, grid)
+    (res,) = oracle.verify_eigenpair(m, grid, phi, [lam])
     assert res <= 1e-5
 
 
@@ -289,8 +292,19 @@ def test_verify_eigenpair_negative_control():
     lam = (math.pi / (2 * grid.L)) ** 2
     rng = np.random.default_rng(3)
     noise = rng.normal(size=grid.N)
-    res = oracle.verify_eigenpair(ZERO, noise, lam, grid, p_fn=ONES)
+    m = oracle.build_sl_matrix(ONES, ZERO, grid)
+    (res,) = oracle.verify_eigenpair(m, grid, noise, [lam])
     assert res > 1e-2
+    # the routine refuses a vector it cannot judge
+    w = grid.points()
+    for vec, window, message in (
+        (noise[:-1], None, "shape"),
+        (np.where(w == w[grid.N // 2], np.nan, noise), None, "not finite"),
+        (np.zeros(grid.N), None, "identically"),
+        (np.where(np.abs(w) > 0.5, noise, 0.0), 0.5, "residual window"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            oracle.verify_eigenpair(m, grid, vec, [lam], window=window)
 
 
 def test_verify_eigenpair_x1_candidate():
@@ -300,10 +314,11 @@ def test_verify_eigenpair_x1_candidate():
     pot = gauge.v_eff_model2(p, 1)
     wf = spectra.wavefn_model2(0, p.alpha, p.beta, polynomial="x1")
     grid = oracle.Grid(12.0, 4001)
+    m = oracle.build_sl_matrix(COSH2, pot, grid, q_poles=p.poles)
     matched = spectra.energy_model2_matched(0, p)
-    res_good = oracle.verify_eigenpair(pot, wf, matched, grid, window=8.0)
-    res_bad = oracle.verify_eigenpair(
-        pot, wf, spectra.energy_model2(0, p.alpha, p.beta, 2.0, 1.0).E_sq_bar, grid, window=8.0
+    printed = spectra.energy_model2(0, p.alpha, p.beta, 2.0, 1.0).E_sq_bar
+    res_good, res_bad = oracle.verify_eigenpair(
+        m, grid, wf.eval(grid.points()), [matched, printed], window=8.0
     )
     assert res_good < 5e-3
     assert res_bad > 0.5
@@ -326,6 +341,10 @@ def test_report_model_mismatch_rejected():
         oracle.consistency_report(1, p, 2.0, 1.0, oracle.Grid(6.0, 801))
     with pytest.raises(DomainError):
         oracle.consistency_report(2, p, 3.0, 1.0, oracle.Grid(6.0, 801))
+    # half-up parameters at k = 2 sit on the half-down branch at k = 4
+    p1 = gauge.Model1Params.from_branch(0.4, 2.0, "half-up")
+    with pytest.raises(ConstraintError):
+        oracle.consistency_report(1, p1, 4.0, 1.0, oracle.Grid(6.0, 801))
 
 
 def test_report_aborts_on_singular_branch():
@@ -350,8 +369,8 @@ def test_report_partner_claims(model, levels):
     partners = [c for c in rep.claims if c.claim_id.startswith("e.")]
     assert [c.claim_id for c in partners] == [f"e.partner.m{m}" for m in range(1, levels)]
     spec = oracle.model_spec(p, k, 1.0)
-    tol1 = oracle.bisection_tol(_closed_matrix(spec.closed1, grid))
-    tol2 = oracle.bisection_tol(_closed_matrix(spec.closed2, grid))
+    tol1 = oracle.bisection_tol(_closed_matrix(spec.closed1, grid, spec.poles))
+    tol2 = oracle.bisection_tol(_closed_matrix(spec.closed2, grid, spec.poles))
     for n in range(levels):
         assert rep.claim(f"c.spectrum.m{n}").details["oracle_tol"] == tol1
     for m, c in enumerate(partners, start=1):
@@ -361,32 +380,43 @@ def test_report_partner_claims(model, levels):
 
 
 @pytest.mark.parametrize("model", [1, 2])
-def test_report_residuals_match_verify_eigenpair_bitwise(model):
+def test_report_residuals_match_verify_eigenpair_bitwise(model, monkeypatch):
     # the report reuses its assembled j=1 matrix and one sampled vector per
-    # wavefunction; the numbers must be exactly those of the public routine
+    # wavefunction, through the public routine: one call per level and
+    # reading, and exactly the numbers of a call on a matrix built here
     k, R, grid = 2.0, 1.0, oracle.Grid(8.0, 801)
     if model == 1:
         p = gauge.Model1Params.from_branch(0.4, k, "half-up")
-        pot = gauge.v_eff_model1(p, k, 1)
+        m1 = _closed_matrix(gauge.v_eff_model1(p, k, 1), grid)
     else:
         p = m2_params(C1=1 / k, k=k)
-        pot = gauge.v_eff_model2(p, 1)
+        m1 = _closed_matrix(gauge.v_eff_model2(p, 1), grid, p.poles)
+    routine, calls = oracle.verify_eigenpair, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return routine(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "verify_eigenpair", counted)
     rep = oracle.consistency_report(model, p, k, R, grid, levels=3)
+    assert len(calls) == (3 if model == 1 else 6)
+
+    def residual(wf, lam):
+        return routine(m1, grid, wf.eval(grid.points()), [lam], window=8.0)[0]
+
     for m in range(3):
         if model == 1:
             claim = rep.claim(f"d.eigenfunction.m{m}")
             wf = spectra.wavefn_model1(m, p, k)
-            assert claim.metric == oracle.verify_eigenpair(pot, wf, claim.details["lambda"], grid, window=8.0)
+            assert claim.metric == residual(wf, claim.details["lambda"])
             assert "norm_divergence" in claim.details
             continue
         for variant in ("classical", "x1"):
             claim = rep.claim(f"d.eigenfunction.{variant}.m{m}")
             wf = spectra.wavefn_model2(m, p.alpha, p.beta, polynomial=variant)
             d = claim.details
-            assert claim.metric == oracle.verify_eigenpair(pot, wf, d["lambda_printed"], grid, window=8.0)
-            assert d["residual_at_identity_energy"] == oracle.verify_eigenpair(
-                pot, wf, d["lambda_identity"], grid, window=8.0
-            )
+            assert claim.metric == residual(wf, d["lambda_printed"])
+            assert d["residual_at_identity_energy"] == residual(wf, d["lambda_identity"])
             assert d["norm_rule"].startswith("gauss-jacobi") and d["norm_nodes"] == wf.norm_nodes
 
 

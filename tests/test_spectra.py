@@ -61,6 +61,9 @@ def test_energy_model1_zero_denominator():
 def test_energy_model1_requires_constraint():
     with pytest.raises(ConstraintError):
         spectra.energy_model1(0, gauge.Model1Params(0.3, 0.1, 0.0), 2.0, 1.0)
+    # half-up parameters at k = 2 sit on the half-down branch at k = 4
+    with pytest.raises(ConstraintError):
+        spectra.energy_model1(0, gauge.Model1Params.from_branch(0.4, 2.0, "half-up"), 4.0, 1.0)
 
 
 def test_energy_model1_radicand_count():
