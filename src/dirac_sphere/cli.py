@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigError, DiracSphereError, DomainError, PoleError
 from .gauge import BRANCH_LABELS, Model1Params, alpha_beta, model2_derive_params
-from .oracle import Grid, consistency_report, model_spec
+from .oracle import Grid, _require_finite, consistency_report, model_spec
 
 __all__ = ["RunConfig", "main", "console_main"]
 
@@ -267,17 +267,21 @@ def _write_curve(cfg: RunConfig, fn, poles, path):
     `w,nan` gap-marker row, in sorted order, and the poles are named in a
     `*_poles.json` sidecar next to the CSV.  When a node sits on a pole (fn
     raises PoleError), the node nearest each pole is dropped and fn evaluated
-    once more: the pole's marker row stands for that node.
+    once more: the pole's marker row stands for that node.  Any other sample
+    that is not finite is refused with PoleError, whatever the warnings
+    filter (fn runs with numpy's warnings off), so `nan` marks only poles.
     """
     w = cfg.grid.points()
     poles = [p0 for p0 in poles if abs(p0) <= cfg.grid.L]
-    try:
-        vals = fn(w)
-    except PoleError:
-        keep = np.ones(w.size, dtype=bool)
-        keep[[np.abs(w - p0).argmin() for p0 in poles]] = False
-        w = w[keep]
-        vals = fn(w)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            vals = fn(w)
+        except PoleError:
+            keep = np.ones(w.size, dtype=bool)
+            keep[[np.abs(w - p0).argmin() for p0 in poles]] = False
+            w = w[keep]
+            vals = fn(w)
+    _require_finite(w, vals, "curve sample")
     rows = [[_fmt(wi), _fmt(vi)] for wi, vi in zip(w, vals)]
     rows += [[_fmt(p0), "nan"] for p0 in poles]
     rows.sort(key=lambda r: float(r[0]))

@@ -1,7 +1,9 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, five because five are acted on.
 
-The CLI maps these onto exit codes: configuration problems exit 1,
-construction/physics errors exit 2, strict verification failures exit 3.
+The CLI exits 1 on ConfigError and 2 on any other DiracSphereError (3 is a
+strict verification failure).  parse_config turns Grid's DomainError into a
+ConfigError; cli._write_curve answers a PoleError with the pole's gap
+marker; an IntegrationError carries the unresolved estimate.
 """
 
 
@@ -10,7 +12,8 @@ class DiracSphereError(Exception):
 
 
 class DomainError(DiracSphereError, ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
+    """An argument lies outside the mathematical domain of an operation
+    (parameters off their branch or degenerate, complex exponents)."""
 
 
 class IntegrationError(DiracSphereError, RuntimeError):
@@ -32,31 +35,7 @@ class IntegrationError(DiracSphereError, RuntimeError):
 
 
 class PoleError(DiracSphereError, ValueError):
-    """Evaluation requested at (or across) a pole of a rational profile."""
-
-    def __init__(self, message, location=None):
-        super().__init__(message)
-        self.location = location
-
-
-class ConstraintError(DiracSphereError, ValueError):
-    """Parameters do not satisfy the constraint equations of a closed form."""
-
-
-class DegenerateParametersError(DiracSphereError, ValueError):
-    """a1**2 == a2**2 (equivalently alpha*beta == 0): denominators vanish."""
-
-
-class InvalidBranchError(DiracSphereError, ValueError):
-    """A sign branch yields parameters outside the admissible range."""
-
-
-class ComplexExponentError(DiracSphereError, ValueError):
-    """C1 >= 1/2: the closed-form exponents leave the real axis."""
-
-
-class SingularPotentialError(DiracSphereError, ValueError):
-    """A potential has a pole inside the discretization window."""
+    """A pole, or a sample that is not finite, where a finite value is needed."""
 
     def __init__(self, message, location=None):
         super().__init__(message)

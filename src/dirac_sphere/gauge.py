@@ -17,13 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    ConstraintError,
-    DegenerateParametersError,
-    DomainError,
-    InvalidBranchError,
-    PoleError,
-)
+from .errors import DomainError, PoleError
 from .specfun import _elementwise
 
 __all__ = [
@@ -78,9 +72,7 @@ class Model1Params:
     @classmethod
     def from_branch(cls, C1, k, branch):
         if branch not in BRANCH_LABELS:
-            raise InvalidBranchError(
-                f"unknown branch {branch!r}; choose one of {sorted(BRANCH_LABELS)}"
-            )
+            raise DomainError(f"unknown branch {branch!r}; choose one of {sorted(BRANCH_LABELS)}")
         c2, dc3 = BRANCH_LABELS[branch]
         return cls(C1=C1, C2=c2, C3=k + dc3, branch=branch)
 
@@ -139,12 +131,10 @@ class Model2Params:
 
     def __post_init__(self):
         if self.a1 == 0.0:
-            raise DegenerateParametersError("need a1 != 0")
+            raise DomainError("need a1 != 0")
         d = self.a1 * self.a1 - self.a2 * self.a2
         if d == 0.0 or abs(d) < 1e-14 * (self.a1 * self.a1 + self.a2 * self.a2):
-            raise DegenerateParametersError(
-                f"need a1^2 != a2^2, got a1={self.a1}, a2={self.a2}"
-            )
+            raise DomainError(f"need a1^2 != a2^2, got a1={self.a1}, a2={self.a2}")
         object.__setattr__(self, "C2", -self.a1 * self.C1)
         object.__setattr__(
             self, "C3", -(d - 2.0 * self.a1 * self.a2 * self.k) / (2.0 * d)
@@ -188,11 +178,9 @@ def alpha_beta(k, sign_a, sign_b):
     alpha = sa / (1.0 - k)
     beta = sb / (1.0 + k)
     if alpha <= -1.0 or beta <= -1.0:
-        raise InvalidBranchError(
-            f"branch gives alpha={alpha}, beta={beta}; both must exceed -1"
-        )
+        raise DomainError(f"branch gives alpha={alpha}, beta={beta}; both must exceed -1")
     if alpha == beta:
-        raise InvalidBranchError(f"branch gives alpha == beta == {alpha}")
+        raise DomainError(f"branch gives alpha == beta == {alpha}")
     return alpha, beta
 
 
@@ -300,16 +288,16 @@ def v_eff_model1_raw(p: Model1Params, k) -> EffectivePotential:
 
 
 def _require_constrained(p: Model1Params, k):
-    """ConstraintError unless p is on a constraint branch at k, the one its label names."""
+    """DomainError unless p is on a constraint branch at k, the one its label names."""
     if not p.is_constrained(k):
         r1, r2 = p.constraint_residuals(k)
-        raise ConstraintError(
+        raise DomainError(
             f"parameters violate the constraint branch at k={k}: residuals ({r1}, {r2})"
         )
     c2, dc3 = BRANCH_LABELS.get(p.branch, (math.nan, math.nan))
     tol = 1e-9 * (1.0 + abs(k))
     if p.branch is not None and not (abs(p.C2 - c2) <= tol and abs(p.C3 - k - dc3) <= tol):
-        raise ConstraintError(f"parameters at k={k} are not on the {p.branch!r} branch")
+        raise DomainError(f"parameters at k={k} are not on the {p.branch!r} branch")
 
 
 def v_eff_model1(p: Model1Params, k, j) -> EffectivePotential:
@@ -376,10 +364,17 @@ def v_eff_model2_raw(p: Model2Params) -> EffectivePotential:
     return EffectivePotential(fn=v)
 
 
+def _model2_const(p: Model2Params):
+    """The additive constant of the closed j=1 Model-II potential; the level
+    constant spectra.energy_model2_matched implies starts from it."""
+    return 0.25 - p.C6 + 2.0 * p.C1 * p.C4 - 2.0 * p.C1 * p.k - p.C3 * p.C3
+
+
 def v_eff_model2(p: Model2Params, j) -> EffectivePotential:
     """Constrained Model-II closed forms for components j = 1, 2 (verbatim)."""
     k = p.k
     if j == 1:
+        const = _model2_const(p)
 
         @_elementwise
         def v1(w):
@@ -389,11 +384,7 @@ def v_eff_model2(p: Model2Params, j) -> EffectivePotential:
             s = 1.0 / (ch * ch)
             q = _pole_factor(p, t)
             return (
-                0.25
-                - p.C6
-                + 2.0 * p.C1 * p.C4
-                - 2.0 * p.C1 * k
-                - p.C3 * p.C3
+                const
                 + ((k - p.C4) ** 2 + (p.C3 - 0.5) ** 2 - 1.0) * ch * ch
                 + (k - p.C4 + 2.0 * p.C3 * p.C4 - 2.0 * p.C3 * k) * ch * sh
                 + p.C1 * (1.0 + 2.0 * p.C3) * t

@@ -42,7 +42,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, SingularPotentialError
+from .errors import DomainError, PoleError
 from .gauge import (
     EffectivePotential,
     Model1Params,
@@ -143,26 +143,33 @@ def build_sl_matrix(p_fn, q_fn, grid: Grid, q_poles: Sequence[float] = ()) -> SL
        (M phi)_i = [p_{i+1/2}(phi_i - phi_{i+1}) + p_{i-1/2}(phi_i - phi_{i-1})]/h^2
                    + q(w_i) phi_i.
     Declared poles of q inside [-L, L], or non-finite samples, raise
-    SingularPotentialError naming the location.
+    PoleError naming the location, whatever the warnings filter: p and q
+    are sampled with numpy's warnings off.
     """
     for w0 in q_poles:
         if abs(w0) < grid.L:
-            raise SingularPotentialError(
+            raise PoleError(
                 f"potential pole at w = {w0} lies inside [-{grid.L}, {grid.L}]",
                 location=w0,
             )
     w = grid.points()
-    ph = np.asarray(p_fn(grid.half_points()), dtype=float)
-    if np.any(~np.isfinite(ph)) or np.any(ph <= 0.0):
-        raise SingularPotentialError("p(w) must be positive and finite on the grid")
-    qv = np.asarray(q_fn(w), dtype=float)
-    bad = ~np.isfinite(qv)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ph = np.asarray(p_fn(grid.half_points()), dtype=float)
+        if np.any(~np.isfinite(ph)) or np.any(ph <= 0.0):
+            raise PoleError("p(w) must be positive and finite on the grid")
+        qv = _require_finite(w, np.asarray(q_fn(w), dtype=float), "potential")
+        h2 = grid.h * grid.h
+        return SLMatrix(diag=(ph[:-1] + ph[1:]) / h2 + qv, off=-ph[1:-1] / h2)
+
+
+def _require_finite(w, values, what):
+    """values, sampled at w, unless one is not finite: then PoleError naming
+    the first such w."""
+    bad = ~np.isfinite(values)
     if np.any(bad):
-        raise SingularPotentialError(
-            f"potential is not finite at w = {w[bad][0]}", location=float(w[bad][0])
-        )
-    h2 = grid.h * grid.h
-    return SLMatrix(diag=(ph[:-1] + ph[1:]) / h2 + qv, off=-ph[1:-1] / h2)
+        w0 = float(w[bad][0])
+        raise PoleError(f"{what} is not finite at w = {w0}", location=w0)
+    return values
 
 
 _FLAPACK = "scipy.linalg._flapack"
@@ -640,6 +647,10 @@ def _model_report(spec: _ModelSpec, k, R, grid, levels):
     sl2 = build_sl_matrix(_cosh2, closed2, grid, q_poles=spec.poles)
     e2, tol2 = eig_lowest(sl2, levels), bisection_tol(sl2)
 
+    # eigenfunctions are sampled only on the rows the residual reads (the window
+    # and a neighbour each side): the Model-I form is inf once tanh w rounds to 1
+    w = grid.points()
+    rows = np.convolve(np.abs(w) <= _RESIDUAL_WINDOW, np.ones(3), "same") > 0
     printed, implied = [], []
     for n in range(levels):
         line = spec.printed(n)
@@ -667,7 +678,9 @@ def _model_report(spec: _ModelSpec, k, R, grid, levels):
         for reading, (description, wavefn) in spec.eigenfunctions.items():
             infix = f"{reading}." if len(spec.eigenfunctions) > 1 else ""
             wf = wavefn(n)
-            res = verify_eigenpair(sl1, grid, wf.eval(grid.points()), lams, _RESIDUAL_WINDOW)
+            vec = np.zeros(grid.N)
+            vec[rows] = wf.eval(w[rows])
+            res = verify_eigenpair(sl1, grid, vec, lams, _RESIDUAL_WINDOW)
             details = {spec.printed_key: lam}
             if matched is not None:
                 details.update(residual_at_identity_energy=res[1], lambda_identity=matched)

@@ -29,8 +29,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import specfun
-from .errors import ComplexExponentError, DomainError, IntegrationError, PoleError
-from .gauge import Model1Params, Model2Params, _require_constrained, midya_constants
+from .errors import DomainError, IntegrationError, PoleError
+from .gauge import Model1Params, Model2Params, _model2_const, _require_constrained, midya_constants
 
 __all__ = [
     "SpectralLine",
@@ -116,9 +116,7 @@ def _model1_exponents(n, p: Model1Params, k):
         raise DomainError(f"level must be a non-negative integer, got {n}")
     rad = 1.0 - 4.0 * p.C1 * p.C1
     if rad < 0.0:
-        raise ComplexExponentError(
-            f"C1 = {p.C1} gives complex exponents; need |C1| < 1/2"
-        )
+        raise DomainError(f"C1 = {p.C1} gives complex exponents; need |C1| < 1/2")
     s = (-1.0 + math.sqrt(rad)) / 2.0
     if s - n == 0.0:
         raise DomainError(f"level denominator s - n vanishes at n={n} (s={s})")
@@ -279,15 +277,7 @@ def energy_model2_matched(m, p: Model2Params) -> float:
     actually solves the closed-form potential (exactly when C1 = 1/k and the
     branch pair is used); the report compares it against the printed formula.
     """
-    k0 = (
-        0.25
-        - p.C6
-        + 2.0 * p.C1 * p.C4
-        - 2.0 * p.C1 * p.k
-        - p.C3 * p.C3
-    )
-    consts = midya_constants(p.alpha, p.beta, int(m) + 1)
-    return k0 + consts[1]
+    return _model2_const(p) + midya_constants(p.alpha, p.beta, int(m) + 1)[1]
 
 
 def wavefn_model2(m, alpha, beta, polynomial="classical") -> WaveFunctionSpec:

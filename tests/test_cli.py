@@ -330,6 +330,42 @@ def test_verify_round_trip_bit_identical(tmp_path):
     assert b1 == b2
 
 
+def test_verify_model1_past_tanh_saturation(tmp_path):
+    # the printed Model-I envelope (1 - t)^s, s < 0, is infinite once tanh w
+    # rounds to 1 (w > 18.99); the d.* residuals read only |w| <= 8, so the
+    # report samples the eigenfunctions there and still covers every claim
+    code = cli.main(["verify", "--config", example_config("model1.json"), "--grid-L", "20",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    claims = json.loads((tmp_path / "verify_model1.json").read_text())["report"]["claims"]
+    assert all(math.isfinite(c["metric"]) for c in claims)
+    forced = [c["verdict"] for c in claims if c["claim_id"].startswith("f.")]
+    assert forced == ["pass", "pass"]
+
+
+@pytest.mark.parametrize(
+    "args, err",
+    [
+        # cosh^2 overflows from |w| ~ 355.6
+        (["potential", "--which", "Veff2", "--grid-L", "800", "--grid-N", "11"],
+         "curve sample is not finite at w = -666.6666666666666"),
+        (["wavefunction", "--grid-L", "20", "--grid-N", "41"],
+         "curve sample is not finite at w = 19.047619047619044"),
+        (["verify", "--grid-L", "400", "--grid-N", "101"], "p(w) must be positive and finite"),
+    ],
+    ids=["potential", "wavefunction", "verify"],
+)
+def test_sample_not_finite_exits_2_writes_nothing(tmp_path, capsys, args, err):
+    # a sample that is not finite is refused, never written as a data row
+    # (`nan` is the pole marker), whatever the warnings filter
+    out = tmp_path / "out"
+    code = cli.main([args[0], "--config", example_config("model1.json"), *args[1:],
+                     "--out", str(out)])
+    assert code == 2
+    assert err in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_singular_branch_exits_2(tmp_path):
     doc = model2_doc(model2={"C1": 0.5, "alpha": 1.0, "beta": -1 / 3}, grid={"L": 6.0, "N": 801})
     cfg = write_config(tmp_path, doc)
@@ -348,6 +384,17 @@ def test_figures_fig1_exactly_four_files(tmp_path):
     assert cli.main(["figures", "fig1", "--out", str(tmp_path)]) == 0
     for f in files:
         assert (tmp_path / "fig1" / f).read_bytes() == first[f]
+
+
+def test_figures_fig1_writes_no_nonfinite_row(tmp_path):
+    # veff2 overflows on this grid: the command exits 2, and the curves it
+    # wrote before that hold only finite rows
+    assert cli.main(["figures", "fig1", "--grid-L", "800", "--grid-N", "11",
+                     "--out", str(tmp_path)]) == 2
+    assert sorted(os.listdir(tmp_path / "fig1")) == ["a_u.csv", "veff1.csv"]
+    for name in ("a_u.csv", "veff1.csv"):
+        _, rows = read_csv(tmp_path / "fig1" / name)
+        assert all(math.isfinite(float(v)) for _, v in rows), name
 
 
 def test_figures_fig1_spectrum_at_large_wavenumber(tmp_path):

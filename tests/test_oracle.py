@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from dirac_sphere import gauge, oracle, spectra
-from dirac_sphere.errors import ConstraintError, DomainError, SingularPotentialError
+from dirac_sphere.errors import DomainError, PoleError
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -153,7 +153,7 @@ def test_truncation_stability_bound_state():
 def test_singular_potential_rejected():
     p = gauge.model2_derive_params(0.5, -1 / 3 - 1.0, -1 / 3 + 1.0, 2.0)  # pole inside
     pot = gauge.v_eff_model2(p, 1)
-    with pytest.raises(SingularPotentialError) as err:
+    with pytest.raises(PoleError, match="potential pole at w = .* lies inside") as err:
         oracle.build_sl_matrix(COSH2, pot, oracle.Grid(6.0, 801), q_poles=p.poles)
     assert err.value.location == pytest.approx(math.atanh(-0.5), rel=1e-12)
 
@@ -165,8 +165,15 @@ def test_nonfinite_potential_rejected():
         out[np.abs(w - 1.0) < 1e-3] = np.inf
         return out
 
-    with pytest.raises(SingularPotentialError):
+    with pytest.raises(PoleError, match="potential is not finite at w = "):
         oracle.build_sl_matrix(ONES, q, oracle.Grid(2.0, 1999))
+
+
+def test_overflowing_kinetic_coefficient_rejected_without_warning():
+    # cosh^2 overflows from |w| ~ 355.6: the refusal, not a RuntimeWarning
+    # (an error under this module's filter), ends the assembly
+    with pytest.raises(PoleError, match=r"p\(w\) must be positive and finite"):
+        oracle.build_sl_matrix(COSH2, ZERO, oracle.Grid(400.0, 101))
 
 
 # ----------------------------------------------------------- factorization
@@ -343,13 +350,13 @@ def test_report_model_mismatch_rejected():
         oracle.consistency_report(2, p, 3.0, 1.0, oracle.Grid(6.0, 801))
     # half-up parameters at k = 2 sit on the half-down branch at k = 4
     p1 = gauge.Model1Params.from_branch(0.4, 2.0, "half-up")
-    with pytest.raises(ConstraintError):
+    with pytest.raises(DomainError, match="are not on the 'half-up' branch"):
         oracle.consistency_report(1, p1, 4.0, 1.0, oracle.Grid(6.0, 801))
 
 
 def test_report_aborts_on_singular_branch():
     p = gauge.model2_derive_params(0.5, -1 / 3 - 1.0, -1 / 3 + 1.0, 2.0)
-    with pytest.raises(SingularPotentialError):
+    with pytest.raises(PoleError, match="potential pole at w = .* lies inside"):
         oracle.consistency_report(2, p, 2.0, 1.0, oracle.Grid(6.0, 801), levels=2)
 
 

@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirac_sphere import gauge, spectra, specfun
-from dirac_sphere.errors import (
-    ComplexExponentError,
-    ConstraintError,
-    DomainError,
-    IntegrationError,
-    PoleError,
-)
+from dirac_sphere.errors import DomainError, IntegrationError, PoleError
 
 
 def fig1_params():
@@ -47,7 +41,7 @@ def test_energy_model1_near_critical_value():
 
 def test_energy_model1_rejects_large_c1():
     p = gauge.Model1Params.from_branch(0.6, 2.0, "half-up")
-    with pytest.raises(ComplexExponentError):
+    with pytest.raises(DomainError, match="complex exponents"):
         spectra.energy_model1(0, p, 2.0, 1.0)
 
 
@@ -59,10 +53,10 @@ def test_energy_model1_zero_denominator():
 
 
 def test_energy_model1_requires_constraint():
-    with pytest.raises(ConstraintError):
+    with pytest.raises(DomainError, match="violate the constraint branch"):
         spectra.energy_model1(0, gauge.Model1Params(0.3, 0.1, 0.0), 2.0, 1.0)
     # half-up parameters at k = 2 sit on the half-down branch at k = 4
-    with pytest.raises(ConstraintError):
+    with pytest.raises(DomainError, match="are not on the 'half-up' branch"):
         spectra.energy_model1(0, gauge.Model1Params.from_branch(0.4, 2.0, "half-up"), 4.0, 1.0)
 
 
