@@ -25,6 +25,7 @@ import gc
 import json
 import math
 import os
+import shutil
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, DiracSphereError, DomainError, PoleError
 from .gauge import BRANCH_LABELS, Model1Params, alpha_beta, model2_derive_params
-from .oracle import Grid, _require_finite, consistency_report, model_spec
+from .oracle import GALERKIN_MAX_LEVELS, Grid, _require_finite, consistency_report, model_spec
 
 __all__ = ["RunConfig", "main", "console_main"]
 
@@ -333,6 +334,11 @@ _REPORT_SCHEMA = "dirac-sphere-verification/1"
 def cmd_verify(cfg: RunConfig, outdir):
     if cfg.levels > cfg.grid.N:
         raise ConfigError(f"levels must be at most grid.N = {cfg.grid.N}, got {cfg.levels}")
+    if cfg.levels > GALERKIN_MAX_LEVELS:
+        raise ConfigError(
+            f"levels must be at most {GALERKIN_MAX_LEVELS}, the most the Galerkin oracle's "
+            f"basis cap serves, got {cfg.levels}"
+        )
     report = consistency_report(
         cfg.model, cfg.params(), cfg.k, cfg.R, cfg.grid, levels=cfg.levels
     )
@@ -372,22 +378,41 @@ _FIGURES = {
 
 
 def cmd_figures(which, overrides, outdir):
-    """Write one figure set; overrides replace keys of its config document."""
+    """Write one figure set; overrides replace keys of its config document.
+
+    The set is written into a temporary directory under outdir, and its
+    files are renamed into outdir/<which> only once every one is written, so
+    a refused curve leaves nothing behind.  An existing outdir/<which> keeps
+    any file the set does not replace.
+    """
     if which not in _FIGURES:
         raise ConfigError(f"figures takes fig1 or fig2, got {which!r}")
     base, spectrum_changes, notes = _FIGURES[which]
     doc = dict(base, **overrides)
     cfg = parse_config(doc)
-    d = os.path.join(outdir, which)
-    written = []
-    for curve in ("A_u", "Veff1", "Veff2"):
-        fn, poles = _curve(cfg, curve)
-        written += _write_curve(cfg, fn, poles, os.path.join(d, f"{curve.lower()}.csv"))
-    written += cmd_spectrum(parse_config(dict(doc, **spectrum_changes)), d)
-    for name, text in notes.items():
-        path = os.path.join(d, name)
-        _atomic_write(path, text)
-        written.append(path)
+    spectrum_cfg = parse_config(dict(doc, **spectrum_changes))
+    os.makedirs(outdir, exist_ok=True)
+    tmp = os.path.join(outdir, f".tmp-{which}-{os.urandom(6).hex()}")
+    os.mkdir(tmp)
+    try:
+        written = []
+        for curve in ("A_u", "Veff1", "Veff2"):
+            fn, poles = _curve(cfg, curve)
+            written += _write_curve(cfg, fn, poles, os.path.join(tmp, f"{curve.lower()}.csv"))
+        written += cmd_spectrum(spectrum_cfg, tmp)
+        for name, text in notes.items():
+            path = os.path.join(tmp, name)
+            _atomic_write(path, text)
+            written.append(path)
+        d = os.path.join(outdir, which)
+        os.makedirs(d, exist_ok=True)
+        written = [os.path.join(d, os.path.basename(path)) for path in written]
+        for path in written:
+            os.replace(os.path.join(tmp, os.path.basename(path)), path)
+        os.rmdir(tmp)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
     return written
 
 

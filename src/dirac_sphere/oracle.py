@@ -1,17 +1,27 @@
 """Independent numerical ground truth for the transformed Dirac eigenproblems.
 
-The second-order operator -(cosh^2 w phi')' + V(w) phi is discretized with a
-conservative (flux-form) finite-difference scheme on a uniform grid over
-[-L, L] with Dirichlet walls.  Every oracle matrix is symmetric tridiagonal
-and is stored as its diagonal and off-diagonal arrays (SLMatrix diag, off),
-so real spectra are structural and one tridiagonal eigensolver serves every
-solve; the solves return eigenvalues only.  They call LAPACK's dstebz and
-dstevd from scipy's compiled _flapack extension, loaded by path on the first
-solve: the commands that never solve do not load scipy, and verify never runs
-scipy.linalg's package init.  The report's levels come from bisection at
-LAPACK's default tolerance (bisection_tol, recorded as oracle_tol in the c.*
-and e.* claims), which exceeds the grid's discretization error at the default
-L and N.
+The c.* levels come from galerkin_levels, a Jacobi-Galerkin solve in
+t = tanh w, where -(cosh^2 w phi')' + V phi becomes -(1-t^2) phi'' + V phi on
+(-1, 1).  Its basis (1+t)^a (1-t)^b p_m(t) carries the principal Frobenius
+exponents a, b, which follow from the gauge profile's end values (never from
+a fit), and orthonormal Jacobi polynomials p_m read from the eigenvectors of
+specfun's Golub-Welsch solve; the basis doubles until n and 2n functions
+agree, up to a cap, so every level carries its own error estimate.  Its
+symmetric matrix goes to LAPACK dsbev, whose result does not depend on the
+BLAS thread count.
+
+The same operator is also discretized with a conservative (flux-form)
+finite-difference scheme on a uniform grid over [-L, L] with Dirichlet
+walls, for the e.* pairing and the forced checks.  Every flux-form matrix is
+symmetric tridiagonal and is stored as its diagonal and off-diagonal arrays
+(SLMatrix diag, off), so real spectra are structural and one tridiagonal
+eigensolver serves every such solve; the solves return eigenvalues only.
+They call LAPACK's dstebz and dstevd from scipy's compiled _flapack
+extension, loaded by path on the first solve: the commands that never solve
+do not load scipy, and verify never runs scipy.linalg's package init.  The
+flux levels come from bisection at LAPACK's default tolerance (bisection_tol,
+recorded as oracle_tol in the e.* claims), which exceeds the grid's
+discretization error at the default L and N.
 
 The first-order operator D = cosh d/dw + f, f = cosh (A - k) + sinh/2, that
 factors the general j=1 potential is discretized on the staggered grid (nodes
@@ -58,6 +68,7 @@ from .gauge import (
     v_eff_model2,
     v_eff_model2_raw,
 )
+from .specfun import _golub_welsch
 from .spectra import (
     _model1_exponents,
     energy_model1,
@@ -75,6 +86,9 @@ __all__ = [
     "eig_values",
     "bisection_tol",
     "compose_factorized",
+    "GALERKIN_MAX_LEVELS",
+    "GalerkinLevels",
+    "galerkin_levels",
     "verify_eigenpair",
     "Claim",
     "VerificationReport",
@@ -142,9 +156,9 @@ def build_sl_matrix(p_fn, q_fn, grid: Grid, q_poles: Sequence[float] = ()) -> SL
     Row i couples p at the half points w_{i +- 1/2}:
        (M phi)_i = [p_{i+1/2}(phi_i - phi_{i+1}) + p_{i-1/2}(phi_i - phi_{i-1})]/h^2
                    + q(w_i) phi_i.
-    Declared poles of q inside [-L, L], or non-finite samples, raise
-    PoleError naming the location, whatever the warnings filter: p and q
-    are sampled with numpy's warnings off.
+    Declared poles of q inside [-L, L], non-finite samples, or a p that is
+    not positive raise PoleError naming the first such w, whatever the
+    warnings filter: p and q are sampled with numpy's warnings off.
     """
     for w0 in q_poles:
         if abs(w0) < grid.L:
@@ -152,11 +166,16 @@ def build_sl_matrix(p_fn, q_fn, grid: Grid, q_poles: Sequence[float] = ()) -> SL
                 f"potential pole at w = {w0} lies inside [-{grid.L}, {grid.L}]",
                 location=w0,
             )
-    w = grid.points()
+    w, wh = grid.points(), grid.half_points()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ph = np.asarray(p_fn(grid.half_points()), dtype=float)
-        if np.any(~np.isfinite(ph)) or np.any(ph <= 0.0):
-            raise PoleError("p(w) must be positive and finite on the grid")
+        ph = np.asarray(p_fn(wh), dtype=float)
+        bad = ~(np.isfinite(ph) & (ph > 0.0))
+        if np.any(bad):
+            w0 = float(wh[bad][0])
+            raise PoleError(
+                f"p(w) must be positive and finite on the grid, and is not at w = {w0}",
+                location=w0,
+            )
         qv = _require_finite(w, np.asarray(q_fn(w), dtype=float), "potential")
         h2 = grid.h * grid.h
         return SLMatrix(diag=(ph[:-1] + ph[1:]) / h2 + qv, off=-ph[1:-1] / h2)
@@ -356,6 +375,119 @@ def isospectrality_metric(m1: SLMatrix, m2: SLMatrix):
     return float((np.abs(above1 - above2) / np.abs(above1)).max()), floor, n_below
 
 
+# The Jacobi-Galerkin oracle: bases of n and 2n functions, doubled from
+# max(16, 2 levels + 8) until the two agree; 2n never exceeds the cap.
+_GALERKIN_CAP = 256
+_GALERKIN_TOL = 1e-9
+GALERKIN_MAX_LEVELS = (_GALERKIN_CAP // 2 - 8) // 2
+
+
+@dataclass(frozen=True)
+class GalerkinLevels:
+    """The lowest levels of a Jacobi-Galerkin solve and how they were found.
+
+    levels come from the basis of n functions; gap holds their distances to
+    the levels of the 2n basis, one per level.  exponents are (a, b), the
+    envelope exponents at t = -1 and t = +1.
+    """
+
+    levels: np.ndarray
+    gap: np.ndarray
+    n: int
+    exponents: Tuple[float, float]
+
+
+def _galerkin_eigenvalues(V, a, b, n):
+    """All n eigenvalues of -(1-t^2) phi'' + V phi in the basis
+    (1+t)^a (1-t)^b p_m(t), m < n, with p_m the Jacobi polynomials of
+    (alpha, beta) = (2b - 1, 2a - 1) orthonormal under their weight.
+
+    The basis turns the operator into the Jacobi operator, diagonal with
+    m (m + alpha + beta + 1), plus the bounded potential
+    q = V - a(a-1)(1-t)/(1+t) - b(b-1)(1+t)/(1-t) + 2ab; q enters as
+    B diag(q) B^T over the n-node Gauss-Jacobi rule, B its eigenvector
+    matrix, so the basis is orthonormal with no polynomial evaluated.  V
+    maps w = artanh t to the potential; a sample that is not finite raises
+    PoleError naming its w.
+    """
+    alpha, beta = 2.0 * b - 1.0, 2.0 * a - 1.0
+    (t, _), basis = _golub_welsch(n, alpha, beta)
+    w = np.arctanh(t)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v = _require_finite(w, np.asarray(V(w), dtype=float), "potential")
+    q = v - a * (a - 1.0) * (1.0 - t) / (1.0 + t) - b * (b - 1.0) * (1.0 + t) / (1.0 - t)
+    q += 2.0 * a * b
+    h = (basis * q) @ basis.T
+    m = np.arange(n)
+    h[m, m] += m * (m + alpha + beta + 1.0)
+    return _symmetric_eigenvalues(h)
+
+
+def _symmetric_eigenvalues(h):
+    """All eigenvalues, ascending, of the symmetric matrix whose lower
+    triangle h holds: LAPACK dsbev on h stored as one full band.
+
+    dsbev reduces the band to tridiagonal form by Givens rotations alone, so
+    its result is the same bits for every BLAS thread count; the blocked
+    reduction behind numpy.linalg.eigvalsh is not (its levels differ in the
+    last bits between 1 and 2 OpenBLAS threads at 256 rows).  A LAPACK
+    failure raises DomainError.
+    """
+    n = h.shape[0]
+    i, j = np.tril_indices(n)
+    band = np.zeros((n, n))
+    band[i - j, j] = h[i, j]
+    w, _, info = _lapack().dsbev(band, compute_v=0, lower=1)
+    if info:
+        raise DomainError(f"LAPACK dsbev failed (info={info})")
+    return w
+
+
+def galerkin_levels(V, ends, k, count, poles=(), drift=0.0) -> GalerkinLevels:
+    """The `count` lowest levels of the j=1 operator -(cosh^2 phi')' + V phi.
+
+    In t = tanh w the operator is -(1-t^2) phi'' + V phi on (-1, 1).  ends
+    are the gauge profile's end values (A at t = -1, A at t = +1); the
+    exponent at the end eps = -+1 is the principal Frobenius root
+    (1 + |nu|)/2, nu = k - A_eps + eps/2, which holds for V only while V
+    differs from the general j=1 potential by a constant: drift is the
+    measured spread of that difference relative to 1 + max |V|, and one
+    past 1e-9 raises DomainError rather than guess the exponents.  The basis
+    grows from max(16, 2 count + 8) functions by doubling until the levels
+    of n and 2n functions agree within 1e-9 (1 + |level|), and the n levels
+    are returned.  A 2n past 256 raises DomainError, as does a count past
+    GALERKIN_MAX_LEVELS; a real pole (one in poles) raises PoleError first,
+    since it lies inside (-1, 1) whatever the grid.
+    """
+    if poles:
+        raise PoleError(
+            f"potential pole at w = {poles[0]}: the Jacobi-Galerkin oracle needs V finite "
+            "on the whole line",
+            location=poles[0],
+        )
+    if not 1 <= count <= GALERKIN_MAX_LEVELS:
+        raise DomainError(f"level count must be in [1, {GALERKIN_MAX_LEVELS}], got {count}")
+    if not drift <= _GALERKIN_TOL:
+        raise DomainError(
+            f"the potential differs from the general j=1 form by more than a constant "
+            f"(spread {drift:.3e} of 1 + max |V| > {_GALERKIN_TOL:g}): the end values do not "
+            "fix its Frobenius exponents"
+        )
+    a, b = ((1.0 + abs(k - A + 0.5 * eps)) / 2.0 for A, eps in zip(ends, (-1.0, 1.0)))
+    n = max(16, 2 * count + 8)
+    lo = _galerkin_eigenvalues(V, a, b, n)[:count]
+    while 2 * n <= _GALERKIN_CAP:
+        hi = _galerkin_eigenvalues(V, a, b, 2 * n)[:count]
+        gap = np.abs(lo - hi)
+        if np.all(gap <= _GALERKIN_TOL * (1.0 + np.abs(lo))):
+            return GalerkinLevels(levels=lo, gap=gap, n=n, exponents=(a, b))
+        n, lo = 2 * n, hi
+    raise DomainError(
+        f"Jacobi-Galerkin levels did not converge: bases of {n // 2} and {n} functions "
+        f"differ by {float(gap.max()):.3e}, and {2 * n} is past the cap of {_GALERKIN_CAP}"
+    )
+
+
 def verify_eigenpair(m: SLMatrix, grid: Grid, vec, lams, window: Optional[float] = None):
     """Relative residuals ||M vec - lam vec|| / ||vec||, one per level
     constant lam in lams, of a vector sampled on the nodes of grid against
@@ -453,10 +585,15 @@ class VerificationReport:
 _CONSTANCY_GRID = {"w_lo": -4.0, "w_hi": 4.0, "n_pts": 2001}
 
 
+def _constancy_sample(fn):
+    """fn on the uniform sample _CONSTANCY_GRID."""
+    w = np.linspace(_CONSTANCY_GRID["w_lo"], _CONSTANCY_GRID["w_hi"], _CONSTANCY_GRID["n_pts"])
+    return np.asarray(fn(w), dtype=float)
+
+
 def _constancy(diff_fn):
     """max |d(w) - mean d| and the mean, over the uniform sample _CONSTANCY_GRID."""
-    w = np.linspace(_CONSTANCY_GRID["w_lo"], _CONSTANCY_GRID["w_hi"], _CONSTANCY_GRID["n_pts"])
-    d = np.asarray(diff_fn(w), dtype=float)
+    d = _constancy_sample(diff_fn)
     mean = float(d.mean())
     return float(np.abs(d - mean).max()), mean
 
@@ -476,7 +613,8 @@ class _ModelSpec:
     Every claim family is built from these fields by _model_report, the same
     way for both models, and the CLI commands read their curves, levels and
     eigenfunctions from the same fields.  poles holds the model's real poles
-    as its parameters fix them, which every matrix and curve reads.
+    as its parameters fix them, which every matrix and curve reads; ends
+    holds the profile's end values, which fix the Galerkin exponents.
     Callables take the level index; eigenfunctions maps each polynomial
     reading's name to (description, level -> WaveFunctionSpec), in report order.
     """
@@ -489,6 +627,7 @@ class _ModelSpec:
     closed1: EffectivePotential
     closed2: EffectivePotential
     poles: Tuple[float, ...]  # Model2Params.poles, or () for Model I
+    ends: Tuple[float, float]  # A at t = -1 and at t = +1
     b_descriptions: Tuple[str, str]
     printed: Callable  # level -> SpectralLine of the printed spectrum
     implied: Callable  # level -> level constant implied by the identity, or None
@@ -503,16 +642,20 @@ def consistency_report(model, params, k, R, grid: Grid, levels: int = 4) -> Veri
 
     Claim families: forced linear-algebra invariants (f.*), the match of the
     staggered factorization to the operators, transcription constancy checks
-    (a.*, b.*), closed-form spectrum versus oracle eigenvalues (c.*),
-    eigenfunction residuals (d.*, over |w| <= 8), partner-level pairing (e.*),
-    and the model's solvable-structure identity (g.*).  Both models run
-    through one assembler over the spec model_spec selects, which must be
-    that of `model`.  Forced claims must pass; everything else is recorded
-    with a finite metric and the grid it was measured on.
+    (a.*, b.*), closed-form spectrum versus Jacobi-Galerkin eigenvalues
+    (c.*, grid {"n": basis size}), eigenfunction residuals (d.*, over
+    |w| <= 8), partner-level pairing of the flux-form spectra (e.*), and the
+    model's solvable-structure identity (g.*).  Both models run through one
+    assembler over the spec model_spec selects, which must be that of
+    `model`.  A level count past GALERKIN_MAX_LEVELS raises DomainError
+    before any claim is computed.  Forced claims must pass; everything else
+    is recorded with a finite metric and the grid it was measured on.
     """
     spec = model_spec(params, k, R)
     if model != spec.model:
         raise DomainError(f"model {model} does not match model-{spec.model} parameters")
+    if not 1 <= levels <= GALERKIN_MAX_LEVELS:
+        raise DomainError(f"level count must be in [1, {GALERKIN_MAX_LEVELS}], got {levels}")
     return _model_report(spec, k, R, grid, levels)
 
 
@@ -619,6 +762,7 @@ def _model_report(spec: _ModelSpec, k, R, grid, levels):
     claims = _forced_claims(spec.A, k, gen1, gen2, spec.poles)
 
     b1, b2 = spec.b_descriptions
+    drift = {}
     for claim_id, formula, description, diff_fn in (
         (
             "a.veff1-expansion",
@@ -630,6 +774,7 @@ def _model_report(spec: _ModelSpec, k, R, grid, levels):
         ("b.veff2-constrained", "veff2.closed", b2, lambda w: closed2(w) - gen2(w)),
     ):
         metric, mean = _constancy(diff_fn)
+        drift[claim_id] = metric
         claims.append(
             Claim(
                 claim_id=claim_id,
@@ -646,6 +791,11 @@ def _model_report(spec: _ModelSpec, k, R, grid, levels):
     e1, tol1 = eig_lowest(sl1, levels), bisection_tol(sl1)
     sl2 = build_sl_matrix(_cosh2, closed2, grid, q_poles=spec.poles)
     e2, tol2 = eig_lowest(sl2, levels), bisection_tol(sl2)
+    # closed1 - gen1 = (closed1 - raw1) + (raw1 - gen1) is constant when the
+    # a.* and b.veff1 spreads both are, up to the rounding of V's own size
+    spread = np.max([drift["a.veff1-expansion"], drift["b.veff1-constrained"]])
+    scale = 1.0 + np.abs(_constancy_sample(gen1)).max()
+    gal = galerkin_levels(closed1, spec.ends, k, levels, spec.poles, drift=float(spread / scale))
 
     # eigenfunctions are sampled only on the rows the residual reads (the window
     # and a neighbour each side): the Model-I form is inf once tanh w rounds to 1
@@ -656,18 +806,23 @@ def _model_report(spec: _ModelSpec, k, R, grid, levels):
         line = spec.printed(n)
         printed.append(line.E_sq_bar)
         implied.append(spec.implied(n))
+        level = gal.levels[n]
         claims.append(
             Claim(
                 f"c.spectrum.m{n}",
                 f"{ref}.spectrum.closed",
-                "closed-form level constant vs oracle eigenvalue of the closed j=1 potential",
-                abs(line.E_sq_bar - e1[n]),
-                _gdict(grid),
+                "closed-form level constant vs the Jacobi-Galerkin eigenvalue of the closed "
+                "j=1 potential (basis of n functions; gap_2n is its distance to the 2n basis)",
+                abs(line.E_sq_bar - level),
+                {"n": gal.n},
                 {
                     "closed_form": line.E_sq_bar,
-                    "oracle": e1[n],
-                    **spec.spectrum_details(line, e1[n], implied[n]),
-                    "oracle_tol": tol1,
+                    "oracle": level,
+                    **spec.spectrum_details(line, level, implied[n]),
+                    "solver": "jacobi-galerkin",
+                    "exponents": list(gal.exponents),
+                    "n": gal.n,
+                    "gap_2n": gal.gap[n],
                 },
             )
         )
@@ -756,6 +911,7 @@ def _model1_spec(p: Model1Params, k, R) -> _ModelSpec:
         closed1=closed1,
         closed2=v_eff_model1(p, k, 2),
         poles=(),
+        ends=(p.C3 - p.C2, p.C3 + p.C2),
         b_descriptions=(
             "Rosen-Morse closed form minus the constrained expanded form; the constant gap is the bookkeeping discrepancy",
             "second-component closed form minus the constrained general form",
@@ -820,6 +976,7 @@ def _model2_spec(p: Model2Params, k, R) -> _ModelSpec:
         closed1=closed1,
         closed2=v_eff_model2(p, 2),
         poles=p.poles,
+        ends=(p.C4 - p.C3, p.C4 + p.C3),
         b_descriptions=(
             "closed rational form minus the constrained expanded form; the add-and-subtract bookkeeping gap",
             "second-component closed form minus the constrained general form (any w-dependence is a transcription defect)",

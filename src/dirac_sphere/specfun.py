@@ -29,6 +29,7 @@ class OutsideDomainWarning(UserWarning):
 
 
 _CLAMP_SLACK = 1e-12
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def _scalar_or_array(val):
@@ -142,7 +143,6 @@ def x1_jacobi(nu, alpha, beta, x):
     return _scalar_or_array(val)
 
 
-@functools.lru_cache(maxsize=256)
 def gauss_jacobi(n, alpha, beta):
     """n-point Gauss-Jacobi rule: (nodes, weights) with sum(w f(x)) equal to
     the integral of (1-x)^alpha (1+x)^beta f(x) over [-1, 1] for every
@@ -152,6 +152,22 @@ def gauss_jacobi(n, alpha, beta):
     matrix of the monic Jacobi recurrence, and the weights are mu0 times the
     squared first components of its normalized eigenvectors.  Rules are cached
     by (n, alpha, beta); the returned arrays are read-only.
+    """
+    return _golub_welsch(n, alpha, beta)[0]
+
+
+@functools.lru_cache(maxsize=256)
+def _golub_welsch(n, alpha, beta):
+    """gauss_jacobi's rule (nodes, weights) and the matrix of the
+    eigenvectors it came from, as ((nodes, weights), vectors).
+
+    Column i of the eigenvector matrix B is the unit eigenvector at node x_i,
+    so B[m, i] = sqrt(w_i) p_m(x_i) up to the sign of the column, with p_m
+    the Jacobi polynomials orthonormal under the weight.  B is orthogonal; a
+    product B diag(f) B^T, the rule's Galerkin matrix of f in the
+    orthonormal basis p_0..p_{n-1}, does not depend on the column signs.
+    Cached by (n, alpha, beta), so gauss_jacobi returns the same rule
+    object on every call; the three arrays are read-only.
     """
     if n < 1 or int(n) != n:
         raise DomainError(f"node count must be a positive integer, got {n}")
@@ -176,16 +192,21 @@ def gauss_jacobi(n, alpha, beta):
     jac = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     nodes, vecs = np.linalg.eigh(jac)
     # mu0, the weight's total mass: 2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2)
-    mu0 = math.exp(
+    log_mu0 = (
         (ab + 1.0) * math.log(2.0)
         + math.lgamma(alpha + 1.0)
         + math.lgamma(beta + 1.0)
         - math.lgamma(ab + 2.0)
     )
+    if log_mu0 > _LOG_MAX:
+        raise DomainError(
+            f"the Gauss-Jacobi weight's total mass overflows at alpha={alpha}, beta={beta}"
+        )
+    mu0 = math.exp(log_mu0)
     weights = mu0 * vecs[0] ** 2
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
+    for arr in (nodes, weights, vecs):
+        arr.flags.writeable = False
+    return (nodes, weights), vecs
 
 
 class QuadResult:

@@ -291,7 +291,11 @@ def test_verify_report_structure_and_exit(tmp_path):
             assert c["verdict"] == "pass"
         if c["verdict"] == "recorded":
             assert math.isfinite(c["metric"])
-        assert "L" in c["grid"] or "w_lo" in c["grid"]
+        if c["claim_id"].startswith("c."):
+            # the Galerkin oracle's grid is its basis size
+            assert list(c["grid"]) == ["n"] and c["grid"]["n"] == c["details"]["n"]
+        else:
+            assert "L" in c["grid"] or "w_lo" in c["grid"]
 
 
 def test_verify_strict_corrupt_exits_3(tmp_path, forced_fault):
@@ -351,7 +355,9 @@ def test_verify_model1_past_tanh_saturation(tmp_path):
          "curve sample is not finite at w = -666.6666666666666"),
         (["wavefunction", "--grid-L", "20", "--grid-N", "41"],
          "curve sample is not finite at w = 19.047619047619044"),
-        (["verify", "--grid-L", "400", "--grid-N", "101"], "p(w) must be positive and finite"),
+        # the kinetic coefficient cosh^2 at the half points names its first bad w
+        (["verify", "--grid-L", "400", "--grid-N", "101"],
+         "p(w) must be positive and finite on the grid, and is not at w = -396.078431372549"),
     ],
     ids=["potential", "wavefunction", "verify"],
 )
@@ -386,15 +392,29 @@ def test_figures_fig1_exactly_four_files(tmp_path):
         assert (tmp_path / "fig1" / f).read_bytes() == first[f]
 
 
-def test_figures_fig1_writes_no_nonfinite_row(tmp_path):
-    # veff2 overflows on this grid: the command exits 2, and the curves it
-    # wrote before that hold only finite rows
+def test_figures_fig1_writes_no_nonfinite_row(tmp_path, capsys):
+    # veff2 overflows on this grid: the command exits 2 and leaves no file,
+    # neither the curves it wrote before veff2 nor its temporary directory
     assert cli.main(["figures", "fig1", "--grid-L", "800", "--grid-N", "11",
                      "--out", str(tmp_path)]) == 2
-    assert sorted(os.listdir(tmp_path / "fig1")) == ["a_u.csv", "veff1.csv"]
-    for name in ("a_u.csv", "veff1.csv"):
-        _, rows = read_csv(tmp_path / "fig1" / name)
-        assert all(math.isfinite(float(v)) for _, v in rows), name
+    assert "curve sample is not finite at w = " in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_figures_refused_run_keeps_an_earlier_set(tmp_path):
+    # a refused run neither removes nor half-replaces a complete earlier set,
+    # and a later complete run replaces only the files of the set
+    assert cli.main(["figures", "fig1", "--out", str(tmp_path)]) == 0
+    d = tmp_path / "fig1"
+    first = {f: (d / f).read_bytes() for f in os.listdir(d)}
+    (d / "notes.txt").write_text("mine\n")
+    assert cli.main(["figures", "fig1", "--grid-L", "800", "--grid-N", "11",
+                     "--out", str(tmp_path)]) == 2
+    assert sorted(os.listdir(tmp_path)) == ["fig1"]
+    assert {f: (d / f).read_bytes() for f in first} == first
+    assert cli.main(["figures", "fig1", "--grid-L", "5", "--out", str(tmp_path)]) == 0
+    assert sorted(os.listdir(d)) == sorted([*first, "notes.txt"])
+    assert (d / "a_u.csv").read_bytes() != first["a_u.csv"]
 
 
 def test_figures_fig1_spectrum_at_large_wavenumber(tmp_path):
@@ -566,6 +586,30 @@ def test_verify_levels_past_grid_exits_1_writes_nothing(tmp_path, capsys):
     assert code == 1
     assert "grid.N = 4001" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_verify_levels_past_galerkin_cap_exits_1_writes_nothing(tmp_path, capsys):
+    # 61 levels would need a first Galerkin basis of 2 * 61 + 8 = 130
+    # functions, checked against 260, past the cap of 256: refused before any
+    # claim is computed, on any grid
+    out = tmp_path / "out"
+    code = cli.main(["verify", "--config", example_config("model1.json"), "--levels", "61",
+                     "--out", str(out)])
+    assert code == 1
+    assert "levels must be at most 60" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_model2_galerkin_levels_equal_identity_levels(tmp_path):
+    # the README's Model-II config: the oracle finds the levels the solvable
+    # identity implies, so oracle_minus_matched is oracle error alone
+    assert cli.main(["verify", "--config", example_config("model2.json"), "--out", str(tmp_path)]) == 0
+    claims = json.loads((tmp_path / "verify_model2.json").read_text())["report"]["claims"]
+    spectrum = [c for c in claims if c["claim_id"].startswith("c.")]
+    assert len(spectrum) == 4
+    for c in spectrum:
+        assert abs(c["details"]["oracle_minus_matched"]) <= 1e-9, c["claim_id"]
+        assert c["details"]["solver"] == "jacobi-galerkin" and c["grid"] == {"n": 16}
 
 
 def test_wavefunction_negative_level_exits_1_writes_nothing(tmp_path):

@@ -1,6 +1,9 @@
+import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -172,8 +175,17 @@ def test_nonfinite_potential_rejected():
 def test_overflowing_kinetic_coefficient_rejected_without_warning():
     # cosh^2 overflows from |w| ~ 355.6: the refusal, not a RuntimeWarning
     # (an error under this module's filter), ends the assembly
-    with pytest.raises(PoleError, match=r"p\(w\) must be positive and finite"):
-        oracle.build_sl_matrix(COSH2, ZERO, oracle.Grid(400.0, 101))
+    grid = oracle.Grid(400.0, 101)
+    with pytest.raises(PoleError, match=r"p\(w\) must be positive and finite") as info:
+        oracle.build_sl_matrix(COSH2, ZERO, grid)
+    # the refusal names the first half point where p is not finite
+    assert info.value.location == grid.half_points()[0] == -396.078431372549
+    assert f"at w = {info.value.location}" in str(info.value)
+    # a p that is finite but not positive is named the same way
+    with pytest.raises(PoleError, match="is not at w = ") as info:
+        step = lambda w: np.where(np.asarray(w) > 0.5, -1.0, 1.0)
+        oracle.build_sl_matrix(step, ZERO, oracle.Grid(1.0, 9))
+    assert 0.5 < info.value.location < 1.0
 
 
 # ----------------------------------------------------------- factorization
@@ -331,6 +343,136 @@ def test_verify_eigenpair_x1_candidate():
     assert res_bad > 0.5
 
 
+# ----------------------------------------------------------- Jacobi-Galerkin oracle
+
+
+def _galerkin(params, k, count):
+    spec = oracle.model_spec(params, k, 1.0)
+    return oracle.galerkin_levels(spec.closed1, spec.ends, k, count, spec.poles)
+
+
+def test_galerkin_model1_half_up_levels():
+    # the benchmark's Chebyshev-collocation reference (n = 128 against 256)
+    g = _galerkin(gauge.Model1Params.from_branch(0.4, 2.0, "half-up"), 2.0, 4)
+    assert g.levels == pytest.approx([2.3954946, 6.39933824, 12.3907119, 20.38667641], abs=1e-7)
+    # V / cosh^2 -> 0 at both ends: nu = -1 there, and the exponents are 1
+    assert g.exponents == (1.0, 1.0) and g.n == 16
+    assert np.all(g.gap <= 1e-9 * (1.0 + np.abs(g.levels)))
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, 3.0, 4.0])
+def test_galerkin_model2_equals_identity_levels(k):
+    # on (-, +) at C1 = 1/k the x1 eigenfunctions solve the closed j=1
+    # potential at the level constants the solvable identity implies
+    p = m2_params(C1=1 / k, k=k)
+    g = _galerkin(p, k, 12)
+    matched = [spectra.energy_model2_matched(m, p) for m in range(12)]
+    assert np.abs(g.levels - matched).max() <= 1e-9
+
+
+def test_galerkin_doubles_until_converged():
+    # k = 1.1: the exponent at t = +1 is 5.5, and the 16- and 32-function
+    # bases disagree; 32 and 64 agree, so the 32-function levels are returned
+    k = 1.1
+    p = m2_params(C1=1 / k, k=k)
+    g = _galerkin(p, k, 4)
+    assert g.exponents[1] == pytest.approx(5.5) and g.n == 32
+    matched = np.array([spectra.energy_model2_matched(m, p) for m in range(4)])
+    assert np.all(g.gap <= 1e-9 * (1.0 + np.abs(g.levels)))
+    assert np.all(np.abs(g.levels - matched) <= 1e-9 * (1.0 + matched))
+
+
+def test_galerkin_cap_refusal(monkeypatch):
+    # with the cap at 32 functions, k = 1.1 (which needs the 64-function
+    # check) is refused instead of reported
+    monkeypatch.setattr(oracle, "_GALERKIN_CAP", 32)
+    with pytest.raises(DomainError, match="did not converge: bases of 16 and 32 functions"):
+        _galerkin(m2_params(C1=1 / 1.1, k=1.1), 1.1, 4)
+
+
+def test_galerkin_level_count_range():
+    p = gauge.Model1Params.from_branch(0.4, 2.0, "half-up")
+    # 2 * max(16, 2 * 60 + 8) = 256, the cap: 60 is the most levels it serves
+    assert oracle.GALERKIN_MAX_LEVELS == 60
+    assert _galerkin(p, 2.0, 60).n == 128
+    for count in (0, 61):
+        with pytest.raises(DomainError, match=r"level count must be in \[1, 60\]"):
+            _galerkin(p, 2.0, count)
+        with pytest.raises(DomainError, match=r"level count must be in \[1, 60\]"):
+            oracle.consistency_report(1, p, 2.0, 1.0, oracle.Grid(6.0, 801), levels=count)
+
+
+def test_galerkin_refuses_a_pole_beyond_every_grid():
+    # alpha * beta < 0 puts the pole at tanh w = a2/a1 inside (-1, 1); at
+    # beta = -1e-6 it sits at w = -6.91, beyond every grid the report builds
+    # (L = 4, 6 and the user's 6), which refuse only poles inside them
+    alpha, beta = 1.0, -1e-6
+    p = gauge.model2_derive_params(0.5, beta - alpha, beta + alpha, 2.0)
+    assert p.poles[0] == pytest.approx(-6.9077552789)
+    with pytest.raises(PoleError, match="Jacobi-Galerkin oracle needs V finite") as info:
+        oracle.consistency_report(2, p, 2.0, 1.0, oracle.Grid(6.0, 801), levels=2)
+    assert info.value.location == p.poles[0]
+
+
+def test_galerkin_refuses_a_closed_form_off_the_general_one(monkeypatch):
+    # the exponents come from the general form's end values; a closed j=1
+    # form that is not that form plus a constant is refused, not solved
+    p = gauge.Model1Params.from_branch(0.4, 2.0, "half-up")
+    spec_of = oracle._model1_spec
+
+    def bent(params, k, R):
+        spec = spec_of(params, k, R)
+        closed1 = spec.closed1
+        return dataclasses.replace(
+            spec, closed1=gauge.EffectivePotential(lambda w: closed1(w) + 1e-6 * np.tanh(w))
+        )
+
+    monkeypatch.setattr(oracle, "_model1_spec", bent)
+    with pytest.raises(DomainError, match="differs from the general j=1 form by more than a constant"):
+        oracle.consistency_report(1, p, 2.0, 1.0, oracle.Grid(6.0, 801), levels=2)
+
+
+def test_galerkin_constancy_spread_is_relative_to_the_potential():
+    # near k = 1 the Model-II potential reaches 7e6 on the |w| <= 4 sample,
+    # and the closed and general forms differ by a constant only to the
+    # rounding of that size (a.* spread 3.8e-9 at k = 1.01): not a reason to
+    # refuse, and the levels still meet the doubling rule
+    k = 1.01
+    rep = oracle.consistency_report(2, m2_params(C1=1 / k, k=k), k, 1.0, oracle.Grid(6.0, 801), levels=2)
+    assert rep.claim("a.veff1-expansion").metric > 1e-9
+    d = rep.claim("c.spectrum.m1").details
+    assert abs(d["oracle_minus_matched"]) <= 1e-9 * (1.0 + d["oracle"])
+
+
+_BLAS_PROBE = """
+import json
+from dirac_sphere import gauge, oracle
+out = []
+for k, count in ((2.0, 4), (1.1, 12), (1.5, 60)):
+    a, b = gauge.alpha_beta(k, "-", "+")
+    p = gauge.model2_derive_params(1 / k, b - a, b + a, k)
+    spec = oracle.model_spec(p, k, 1.0)
+    g = oracle.galerkin_levels(spec.closed1, spec.ends, k, count, spec.poles)
+    out.append([g.n, [float(x).hex() for x in g.levels], [float(x).hex() for x in g.gap]])
+print(json.dumps(out))
+"""
+
+
+def test_galerkin_levels_bitwise_across_blas_threads():
+    # fresh processes, one per thread count: the 60-level case builds the
+    # 128- and 256-function matrices, large enough for BLAS to split
+    src = os.path.dirname(os.path.dirname(os.path.abspath(oracle.__file__)))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        res = subprocess.run([sys.executable, "-c", _BLAS_PROBE], capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        runs.append(json.loads(res.stdout))
+    assert runs[0] == runs[1]
+    assert [n for n, _, _ in runs[0]] == [16, 64, 128]
+
+
 # ----------------------------------------------------------- reports
 
 
@@ -367,23 +509,34 @@ def test_report_corrupt_hook_fails_forced_claim(forced_fault):
     assert bad == {"f.isospectrality", "f.matrix-symmetry"}
 
 
+# |flux e1 - Galerkin level| on Grid(6, 801), levels 1-2, measured 2.7e-4
+# (Model I) and 0.115 (Model II, whose j=1 states decay slowly enough for the
+# wall at L = 6 to shift them)
+_FLUX_CROSS_CHECK = {1: 5e-4, 2: 0.15}
+
+
 @pytest.mark.parametrize("model, levels", [(1, 3), (2, 3), (1, 1)])
 def test_report_partner_claims(model, levels):
-    # e.partner.mN pairs the c.* oracle level N of j=1 with level N-1 of j=2
+    # e.partner.mN pairs the flux level N of j=1 with level N-1 of j=2; the
+    # flux j=1 level sits within a stated bound of the c.* Galerkin level
     k, grid = 2.0, oracle.Grid(6.0, 801)
     p = gauge.Model1Params.from_branch(0.4, k, "half-up") if model == 1 else m2_params(C1=1 / k, k=k)
     rep = oracle.consistency_report(model, p, k, 1.0, grid, levels=levels)
     partners = [c for c in rep.claims if c.claim_id.startswith("e.")]
     assert [c.claim_id for c in partners] == [f"e.partner.m{m}" for m in range(1, levels)]
     spec = oracle.model_spec(p, k, 1.0)
-    tol1 = oracle.bisection_tol(_closed_matrix(spec.closed1, grid, spec.poles))
-    tol2 = oracle.bisection_tol(_closed_matrix(spec.closed2, grid, spec.poles))
+    sl1 = _closed_matrix(spec.closed1, grid, spec.poles)
+    sl2 = _closed_matrix(spec.closed2, grid, spec.poles)
+    e1, e2 = oracle.eig_lowest(sl1, levels), oracle.eig_lowest(sl2, levels)
     for n in range(levels):
-        assert rep.claim(f"c.spectrum.m{n}").details["oracle_tol"] == tol1
+        d = rep.claim(f"c.spectrum.m{n}").details
+        assert "oracle_tol" not in d and d["solver"] == "jacobi-galerkin"
     for m, c in enumerate(partners, start=1):
-        assert c.details["e1"] == rep.claim(f"c.spectrum.m{m}").details["oracle"]
+        assert (c.details["e1"], c.details["e2_shifted"]) == (e1[m], e2[m - 1])
+        galerkin = rep.claim(f"c.spectrum.m{m}").details["oracle"]
+        assert abs(c.details["e1"] - galerkin) <= _FLUX_CROSS_CHECK[model]
         assert c.metric == abs(c.details["e1"] - c.details["e2_shifted"])
-        assert c.details["oracle_tol"] == max(tol1, tol2)
+        assert c.details["oracle_tol"] == max(oracle.bisection_tol(sl1), oracle.bisection_tol(sl2))
 
 
 @pytest.mark.parametrize("model", [1, 2])
@@ -436,13 +589,14 @@ _SHARED_HEAD = [
     ("b.veff2-constrained", ("additive_constant",)),
 ]
 _PARTNER = ("e1", "e2_shifted", "unshifted_deviation", "oracle_tol")
+_GALERKIN = ("solver", "exponents", "n", "gap_2n")
 _M2_EIGEN = (
     "lambda_printed", "residual_at_identity_energy", "lambda_identity",
     "window", "norm_finite", "norm_rule", "norm_nodes",
 )
 _REPORT_LAYOUT = {
     1: _SHARED_HEAD
-    + [(f"c.spectrum.m{n}", ("closed_form", "oracle", "radicand_ok", "oracle_tol")) for n in range(3)]
+    + [(f"c.spectrum.m{n}", ("closed_form", "oracle", "radicand_ok") + _GALERKIN) for n in range(3)]
     + [(f"d.eigenfunction.m{n}", ("lambda", "window", "norm_finite", "norm_divergence")) for n in range(3)]
     + [("e.partner.m1", _PARTNER), ("e.partner.m2", _PARTNER)]
     + [("g.local-energy-constancy", ("mean_local_energy", "closed_form_level0"))],
@@ -450,7 +604,7 @@ _REPORT_LAYOUT = {
     + [
         (
             f"c.spectrum.m{n}",
-            ("closed_form", "oracle", "identity_matched", "oracle_minus_matched", "oracle_tol"),
+            ("closed_form", "oracle", "identity_matched", "oracle_minus_matched") + _GALERKIN,
         )
         for n in range(3)
     ]

@@ -236,6 +236,24 @@ def test_gauss_jacobi_is_cached_and_read_only():
         first[0][0] = 0.0
 
 
+def test_golub_welsch_basis_is_orthonormal_and_shares_the_rule():
+    # the rule and the eigenvector matrix come from one cached solve, and the
+    # matrix is the orthonormal basis: B B^T = I and |B[0]| = sqrt(w / mu0)
+    rule, basis = specfun._golub_welsch(24, 1.0, 1 / 3)
+    assert specfun.gauss_jacobi(24, 1.0, 1 / 3) is rule
+    nodes, weights = rule
+    assert np.abs(basis @ basis.T - np.eye(24)).max() <= 1e-13
+    assert np.allclose(np.abs(basis[0]), np.sqrt(weights / weights.sum()), rtol=1e-12, atol=0)
+    assert not basis.flags.writeable
+
+
+def test_gauss_jacobi_refuses_an_overflowing_mass():
+    # the mass 2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2) overflows at
+    # a = 1e4: a DomainError (exit 2), not an OverflowError traceback
+    with pytest.raises(DomainError, match="total mass overflows"):
+        specfun.gauss_jacobi(8, 1e4, 0.5)
+
+
 def test_gauss_jacobi_argument_validation():
     with pytest.raises(DomainError):
         specfun.gauss_jacobi(0, 0.0, 0.0)
