@@ -27,7 +27,6 @@ import math
 import os
 import shutil
 import sys
-import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
@@ -196,9 +195,12 @@ def _read_config(path):
 
 
 def _atomic_write(path, text):
+    """Write text to path by a temp file and a rename; the temp file is
+    opened 0666, so the umask decides the file's mode."""
     d = os.path.dirname(path) or "."
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=d)
+    tmp = os.path.join(d, f".tmp-{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

@@ -29,15 +29,17 @@ to half points); Dt*D then carries exactly the flux-form kinetic stencil, and
 the two compositions Dt*D and D*Dt share their nonzero spectrum -- the forced
 isospectrality check.  The forced matrix-symmetry check compares their
 assembled bands with D and Dt applied in turn as bidiagonal maps, read
-through three probe vectors, in O(N) and with no dense product.  One
-consistency-report engine attaches a verdict to every closed-form formula of
-both gauge models; each model enters it as a small spec of its formulas
-(potentials, levels, eigenfunction readings and solvable-structure
-identity), so both reports share every claim family.  model_spec is the one
-place where a parameter set selects its model; the CLI commands read their
-curves, levels, eigenfunctions and poles from the same spec.  verify_eigenpair
-is the one routine that forms an eigenpair residual; the report calls it on
-the j=1 matrix it assembled.
+through three probe vectors, in O(N) and with no dense product.  The same f
+ties D to the general potentials through two continuum identities, which the
+report samples with no eigensolve.  One consistency-report engine attaches a
+verdict to every closed-form formula of both gauge models; each model enters
+it as a small spec of its formulas (potentials, levels, eigenfunction
+readings and solvable-structure identity), so both reports share every claim
+family.  model_spec is the one place where a parameter set selects its model;
+the CLI commands read their curves, levels, eigenfunctions and poles from the
+same spec; a real pole is refused before any claim.  verify_eigenpair is the
+one routine that forms an eigenpair residual; the report calls it on the j=1
+matrix it assembled.
 
 Verdict policy (applied by Claim alone): mathematically forced claims (f.*)
 must PASS; transcription claims are always 'recorded' with their metric,
@@ -48,7 +50,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -150,22 +152,16 @@ class SLMatrix:
         return y
 
 
-def build_sl_matrix(p_fn, q_fn, grid: Grid, q_poles: Sequence[float] = ()) -> SLMatrix:
+def build_sl_matrix(p_fn, q_fn, grid: Grid) -> SLMatrix:
     """Flux-form discretization of -(p(w) phi')' + q(w) phi on the grid.
 
     Row i couples p at the half points w_{i +- 1/2}:
        (M phi)_i = [p_{i+1/2}(phi_i - phi_{i+1}) + p_{i-1/2}(phi_i - phi_{i-1})]/h^2
                    + q(w_i) phi_i.
-    Declared poles of q inside [-L, L], non-finite samples, or a p that is
-    not positive raise PoleError naming the first such w, whatever the
-    warnings filter: p and q are sampled with numpy's warnings off.
+    Non-finite samples, or a p that is not positive, raise PoleError naming
+    the first such w, whatever the warnings filter: p and q are sampled with
+    numpy's warnings off.
     """
-    for w0 in q_poles:
-        if abs(w0) < grid.L:
-            raise PoleError(
-                f"potential pole at w = {w0} lies inside [-{grid.L}, {grid.L}]",
-                location=w0,
-            )
     w, wh = grid.points(), grid.half_points()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ph = np.asarray(p_fn(wh), dtype=float)
@@ -274,17 +270,22 @@ def bisection_tol(m: SLMatrix):
 _D_NAME = "staggered cosh*d/dw + cosh*(A-k) + sinh/2"
 
 
+def _factor_f(A, k, w):
+    """f = cosh (A - k) + sinh/2 at w, the multiplier of D = cosh d/dw + f."""
+    return np.cosh(w) * (np.asarray(A(w), dtype=float) - k) + 0.5 * np.sinh(w)
+
+
 def _staggered_factor(A, k, grid: Grid):
     """The two nonzero diagonals of the staggered (N+1) x N operator D.
 
     (D phi)_r = lo[r] phi_{r-1} + up[r] phi_r on half point r = 0..N (node
     indices from 0), i.e. cosh (phi_r - phi_{r-1})/h + f (phi_{r-1} + phi_r)/2
-    with cosh and f = cosh (A - k) + sinh/2 sampled at the half point.  The
-    walls hold phi at zero, so lo[0] = up[N] = 0.
+    with cosh and f (_factor_f) sampled at the half point.  The walls hold
+    phi at zero, so lo[0] = up[N] = 0.
     """
     wh = grid.half_points()
     c = np.cosh(wh)
-    f = c * (np.asarray(A(wh), dtype=float) - k) + 0.5 * np.sinh(wh)
+    f = _factor_f(A, k, wh)
     lo = -c / grid.h + 0.5 * f
     up = c / grid.h + 0.5 * f
     lo[0] = 0.0
@@ -585,15 +586,14 @@ class VerificationReport:
 _CONSTANCY_GRID = {"w_lo": -4.0, "w_hi": 4.0, "n_pts": 2001}
 
 
-def _constancy_sample(fn):
-    """fn on the uniform sample _CONSTANCY_GRID."""
-    w = np.linspace(_CONSTANCY_GRID["w_lo"], _CONSTANCY_GRID["w_hi"], _CONSTANCY_GRID["n_pts"])
-    return np.asarray(fn(w), dtype=float)
+def _constancy_points():
+    """The w of the uniform sample _CONSTANCY_GRID."""
+    return np.linspace(_CONSTANCY_GRID["w_lo"], _CONSTANCY_GRID["w_hi"], _CONSTANCY_GRID["n_pts"])
 
 
 def _constancy(diff_fn):
     """max |d(w) - mean d| and the mean, over the uniform sample _CONSTANCY_GRID."""
-    d = _constancy_sample(diff_fn)
+    d = np.asarray(diff_fn(_constancy_points()), dtype=float)
     mean = float(d.mean())
     return float(np.abs(d - mean).max()), mean
 
@@ -602,7 +602,6 @@ _CONSTANCY_TOL = 1e-9
 _ISO_TOL = 1e-8
 _PRODUCT_TOL = 1e-12
 _COMPOSE_GRID = Grid(4.0, 401)
-_CONVENTION_GRID = Grid(6.0, 801)
 _RESIDUAL_WINDOW = 8.0
 
 
@@ -640,14 +639,15 @@ class _ModelSpec:
 def consistency_report(model, params, k, R, grid: Grid, levels: int = 4) -> VerificationReport:
     """Assemble the full verification report for one model.
 
-    Claim families: forced linear-algebra invariants (f.*), the match of the
-    staggered factorization to the operators, transcription constancy checks
-    (a.*, b.*), closed-form spectrum versus Jacobi-Galerkin eigenvalues
-    (c.*, grid {"n": basis size}), eigenfunction residuals (d.*, over
-    |w| <= 8), partner-level pairing of the flux-form spectra (e.*), and the
-    model's solvable-structure identity (g.*).  Both models run through one
-    assembler over the spec model_spec selects, which must be that of
-    `model`.  A level count past GALERKIN_MAX_LEVELS raises DomainError
+    Claim families: forced linear-algebra invariants (f.*), the continuum
+    identities of the factorization (conventions.*), transcription constancy
+    checks (a.*, b.*), closed-form spectrum versus Jacobi-Galerkin
+    eigenvalues (c.*, grid {"n": basis size}), eigenfunction residuals (d.*,
+    over |w| <= 8), partner-level pairing of the flux-form spectra (e.*), and
+    the model's solvable-structure identity (g.*).  Both models run through
+    one assembler over the spec model_spec selects, which must be that of
+    `model`.  A level count past GALERKIN_MAX_LEVELS raises DomainError, and
+    a real pole (spec.poles, inside (-1, 1) in t on every grid) PoleError,
     before any claim is computed.  Forced claims must pass; everything else
     is recorded with a finite metric and the grid it was measured on.
     """
@@ -656,6 +656,9 @@ def consistency_report(model, params, k, R, grid: Grid, levels: int = 4) -> Veri
         raise DomainError(f"model {model} does not match model-{spec.model} parameters")
     if not 1 <= levels <= GALERKIN_MAX_LEVELS:
         raise DomainError(f"level count must be in [1, {GALERKIN_MAX_LEVELS}], got {levels}")
+    if spec.poles:
+        reason = "the gauge profile is singular there, so no report operator is defined across it"
+        raise PoleError(f"potential pole at w = {spec.poles[0]}: {reason}", location=spec.poles[0])
     return _model_report(spec, k, R, grid, levels)
 
 
@@ -678,21 +681,12 @@ def _gdict(g: Grid):
     return {"L": g.L, "N": g.N}
 
 
-def _lowest_match(vals, ref):
-    """Max relative distance between two ascending eigenvalue arrays, one to one."""
-    return float(np.max(np.abs(vals - ref) / (1.0 + np.abs(ref))))
-
-
-def _forced_claims(A, k, gen_v1, gen_v2, poles):
-    """Forced claims on the factorization, then its match to the operators.
-
-    gen_v1/gen_v2 are the general-form j=1/j=2 potentials and poles the
-    model's real poles: the match compares the compositions of D with the
-    transformed operators themselves, not with the printed closed forms.
-    """
+def _forced_claims(A, dA, k, gen_v1, gen_v2):
+    """Forced claims on the factorization, then the continuum identities that
+    tie its f to gen_v1/gen_v2, the general-form j=1/j=2 potentials (not the
+    printed closed forms)."""
     claims = []
     dtd, ddt = compose_factorized(A, k, _COMPOSE_GRID)
-    defect = _product_defect(A, k, _COMPOSE_GRID, dtd, ddt)
     claims.append(
         Claim(
             claim_id="f.matrix-symmetry",
@@ -702,7 +696,7 @@ def _forced_claims(A, k, gen_v1, gen_v2, poles):
                 "and Dt applied in turn, read through three stride-3 probe vectors "
                 "(max deviation relative to the largest band entry)"
             ),
-            metric=defect,
+            metric=_product_defect(A, k, _COMPOSE_GRID, dtd, ddt),
             tolerance=_PRODUCT_TOL,
             grid=_gdict(_COMPOSE_GRID),
         )
@@ -725,24 +719,27 @@ def _forced_claims(A, k, gen_v1, gen_v2, poles):
         )
     )
 
-    sl1 = build_sl_matrix(_cosh2, gen_v1, _CONVENTION_GRID, q_poles=poles)
-    sl2 = build_sl_matrix(_cosh2, gen_v2, _CONVENTION_GRID, q_poles=poles)
-    dtd, ddt = compose_factorized(A, k, _CONVENTION_GRID)
+    # Dt*D and D*Dt carry V_1 = f^2 - sinh f - cosh f' and
+    # V_2 = f^2 + cosh f' - sinh f - cosh^2 exactly, for every A
+    w = _constancy_points()
+    ch, sh = np.cosh(w), np.sinh(w)
+    f = _factor_f(A, k, w)
+    df = sh * (A(w) - k) + ch * dA(w) + 0.5 * ch
+    match = []
+    for v, gen in ((f * f - sh * f - ch * df, gen_v1), (f * f + ch * df - sh * f - ch * ch, gen_v2)):
+        g = gen(w)
+        match.append(float(np.abs(v - g).max() / (1.0 + np.abs(g).max())))
     claims.append(
         Claim(
             "conventions.factorization-match",
             "factorization.first-order",
-            "five lowest eigenvalues of Dt*D against the flux-form j=1 operator of the "
-            "general potential, one to one (relative to 1 + |value|); match_j2 compares "
-            "D*Dt above its one-vector kernel with the flux-form j=2 operator, and its "
-            "gap does not shrink with h but moves with L (a boundary and extension "
-            "effect of the half-point grid, not doubling)",
-            _lowest_match(eig_lowest(dtd, 5), eig_lowest(sl1, 5)),
-            _gdict(_CONVENTION_GRID),
-            {
-                "convention": _D_NAME,
-                "match_j2": _lowest_match(eig_lowest(ddt, 6)[1:], eig_lowest(sl2, 5)),
-            },
+            "general j=1 potential against V_1 = f^2 - sinh f - cosh f', that of Dt*D with the "
+            "f the forced claims assemble (max deviation relative to 1 + max |V_1|); match_j2 "
+            "reads j=2 against V_2 = f^2 + cosh f' - sinh f - cosh^2, that of D*Dt.  Both hold "
+            "for every A: a reading above rounding is a transcription defect",
+            match[0],
+            _CONSTANCY_GRID,
+            {"convention": _D_NAME, "match_j2": match[1]},
         )
     )
     return claims
@@ -759,7 +756,7 @@ def _model_report(spec: _ModelSpec, k, R, grid, levels):
     gen1 = v_eff_general(spec.A, spec.dA, k, 1)
     gen2 = v_eff_general(spec.A, spec.dA, k, 2)
     raw1, closed1, closed2 = spec.raw1, spec.closed1, spec.closed2
-    claims = _forced_claims(spec.A, k, gen1, gen2, spec.poles)
+    claims = _forced_claims(spec.A, spec.dA, k, gen1, gen2)
 
     b1, b2 = spec.b_descriptions
     drift = {}
@@ -787,15 +784,15 @@ def _model_report(spec: _ModelSpec, k, R, grid, levels):
             )
         )
 
-    sl1 = build_sl_matrix(_cosh2, closed1, grid, q_poles=spec.poles)
+    sl1 = build_sl_matrix(_cosh2, closed1, grid)
     e1, tol1 = eig_lowest(sl1, levels), bisection_tol(sl1)
-    sl2 = build_sl_matrix(_cosh2, closed2, grid, q_poles=spec.poles)
+    sl2 = build_sl_matrix(_cosh2, closed2, grid)
     e2, tol2 = eig_lowest(sl2, levels), bisection_tol(sl2)
     # closed1 - gen1 = (closed1 - raw1) + (raw1 - gen1) is constant when the
     # a.* and b.veff1 spreads both are, up to the rounding of V's own size
     spread = np.max([drift["a.veff1-expansion"], drift["b.veff1-constrained"]])
-    scale = 1.0 + np.abs(_constancy_sample(gen1)).max()
-    gal = galerkin_levels(closed1, spec.ends, k, levels, spec.poles, drift=float(spread / scale))
+    scale = 1.0 + np.abs(gen1(_constancy_points())).max()
+    gal = galerkin_levels(closed1, spec.ends, k, levels, drift=float(spread / scale))
 
     # eigenfunctions are sampled only on the rows the residual reads (the window
     # and a neighbour each side): the Model-I form is inf once tanh w rounds to 1

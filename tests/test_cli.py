@@ -641,6 +641,37 @@ def test_unresolved_norm_exits_2(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_files_follow_the_umask(tmp_path, umask, mode):
+    # every file goes through a temp file and a rename; the temp file is
+    # created like any other, so the umask decides the mode the file keeps
+    out = ["--out", str(tmp_path)]
+    old = os.umask(umask)
+    try:
+        assert cli.main(["verify", "--config", example_config("model1.json")] + out) == 0
+        pole = example_config("model2_pole.json")
+        assert cli.main(["potential", "--config", pole, "--which", "A_u"] + out) == 0
+        assert cli.main(["figures", "fig2"] + out) == 0
+    finally:
+        os.umask(old)
+    names = ["verify_model1.json", "potential_a_u.csv", "potential_a_u_poles.json", "fig2/provenance.txt"]
+    assert [oct(os.stat(tmp_path / name).st_mode & 0o777) for name in names] == [oct(mode)] * 4
+
+
+def test_verify_refuses_a_pole_with_one_message_on_every_grid(tmp_path, capsys):
+    # alpha * beta < 0: the Model-II pole at w = -6.91 lies inside L = 12 and
+    # beyond L = 6 and L = 0.5, and every grid gets the same refusal
+    cfg = write_config(tmp_path, model2_doc(model2={"C1": 0.5, "alpha": 1.0, "beta": -1e-6}))
+    out = tmp_path / "out"
+    errors = []
+    for L in ("12", "6", "0.5"):
+        assert cli.main(["verify", "--config", cfg, "--grid-L", L, "--out", str(out)]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors == [errors[0]] * 3
+    assert "potential pole at w = -6.907" in errors[0]
+    assert not out.exists()
+
+
 _MODULE_PROBE = """
 import contextlib, io, json, sys
 if sys.argv[1:]:
@@ -650,7 +681,7 @@ if sys.argv[1:]:
 else:
     import dirac_sphere.cli
     code = 0
-probe = ("scipy", "scipy.linalg._flapack", "scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.polynomial")
+probe = ("scipy", "scipy.linalg._flapack", "scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.polynomial", "sympy")
 print(json.dumps([code, [m for m in probe if m in sys.modules]]))
 """
 

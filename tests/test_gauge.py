@@ -86,6 +86,45 @@ def test_v_eff_general_matches_expanded_form_pointwise():
     assert abs(mean) <= 1e-9  # the expansion is an exact identity
 
 
+def test_factorization_identities_hold_for_every_profile():
+    # D = cosh d/dw + f, f = cosh (A - k) + sinh/2, factors both general
+    # potentials for any A(w) and k (Cooper, Khare & Sukhatme, Phys. Rep. 251,
+    # 267 (1995), sec. 2): Dt D carries V_1 = f^2 - (cosh f)' and D Dt
+    # carries V_2 = f^2 + cosh f' - sinh f - cosh^2
+    import sympy as sp
+
+    w, k = sp.symbols("w k", real=True)
+    ch, sh = sp.cosh(w), sp.sinh(w)
+
+    def v_general(A, j):  # the formula of gauge.v_eff_general
+        s = -1 if j == 1 else 1
+        return (
+            ((k - A) ** 2 + s * sp.diff(A, w)) * ch**2
+            + s * (A - k) * ch * sh
+            - sp.Rational(3, 4) * ch**2
+            + sp.Rational(1, 4)
+        )
+
+    def zero(expr):
+        return sp.expand(expr.rewrite(sp.exp)) == 0
+
+    A = sp.Function("A")(w)
+    f = ch * (A - k) + sh / 2
+    df = sp.diff(f, w)
+    assert zero(df - (sh * (A - k) + ch * sp.diff(A, w) + ch / 2))  # the report's f'
+    assert zero(f**2 - sh * f - ch * df - v_general(A, 1))
+    assert zero(f**2 + ch * df - sh * f - ch**2 - v_general(A, 2))
+
+    # the transcription above is the code's formula: Model-I half-up profile
+    p = fig1_params()
+    profile = p.C1 / ch**2 + p.C2 * sp.tanh(w) + p.C3
+    x = np.linspace(-4.0, 4.0, 201)
+    for j in (1, 2):
+        printed = sp.lambdify(w, v_general(profile, j).subs(k, FIG1["k"]), "numpy")(x)
+        code = gauge.v_eff_general(gauge.a_u_model1(p), gauge.da_u_model1(p), FIG1["k"], j)(x)
+        assert np.abs(printed - code).max() <= 1e-12 * np.abs(code).max()
+
+
 def test_expanded_form_term_deletion():
     # C1 = 0, C2 = 0, C3 = k: only the kinetic-reduction terms survive
     k = 2.0

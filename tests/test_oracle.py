@@ -105,8 +105,8 @@ def test_missing_lapack_extension_names_its_path(tmp_path, monkeypatch):
         oracle.eig_values(box_matrix(9))
 
 
-def _closed_matrix(pot, grid, poles=()):
-    return oracle.build_sl_matrix(COSH2, pot, grid, q_poles=poles)
+def _closed_matrix(pot, grid):
+    return oracle.build_sl_matrix(COSH2, pot, grid)
 
 
 def test_bisection_tol_bounds_eig_lowest():
@@ -115,11 +115,11 @@ def test_bisection_tol_bounds_eig_lowest():
     k, default = 2.0, oracle.Grid(12.0, 4001)
     p1 = gauge.Model1Params.from_branch(0.4, k, "half-up")
     p2 = m2_params(C1=1 / k, k=k)
-    cases = [(gauge.v_eff_model1(p1, k, j), default, ()) for j in (1, 2)]
-    cases += [(gauge.v_eff_model2(p2, j), default, p2.poles) for j in (1, 2)]
-    cases += [(gauge.v_eff_model1(p1, k, 1), oracle.Grid(12.0, 16001), ())]
-    for pot, grid, poles in cases:
-        m = _closed_matrix(pot, grid, poles)
+    cases = [(gauge.v_eff_model1(p1, k, j), default) for j in (1, 2)]
+    cases += [(gauge.v_eff_model2(p2, j), default) for j in (1, 2)]
+    cases += [(gauge.v_eff_model1(p1, k, 1), oracle.Grid(12.0, 16001))]
+    for pot, grid in cases:
+        m = _closed_matrix(pot, grid)
         tol = oracle.bisection_tol(m)
         tight = eigh_tridiagonal(
             m.diag, m.off, eigvals_only=True, select="i", select_range=(0, 7), tol=1e-11
@@ -151,14 +151,6 @@ def test_truncation_stability_bound_state():
         m = oracle.build_sl_matrix(ONES, q, oracle.Grid(L, N))
         vals.append(oracle.eig_lowest(m, 1)[0])
     assert abs(vals[0] - vals[1]) < 1e-6
-
-
-def test_singular_potential_rejected():
-    p = gauge.model2_derive_params(0.5, -1 / 3 - 1.0, -1 / 3 + 1.0, 2.0)  # pole inside
-    pot = gauge.v_eff_model2(p, 1)
-    with pytest.raises(PoleError, match="potential pole at w = .* lies inside") as err:
-        oracle.build_sl_matrix(COSH2, pot, oracle.Grid(6.0, 801), q_poles=p.poles)
-    assert err.value.location == pytest.approx(math.atanh(-0.5), rel=1e-12)
 
 
 def test_nonfinite_potential_rejected():
@@ -333,7 +325,7 @@ def test_verify_eigenpair_x1_candidate():
     pot = gauge.v_eff_model2(p, 1)
     wf = spectra.wavefn_model2(0, p.alpha, p.beta, polynomial="x1")
     grid = oracle.Grid(12.0, 4001)
-    m = oracle.build_sl_matrix(COSH2, pot, grid, q_poles=p.poles)
+    m = oracle.build_sl_matrix(COSH2, pot, grid)
     matched = spectra.energy_model2_matched(0, p)
     printed = spectra.energy_model2(0, p.alpha, p.beta, 2.0, 1.0).E_sq_bar
     res_good, res_bad = oracle.verify_eigenpair(
@@ -402,15 +394,23 @@ def test_galerkin_level_count_range():
             oracle.consistency_report(1, p, 2.0, 1.0, oracle.Grid(6.0, 801), levels=count)
 
 
+_POLE_REFUSAL = r"potential pole at w = .*: the gauge profile is singular there"
+
+
 def test_galerkin_refuses_a_pole_beyond_every_grid():
     # alpha * beta < 0 puts the pole at tanh w = a2/a1 inside (-1, 1); at
     # beta = -1e-6 it sits at w = -6.91, beyond every grid the report builds
-    # (L = 4, 6 and the user's 6), which refuse only poles inside them
+    # (L = 4 and the user's 6): the report refuses it with the one pole
+    # message, and the oracle, called directly, refuses it too
     alpha, beta = 1.0, -1e-6
     p = gauge.model2_derive_params(0.5, beta - alpha, beta + alpha, 2.0)
     assert p.poles[0] == pytest.approx(-6.9077552789)
-    with pytest.raises(PoleError, match="Jacobi-Galerkin oracle needs V finite") as info:
+    with pytest.raises(PoleError, match=_POLE_REFUSAL) as info:
         oracle.consistency_report(2, p, 2.0, 1.0, oracle.Grid(6.0, 801), levels=2)
+    assert info.value.location == p.poles[0]
+    spec = oracle.model_spec(p, 2.0, 1.0)
+    with pytest.raises(PoleError, match="Jacobi-Galerkin oracle needs V finite") as info:
+        oracle.galerkin_levels(spec.closed1, spec.ends, 2.0, 2, spec.poles)
     assert info.value.location == p.poles[0]
 
 
@@ -452,7 +452,7 @@ for k, count in ((2.0, 4), (1.1, 12), (1.5, 60)):
     a, b = gauge.alpha_beta(k, "-", "+")
     p = gauge.model2_derive_params(1 / k, b - a, b + a, k)
     spec = oracle.model_spec(p, k, 1.0)
-    g = oracle.galerkin_levels(spec.closed1, spec.ends, k, count, spec.poles)
+    g = oracle.galerkin_levels(spec.closed1, spec.ends, k, count, drift=0.0)
     out.append([g.n, [float(x).hex() for x in g.levels], [float(x).hex() for x in g.gap]])
 print(json.dumps(out))
 """
@@ -498,8 +498,29 @@ def test_report_model_mismatch_rejected():
 
 def test_report_aborts_on_singular_branch():
     p = gauge.model2_derive_params(0.5, -1 / 3 - 1.0, -1 / 3 + 1.0, 2.0)
-    with pytest.raises(PoleError, match="potential pole at w = .* lies inside"):
+    with pytest.raises(PoleError, match=_POLE_REFUSAL) as info:
         oracle.consistency_report(2, p, 2.0, 1.0, oracle.Grid(6.0, 801), levels=2)
+    assert info.value.location == pytest.approx(math.atanh(-0.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("L", [6.0, 0.5])
+def test_report_refuses_a_pole_before_assembly(L, monkeypatch):
+    # the pole at w = -0.549 lies inside [-6, 6] and beyond [-0.5, 0.5]: on
+    # both grids the report refuses it with the same message, before any
+    # matrix is assembled
+    def never(*args, **kwargs):
+        raise AssertionError("a matrix was assembled for a model with a real pole")
+
+    monkeypatch.setattr(oracle, "compose_factorized", never)
+    monkeypatch.setattr(oracle, "build_sl_matrix", never)
+    p = gauge.model2_derive_params(0.5, -1 / 3 - 1.0, -1 / 3 + 1.0, 2.0)
+    with pytest.raises(PoleError) as info:
+        oracle.consistency_report(2, p, 2.0, 1.0, oracle.Grid(L, 801), levels=2)
+    assert str(info.value) == (
+        f"potential pole at w = {p.poles[0]}: the gauge profile is singular there, so no "
+        "report operator is defined across it"
+    )
+    assert info.value.location == p.poles[0]
 
 
 def test_report_corrupt_hook_fails_forced_claim(forced_fault):
@@ -507,6 +528,29 @@ def test_report_corrupt_hook_fails_forced_claim(forced_fault):
     rep = oracle.consistency_report(1, p, 2.0, 1.0, oracle.Grid(6.0, 801), levels=2)
     bad = {c.claim_id for c in rep.forced_failures()}
     assert bad == {"f.isospectrality", "f.matrix-symmetry"}
+
+
+@pytest.mark.parametrize(
+    "model, k, branch",
+    [(1, 2.0, b) for b in ("neg-half", "half-down", "half-up", "three-half")]
+    + [(2, k, None) for k in (1.5, 2.0, 3.0, 4.0)],
+)
+def test_factorization_match_reads_the_continuum_identity(model, k, branch, monkeypatch):
+    # V_1 = f^2 - sinh f - cosh f' and V_2 = f^2 + cosh f' - sinh f - cosh^2
+    # hold for every A, so both readings are rounding; an f bent away from
+    # the general potentials shows in both
+    p = gauge.Model1Params.from_branch(0.4, k, branch) if model == 1 else m2_params(C1=1 / k, k=k)
+
+    def match():
+        rep = oracle.consistency_report(model, p, k, 1.0, oracle.Grid(6.0, 801), levels=1)
+        c = rep.claim("conventions.factorization-match")
+        assert c.grid == oracle._CONSTANCY_GRID and c.details["convention"] == oracle._D_NAME
+        return c.metric, c.details["match_j2"]
+
+    assert max(match()) <= 1e-12
+    factor_f = oracle._factor_f
+    monkeypatch.setattr(oracle, "_factor_f", lambda A, k, w: factor_f(A, k, w) + 1e-3 * np.sinh(w))
+    assert min(match()) > 1e-6
 
 
 # |flux e1 - Galerkin level| on Grid(6, 801), levels 1-2, measured 2.7e-4
@@ -525,8 +569,8 @@ def test_report_partner_claims(model, levels):
     partners = [c for c in rep.claims if c.claim_id.startswith("e.")]
     assert [c.claim_id for c in partners] == [f"e.partner.m{m}" for m in range(1, levels)]
     spec = oracle.model_spec(p, k, 1.0)
-    sl1 = _closed_matrix(spec.closed1, grid, spec.poles)
-    sl2 = _closed_matrix(spec.closed2, grid, spec.poles)
+    sl1 = _closed_matrix(spec.closed1, grid)
+    sl2 = _closed_matrix(spec.closed2, grid)
     e1, e2 = oracle.eig_lowest(sl1, levels), oracle.eig_lowest(sl2, levels)
     for n in range(levels):
         d = rep.claim(f"c.spectrum.m{n}").details
@@ -550,7 +594,7 @@ def test_report_residuals_match_verify_eigenpair_bitwise(model, monkeypatch):
         m1 = _closed_matrix(gauge.v_eff_model1(p, k, 1), grid)
     else:
         p = m2_params(C1=1 / k, k=k)
-        m1 = _closed_matrix(gauge.v_eff_model2(p, 1), grid, p.poles)
+        m1 = _closed_matrix(gauge.v_eff_model2(p, 1), grid)
     routine, calls = oracle.verify_eigenpair, []
 
     def counted(*args, **kwargs):
