@@ -195,8 +195,7 @@ def _read_config(path):
 
 
 def _atomic_write(path, text):
-    """Write text to path by a temp file and a rename; the temp file is
-    opened 0666, so the umask decides the file's mode."""
+    """Write text to path by a temp file (opened 0666, so the umask sets the mode) and a rename."""
     d = os.path.dirname(path) or "."
     os.makedirs(d, exist_ok=True)
     tmp = os.path.join(d, f".tmp-{os.urandom(6).hex()}")

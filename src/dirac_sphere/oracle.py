@@ -687,6 +687,7 @@ def _forced_claims(A, dA, k, gen_v1, gen_v2):
     printed closed forms)."""
     claims = []
     dtd, ddt = compose_factorized(A, k, _COMPOSE_GRID)
+    defect = _product_defect(A, k, _COMPOSE_GRID, dtd, ddt)
     claims.append(
         Claim(
             claim_id="f.matrix-symmetry",
@@ -696,7 +697,7 @@ def _forced_claims(A, dA, k, gen_v1, gen_v2):
                 "and Dt applied in turn, read through three stride-3 probe vectors "
                 "(max deviation relative to the largest band entry)"
             ),
-            metric=_product_defect(A, k, _COMPOSE_GRID, dtd, ddt),
+            metric=defect,
             tolerance=_PRODUCT_TOL,
             grid=_gdict(_COMPOSE_GRID),
         )
