@@ -1,10 +1,11 @@
 """Independent numerical ground truth for the transformed Dirac eigenproblems.
 
-The c.* levels come from galerkin_levels, a Jacobi-Galerkin solve in
+The c.* and e.* levels come from galerkin_levels, a Jacobi-Galerkin solve in
 t = tanh w, where -(cosh^2 w phi')' + V phi becomes -(1-t^2) phi'' + V phi on
-(-1, 1).  Its basis (1+t)^a (1-t)^b p_m(t) carries the principal Frobenius
-exponents a, b, which follow from the gauge profile's end values (never from
-a fit), and orthonormal Jacobi polynomials p_m read from the eigenvectors of
+(-1, 1).  Its basis (1+t)^a (1-t)^b p_m(t) carries Frobenius exponents a, b
+that follow from the gauge profile's end values (partner_exponents, never a
+fit): the principal ones for j=1, for j=2 the exponents of D's image.  The
+orthonormal Jacobi polynomials p_m are read from the eigenvectors of
 specfun's Golub-Welsch solve; the basis doubles until n and 2n functions
 agree, up to a cap, so every level carries its own error estimate.  Its
 symmetric matrix goes to LAPACK dsbev, whose result does not depend on the
@@ -12,16 +13,15 @@ BLAS thread count.
 
 The same operator is also discretized with a conservative (flux-form)
 finite-difference scheme on a uniform grid over [-L, L] with Dirichlet
-walls, for the e.* pairing and the forced checks.  Every flux-form matrix is
-symmetric tridiagonal and is stored as its diagonal and off-diagonal arrays
-(SLMatrix diag, off), so real spectra are structural and one tridiagonal
-eigensolver serves every such solve; the solves return eigenvalues only.
-They call LAPACK's dstebz and dstevd from scipy's compiled _flapack
-extension, loaded by path on the first solve: the commands that never solve
-do not load scipy, and verify never runs scipy.linalg's package init.  The
-flux levels come from bisection at LAPACK's default tolerance (bisection_tol,
-recorded as oracle_tol in the e.* claims), which exceeds the grid's
-discretization error at the default L and N.
+walls, for the d.* residuals and the forced checks.  Every flux-form matrix
+is symmetric tridiagonal and is stored as its diagonal and off-diagonal
+arrays (SLMatrix diag, off), so real spectra are structural and one
+tridiagonal eigensolver serves every such solve; the solves return
+eigenvalues only.  They call LAPACK's dstebz and dstevd from scipy's
+compiled _flapack extension, loaded by path on the first solve: the commands
+that never solve do not load scipy, and verify never runs scipy.linalg's
+package init.  The report solves no flux matrix on the user's grid; its one
+matrix there serves the d.* residuals.
 
 The first-order operator D = cosh d/dw + f, f = cosh (A - k) + sinh/2, that
 factors the general j=1 potential is discretized on the staggered grid (nodes
@@ -86,10 +86,11 @@ __all__ = [
     "build_sl_matrix",
     "eig_lowest",
     "eig_values",
-    "bisection_tol",
     "compose_factorized",
     "GALERKIN_MAX_LEVELS",
     "GalerkinLevels",
+    "PartnerExponents",
+    "partner_exponents",
     "galerkin_levels",
     "verify_eigenpair",
     "Claim",
@@ -229,8 +230,10 @@ def eig_lowest(m: SLMatrix, count: int):
 
     Bisection by LAPACK dstebz at its default tolerance (tol=0), the routine
     scipy's eigh_tridiagonal calls for an index selection: the same numbers
-    bit for bit, with or without eigenvectors.  Each is accurate to
-    bisection_tol(m).  Non-finite bands or a LAPACK failure raise DomainError.
+    bit for bit, with or without eigenvectors.  That tolerance,
+    eps * max(|gl|, |gu|) over the Gershgorin bounds [gl, gu], grows with the
+    cosh^2(L)/h^2 of a flux-form kinetic stencil.  Non-finite bands or a
+    LAPACK failure raise DomainError.
     """
     if count < 1 or count > m.order:
         raise DomainError(f"count must be in [1, {m.order}], got {count}")
@@ -250,20 +253,6 @@ def eig_values(m: SLMatrix):
     if info:
         raise DomainError(f"LAPACK dstevd failed (info={info})")
     return w
-
-
-def bisection_tol(m: SLMatrix):
-    """The absolute tolerance eig_lowest's bisection stops at.
-
-    With tol=0, LAPACK's stebz uses eps * max(|gl|, |gu|) over the
-    Gershgorin bounds [gl, gu] of the whole matrix: with cosh^2(L)/h^2 in
-    the kinetic stencil this, not the grid, is the accuracy floor of the
-    report's oracle levels (about 0.16 at L=12, N=4001).
-    """
-    radius = np.zeros(m.order)
-    radius[:-1] += np.abs(m.off)
-    radius[1:] += np.abs(m.off)
-    return _EPS * max(abs((m.diag - radius).min()), abs((m.diag + radius).max()))
 
 
 # The first-order operator of the factorization, as recorded in the report.
@@ -444,21 +433,82 @@ def _symmetric_eigenvalues(h):
     return w
 
 
-def galerkin_levels(V, ends, k, count, poles=(), drift=0.0) -> GalerkinLevels:
-    """The `count` lowest levels of the j=1 operator -(cosh^2 phi')' + V phi.
+# An image-of-D exponent and a Frobenius root, or two exponents, agree
+# within this
+_ROOT_TOL = 1e-12
 
-    In t = tanh w the operator is -(1-t^2) phi'' + V phi on (-1, 1).  ends
-    are the gauge profile's end values (A at t = -1, A at t = +1); the
-    exponent at the end eps = -+1 is the principal Frobenius root
-    (1 + |nu|)/2, nu = k - A_eps + eps/2, which holds for V only while V
-    differs from the general j=1 potential by a constant: drift is the
-    measured spread of that difference relative to 1 + max |V|, and one
-    past 1e-9 raises DomainError rather than guess the exponents.  The basis
-    grows from max(16, 2 count + 8) functions by doubling until the levels
-    of n and 2n functions agree within 1e-9 (1 + |level|), and the n levels
-    are returned.  A 2n past 256 raises DomainError, as does a count past
-    GALERKIN_MAX_LEVELS; a real pole (one in poles) raises PoleError first,
-    since it lies inside (-1, 1) whatever the grid.
+
+@dataclass(frozen=True)
+class PartnerExponents:
+    """The Galerkin envelope exponents (a, b) at t = -1 and t = +1 of the two
+    components, and which one carries the unpaired zero level.
+
+    j1 holds the principal roots, j2 at each pole the root of its own pair
+    that is the exponent of D phi for a j=1 state phi; zero_level is "j=1",
+    "j=2" or "neither".
+    """
+
+    j1: Tuple[float, float]
+    j2: Tuple[float, float]
+    zero_level: str
+
+
+def partner_exponents(ends, k) -> PartnerExponents:
+    """The exponents of both components, from the gauge profile's end values
+    ends (A at t = -1, A at t = +1); never from the numbers of a solve.
+
+    At the end eps = -+1, nu_1 = k - A_eps + eps/2 and nu_2 = k - A_eps - eps/2
+    fix the Frobenius pairs (1 +- |nu_j|)/2 of the general potentials.  j=1
+    takes the principal root a_1 = (1 + |nu_1|)/2; j=2 takes whichever of
+    a_1 -+ 1/2 is a root of its own pair, and raises DomainError where both
+    are or neither is (nu_1 = 0, the log case).  The kernel of D,
+    exp(int (k - A) - tanh/2 dw), has the exponents (nu_2,-/2, -nu_2,+/2);
+    the kernel of Dt, exp(int (A - k) - tanh/2 dw), has
+    (-nu_1,-/2, nu_1,+/2): a component carries the zero level iff its
+    kernel has that component's exponents at both poles.
+    """
+    signs = (-1.0, 1.0)
+    nu1 = [k - A + 0.5 * eps for A, eps in zip(ends, signs)]
+    nu2 = [k - A - 0.5 * eps for A, eps in zip(ends, signs)]
+    j1 = tuple((1.0 + abs(nu)) / 2.0 for nu in nu1)
+    j2 = []
+    for a1, n1, n2, eps in zip(j1, nu1, nu2, signs):
+        roots = ((1.0 - abs(n2)) / 2.0, (1.0 + abs(n2)) / 2.0)
+        image = [e for e in (a1 - 0.5, a1 + 0.5) if min(abs(e - r) for r in roots) <= _ROOT_TOL]
+        if len(image) != 1:
+            raise DomainError(
+                f"the image of D has no unique exponent at t = {eps:+.0f} (nu_1 = {n1:.6g}, "
+                f"candidates {a1 - 0.5:.6g} and {a1 + 0.5:.6g}, j=2 roots {roots[0]:.6g} and "
+                f"{roots[1]:.6g}): the log case nu_1 = 0 is not served"
+            )
+        j2.append(image[0])
+
+    def matches(kernel, exponents):
+        return all(abs(x - e) <= _ROOT_TOL for x, e in zip(kernel, exponents))
+
+    zero = "neither"
+    if matches((nu2[0] / 2.0, -nu2[1] / 2.0), j1):
+        zero = "j=1"
+    elif matches((-nu1[0] / 2.0, nu1[1] / 2.0), j2):
+        zero = "j=2"
+    return PartnerExponents(j1=j1, j2=tuple(j2), zero_level=zero)
+
+
+def galerkin_levels(V, exponents, count, poles=(), drift=0.0) -> GalerkinLevels:
+    """The `count` lowest levels of the operator -(cosh^2 phi')' + V phi.
+
+    In t = tanh w the operator is -(1-t^2) phi'' + V phi on (-1, 1).
+    exponents are the envelope exponents (a, b) at t = -1 and t = +1
+    (partner_exponents), which belong to the general potential of a
+    component; they hold for V only while V differs from that potential by
+    a constant: drift is the measured spread of that difference relative to
+    1 + max |V|, and one past 1e-9 raises DomainError rather than guess the
+    exponents.  The basis grows from max(16, 2 count + 8) functions by
+    doubling until the levels of n and 2n functions agree within
+    1e-9 (1 + |level|), and the n levels are returned.  A 2n past 256 raises
+    DomainError, as does a count past GALERKIN_MAX_LEVELS; a real pole (one
+    in poles) raises PoleError first, since it lies inside (-1, 1) whatever
+    the grid.
     """
     if poles:
         raise PoleError(
@@ -470,11 +520,11 @@ def galerkin_levels(V, ends, k, count, poles=(), drift=0.0) -> GalerkinLevels:
         raise DomainError(f"level count must be in [1, {GALERKIN_MAX_LEVELS}], got {count}")
     if not drift <= _GALERKIN_TOL:
         raise DomainError(
-            f"the potential differs from the general j=1 form by more than a constant "
+            f"the potential differs from the general form by more than a constant "
             f"(spread {drift:.3e} of 1 + max |V| > {_GALERKIN_TOL:g}): the end values do not "
             "fix its Frobenius exponents"
         )
-    a, b = ((1.0 + abs(k - A + 0.5 * eps)) / 2.0 for A, eps in zip(ends, (-1.0, 1.0)))
+    a, b = exponents
     n = max(16, 2 * count + 8)
     lo = _galerkin_eigenvalues(V, a, b, n)[:count]
     while 2 * n <= _GALERKIN_CAP:
@@ -643,13 +693,17 @@ def consistency_report(model, params, k, R, grid: Grid, levels: int = 4) -> Veri
     identities of the factorization (conventions.*), transcription constancy
     checks (a.*, b.*), closed-form spectrum versus Jacobi-Galerkin
     eigenvalues (c.*, grid {"n": basis size}), eigenfunction residuals (d.*,
-    over |w| <= 8), partner-level pairing of the flux-form spectra (e.*), and
-    the model's solvable-structure identity (g.*).  Both models run through
-    one assembler over the spec model_spec selects, which must be that of
+    over |w| <= 8), the pairing of the Jacobi-Galerkin levels of the general
+    j=1 and j=2 potentials, Dt*D and D*Dt, past the unpaired zero level of the
+    component partner_exponents names (e.*, grid {"n": basis size}), and the
+    model's solvable-structure identity (g.*).  Both models run through one
+    assembler over the spec model_spec selects, which must be that of
     `model`.  A level count past GALERKIN_MAX_LEVELS raises DomainError, and
     a real pole (spec.poles, inside (-1, 1) in t on every grid) PoleError,
-    before any claim is computed.  Forced claims must pass; everything else
-    is recorded with a finite metric and the grid it was measured on.
+    before any claim is computed; nu_1 = 0 at a pole, where the image of D
+    has no unique exponent, raises DomainError.  Forced claims must pass;
+    everything else is recorded with a finite metric and the grid it was
+    measured on.
     """
     spec = model_spec(params, k, R)
     if model != spec.model:
@@ -786,14 +840,12 @@ def _model_report(spec: _ModelSpec, k, R, grid, levels):
         )
 
     sl1 = build_sl_matrix(_cosh2, closed1, grid)
-    e1, tol1 = eig_lowest(sl1, levels), bisection_tol(sl1)
-    sl2 = build_sl_matrix(_cosh2, closed2, grid)
-    e2, tol2 = eig_lowest(sl2, levels), bisection_tol(sl2)
+    exps = partner_exponents(spec.ends, k)
     # closed1 - gen1 = (closed1 - raw1) + (raw1 - gen1) is constant when the
     # a.* and b.veff1 spreads both are, up to the rounding of V's own size
     spread = np.max([drift["a.veff1-expansion"], drift["b.veff1-constrained"]])
     scale = 1.0 + np.abs(gen1(_constancy_points())).max()
-    gal = galerkin_levels(closed1, spec.ends, k, levels, drift=float(spread / scale))
+    gal = galerkin_levels(closed1, exps.j1, levels, drift=float(spread / scale))
 
     # eigenfunctions are sampled only on the rows the residual reads (the window
     # and a neighbour each side): the Model-I form is inf once tanh w rounds to 1
@@ -850,19 +902,33 @@ def _model_report(spec: _ModelSpec, k, R, grid, levels):
                 )
             )
 
+    # D*Dt and Dt*D share their nonzero levels; the component whose kernel
+    # has its exponents carries one more, the zero level, which stays unpaired
+    part = [galerkin_levels(gen, e, levels) for gen, e in ((gen1, exps.j1), (gen2, exps.j2))]
+    shift = {"j=1": 1, "j=2": -1, "neither": 0}[exps.zero_level]
     for m in range(1, levels):
+        i1, i2 = m - max(-shift, 0), m - max(shift, 0)
+        e1, e2 = part[0].levels[i1], part[1].levels[i2]
         claims.append(
             Claim(
                 f"e.partner.m{m}",
                 "partner.level-pairing",
-                "oracle spectra of the two components paired with the one-level shift",
-                abs(e1[m] - e2[m - 1]),
-                _gdict(grid),
+                "Jacobi-Galerkin levels of the general j=1 and j=2 potentials (Dt*D and D*Dt), "
+                "paired past the unpaired zero level of the component whose kernel has its "
+                "exponents (basis of n functions each; gap_2n is each level's distance to 2n)",
+                abs(e1 - e2),
+                {"n": max(g.n for g in part)},
                 {
-                    "e1": e1[m],
-                    "e2_shifted": e2[m - 1],
-                    "unshifted_deviation": abs(e1[m] - e2[m]),
-                    "oracle_tol": max(tol1, tol2),
+                    "e1": e1,
+                    "e2": e2,
+                    "zero_level": exps.zero_level,
+                    "solver": "jacobi-galerkin",
+                    "exponents_j1": list(exps.j1),
+                    "rule_j1": "principal",
+                    "exponents_j2": list(exps.j2),
+                    "rule_j2": "image-of-D",
+                    "n": [part[0].n, part[1].n],
+                    "gap_2n": [part[0].gap[i1], part[1].gap[i2]],
                 },
             )
         )

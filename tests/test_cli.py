@@ -294,6 +294,9 @@ def test_verify_report_structure_and_exit(tmp_path):
         if c["claim_id"].startswith("c."):
             # the Galerkin oracle's grid is its basis size
             assert list(c["grid"]) == ["n"] and c["grid"]["n"] == c["details"]["n"]
+        elif c["claim_id"].startswith("e."):
+            # the larger of the two components' basis sizes
+            assert c["grid"] == {"n": max(c["details"]["n"])}
         else:
             assert "L" in c["grid"] or "w_lo" in c["grid"]
 
@@ -610,6 +613,16 @@ def test_verify_model2_galerkin_levels_equal_identity_levels(tmp_path):
     for c in spectrum:
         assert abs(c["details"]["oracle_minus_matched"]) <= 1e-9, c["claim_id"]
         assert c["details"]["solver"] == "jacobi-galerkin" and c["grid"] == {"n": 16}
+
+
+def test_verify_log_case_exits_2_writes_nothing(tmp_path, capsys):
+    # Model II (+, +) at k = (sqrt 5 - 1)/2 has nu_1 = 0 at t = +1: the image
+    # of D has no unique exponent there, so the report is refused
+    out = tmp_path / "out"
+    doc = model2_doc(k=(math.sqrt(5.0) - 1.0) / 2.0, model2={"sign_a": "+", "sign_b": "+"})
+    assert cli.main(["verify", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    assert "the log case nu_1 = 0 is not served" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_wavefunction_negative_level_exits_1_writes_nothing(tmp_path):

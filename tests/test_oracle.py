@@ -109,25 +109,6 @@ def _closed_matrix(pot, grid):
     return oracle.build_sl_matrix(COSH2, pot, grid)
 
 
-def test_bisection_tol_bounds_eig_lowest():
-    # the default tolerance, not the grid, limits the report's oracle levels:
-    # each level lies within bisection_tol of a solve to 1e-11
-    k, default = 2.0, oracle.Grid(12.0, 4001)
-    p1 = gauge.Model1Params.from_branch(0.4, k, "half-up")
-    p2 = m2_params(C1=1 / k, k=k)
-    cases = [(gauge.v_eff_model1(p1, k, j), default) for j in (1, 2)]
-    cases += [(gauge.v_eff_model2(p2, j), default) for j in (1, 2)]
-    cases += [(gauge.v_eff_model1(p1, k, 1), oracle.Grid(12.0, 16001))]
-    for pot, grid in cases:
-        m = _closed_matrix(pot, grid)
-        tol = oracle.bisection_tol(m)
-        tight = eigh_tridiagonal(
-            m.diag, m.off, eigvals_only=True, select="i", select_range=(0, 7), tol=1e-11
-        )
-        assert np.abs(oracle.eig_lowest(m, 8) - tight).max() <= tol
-    assert oracle.bisection_tol(_closed_matrix(cases[0][0], default)) == pytest.approx(0.16, rel=0.01)
-
-
 def test_eig_lowest_count_range():
     m = box_matrix(99)
     for count in (0, m.order + 1):
@@ -340,7 +321,7 @@ def test_verify_eigenpair_x1_candidate():
 
 def _galerkin(params, k, count):
     spec = oracle.model_spec(params, k, 1.0)
-    return oracle.galerkin_levels(spec.closed1, spec.ends, k, count, spec.poles)
+    return oracle.galerkin_levels(spec.closed1, oracle.partner_exponents(spec.ends, k).j1, count, spec.poles)
 
 
 def test_galerkin_model1_half_up_levels():
@@ -410,7 +391,7 @@ def test_galerkin_refuses_a_pole_beyond_every_grid():
     assert info.value.location == p.poles[0]
     spec = oracle.model_spec(p, 2.0, 1.0)
     with pytest.raises(PoleError, match="Jacobi-Galerkin oracle needs V finite") as info:
-        oracle.galerkin_levels(spec.closed1, spec.ends, 2.0, 2, spec.poles)
+        oracle.galerkin_levels(spec.closed1, (1.0, 1.0), 2, spec.poles)
     assert info.value.location == p.poles[0]
 
 
@@ -428,7 +409,7 @@ def test_galerkin_refuses_a_closed_form_off_the_general_one(monkeypatch):
         )
 
     monkeypatch.setattr(oracle, "_model1_spec", bent)
-    with pytest.raises(DomainError, match="differs from the general j=1 form by more than a constant"):
+    with pytest.raises(DomainError, match="differs from the general form by more than a constant"):
         oracle.consistency_report(1, p, 2.0, 1.0, oracle.Grid(6.0, 801), levels=2)
 
 
@@ -444,15 +425,61 @@ def test_galerkin_constancy_spread_is_relative_to_the_potential():
     assert abs(d["oracle_minus_matched"]) <= 1e-9 * (1.0 + d["oracle"])
 
 
+@pytest.mark.parametrize(
+    "branch, j2, zero_level",
+    [
+        ("half-up", (0.5, 1.5), "neither"),
+        ("half-down", (1.5, 0.5), "neither"),
+        ("neg-half", (0.5, 0.5), "j=2"),
+        ("three-half", (1.5, 1.5), "j=1"),
+    ],
+    ids=["half-up", "half-down", "neg-half", "three-half"],
+)
+def test_partner_exponents_model1(branch, j2, zero_level):
+    # V_1 / cosh^2 -> 0 at both ends on every branch: |nu_1| = 1 and a_1 = 1;
+    # j=2 takes a_1 -+ 1/2, whichever is a root of its own pair
+    k = 2.0
+    spec = oracle.model_spec(gauge.Model1Params.from_branch(0.4, k, branch), k, 1.0)
+    exps = oracle.partner_exponents(spec.ends, k)
+    assert exps.j1 == pytest.approx((1.0, 1.0), abs=1e-12)
+    assert exps.j2 == pytest.approx(j2, abs=1e-12)
+    assert exps.zero_level == zero_level
+
+
+def test_partner_exponents_model2():
+    # (-, +) at k = 2: nu_1 = -1/3 at t = -1, so a_1 = 2/3 and j=2 takes the
+    # non-principal root 1/6 of nu_2 = 2/3; at t = +1 nu_1 = -1, b_2 = 3/2
+    k = 2.0
+    spec = oracle.model_spec(m2_params(C1=1 / k, k=k), k, 1.0)
+    exps = oracle.partner_exponents(spec.ends, k)
+    assert exps.j1 == pytest.approx((2 / 3, 1.0), abs=1e-12)
+    assert exps.j2 == pytest.approx((1 / 6, 1.5), abs=1e-12)
+    assert exps.zero_level == "neither"
+
+
+def test_partner_exponents_refuse_the_log_case():
+    # nu_1 = k - A_- - 1/2 = 0: a_1 = 1/2, and both 0 and 1 are j=2 roots
+    with pytest.raises(DomainError, match=r"no unique exponent at t = -1 .*the log case"):
+        oracle.partner_exponents((1.5, 0.0), 2.0)
+    # on a model: (+, +) at k = (sqrt 5 - 1)/2 has nu_1 = 0 at t = +1, to rounding
+    k = (math.sqrt(5.0) - 1.0) / 2.0
+    alpha, beta = gauge.alpha_beta(k, "+", "+")
+    p = gauge.model2_derive_params(1 / k, beta - alpha, beta + alpha, k)
+    with pytest.raises(DomainError, match=r"no unique exponent at t = \+1 .*the log case"):
+        oracle.consistency_report(2, p, k, 1.0, oracle.Grid(6.0, 801), levels=2)
+
+
 _BLAS_PROBE = """
 import json
 from dirac_sphere import gauge, oracle
 out = []
-for k, count in ((2.0, 4), (1.1, 12), (1.5, 60)):
+for k, count, j in ((2.0, 4, 1), (1.1, 12, 1), (1.5, 60, 1), (1.5, 60, 2)):
     a, b = gauge.alpha_beta(k, "-", "+")
     p = gauge.model2_derive_params(1 / k, b - a, b + a, k)
     spec = oracle.model_spec(p, k, 1.0)
-    g = oracle.galerkin_levels(spec.closed1, spec.ends, k, count, drift=0.0)
+    exps = oracle.partner_exponents(spec.ends, k)
+    V = spec.closed1 if j == 1 else gauge.v_eff_general(spec.A, spec.dA, k, 2)
+    g = oracle.galerkin_levels(V, exps.j1 if j == 1 else exps.j2, count, drift=0.0)
     out.append([g.n, [float(x).hex() for x in g.levels], [float(x).hex() for x in g.gap]])
 print(json.dumps(out))
 """
@@ -460,7 +487,8 @@ print(json.dumps(out))
 
 def test_galerkin_levels_bitwise_across_blas_threads():
     # fresh processes, one per thread count: the 60-level case builds the
-    # 128- and 256-function matrices, large enough for BLAS to split
+    # 128- and 256-function matrices, large enough for BLAS to split, once
+    # for j=1 and once for j=2 on its image-of-D exponents
     src = os.path.dirname(os.path.dirname(os.path.abspath(oracle.__file__)))
     runs = []
     for threads in ("1", "2"):
@@ -470,7 +498,7 @@ def test_galerkin_levels_bitwise_across_blas_threads():
         assert res.returncode == 0, res.stderr
         runs.append(json.loads(res.stdout))
     assert runs[0] == runs[1]
-    assert [n for n, _, _ in runs[0]] == [16, 64, 128]
+    assert [n for n, _, _ in runs[0]] == [16, 64, 128, 128]
 
 
 # ----------------------------------------------------------- reports
@@ -546,34 +574,93 @@ def test_factorization_match_reads_the_continuum_identity(model, k, branch, monk
     assert min(match()) > 1e-6
 
 
-# |flux e1 - Galerkin level| on Grid(6, 801), levels 1-2, measured 2.7e-4
-# (Model I) and 0.115 (Model II, whose j=1 states decay slowly enough for the
-# wall at L = 6 to shift them)
-_FLUX_CROSS_CHECK = {1: 5e-4, 2: 0.15}
+def _partners(rep):
+    return [c for c in rep.claims if c.claim_id.startswith("e.")]
 
 
-@pytest.mark.parametrize("model, levels", [(1, 3), (2, 3), (1, 1)])
-def test_report_partner_claims(model, levels):
-    # e.partner.mN pairs the flux level N of j=1 with level N-1 of j=2; the
-    # flux j=1 level sits within a stated bound of the c.* Galerkin level
-    k, grid = 2.0, oracle.Grid(6.0, 801)
-    p = gauge.Model1Params.from_branch(0.4, k, "half-up") if model == 1 else m2_params(C1=1 / k, k=k)
+# The component whose kernel has its exponents, and so carries the unpaired
+# zero level, per config: it shifts the pairing by one level
+_PARTNER_CASES = [
+    (1, 2.0, "neg-half", "j=2"),
+    (1, 2.0, "half-down", "neither"),
+    (1, 2.0, "half-up", "neither"),
+    (1, 2.0, "three-half", "j=1"),
+] + [(2, k, None, "neither") for k in (1.5, 2.0, 3.0, 4.0)]
+
+# |flux level - c.* Galerkin level| on Grid(6, 801), levels 1-2, measured at
+# most 2.7e-4 on the four Model-I branches and 0.30 on Model II (at k = 4: its
+# j=1 states decay slowly enough for the wall at L = 6 to shift them)
+_FLUX_CROSS_CHECK = {1: 5e-4, 2: 0.35}
+
+
+@pytest.mark.parametrize("model, k, branch, zero_level", _PARTNER_CASES)
+def test_report_partner_claims(model, k, branch, zero_level):
+    # e.partner.mN pairs the Galerkin levels of Dt*D (general j=1 potential,
+    # principal exponents) and D*Dt (general j=2, image-of-D exponents) past
+    # the zero level of the component whose kernel has its exponents; at 12
+    # levels every pair agrees within 1e-9
+    levels, grid = 12, oracle.Grid(6.0, 801)
+    p = gauge.Model1Params.from_branch(0.4, k, branch) if model == 1 else m2_params(C1=1 / k, k=k)
     rep = oracle.consistency_report(model, p, k, 1.0, grid, levels=levels)
-    partners = [c for c in rep.claims if c.claim_id.startswith("e.")]
+    partners = _partners(rep)
     assert [c.claim_id for c in partners] == [f"e.partner.m{m}" for m in range(1, levels)]
+    # one level has no partner to pair
+    assert not _partners(oracle.consistency_report(model, p, k, 1.0, grid, levels=1))
     spec = oracle.model_spec(p, k, 1.0)
-    sl1 = _closed_matrix(spec.closed1, grid)
-    sl2 = _closed_matrix(spec.closed2, grid)
-    e1, e2 = oracle.eig_lowest(sl1, levels), oracle.eig_lowest(sl2, levels)
-    for n in range(levels):
-        d = rep.claim(f"c.spectrum.m{n}").details
-        assert "oracle_tol" not in d and d["solver"] == "jacobi-galerkin"
+    exps = oracle.partner_exponents(spec.ends, k)
+    assert exps.zero_level == zero_level
+    g1, g2 = (
+        oracle.galerkin_levels(gauge.v_eff_general(spec.A, spec.dA, k, j), e, levels)
+        for j, e in ((1, exps.j1), (2, exps.j2))
+    )
+    # the unpaired level is the zero level of D's or Dt's kernel
+    shift = {"j=1": 1, "j=2": -1, "neither": 0}[zero_level]
+    if shift:
+        assert abs((g1 if shift == 1 else g2).levels[0]) <= 1e-12
     for m, c in enumerate(partners, start=1):
-        assert (c.details["e1"], c.details["e2_shifted"]) == (e1[m], e2[m - 1])
-        galerkin = rep.claim(f"c.spectrum.m{m}").details["oracle"]
-        assert abs(c.details["e1"] - galerkin) <= _FLUX_CROSS_CHECK[model]
-        assert c.metric == abs(c.details["e1"] - c.details["e2_shifted"])
-        assert c.details["oracle_tol"] == max(oracle.bisection_tol(sl1), oracle.bisection_tol(sl2))
+        i1, i2 = m - max(-shift, 0), m - max(shift, 0)
+        d = c.details
+        assert (d["e1"], d["e2"], d["zero_level"]) == (g1.levels[i1], g2.levels[i2], zero_level)
+        assert d["exponents_j1"] == list(exps.j1) and d["exponents_j2"] == list(exps.j2)
+        assert (d["rule_j1"], d["rule_j2"]) == ("principal", "image-of-D")
+        assert d["n"] == [g1.n, g2.n] and c.grid == {"n": max(g1.n, g2.n)}
+        assert c.metric == abs(d["e1"] - d["e2"]) <= 1e-9
+    # a cross-check by another method: flux solves of the closed j=1
+    # potential on the grid sit near the c.* levels, and the general form's
+    # levels are those shifted by the a.* and b.veff1 additive constants
+    flux = oracle.eig_lowest(_closed_matrix(spec.closed1, grid), 3)
+    offset = sum(rep.claim(i).details["additive_constant"] for i in ("a.veff1-expansion", "b.veff1-constrained"))
+    for n in (1, 2):
+        galerkin = rep.claim(f"c.spectrum.m{n}").details["oracle"]
+        assert abs(flux[n] - galerkin) <= _FLUX_CROSS_CHECK[model]
+        assert abs(g1.levels[n] - (galerkin - offset)) <= 1e-9 * (1.0 + abs(galerkin))
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, 3.0, 4.0])
+def test_partner_pairing_within_the_galerkin_error_estimates(k):
+    # at 4 levels the bases stop at 16 functions, where the doubling rule
+    # allows 1e-9 (1 + |level|); at k = 1.5 the fourth j=1 level sits 4.4e-9 from
+    # its 32-function value, and the pairing reads that gap, not more
+    rep = oracle.consistency_report(2, m2_params(C1=1 / k, k=k), k, 1.0, oracle.Grid(6.0, 801), levels=4)
+    for c in _partners(rep):
+        assert c.metric <= sum(c.details["gap_2n"]) + 1e-12, c.claim_id
+
+
+def test_partner_claims_fail_on_principal_j2_exponents(monkeypatch):
+    # on Model II the j=2 exponent at t = -1 is the non-principal root 1/6
+    # (0 < |nu_2| < 1, limit circle); the principal root 5/6 picks another
+    # extension of D*Dt, whose levels do not pair with Dt*D's
+    exponents_of = oracle.partner_exponents
+
+    def principal(ends, k):
+        nu2 = [k - A - 0.5 * eps for A, eps in zip(ends, (-1.0, 1.0))]
+        return dataclasses.replace(exponents_of(ends, k), j2=tuple((1.0 + abs(nu)) / 2.0 for nu in nu2))
+
+    monkeypatch.setattr(oracle, "partner_exponents", principal)
+    k = 2.0
+    rep = oracle.consistency_report(2, m2_params(C1=1 / k, k=k), k, 1.0, oracle.Grid(6.0, 801), levels=4)
+    assert rep.claim("e.partner.m1").details["exponents_j2"] == pytest.approx([5 / 6, 1.5])
+    assert min(c.metric for c in _partners(rep)) > 1e-3
 
 
 @pytest.mark.parametrize("model", [1, 2])
@@ -625,7 +712,10 @@ _SHARED_HEAD = [
     ("b.veff1-constrained", ("additive_constant",)),
     ("b.veff2-constrained", ("additive_constant",)),
 ]
-_PARTNER = ("e1", "e2_shifted", "unshifted_deviation", "oracle_tol")
+_PARTNER = (
+    "e1", "e2", "zero_level", "solver", "exponents_j1", "rule_j1",
+    "exponents_j2", "rule_j2", "n", "gap_2n",
+)
 _GALERKIN = ("solver", "exponents", "n", "gap_2n")
 _M2_EIGEN = (
     "lambda_printed", "residual_at_identity_energy", "lambda_identity",
