@@ -11,8 +11,9 @@ verification failure.
 One document serves every command, so a config key a command does not read
 is still accepted.  A flag is typed for one run: each command declares only
 the overrides whose settings it reads (--k for all; --levels for spectrum,
-verify and figures; --grid-L/--grid-N for all but spectrum; --strict for
-verify), and any other flag, or a flag's prefix, is a config error.
+verify and figures; --grid-L/--grid-N for potential, wavefunction and
+figures, since verify reads no grid; --strict for verify), and any other
+flag, or a flag's prefix, is a config error.
 
 All files are written atomically (temp + rename), with LF line endings and
 '.' decimal points; curve files are two-column CSV, sampled in one pass over
@@ -68,13 +69,12 @@ class RunConfig:
         return model2_derive_params(b["C1"], be - al, be + al, self.k)
 
     def echo(self):
-        """Physics fields only, for deterministic report provenance."""
+        """The physics fields the report reads (no grid), for deterministic provenance."""
         return {
             "model": self.model,
             "R": self.R,
             "k": self.k,
             "levels": self.levels,
-            "grid": {"L": self.grid.L, "N": self.grid.N},
             f"model{self.model}": dict(self.block),
         }
 
@@ -333,16 +333,12 @@ _REPORT_SCHEMA = "dirac-sphere-verification/1"
 
 
 def cmd_verify(cfg: RunConfig, outdir):
-    if cfg.levels > cfg.grid.N:
-        raise ConfigError(f"levels must be at most grid.N = {cfg.grid.N}, got {cfg.levels}")
     if cfg.levels > GALERKIN_MAX_LEVELS:
         raise ConfigError(
             f"levels must be at most {GALERKIN_MAX_LEVELS}, the most the Galerkin oracle's "
             f"basis cap serves, got {cfg.levels}"
         )
-    report = consistency_report(
-        cfg.model, cfg.params(), cfg.k, cfg.R, cfg.grid, levels=cfg.levels
-    )
+    report = consistency_report(cfg.model, cfg.params(), cfg.k, cfg.R, levels=cfg.levels)
     doc = {"schema": _REPORT_SCHEMA, "config": cfg.echo(), "report": report.as_dict()}
     path = os.path.join(outdir, f"verify_model{cfg.model}.json")
     _atomic_write(path, json.dumps(doc, indent=2, allow_nan=True) + "\n")
@@ -478,8 +474,7 @@ def main(argv=None):
     sp.add_argument("--level", type=int, default=0)
     sp.add_argument("--polynomial", choices=["classical", "x1"], default="classical",
                     help="polynomial interpretation (model 2 only)")
-    command("verify", "run the oracle consistency report",
-            "--levels", "--grid-L", "--grid-N", "--strict")
+    command("verify", "run the oracle consistency report", "--levels", "--strict")
     # figures takes no --config: its documents are fixed
     sp = command("figures", "emit the data behind the published figure sets",
                  "--levels", "--grid-L", "--grid-N", config=False)

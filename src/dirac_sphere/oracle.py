@@ -11,17 +11,17 @@ agree, up to a cap, so every level carries its own error estimate.  Its
 symmetric matrix goes to LAPACK dsbev, whose result does not depend on the
 BLAS thread count.
 
-The same operator is also discretized with a conservative (flux-form)
-finite-difference scheme on a uniform grid over [-L, L] with Dirichlet
-walls, for the d.* residuals and the forced checks.  Every flux-form matrix
-is symmetric tridiagonal and is stored as its diagonal and off-diagonal
-arrays (SLMatrix diag, off), so real spectra are structural and one
-tridiagonal eigensolver serves every such solve; the solves return
-eigenvalues only.  They call LAPACK's dstebz and dstevd from scipy's
-compiled _flapack extension, loaded by path on the first solve: the commands
-that never solve do not load scipy, and verify never runs scipy.linalg's
-package init.  The report solves no flux matrix on the user's grid; its one
-matrix there serves the d.* residuals.
+The d.* residuals (verify_eigenpair) apply the operator to the printed
+eigenfunction exactly and integrate over |w| <= 8: the report reads no grid.
+The forced checks discretize it with a conservative (flux-form) finite-
+difference scheme on a uniform grid over [-L, L] with Dirichlet walls.
+Every flux-form matrix is symmetric tridiagonal and is stored as its
+diagonal and off-diagonal arrays (SLMatrix diag, off), so real spectra are
+structural and one tridiagonal eigensolver serves every such solve; the
+solves return eigenvalues only.  They call LAPACK's dstebz and dstevd from
+scipy's compiled _flapack extension, loaded by path on the first solve: the
+commands that never solve do not load scipy, and verify never runs
+scipy.linalg's package init.
 
 The first-order operator D = cosh d/dw + f, f = cosh (A - k) + sinh/2, that
 factors the general j=1 potential is discretized on the staggered grid (nodes
@@ -37,15 +37,14 @@ it as a small spec of its formulas (potentials, levels, eigenfunction
 readings and solvable-structure identity), so both reports share every claim
 family.  model_spec is the one place where a parameter set selects its model;
 the CLI commands read their curves, levels, eigenfunctions and poles from the
-same spec; a real pole is refused before any claim.  verify_eigenpair is the
-one routine that forms an eigenpair residual; the report calls it on the j=1
-matrix it assembled.
+same spec; a real pole is refused before any claim.
 
 Verdict policy (applied by Claim alone): mathematically forced claims (f.*)
 must PASS; transcription claims are always 'recorded' with their metric,
 because the closed forms contain apparent typos that this package is meant to
 expose, not hide.
 """
+import functools
 import math
 import os
 import sys
@@ -72,7 +71,6 @@ from .gauge import (
 )
 from .specfun import _golub_welsch
 from .spectra import (
-    _model1_exponents,
     energy_model1,
     energy_model2,
     energy_model2_matched,
@@ -100,10 +98,6 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
-
-
-def _cosh2(w):
-    return np.cosh(w) ** 2
 
 
 @dataclass(frozen=True)
@@ -539,39 +533,91 @@ def galerkin_levels(V, exponents, count, poles=(), drift=0.0) -> GalerkinLevels:
     )
 
 
-def verify_eigenpair(m: SLMatrix, grid: Grid, vec, lams, window: Optional[float] = None):
-    """Relative residuals ||M vec - lam vec|| / ||vec||, one per level
-    constant lam in lams, of a vector sampled on the nodes of grid against
-    the matrix m assembled there (build_sl_matrix); M vec is formed once.
+# The d.* residuals: 21-point Gauss-Legendre panels on |w| <= 8, 16 and 32
+# of them first, doubled until two readings agree; never past the cap
+_RESIDUAL_WINDOW = 8.0
+_RESIDUAL_PANELS = 16
+_RESIDUAL_MAX_PANELS = 256
+_RESIDUAL_TOL = 1e-6
 
-    The row next to each Dirichlet wall is dropped unless vec has decayed
-    below 1e-10 of its max there (the wall assumes a zero neighbor).  An
-    optional window keeps only |w| <= window: the flux scheme's truncation
-    error grows with cosh^2 toward the walls, so a windowed residual is the
-    meaningful adjudicator for slowly decaying or growing candidates.  A
-    vector of the wrong shape, not finite, or zero on the kept rows raises
-    DomainError.
+
+@functools.lru_cache(maxsize=None)
+def _window_rules(panels):
+    """(w, q_lo, q_hi): the nodes of `panels` and then of 2 `panels` equal
+    21-point Gauss-Legendre panels on |w| <= 8, and the weights of each rule;
+    read-only."""
+    x, q = _golub_welsch(21, 0.0, 0.0)[0]
+    rules = []
+    for count in (panels, 2 * panels):
+        edges = np.linspace(-_RESIDUAL_WINDOW, _RESIDUAL_WINDOW, count + 1)
+        mid, half = 0.5 * (edges[1:] + edges[:-1])[:, None], 0.5 * np.diff(edges)[:, None]
+        rules.append(((mid + half * x).ravel(), (half * q).ravel()))
+    out = np.concatenate([rules[0][0], rules[1][0]]), rules[0][1], rules[1][1]
+    for arr in out:  # cached: every caller shares these arrays
+        arr.flags.writeable = False
+    return out
+
+
+def _local_terms(wf, t, v):
+    """(r, K) with wf = E r and H wf = E K at t = tanh w, E = (1-t)^a (1+t)^b
+    the envelope and H phi = -(1-t^2) phi_tt + V phi, V sampled as v: exact,
+    from phi_tt = E (r'' + 2 L r' + (L^2 + L') r) with L = -a/(1-t) + b/(1+t)."""
+    a, b = wf.exponents
+    r, r1, r2 = wf.ratio(t)
+    dlog = -a / (1.0 - t) + b / (1.0 + t)
+    d2log = -a / (1.0 - t) ** 2 - b / (1.0 + t) ** 2
+    return r, -(1.0 - t * t) * (r2 + 2.0 * dlog * r1 + (dlog * dlog + d2log) * r) + v * r
+
+
+def _sampled_once(V):
+    """V, sampled once per _window_rules node set (which its size names)."""
+    samples = {}
+
+    def sampled(w):
+        if w.size not in samples:
+            samples[w.size] = V(w)
+        return samples[w.size]
+
+    return sampled
+
+
+def verify_eigenpair(wf, V, lams):
+    """Relative residuals ||(H - lam) phi|| / ||phi|| in L^2(|w| <= 8), one per
+    level constant in lams, of the printed eigenfunction phi = wf (a
+    WaveFunctionSpec) under H phi = -(cosh^2 phi')' + V phi, applied exactly.
+
+    Each reading is taken on P and 2P panels (_window_rules) from P = 16, P
+    doubled while any two differ by more than 1e-6 (1 + reading); one
+    evaluation of phi on both node sets serves every level constant.
+    Returns (readings on P panels, node count 21 P, each reading's distance
+    to 2P).  A 2P past 256, or a phi that vanishes on the window, raises
+    DomainError; a sample that is not finite raises PoleError naming its w.
     """
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (grid.N,):
-        raise DomainError(f"grid function must have shape ({grid.N},), got {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        raise DomainError("wavefunction is not finite on the grid")
-    keep = np.ones(grid.N, dtype=bool)
-    peak = np.abs(vec).max()
-    if peak == 0.0:
-        raise DomainError("wavefunction vanishes identically on the grid")
-    if abs(vec[0]) > 1e-10 * peak:
-        keep[0] = False
-    if abs(vec[-1]) > 1e-10 * peak:
-        keep[-1] = False
-    if window is not None:
-        keep &= np.abs(grid.points()) <= window
-    denom = np.linalg.norm(vec[keep])
-    if denom == 0.0:
-        raise DomainError("wavefunction vanishes on the residual window")
-    mv = m.matvec(vec)
-    return [float(np.linalg.norm((mv - lam * vec)[keep]) / denom) for lam in lams]
+    a, b = wf.exponents
+    panels = _RESIDUAL_PANELS
+    while 2 * panels <= _RESIDUAL_MAX_PANELS:
+        w, q_lo, q_hi = _window_rules(panels)
+        t = np.tanh(w)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            r, k_r = _local_terms(wf, t, _require_finite(w, np.asarray(V(w), dtype=float), "potential"))
+            env = (1.0 - t) ** a * (1.0 + t) ** b
+            phi = _require_finite(w, env * r, "eigenfunction")
+            _require_finite(w, env * k_r, "H applied to the eigenfunction")
+        split = q_lo.size
+        norms = np.dot(q_lo, phi[:split] ** 2), np.dot(q_hi, phi[split:] ** 2)
+        if min(norms) == 0.0:
+            raise DomainError("eigenfunction vanishes on the residual window")
+        res = [env * (k_r - lam * r) for lam in lams]
+        lo = np.array([math.sqrt(np.dot(q_lo, x[:split] ** 2) / norms[0]) for x in res])
+        hi = np.array([math.sqrt(np.dot(q_hi, x[split:] ** 2) / norms[1]) for x in res])
+        gap = np.abs(lo - hi)
+        if np.all(gap <= _RESIDUAL_TOL * (1.0 + lo)):
+            return lo.tolist(), split, gap.tolist()
+        panels *= 2
+    raise DomainError(
+        f"eigenpair residuals did not converge: {panels // 2} and {panels} panels differ by "
+        f"{float(gap.max()):.3e}, and {2 * panels} is past the cap of {_RESIDUAL_MAX_PANELS}"
+    )
 
 
 def _shallow(record):
@@ -652,7 +698,6 @@ _CONSTANCY_TOL = 1e-9
 _ISO_TOL = 1e-8
 _PRODUCT_TOL = 1e-12
 _COMPOSE_GRID = Grid(4.0, 401)
-_RESIDUAL_WINDOW = 8.0
 
 
 @dataclass(frozen=True)
@@ -686,24 +731,25 @@ class _ModelSpec:
     identity_claims: Callable  # printed level-0 constant -> the g.* claims
 
 
-def consistency_report(model, params, k, R, grid: Grid, levels: int = 4) -> VerificationReport:
+def consistency_report(model, params, k, R, levels: int = 4) -> VerificationReport:
     """Assemble the full verification report for one model.
 
     Claim families: forced linear-algebra invariants (f.*), the continuum
     identities of the factorization (conventions.*), transcription constancy
-    checks (a.*, b.*), closed-form spectrum versus Jacobi-Galerkin
-    eigenvalues (c.*, grid {"n": basis size}), eigenfunction residuals (d.*,
-    over |w| <= 8), the pairing of the Jacobi-Galerkin levels of the general
-    j=1 and j=2 potentials, Dt*D and D*Dt, past the unpaired zero level of the
-    component partner_exponents names (e.*, grid {"n": basis size}), and the
-    model's solvable-structure identity (g.*).  Both models run through one
-    assembler over the spec model_spec selects, which must be that of
-    `model`.  A level count past GALERKIN_MAX_LEVELS raises DomainError, and
-    a real pole (spec.poles, inside (-1, 1) in t on every grid) PoleError,
-    before any claim is computed; nu_1 = 0 at a pole, where the image of D
-    has no unique exponent, raises DomainError.  Forced claims must pass;
-    everything else is recorded with a finite metric and the grid it was
-    measured on.
+    checks (a.*, b.*, each spread relative to 1 + max |general form|),
+    closed-form spectrum versus Jacobi-Galerkin eigenvalues (c.*, grid
+    {"n": basis size}), continuum eigenfunction residuals (d.*, grid
+    {"w_lo": -8, "w_hi": 8, "nodes": quadrature nodes}), the pairing of the
+    Jacobi-Galerkin levels of the general j=1 and j=2 potentials, Dt*D and
+    D*Dt, past the unpaired zero level of the component partner_exponents
+    names (e.*, grid {"n": basis size}), and the model's solvable-structure
+    identity (g.*).  Both models run through one assembler over the spec
+    model_spec selects, which must be that of `model`.  A level count past
+    GALERKIN_MAX_LEVELS raises DomainError, and a real pole (spec.poles)
+    PoleError, before any claim is computed; nu_1 = 0 at a pole, where the
+    image of D has no unique exponent, raises DomainError.  Forced claims
+    must pass; everything else is recorded with a finite metric and the grid
+    it was measured on.
     """
     spec = model_spec(params, k, R)
     if model != spec.model:
@@ -713,7 +759,7 @@ def consistency_report(model, params, k, R, grid: Grid, levels: int = 4) -> Veri
     if spec.poles:
         reason = "the gauge profile is singular there, so no report operator is defined across it"
         raise PoleError(f"potential pole at w = {spec.poles[0]}: {reason}", location=spec.poles[0])
-    return _model_report(spec, k, R, grid, levels)
+    return _model_report(spec, k, R, levels)
 
 
 def model_spec(params, k, R) -> _ModelSpec:
@@ -800,7 +846,7 @@ def _forced_claims(A, dA, k, gen_v1, gen_v2):
     return claims
 
 
-def _model_report(spec: _ModelSpec, k, R, grid, levels):
+def _model_report(spec: _ModelSpec, k, R, levels):
     """The claims of one model in report order, built from its spec.
 
     Formulas are evaluated in report order, so the first claim an invalid
@@ -814,43 +860,41 @@ def _model_report(spec: _ModelSpec, k, R, grid, levels):
     claims = _forced_claims(spec.A, spec.dA, k, gen1, gen2)
 
     b1, b2 = spec.b_descriptions
-    drift = {}
-    for claim_id, formula, description, diff_fn in (
+    drift, mean_of, pts = {}, {}, _constancy_points()
+    for claim_id, formula, description, diff_fn, gen in (
         (
             "a.veff1-expansion",
             "veff1.expanded",
             "expanded first-component potential minus the general form (identity up to constant)",
             lambda w: raw1(w) - gen1(w),
+            gen1,
         ),
-        ("b.veff1-constrained", "veff1.closed", b1, lambda w: closed1(w) - raw1(w)),
-        ("b.veff2-constrained", "veff2.closed", b2, lambda w: closed2(w) - gen2(w)),
+        ("b.veff1-constrained", "veff1.closed", b1, lambda w: closed1(w) - raw1(w), gen1),
+        ("b.veff2-constrained", "veff2.closed", b2, lambda w: closed2(w) - gen2(w), gen2),
     ):
-        metric, mean = _constancy(diff_fn)
-        drift[claim_id] = metric
+        # the spread is read against the size of the component's potential,
+        # whose rounding it cannot beat (near k = 1 Model II's reaches 7e6)
+        spread, mean_of[claim_id] = _constancy(diff_fn)
+        drift[claim_id] = spread / (1.0 + np.abs(gen(pts)).max())
         claims.append(
             Claim(
                 claim_id=claim_id,
                 paper_ref=f"{ref}.{formula}",
-                description=description,
-                metric=metric,
+                description=f"{description}; spread relative to 1 + max |general form|",
+                metric=float(drift[claim_id]),
                 tolerance=_CONSTANCY_TOL,
                 grid=_CONSTANCY_GRID,
-                details={"additive_constant": mean},
+                details={"additive_constant": mean_of[claim_id]},
             )
         )
 
-    sl1 = build_sl_matrix(_cosh2, closed1, grid)
     exps = partner_exponents(spec.ends, k)
     # closed1 - gen1 = (closed1 - raw1) + (raw1 - gen1) is constant when the
     # a.* and b.veff1 spreads both are, up to the rounding of V's own size
-    spread = np.max([drift["a.veff1-expansion"], drift["b.veff1-constrained"]])
-    scale = 1.0 + np.abs(gen1(_constancy_points())).max()
-    gal = galerkin_levels(closed1, exps.j1, levels, drift=float(spread / scale))
+    gal = galerkin_levels(
+        closed1, exps.j1, levels, drift=float(max(drift["a.veff1-expansion"], drift["b.veff1-constrained"]))
+    )
 
-    # eigenfunctions are sampled only on the rows the residual reads (the window
-    # and a neighbour each side): the Model-I form is inf once tanh w rounds to 1
-    w = grid.points()
-    rows = np.convolve(np.abs(w) <= _RESIDUAL_WINDOW, np.ones(3), "same") > 0
     printed, implied = [], []
     for n in range(levels):
         line = spec.printed(n)
@@ -877,19 +921,18 @@ def _model_report(spec: _ModelSpec, k, R, grid, levels):
             )
         )
 
+    v1 = _sampled_once(closed1)
     for n in range(levels):
         lam, matched = printed[n], implied[n]
         lams = (lam,) if matched is None else (lam, matched)
         for reading, (description, wavefn) in spec.eigenfunctions.items():
             infix = f"{reading}." if len(spec.eigenfunctions) > 1 else ""
             wf = wavefn(n)
-            vec = np.zeros(grid.N)
-            vec[rows] = wf.eval(w[rows])
-            res = verify_eigenpair(sl1, grid, vec, lams, _RESIDUAL_WINDOW)
+            res, nodes, gap = verify_eigenpair(wf, v1, lams)
             details = {spec.printed_key: lam}
             if matched is not None:
                 details.update(residual_at_identity_energy=res[1], lambda_identity=matched)
-            details.update(window=_RESIDUAL_WINDOW, norm_finite=wf.norm_finite)
+            details.update(window=_RESIDUAL_WINDOW, nodes=nodes, gap_2n=gap, norm_finite=wf.norm_finite)
             details.update(wf.norm_details())
             claims.append(
                 Claim(
@@ -897,25 +940,29 @@ def _model_report(spec: _ModelSpec, k, R, grid, levels):
                     f"{ref}.eigenfunction.closed",
                     description,
                     res[0],
-                    _gdict(grid),
+                    {"w_lo": -_RESIDUAL_WINDOW, "w_hi": _RESIDUAL_WINDOW, "nodes": nodes},
                     details,
                 )
             )
 
     # D*Dt and Dt*D share their nonzero levels; the component whose kernel
-    # has its exponents carries one more, the zero level, which stays unpaired
-    part = [galerkin_levels(gen, e, levels) for gen, e in ((gen1, exps.j1), (gen2, exps.j2))]
+    # has its exponents carries one more, the zero level, which stays unpaired.
+    # The general j=1 levels are the c.* ones less closed1 - gen1 (a.* and
+    # b.veff1 additive constants), so only j=2 needs a solve of its own
+    offset = mean_of["a.veff1-expansion"] + mean_of["b.veff1-constrained"]
+    part = [gal, galerkin_levels(gen2, exps.j2, levels)]
     shift = {"j=1": 1, "j=2": -1, "neither": 0}[exps.zero_level]
     for m in range(1, levels):
         i1, i2 = m - max(-shift, 0), m - max(shift, 0)
-        e1, e2 = part[0].levels[i1], part[1].levels[i2]
+        e1, e2 = part[0].levels[i1] - offset, part[1].levels[i2]
         claims.append(
             Claim(
                 f"e.partner.m{m}",
                 "partner.level-pairing",
                 "Jacobi-Galerkin levels of the general j=1 and j=2 potentials (Dt*D and D*Dt), "
                 "paired past the unpaired zero level of the component whose kernel has its "
-                "exponents (basis of n functions each; gap_2n is each level's distance to 2n)",
+                "exponents; the j=1 levels are the c.* ones less the a.* and b.veff1 additive "
+                "constants (basis of n functions each; gap_2n is each level's distance to 2n)",
                 abs(e1 - e2),
                 {"n": max(g.n for g in part)},
                 {
@@ -944,14 +991,12 @@ def _model1_spec(p: Model1Params, k, R) -> _ModelSpec:
 
     def identity_claims(level0):
         # Solvable-structure identity: for a true eigenfunction the local energy
-        # (H phi)/phi is constant; evaluated analytically for the printed ground state.
-        s, B = _model1_exponents(0, p, k)
+        # (H phi)/phi is constant; evaluated exactly for the printed ground state.
+        wf = wavefn_model1(0, p, k)
 
         def local_energy(w):
-            t = np.tanh(np.asarray(w, dtype=float))
-            dlog = -s / (1.0 - t) + B / (1.0 + t)
-            d2log = -s / (1.0 - t) ** 2 - B / (1.0 + t) ** 2
-            return -(1.0 - t * t) * (dlog * dlog + d2log) + closed1(w)
+            r, k_r = _local_terms(wf, np.tanh(w), closed1(w))
+            return k_r / r
 
         metric, mean = _constancy(local_energy)
         return [

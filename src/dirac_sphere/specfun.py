@@ -16,7 +16,9 @@ from .errors import DomainError, IntegrationError
 __all__ = [
     "jacobi",
     "jacobi_deriv",
+    "jacobi_derivs",
     "x1_jacobi",
+    "x1_jacobi_derivs",
     "gauss_jacobi",
     "integrate",
     "QuadResult",
@@ -103,12 +105,20 @@ def jacobi(n, alpha, beta, x):
     return _scalar_or_array(p)
 
 
+def jacobi_derivs(n, alpha, beta, x, d):
+    """[P_n, P_n', ..., P_n^(d)] of P_n^(alpha,beta) at x, by the parameter shift
+    P_n^(j) = prod_{i=1..j} (n + alpha + beta + i)/2 * P_{n-j}^(alpha+j, beta+j), 0 for j > n."""
+    _check_index(n, alpha, beta)
+    out, coef = [jacobi(n, alpha, beta, x)], 1.0
+    for j in range(1, d + 1):
+        coef *= 0.5 * (n + alpha + beta + j)
+        out.append(coef * jacobi(n - j, alpha + j, beta + j, x) if j <= n else 0.0 * out[0])
+    return out
+
+
 def jacobi_deriv(n, alpha, beta, x):
     """d/dx P_n^(alpha,beta)(x) via the parameter-shift identity; 0 for n = 0."""
-    _check_index(n, alpha, beta)
-    if n == 0:
-        return _scalar_or_array(np.zeros_like(np.asarray(x, dtype=float)))
-    return 0.5 * (n + alpha + beta + 1.0) * jacobi(n - 1, alpha + 1.0, beta + 1.0, x)
+    return jacobi_derivs(n, alpha, beta, x, 1)[1]
 
 
 def x1_jacobi(nu, alpha, beta, x):
@@ -124,6 +134,13 @@ def x1_jacobi(nu, alpha, beta, x):
     These are the polynomial factors of the bound states of the second
     gauge-field model; orthogonality is exercised in the test suite.
     """
+    return x1_jacobi_derivs(nu, alpha, beta, x, 0)[0]
+
+
+def x1_jacobi_derivs(nu, alpha, beta, x, d=2):
+    """[X] (d = 0) or [X, X', X''] (d = 2) of the x1_jacobi member X = u P_m + (1-x^2) P_m',
+    u = A (x - b) + c: X' = A P_m + (u - 2x) P_m' + (1-x^2) P_m'' and
+    X'' = (2A - 2) P_m' + (u - 4x) P_m'' + (1-x^2) P_m^(3), each P_m^(j) from jacobi_derivs."""
     if nu < 1 or int(nu) != nu:
         raise DomainError(f"degree must be a positive integer, got {nu}")
     if alpha <= -1 or beta <= -1:
@@ -132,15 +149,20 @@ def x1_jacobi(nu, alpha, beta, x):
         raise DomainError("rational-extension family needs alpha != beta")
     if alpha * beta == 0.0:
         raise DomainError("rational-extension family needs alpha*beta != 0")
+    if d not in (0, 2):
+        raise DomainError(f"derivative order must be 0 or 2, got {d}")
     m = int(nu) - 1
     acc = m * m + (alpha + beta + 1.0) * m + alpha * beta
     b = (beta + alpha) / (beta - alpha)
     c = 2.0 * alpha * beta / (alpha - beta)
+    p = jacobi_derivs(m, alpha, beta, x, d + 1)
     x = np.asarray(x, dtype=float)
-    val = (acc * (x - b) + c) * jacobi(m, alpha, beta, x) + (1.0 - x * x) * jacobi_deriv(
-        m, alpha, beta, x
-    )
-    return _scalar_or_array(val)
+    u, s = acc * (x - b) + c, 1.0 - x * x
+    out = [u * p[0] + s * p[1]]
+    if d:
+        out += [acc * p[0] + (u - 2.0 * x) * p[1] + s * p[2],
+                (2.0 * acc - 2.0) * p[1] + (u - 4.0 * x) * p[2] + s * p[3]]
+    return [_scalar_or_array(np.asarray(v)) for v in out]
 
 
 def gauss_jacobi(n, alpha, beta):

@@ -24,7 +24,7 @@ s = (-1 + sqrt(1 - 4 C1^2))/2 is <= 0, so its norm is never finite.
 """
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -82,12 +82,16 @@ class SpectralLine:
 class WaveFunctionSpec:
     """First-component eigenfunction candidate on the w axis.
 
-    eval_raw is the unnormalized printed form.  When the norm diverges,
+    eval_raw is the unnormalized printed form (1-t)^a (1+t)^b r(t) of
+    t = tanh w, with (a, b) = exponents and ratio(t) = (r, r', r''): what an
+    operator needs to act on it exactly.  When the norm diverges,
     norm_finite is False and norm_reason says why; otherwise norm_rule and
     norm_nodes name the quadrature that produced norm_sq.
     """
 
     eval_raw: Callable
+    exponents: Tuple[float, float]
+    ratio: Callable
     norm_finite: bool
     norm_sq: Optional[float] = None
     norm_reason: Optional[str] = None
@@ -165,38 +169,49 @@ def wavefn_model1(n, p: Model1Params, k) -> WaveFunctionSpec:
     """
     s, B = _model1_exponents(n, p, k)
     return _printed_wavefunction(
-        (s, B), lambda t: specfun.jacobi(int(n), 2.0 * s, 2.0 * B, t), lambda t: 1.0,
+        (s, B), lambda t: specfun.jacobi(int(n), 2.0 * s, 2.0 * B, t),
+        lambda t: specfun.jacobi_derivs(int(n), 2.0 * s, 2.0 * B, t, 2), (1.0, 0.0),
         _model1_divergence(s, B),
     )
 
 
-def _printed_wavefunction(exponents, poly, den, divergence, weight=None, degree=None):
+def _printed_wavefunction(exponents, poly, derivs, den, divergence, weight=None, degree=None):
     """The printed eigenfunction (1-t)^a (1+t)^b poly(t)/den(t) of t = tanh w,
-    (a, b) = exponents.  Unless divergence gives the reason it diverges, its
-    norm integrates (poly/den)^2 (numerator degree `degree`) against the
-    Jacobi weight (1-t)^weight[0] (1+t)^weight[1]; Model I passes no weight,
-    since its norm always diverges.  Both raise PoleError at a sample where
-    den vanishes, as the gauge profile does at its pole.
+    (a, b) = exponents, with den = d0 + d1 t for den = (d0, d1), and derivs(t)
+    the list [poly, poly', poly''].  Unless divergence gives the reason it
+    diverges, its norm integrates (poly/den)^2 (numerator degree `degree`)
+    against the Jacobi weight (1-t)^weight[0] (1+t)^weight[1]; Model I passes
+    no weight, since its norm always diverges.  Both raise PoleError at a
+    sample where den vanishes, as the gauge profile does at its pole.
     """
     a, b = exponents
+    d0, d1 = den
 
-    def over_den(num, t):
-        d = den(t)
+    def den_at(t):
+        d = d0 + d1 * t
         if np.any(d == 0.0):
             raise PoleError("eigenfunction envelope denominator vanishes at a sample")
-        return num / d
+        return d
 
     @specfun._elementwise
     def raw(w):
-        # (envelope * poly) / den: this order keeps the sampled values, and so
-        # the report's residuals, as the printed form has always been evaluated
+        # (envelope * poly) / den: this order keeps the sampled values as the
+        # printed form has always been evaluated
         t = np.tanh(w)
-        return over_den((1.0 - t) ** a * (1.0 + t) ** b * poly(t), t)
+        return (1.0 - t) ** a * (1.0 + t) ** b * poly(t) / den_at(t)
+
+    def ratio(t):
+        # r = poly/den with den linear: r' = (poly' - d1 r)/den, r'' = (poly'' - 2 d1 r')/den
+        p, dp, d2p = derivs(t)
+        d = den_at(t)
+        r = p / d
+        r1 = (dp - d1 * r) / d
+        return r, r1, (d2p - 2.0 * d1 * r1) / d
 
     if divergence:
-        return WaveFunctionSpec(raw, norm_finite=False, norm_reason=divergence)
-    norm = _weighted_norm(lambda t: over_den(poly(t), t), *weight, degree)
-    return WaveFunctionSpec(raw, **norm)
+        return WaveFunctionSpec(raw, exponents, ratio, norm_finite=False, norm_reason=divergence)
+    norm = _weighted_norm(lambda t: poly(t) / den_at(t), *weight, degree)
+    return WaveFunctionSpec(raw, exponents, ratio, **norm)
 
 
 _NORM_RTOL = 1e-12  # agreement of two successive rules
@@ -297,7 +312,10 @@ def wavefn_model2(m, alpha, beta, polynomial="classical") -> WaveFunctionSpec:
     if alpha <= -1 or beta <= -1 or alpha == beta:
         raise DomainError("need alpha, beta > -1 and alpha != beta")
     m = int(m)
-    poly_fn = specfun.jacobi if polynomial == "classical" else specfun.x1_jacobi
+    poly_fn, derivs_fn = (
+        (specfun.jacobi, specfun.jacobi_derivs) if polynomial == "classical"
+        else (specfun.x1_jacobi, specfun.x1_jacobi_derivs)
+    )
     # Norm integrand (1-t)^alpha (1+t)^beta (poly/den)^2; alpha, beta > -1, so it
     # is finite iff the denominator's root t0 lies off [-1, 1] (alpha*beta > 0).
     t0 = -(alpha + beta) / (alpha - beta)
@@ -307,5 +325,6 @@ def wavefn_model2(m, alpha, beta, polynomial="classical") -> WaveFunctionSpec:
     )
     return _printed_wavefunction(
         ((alpha + 1.0) / 2.0, (beta + 1.0) / 2.0), lambda t: poly_fn(m + 1, alpha, beta, t),
-        lambda t: alpha + beta + (alpha - beta) * t, divergence, (alpha, beta), m + 1,
+        lambda t: derivs_fn(m + 1, alpha, beta, t, 2), (alpha + beta, alpha - beta),
+        divergence, (alpha, beta), m + 1,
     )

@@ -297,8 +297,12 @@ def test_verify_report_structure_and_exit(tmp_path):
         elif c["claim_id"].startswith("e."):
             # the larger of the two components' basis sizes
             assert c["grid"] == {"n": max(c["details"]["n"])}
+        elif c["claim_id"].startswith("d."):
+            # the residual window and its quadrature nodes, not the config grid
+            assert c["grid"] == {"w_lo": -8.0, "w_hi": 8.0, "nodes": c["details"]["nodes"]}
         else:
             assert "L" in c["grid"] or "w_lo" in c["grid"]
+    assert "grid" not in doc["config"]
 
 
 def test_verify_strict_corrupt_exits_3(tmp_path, forced_fault):
@@ -337,14 +341,23 @@ def test_verify_round_trip_bit_identical(tmp_path):
     assert b1 == b2
 
 
-def test_verify_model1_past_tanh_saturation(tmp_path):
+def test_verify_model1_past_tanh_saturation(tmp_path, capsys):
     # the printed Model-I envelope (1 - t)^s, s < 0, is infinite once tanh w
-    # rounds to 1 (w > 18.99); the d.* residuals read only |w| <= 8, so the
-    # report samples the eigenfunctions there and still covers every claim
-    code = cli.main(["verify", "--config", example_config("model1.json"), "--grid-L", "20",
-                     "--out", str(tmp_path)])
-    assert code == 0
-    claims = json.loads((tmp_path / "verify_model1.json").read_text())["report"]["claims"]
+    # rounds to 1 (w > 18.99); verify reads no grid (the d.* residuals
+    # integrate over |w| <= 8), so a config grid past that point changes
+    # nothing, and verify refuses a grid flag as a flag it never reads
+    out = tmp_path / "out"
+    for flag in (["--grid-L", "20"], ["--grid-N", "101"]):
+        assert cli.main(["verify", "--config", example_config("model1.json"), *flag, "--out", str(out)]) == 1
+        assert flag[0] in capsys.readouterr().err
+    assert not out.exists()
+    reports = []
+    for L in (12.0, 20.0):
+        cfg = write_config(tmp_path, model1_doc(grid={"L": L, "N": 4001}))
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / str(L))]) == 0
+        reports.append((tmp_path / str(L) / "verify_model1.json").read_bytes())
+    assert reports[0] == reports[1]
+    claims = json.loads(reports[1])["report"]["claims"]
     assert all(math.isfinite(c["metric"]) for c in claims)
     forced = [c["verdict"] for c in claims if c["claim_id"].startswith("f.")]
     assert forced == ["pass", "pass"]
@@ -358,11 +371,8 @@ def test_verify_model1_past_tanh_saturation(tmp_path):
          "curve sample is not finite at w = -666.6666666666666"),
         (["wavefunction", "--grid-L", "20", "--grid-N", "41"],
          "curve sample is not finite at w = 19.047619047619044"),
-        # the kinetic coefficient cosh^2 at the half points names its first bad w
-        (["verify", "--grid-L", "400", "--grid-N", "101"],
-         "p(w) must be positive and finite on the grid, and is not at w = -396.078431372549"),
     ],
-    ids=["potential", "wavefunction", "verify"],
+    ids=["potential", "wavefunction"],
 )
 def test_sample_not_finite_exits_2_writes_nothing(tmp_path, capsys, args, err):
     # a sample that is not finite is refused, never written as a data row
@@ -483,6 +493,8 @@ def test_invalid_override_exits_1_writes_nothing(tmp_path, command, flag):
 _IGNORED_FLAGS = [
     ("spectrum", ["--grid-L", "6"]),
     ("spectrum", ["--grid-N", "401"]),
+    ("verify", ["--grid-L", "6"]),
+    ("verify", ["--grid-N", "401"]),
     ("spectrum", ["--strict"]),
     ("potential", ["--levels", "9"]),
     ("potential", ["--strict"]),
@@ -581,25 +593,17 @@ def test_wavefunction_large_norm_is_normalized(tmp_path):
     assert sum(v * v for v in vals) * (w[1] - w[0]) == pytest.approx(1.0, rel=1e-6)
 
 
-def test_verify_levels_past_grid_exits_1_writes_nothing(tmp_path, capsys):
-    # more levels than grid rows is a config error, refused before any claim
-    out = tmp_path / "out"
-    code = cli.main(["verify", "--config", example_config("model1.json"), "--levels", "5000",
-                     "--out", str(out)])
-    assert code == 1
-    assert "grid.N = 4001" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_verify_levels_past_galerkin_cap_exits_1_writes_nothing(tmp_path, capsys):
     # 61 levels would need a first Galerkin basis of 2 * 61 + 8 = 130
     # functions, checked against 260, past the cap of 256: refused before any
-    # claim is computed, on any grid
+    # claim is computed, on any grid (5000 levels, more than the grid's 4001
+    # rows, get the same refusal: verify reads no grid)
     out = tmp_path / "out"
-    code = cli.main(["verify", "--config", example_config("model1.json"), "--levels", "61",
-                     "--out", str(out)])
-    assert code == 1
-    assert "levels must be at most 60" in capsys.readouterr().err
+    for levels in ("61", "5000"):
+        code = cli.main(["verify", "--config", example_config("model1.json"), "--levels", levels,
+                         "--out", str(out)])
+        assert code == 1
+        assert "levels must be at most 60" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -673,13 +677,17 @@ def test_written_files_follow_the_umask(tmp_path, umask, mode):
 
 def test_verify_refuses_a_pole_with_one_message_on_every_grid(tmp_path, capsys):
     # alpha * beta < 0: the Model-II pole at w = -6.91 lies inside L = 12 and
-    # beyond L = 6 and L = 0.5, and every grid gets the same refusal
-    cfg = write_config(tmp_path, model2_doc(model2={"C1": 0.5, "alpha": 1.0, "beta": -1e-6}))
+    # beyond L = 6 and L = 0.5; verify reads no grid, so every config grid
+    # gets the same refusal, and a grid flag is refused as one it never reads
     out = tmp_path / "out"
     errors = []
-    for L in ("12", "6", "0.5"):
-        assert cli.main(["verify", "--config", cfg, "--grid-L", L, "--out", str(out)]) == 2
+    for L in (12.0, 6.0, 0.5):
+        doc = model2_doc(model2={"C1": 0.5, "alpha": 1.0, "beta": -1e-6}, grid={"L": L, "N": 801})
+        assert cli.main(["verify", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
         errors.append(capsys.readouterr().err)
+        assert cli.main(["verify", "--config", write_config(tmp_path, doc), "--grid-L", str(L),
+                         "--out", str(out)]) == 1
+        assert "--grid-L" in capsys.readouterr().err
     assert errors == [errors[0]] * 3
     assert "potential pole at w = -6.907" in errors[0]
     assert not out.exists()

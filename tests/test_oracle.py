@@ -269,51 +269,87 @@ def test_factorization_match_second_order(branch):
 # ----------------------------------------------------------- residuals
 
 
-def test_verify_eigenpair_box_mode():
-    L, N = math.pi / 2, 3999
-    grid = oracle.Grid(L, N)
-    lam = (math.pi / (2 * L)) ** 2
-    phi = np.sin(math.pi * (grid.points() + L) / (2 * L))
-    m = oracle.build_sl_matrix(ONES, ZERO, grid)
-    (res,) = oracle.verify_eigenpair(m, grid, phi, [lam])
-    assert res <= 1e-5
+def _model2_readings(k, m, variant):
+    """verify_eigenpair of a Model-II reading at its printed and identity
+    levels, and the distance between the two levels."""
+    p = m2_params(C1=1 / k, k=k)
+    wf = spectra.wavefn_model2(m, p.alpha, p.beta, polynomial=variant)
+    printed = spectra.energy_model2(m, p.alpha, p.beta, k, 1.0).E_sq_bar
+    matched = spectra.energy_model2_matched(m, p)
+    return oracle.verify_eigenpair(wf, gauge.v_eff_model2(p, 1), [printed, matched]), abs(printed - matched)
 
 
 def test_verify_eigenpair_negative_control():
-    grid = oracle.Grid(math.pi / 2, 999)
-    lam = (math.pi / (2 * grid.L)) ** 2
-    rng = np.random.default_rng(3)
-    noise = rng.normal(size=grid.N)
-    m = oracle.build_sl_matrix(ONES, ZERO, grid)
-    (res,) = oracle.verify_eigenpair(m, grid, noise, [lam])
-    assert res > 1e-2
-    # the routine refuses a vector it cannot judge
-    w = grid.points()
-    for vec, window, message in (
-        (noise[:-1], None, "shape"),
-        (np.where(w == w[grid.N // 2], np.nan, noise), None, "not finite"),
-        (np.zeros(grid.N), None, "identically"),
-        (np.where(np.abs(w) > 0.5, noise, 0.0), 0.5, "residual window"),
-    ):
-        with pytest.raises(DomainError, match=message):
-            oracle.verify_eigenpair(m, grid, vec, [lam], window=window)
+    # the classical reading of the printed Model-II form is no eigenfunction
+    # at either level constant: its residual at the identity level stays >= 1
+    for k in (1.5, 2.0, 3.0, 4.0):
+        for m in range(4):
+            ((at_printed, at_identity), _, _), _ = _model2_readings(k, m, "classical")
+            assert at_printed >= 1.0 and at_identity >= 1.0, (k, m)
 
 
 def test_verify_eigenpair_x1_candidate():
-    # the rational-extension eigenfunction solves the closed potential at the
-    # identity-implied level, not at the printed one
+    # the rational-extension eigenfunction solves the closed potential exactly
+    # at the identity-implied level, not at the printed one; the continuum
+    # residual reads rounding (the cosh^2 8 terms), no discretization error.
+    # At the printed level it reads the level offset itself (0.2225 at k = 3)
+    for k in (1.5, 2.0, 3.0, 4.0):
+        for m in range(4):
+            ((at_printed, at_identity), nodes, gap), offset = _model2_readings(k, m, "x1")
+            assert at_identity <= 1e-6 and at_printed >= 0.2, (k, m)
+            assert at_printed == pytest.approx(offset, rel=1e-9), (k, m)
+            assert nodes == 21 * 16 and max(gap) <= 1e-6, (k, m)
+
+
+def test_verify_eigenpair_refusals():
     p = m2_params()
     pot = gauge.v_eff_model2(p, 1)
+    wf = spectra.wavefn_model2(1, p.alpha, p.beta, polynomial="x1")
+    # a potential sample that is not finite names its w
+    with pytest.raises(PoleError, match="potential is not finite at w = ") as info:
+        oracle.verify_eigenpair(wf, lambda w: np.where(w > 1.0, np.inf, pot(w)), [1.0])
+    assert info.value.location > 1.0
+    # an eigenfunction sample, or H applied to it, that is not finite names its w
+    bent = dataclasses.replace(wf, ratio=lambda t: tuple(np.where(t > 0.5, np.nan, x) for x in wf.ratio(t)))
+    with pytest.raises(PoleError, match="eigenfunction is not finite at w = "):
+        oracle.verify_eigenpair(bent, pot, [1.0])
+    bent = dataclasses.replace(wf, ratio=lambda t: (*wf.ratio(t)[:2], np.where(t < 0.0, np.inf, 0.0)))
+    with pytest.raises(PoleError, match="H applied to the eigenfunction is not finite at w = "):
+        oracle.verify_eigenpair(bent, pot, [1.0])
+    # an eigenfunction that vanishes on the window cannot be judged
+    zero = dataclasses.replace(wf, ratio=lambda t: tuple(np.zeros_like(t) for _ in range(3)))
+    with pytest.raises(DomainError, match="vanishes on the residual window"):
+        oracle.verify_eigenpair(zero, pot, [1.0])
+
+
+def test_verify_eigenpair_panel_cap(monkeypatch):
+    # readings that never agree double the panels up to the cap, then refuse
+    p = m2_params()
     wf = spectra.wavefn_model2(0, p.alpha, p.beta, polynomial="x1")
-    grid = oracle.Grid(12.0, 4001)
-    m = oracle.build_sl_matrix(COSH2, pot, grid)
-    matched = spectra.energy_model2_matched(0, p)
-    printed = spectra.energy_model2(0, p.alpha, p.beta, 2.0, 1.0).E_sq_bar
-    res_good, res_bad = oracle.verify_eigenpair(
-        m, grid, wf.eval(grid.points()), [matched, printed], window=8.0
-    )
-    assert res_good < 5e-3
-    assert res_bad > 0.5
+    pot = gauge.v_eff_model2(p, 1)
+    seen = []
+    rules = oracle._window_rules
+
+    def counted(panels):
+        seen.append(panels)
+        return rules(panels)
+
+    monkeypatch.setattr(oracle, "_window_rules", counted)
+    monkeypatch.setattr(oracle, "_RESIDUAL_TOL", -1.0)
+    with pytest.raises(DomainError, match="128 and 256 panels differ by .*, and 512 is past the cap of 256"):
+        oracle.verify_eigenpair(wf, pot, [1.0])
+    assert seen == [16, 32, 64, 128]
+
+
+def test_window_rules_integrate_on_the_window():
+    # the 16- and 32-panel rules, nodes concatenated: both integrate cosh^2
+    # over |w| <= 8, 8 + sinh(16)/2, and each node set is one cached array
+    w, q_lo, q_hi = oracle._window_rules(16)
+    assert (w.size, q_lo.size, q_hi.size) == (21 * 48, 21 * 16, 21 * 32)
+    for nodes, q in ((w[: q_lo.size], q_lo), (w[q_lo.size :], q_hi)):
+        assert np.abs(nodes).max() < 8.0 and float(q.sum()) == pytest.approx(16.0, rel=1e-14)
+        assert float(np.dot(q, np.cosh(nodes) ** 2)) == pytest.approx(math.sinh(16.0) / 2 + 8.0, rel=1e-12)
+    assert oracle._window_rules(16)[0] is w and not any(a.flags.writeable for a in (w, q_lo, q_hi))
 
 
 # ----------------------------------------------------------- Jacobi-Galerkin oracle
@@ -372,7 +408,7 @@ def test_galerkin_level_count_range():
         with pytest.raises(DomainError, match=r"level count must be in \[1, 60\]"):
             _galerkin(p, 2.0, count)
         with pytest.raises(DomainError, match=r"level count must be in \[1, 60\]"):
-            oracle.consistency_report(1, p, 2.0, 1.0, oracle.Grid(6.0, 801), levels=count)
+            oracle.consistency_report(1, p, 2.0, 1.0, levels=count)
 
 
 _POLE_REFUSAL = r"potential pole at w = .*: the gauge profile is singular there"
@@ -387,7 +423,7 @@ def test_galerkin_refuses_a_pole_beyond_every_grid():
     p = gauge.model2_derive_params(0.5, beta - alpha, beta + alpha, 2.0)
     assert p.poles[0] == pytest.approx(-6.9077552789)
     with pytest.raises(PoleError, match=_POLE_REFUSAL) as info:
-        oracle.consistency_report(2, p, 2.0, 1.0, oracle.Grid(6.0, 801), levels=2)
+        oracle.consistency_report(2, p, 2.0, 1.0, levels=2)
     assert info.value.location == p.poles[0]
     spec = oracle.model_spec(p, 2.0, 1.0)
     with pytest.raises(PoleError, match="Jacobi-Galerkin oracle needs V finite") as info:
@@ -410,19 +446,22 @@ def test_galerkin_refuses_a_closed_form_off_the_general_one(monkeypatch):
 
     monkeypatch.setattr(oracle, "_model1_spec", bent)
     with pytest.raises(DomainError, match="differs from the general form by more than a constant"):
-        oracle.consistency_report(1, p, 2.0, 1.0, oracle.Grid(6.0, 801), levels=2)
+        oracle.consistency_report(1, p, 2.0, 1.0, levels=2)
 
 
 def test_galerkin_constancy_spread_is_relative_to_the_potential():
     # near k = 1 the Model-II potential reaches 7e6 on the |w| <= 4 sample,
     # and the closed and general forms differ by a constant only to the
-    # rounding of that size (a.* spread 3.8e-9 at k = 1.01): not a reason to
-    # refuse, and the levels still meet the doubling rule
-    k = 1.01
-    rep = oracle.consistency_report(2, m2_params(C1=1 / k, k=k), k, 1.0, oracle.Grid(6.0, 801), levels=2)
-    assert rep.claim("a.veff1-expansion").metric > 1e-9
-    d = rep.claim("c.spectrum.m1").details
-    assert abs(d["oracle_minus_matched"]) <= 1e-9 * (1.0 + d["oracle"])
+    # rounding of that size (absolute a.* spread 3.8e-9 at k = 1.01): the
+    # a.*/b.* spreads are read relative to 1 + max |general form|, so they sit
+    # below their 1e-9 tolerance, and the levels still meet the doubling rule
+    for k in (1.01, 1.02):
+        rep = oracle.consistency_report(2, m2_params(C1=1 / k, k=k), k, 1.0, levels=2)
+        for claim_id in ("a.veff1-expansion", "b.veff1-constrained"):
+            c = rep.claim(claim_id)
+            assert c.metric <= c.tolerance == 1e-9, (k, claim_id)
+        d = rep.claim("c.spectrum.m1").details
+        assert abs(d["oracle_minus_matched"]) <= 1e-9 * (1.0 + d["oracle"])
 
 
 @pytest.mark.parametrize(
@@ -466,7 +505,7 @@ def test_partner_exponents_refuse_the_log_case():
     alpha, beta = gauge.alpha_beta(k, "+", "+")
     p = gauge.model2_derive_params(1 / k, beta - alpha, beta + alpha, k)
     with pytest.raises(DomainError, match=r"no unique exponent at t = \+1 .*the log case"):
-        oracle.consistency_report(2, p, k, 1.0, oracle.Grid(6.0, 801), levels=2)
+        oracle.consistency_report(2, p, k, 1.0, levels=2)
 
 
 _BLAS_PROBE = """
@@ -506,47 +545,44 @@ def test_galerkin_levels_bitwise_across_blas_threads():
 
 def test_report_deterministic():
     p = gauge.Model1Params.from_branch(0.4, 2.0, "half-up")
-    grid = oracle.Grid(8.0, 1201)
-    r1 = oracle.consistency_report(1, p, 2.0, 1.0, grid, levels=2)
-    r2 = oracle.consistency_report(1, p, 2.0, 1.0, grid, levels=2)
+    r1 = oracle.consistency_report(1, p, 2.0, 1.0, levels=2)
+    r2 = oracle.consistency_report(1, p, 2.0, 1.0, levels=2)
     assert json.dumps(r1.as_dict()) == json.dumps(r2.as_dict())
 
 
 def test_report_model_mismatch_rejected():
     p = m2_params()
     with pytest.raises(DomainError):
-        oracle.consistency_report(1, p, 2.0, 1.0, oracle.Grid(6.0, 801))
+        oracle.consistency_report(1, p, 2.0, 1.0)
     with pytest.raises(DomainError):
-        oracle.consistency_report(2, p, 3.0, 1.0, oracle.Grid(6.0, 801))
+        oracle.consistency_report(2, p, 3.0, 1.0)
     # half-up parameters at k = 2 sit on the half-down branch at k = 4
     p1 = gauge.Model1Params.from_branch(0.4, 2.0, "half-up")
     with pytest.raises(DomainError, match="are not on the 'half-up' branch"):
-        oracle.consistency_report(1, p1, 4.0, 1.0, oracle.Grid(6.0, 801))
+        oracle.consistency_report(1, p1, 4.0, 1.0)
 
 
 def test_report_aborts_on_singular_branch(monkeypatch):
-    # the pole at w = -0.549 lies inside [-6, 6] and beyond [-0.5, 0.5]: on
-    # both grids the report refuses it with the same message, before any
-    # matrix is assembled
+    # the pole at w = -0.549: the report refuses it with one message, before
+    # any matrix is assembled
     def never(*args, **kwargs):
         raise AssertionError("a matrix was assembled for a model with a real pole")
 
     monkeypatch.setattr(oracle, "compose_factorized", never)
     monkeypatch.setattr(oracle, "build_sl_matrix", never)
     p = gauge.model2_derive_params(0.5, -1 / 3 - 1.0, -1 / 3 + 1.0, 2.0)
-    for L in (6.0, 0.5):
-        with pytest.raises(PoleError) as info:
-            oracle.consistency_report(2, p, 2.0, 1.0, oracle.Grid(L, 801), levels=2)
-        assert str(info.value) == (
-            f"potential pole at w = {p.poles[0]}: the gauge profile is singular there, so "
-            "no report operator is defined across it"
-        )
-        assert info.value.location == pytest.approx(math.atanh(-0.5), rel=1e-12)
+    with pytest.raises(PoleError) as info:
+        oracle.consistency_report(2, p, 2.0, 1.0, levels=2)
+    assert str(info.value) == (
+        f"potential pole at w = {p.poles[0]}: the gauge profile is singular there, so "
+        "no report operator is defined across it"
+    )
+    assert info.value.location == pytest.approx(math.atanh(-0.5), rel=1e-12)
 
 
 def test_report_corrupt_hook_fails_forced_claim(forced_fault):
     p = gauge.Model1Params.from_branch(0.4, 2.0, "half-up")
-    rep = oracle.consistency_report(1, p, 2.0, 1.0, oracle.Grid(6.0, 801), levels=2)
+    rep = oracle.consistency_report(1, p, 2.0, 1.0, levels=2)
     bad = {c.claim_id for c in rep.forced_failures()}
     assert bad == {"f.isospectrality", "f.matrix-symmetry"}
 
@@ -563,7 +599,7 @@ def test_factorization_match_reads_the_continuum_identity(model, k, branch, monk
     p = gauge.Model1Params.from_branch(0.4, k, branch) if model == 1 else m2_params(C1=1 / k, k=k)
 
     def match():
-        rep = oracle.consistency_report(model, p, k, 1.0, oracle.Grid(6.0, 801), levels=1)
+        rep = oracle.consistency_report(model, p, k, 1.0, levels=1)
         c = rep.claim("conventions.factorization-match")
         assert c.grid == oracle._CONSTANCY_GRID and c.details["convention"] == oracle._D_NAME
         return c.metric, c.details["match_j2"]
@@ -604,14 +640,15 @@ def test_report_partner_claims(model, k, branch, zero_level, levels):
     # e.partner.mN pairs the Galerkin levels of Dt*D (general j=1 potential,
     # principal exponents) and D*Dt (general j=2, image-of-D exponents) past
     # the zero level of the component whose kernel has its exponents; every
-    # pair agrees within 1e-9
+    # pair agrees within 1e-9.  The j=1 levels are the c.* solve's, shifted
+    # by the a.* and b.veff1 additive constants (closed1 - gen1)
     grid = oracle.Grid(6.0, 801)
     p = gauge.Model1Params.from_branch(0.4, k, branch) if model == 1 else m2_params(C1=1 / k, k=k)
-    rep = oracle.consistency_report(model, p, k, 1.0, grid, levels=levels)
+    rep = oracle.consistency_report(model, p, k, 1.0, levels=levels)
     partners = _partners(rep)
     assert [c.claim_id for c in partners] == [f"e.partner.m{m}" for m in range(1, levels)]
     # one level has no partner to pair
-    assert not _partners(oracle.consistency_report(model, p, k, 1.0, grid, levels=1))
+    assert not _partners(oracle.consistency_report(model, p, k, 1.0, levels=1))
     spec = oracle.model_spec(p, k, 1.0)
     exps = oracle.partner_exponents(spec.ends, k)
     assert exps.zero_level == zero_level
@@ -623,19 +660,23 @@ def test_report_partner_claims(model, k, branch, zero_level, levels):
     shift = {"j=1": 1, "j=2": -1, "neither": 0}[zero_level]
     if shift:
         assert abs((g1 if shift == 1 else g2).levels[0]) <= 1e-12
+    offset = sum(rep.claim(i).details["additive_constant"] for i in ("a.veff1-expansion", "b.veff1-constrained"))
     for m, c in enumerate(partners, start=1):
         i1, i2 = m - max(-shift, 0), m - max(shift, 0)
         d = c.details
-        assert (d["e1"], d["e2"], d["zero_level"]) == (g1.levels[i1], g2.levels[i2], zero_level)
+        closed = rep.claim(f"c.spectrum.m{i1}").details
+        assert d["e1"] == closed["oracle"] - offset
+        assert d["n"][0] == closed["n"] and d["gap_2n"][0] == closed["gap_2n"]
+        assert abs(d["e1"] - g1.levels[i1]) <= 1e-9 * (1.0 + abs(g1.levels[i1]))
+        assert (d["e2"], d["zero_level"]) == (g2.levels[i2], zero_level)
         assert d["exponents_j1"] == list(exps.j1) and d["exponents_j2"] == list(exps.j2)
         assert (d["rule_j1"], d["rule_j2"]) == ("principal", "image-of-D")
-        assert d["n"] == [g1.n, g2.n] and c.grid == {"n": max(g1.n, g2.n)}
+        assert d["n"][1] == g2.n and c.grid == {"n": max(d["n"])}
         assert c.metric == abs(d["e1"] - d["e2"]) <= 1e-9
     # a cross-check by another method: flux solves of the closed j=1
     # potential on the grid sit near the c.* levels, and the general form's
     # levels are those shifted by the a.* and b.veff1 additive constants
     flux = oracle.eig_lowest(_closed_matrix(spec.closed1, grid), 3)
-    offset = sum(rep.claim(i).details["additive_constant"] for i in ("a.veff1-expansion", "b.veff1-constrained"))
     for n in range(1, min(levels, 3)):
         galerkin = rep.claim(f"c.spectrum.m{n}").details["oracle"]
         assert abs(flux[n] - galerkin) <= _FLUX_CROSS_CHECK[model]
@@ -647,7 +688,7 @@ def test_partner_pairing_within_the_galerkin_error_estimates(k):
     # at 4 levels the bases stop at 16 functions, where the doubling rule
     # allows 1e-9 (1 + |level|); at k = 1.5 the fourth j=1 level sits 4.4e-9 from
     # its 32-function value, and the pairing reads that gap, not more
-    rep = oracle.consistency_report(2, m2_params(C1=1 / k, k=k), k, 1.0, oracle.Grid(6.0, 801), levels=4)
+    rep = oracle.consistency_report(2, m2_params(C1=1 / k, k=k), k, 1.0, levels=4)
     for c in _partners(rep):
         assert c.metric <= sum(c.details["gap_2n"]) + 1e-12, c.claim_id
 
@@ -664,50 +705,92 @@ def test_partner_claims_fail_on_principal_j2_exponents(monkeypatch):
 
     monkeypatch.setattr(oracle, "partner_exponents", principal)
     k = 2.0
-    rep = oracle.consistency_report(2, m2_params(C1=1 / k, k=k), k, 1.0, oracle.Grid(6.0, 801), levels=4)
+    rep = oracle.consistency_report(2, m2_params(C1=1 / k, k=k), k, 1.0, levels=4)
     assert rep.claim("e.partner.m1").details["exponents_j2"] == pytest.approx([5 / 6, 1.5])
     assert min(c.metric for c in _partners(rep)) > 1e-3
 
 
+def _report_params(model, k=2.0):
+    return gauge.Model1Params.from_branch(0.4, k, "half-up") if model == 1 else m2_params(C1=1 / k, k=k)
+
+
 @pytest.mark.parametrize("model", [1, 2])
 def test_report_residuals_match_verify_eigenpair_bitwise(model, monkeypatch):
-    # the report reuses its assembled j=1 matrix and one sampled vector per
-    # wavefunction, through the public routine: one call per level and
-    # reading, and exactly the numbers of a call on a matrix built here
-    k, R, grid = 2.0, 1.0, oracle.Grid(8.0, 801)
-    if model == 1:
-        p = gauge.Model1Params.from_branch(0.4, k, "half-up")
-        m1 = _closed_matrix(gauge.v_eff_model1(p, k, 1), grid)
-    else:
-        p = m2_params(C1=1 / k, k=k)
-        m1 = _closed_matrix(gauge.v_eff_model2(p, 1), grid)
+    # the d.* numbers come from the public routine, one call per level and
+    # reading with both level constants, and are exactly the numbers of a
+    # call made here on the same eigenfunction and closed j=1 potential
+    k, R = 2.0, 1.0
+    p = _report_params(model, k)
+    pot = gauge.v_eff_model1(p, k, 1) if model == 1 else gauge.v_eff_model2(p, 1)
     routine, calls = oracle.verify_eigenpair, []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return routine(*args, **kwargs)
+    def counted(wf, V, lams):
+        calls.append(len(lams))
+        return routine(wf, V, lams)
 
     monkeypatch.setattr(oracle, "verify_eigenpair", counted)
-    rep = oracle.consistency_report(model, p, k, R, grid, levels=3)
-    assert len(calls) == (3 if model == 1 else 6)
-
-    def residual(wf, lam):
-        return routine(m1, grid, wf.eval(grid.points()), [lam], window=8.0)[0]
+    rep = oracle.consistency_report(model, p, k, R, levels=3)
+    assert calls == ([1] * 3 if model == 1 else [2] * 6)
 
     for m in range(3):
         if model == 1:
             claim = rep.claim(f"d.eigenfunction.m{m}")
             wf = spectra.wavefn_model1(m, p, k)
-            assert claim.metric == residual(wf, claim.details["lambda"])
+            res, nodes, gap = routine(wf, pot, [claim.details["lambda"]])
+            assert (claim.metric, claim.details["nodes"], claim.details["gap_2n"]) == (res[0], nodes, gap)
             assert "norm_divergence" in claim.details
             continue
         for variant in ("classical", "x1"):
             claim = rep.claim(f"d.eigenfunction.{variant}.m{m}")
             wf = spectra.wavefn_model2(m, p.alpha, p.beta, polynomial=variant)
             d = claim.details
-            assert claim.metric == residual(wf, d["lambda_printed"])
-            assert d["residual_at_identity_energy"] == residual(wf, d["lambda_identity"])
+            res, nodes, gap = routine(wf, pot, [d["lambda_printed"], d["lambda_identity"]])
+            assert [claim.metric, d["residual_at_identity_energy"]] == res
+            assert (d["nodes"], d["gap_2n"]) == (nodes, gap)
+            assert claim.grid == {"w_lo": -8.0, "w_hi": 8.0, "nodes": nodes} and d["window"] == 8.0
             assert d["norm_rule"].startswith("gauss-jacobi") and d["norm_nodes"] == wf.norm_nodes
+
+
+def test_report_assembles_no_flux_matrix(monkeypatch):
+    # the report reads no grid: with build_sl_matrix refusing, both models'
+    # reports still complete, and only the forced claims' compositions assemble
+    def never(*args, **kwargs):
+        raise AssertionError("the report assembled a flux matrix")
+
+    monkeypatch.setattr(oracle, "build_sl_matrix", never)
+    for model in (1, 2):
+        rep = oracle.consistency_report(model, _report_params(model), 2.0, 1.0, levels=4)
+        assert all(c.verdict == "pass" for c in rep.claims if c.claim_id.startswith("f."))
+
+
+@pytest.mark.parametrize("branch", ["neg-half", "half-down", "half-up", "three-half"])
+def test_report_model1_residuals_finite_on_every_branch(branch):
+    # the printed Model-I form is no eigenfunction: its continuum residuals
+    # are large, but finite and converged on every branch
+    rep = oracle.consistency_report(1, gauge.Model1Params.from_branch(0.4, 2.0, branch), 2.0, 1.0, levels=4)
+    for m in range(4):
+        c = rep.claim(f"d.eigenfunction.m{m}")
+        assert math.isfinite(c.metric) and c.metric > 1.0, c.claim_id
+        assert max(c.details["gap_2n"]) <= 1e-6 * (1.0 + c.metric)
+    g = rep.claim("g.local-energy-constancy")
+    assert math.isfinite(g.metric) and math.isfinite(g.details["mean_local_energy"])
+
+
+def test_report_solves_two_galerkin_series(monkeypatch):
+    # c.* solves the closed j=1 potential and e.* reuses it, shifted by the
+    # constant closed1 - gen1; only the general j=2 potential needs its own
+    routine, calls = oracle.galerkin_levels, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return routine(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "galerkin_levels", counted)
+    for model in (1, 2):
+        calls.clear()
+        oracle.consistency_report(model, _report_params(model), 2.0, 1.0, levels=4)
+        exps = oracle.partner_exponents(oracle.model_spec(_report_params(model), 2.0, 1.0).ends, 2.0)
+        assert calls == [exps.j1, exps.j2], model
 
 
 _SHARED_HEAD = [
@@ -725,12 +808,15 @@ _PARTNER = (
 _GALERKIN = ("solver", "exponents", "n", "gap_2n")
 _M2_EIGEN = (
     "lambda_printed", "residual_at_identity_energy", "lambda_identity",
-    "window", "norm_finite", "norm_rule", "norm_nodes",
+    "window", "nodes", "gap_2n", "norm_finite", "norm_rule", "norm_nodes",
 )
 _REPORT_LAYOUT = {
     1: _SHARED_HEAD
     + [(f"c.spectrum.m{n}", ("closed_form", "oracle", "radicand_ok") + _GALERKIN) for n in range(3)]
-    + [(f"d.eigenfunction.m{n}", ("lambda", "window", "norm_finite", "norm_divergence")) for n in range(3)]
+    + [
+        (f"d.eigenfunction.m{n}", ("lambda", "window", "nodes", "gap_2n", "norm_finite", "norm_divergence"))
+        for n in range(3)
+    ]
     + [("e.partner.m1", _PARTNER), ("e.partner.m2", _PARTNER)]
     + [("g.local-energy-constancy", ("mean_local_energy", "closed_form_level0"))],
     2: _SHARED_HEAD
@@ -759,7 +845,7 @@ def test_report_layout_pinned(model):
         p = gauge.Model1Params.from_branch(0.4, k, "half-up")
     else:
         p = m2_params(C1=1 / k, k=k)
-    rep = oracle.consistency_report(model, p, k, 1.0, oracle.Grid(8.0, 801), levels=3)
+    rep = oracle.consistency_report(model, p, k, 1.0, levels=3)
     claims = rep.as_dict()["claims"]
     layout = [(c["claim_id"], tuple(c["details"])) for c in claims]
     assert layout == _REPORT_LAYOUT[model]

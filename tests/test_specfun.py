@@ -104,6 +104,40 @@ def test_derivative_is_derivative():
         assert specfun.jacobi_deriv(n, a, b, x) == pytest.approx(fd, rel=1e-7)
 
 
+@pytest.mark.parametrize("a, b", [(0.7, -0.2), (1.0, 1 / 3), (-0.4, -0.7), (-0.45, -0.5), (2.5, 0.25)])
+def test_derivative_helpers_match_symbolic_differentiation(a, b):
+    # P', P'', P''' from the parameter shift, and X1', X1'' from them, against
+    # sympy's differentiation of the explicit polynomials; (-0.45, -0.5) puts
+    # alpha + beta near -1, where the shifted recurrences start at alpha + beta + 2j
+    import sympy as sp
+
+    x = sp.Symbol("x")
+    pts = np.array([-0.93, -0.4, 0.0, 0.35, 0.88])
+    for n in range(6):
+        p = sp.jacobi(n, sp.nsimplify(a), sp.nsimplify(b), x)
+        want = [sp.lambdify(x, sp.diff(p, x, j))(pts) * np.ones_like(pts) for j in range(4)]
+        got = specfun.jacobi_derivs(n, a, b, pts, 3)
+        for j in range(4):
+            scale = 1.0 + np.abs(want[j]).max()
+            assert np.abs(got[j] - want[j]).max() <= 1e-12 * scale, (n, j)
+        nu = n + 1
+        m = sp.Integer(n)
+        al, be = sp.nsimplify(a), sp.nsimplify(b)
+        acc = m * m + (al + be + 1) * m + al * be
+        u = acc * (x - (be + al) / (be - al)) + 2 * al * be / (al - be)
+        x1 = u * p + (1 - x * x) * sp.diff(p, x)
+        want = [sp.lambdify(x, sp.diff(x1, x, j))(pts) * np.ones_like(pts) for j in range(3)]
+        got = specfun.x1_jacobi_derivs(nu, a, b, pts, 2)
+        assert np.array_equal(got[0], specfun.x1_jacobi(nu, a, b, pts))
+        for j in range(3):
+            scale = 1.0 + np.abs(want[j]).max()
+            assert np.abs(got[j] - want[j]).max() <= 1e-12 * scale, (nu, j)
+    # jacobi_deriv is the helper's first derivative, bit for bit
+    assert np.array_equal(specfun.jacobi_deriv(4, a, b, pts), specfun.jacobi_derivs(4, a, b, pts, 1)[1])
+    with pytest.raises(DomainError, match="derivative order must be 0 or 2"):
+        specfun.x1_jacobi_derivs(2, a, b, pts, 1)
+
+
 def test_x1_degree_one_is_linear_with_known_root():
     # ground member is proportional to alpha*beta*(x - b) + 2*alpha*beta/(alpha-beta)
     a, b = 1.0, 1 / 3
