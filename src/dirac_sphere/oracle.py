@@ -17,11 +17,12 @@ The forced checks discretize it with a conservative (flux-form) finite-
 difference scheme on a uniform grid over [-L, L] with Dirichlet walls.
 Every flux-form matrix is symmetric tridiagonal and is stored as its
 diagonal and off-diagonal arrays (SLMatrix diag, off), so real spectra are
-structural and one tridiagonal eigensolver serves every such solve; the
-solves return eigenvalues only.  They call LAPACK's dstebz and dstevd from
-scipy's compiled _flapack extension, loaded by path on the first solve: the
-commands that never solve do not load scipy, and verify never runs
-scipy.linalg's package init.
+structural; the solves return eigenvalues only.  Every full spectrum, a
+Galerkin matrix or a flux-form one, comes from LAPACK dsbev (the latter as a
+band of width one); dstebz serves eig_lowest alone.  Both come from scipy's
+compiled _flapack extension, loaded by path on the first solve: the commands
+that never solve do not load scipy, and verify never runs scipy.linalg's
+package init.
 
 The first-order operator D = cosh d/dw + f, f = cosh (A - k) + sinh/2, that
 factors the general j=1 potential is discretized on the staggered grid (nodes
@@ -69,7 +70,7 @@ from .gauge import (
     v_eff_model2,
     v_eff_model2_raw,
 )
-from .specfun import _golub_welsch
+from .specfun import _golub_welsch, gauss_jacobi
 from .spectra import (
     energy_model1,
     energy_model2,
@@ -239,23 +240,23 @@ def eig_lowest(m: SLMatrix, count: int):
 
 
 def eig_values(m: SLMatrix):
-    """All eigenvalues, ascending: LAPACK dstevd, the routine
-    eigh_tridiagonal calls for a full spectrum.  Non-finite bands or a LAPACK
-    failure raise DomainError."""
+    """All eigenvalues, ascending: the two bands stored as a band of width one
+    for _band_eigenvalues.  With nothing to reduce and no eigenvectors, dsbev
+    scales by its norm test and runs dsterf, as LAPACK's tridiagonal drivers
+    do, so the bits are theirs.  Non-finite bands or a LAPACK failure raise
+    DomainError."""
     diag, off = _bands(m)
-    w, _, info = _lapack().dstevd(diag, off, compute_v=0)
-    if info:
-        raise DomainError(f"LAPACK dstevd failed (info={info})")
-    return w
+    return _band_eigenvalues(np.vstack([diag, np.append(off, 0.0)]))
 
 
 # The first-order operator of the factorization, as recorded in the report.
 _D_NAME = "staggered cosh*d/dw + cosh*(A-k) + sinh/2"
 
 
-def _factor_f(A, k, w):
-    """f = cosh (A - k) + sinh/2 at w, the multiplier of D = cosh d/dw + f."""
-    return np.cosh(w) * (np.asarray(A(w), dtype=float) - k) + 0.5 * np.sinh(w)
+def _factor_f(a, k, w):
+    """f = cosh (A - k) + sinh/2 at w, the multiplier of D = cosh d/dw + f,
+    from a, the sample of A at w."""
+    return np.cosh(w) * (a - k) + 0.5 * np.sinh(w)
 
 
 def _staggered_factor(A, k, grid: Grid):
@@ -268,7 +269,7 @@ def _staggered_factor(A, k, grid: Grid):
     """
     wh = grid.half_points()
     c = np.cosh(wh)
-    f = _factor_f(A, k, wh)
+    f = _factor_f(np.asarray(A(wh), dtype=float), k, wh)
     lo = -c / grid.h + 0.5 * f
     up = c / grid.h + 0.5 * f
     lo[0] = 0.0
@@ -359,6 +360,26 @@ def isospectrality_metric(m1: SLMatrix, m2: SLMatrix):
     return float((np.abs(above1 - above2) / np.abs(above1)).max()), floor, n_below
 
 
+def _doubled(read, n, cap, tol, what, sizes):
+    """(read(n), |read(n) - read(2n)|, n) for the first n, doubling from the
+    one given, at which every reading agrees with 2n's within
+    tol (1 + |reading|); each read(n) is taken once.  A 2n past cap raises
+    DomainError naming the last two sizes (sizes formats them), the gap and
+    the cap; the first 2n must not be past it.
+    """
+    lo = read(n)
+    while 2 * n <= cap:
+        hi = read(2 * n)
+        gap = np.abs(lo - hi)
+        if np.all(gap <= tol * (1.0 + np.abs(lo))):
+            return lo, gap, n
+        n, lo = 2 * n, hi
+    raise DomainError(
+        f"{what} did not converge: {sizes.format(n // 2, n)} differ by {float(gap.max()):.3e}, "
+        f"and {2 * n} is past the cap of {cap}"
+    )
+
+
 # The Jacobi-Galerkin oracle: bases of n and 2n functions, doubled from
 # max(16, 2 levels + 8) until the two agree; 2n never exceeds the cap.
 _GALERKIN_CAP = 256
@@ -404,12 +425,17 @@ def _galerkin_eigenvalues(V, a, b, n):
     h = (basis * q) @ basis.T
     m = np.arange(n)
     h[m, m] += m * (m + alpha + beta + 1.0)
-    return _symmetric_eigenvalues(h)
+    i, j = np.tril_indices(n)
+    band = np.zeros((n, n))  # h's lower triangle as one full band
+    band[i - j, j] = h[i, j]
+    return _band_eigenvalues(band)
 
 
-def _symmetric_eigenvalues(h):
-    """All eigenvalues, ascending, of the symmetric matrix whose lower
-    triangle h holds: LAPACK dsbev on h stored as one full band.
+def _band_eigenvalues(band):
+    """All eigenvalues, ascending, of the symmetric band matrix whose lower
+    band (row d the d-th subdiagonal) band holds: LAPACK dsbev, the one
+    routine behind every full spectrum, a Galerkin matrix (one full band) or
+    a flux-form one (eig_values).
 
     dsbev reduces the band to tridiagonal form by Givens rotations alone, so
     its result is the same bits for every BLAS thread count; the blocked
@@ -417,10 +443,6 @@ def _symmetric_eigenvalues(h):
     last bits between 1 and 2 OpenBLAS threads at 256 rows).  A LAPACK
     failure raises DomainError.
     """
-    n = h.shape[0]
-    i, j = np.tril_indices(n)
-    band = np.zeros((n, n))
-    band[i - j, j] = h[i, j]
     w, _, info = _lapack().dsbev(band, compute_v=0, lower=1)
     if info:
         raise DomainError(f"LAPACK dsbev failed (info={info})")
@@ -519,18 +541,11 @@ def galerkin_levels(V, exponents, count, poles=(), drift=0.0) -> GalerkinLevels:
             "fix its Frobenius exponents"
         )
     a, b = exponents
-    n = max(16, 2 * count + 8)
-    lo = _galerkin_eigenvalues(V, a, b, n)[:count]
-    while 2 * n <= _GALERKIN_CAP:
-        hi = _galerkin_eigenvalues(V, a, b, 2 * n)[:count]
-        gap = np.abs(lo - hi)
-        if np.all(gap <= _GALERKIN_TOL * (1.0 + np.abs(lo))):
-            return GalerkinLevels(levels=lo, gap=gap, n=n, exponents=(a, b))
-        n, lo = 2 * n, hi
-    raise DomainError(
-        f"Jacobi-Galerkin levels did not converge: bases of {n // 2} and {n} functions "
-        f"differ by {float(gap.max()):.3e}, and {2 * n} is past the cap of {_GALERKIN_CAP}"
+    levels, gap, n = _doubled(
+        lambda n: _galerkin_eigenvalues(V, a, b, n)[:count], max(16, 2 * count + 8),
+        _GALERKIN_CAP, _GALERKIN_TOL, "Jacobi-Galerkin levels", "bases of {} and {} functions",
     )
+    return GalerkinLevels(levels=levels, gap=gap, n=n, exponents=(a, b))
 
 
 # The d.* residuals: 21-point Gauss-Legendre panels on |w| <= 8, 16 and 32
@@ -543,19 +558,15 @@ _RESIDUAL_TOL = 1e-6
 
 @functools.lru_cache(maxsize=None)
 def _window_rules(panels):
-    """(w, q_lo, q_hi): the nodes of `panels` and then of 2 `panels` equal
-    21-point Gauss-Legendre panels on |w| <= 8, and the weights of each rule;
-    read-only."""
-    x, q = _golub_welsch(21, 0.0, 0.0)[0]
-    rules = []
-    for count in (panels, 2 * panels):
-        edges = np.linspace(-_RESIDUAL_WINDOW, _RESIDUAL_WINDOW, count + 1)
-        mid, half = 0.5 * (edges[1:] + edges[:-1])[:, None], 0.5 * np.diff(edges)[:, None]
-        rules.append(((mid + half * x).ravel(), (half * q).ravel()))
-    out = np.concatenate([rules[0][0], rules[1][0]]), rules[0][1], rules[1][1]
-    for arr in out:  # cached: every caller shares these arrays
+    """(w, q): the nodes and weights of `panels` equal 21-point Gauss-Legendre
+    panels on |w| <= 8; read-only."""
+    x, q = gauss_jacobi(21, 0.0, 0.0)
+    edges = np.linspace(-_RESIDUAL_WINDOW, _RESIDUAL_WINDOW, panels + 1)
+    mid, half = 0.5 * (edges[1:] + edges[:-1])[:, None], 0.5 * np.diff(edges)[:, None]
+    w, q = (mid + half * x).ravel(), (half * q).ravel()
+    for arr in (w, q):  # cached: every caller shares these arrays
         arr.flags.writeable = False
-    return out
+    return w, q
 
 
 def _local_terms(wf, t, v):
@@ -587,37 +598,31 @@ def verify_eigenpair(wf, V, lams):
     WaveFunctionSpec) under H phi = -(cosh^2 phi')' + V phi, applied exactly.
 
     Each reading is taken on P and 2P panels (_window_rules) from P = 16, P
-    doubled while any two differ by more than 1e-6 (1 + reading); one
-    evaluation of phi on both node sets serves every level constant.
+    doubled by _doubled while any two differ by more than 1e-6 (1 + reading);
+    one evaluation of phi per rule serves every level constant.
     Returns (readings on P panels, node count 21 P, each reading's distance
     to 2P).  A 2P past 256, or a phi that vanishes on the window, raises
     DomainError; a sample that is not finite raises PoleError naming its w.
     """
     a, b = wf.exponents
-    panels = _RESIDUAL_PANELS
-    while 2 * panels <= _RESIDUAL_MAX_PANELS:
-        w, q_lo, q_hi = _window_rules(panels)
+
+    def read(panels):
+        w, q = _window_rules(panels)
         t = np.tanh(w)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             r, k_r = _local_terms(wf, t, _require_finite(w, np.asarray(V(w), dtype=float), "potential"))
             env = (1.0 - t) ** a * (1.0 + t) ** b
             phi = _require_finite(w, env * r, "eigenfunction")
             _require_finite(w, env * k_r, "H applied to the eigenfunction")
-        split = q_lo.size
-        norms = np.dot(q_lo, phi[:split] ** 2), np.dot(q_hi, phi[split:] ** 2)
-        if min(norms) == 0.0:
+        norm = np.dot(q, phi**2)
+        if norm == 0.0:
             raise DomainError("eigenfunction vanishes on the residual window")
-        res = [env * (k_r - lam * r) for lam in lams]
-        lo = np.array([math.sqrt(np.dot(q_lo, x[:split] ** 2) / norms[0]) for x in res])
-        hi = np.array([math.sqrt(np.dot(q_hi, x[split:] ** 2) / norms[1]) for x in res])
-        gap = np.abs(lo - hi)
-        if np.all(gap <= _RESIDUAL_TOL * (1.0 + lo)):
-            return lo.tolist(), split, gap.tolist()
-        panels *= 2
-    raise DomainError(
-        f"eigenpair residuals did not converge: {panels // 2} and {panels} panels differ by "
-        f"{float(gap.max()):.3e}, and {2 * panels} is past the cap of {_RESIDUAL_MAX_PANELS}"
+        return np.array([math.sqrt(np.dot(q, (env * (k_r - lam * r)) ** 2) / norm) for lam in lams])
+
+    res, gap, panels = _doubled(
+        read, _RESIDUAL_PANELS, _RESIDUAL_MAX_PANELS, _RESIDUAL_TOL, "eigenpair residuals", "{} and {} panels"
     )
+    return res.tolist(), _window_rules(panels)[0].size, gap.tolist()
 
 
 def _shallow(record):
@@ -682,14 +687,14 @@ class VerificationReport:
 _CONSTANCY_GRID = {"w_lo": -4.0, "w_hi": 4.0, "n_pts": 2001}
 
 
-def _constancy_points():
-    """The w of the uniform sample _CONSTANCY_GRID."""
-    return np.linspace(_CONSTANCY_GRID["w_lo"], _CONSTANCY_GRID["w_hi"], _CONSTANCY_GRID["n_pts"])
+# The w of the uniform sample _CONSTANCY_GRID, on which each potential of a
+# report is sampled once; read-only
+_CONSTANCY_W = np.linspace(_CONSTANCY_GRID["w_lo"], _CONSTANCY_GRID["w_hi"], _CONSTANCY_GRID["n_pts"])
+_CONSTANCY_W.flags.writeable = False
 
 
-def _constancy(diff_fn):
-    """max |d(w) - mean d| and the mean, over the uniform sample _CONSTANCY_GRID."""
-    d = np.asarray(diff_fn(_constancy_points()), dtype=float)
+def _constancy(d):
+    """max |d - mean d| and the mean, over d sampled at _CONSTANCY_W."""
     mean = float(d.mean())
     return float(np.abs(d - mean).max()), mean
 
@@ -728,7 +733,7 @@ class _ModelSpec:
     spectrum_details: Callable  # (line, oracle, implied) -> extra c.* details
     printed_key: str  # d.* details key of the printed level constant
     eigenfunctions: Dict[str, Tuple[str, Callable]]
-    identity_claims: Callable  # printed level-0 constant -> the g.* claims
+    identity_claims: Callable  # (printed level-0 constant, closed1 at _CONSTANCY_W) -> the g.* claims
 
 
 def consistency_report(model, params, k, R, levels: int = 4) -> VerificationReport:
@@ -781,10 +786,10 @@ def _gdict(g: Grid):
     return {"L": g.L, "N": g.N}
 
 
-def _forced_claims(A, dA, k, gen_v1, gen_v2):
+def _forced_claims(A, dA, k, gen1, gen2):
     """Forced claims on the factorization, then the continuum identities that
-    tie its f to gen_v1/gen_v2, the general-form j=1/j=2 potentials (not the
-    printed closed forms)."""
+    tie its f to gen1/gen2, the general-form j=1/j=2 potentials (not the
+    printed closed forms) sampled at _CONSTANCY_W."""
     claims = []
     dtd, ddt = compose_factorized(A, k, _COMPOSE_GRID)
     defect = _product_defect(A, k, _COMPOSE_GRID, dtd, ddt)
@@ -822,13 +827,13 @@ def _forced_claims(A, dA, k, gen_v1, gen_v2):
 
     # Dt*D and D*Dt carry V_1 = f^2 - sinh f - cosh f' and
     # V_2 = f^2 + cosh f' - sinh f - cosh^2 exactly, for every A
-    w = _constancy_points()
+    w = _CONSTANCY_W
+    a = np.asarray(A(w), dtype=float)
     ch, sh = np.cosh(w), np.sinh(w)
-    f = _factor_f(A, k, w)
-    df = sh * (A(w) - k) + ch * dA(w) + 0.5 * ch
+    f = _factor_f(a, k, w)
+    df = sh * (a - k) + ch * dA(w) + 0.5 * ch
     match = []
-    for v, gen in ((f * f - sh * f - ch * df, gen_v1), (f * f + ch * df - sh * f - ch * ch, gen_v2)):
-        g = gen(w)
+    for v, g in ((f * f - sh * f - ch * df, gen1), (f * f + ch * df - sh * f - ch * ch, gen2)):
         match.append(float(np.abs(v - g).max() / (1.0 + np.abs(g).max())))
     claims.append(
         Claim(
@@ -849,33 +854,37 @@ def _forced_claims(A, dA, k, gen_v1, gen_v2):
 def _model_report(spec: _ModelSpec, k, R, levels):
     """The claims of one model in report order, built from its spec.
 
-    Formulas are evaluated in report order, so the first claim an invalid
-    configuration breaks is the one that raises.  A model with more than one
-    eigenfunction reading names each in its d.* claim ids.
+    The potentials are sampled once on _CONSTANCY_W, in report order, before
+    the first claim; everything else is evaluated in report order, so the
+    first claim an invalid configuration breaks is the one that raises.  A
+    model with more than one eigenfunction reading names each in its d.*
+    claim ids.
     """
     ref = f"model{spec.model}"
     gen1 = v_eff_general(spec.A, spec.dA, k, 1)
     gen2 = v_eff_general(spec.A, spec.dA, k, 2)
-    raw1, closed1, closed2 = spec.raw1, spec.closed1, spec.closed2
-    claims = _forced_claims(spec.A, spec.dA, k, gen1, gen2)
+    # each potential sampled once at _CONSTANCY_W, serving every claim that reads it
+    pots = (gen1, gen2, spec.raw1, spec.closed1, spec.closed2)
+    g1, g2, r1, c1, c2 = (np.asarray(v(_CONSTANCY_W), dtype=float) for v in pots)
+    claims = _forced_claims(spec.A, spec.dA, k, g1, g2)
 
     b1, b2 = spec.b_descriptions
-    drift, mean_of, pts = {}, {}, _constancy_points()
-    for claim_id, formula, description, diff_fn, gen in (
+    drift, mean_of = {}, {}
+    for claim_id, formula, description, diff, gen in (
         (
             "a.veff1-expansion",
             "veff1.expanded",
             "expanded first-component potential minus the general form (identity up to constant)",
-            lambda w: raw1(w) - gen1(w),
-            gen1,
+            r1 - g1,
+            g1,
         ),
-        ("b.veff1-constrained", "veff1.closed", b1, lambda w: closed1(w) - raw1(w), gen1),
-        ("b.veff2-constrained", "veff2.closed", b2, lambda w: closed2(w) - gen2(w), gen2),
+        ("b.veff1-constrained", "veff1.closed", b1, c1 - r1, g1),
+        ("b.veff2-constrained", "veff2.closed", b2, c2 - g2, g2),
     ):
         # the spread is read against the size of the component's potential,
         # whose rounding it cannot beat (near k = 1 Model II's reaches 7e6)
-        spread, mean_of[claim_id] = _constancy(diff_fn)
-        drift[claim_id] = spread / (1.0 + np.abs(gen(pts)).max())
+        spread, mean_of[claim_id] = _constancy(diff)
+        drift[claim_id] = spread / (1.0 + np.abs(gen).max())
         claims.append(
             Claim(
                 claim_id=claim_id,
@@ -892,7 +901,7 @@ def _model_report(spec: _ModelSpec, k, R, levels):
     # closed1 - gen1 = (closed1 - raw1) + (raw1 - gen1) is constant when the
     # a.* and b.veff1 spreads both are, up to the rounding of V's own size
     gal = galerkin_levels(
-        closed1, exps.j1, levels, drift=float(max(drift["a.veff1-expansion"], drift["b.veff1-constrained"]))
+        spec.closed1, exps.j1, levels, drift=float(max(drift["a.veff1-expansion"], drift["b.veff1-constrained"]))
     )
 
     printed, implied = [], []
@@ -921,7 +930,7 @@ def _model_report(spec: _ModelSpec, k, R, levels):
             )
         )
 
-    v1 = _sampled_once(closed1)
+    v1 = _sampled_once(spec.closed1)
     for n in range(levels):
         lam, matched = printed[n], implied[n]
         lams = (lam,) if matched is None else (lam, matched)
@@ -980,25 +989,18 @@ def _model_report(spec: _ModelSpec, k, R, levels):
             )
         )
 
-    claims.extend(spec.identity_claims(printed[0]))
+    claims.extend(spec.identity_claims(printed[0], c1))
     return VerificationReport(
         model=spec.model, k=k, R=R, levels=levels, params=spec.params, claims=claims
     )
 
 
 def _model1_spec(p: Model1Params, k, R) -> _ModelSpec:
-    closed1 = v_eff_model1(p, k, 1)
-
-    def identity_claims(level0):
+    def identity_claims(level0, v1):
         # Solvable-structure identity: for a true eigenfunction the local energy
         # (H phi)/phi is constant; evaluated exactly for the printed ground state.
-        wf = wavefn_model1(0, p, k)
-
-        def local_energy(w):
-            r, k_r = _local_terms(wf, np.tanh(w), closed1(w))
-            return k_r / r
-
-        metric, mean = _constancy(local_energy)
+        r, k_r = _local_terms(wavefn_model1(0, p, k), np.tanh(_CONSTANCY_W), v1)
+        metric, mean = _constancy(k_r / r)
         return [
             Claim(
                 "g.local-energy-constancy",
@@ -1017,7 +1019,7 @@ def _model1_spec(p: Model1Params, k, R) -> _ModelSpec:
         A=a_u_model1(p),
         dA=da_u_model1(p),
         raw1=v_eff_model1_raw(p, k),
-        closed1=closed1,
+        closed1=v_eff_model1(p, k, 1),
         closed2=v_eff_model1(p, k, 2),
         poles=(),
         ends=(p.C3 - p.C2, p.C3 + p.C2),
@@ -1041,13 +1043,11 @@ def _model1_spec(p: Model1Params, k, R) -> _ModelSpec:
 
 def _model2_spec(p: Model2Params, k, R) -> _ModelSpec:
     alpha, beta = p.alpha, p.beta
-    closed1 = v_eff_model2(p, 1)
 
-    def identity_claims(level0):
+    def identity_claims(level0, v1):
         claims = []
         for variant in ("sech2", "sech1"):
-            rhs = midya_rhs(alpha, beta, 1, variant=variant)
-            metric, mean = _constancy(lambda w: closed1(w) + rhs(w))
+            metric, mean = _constancy(v1 + midya_rhs(alpha, beta, 1, variant=variant)(_CONSTANCY_W))
             claims.append(
                 Claim(
                     f"g.midya-rhs.{variant}",
@@ -1082,7 +1082,7 @@ def _model2_spec(p: Model2Params, k, R) -> _ModelSpec:
         A=a_u_model2(p),
         dA=da_u_model2(p),
         raw1=v_eff_model2_raw(p),
-        closed1=closed1,
+        closed1=v_eff_model2(p, 1),
         closed2=v_eff_model2(p, 2),
         poles=p.poles,
         ends=(p.C4 - p.C3, p.C4 + p.C3),

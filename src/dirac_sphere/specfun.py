@@ -7,7 +7,6 @@ Everything here is a pure function; evaluation accepts scalars or numpy arrays.
 """
 import functools
 import math
-import warnings
 
 import numpy as np
 
@@ -15,22 +14,15 @@ from .errors import DomainError, IntegrationError
 
 __all__ = [
     "jacobi",
-    "jacobi_deriv",
     "jacobi_derivs",
     "x1_jacobi",
     "x1_jacobi_derivs",
     "gauss_jacobi",
     "integrate",
     "QuadResult",
-    "OutsideDomainWarning",
 ]
 
 
-class OutsideDomainWarning(UserWarning):
-    """Evaluation at |x| > 1 beyond rounding slack: analytic but untested territory."""
-
-
-_CLAMP_SLACK = 1e-12
 _LOG_MAX = math.log(np.finfo(float).max)
 
 
@@ -57,25 +49,11 @@ def _check_index(n, alpha, beta):
         raise DomainError(f"Jacobi parameters must exceed -1, got alpha={alpha}, beta={beta}")
 
 
-def _prepare_x(x):
-    x = np.asarray(x, dtype=float)
-    over = np.abs(x) > 1.0 + _CLAMP_SLACK
-    if np.any(over):
-        warnings.warn(
-            "Jacobi evaluation outside [-1, 1]; value is the analytic continuation",
-            OutsideDomainWarning,
-            stacklevel=3,
-        )
-        return x
-    return np.clip(x, -1.0, 1.0)
-
-
 def jacobi(n, alpha, beta, x):
     """Evaluate P_n^(alpha,beta)(x) by the ascending three-term recurrence.
 
-    Stable on [-1, 1] for the moderate degrees used here (n <= ~50).  Values
-    of x within 1e-12 of the interval are clamped; farther out, the analytic
-    continuation is returned with an OutsideDomainWarning.
+    Stable on [-1, 1] for the moderate degrees used here (n <= ~50); outside
+    it the value is the analytic continuation.
 
     Relative accuracy degrades as alpha + beta -> -2, where the recurrence
     divisor 2m (m + alpha + beta)(2m + alpha + beta - 2) at m = 2 tends to 0
@@ -84,7 +62,7 @@ def jacobi(n, alpha, beta, x):
     relative); a divisor that rounds to 0 raises DomainError.
     """
     _check_index(n, alpha, beta)
-    x = _prepare_x(x)
+    x = np.asarray(x, dtype=float)
     n = int(n)
     p_prev = np.ones_like(x)
     if n == 0:
@@ -114,11 +92,6 @@ def jacobi_derivs(n, alpha, beta, x, d):
         coef *= 0.5 * (n + alpha + beta + j)
         out.append(coef * jacobi(n - j, alpha + j, beta + j, x) if j <= n else 0.0 * out[0])
     return out
-
-
-def jacobi_deriv(n, alpha, beta, x):
-    """d/dx P_n^(alpha,beta)(x) via the parameter-shift identity; 0 for n = 0."""
-    return jacobi_derivs(n, alpha, beta, x, 1)[1]
 
 
 def x1_jacobi(nu, alpha, beta, x):

@@ -25,8 +25,8 @@ class _FailingLapack:
     def dstebz(self, d, e, *args):
         return 0, np.zeros(d.size), None, None, 1
 
-    def dstevd(self, d, e, compute_v):
-        return np.zeros(d.size), None, 1
+    def dsbev(self, band, compute_v, lower):
+        return np.zeros(band.shape[1]), None, 1
 
 
 @pytest.fixture

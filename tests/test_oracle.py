@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import math
@@ -92,8 +93,23 @@ def test_solves_refuse_lapack_failure(lapack_failure):
     m = box_matrix(99)
     with pytest.raises(DomainError, match=r"dstebz failed \(info=1\)"):
         oracle.eig_lowest(m, 3)
-    with pytest.raises(DomainError, match=r"dstevd failed \(info=1\)"):
+    with pytest.raises(DomainError, match=r"dsbev failed \(info=1\)"):
         oracle.eig_values(m)
+
+
+_COMPOSE_CASES = [(gauge.Model1Params.from_branch(0.4, 2.0, b), 2.0) for b in ("neg-half", "half-down", "half-up", "three-half")]
+_COMPOSE_CASES += [(m2_params(C1=1 / k, k=k), k) for k in (1.5, 2.0, 3.0, 4.0)]
+
+
+@pytest.mark.parametrize("params, k", _COMPOSE_CASES)
+def test_eig_values_equals_dstevd_bitwise(params, k):
+    # every full spectrum comes from dsbev; a band of width one leaves it
+    # nothing to reduce, so f.isospectrality reads the bits of the
+    # tridiagonal driver dstevd on both compositions of D
+    spec = oracle.model_spec(params, k, 1.0)
+    for m in oracle.compose_factorized(spec.A, k, oracle._COMPOSE_GRID):
+        ref, _, info = oracle._lapack().dstevd(m.diag, m.off, compute_v=0)
+        assert info == 0 and np.array_equal(oracle.eig_values(m), ref)
 
 
 def test_missing_lapack_extension_names_its_path(tmp_path, monkeypatch):
@@ -338,18 +354,19 @@ def test_verify_eigenpair_panel_cap(monkeypatch):
     monkeypatch.setattr(oracle, "_RESIDUAL_TOL", -1.0)
     with pytest.raises(DomainError, match="128 and 256 panels differ by .*, and 512 is past the cap of 256"):
         oracle.verify_eigenpair(wf, pot, [1.0])
-    assert seen == [16, 32, 64, 128]
+    # each rule is read once: the reading on 2P serves the next comparison
+    assert seen == [16, 32, 64, 128, 256]
 
 
 def test_window_rules_integrate_on_the_window():
-    # the 16- and 32-panel rules, nodes concatenated: both integrate cosh^2
-    # over |w| <= 8, 8 + sinh(16)/2, and each node set is one cached array
-    w, q_lo, q_hi = oracle._window_rules(16)
-    assert (w.size, q_lo.size, q_hi.size) == (21 * 48, 21 * 16, 21 * 32)
-    for nodes, q in ((w[: q_lo.size], q_lo), (w[q_lo.size :], q_hi)):
-        assert np.abs(nodes).max() < 8.0 and float(q.sum()) == pytest.approx(16.0, rel=1e-14)
-        assert float(np.dot(q, np.cosh(nodes) ** 2)) == pytest.approx(math.sinh(16.0) / 2 + 8.0, rel=1e-12)
-    assert oracle._window_rules(16)[0] is w and not any(a.flags.writeable for a in (w, q_lo, q_hi))
+    # one rule of P panels per call: it integrates 1 and cosh^2 over
+    # |w| <= 8, 16 and 8 + sinh(16)/2, and is one cached, read-only pair
+    for panels in (16, 32):
+        w, q = oracle._window_rules(panels)
+        assert w.size == q.size == 21 * panels
+        assert np.abs(w).max() < 8.0 and float(q.sum()) == pytest.approx(16.0, rel=1e-14)
+        assert float(np.dot(q, np.cosh(w) ** 2)) == pytest.approx(math.sinh(16.0) / 2 + 8.0, rel=1e-12)
+        assert oracle._window_rules(panels)[0] is w and not any(a.flags.writeable for a in (w, q))
 
 
 # ----------------------------------------------------------- Jacobi-Galerkin oracle
@@ -791,6 +808,34 @@ def test_report_solves_two_galerkin_series(monkeypatch):
         oracle.consistency_report(model, _report_params(model), 2.0, 1.0, levels=4)
         exps = oracle.partner_exponents(oracle.model_spec(_report_params(model), 2.0, 1.0).ends, 2.0)
         assert calls == [exps.j1, exps.j2], model
+
+
+@pytest.mark.parametrize("model", [1, 2])
+def test_report_samples_each_potential_once_on_the_constancy_grid(model, monkeypatch):
+    # conventions.*, a.*, b.* and g.* read one sample of each potential on
+    # _CONSTANCY_W: gen1 and gen2 (the general forms), raw1, closed1, closed2
+    seen = collections.Counter()
+
+    def counting(name, factory):
+        def make(*args):
+            pot = factory(*args)
+            label = name if name.endswith("raw") else f"{name}.j{args[-1]}"
+
+            def fn(w):
+                seen[label] += np.size(w) == oracle._CONSTANCY_GRID["n_pts"]
+                return pot(w)
+
+            return dataclasses.replace(pot, fn=fn)
+
+        return make
+
+    names = ("v_eff_general", f"v_eff_model{model}", f"v_eff_model{model}_raw")
+    for name in names:
+        monkeypatch.setattr(oracle, name, counting(name, getattr(oracle, name)))
+    oracle.consistency_report(model, _report_params(model), 2.0, 1.0, levels=4)
+    general, closed, raw = names
+    want = [f"{general}.j1", f"{general}.j2", raw, f"{closed}.j1", f"{closed}.j2"]
+    assert seen == {label: 1 for label in want}
 
 
 _SHARED_HEAD = [

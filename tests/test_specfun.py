@@ -21,9 +21,9 @@ def test_degree_zero_and_one_closed_forms():
 
 
 def test_derivative_examples():
-    assert specfun.jacobi_deriv(0, 2.0, 0.5, 0.3) == 0.0
-    assert specfun.jacobi_deriv(1, 1.0, 1 / 3, -0.4) == pytest.approx(5 / 3, rel=1e-14)
-    assert specfun.jacobi_deriv(2, 0.0, 0.0, 0.5) == pytest.approx(1.5, rel=1e-14)
+    assert specfun.jacobi_derivs(0, 2.0, 0.5, 0.3, 1)[1] == 0.0
+    assert specfun.jacobi_derivs(1, 1.0, 1 / 3, -0.4, 1)[1] == pytest.approx(5 / 3, rel=1e-14)
+    assert specfun.jacobi_derivs(2, 0.0, 0.0, 0.5, 1)[1] == pytest.approx(1.5, rel=1e-14)
 
 
 def test_invalid_index_rejected():
@@ -44,12 +44,8 @@ def test_recurrence_divisor_zero_rejected():
             specfun.jacobi(n, a, a, 0.3)
 
 
-def test_outside_domain_warns_but_evaluates():
-    with pytest.warns(specfun.OutsideDomainWarning):
-        val = specfun.jacobi(2, 0.0, 0.0, 1.5)
-    assert val == pytest.approx((3 * 1.5**2 - 1) / 2, rel=1e-14)
-    # within rounding slack: silently clamped
-    assert specfun.jacobi(1, 0.0, 0.0, 1.0 + 1e-13) == pytest.approx(1.0, rel=1e-12)
+def test_outside_domain_evaluates_the_continuation():
+    assert specfun.jacobi(2, 0.0, 0.0, 1.5) == pytest.approx((3 * 1.5**2 - 1) / 2, rel=1e-14)
 
 
 @settings(max_examples=60, deadline=None)
@@ -101,7 +97,7 @@ def test_derivative_is_derivative():
     for x in (-0.8, -0.1, 0.4, 0.9):
         h = 1e-6
         fd = (specfun.jacobi(n, a, b, x + h) - specfun.jacobi(n, a, b, x - h)) / (2 * h)
-        assert specfun.jacobi_deriv(n, a, b, x) == pytest.approx(fd, rel=1e-7)
+        assert specfun.jacobi_derivs(n, a, b, x, 1)[1] == pytest.approx(fd, rel=1e-7)
 
 
 @pytest.mark.parametrize("a, b", [(0.7, -0.2), (1.0, 1 / 3), (-0.4, -0.7), (-0.45, -0.5), (2.5, 0.25)])
@@ -132,8 +128,6 @@ def test_derivative_helpers_match_symbolic_differentiation(a, b):
         for j in range(3):
             scale = 1.0 + np.abs(want[j]).max()
             assert np.abs(got[j] - want[j]).max() <= 1e-12 * scale, (nu, j)
-    # jacobi_deriv is the helper's first derivative, bit for bit
-    assert np.array_equal(specfun.jacobi_deriv(4, a, b, pts), specfun.jacobi_derivs(4, a, b, pts, 1)[1])
     with pytest.raises(DomainError, match="derivative order must be 0 or 2"):
         specfun.x1_jacobi_derivs(2, a, b, pts, 1)
 
@@ -143,8 +137,7 @@ def test_x1_degree_one_is_linear_with_known_root():
     a, b = 1.0, 1 / 3
     root = (b + a) / (b - a) - 2 / (a - b)  # -5 for these parameters
     assert root == pytest.approx(-5.0, rel=1e-14)
-    with pytest.warns(specfun.OutsideDomainWarning):
-        assert specfun.x1_jacobi(1, a, b, root) == pytest.approx(0.0, abs=1e-14)
+    assert specfun.x1_jacobi(1, a, b, root) == pytest.approx(0.0, abs=1e-14)
     assert specfun.x1_jacobi(1, a, b, 0.0) != 0.0
 
 
