@@ -13,6 +13,10 @@ BLAS thread count.
 
 The d.* residuals (verify_eigenpair) apply the operator to the printed
 eigenfunction exactly and integrate over |w| <= 8: the report reads no grid.
+One call serves every level of a reading: each quadrature rule is evaluated
+once for the levels that may read it (one tanh, potential sample, envelope
+and recurrence table per Jacobi family), while each level doubles its rule
+on its own and any error it meets is raised when its claim is built.
 The forced checks discretize it with a conservative (flux-form) finite-
 difference scheme on a uniform grid over [-L, L] with Dirichlet walls.
 Every flux-form matrix is symmetric tridiagonal and is stored as its
@@ -54,7 +58,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, PoleError
+from .errors import DiracSphereError, DomainError, PoleError
 from .gauge import (
     EffectivePotential,
     Model1Params,
@@ -569,12 +573,13 @@ def _window_rules(panels):
     return w, q
 
 
-def _local_terms(wf, t, v):
-    """(r, K) with wf = E r and H wf = E K at t = tanh w, E = (1-t)^a (1+t)^b
+def _local_terms(wf, levels, t, v):
+    """(r, K), one row per level index in levels, with phi = E r and
+    H phi = E K at t = tanh w for the levels of wf's reading, E = (1-t)^a (1+t)^b
     the envelope and H phi = -(1-t^2) phi_tt + V phi, V sampled as v: exact,
     from phi_tt = E (r'' + 2 L r' + (L^2 + L') r) with L = -a/(1-t) + b/(1+t)."""
     a, b = wf.exponents
-    r, r1, r2 = wf.ratio(t)
+    r, r1, r2 = wf.ratios(t, levels)
     dlog = -a / (1.0 - t) + b / (1.0 + t)
     d2log = -a / (1.0 - t) ** 2 - b / (1.0 + t) ** 2
     return r, -(1.0 - t * t) * (r2 + 2.0 * dlog * r1 + (dlog * dlog + d2log) * r) + v * r
@@ -592,37 +597,95 @@ def _sampled_once(V):
     return sampled
 
 
-def verify_eigenpair(wf, V, lams):
-    """Relative residuals ||(H - lam) phi|| / ||phi|| in L^2(|w| <= 8), one per
-    level constant in lams, of the printed eigenfunction phi = wf (a
-    WaveFunctionSpec) under H phi = -(cosh^2 phi')' + V phi, applied exactly.
+def _deferred(fn, *args):
+    """fn(*args), evaluated now and returned as a thunk: calling it gives the
+    value, or raises the package error fn raised (any other exception
+    propagates at once)."""
+    try:
+        value = fn(*args)
+    except DiracSphereError as err:  # re-raised by the thunk, never dropped
+        error = err
 
-    Each reading is taken on P and 2P panels (_window_rules) from P = 16, P
-    doubled by _doubled while any two differ by more than 1e-6 (1 + reading);
-    one evaluation of phi per rule serves every level constant.
-    Returns (readings on P panels, node count 21 P, each reading's distance
-    to 2P).  A 2P past 256, or a phi that vanishes on the window, raises
-    DomainError; a sample that is not finite raises PoleError naming its w.
+        def refused():
+            raise error
+
+        return refused
+    return lambda: value
+
+
+def verify_eigenpair(wf, levels, V, lams):
+    """Relative residuals ||(H - lam) phi|| / ||phi|| in L^2(|w| <= 8) of the
+    printed eigenfunctions phi of wf's reading (wf a WaveFunctionSpec of any
+    of its levels) at each level index in levels, one per level constant in
+    that level's row of lams, under H phi = -(cosh^2 phi')' + V phi, applied
+    exactly.
+
+    Each level's readings are taken on P and 2P panels (_window_rules) from
+    P = 16, P doubled by _doubled while any two differ by more than
+    1e-6 (1 + reading); every level stops at its own P.  A rule is
+    evaluated once, the first time a level reads it, for that level and
+    every later one: one tanh, potential sample, envelope and recurrence
+    table per Jacobi family serve all of them and their level constants.
+    Returns one thunk per level, to be called when its claim is built: it
+    gives (readings on P panels, node count 21 P, each reading's distance to
+    2P), or raises what refused that level.  A 2P past 256, or a phi that
+    vanishes on the window, raises DomainError; a sample that is not finite
+    raises PoleError naming its w.
     """
+    levels = list(levels)
+    lams = np.asarray(lams, dtype=float).reshape(len(levels), -1)
+    rules = {}
+
+    def reading(panels, i):
+        # levels settle in order, so a rule is evaluated for the first level
+        # that reads it and every later one, each level's readings deferred
+        if panels not in rules:
+            shared = _deferred(_residual_terms, wf, levels[i:], V, lams[i:], panels)
+            rules[panels] = i, [_deferred(_residual_reading, shared, j) for j in range(len(levels) - i)]
+        first, rows = rules[panels]
+        return rows[i - first]()
+
+    def level(i):
+        res, gap, panels = _doubled(
+            lambda panels: reading(panels, i), _RESIDUAL_PANELS, _RESIDUAL_MAX_PANELS, _RESIDUAL_TOL,
+            "eigenpair residuals", "{} and {} panels",
+        )
+        return res.tolist(), _window_rules(panels)[0].size, gap.tolist()
+
+    return [_deferred(level, i) for i in range(len(levels))]
+
+
+def _residual_terms(wf, levels, V, lams, panels):
+    """What every level of verify_eigenpair reads on `panels` panels, each
+    array with one row per level: (w, q, phi, E K, whether each row of either
+    is finite, phi^2, (E (K - lam r))^2 per level constant), E the envelope
+    and H phi = E K.  A potential sample that is not finite raises PoleError
+    naming its w."""
+    w, q = _window_rules(panels)
+    t = np.tanh(w)
     a, b = wf.exponents
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v = _require_finite(w, np.asarray(V(w), dtype=float), "potential")
+        r, k_r = _local_terms(wf, levels, t, v)
+        env = (1.0 - t) ** a * (1.0 + t) ** b
+        phi, h_phi = env * r, env * k_r
+        finite = np.isfinite(phi).all(axis=1) & np.isfinite(h_phi).all(axis=1)
+        off = env * (k_r[:, None] - lams[:, :, None] * r[:, None])
+        return w, q, phi, h_phi, finite, phi**2, off**2
 
-    def read(panels):
-        w, q = _window_rules(panels)
-        t = np.tanh(w)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            r, k_r = _local_terms(wf, t, _require_finite(w, np.asarray(V(w), dtype=float), "potential"))
-            env = (1.0 - t) ** a * (1.0 + t) ** b
-            phi = _require_finite(w, env * r, "eigenfunction")
-            _require_finite(w, env * k_r, "H applied to the eigenfunction")
-        norm = np.dot(q, phi**2)
-        if norm == 0.0:
-            raise DomainError("eigenfunction vanishes on the residual window")
-        return np.array([math.sqrt(np.dot(q, (env * (k_r - lam * r)) ** 2) / norm) for lam in lams])
 
-    res, gap, panels = _doubled(
-        read, _RESIDUAL_PANELS, _RESIDUAL_MAX_PANELS, _RESIDUAL_TOL, "eigenpair residuals", "{} and {} panels"
-    )
-    return res.tolist(), _window_rules(panels)[0].size, gap.tolist()
+def _residual_reading(shared, i):
+    """Level i's readings from _residual_terms (shared, deferred): a sample
+    of phi or H phi that is not finite raises PoleError naming its w, and a
+    phi that vanishes on the window DomainError."""
+    w, q, phi, h_phi, finite, phi_sq, off_sq = shared()
+    if not finite[i]:
+        _require_finite(w, phi[i], "eigenfunction")
+        _require_finite(w, h_phi[i], "H applied to the eigenfunction")
+    norm = np.dot(q, phi_sq[i])
+    if norm == 0.0:
+        raise DomainError("eigenfunction vanishes on the residual window")
+    return np.array([math.sqrt(np.dot(q, sq) / norm) for sq in off_sq[i]])
 
 
 def _shallow(record):
@@ -931,13 +994,16 @@ def _model_report(spec: _ModelSpec, k, R, levels):
         )
 
     v1 = _sampled_once(spec.closed1)
+    lams = [(lam,) if matched is None else (lam, matched) for lam, matched in zip(printed, implied)]
+    residuals = {}
     for n in range(levels):
         lam, matched = printed[n], implied[n]
-        lams = (lam,) if matched is None else (lam, matched)
         for reading, (description, wavefn) in spec.eigenfunctions.items():
             infix = f"{reading}." if len(spec.eigenfunctions) > 1 else ""
             wf = wavefn(n)
-            res, nodes, gap = verify_eigenpair(wf, v1, lams)
+            if not n:  # one call per reading: every level's residuals, each raised at its claim
+                residuals[reading] = verify_eigenpair(wf, range(levels), v1, lams)
+            res, nodes, gap = residuals[reading][n]()
             details = {spec.printed_key: lam}
             if matched is not None:
                 details.update(residual_at_identity_energy=res[1], lambda_identity=matched)
@@ -999,8 +1065,8 @@ def _model1_spec(p: Model1Params, k, R) -> _ModelSpec:
     def identity_claims(level0, v1):
         # Solvable-structure identity: for a true eigenfunction the local energy
         # (H phi)/phi is constant; evaluated exactly for the printed ground state.
-        r, k_r = _local_terms(wavefn_model1(0, p, k), np.tanh(_CONSTANCY_W), v1)
-        metric, mean = _constancy(k_r / r)
+        r, k_r = _local_terms(wavefn_model1(0, p, k), [0], np.tanh(_CONSTANCY_W), v1)
+        metric, mean = _constancy(k_r[0] / r[0])
         return [
             Claim(
                 "g.local-energy-constancy",

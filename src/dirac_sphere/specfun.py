@@ -49,26 +49,15 @@ def _check_index(n, alpha, beta):
         raise DomainError(f"Jacobi parameters must exceed -1, got alpha={alpha}, beta={beta}")
 
 
-def jacobi(n, alpha, beta, x):
-    """Evaluate P_n^(alpha,beta)(x) by the ascending three-term recurrence.
-
-    Stable on [-1, 1] for the moderate degrees used here (n <= ~50); outside
-    it the value is the analytic continuation.
-
-    Relative accuracy degrades as alpha + beta -> -2, where the recurrence
-    divisor 2m (m + alpha + beta)(2m + alpha + beta - 2) at m = 2 tends to 0
-    (at alpha = beta = -1 + 1e-8, P_20 on the 24-node Gauss-Jacobi rule is
-    off by 6.3e-7 of its largest value, and the rule's norm of P_20 by 2.3e-5
-    relative); a divisor that rounds to 0 raises DomainError.
-    """
-    _check_index(n, alpha, beta)
+def _jacobi_table(top, alpha, beta, x):
+    """[P_0, P_1, ..., P_top] of P_m^(alpha,beta) at x by the ascending
+    three-term recurrence: every degree of the family at the cost of the
+    highest.  A divisor that rounds to 0 raises DomainError (see jacobi)."""
     x = np.asarray(x, dtype=float)
-    n = int(n)
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return _scalar_or_array(p_prev)
-    p = (alpha - beta) / 2.0 + (alpha + beta + 2.0) / 2.0 * x
-    for m in range(2, n + 1):
+    tab = [np.ones_like(x)]
+    if top:
+        tab.append((alpha - beta) / 2.0 + (alpha + beta + 2.0) / 2.0 * x)
+    for m in range(2, top + 1):
         s = 2.0 * m + alpha + beta
         a = 2.0 * m * (m + alpha + beta) * (s - 2.0)
         if a == 0.0:
@@ -79,19 +68,53 @@ def jacobi(n, alpha, beta, x):
         b = (s - 1.0) * (alpha * alpha - beta * beta)
         c = (s - 1.0) * s * (s - 2.0)
         d = 2.0 * (m + alpha - 1.0) * (m + beta - 1.0) * s
-        p, p_prev = ((b + c * x) * p - d * p_prev) / a, p
-    return _scalar_or_array(p)
+        tab.append(((b + c * x) * tab[m - 1] - d * tab[m - 2]) / a)
+    return tab
+
+
+def jacobi(n, alpha, beta, x):
+    """Evaluate P_n^(alpha,beta)(x) by the ascending three-term recurrence
+    (_jacobi_table's top row).
+
+    Stable on [-1, 1] for the degrees used here: at degree 60, the most a
+    report reaches, P_60 of (alpha, beta) and (alpha + 3, beta + 3) at the
+    example Model-II parameters agrees with 50-digit arithmetic within
+    1e-13 of its largest value on the 1344 nodes of the residual window's
+    64-panel rule.  Outside [-1, 1] the value is the analytic continuation.
+
+    Relative accuracy degrades as alpha + beta -> -2, where the recurrence
+    divisor 2m (m + alpha + beta)(2m + alpha + beta - 2) at m = 2 tends to 0
+    (at alpha = beta = -1 + 1e-8, P_20 on the 24-node Gauss-Jacobi rule is
+    off by 6.3e-7 of its largest value, and the rule's norm of P_20 by 2.3e-5
+    relative); a divisor that rounds to 0 raises DomainError.
+    """
+    _check_index(n, alpha, beta)
+    return _scalar_or_array(_jacobi_table(int(n), alpha, beta, x)[-1])
+
+
+def _jacobi_rows(degrees, alpha, beta, x, d):
+    """[P_n, P_n', ..., P_n^(d)] of P_n^(alpha,beta) at x for every n in
+    degrees, each an array with one row per degree, by the parameter shift
+    P_n^(j) = prod_{i=1..j} (n + alpha + beta + i)/2 * P_{n-j}^(alpha+j, beta+j),
+    0 for j > n: one _jacobi_table per shifted family, up to the highest
+    degree, serves every degree."""
+    degrees = [int(n) for n in degrees]
+    _check_index(min(degrees), alpha, beta)
+    top = max(degrees)
+    tab = _jacobi_table(top, alpha, beta, x)
+    out, coef = [[tab[n] for n in degrees]], [1.0] * len(degrees)
+    for j in range(1, d + 1):
+        tab = _jacobi_table(max(top - j, 0), alpha + j, beta + j, x)
+        coef = [c * (0.5 * (n + alpha + beta + j)) for c, n in zip(coef, degrees)]
+        out.append([c * tab[n - j] if j <= n else 0.0 * p for c, n, p in zip(coef, degrees, out[0])])
+    return [np.array(rows) for rows in out]
 
 
 def jacobi_derivs(n, alpha, beta, x, d):
     """[P_n, P_n', ..., P_n^(d)] of P_n^(alpha,beta) at x, by the parameter shift
     P_n^(j) = prod_{i=1..j} (n + alpha + beta + i)/2 * P_{n-j}^(alpha+j, beta+j), 0 for j > n."""
     _check_index(n, alpha, beta)
-    out, coef = [jacobi(n, alpha, beta, x)], 1.0
-    for j in range(1, d + 1):
-        coef *= 0.5 * (n + alpha + beta + j)
-        out.append(coef * jacobi(n - j, alpha + j, beta + j, x) if j <= n else 0.0 * out[0])
-    return out
+    return [_scalar_or_array(rows[0]) for rows in _jacobi_rows([n], alpha, beta, x, d)]
 
 
 def x1_jacobi(nu, alpha, beta, x):
@@ -113,9 +136,16 @@ def x1_jacobi(nu, alpha, beta, x):
 def x1_jacobi_derivs(nu, alpha, beta, x, d=2):
     """[X] (d = 0) or [X, X', X''] (d = 2) of the x1_jacobi member X = u P_m + (1-x^2) P_m',
     u = A (x - b) + c: X' = A P_m + (u - 2x) P_m' + (1-x^2) P_m'' and
-    X'' = (2A - 2) P_m' + (u - 4x) P_m'' + (1-x^2) P_m^(3), each P_m^(j) from jacobi_derivs."""
+    X'' = (2A - 2) P_m' + (u - 4x) P_m'' + (1-x^2) P_m^(3), each P_m^(j) by the parameter shift."""
     if nu < 1 or int(nu) != nu:
         raise DomainError(f"degree must be a positive integer, got {nu}")
+    return [_scalar_or_array(rows[0]) for rows in _x1_rows([nu], alpha, beta, x, d)]
+
+
+def _x1_rows(nus, alpha, beta, x, d):
+    """x1_jacobi_derivs for every degree in nus (each >= 1), each entry an
+    array with one row per degree: one _jacobi_rows call, one table per
+    shifted family, serves them all."""
     if alpha <= -1 or beta <= -1:
         raise DomainError(f"parameters must exceed -1, got alpha={alpha}, beta={beta}")
     if alpha == beta:
@@ -124,20 +154,21 @@ def x1_jacobi_derivs(nu, alpha, beta, x, d=2):
         raise DomainError("rational-extension family needs alpha*beta != 0")
     if d not in (0, 2):
         raise DomainError(f"derivative order must be 0 or 2, got {d}")
-    m = int(nu) - 1
+    x = np.asarray(x, dtype=float)
+    m = np.asarray(nus).reshape((-1,) + (1,) * x.ndim) - 1
     acc = m * m + (alpha + beta + 1.0) * m + alpha * beta
     b = (beta + alpha) / (beta - alpha)
     c = 2.0 * alpha * beta / (alpha - beta)
-    p = jacobi_derivs(m, alpha, beta, x, d + 1)
-    x = np.asarray(x, dtype=float)
+    p = _jacobi_rows(m.ravel(), alpha, beta, x, d + 1)
     u, s = acc * (x - b) + c, 1.0 - x * x
     out = [u * p[0] + s * p[1]]
     if d:
         out += [acc * p[0] + (u - 2.0 * x) * p[1] + s * p[2],
                 (2.0 * acc - 2.0) * p[1] + (u - 4.0 * x) * p[2] + s * p[3]]
-    return [_scalar_or_array(np.asarray(v)) for v in out]
+    return out
 
 
+@functools.lru_cache(maxsize=256)
 def gauss_jacobi(n, alpha, beta):
     """n-point Gauss-Jacobi rule: (nodes, weights) with sum(w f(x)) equal to
     the integral of (1-x)^alpha (1+x)^beta f(x) over [-1, 1] for every
@@ -146,23 +177,24 @@ def gauss_jacobi(n, alpha, beta):
     Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
     matrix of the monic Jacobi recurrence, and the weights are mu0 times the
     squared first components of its normalized eigenvectors.  Rules are cached
-    by (n, alpha, beta); the returned arrays are read-only.
+    by (n, alpha, beta), without the eigenvectors (only the Galerkin basis,
+    _golub_welsch, keeps those); the returned arrays are read-only.
     """
-    return _golub_welsch(n, alpha, beta)[0]
+    return _golub_welsch.__wrapped__(n, alpha, beta)[0]  # the uncached solve
 
 
 @functools.lru_cache(maxsize=256)
 def _golub_welsch(n, alpha, beta):
-    """gauss_jacobi's rule (nodes, weights) and the matrix of the
-    eigenvectors it came from, as ((nodes, weights), vectors).
+    """gauss_jacobi's rule (nodes, weights), the same bits, and the matrix of
+    the eigenvectors it came from, as ((nodes, weights), vectors).
 
     Column i of the eigenvector matrix B is the unit eigenvector at node x_i,
     so B[m, i] = sqrt(w_i) p_m(x_i) up to the sign of the column, with p_m
     the Jacobi polynomials orthonormal under the weight.  B is orthogonal; a
     product B diag(f) B^T, the rule's Galerkin matrix of f in the
     orthonormal basis p_0..p_{n-1}, does not depend on the column signs.
-    Cached by (n, alpha, beta), so gauss_jacobi returns the same rule
-    object on every call; the three arrays are read-only.
+    Cached by (n, alpha, beta) apart from gauss_jacobi's rules; the three
+    arrays are read-only.
     """
     if n < 1 or int(n) != n:
         raise DomainError(f"node count must be a positive integer, got {n}")

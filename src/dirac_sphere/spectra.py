@@ -83,15 +83,18 @@ class WaveFunctionSpec:
     """First-component eigenfunction candidate on the w axis.
 
     eval_raw is the unnormalized printed form (1-t)^a (1+t)^b r(t) of
-    t = tanh w, with (a, b) = exponents and ratio(t) = (r, r', r''): what an
-    operator needs to act on it exactly.  When the norm diverges,
+    t = tanh w, with (a, b) = exponents, which every level of its reading
+    shares.  ratios(t, levels) is (r, r', r'') of that reading at every
+    level index in levels, each an array with one row per level: what an
+    operator needs to act on them exactly, from one recurrence table per
+    Jacobi family up to the highest level's degree.  When the norm diverges,
     norm_finite is False and norm_reason says why; otherwise norm_rule and
     norm_nodes name the quadrature that produced norm_sq.
     """
 
     eval_raw: Callable
     exponents: Tuple[float, float]
-    ratio: Callable
+    ratios: Callable
     norm_finite: bool
     norm_sq: Optional[float] = None
     norm_reason: Optional[str] = None
@@ -170,19 +173,21 @@ def wavefn_model1(n, p: Model1Params, k) -> WaveFunctionSpec:
     s, B = _model1_exponents(n, p, k)
     return _printed_wavefunction(
         (s, B), lambda t: specfun.jacobi(int(n), 2.0 * s, 2.0 * B, t),
-        lambda t: specfun.jacobi_derivs(int(n), 2.0 * s, 2.0 * B, t, 2), (1.0, 0.0),
+        lambda levels, t: specfun._jacobi_rows(levels, 2.0 * s, 2.0 * B, t, 2), (1.0, 0.0),
         _model1_divergence(s, B),
     )
 
 
 def _printed_wavefunction(exponents, poly, derivs, den, divergence, weight=None, degree=None):
     """The printed eigenfunction (1-t)^a (1+t)^b poly(t)/den(t) of t = tanh w,
-    (a, b) = exponents, with den = d0 + d1 t for den = (d0, d1), and derivs(t)
-    the list [poly, poly', poly''].  Unless divergence gives the reason it
-    diverges, its norm integrates (poly/den)^2 (numerator degree `degree`)
-    against the Jacobi weight (1-t)^weight[0] (1+t)^weight[1]; Model I passes
-    no weight, since its norm always diverges.  Both raise PoleError at a
-    sample where den vanishes, as the gauge profile does at its pole.
+    (a, b) = exponents, with den = d0 + d1 t for den = (d0, d1), and
+    derivs(levels, t) the rows [g, g', g''] of its reading's polynomial g at
+    every level in levels (its ratios divide them by den).  Unless
+    divergence gives the reason it diverges, its norm integrates
+    (poly/den)^2 (numerator degree `degree`) against the Jacobi weight
+    (1-t)^weight[0] (1+t)^weight[1]; Model I passes no weight, since its
+    norm always diverges.  Both raise PoleError at a sample where den
+    vanishes, as the gauge profile does at its pole.
     """
     a, b = exponents
     d0, d1 = den
@@ -200,18 +205,18 @@ def _printed_wavefunction(exponents, poly, derivs, den, divergence, weight=None,
         t = np.tanh(w)
         return (1.0 - t) ** a * (1.0 + t) ** b * poly(t) / den_at(t)
 
-    def ratio(t):
-        # r = poly/den with den linear: r' = (poly' - d1 r)/den, r'' = (poly'' - 2 d1 r')/den
-        p, dp, d2p = derivs(t)
+    def ratios(t, levels):
+        # r = g/den with den linear: r' = (g' - d1 r)/den, r'' = (g'' - 2 d1 r')/den
+        g, dg, d2g = derivs(levels, t)
         d = den_at(t)
-        r = p / d
-        r1 = (dp - d1 * r) / d
-        return r, r1, (d2p - 2.0 * d1 * r1) / d
+        r = g / d
+        r1 = (dg - d1 * r) / d
+        return r, r1, (d2g - 2.0 * d1 * r1) / d
 
     if divergence:
-        return WaveFunctionSpec(raw, exponents, ratio, norm_finite=False, norm_reason=divergence)
+        return WaveFunctionSpec(raw, exponents, ratios, norm_finite=False, norm_reason=divergence)
     norm = _weighted_norm(lambda t: poly(t) / den_at(t), *weight, degree)
-    return WaveFunctionSpec(raw, exponents, ratio, **norm)
+    return WaveFunctionSpec(raw, exponents, ratios, **norm)
 
 
 _NORM_RTOL = 1e-12  # agreement of two successive rules
@@ -312,9 +317,9 @@ def wavefn_model2(m, alpha, beta, polynomial="classical") -> WaveFunctionSpec:
     if alpha <= -1 or beta <= -1 or alpha == beta:
         raise DomainError("need alpha, beta > -1 and alpha != beta")
     m = int(m)
-    poly_fn, derivs_fn = (
-        (specfun.jacobi, specfun.jacobi_derivs) if polynomial == "classical"
-        else (specfun.x1_jacobi, specfun.x1_jacobi_derivs)
+    poly_fn, rows_fn = (
+        (specfun.jacobi, specfun._jacobi_rows) if polynomial == "classical"
+        else (specfun.x1_jacobi, specfun._x1_rows)
     )
     # Norm integrand (1-t)^alpha (1+t)^beta (poly/den)^2; alpha, beta > -1, so it
     # is finite iff the denominator's root t0 lies off [-1, 1] (alpha*beta > 0).
@@ -325,6 +330,6 @@ def wavefn_model2(m, alpha, beta, polynomial="classical") -> WaveFunctionSpec:
     )
     return _printed_wavefunction(
         ((alpha + 1.0) / 2.0, (beta + 1.0) / 2.0), lambda t: poly_fn(m + 1, alpha, beta, t),
-        lambda t: derivs_fn(m + 1, alpha, beta, t, 2), (alpha + beta, alpha - beta),
+        lambda levels, t: rows_fn(np.asarray(levels) + 1, alpha, beta, t, 2), (alpha + beta, alpha - beta),
         divergence, (alpha, beta), m + 1,
     )

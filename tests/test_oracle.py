@@ -285,6 +285,17 @@ def test_factorization_match_second_order(branch):
 # ----------------------------------------------------------- residuals
 
 
+def _one_level(wf, level, V, lams):
+    """verify_eigenpair's batch of one: the level's (readings, nodes, gap),
+    or the error that refused it, raised."""
+    return oracle.verify_eigenpair(wf, [level], V, [lams])[0]()
+
+
+def _bent(wf, ratios):
+    """wf with its reading's ratios(t, levels) replaced."""
+    return dataclasses.replace(wf, ratios=ratios)
+
+
 def _model2_readings(k, m, variant):
     """verify_eigenpair of a Model-II reading at its printed and identity
     levels, and the distance between the two levels."""
@@ -292,7 +303,7 @@ def _model2_readings(k, m, variant):
     wf = spectra.wavefn_model2(m, p.alpha, p.beta, polynomial=variant)
     printed = spectra.energy_model2(m, p.alpha, p.beta, k, 1.0).E_sq_bar
     matched = spectra.energy_model2_matched(m, p)
-    return oracle.verify_eigenpair(wf, gauge.v_eff_model2(p, 1), [printed, matched]), abs(printed - matched)
+    return _one_level(wf, m, gauge.v_eff_model2(p, 1), [printed, matched]), abs(printed - matched)
 
 
 def test_verify_eigenpair_negative_control():
@@ -323,19 +334,20 @@ def test_verify_eigenpair_refusals():
     wf = spectra.wavefn_model2(1, p.alpha, p.beta, polynomial="x1")
     # a potential sample that is not finite names its w
     with pytest.raises(PoleError, match="potential is not finite at w = ") as info:
-        oracle.verify_eigenpair(wf, lambda w: np.where(w > 1.0, np.inf, pot(w)), [1.0])
+        _one_level(wf, 1, lambda w: np.where(w > 1.0, np.inf, pot(w)), [1.0])
     assert info.value.location > 1.0
     # an eigenfunction sample, or H applied to it, that is not finite names its w
-    bent = dataclasses.replace(wf, ratio=lambda t: tuple(np.where(t > 0.5, np.nan, x) for x in wf.ratio(t)))
+    ratios = wf.ratios
+    bent = _bent(wf, lambda t, levels: tuple(np.where(t > 0.5, np.nan, x) for x in ratios(t, levels)))
     with pytest.raises(PoleError, match="eigenfunction is not finite at w = "):
-        oracle.verify_eigenpair(bent, pot, [1.0])
-    bent = dataclasses.replace(wf, ratio=lambda t: (*wf.ratio(t)[:2], np.where(t < 0.0, np.inf, 0.0)))
+        _one_level(bent, 1, pot, [1.0])
+    bent = _bent(wf, lambda t, levels: (*ratios(t, levels)[:2], np.where(t < 0.0, np.inf, 0.0)))
     with pytest.raises(PoleError, match="H applied to the eigenfunction is not finite at w = "):
-        oracle.verify_eigenpair(bent, pot, [1.0])
+        _one_level(bent, 1, pot, [1.0])
     # an eigenfunction that vanishes on the window cannot be judged
-    zero = dataclasses.replace(wf, ratio=lambda t: tuple(np.zeros_like(t) for _ in range(3)))
+    zero = _bent(wf, lambda t, levels: tuple(np.zeros((len(levels), t.size)) for _ in range(3)))
     with pytest.raises(DomainError, match="vanishes on the residual window"):
-        oracle.verify_eigenpair(zero, pot, [1.0])
+        _one_level(zero, 1, pot, [1.0])
 
 
 def test_verify_eigenpair_panel_cap(monkeypatch):
@@ -353,9 +365,32 @@ def test_verify_eigenpair_panel_cap(monkeypatch):
     monkeypatch.setattr(oracle, "_window_rules", counted)
     monkeypatch.setattr(oracle, "_RESIDUAL_TOL", -1.0)
     with pytest.raises(DomainError, match="128 and 256 panels differ by .*, and 512 is past the cap of 256"):
-        oracle.verify_eigenpair(wf, pot, [1.0])
+        _one_level(wf, 0, pot, [1.0])
     # each rule is read once: the reading on 2P serves the next comparison
     assert seen == [16, 32, 64, 128, 256]
+
+
+def test_verify_eigenpair_evaluates_each_rule_once_for_every_level(monkeypatch):
+    # one call serves all 60 levels of a reading: a rule is evaluated once,
+    # the first time a level reads it, for that level and every later one
+    # (27 levels settle at 16 panels, 30 at 32 and 3 at 64, so the 128-panel
+    # rule serves the last three alone), while each level keeps the rule of
+    # its own n/2n decision
+    k = 2.0
+    p = m2_params(C1=1 / k, k=k)
+    wf = spectra.wavefn_model2(0, p.alpha, p.beta, polynomial="classical")
+    pot = gauge.v_eff_model2(p, 1)
+    lams = [[spectra.energy_model2(m, p.alpha, p.beta, k, 1.0).E_sq_bar] for m in range(60)]
+    terms, seen = oracle._residual_terms, []
+
+    def counted(wf, levels, V, lams, panels):
+        seen.append((panels, levels[0], len(levels)))
+        return terms(wf, levels, V, lams, panels)
+
+    monkeypatch.setattr(oracle, "_residual_terms", counted)
+    out = [thunk() for thunk in oracle.verify_eigenpair(wf, range(60), pot, lams)]
+    assert seen == [(16, 0, 60), (32, 0, 60), (64, 27, 33), (128, 57, 3)]
+    assert [nodes for _, nodes, _ in out] == [336] * 27 + [672] * 30 + [1344] * 3
 
 
 def test_window_rules_integrate_on_the_window():
@@ -731,41 +766,96 @@ def _report_params(model, k=2.0):
     return gauge.Model1Params.from_branch(0.4, k, "half-up") if model == 1 else m2_params(C1=1 / k, k=k)
 
 
-@pytest.mark.parametrize("model", [1, 2])
-def test_report_residuals_match_verify_eigenpair_bitwise(model, monkeypatch):
-    # the d.* numbers come from the public routine, one call per level and
-    # reading with both level constants, and are exactly the numbers of a
-    # call made here on the same eigenfunction and closed j=1 potential
-    k, R = 2.0, 1.0
-    p = _report_params(model, k)
+def _assert_residuals_match_one_level_calls(rep, model, p, k):
+    """Every d.* number of rep equals a one-level verify_eigenpair call on
+    the same eigenfunction and closed j=1 potential, bit for bit."""
     pot = gauge.v_eff_model1(p, k, 1) if model == 1 else gauge.v_eff_model2(p, 1)
-    routine, calls = oracle.verify_eigenpair, []
-
-    def counted(wf, V, lams):
-        calls.append(len(lams))
-        return routine(wf, V, lams)
-
-    monkeypatch.setattr(oracle, "verify_eigenpair", counted)
-    rep = oracle.consistency_report(model, p, k, R, levels=3)
-    assert calls == ([1] * 3 if model == 1 else [2] * 6)
-
-    for m in range(3):
+    for m in range(rep.levels):
         if model == 1:
             claim = rep.claim(f"d.eigenfunction.m{m}")
-            wf = spectra.wavefn_model1(m, p, k)
-            res, nodes, gap = routine(wf, pot, [claim.details["lambda"]])
+            res, nodes, gap = _one_level(spectra.wavefn_model1(m, p, k), m, pot, [claim.details["lambda"]])
             assert (claim.metric, claim.details["nodes"], claim.details["gap_2n"]) == (res[0], nodes, gap)
+            assert claim.grid == {"w_lo": -8.0, "w_hi": 8.0, "nodes": nodes}
             assert "norm_divergence" in claim.details
             continue
         for variant in ("classical", "x1"):
             claim = rep.claim(f"d.eigenfunction.{variant}.m{m}")
             wf = spectra.wavefn_model2(m, p.alpha, p.beta, polynomial=variant)
             d = claim.details
-            res, nodes, gap = routine(wf, pot, [d["lambda_printed"], d["lambda_identity"]])
+            res, nodes, gap = _one_level(wf, m, pot, [d["lambda_printed"], d["lambda_identity"]])
             assert [claim.metric, d["residual_at_identity_energy"]] == res
             assert (d["nodes"], d["gap_2n"]) == (nodes, gap)
             assert claim.grid == {"w_lo": -8.0, "w_hi": 8.0, "nodes": nodes} and d["window"] == 8.0
             assert d["norm_rule"].startswith("gauss-jacobi") and d["norm_nodes"] == wf.norm_nodes
+
+
+@pytest.mark.parametrize("model", [1, 2])
+def test_report_residuals_match_verify_eigenpair_bitwise(model, monkeypatch):
+    # the d.* numbers come from the public routine, one call per reading
+    # with every level and both level constants, and each level's numbers
+    # are exactly those of a one-level call made here on the same
+    # eigenfunction and closed j=1 potential
+    k, R = 2.0, 1.0
+    p = _report_params(model, k)
+    routine, calls = oracle.verify_eigenpair, []
+
+    def counted(wf, levels, V, lams):
+        calls.append((list(levels), np.shape(lams)))
+        return routine(wf, levels, V, lams)
+
+    monkeypatch.setattr(oracle, "verify_eigenpair", counted)
+    rep = oracle.consistency_report(model, p, k, R, levels=3)
+    assert calls == ([([0, 1, 2], (3, 1))] if model == 1 else [([0, 1, 2], (3, 2))] * 2)
+    _assert_residuals_match_one_level_calls(rep, model, p, k)
+
+
+@pytest.mark.parametrize("model, nodes", [(1, {336, 672}), (2, {336, 672, 1344})])
+def test_report_residuals_at_60_levels_match_one_level_calls(model, nodes):
+    # at the most levels a report serves, the levels of one reading settle
+    # on rules of different sizes, each on its own: a level that agrees at
+    # 16 panels records 336 nodes however many another level needs
+    from dirac_sphere import cli
+
+    path = os.path.join(os.path.dirname(__file__), "..", "examples", f"model{model}.json")
+    cfg = cli.parse_config(cli._read_config(path))
+    p = cfg.params()
+    rep = oracle.consistency_report(model, p, cfg.k, cfg.R, levels=60)
+    assert {c.grid["nodes"] for c in rep.claims if c.claim_id.startswith("d.")} == nodes
+    _assert_residuals_match_one_level_calls(rep, model, p, cfg.k)
+
+
+@pytest.mark.parametrize("nan_level, zero_level", [(1, 3), (3, 1)])
+def test_report_raises_the_first_refused_level(monkeypatch, nan_level, zero_level):
+    # every level's residuals come from one call, but a level's error is
+    # raised when its claim is built: of two broken levels, the lower one's
+    # error leaves the report, as it did when each level had its own call
+    wavefn = oracle.wavefn_model1
+
+    def broken(n, p, k):
+        wf = wavefn(n, p, k)
+
+        def ratios(t, levels):
+            r, r1, r2 = (x.copy() for x in wf.ratios(t, levels))
+            for i, m in enumerate(levels):
+                if m == nan_level:
+                    r[i, t > 0.5] = np.nan
+                if m == zero_level:
+                    r[i], r1[i], r2[i] = 0.0, 0.0, 0.0
+            return r, r1, r2
+
+        return _bent(wf, ratios)
+
+    monkeypatch.setattr(oracle, "wavefn_model1", broken)
+    p = gauge.Model1Params.from_branch(0.4, 2.0, "half-up")
+    if nan_level < zero_level:
+        w0 = 0.5727809270804475  # the first node of 16 panels with tanh w > 0.5
+        assert w0 == oracle._window_rules(16)[0][np.tanh(oracle._window_rules(16)[0]) > 0.5][0]
+        with pytest.raises(PoleError, match=re.escape(f"eigenfunction is not finite at w = {w0}")) as info:
+            oracle.consistency_report(1, p, 2.0, 1.0, levels=5)
+        assert info.value.location == w0
+    else:
+        with pytest.raises(DomainError, match="^eigenfunction vanishes on the residual window$"):
+            oracle.consistency_report(1, p, 2.0, 1.0, levels=5)
 
 
 def test_report_assembles_no_flux_matrix(monkeypatch):

@@ -267,11 +267,82 @@ def test_golub_welsch_basis_is_orthonormal_and_shares_the_rule():
     # the rule and the eigenvector matrix come from one cached solve, and the
     # matrix is the orthonormal basis: B B^T = I and |B[0]| = sqrt(w / mu0)
     rule, basis = specfun._golub_welsch(24, 1.0, 1 / 3)
-    assert specfun.gauss_jacobi(24, 1.0, 1 / 3) is rule
+    assert all(np.array_equal(x, y) for x, y in zip(specfun.gauss_jacobi(24, 1.0, 1 / 3), rule))
+    assert specfun._golub_welsch(24, 1.0, 1 / 3)[1] is basis
     nodes, weights = rule
     assert np.abs(basis @ basis.T - np.eye(24)).max() <= 1e-13
     assert np.allclose(np.abs(basis[0]), np.sqrt(weights / weights.sum()), rtol=1e-12, atol=0)
     assert not basis.flags.writeable
+
+
+def test_gauss_jacobi_caches_no_eigenvectors():
+    # a quadrature rule's cache entry is its nodes and weights alone, the
+    # bits of the Galerkin basis's rule; only _golub_welsch keeps the n x n
+    # eigenvector matrix, and a rule asked of gauss_jacobi adds none to it
+    before = specfun._golub_welsch.cache_info().currsize
+    rule = specfun.gauss_jacobi(40, 0.75, -0.25)
+    assert specfun.gauss_jacobi(40, 0.75, -0.25) is rule
+    assert [x.shape for x in rule] == [(40,), (40,)]
+    assert all(x.base is None or x.base.ndim == 1 for x in rule)
+    assert specfun._golub_welsch.cache_info().currsize == before
+    (nodes, weights), basis = specfun._golub_welsch(40, 0.75, -0.25)
+    assert np.array_equal(nodes, rule[0]) and np.array_equal(weights, rule[1]) and basis.shape == (40, 40)
+
+
+def test_jacobi_degree_60_against_mpmath():
+    # a report's highest degree: P_60 of the example Model-II (alpha, beta)
+    # and of (alpha + 3, beta + 3), the shift behind the X1 reading's third
+    # derivative, on the 1344 nodes of the residual window's 64-panel rule,
+    # against 50-digit arithmetic: within 1e-13 of the largest value
+    import mpmath
+
+    from dirac_sphere import gauge, oracle
+
+    alpha, beta = gauge.alpha_beta(2.0, "-", "+")
+    t = np.tanh(oracle._window_rules(64)[0])
+    assert t.size == 1344
+    with mpmath.workdps(50):
+        for a, b in ((alpha, beta), (alpha + 3.0, beta + 3.0)):
+            want = np.array([float(mpmath.jacobi(60, a, b, mpmath.mpf(x))) for x in t])
+            err = np.abs(specfun.jacobi(60, a, b, t) - want).max()
+            assert err <= 1e-13 * np.abs(want).max(), (a, b)
+
+
+def _jacobi_loop(n, a, b, x):
+    """P_n^(a,b)(x) by the ascending recurrence, two degrees at a time: the
+    reference the tables must match bit for bit."""
+    p_prev, p = np.ones_like(x), (a - b) / 2.0 + (a + b + 2.0) / 2.0 * x
+    if n == 0:
+        return p_prev
+    for m in range(2, n + 1):
+        s = 2.0 * m + a + b
+        c2 = 2.0 * m * (m + a + b) * (s - 2.0)
+        c1 = (s - 1.0) * (a * a - b * b)
+        c0 = (s - 1.0) * s * (s - 2.0)
+        c3 = 2.0 * (m + a - 1.0) * (m + b - 1.0) * s
+        p, p_prev = ((c1 + c0 * x) * p - c3 * p_prev) / c2, p
+    return p
+
+
+def test_batched_rows_match_the_loop_bitwise():
+    # one table per shifted family serves every degree: each row is the bits
+    # of the one-degree recurrence (its derivatives by the parameter shift),
+    # and each X1 row those of the one-degree call
+    pts = np.tanh(np.linspace(-6.0, 6.0, 41))
+    a, b = 1.0, 1 / 3
+    degrees = [0, 1, 2, 5, 13]
+    rows = specfun._jacobi_rows(degrees, a, b, pts, 3)
+    x1 = specfun._x1_rows([n + 1 for n in degrees], a, b, pts, 2)
+    for i, n in enumerate(degrees):
+        assert np.array_equal(specfun.jacobi(n, a, b, pts), _jacobi_loop(n, a, b, pts))
+        coef = 1.0
+        for j in range(4):
+            if j:
+                coef *= 0.5 * (n + a + b + j)
+            want = coef * _jacobi_loop(n - j, a + j, b + j, pts) if j <= n else 0.0 * rows[0][i]
+            assert np.array_equal(rows[j][i], want), (n, j)
+        for got, want in zip(x1, specfun.x1_jacobi_derivs(n + 1, a, b, pts, 2)):
+            assert np.array_equal(got[i], want)
 
 
 def test_gauss_jacobi_refuses_an_overflowing_mass():
