@@ -306,7 +306,9 @@ def cmd_wavefunction(cfg: RunConfig, level, polynomial, outdir):
 
     A `*_norm.json` sidecar always says whether the curve is normalized and
     how the norm was decided: `norm_rule`/`norm_nodes` for a finite norm, or
-    `norm_divergence` (the analytic reason) for the raw printed form.
+    `norm_divergence` (the analytic reason) for the raw printed form.  The
+    norm is read before the curve is sampled, so a norm no rule resolves
+    (IntegrationError) writes nothing.
     """
     if level < 0:
         raise ConfigError(f"--level must be a non-negative integer, got {level}")
@@ -317,6 +319,7 @@ def cmd_wavefunction(cfg: RunConfig, level, polynomial, outdir):
             f"it has {', '.join(spec.eigenfunctions)}"
         )
     wf = spec.eigenfunctions[polynomial][1](level)
+    norm = {"normalized": wf.norm_finite, **wf.norm_details()}
     suffix = f"_{polynomial}" if len(spec.eigenfunctions) > 1 else ""
     # a Model-II envelope denominator alpha + beta + (alpha - beta) t vanishes
     # (and raises PoleError) where the profile's does: at tanh w = a2/a1, the
@@ -324,7 +327,6 @@ def cmd_wavefunction(cfg: RunConfig, level, polynomial, outdir):
     path = os.path.join(outdir, f"wavefunction_l{level}{suffix}.csv")
     written = _write_curve(cfg, wf.eval, spec.poles, path)
     side = path[: -len(".csv")] + "_norm.json"
-    norm = {"normalized": wf.norm_finite, **wf.norm_details()}
     _atomic_write(side, json.dumps(norm, indent=2) + "\n")
     return written + [side]
 

@@ -586,7 +586,8 @@ def _local_terms(wf, levels, t, v):
 
 
 def _sampled_once(V):
-    """V, sampled once per _window_rules node set (which its size names)."""
+    """V, sampled once per node set, which its size names: a _window_rules
+    set, or the half points of _COMPOSE_GRID."""
     samples = {}
 
     def sampled(w):
@@ -854,8 +855,11 @@ def _forced_claims(A, dA, k, gen1, gen2):
     tie its f to gen1/gen2, the general-form j=1/j=2 potentials (not the
     printed closed forms) sampled at _CONSTANCY_W."""
     claims = []
-    dtd, ddt = compose_factorized(A, k, _COMPOSE_GRID)
-    defect = _product_defect(A, k, _COMPOSE_GRID, dtd, ddt)
+    # one sample of A at the half points serves both compose_factorized and
+    # _product_defect
+    a_half = _sampled_once(A)
+    dtd, ddt = compose_factorized(a_half, k, _COMPOSE_GRID)
+    defect = _product_defect(a_half, k, _COMPOSE_GRID, dtd, ddt)
     claims.append(
         Claim(
             claim_id="f.matrix-symmetry",
@@ -1007,8 +1011,10 @@ def _model_report(spec: _ModelSpec, k, R, levels):
             details = {spec.printed_key: lam}
             if matched is not None:
                 details.update(residual_at_identity_energy=res[1], lambda_identity=matched)
+            # the residual is scale-free, so no norm is read: only its analytic verdict
             details.update(window=_RESIDUAL_WINDOW, nodes=nodes, gap_2n=gap, norm_finite=wf.norm_finite)
-            details.update(wf.norm_details())
+            if not wf.norm_finite:
+                details.update(norm_divergence=wf.norm_reason)
             claims.append(
                 Claim(
                     f"d.eigenfunction.{infix}m{n}",

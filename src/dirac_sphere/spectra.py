@@ -17,13 +17,16 @@ records: _model1_divergence (s > 0 and B > 0) and _model2_norm_finite
 Norms are computed in t = tanh(w), where every printed eigenfunction is an
 envelope (1-t)^a (1+t)^b times a polynomial or rational factor g.  The norm
 integral is then the Jacobi weight (1-t)^(2a-1) (1+t)^(2b-1) against g^2:
-finiteness is decided from the exponents and the poles of g before any
-quadrature.  Only Model II's rational g is ever integrated, by Gauss-Jacobi
-rules of that weight converged by node doubling: the Model-I exponent
+finiteness is decided from the exponents and the poles of g when the record
+is built, before any quadrature.  Only Model II's rational g is ever
+integrated, by Gauss-Jacobi rules of that weight converged by node doubling,
+and only when something first reads the norm: the `verify` residuals are
+scale-free and read none.  The Model-I exponent
 s = (-1 + sqrt(1 - 4 C1^2))/2 is <= 0, so its norm is never finite.
 """
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -87,8 +90,12 @@ class WaveFunctionSpec:
     shares.  ratios(t, levels) is (r, r', r'') of that reading at every
     level index in levels, each an array with one row per level: what an
     operator needs to act on them exactly, from one recurrence table per
-    Jacobi family up to the highest level's degree.  When the norm diverges,
-    norm_finite is False and norm_reason says why; otherwise norm_rule and
+    Jacobi family up to the highest level's degree.  norm_finite is decided
+    analytically when the record is built; when the norm diverges,
+    norm_reason says why.  A finite norm is integrated by norm_quadrature
+    (a _weighted_norm call) the first time norm_sq, norm_rule, norm_nodes,
+    norm_details() or eval() reads it, which raises its IntegrationError;
+    the record keeps the result for every later read.  norm_rule and
     norm_nodes name the quadrature that produced norm_sq.
     """
 
@@ -96,10 +103,24 @@ class WaveFunctionSpec:
     exponents: Tuple[float, float]
     ratios: Callable
     norm_finite: bool
-    norm_sq: Optional[float] = None
     norm_reason: Optional[str] = None
-    norm_rule: Optional[str] = None
-    norm_nodes: Optional[int] = None
+    norm_quadrature: Optional[Callable] = None
+
+    @cached_property
+    def _norm(self):
+        return self.norm_quadrature() if self.norm_finite else {}
+
+    @property
+    def norm_sq(self):
+        return self._norm.get("norm_sq")
+
+    @property
+    def norm_rule(self):
+        return self._norm.get("norm_rule")
+
+    @property
+    def norm_nodes(self):
+        return self._norm.get("norm_nodes")
 
     def eval(self, w):
         """The printed form scaled to unit norm when the norm is finite, else eval_raw."""
@@ -183,8 +204,8 @@ def _printed_wavefunction(exponents, poly, derivs, den, divergence, weight=None,
     (a, b) = exponents, with den = d0 + d1 t for den = (d0, d1), and
     derivs(levels, t) the rows [g, g', g''] of its reading's polynomial g at
     every level in levels (its ratios divide them by den).  Unless
-    divergence gives the reason it diverges, its norm integrates
-    (poly/den)^2 (numerator degree `degree`) against the Jacobi weight
+    divergence gives the reason it diverges, its norm, when first read,
+    integrates (poly/den)^2 (numerator degree `degree`) against the Jacobi weight
     (1-t)^weight[0] (1+t)^weight[1]; Model I passes no weight, since its
     norm always diverges.  Both raise PoleError at a sample where den
     vanishes, as the gauge profile does at its pole.
@@ -215,8 +236,10 @@ def _printed_wavefunction(exponents, poly, derivs, den, divergence, weight=None,
 
     if divergence:
         return WaveFunctionSpec(raw, exponents, ratios, norm_finite=False, norm_reason=divergence)
-    norm = _weighted_norm(lambda t: poly(t) / den_at(t), *weight, degree)
-    return WaveFunctionSpec(raw, exponents, ratios, **norm)
+    return WaveFunctionSpec(
+        raw, exponents, ratios, norm_finite=True,
+        norm_quadrature=lambda: _weighted_norm(lambda t: poly(t) / den_at(t), *weight, degree),
+    )
 
 
 _NORM_RTOL = 1e-12  # agreement of two successive rules
@@ -232,7 +255,7 @@ def _weighted_norm(g, alpha, beta, degree):
     compared and the count doubled until two successive rules agree to 1e-12
     relative; a rule past 512 nodes is never built: where one would be
     needed IntegrationError is raised, never a divergence verdict.  Returns
-    the WaveFunctionSpec fields of a finite norm.
+    norm_sq, norm_rule and norm_nodes, as WaveFunctionSpec reads them.
     """
 
     def rule(n):
@@ -252,7 +275,6 @@ def _weighted_norm(g, alpha, beta, degree):
         n, nxt = nxt, 2 * nxt
         prev, value = value, rule(n)
     return {
-        "norm_finite": True,
         "norm_sq": value,
         "norm_rule": f"gauss-jacobi (alpha={alpha!r}, beta={beta!r})",
         "norm_nodes": n,

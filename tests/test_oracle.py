@@ -786,7 +786,10 @@ def _assert_residuals_match_one_level_calls(rep, model, p, k):
             assert [claim.metric, d["residual_at_identity_energy"]] == res
             assert (d["nodes"], d["gap_2n"]) == (nodes, gap)
             assert claim.grid == {"w_lo": -8.0, "w_hi": 8.0, "nodes": nodes} and d["window"] == 8.0
-            assert d["norm_rule"].startswith("gauss-jacobi") and d["norm_nodes"] == wf.norm_nodes
+            # the residual is scale-free: the report records the norm's analytic
+            # verdict and no quadrature
+            assert d["norm_finite"] is wf.norm_finite is True
+            assert "norm_rule" not in d and "norm_nodes" not in d
 
 
 @pytest.mark.parametrize("model", [1, 2])
@@ -928,6 +931,40 @@ def test_report_samples_each_potential_once_on_the_constancy_grid(model, monkeyp
     assert seen == {label: 1 for label in want}
 
 
+@pytest.mark.parametrize("model", [1, 2])
+def test_forced_claims_sample_the_profile_once(model, monkeypatch):
+    # compose_factorized and the product defect read one sample of A at the
+    # half points of _COMPOSE_GRID
+    sizes = []
+    factory = getattr(oracle, f"a_u_model{model}")
+
+    def make(*args):
+        a = factory(*args)
+        return lambda w: sizes.append(np.size(w)) or a(w)
+
+    monkeypatch.setattr(oracle, f"a_u_model{model}", make)
+    oracle.consistency_report(model, _report_params(model), 2.0, 1.0, levels=4)
+    assert sizes.count(oracle._COMPOSE_GRID.N + 1) == 1, sizes
+
+
+@pytest.mark.parametrize("levels", [4, 12])
+@pytest.mark.parametrize("model", [1, 2])
+def test_verify_reads_no_norm(model, levels, monkeypatch):
+    # the d.* residual is scale-free: no claim reads an eigenfunction norm, so
+    # a norm quadrature that cannot run leaves the report whole
+    def refuse(*args):
+        raise AssertionError("verify integrated an eigenfunction norm")
+
+    monkeypatch.setattr(spectra, "_weighted_norm", refuse)
+    rep = oracle.consistency_report(model, _report_params(model), 2.0, 1.0, levels=levels)
+    eigen = [c for c in rep.claims if c.claim_id.startswith("d.")]
+    assert len(eigen) == levels * model
+    for c in eigen:
+        assert "norm_rule" not in c.details and "norm_nodes" not in c.details, c.claim_id
+        assert c.details["norm_finite"] is (model == 2), c.claim_id
+        assert ("norm_divergence" in c.details) is (model == 1), c.claim_id
+
+
 _SHARED_HEAD = [
     ("f.matrix-symmetry", ()),
     ("f.isospectrality", ("zero_floor", "n_below_floor")),
@@ -943,7 +980,7 @@ _PARTNER = (
 _GALERKIN = ("solver", "exponents", "n", "gap_2n")
 _M2_EIGEN = (
     "lambda_printed", "residual_at_identity_energy", "lambda_identity",
-    "window", "nodes", "gap_2n", "norm_finite", "norm_rule", "norm_nodes",
+    "window", "nodes", "gap_2n", "norm_finite",
 )
 _REPORT_LAYOUT = {
     1: _SHARED_HEAD

@@ -297,7 +297,40 @@ def test_unresolved_norm_raises_integration_error(monkeypatch):
     )
     for m, beta, polynomial in ((0, 1e-9, "classical"), (300, 1 / 3, "x1")):
         built.clear()
+        wf = spectra.wavefn_model2(m, 1.0, beta, polynomial=polynomial)
+        # the record is built with its analytic verdict alone: no rule yet
+        assert wf.norm_finite and not built, (m, built)
         with pytest.raises(IntegrationError) as err:
-            spectra.wavefn_model2(m, 1.0, beta, polynomial=polynomial)
+            wf.norm_sq
         assert built and max(built) <= spectra._NORM_MAX_NODES, (m, built)
         assert err.value.panels <= spectra._NORM_MAX_NODES
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("polynomial", ["classical", "x1"])
+def test_norm_is_integrated_once_on_first_read(k, polynomial, monkeypatch):
+    # building a record integrates nothing; its first norm read runs the one
+    # _weighted_norm call every later read (norm_sq, norm_details(), eval())
+    # shares, with the values a direct call gives, bit for bit
+    alpha, beta = gauge.alpha_beta(k, "-", "+")
+    calls, weighted_norm = [], spectra._weighted_norm
+
+    def counted(*args):
+        calls.append(args[1:])
+        return weighted_norm(*args)
+
+    monkeypatch.setattr(spectra, "_weighted_norm", counted)
+    m = 3
+    wf = spectra.wavefn_model2(m, alpha, beta, polynomial=polynomial)
+    assert calls == []
+    norm_sq, details = wf.norm_sq, wf.norm_details()
+    w = np.linspace(-3.0, 3.0, 7)
+    values = wf.eval(w)
+    assert calls == [(alpha, beta, m + 1)]
+    poly = specfun.jacobi if polynomial == "classical" else specfun.x1_jacobi
+    direct = weighted_norm(
+        lambda t: poly(m + 1, alpha, beta, t) / (alpha + beta + (alpha - beta) * t), alpha, beta, m + 1
+    )
+    assert norm_sq == direct["norm_sq"]
+    assert details == {"norm_rule": direct["norm_rule"], "norm_nodes": direct["norm_nodes"]}
+    assert np.array_equal(values, (1.0 / math.sqrt(direct["norm_sq"])) * wf.eval_raw(w))
