@@ -702,7 +702,10 @@ if sys.argv[1:]:
 else:
     import dirac_sphere.cli
     code = 0
-probe = ("scipy", "scipy.linalg._flapack", "scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.polynomial", "sympy")
+probe = (
+    "scipy", "scipy.linalg.cython_lapack", "scipy.linalg._flapack", "scipy.linalg",
+    "numpy.f2py", "numpy.testing", "numpy.polynomial", "sympy",
+)
 print(json.dumps([code, [m for m in probe if m in sys.modules]]))
 """
 
@@ -721,9 +724,9 @@ print(json.dumps([code, [m for m in probe if m in sys.modules]]))
 )
 def test_only_verify_loads_scipy(tmp_path, args, solves):
     # a fresh interpreter per command: only verify solves, so only verify may
-    # pay for scipy, and it loads the LAPACK extension alone: never the
-    # scipy.linalg package, whose init pulls in numpy.f2py, numpy.testing
-    # and numpy.polynomial
+    # pay for scipy, and it loads the cython_lapack extension alone: never
+    # the f2py wrappers of _flapack, nor the scipy.linalg package, whose init
+    # pulls in numpy.f2py, numpy.testing and numpy.polynomial
     res = subprocess.run(
         [sys.executable, "-c", _MODULE_PROBE, *args] + (["--out", str(tmp_path)] if args else []),
         capture_output=True, text=True, env=child_env(),
@@ -731,7 +734,7 @@ def test_only_verify_loads_scipy(tmp_path, args, solves):
     assert res.returncode == 0, res.stderr
     code, loaded = json.loads(res.stdout)
     assert code == 0
-    assert loaded == (["scipy", "scipy.linalg._flapack"] if solves else [])
+    assert loaded == (["scipy", "scipy.linalg.cython_lapack"] if solves else [])
 
 
 _COEXIST_PROBE = """
@@ -743,12 +746,16 @@ from dirac_sphere import cli, oracle
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["verify", "--config", sys.argv[2], "--out", sys.argv[3]])
 import scipy.linalg
+from scipy.linalg import cython_lapack
 m = oracle.SLMatrix(diag=np.linspace(1.0, 9.0, 60) ** 2, off=np.full(59, -2.5))
 every = scipy.linalg.eigh_tridiagonal(m.diag, m.off, eigvals_only=True)
 lowest = scipy.linalg.eigh_tridiagonal(m.diag, m.off, eigvals_only=True, select="i", select_range=(0, 4))
+dense = np.diag(m.diag) + np.diag(m.off, 1) + np.diag(m.off, -1)
+p, l, u = scipy.linalg.lu(dense)  # dgetrf through cython_lapack
 print(json.dumps([
     code,
-    scipy.linalg.lapack._flapack is sys.modules["scipy.linalg._flapack"],
+    cython_lapack is sys.modules["scipy.linalg.cython_lapack"],
+    bool(np.allclose(p @ l @ u, dense)),
     bool(np.array_equal(oracle.eig_values(m), every)),
     bool(np.array_equal(oracle.eig_lowest(m, 5), lowest)),
 ]))
@@ -756,8 +763,9 @@ print(json.dumps([
 
 
 def test_lapack_extension_and_scipy_linalg_coexist(tmp_path):
-    # verify's path-loaded extension and scipy.linalg's own import, in either
-    # order in one interpreter: one module, equal eigenvalues, equal reports
+    # verify's path-loaded cython_lapack and scipy.linalg's own import, in
+    # either order in one interpreter: one module, which scipy.linalg's own
+    # Cython code calls too, equal eigenvalues, equal reports
     reports = []
     for order in ("verify-first", "package-first"):
         out = tmp_path / order
@@ -766,7 +774,7 @@ def test_lapack_extension_and_scipy_linalg_coexist(tmp_path):
             capture_output=True, text=True, env=child_env(),
         )
         assert res.returncode == 0, res.stderr
-        assert json.loads(res.stdout) == [0, True, True, True], order
+        assert json.loads(res.stdout) == [0, True, True, True, True], order
         reports.append((out / "verify_model1.json").read_bytes())
     assert reports[0] == reports[1]
 

@@ -1,3 +1,4 @@
+import _thread
 import collections
 import dataclasses
 import json
@@ -6,6 +7,9 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
+import types
 
 import numpy as np
 import pytest
@@ -93,8 +97,10 @@ def test_solves_refuse_lapack_failure(lapack_failure):
     m = box_matrix(99)
     with pytest.raises(DomainError, match=r"dstebz failed \(info=1\)"):
         oracle.eig_lowest(m, 3)
-    with pytest.raises(DomainError, match=r"dsbev failed \(info=1\)"):
+    with pytest.raises(DomainError, match=r"dsterf failed \(info=1\)"):
         oracle.eig_values(m)
+    with pytest.raises(DomainError, match=r"dsbev failed \(info=1\)"):
+        oracle._band_eigenvalues(np.ones((2, 9)))
 
 
 _COMPOSE_CASES = [(gauge.Model1Params.from_branch(0.4, 2.0, b), 2.0) for b in ("neg-half", "half-down", "half-up", "three-half")]
@@ -103,22 +109,83 @@ _COMPOSE_CASES += [(m2_params(C1=1 / k, k=k), k) for k in (1.5, 2.0, 3.0, 4.0)]
 
 @pytest.mark.parametrize("params, k", _COMPOSE_CASES)
 def test_eig_values_equals_dstevd_bitwise(params, k):
-    # every full spectrum comes from dsbev; a band of width one leaves it
-    # nothing to reduce, so f.isospectrality reads the bits of the
-    # tridiagonal driver dstevd on both compositions of D
+    # eig_values runs dsterf through cython_lapack, the routine both LAPACK
+    # drivers run on a tridiagonal matrix without eigenvectors, so
+    # f.isospectrality reads the bits of dstevd and of dsbev on a band of
+    # width one, both called through scipy's f2py wrappers, a second access
+    # path, on both compositions of D
+    from scipy.linalg import lapack
+
     spec = oracle.model_spec(params, k, 1.0)
     for m in oracle.compose_factorized(spec.A, k, oracle._COMPOSE_GRID):
-        ref, _, info = oracle._lapack().dstevd(m.diag, m.off, compute_v=0)
+        ref, _, info = lapack.dstevd(m.diag, m.off, compute_v=0)
         assert info == 0 and np.array_equal(oracle.eig_values(m), ref)
+        band, _, info = lapack.dsbev(np.vstack([m.diag, np.append(m.off, 0.0)]), compute_v=0, lower=1)
+        assert info == 0 and np.array_equal(band, ref)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, 256])
+def test_band_eigenvalues_equal_f2py_dsbev_bitwise(n):
+    # the Galerkin solves' dsbev through cython_lapack against scipy's f2py
+    # wrapper of the same routine, on a full lower band in either memory order
+    from scipy.linalg import lapack
+
+    rng = np.random.default_rng(n)
+    band = rng.standard_normal((n, n))
+    ref, _, info = lapack.dsbev(band, compute_v=0, lower=1)
+    assert info == 0
+    for layout in (band, np.asfortranarray(band)):
+        kept = layout.copy()
+        assert np.array_equal(oracle._band_eigenvalues(layout), ref)
+        assert np.array_equal(layout, kept)
 
 
 def test_missing_lapack_extension_names_its_path(tmp_path, monkeypatch):
     import scipy
 
-    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    monkeypatch.delitem(sys.modules, "scipy.linalg.cython_lapack", raising=False)
+    monkeypatch.setattr(oracle, "_LAPACK", None)
     monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
-    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg" / "_flapack"))):
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg" / "cython_lapack"))):
         oracle.eig_values(box_matrix(9))
+
+
+def _capsule(name):
+    """A capsule named `name` around a dummy pointer, kept alive with it."""
+    import ctypes
+
+    new = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_void_p, ctypes.c_char_p, ctypes.c_void_p)(
+        ("PyCapsule_New", ctypes.pythonapi)
+    )
+    target, label = ctypes.c_int(), ctypes.create_string_buffer(name.encode())
+    return new(ctypes.addressof(target), label, None), (target, label)
+
+
+_ILP64_DSTERF = (
+    "void (long *, __pyx_t_5scipy_6linalg_13cython_lapack_d *, "
+    "__pyx_t_5scipy_6linalg_13cython_lapack_d *, long *)"
+)
+
+
+@pytest.mark.parametrize("source", ["other-routine", "ilp64"])
+def test_lapack_refuses_a_mismatched_signature(monkeypatch, source):
+    # a capsule whose signature is not dsterf's, whether another routine's or
+    # one with 64-bit integers, is refused before any call through it
+    import scipy.linalg.cython_lapack as cython_lapack
+
+    capi = dict(cython_lapack.__pyx_capi__)
+    keep = None
+    if source == "other-routine":
+        capi["dsterf"], shown = capi["dstevd"], "void (char *, int *, "
+    else:
+        (capi["dsterf"], keep), shown = _capsule(_ILP64_DSTERF), "void (long *, "
+    monkeypatch.setitem(sys.modules, "scipy.linalg.cython_lapack", types.SimpleNamespace(__pyx_capi__=capi))
+    monkeypatch.setattr(oracle, "_LAPACK", None)
+    with pytest.raises(ImportError) as info:
+        oracle.eig_values(box_matrix(9))
+    assert f"routine dsterf has the signature '{shown}" in str(info.value)
+    assert "not 'void (int *, " in str(info.value)
+    del keep
 
 
 def _closed_matrix(pot, grid):
@@ -260,6 +327,146 @@ def test_isospectrality_counts_one_kernel_vector():
         oracle.isospectrality_metric(
             dtd, oracle.SLMatrix(np.zeros(grid.N + 2), np.zeros(grid.N + 1))
         )
+
+
+def _start_inline(function, args):
+    # the worker runs to its end before the calling thread goes on
+    function(*args)
+
+
+def _start_never(function, args):
+    # the worker never runs: the calling thread comes to m2 first
+    pass
+
+
+def _metric_bits(result):
+    metric, floor, n_below = result
+    return float(metric).hex(), float(floor).hex(), n_below
+
+
+@pytest.mark.parametrize("params, k", _COMPOSE_CASES)
+def test_concurrent_isospectrality_equals_serial(params, k, monkeypatch):
+    # the two spectra solved side by side read the same bits as one after the
+    # other, whichever thread solves m2: metric, floor and kernel count
+    spec = oracle.model_spec(params, k, 1.0)
+    dtd, ddt = oracle.compose_factorized(spec.A, k, oracle._COMPOSE_GRID)
+    results = [oracle.isospectrality_metric(dtd, ddt) for _ in range(3)]
+    for start in (_start_inline, _start_never):
+        with monkeypatch.context() as patch:
+            patch.setattr(_thread, "start_new_thread", start)
+            results.append(oracle.isospectrality_metric(dtd, ddt))
+    assert len({_metric_bits(result) for result in results}) == 1
+
+
+class _FailingOrders:
+    # dsterf failing, with info = the order, on the matrices of given orders
+    def __init__(self, lapack, orders):
+        self.lapack, self.orders = lapack, orders
+
+    def dsterf(self, d, e):
+        if d.size in self.orders:
+            return np.zeros(d.size), d.size
+        return self.lapack.dsterf(d, e)
+
+
+@pytest.mark.parametrize("start", ["threaded", "inline", "never"])
+@pytest.mark.parametrize("failing, raised", [({401}, 401), ({402}, 402), ({401, 402}, 401)])
+def test_isospectrality_failure_raises_in_argument_order(monkeypatch, start, failing, raised):
+    # a failed solve raises, m1's first when both fail, whether the worker
+    # solves m2 alongside (taking it first and ending last), before the
+    # calling thread begins, or not at all; no solve is still running when it
+    # raises, and the worker ends
+    fake = _FailingOrders(oracle._lapack(), failing)
+    monkeypatch.setattr(oracle, "_lapack", lambda: fake)
+    a = gauge.a_u_model2(m2_params())
+    dtd, ddt = oracle.compose_factorized(a, 2.0, oracle._COMPOSE_GRID)
+    begun, finished = [], []
+    second_begun = threading.Event()
+    solve = oracle.eig_values
+
+    def counted(m):
+        begun.append(m.order)
+        try:
+            if m is ddt:
+                second_begun.set()
+                time.sleep(0.05)
+            elif start == "threaded":
+                assert second_begun.wait(timeout=30)
+            return solve(m)
+        finally:
+            finished.append(m.order)
+
+    monkeypatch.setattr(oracle, "eig_values", counted)
+    ended = threading.Event()
+    start_new_thread = _thread.start_new_thread
+
+    def tracked(function, args):
+        def worker():
+            try:
+                function(*args)
+            finally:
+                ended.set()
+
+        {"threaded": lambda: start_new_thread(worker, ()), "inline": worker, "never": ended.set}[start]()
+
+    monkeypatch.setattr(_thread, "start_new_thread", tracked)
+    with pytest.raises(DomainError, match=rf"dsterf failed \(info={raised}\)"):
+        oracle.isospectrality_metric(dtd, ddt)
+    assert len(finished) == len(begun) > 0
+    assert ended.wait(timeout=30)
+
+
+_COLD_LOAD_PROBE = """
+import importlib.machinery, json, sys, threading
+import numpy as np
+from dirac_sphere import oracle
+assert "scipy.linalg.cython_lapack" not in sys.modules
+executed = []
+exec_module = importlib.machinery.ExtensionFileLoader.exec_module
+def counted(self, module):
+    executed.append(module.__name__)
+    return exec_module(self, module)
+importlib.machinery.ExtensionFileLoader.exec_module = counted
+count = 8
+matrices = [
+    oracle.SLMatrix(diag=np.linspace(1.0, 9.0 + i, 300) ** 2, off=np.full(299, -2.5 - i))
+    for i in range(count)
+]
+results, errors = [None] * count, []
+def solve(i):
+    try:
+        results[i] = oracle.eig_values(matrices[i])
+    except Exception as exc:
+        errors.append(repr(exc))
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    threads = [threading.Thread(target=solve, args=(i,)) for i in range(count)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+finally:
+    sys.setswitchinterval(interval)
+alive = sum(t.is_alive() for t in threads)
+serial = [oracle.eig_values(m) for m in matrices]
+equal = all(r is not None and np.array_equal(r, s) for r, s in zip(results, serial))
+print(json.dumps([executed.count("scipy.linalg.cython_lapack"), alive, errors, equal]))
+"""
+
+
+def test_lapack_loads_once_from_many_threads():
+    # a fresh interpreter, so the loader is cold: eight threads (more than the
+    # cores) make their first solve at once, with the interpreter switching
+    # threads as often as it can; the extension is executed once (a second
+    # init of a Cython module raises) and every spectrum matches a serial one
+    src = os.path.dirname(os.path.dirname(os.path.abspath(oracle.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run(
+        [sys.executable, "-c", _COLD_LOAD_PROBE], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [1, 0, [], True]
 
 
 @pytest.mark.parametrize("branch", ["neg-half", "half-up"])
