@@ -21,14 +21,13 @@ The forced checks discretize it with a conservative (flux-form) finite-
 difference scheme on a uniform grid over [-L, L] with Dirichlet walls.
 Every flux-form matrix is symmetric tridiagonal and is stored as its
 diagonal and off-diagonal arrays (SLMatrix diag, off), so real spectra are
-structural; the solves return eigenvalues only.  A Galerkin spectrum comes
-from LAPACK dsbev, a flux-form one from dsterf (the routine dsbev runs on a
-band of width one), and dstebz serves eig_lowest alone.  All three come from
-scipy's cython_lapack extension, loaded by path on the first solve and called
-through ctypes, which releases the GIL: the commands that never solve do not
-load scipy, verify never runs scipy.linalg's package init, and the two
-spectra of the forced isospectrality check are solved side by side on two
-threads.
+structural; the solves return eigenvalues only.  Every spectrum, Galerkin
+or flux-form (a band of width one), is solved by LAPACK dsbev, the one
+routine the package binds.  It comes from scipy's cython_lapack extension,
+loaded by path on the first solve and called through ctypes, which releases
+the GIL: the commands that never solve do not load scipy, verify never runs
+scipy.linalg's package init, and the two spectra of the forced
+isospectrality check are solved side by side on two threads.
 
 The first-order operator D = cosh d/dw + f, f = cosh (A - k) + sinh/2, that
 factors the general j=1 potential is discretized on the staggered grid (nodes
@@ -193,63 +192,51 @@ def _require_finite(w, values, what):
 
 
 _CYTHON_LAPACK = "scipy.linalg.cython_lapack"
-# The argument list of each routine the oracle calls, every argument a
-# pointer (d a double): LAPACK's Fortran interface with 32-bit integers.
-_LAPACK_ARGS = {
-    # N D E INFO
-    "dsterf": "int d d int",
-    # JOBZ UPLO N KD AB LDAB W Z LDZ WORK INFO
-    "dsbev": "char char int int d int d d int d int",
-    # RANGE ORDER N VL VU IL IU ABSTOL D E M NSPLIT W IBLOCK ISPLIT WORK IWORK INFO
-    "dstebz": "char char int d d int int d d d int int d int int d int int",
-}
+# dsbev's arguments, JOBZ UPLO N KD AB LDAB W Z LDZ WORK INFO, each a pointer
+# (d a double): LAPACK's Fortran interface with 32-bit integers
+_DSBEV_ARGS = "char char int int d int d d int d int".split()
 # d as a capsule's signature spells it: scipy's typedef of double
 _C_NAMES = {"d": "__pyx_t_5scipy_6linalg_13cython_lapack_d"}
 # each argument as ctypes passes it
 _C_TYPES = {"char": ctypes.c_char_p, "int": ctypes.POINTER(ctypes.c_int), "d": ctypes.POINTER(ctypes.c_double)}
-# an array's elements as ctypes reads them, by numpy type code
-_C_SCALARS = {np.dtype(np.intc).char: ctypes.c_int, np.dtype(float).char: ctypes.c_double}
 
 
-def _lapack_routine(capi, name):
-    """LAPACK routine `name` from cython_lapack's capsule table capi, as a
-    ctypes function, which releases the GIL for the call.
+def _dsbev(capi):
+    """LAPACK dsbev from cython_lapack's capsule table capi, as a ctypes
+    function, which releases the GIL for the call.
 
     The capsule's name is the routine's C signature; unless it is exactly the
     expected one (an ILP64 build, say, passes 64-bit integers), ImportError
     names the routine and the signature, and nothing is called.
     """
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
-    capsule = capi[name]
+    capsule = capi["dsbev"]
     signature = get_name(capsule)
-    args = _LAPACK_ARGS[name].split()
-    expected = "void (" + ", ".join(f"{_C_NAMES.get(arg, arg)} *" for arg in args) + ")"
+    expected = "void (" + ", ".join(f"{_C_NAMES.get(arg, arg)} *" for arg in _DSBEV_ARGS) + ")"
     if signature != expected.encode():
         raise ImportError(
-            f"scipy's LAPACK routine {name} has the signature {signature.decode(errors='replace')!r}, "
+            f"scipy's LAPACK routine dsbev has the signature {signature.decode(errors='replace')!r}, "
             f"not {expected!r}",
             name=_CYTHON_LAPACK,
         )
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi)
     )
-    prototype = ctypes.CFUNCTYPE(None, *(_C_TYPES[arg] for arg in args))
+    prototype = ctypes.CFUNCTYPE(None, *(_C_TYPES[arg] for arg in _DSBEV_ARGS))
     return prototype(get_pointer(capsule, signature))
 
 
 def _pointer(arg):
     """arg as a LAPACK routine takes it, by pointer: bytes as a character, an
-    int as a 32-bit integer, a float as a double, an array (contiguous, int32
-    or float64) as a ctypes array over its data, which the routine may
-    overwrite and which holds a reference to it."""
+    int as a 32-bit integer, a float64 array (C or Fortran contiguous) as a
+    ctypes array over its data, which the routine may overwrite and which
+    holds a reference to it."""
     if isinstance(arg, np.ndarray):
-        flat = arg.ravel(order="A")  # a view: arg is C or Fortran contiguous
-        return (_C_SCALARS[flat.dtype.char] * flat.size).from_buffer(flat)
+        flat = arg.ravel(order="A")  # a view: arg is contiguous
+        return (ctypes.c_double * flat.size).from_buffer(flat)
     if isinstance(arg, bytes):
         return arg
-    if isinstance(arg, (int, np.integer)):
-        return ctypes.byref(ctypes.c_int(arg))
-    return ctypes.byref(ctypes.c_double(arg))
+    return ctypes.byref(ctypes.c_int(arg))
 
 
 def _call(routine, *args):
@@ -259,31 +246,15 @@ def _call(routine, *args):
     return info.value
 
 
-def _vector(values, size):
-    """A contiguous float64 copy of values, which must hold `size` entries."""
-    copy = np.array(values, dtype=float)
-    if copy.shape != (size,):
-        raise ValueError(f"expected {size} values, got shape {copy.shape}")
-    return copy
-
-
 class _Lapack:
-    """dsterf, dsbev and dstebz from scipy's cython_lapack.
-
-    Each copies its inputs, so no caller's array is overwritten, checks their
-    sizes before a pointer is passed, and returns (values, info).  The calls
-    run without the GIL, so two threads solve side by side.
+    """dsbev from scipy's cython_lapack, the one LAPACK routine the oracle
+    calls: it copies its input, so no caller's array is overwritten, and
+    returns (values, info).  The call runs without the GIL, so two threads
+    solve side by side.
     """
 
     def __init__(self, capi):
-        self._routines = {name: _lapack_routine(capi, name) for name in _LAPACK_ARGS}
-
-    def dsterf(self, d, e):
-        """All eigenvalues, ascending, of the symmetric tridiagonal matrix
-        with diagonal d and off-diagonal e."""
-        w = _vector(d, np.size(d))
-        info = _call(self._routines["dsterf"], w.size, w, _vector(e, max(w.size - 1, 0)))
-        return w, info
+        self._dsbev = _dsbev(capi)
 
     def dsbev(self, band):
         """All eigenvalues, ascending, of the symmetric band matrix whose
@@ -294,23 +265,8 @@ class _Lapack:
         kd, n = ab.shape[0] - 1, ab.shape[1]
         w = np.empty(n)
         work = np.empty(max(1, 3 * n - 2))
-        info = _call(self._routines["dsbev"], b"N", b"L", n, kd, ab, kd + 1, w, np.empty(1), 1, work)
+        info = _call(self._dsbev, b"N", b"L", n, kd, ab, kd + 1, w, np.empty(1), 1, work)
         return w, info
-
-    def dstebz(self, d, e, count):
-        """The `count` algebraically smallest eigenvalues, ascending, of the
-        symmetric tridiagonal matrix with diagonal d and off-diagonal e, by
-        bisection at the default tolerance (ABSTOL = 0)."""
-        d = _vector(d, np.size(d))
-        n = d.size
-        found, nsplit = np.zeros(1, np.intc), np.zeros(1, np.intc)
-        w, iblock, isplit = np.empty(n), np.empty(n, np.intc), np.empty(n, np.intc)
-        info = _call(
-            self._routines["dstebz"], b"I", b"E", n, 0.0, 0.0, 1, count, 0.0, d,
-            _vector(e, max(n - 1, 0)), found, nsplit, w, iblock, isplit,
-            np.empty(4 * n), np.empty(3 * n, np.intc),
-        )
-        return w[: found[0]], info
 
 
 def _cython_lapack():
@@ -347,11 +303,10 @@ _LAPACK = None  # the loaded _Lapack, once per process
 
 
 def _lapack():
-    """scipy's LAPACK routines (_Lapack), from its cython_lapack extension,
+    """scipy's LAPACK dsbev (_Lapack), from its cython_lapack extension,
     loaded once per process under a lock, so threads that solve at once load
-    the extension once.  The routines are called through the C function
-    pointers of its capsule table, checked against their signatures
-    (_lapack_routine).
+    the extension once.  dsbev is called through the C function pointer of
+    its capsule, checked against its signature (_dsbev).
     """
     global _LAPACK
     with _LAPACK_LOCK:
@@ -368,39 +323,29 @@ def _bands(m: SLMatrix):
 
 
 def eig_lowest(m: SLMatrix, count: int):
-    """The `count` algebraically smallest eigenvalues, as an ascending array.
-
-    Bisection by LAPACK dstebz at its default tolerance (tol=0), the routine
-    scipy's eigh_tridiagonal calls for an index selection: the same numbers
-    bit for bit, with or without eigenvectors.  That tolerance,
-    eps * max(|gl|, |gu|) over the Gershgorin bounds [gl, gu], grows with the
-    cosh^2(L)/h^2 of a flux-form kinetic stencil.  Non-finite bands or a
+    """The `count` algebraically smallest eigenvalues, as an ascending array:
+    the first `count` of eig_values, bit for bit.  Non-finite bands or a
     LAPACK failure raise DomainError.
     """
     if count < 1 or count > m.order:
         raise DomainError(f"count must be in [1, {m.order}], got {count}")
-    diag, off = _bands(m)
-    w, info = _lapack().dstebz(diag, off, count)
-    if info:
-        raise DomainError(f"LAPACK dstebz failed (info={info})")
-    return w
+    return eig_values(m)[:count]
 
 
 def eig_values(m: SLMatrix):
-    """All eigenvalues, ascending: LAPACK dsterf on the two bands.
+    """All eigenvalues, ascending: LAPACK dsbev on the two bands, a band of
+    width one (_band_eigenvalues).
 
-    dsterf is what dsbev (a band of width one) and dstevd run on a
-    tridiagonal matrix when no eigenvectors are asked for, so the bits are
-    theirs; the drivers' norm test rescales only a matrix whose largest entry
-    lies outside [1.5e-146, 7e145], and every flux-form matrix lies inside.
-    The call runs without the GIL (_Lapack).  Non-finite bands or a LAPACK
-    failure raise DomainError.
+    On a band of width one dsbev skips the reduction and runs the same
+    root-free QL/QR iteration as dstevd on a tridiagonal matrix when no
+    eigenvectors are asked for, so the bits are dstevd's; the drivers' norm
+    test rescales only a matrix whose largest entry lies outside
+    [1.5e-146, 7e145], and every flux-form matrix lies inside.  The call runs
+    without the GIL (_Lapack).  Non-finite bands or a LAPACK failure raise
+    DomainError.
     """
     diag, off = _bands(m)
-    w, info = _lapack().dsterf(diag, off)
-    if info:
-        raise DomainError(f"LAPACK dsterf failed (info={info})")
-    return w
+    return _band_eigenvalues(np.stack((diag, np.append(off, 0.0))))
 
 
 # The first-order operator of the factorization, as recorded in the report.
@@ -499,11 +444,11 @@ def isospectrality_metric(m1: SLMatrix, m2: SLMatrix):
     above it.  Returns (metric, floor, larger count below the floor).
 
     The two spectra are computed side by side: m2's on a worker thread, m1's
-    on the calling one, each a dsterf that runs without the GIL (eig_values).
-    The worker is started without waiting for it to run, and whichever
-    thread comes to m2 first solves it: the calling thread waits only for a
-    worker that has begun, so a worker that the system is slow to schedule
-    costs at most the serial time.  At N = 401 the pair takes 4.2 ms on two
+    on the calling one, each a dsbev call that runs without the GIL
+    (eig_values).  The worker is started without waiting for it to run, and
+    whichever thread comes to m2 first solves it: the calling thread waits
+    only for a worker that has begun, so a worker that the system is slow to
+    schedule costs at most the serial time.  At N = 401 the pair takes 4.2 ms on two
     CPUs against 7.2 ms for two serial solves, and 7.4 ms against 7.1 ms on
     one CPU, where the two threads share it.  Both bands are checked before
     the worker starts, and a failed solve raises in argument order, m1's
@@ -625,9 +570,9 @@ def _galerkin_eigenvalues(V, a, b, n):
 
 def _band_eigenvalues(band):
     """All eigenvalues, ascending, of the symmetric band matrix whose lower
-    band (row d the d-th subdiagonal) band holds, in Fortran order: LAPACK
-    dsbev, which serves the Galerkin matrices (one full band); a flux-form
-    matrix goes to dsterf (eig_values).
+    band (row d the d-th subdiagonal) band holds: LAPACK dsbev, which serves
+    every spectrum, a Galerkin matrix (one full band) and a flux-form one
+    (a band of width one, eig_values) alike.
 
     dsbev reduces the band to tridiagonal form by Givens rotations alone, so
     its result is the same bits for every BLAS thread count; the blocked
@@ -814,7 +759,9 @@ def verify_eigenpair(wf, levels, V, lams):
     1e-6 (1 + reading); every level stops at its own P.  A rule is
     evaluated once, the first time a level reads it, for that level and
     every later one: one tanh, potential sample, envelope and recurrence
-    table per Jacobi family serve all of them and their level constants.
+    table per Jacobi family serve all of them and their level constants.  A
+    rule whose evaluation raises refuses the level that read it, and the
+    next level to read it evaluates it again.
     Returns one thunk per level, to be called when its claim is built: it
     gives (readings on P panels, node count 21 P, each reading's distance to
     2P), or raises what refused that level.  A 2P past 256, or a phi that
@@ -827,12 +774,11 @@ def verify_eigenpair(wf, levels, V, lams):
 
     def reading(panels, i):
         # levels settle in order, so a rule is evaluated for the first level
-        # that reads it and every later one, each level's readings deferred
+        # that reads it and every later one; each level reads its own row
         if panels not in rules:
-            shared = _deferred(_residual_terms, wf, levels[i:], V, lams[i:], panels)
-            rules[panels] = i, [_deferred(_residual_reading, shared, j) for j in range(len(levels) - i)]
-        first, rows = rules[panels]
-        return rows[i - first]()
+            rules[panels] = i, _residual_terms(wf, levels[i:], V, lams[i:], panels)
+        first, terms = rules[panels]
+        return _residual_reading(terms, i - first)
 
     def level(i):
         res, gap, panels = _doubled(
@@ -863,11 +809,11 @@ def _residual_terms(wf, levels, V, lams, panels):
         return w, q, phi, h_phi, finite, phi**2, off**2
 
 
-def _residual_reading(shared, i):
-    """Level i's readings from _residual_terms (shared, deferred): a sample
+def _residual_reading(terms, i):
+    """Row i's readings from terms, what _residual_terms returned: a sample
     of phi or H phi that is not finite raises PoleError naming its w, and a
     phi that vanishes on the window DomainError."""
-    w, q, phi, h_phi, finite, phi_sq, off_sq = shared()
+    w, q, phi, h_phi, finite, phi_sq, off_sq = terms
     if not finite[i]:
         _require_finite(w, phi[i], "eigenfunction")
         _require_finite(w, h_phi[i], "H applied to the eigenfunction")

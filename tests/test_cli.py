@@ -749,7 +749,6 @@ import scipy.linalg
 from scipy.linalg import cython_lapack
 m = oracle.SLMatrix(diag=np.linspace(1.0, 9.0, 60) ** 2, off=np.full(59, -2.5))
 every = scipy.linalg.eigh_tridiagonal(m.diag, m.off, eigvals_only=True)
-lowest = scipy.linalg.eigh_tridiagonal(m.diag, m.off, eigvals_only=True, select="i", select_range=(0, 4))
 dense = np.diag(m.diag) + np.diag(m.off, 1) + np.diag(m.off, -1)
 p, l, u = scipy.linalg.lu(dense)  # dgetrf through cython_lapack
 print(json.dumps([
@@ -757,7 +756,7 @@ print(json.dumps([
     cython_lapack is sys.modules["scipy.linalg.cython_lapack"],
     bool(np.allclose(p @ l @ u, dense)),
     bool(np.array_equal(oracle.eig_values(m), every)),
-    bool(np.array_equal(oracle.eig_lowest(m, 5), lowest)),
+    bool(np.array_equal(oracle.eig_lowest(m, 5), every[:5])),
 ]))
 """
 

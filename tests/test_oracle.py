@@ -66,15 +66,16 @@ def test_box_refinement_ratio():
 
 
 def test_eig_lowest_matches_eigenpair_solve_bitwise():
-    # the report's levels rest on this: asking for eigenvalues only returns
-    # exactly the eigenvalues of scipy's eigenpair solve of the same selection
+    # asking for the lowest eigenvalues returns exactly the first ones of the
+    # full spectrum, which equals scipy's eigenvalue-only solve bit for bit
     p = gauge.Model1Params.from_branch(0.4, 2.0, "half-up")
     closed1 = gauge.v_eff_model1(p, 2.0, 1)
     m1 = oracle.build_sl_matrix(COSH2, closed1, oracle.Grid(12.0, 4001))
     for m, count in ((box_matrix(1999), 3), (m1, 4)):
+        every = oracle.eig_values(m)
         vals = oracle.eig_lowest(m, count)
-        ref = eigh_tridiagonal(m.diag, m.off, select="i", select_range=(0, count - 1))[0]
-        assert vals.shape == (count,) and np.array_equal(vals, ref)
+        assert vals.shape == (count,) and np.array_equal(vals, every[:count])
+        assert np.array_equal(every, eigh_tridiagonal(m.diag, m.off, eigvals_only=True))
     # the full spectra f.isospectrality compares: the N=401/402 compositions,
     # one config per model, equal to scipy's eigenvalue-only solve
     for params in (p, m2_params(C1=1 / 2.0, k=2.0)):
@@ -82,6 +83,21 @@ def test_eig_lowest_matches_eigenpair_solve_bitwise():
         for m in oracle.compose_factorized(spec.A, 2.0, oracle._COMPOSE_GRID):
             ref = eigh_tridiagonal(m.diag, m.off, eigvals_only=True)
             assert np.array_equal(oracle.eig_values(m), ref)
+
+
+def test_eig_lowest_resolves_graded_levels():
+    # the closed j=1 potential on |w| <= 12: the cosh^2 kinetic term grades
+    # the diagonal from 6e4 at the centre to 4e14 at the walls, so a solve
+    # that stops at an absolute tolerance of eps times the largest
+    # Gershgorin bound (about 0.1), as bisection at its default tolerance
+    # does, blurs levels of order one; the lowest three stay within 1e-3
+    # relative of scipy's MRRR solve (stemr)
+    p = gauge.Model1Params.from_branch(0.4, 2.0, "half-up")
+    m = oracle.build_sl_matrix(COSH2, gauge.v_eff_model1(p, 2.0, 1), oracle.Grid(12.0, 4001))
+    ref = eigh_tridiagonal(
+        m.diag, m.off, eigvals_only=True, select="i", select_range=(0, 2), lapack_driver="stemr"
+    )
+    assert np.all(np.abs(oracle.eig_lowest(m, 3) - ref) <= 1e-3 * np.abs(ref))
 
 
 @pytest.mark.parametrize("band, value", [("diag", math.nan), ("off", math.inf)])
@@ -95,10 +111,9 @@ def test_solves_refuse_non_finite_bands(band, value):
 
 def test_solves_refuse_lapack_failure(lapack_failure):
     m = box_matrix(99)
-    with pytest.raises(DomainError, match=r"dstebz failed \(info=1\)"):
-        oracle.eig_lowest(m, 3)
-    with pytest.raises(DomainError, match=r"dsterf failed \(info=1\)"):
-        oracle.eig_values(m)
+    for solve in (lambda m: oracle.eig_lowest(m, 3), oracle.eig_values):
+        with pytest.raises(DomainError, match=r"dsbev failed \(info=1\)"):
+            solve(m)
     with pytest.raises(DomainError, match=r"dsbev failed \(info=1\)"):
         oracle._band_eigenvalues(np.ones((2, 9)))
 
@@ -109,11 +124,11 @@ _COMPOSE_CASES += [(m2_params(C1=1 / k, k=k), k) for k in (1.5, 2.0, 3.0, 4.0)]
 
 @pytest.mark.parametrize("params, k", _COMPOSE_CASES)
 def test_eig_values_equals_dstevd_bitwise(params, k):
-    # eig_values runs dsterf through cython_lapack, the routine both LAPACK
-    # drivers run on a tridiagonal matrix without eigenvectors, so
-    # f.isospectrality reads the bits of dstevd and of dsbev on a band of
-    # width one, both called through scipy's f2py wrappers, a second access
-    # path, on both compositions of D
+    # eig_values runs dsbev on a band of width one through cython_lapack, so
+    # f.isospectrality reads the bits of dstevd, which runs the same
+    # tridiagonal iteration without eigenvectors, and of dsbev, both called
+    # through scipy's f2py wrappers, a second access path, on both
+    # compositions of D
     from scipy.linalg import lapack
 
     spec = oracle.model_spec(params, k, 1.0)
@@ -161,30 +176,31 @@ def _capsule(name):
     return new(ctypes.addressof(target), label, None), (target, label)
 
 
-_ILP64_DSTERF = (
-    "void (long *, __pyx_t_5scipy_6linalg_13cython_lapack_d *, "
-    "__pyx_t_5scipy_6linalg_13cython_lapack_d *, long *)"
+_ILP64_DSBEV = (
+    "void (char *, char *, long *, long *, __pyx_t_5scipy_6linalg_13cython_lapack_d *, long *, "
+    "__pyx_t_5scipy_6linalg_13cython_lapack_d *, __pyx_t_5scipy_6linalg_13cython_lapack_d *, "
+    "long *, __pyx_t_5scipy_6linalg_13cython_lapack_d *, long *)"
 )
 
 
 @pytest.mark.parametrize("source", ["other-routine", "ilp64"])
 def test_lapack_refuses_a_mismatched_signature(monkeypatch, source):
-    # a capsule whose signature is not dsterf's, whether another routine's or
+    # a capsule whose signature is not dsbev's, whether another routine's or
     # one with 64-bit integers, is refused before any call through it
     import scipy.linalg.cython_lapack as cython_lapack
 
     capi = dict(cython_lapack.__pyx_capi__)
     keep = None
     if source == "other-routine":
-        capi["dsterf"], shown = capi["dstevd"], "void (char *, int *, "
+        capi["dsbev"], shown = capi["dstevd"], "void (char *, int *, "
     else:
-        (capi["dsterf"], keep), shown = _capsule(_ILP64_DSTERF), "void (long *, "
+        (capi["dsbev"], keep), shown = _capsule(_ILP64_DSBEV), "void (char *, char *, long *, "
     monkeypatch.setitem(sys.modules, "scipy.linalg.cython_lapack", types.SimpleNamespace(__pyx_capi__=capi))
     monkeypatch.setattr(oracle, "_LAPACK", None)
     with pytest.raises(ImportError) as info:
         oracle.eig_values(box_matrix(9))
-    assert f"routine dsterf has the signature '{shown}" in str(info.value)
-    assert "not 'void (int *, " in str(info.value)
+    assert f"routine dsbev has the signature '{shown}" in str(info.value)
+    assert "not 'void (char *, char *, int *, int *, " in str(info.value)
     del keep
 
 
@@ -359,14 +375,15 @@ def test_concurrent_isospectrality_equals_serial(params, k, monkeypatch):
 
 
 class _FailingOrders:
-    # dsterf failing, with info = the order, on the matrices of given orders
+    # dsbev failing, with info = the order, on the matrices of given orders
     def __init__(self, lapack, orders):
         self.lapack, self.orders = lapack, orders
 
-    def dsterf(self, d, e):
-        if d.size in self.orders:
-            return np.zeros(d.size), d.size
-        return self.lapack.dsterf(d, e)
+    def dsbev(self, band):
+        order = band.shape[1]
+        if order in self.orders:
+            return np.zeros(order), order
+        return self.lapack.dsbev(band)
 
 
 @pytest.mark.parametrize("start", ["threaded", "inline", "never"])
@@ -410,7 +427,7 @@ def test_isospectrality_failure_raises_in_argument_order(monkeypatch, start, fai
         {"threaded": lambda: start_new_thread(worker, ()), "inline": worker, "never": ended.set}[start]()
 
     monkeypatch.setattr(_thread, "start_new_thread", tracked)
-    with pytest.raises(DomainError, match=rf"dsterf failed \(info={raised}\)"):
+    with pytest.raises(DomainError, match=rf"dsbev failed \(info={raised}\)"):
         oracle.isospectrality_metric(dtd, ddt)
     assert len(finished) == len(begun) > 0
     assert ended.wait(timeout=30)
