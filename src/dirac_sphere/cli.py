@@ -20,6 +20,10 @@ All files are written atomically (temp + rename), with LF line endings and
 the grid, reports are JSON.  The default output directory comes from --out,
 then the config, then the DIRAC_SPHERE_OUT environment variable, then the
 working directory.
+
+Each call builds the parser of the one command its arguments name (of all
+five when they name none); _json_text writes every JSON file, as json.dumps
+would with indent=2.  --help leaves this last paragraph out.
 """
 import argparse
 import gc
@@ -214,6 +218,36 @@ def _fmt(x):
     return "nan" if x is None else repr(float(x))
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(obj, indent="\n"):
+    """json.dumps(obj, indent=2, allow_nan=True), byte for byte, without the
+    pure-Python encoder json falls back to when it indents.  Takes str, int,
+    float, bool, None, lists, tuples and dicts with str keys; anything else,
+    a non-str key included, raises TypeError."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _FLOAT_WORDS.get(text, text)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        items = [_json_text(val, inner) for val in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if isinstance(obj, dict):  # _encode_str raises TypeError on a key that is no str
+        items = [_encode_str(key) + ": " + _json_text(val, inner) for key, val in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _write_csv(path, header, rows):
     lines = [",".join(header)]
     for row in rows:
@@ -291,7 +325,7 @@ def _write_curve(cfg: RunConfig, fn, poles, path):
     if not poles:
         return [path]
     side = path[: -len(".csv")] + "_poles.json"
-    _atomic_write(side, json.dumps({"poles_w": [float(p0) for p0 in poles]}, indent=2) + "\n")
+    _atomic_write(side, _json_text({"poles_w": [float(p0) for p0 in poles]}) + "\n")
     return [path, side]
 
 
@@ -327,7 +361,7 @@ def cmd_wavefunction(cfg: RunConfig, level, polynomial, outdir):
     path = os.path.join(outdir, f"wavefunction_l{level}{suffix}.csv")
     written = _write_curve(cfg, wf.eval, spec.poles, path)
     side = path[: -len(".csv")] + "_norm.json"
-    _atomic_write(side, json.dumps(norm, indent=2) + "\n")
+    _atomic_write(side, _json_text(norm) + "\n")
     return written + [side]
 
 
@@ -343,7 +377,7 @@ def cmd_verify(cfg: RunConfig, outdir):
     report = consistency_report(cfg.model, cfg.params(), cfg.k, cfg.R, levels=cfg.levels)
     doc = {"schema": _REPORT_SCHEMA, "config": cfg.echo(), "report": report.as_dict()}
     path = os.path.join(outdir, f"verify_model{cfg.model}.json")
-    _atomic_write(path, json.dumps(doc, indent=2, allow_nan=True) + "\n")
+    _atomic_write(path, _json_text(doc) + "\n")
     failures = report.forced_failures()
     if cfg.strict and failures:
         ids = ", ".join(c.claim_id for c in failures)
@@ -454,34 +488,46 @@ def _overrides(args, doc):
     return out
 
 
-def main(argv=None):
-    parser = _Parser(prog="dirac-sphere", description=__doc__, allow_abbrev=False)
-    sub = parser.add_subparsers(dest="command", required=True)
+# name: (help text, the overrides it declares, whether it reads --config, its own arguments)
+_COMMANDS = {
+    "spectrum": ("emit the closed-form level table", ("--levels",), True, ()),
+    "potential": ("emit a sampled curve of A_u or an effective potential", ("--grid-L", "--grid-N"),
+                  True, [("--which", dict(choices=["A_u", "Veff1", "Veff2"], default="Veff1"))]),
+    "wavefunction": ("emit grid samples of a closed-form eigenfunction", ("--grid-L", "--grid-N"),
+                     True, [("--level", dict(type=int, default=0)),
+                            ("--polynomial", dict(choices=["classical", "x1"], default="classical",
+                                                  help="polynomial interpretation (model 2 only)"))]),
+    "verify": ("run the oracle consistency report", ("--levels", "--strict"), True, ()),
+    # figures takes no --config: its documents are fixed
+    "figures": ("emit the data behind the published figure sets", ("--levels", "--grid-L", "--grid-N"),
+                False, [("which", dict(choices=sorted(_FIGURES)))]),
+}
 
-    def command(name, help_text, *overrides, config=True):
+
+def _parser(argv):
+    """The parser, with the subparser of the command argv[0] names, or of every
+    command when it names none, so that the listing and the invalid-choice
+    message still name all five."""
+    # the docstring's last paragraph is about the code, not the commands
+    parser = _Parser(prog="dirac-sphere", description=__doc__.rsplit("\n\n", 1)[0], allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True)
+    names = argv[:1] if argv[:1] and argv[0] in _COMMANDS else _COMMANDS
+    for name in names:
+        help_text, overrides, config, own = _COMMANDS[name]
         sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
         if config:
             sp.add_argument("--config", required=True, help="path to the JSON run configuration")
         sp.add_argument("--out", help="output directory (overrides config and environment)")
         for flag in ("--k",) + overrides:
             sp.add_argument(flag, **_OVERRIDES[flag])
-        return sp
+        for flag, kwargs in own:
+            sp.add_argument(flag, **kwargs)
+    return parser
 
-    command("spectrum", "emit the closed-form level table", "--levels")
-    sp = command("potential", "emit a sampled curve of A_u or an effective potential",
-                 "--grid-L", "--grid-N")
-    sp.add_argument("--which", choices=["A_u", "Veff1", "Veff2"], default="Veff1")
-    sp = command("wavefunction", "emit grid samples of a closed-form eigenfunction",
-                 "--grid-L", "--grid-N")
-    sp.add_argument("--level", type=int, default=0)
-    sp.add_argument("--polynomial", choices=["classical", "x1"], default="classical",
-                    help="polynomial interpretation (model 2 only)")
-    command("verify", "run the oracle consistency report", "--levels", "--strict")
-    # figures takes no --config: its documents are fixed
-    sp = command("figures", "emit the data behind the published figure sets",
-                 "--levels", "--grid-L", "--grid-N", config=False)
-    sp.add_argument("which", choices=sorted(_FIGURES))
 
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _parser(argv)
     try:
         args = parser.parse_args(argv)
     except ConfigError as exc:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import gc
 import json
@@ -7,7 +8,10 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirac_sphere import cli, oracle
 
@@ -537,8 +541,95 @@ def test_csv_line_endings_lf(tmp_path):
 
 
 def test_usage_error_exits_1(capsys):
-    assert cli.main(["spectrum", "--bogus-flag"]) == 1
-    assert cli.main([]) == 1
+    cfg = example_config("model1.json")
+    for argv, err in [
+        ([], "the following arguments are required: command"),
+        (["spectrum", "--bogus-flag"], "the following arguments are required: --config"),
+        (["verify", "--config", cfg, "--lev", "2"], "unrecognized arguments: --lev 2"),
+    ]:
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"config error: {err}\n", argv
+    # a command no parser names is refused with the full listing (whose
+    # quoting varies across Python versions)
+    assert cli.main(["bogus"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: argument command: invalid choice: 'bogus' (choose from ")
+    assert [err.index(name) for name in cli._COMMANDS] == sorted(err.index(name) for name in cli._COMMANDS)
+
+
+# each command's flags, in declaration order: 28 slots
+_COMMAND_FLAGS = {
+    "spectrum": ["--config", "--out", "--k", "--levels"],
+    "potential": ["--config", "--out", "--k", "--grid-L", "--grid-N", "--which"],
+    "wavefunction": ["--config", "--out", "--k", "--grid-L", "--grid-N", "--level", "--polynomial"],
+    "verify": ["--config", "--out", "--k", "--levels", "--strict"],
+    "figures": ["--out", "--k", "--levels", "--grid-L", "--grid-N", "which"],
+}
+
+
+def _subparsers(parser):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_parser_is_built_for_the_named_command_alone(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _subparsers(cli._parser([]))
+    assert list(full) == list(_COMMAND_FLAGS)
+    for name, flags in _COMMAND_FLAGS.items():
+        built = _subparsers(cli._parser([name, "--out", "x"]))
+        assert list(built) == [name]
+        alone = built[name]
+        assert alone.format_help() == full[name].format_help(), name
+        declared = [a.option_strings[0] if a.option_strings else a.dest for a in alone._actions]
+        assert declared == ["-h"] + flags, name
+    # an argument list that names no command, a top-level flag first, gets every command
+    assert list(_subparsers(cli._parser(["--help", "verify"]))) == list(_COMMAND_FLAGS)
+
+
+_json_leaves = (
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**63, max_value=2**200)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308])
+    | st.text() | st.sampled_from(['"', "\\", "a\"b\\c", "\x00\x1f\n\t\x7f", "é✓😀 "])
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda children: st.lists(children, max_size=4) | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_json_text_matches_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2, allow_nan=True)
+
+
+def test_json_text_refuses_what_it_does_not_write():
+    # json.dumps refuses the first three too, but writes a number key as a string
+    for value in (np.int64(1), np.bool_(True), {1, 2}, {1: "a"}, [{"a": {2.5: None}}]):
+        with pytest.raises(TypeError):
+            cli._json_text(value)
+
+
+def test_written_json_is_json_dumps_text(tmp_path):
+    # every JSON file a command writes reads back to the text json.dumps writes
+    for stem in ("model1", "model2", "model2_pole"):
+        cfg, out = example_config(f"{stem}.json"), tmp_path / stem
+        commands = [["wavefunction", "--level", "1"], ["potential", "--which", "A_u"]]
+        if stem != "model2_pole":
+            commands.append(["verify"])
+        for args in commands:
+            assert cli.main([args[0], "--config", cfg, *args[1:], "--out", str(out)]) == 0
+    written = sorted(tmp_path.rglob("*.json"))
+    names = {p.name for p in written}
+    assert {"verify_model1.json", "verify_model2.json", "wavefunction_l1_norm.json",
+            "wavefunction_l1_classical_poles.json", "potential_a_u_poles.json"} <= names, names
+    for path in written:
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, allow_nan=True) + "\n", path
 
 
 def test_console_entry_point(tmp_path, monkeypatch):
