@@ -199,18 +199,21 @@ def _read_config(path):
 
 
 def _atomic_write(path, text):
-    """Write text to path by a temp file (opened 0666, so the umask sets the mode) and a rename."""
+    """Write text to path by a temp file (opened 0666, so the umask sets the mode) and a rename.
+    A path that cannot be written is a ConfigError naming it and the OS error."""
     d = os.path.dirname(path) or "."
-    os.makedirs(d, exist_ok=True)
     tmp = os.path.join(d, f".tmp-{os.urandom(6).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
+        os.makedirs(d, exist_ok=True)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
         raise
 
 
@@ -374,7 +377,7 @@ def cmd_verify(cfg: RunConfig, outdir):
             f"levels must be at most {GALERKIN_MAX_LEVELS}, the most the Galerkin oracle's "
             f"basis cap serves, got {cfg.levels}"
         )
-    report = consistency_report(cfg.model, cfg.params(), cfg.k, cfg.R, levels=cfg.levels)
+    report = consistency_report(cfg.params(), cfg.k, cfg.R, levels=cfg.levels)
     doc = {"schema": _REPORT_SCHEMA, "config": cfg.echo(), "report": report.as_dict()}
     path = os.path.join(outdir, f"verify_model{cfg.model}.json")
     _atomic_write(path, _json_text(doc) + "\n")
@@ -415,8 +418,9 @@ def cmd_figures(which, overrides, outdir):
 
     The set is written into a temporary directory under outdir, and its
     files are renamed into outdir/<which> only once every one is written, so
-    a refused curve leaves nothing behind.  An existing outdir/<which> keeps
-    any file the set does not replace.
+    a refused curve, or an output path that cannot be written (ConfigError),
+    leaves nothing behind.  An existing outdir/<which> keeps any file the set
+    does not replace.
     """
     if which not in _FIGURES:
         raise ConfigError(f"figures takes fig1 or fig2, got {which!r}")
@@ -424,10 +428,11 @@ def cmd_figures(which, overrides, outdir):
     doc = dict(base, **overrides)
     cfg = parse_config(doc)
     spectrum_cfg = parse_config(dict(doc, **spectrum_changes))
-    os.makedirs(outdir, exist_ok=True)
+    d = os.path.join(outdir, which)
     tmp = os.path.join(outdir, f".tmp-{which}-{os.urandom(6).hex()}")
-    os.mkdir(tmp)
     try:
+        os.makedirs(outdir, exist_ok=True)
+        os.mkdir(tmp)
         written = []
         for curve in ("A_u", "Veff1", "Veff2"):
             fn, poles = _curve(cfg, curve)
@@ -437,14 +442,15 @@ def cmd_figures(which, overrides, outdir):
             path = os.path.join(tmp, name)
             _atomic_write(path, text)
             written.append(path)
-        d = os.path.join(outdir, which)
         os.makedirs(d, exist_ok=True)
         written = [os.path.join(d, os.path.basename(path)) for path in written]
         for path in written:
             os.replace(os.path.join(tmp, os.path.basename(path)), path)
         os.rmdir(tmp)
-    except BaseException:
+    except BaseException as exc:
         shutil.rmtree(tmp, ignore_errors=True)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {d}: {exc}") from exc
         raise
     return written
 

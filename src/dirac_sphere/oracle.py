@@ -192,81 +192,55 @@ def _require_finite(w, values, what):
 
 
 _CYTHON_LAPACK = "scipy.linalg.cython_lapack"
-# dsbev's arguments, JOBZ UPLO N KD AB LDAB W Z LDZ WORK INFO, each a pointer
-# (d a double): LAPACK's Fortran interface with 32-bit integers
-_DSBEV_ARGS = "char char int int d int d d int d int".split()
-# d as a capsule's signature spells it: scipy's typedef of double
-_C_NAMES = {"d": "__pyx_t_5scipy_6linalg_13cython_lapack_d"}
-# each argument as ctypes passes it
-_C_TYPES = {"char": ctypes.c_char_p, "int": ctypes.POINTER(ctypes.c_int), "d": ctypes.POINTER(ctypes.c_double)}
+# dsbev(JOBZ, UPLO, N, KD, AB, LDAB, W, Z, LDZ, WORK, INFO) as its capsule's name
+# spells it: LAPACK's Fortran interface with 32-bit integers, d scipy's double
+_D = "__pyx_t_5scipy_6linalg_13cython_lapack_d *"
+_DSBEV_SIGNATURE = f"void (char *, char *, int *, int *, {_D}, int *, {_D}, {_D}, int *, {_D}, int *)"
 
 
-def _dsbev(capi):
-    """LAPACK dsbev from cython_lapack's capsule table capi, as a ctypes
-    function, which releases the GIL for the call.
+class _Lapack:
+    """dsbev from the capsule table capi of scipy's cython_lapack, the one
+    LAPACK routine the oracle calls, as a ctypes function: the call runs
+    without the GIL, so two threads solve side by side.
 
     The capsule's name is the routine's C signature; unless it is exactly the
     expected one (an ILP64 build, say, passes 64-bit integers), ImportError
     names the routine and the signature, and nothing is called.
     """
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
-    capsule = capi["dsbev"]
-    signature = get_name(capsule)
-    expected = "void (" + ", ".join(f"{_C_NAMES.get(arg, arg)} *" for arg in _DSBEV_ARGS) + ")"
-    if signature != expected.encode():
-        raise ImportError(
-            f"scipy's LAPACK routine dsbev has the signature {signature.decode(errors='replace')!r}, "
-            f"not {expected!r}",
-            name=_CYTHON_LAPACK,
-        )
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi)
-    )
-    prototype = ctypes.CFUNCTYPE(None, *(_C_TYPES[arg] for arg in _DSBEV_ARGS))
-    return prototype(get_pointer(capsule, signature))
-
-
-def _pointer(arg):
-    """arg as a LAPACK routine takes it, by pointer: bytes as a character, an
-    int as a 32-bit integer, a float64 array (C or Fortran contiguous) as a
-    ctypes array over its data, which the routine may overwrite and which
-    holds a reference to it."""
-    if isinstance(arg, np.ndarray):
-        flat = arg.ravel(order="A")  # a view: arg is contiguous
-        return (ctypes.c_double * flat.size).from_buffer(flat)
-    if isinstance(arg, bytes):
-        return arg
-    return ctypes.byref(ctypes.c_int(arg))
-
-
-def _call(routine, *args):
-    """Call routine on args and INFO, each by pointer (_pointer); returns INFO."""
-    info = ctypes.c_int()
-    routine(*map(_pointer, args), ctypes.byref(info))
-    return info.value
-
-
-class _Lapack:
-    """dsbev from scipy's cython_lapack, the one LAPACK routine the oracle
-    calls: it copies its input, so no caller's array is overwritten, and
-    returns (values, info).  The call runs without the GIL, so two threads
-    solve side by side.
-    """
 
     def __init__(self, capi):
-        self._dsbev = _dsbev(capi)
+        capsule = capi["dsbev"]
+        get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+        signature = get_name(capsule)
+        if signature != _DSBEV_SIGNATURE.encode():
+            raise ImportError(
+                f"scipy's LAPACK routine dsbev has the signature {signature.decode(errors='replace')!r}, "
+                f"not {_DSBEV_SIGNATURE!r}",
+                name=_CYTHON_LAPACK,
+            )
+        get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+            ("PyCapsule_GetPointer", ctypes.pythonapi)
+        )
+        i, d = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+        prototype = ctypes.CFUNCTYPE(None, ctypes.c_char_p, ctypes.c_char_p, i, i, d, i, d, d, i, d, i)
+        self._dsbev = prototype(get_pointer(capsule, signature))
 
     def dsbev(self, band):
-        """All eigenvalues, ascending, of the symmetric band matrix whose
-        lower band (row d the d-th subdiagonal) band holds."""
+        """(values, info): all eigenvalues, ascending, of the symmetric band
+        matrix whose lower band (row d the d-th subdiagonal) band holds, and
+        LAPACK's INFO.  band is copied, so no caller's array is overwritten."""
         ab = np.array(band, dtype=float, order="F")
         if ab.ndim != 2:
             raise ValueError(f"expected a band of two dimensions, got shape {ab.shape}")
         kd, n = ab.shape[0] - 1, ab.shape[1]
-        w = np.empty(n)
-        work = np.empty(max(1, 3 * n - 2))
-        info = _call(self._dsbev, b"N", b"L", n, kd, ab, kd + 1, w, np.empty(1), 1, work)
-        return w, info
+        w, work, info = np.empty(n), np.empty(max(1, 3 * n - 2)), ctypes.c_int()
+        # each array as a ctypes array over its data (ab's a Fortran-order
+        # view), which the routine writes; each integer by reference
+        ab_p, w_p, work_p = ((ctypes.c_double * a.size).from_buffer(a.ravel(order="F")) for a in (ab, w, work))
+        n_p, kd_p, ldab_p, ldz_p = (ctypes.byref(ctypes.c_int(i)) for i in (n, kd, kd + 1, 1))
+        z = ctypes.byref(ctypes.c_double())  # not referenced: no eigenvectors
+        self._dsbev(b"N", b"L", n_p, kd_p, ab_p, ldab_p, w_p, z, ldz_p, work_p, ctypes.byref(info))
+        return w, info.value
 
 
 def _cython_lapack():
@@ -305,9 +279,7 @@ _LAPACK = None  # the loaded _Lapack, once per process
 def _lapack():
     """scipy's LAPACK dsbev (_Lapack), from its cython_lapack extension,
     loaded once per process under a lock, so threads that solve at once load
-    the extension once.  dsbev is called through the C function pointer of
-    its capsule, checked against its signature (_dsbev).
-    """
+    the extension once."""
     global _LAPACK
     with _LAPACK_LOCK:
         if _LAPACK is None:
@@ -529,14 +501,12 @@ class GalerkinLevels:
     """The lowest levels of a Jacobi-Galerkin solve and how they were found.
 
     levels come from the basis of n functions; gap holds their distances to
-    the levels of the 2n basis, one per level.  exponents are (a, b), the
-    envelope exponents at t = -1 and t = +1.
+    the levels of the 2n basis, one per level.
     """
 
     levels: np.ndarray
     gap: np.ndarray
     n: int
-    exponents: Tuple[float, float]
 
 
 def _galerkin_eigenvalues(V, a, b, n):
@@ -682,7 +652,7 @@ def galerkin_levels(V, exponents, count, poles=(), drift=0.0) -> GalerkinLevels:
         lambda n: _galerkin_eigenvalues(V, a, b, n)[:count], max(16, 2 * count + 8),
         _GALERKIN_CAP, _GALERKIN_TOL, "Jacobi-Galerkin levels", "bases of {} and {} functions",
     )
-    return GalerkinLevels(levels=levels, gap=gap, n=n, exponents=(a, b))
+    return GalerkinLevels(levels=levels, gap=gap, n=n)
 
 
 # The d.* residuals: 21-point Gauss-Legendre panels on |w| <= 8, 16 and 32
@@ -934,8 +904,8 @@ class _ModelSpec:
     identity_claims: Callable  # (printed level-0 constant, closed1 at _CONSTANCY_W) -> the g.* claims
 
 
-def consistency_report(model, params, k, R, levels: int = 4) -> VerificationReport:
-    """Assemble the full verification report for one model.
+def consistency_report(params, k, R, levels: int = 4) -> VerificationReport:
+    """Assemble the full verification report for the model of params.
 
     Claim families: forced linear-algebra invariants (f.*), the continuum
     identities of the factorization (conventions.*), transcription constancy
@@ -947,7 +917,7 @@ def consistency_report(model, params, k, R, levels: int = 4) -> VerificationRepo
     D*Dt, past the unpaired zero level of the component partner_exponents
     names (e.*, grid {"n": basis size}), and the model's solvable-structure
     identity (g.*).  Both models run through one assembler over the spec
-    model_spec selects, which must be that of `model`.  A level count past
+    model_spec selects by the type of params.  A level count past
     GALERKIN_MAX_LEVELS raises DomainError, and a real pole (spec.poles)
     PoleError, before any claim is computed; nu_1 = 0 at a pole, where the
     image of D has no unique exponent, raises DomainError.  Forced claims
@@ -955,8 +925,6 @@ def consistency_report(model, params, k, R, levels: int = 4) -> VerificationRepo
     it was measured on.
     """
     spec = model_spec(params, k, R)
-    if model != spec.model:
-        raise DomainError(f"model {model} does not match model-{spec.model} parameters")
     if not 1 <= levels <= GALERKIN_MAX_LEVELS:
         raise DomainError(f"level count must be in [1, {GALERKIN_MAX_LEVELS}], got {levels}")
     if spec.poles:
@@ -1124,7 +1092,7 @@ def _model_report(spec: _ModelSpec, k, R, levels):
                     "oracle": level,
                     **spec.spectrum_details(line, level, implied[n]),
                     "solver": "jacobi-galerkin",
-                    "exponents": list(gal.exponents),
+                    "exponents": list(exps.j1),
                     "n": gal.n,
                     "gap_2n": gal.gap[n],
                 },

@@ -14,9 +14,9 @@ from .errors import DomainError, IntegrationError
 
 __all__ = [
     "jacobi",
-    "jacobi_derivs",
+    "jacobi_rows",
     "x1_jacobi",
-    "x1_jacobi_derivs",
+    "x1_rows",
     "gauss_jacobi",
     "integrate",
     "QuadResult",
@@ -92,14 +92,15 @@ def jacobi(n, alpha, beta, x):
     return _scalar_or_array(_jacobi_table(int(n), alpha, beta, x)[-1])
 
 
-def _jacobi_rows(degrees, alpha, beta, x, d):
+def jacobi_rows(degrees, alpha, beta, x, d=0):
     """[P_n, P_n', ..., P_n^(d)] of P_n^(alpha,beta) at x for every n in
     degrees, each an array with one row per degree, by the parameter shift
     P_n^(j) = prod_{i=1..j} (n + alpha + beta + i)/2 * P_{n-j}^(alpha+j, beta+j),
     0 for j > n: one _jacobi_table per shifted family, up to the highest
-    degree, serves every degree."""
+    degree, serves every degree; the rows of P_n are jacobi's bits."""
+    for n in degrees:
+        _check_index(n, alpha, beta)
     degrees = [int(n) for n in degrees]
-    _check_index(min(degrees), alpha, beta)
     top = max(degrees)
     tab = _jacobi_table(top, alpha, beta, x)
     out, coef = [[tab[n] for n in degrees]], [1.0] * len(degrees)
@@ -108,13 +109,6 @@ def _jacobi_rows(degrees, alpha, beta, x, d):
         coef = [c * (0.5 * (n + alpha + beta + j)) for c, n in zip(coef, degrees)]
         out.append([c * tab[n - j] if j <= n else 0.0 * p for c, n, p in zip(coef, degrees, out[0])])
     return [np.array(rows) for rows in out]
-
-
-def jacobi_derivs(n, alpha, beta, x, d):
-    """[P_n, P_n', ..., P_n^(d)] of P_n^(alpha,beta) at x, by the parameter shift
-    P_n^(j) = prod_{i=1..j} (n + alpha + beta + i)/2 * P_{n-j}^(alpha+j, beta+j), 0 for j > n."""
-    _check_index(n, alpha, beta)
-    return [_scalar_or_array(rows[0]) for rows in _jacobi_rows([n], alpha, beta, x, d)]
 
 
 def x1_jacobi(nu, alpha, beta, x):
@@ -128,24 +122,22 @@ def x1_jacobi(nu, alpha, beta, x):
 
     where A = m^2 + (alpha+beta+1) m + alpha*beta and P_m is classical Jacobi.
     These are the polynomial factors of the bound states of the second
-    gauge-field model; orthogonality is exercised in the test suite.
+    gauge-field model; orthogonality is exercised in the test suite.  The
+    value is x1_rows's one row.
     """
-    return x1_jacobi_derivs(nu, alpha, beta, x, 0)[0]
+    return _scalar_or_array(x1_rows([nu], alpha, beta, x)[0][0])
 
 
-def x1_jacobi_derivs(nu, alpha, beta, x, d=2):
-    """[X] (d = 0) or [X, X', X''] (d = 2) of the x1_jacobi member X = u P_m + (1-x^2) P_m',
-    u = A (x - b) + c: X' = A P_m + (u - 2x) P_m' + (1-x^2) P_m'' and
-    X'' = (2A - 2) P_m' + (u - 4x) P_m'' + (1-x^2) P_m^(3), each P_m^(j) by the parameter shift."""
-    if nu < 1 or int(nu) != nu:
-        raise DomainError(f"degree must be a positive integer, got {nu}")
-    return [_scalar_or_array(rows[0]) for rows in _x1_rows([nu], alpha, beta, x, d)]
-
-
-def _x1_rows(nus, alpha, beta, x, d):
-    """x1_jacobi_derivs for every degree in nus (each >= 1), each entry an
-    array with one row per degree: one _jacobi_rows call, one table per
-    shifted family, serves them all."""
+def x1_rows(nus, alpha, beta, x, d=0):
+    """[X] (d = 0) or [X, X', X''] (d = 2) of the x1_jacobi member
+    X = u P_m + (1-x^2) P_m', u = A (x - b) + c, for every degree in nus
+    (each >= 1), each an array with one row per degree:
+    X' = A P_m + (u - 2x) P_m' + (1-x^2) P_m'' and
+    X'' = (2A - 2) P_m' + (u - 4x) P_m'' + (1-x^2) P_m^(3), each P_m^(j) from
+    one jacobi_rows call, one table per shifted family for every degree."""
+    for nu in nus:
+        if nu < 1 or int(nu) != nu:
+            raise DomainError(f"degree must be a positive integer, got {nu}")
     if alpha <= -1 or beta <= -1:
         raise DomainError(f"parameters must exceed -1, got alpha={alpha}, beta={beta}")
     if alpha == beta:
@@ -159,7 +151,7 @@ def _x1_rows(nus, alpha, beta, x, d):
     acc = m * m + (alpha + beta + 1.0) * m + alpha * beta
     b = (beta + alpha) / (beta - alpha)
     c = 2.0 * alpha * beta / (alpha - beta)
-    p = _jacobi_rows(m.ravel(), alpha, beta, x, d + 1)
+    p = jacobi_rows(m.ravel(), alpha, beta, x, d + 1)
     u, s = acc * (x - b) + c, 1.0 - x * x
     out = [u * p[0] + s * p[1]]
     if d:

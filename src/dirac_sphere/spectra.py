@@ -48,13 +48,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralLine:
-    """One level: dimensionless (E*R)^2, the radius, and the norm verdict
-    (None when not checked); the energy pair and physicality follow from them."""
+    """One level: dimensionless (E*R)^2, the radius, and the norm verdict;
+    the energy pair and physicality follow from them."""
 
     level: int
     E_sq_bar: float
     R: float
-    norm_finite: Optional[bool] = None
+    norm_finite: bool
 
     @property
     def radicand_ok(self):
@@ -76,7 +76,7 @@ class SpectralLine:
     def reason(self):
         if not self.radicand_ok:
             return "negative-radicand"
-        if self.norm_finite is False:
+        if not self.norm_finite:
             return "divergent-norm"
         return None
 
@@ -93,10 +93,9 @@ class WaveFunctionSpec:
     Jacobi family up to the highest level's degree.  norm_finite is decided
     analytically when the record is built; when the norm diverges,
     norm_reason says why.  A finite norm is integrated by norm_quadrature
-    (a _weighted_norm call) the first time norm_sq, norm_rule, norm_nodes,
-    norm_details() or eval() reads it, which raises its IntegrationError;
-    the record keeps the result for every later read.  norm_rule and
-    norm_nodes name the quadrature that produced norm_sq.
+    (a _weighted_norm call) the first time norm_sq, norm_details() or eval()
+    reads it, which raises its IntegrationError; the record keeps the result
+    for every later read.
     """
 
     eval_raw: Callable
@@ -114,14 +113,6 @@ class WaveFunctionSpec:
     def norm_sq(self):
         return self._norm.get("norm_sq")
 
-    @property
-    def norm_rule(self):
-        return self._norm.get("norm_rule")
-
-    @property
-    def norm_nodes(self):
-        return self._norm.get("norm_nodes")
-
     def eval(self, w):
         """The printed form scaled to unit norm when the norm is finite, else eval_raw."""
         if not self.norm_finite:
@@ -129,10 +120,11 @@ class WaveFunctionSpec:
         return (1.0 / math.sqrt(self.norm_sq)) * self.eval_raw(w)
 
     def norm_details(self):
-        """How the norm was decided, as report details (no timings)."""
+        """How the norm was decided, as report details (no timings): the
+        divergence reason, or the rule and node count that produced norm_sq."""
         if not self.norm_finite:
             return {"norm_divergence": self.norm_reason}
-        return {"norm_rule": self.norm_rule, "norm_nodes": self.norm_nodes}
+        return {"norm_rule": self._norm["norm_rule"], "norm_nodes": self._norm["norm_nodes"]}
 
 
 def _model1_exponents(n, p: Model1Params, k):
@@ -193,19 +185,19 @@ def wavefn_model1(n, p: Model1Params, k) -> WaveFunctionSpec:
     """
     s, B = _model1_exponents(n, p, k)
     return _printed_wavefunction(
-        (s, B), lambda t: specfun.jacobi(int(n), 2.0 * s, 2.0 * B, t),
-        lambda levels, t: specfun._jacobi_rows(levels, 2.0 * s, 2.0 * B, t, 2), (1.0, 0.0),
-        _model1_divergence(s, B),
+        int(n), (s, B), lambda levels, t, d: specfun.jacobi_rows(levels, 2.0 * s, 2.0 * B, t, d),
+        (1.0, 0.0), _model1_divergence(s, B),
     )
 
 
-def _printed_wavefunction(exponents, poly, derivs, den, divergence, weight=None, degree=None):
-    """The printed eigenfunction (1-t)^a (1+t)^b poly(t)/den(t) of t = tanh w,
-    (a, b) = exponents, with den = d0 + d1 t for den = (d0, d1), and
-    derivs(levels, t) the rows [g, g', g''] of its reading's polynomial g at
-    every level in levels (its ratios divide them by den).  Unless
-    divergence gives the reason it diverges, its norm, when first read,
-    integrates (poly/den)^2 (numerator degree `degree`) against the Jacobi weight
+def _printed_wavefunction(level, exponents, rows, den, divergence, weight=None, degree=None):
+    """The printed eigenfunction (1-t)^a (1+t)^b g(t)/den(t) of t = tanh w at
+    `level`, (a, b) = exponents, with den = d0 + d1 t for den = (d0, d1), and
+    rows(levels, t, d) the rows [g] (d = 0) or [g, g', g''] (d = 2) of its
+    reading's polynomial g at every level in levels: eval_raw reads g as
+    row 0, and its ratios divide the d = 2 rows by den.  Unless divergence
+    gives the reason it diverges, its norm, when first read, integrates
+    (g/den)^2 (numerator degree `degree`) against the Jacobi weight
     (1-t)^weight[0] (1+t)^weight[1]; Model I passes no weight, since its
     norm always diverges.  Both raise PoleError at a sample where den
     vanishes, as the gauge profile does at its pole.
@@ -219,16 +211,19 @@ def _printed_wavefunction(exponents, poly, derivs, den, divergence, weight=None,
             raise PoleError("eigenfunction envelope denominator vanishes at a sample")
         return d
 
+    def g_at(t):
+        return rows([level], t, 0)[0][0]
+
     @specfun._elementwise
     def raw(w):
-        # (envelope * poly) / den: this order keeps the sampled values as the
+        # (envelope * g) / den: this order keeps the sampled values as the
         # printed form has always been evaluated
         t = np.tanh(w)
-        return (1.0 - t) ** a * (1.0 + t) ** b * poly(t) / den_at(t)
+        return (1.0 - t) ** a * (1.0 + t) ** b * g_at(t) / den_at(t)
 
     def ratios(t, levels):
         # r = g/den with den linear: r' = (g' - d1 r)/den, r'' = (g'' - 2 d1 r')/den
-        g, dg, d2g = derivs(levels, t)
+        g, dg, d2g = rows(levels, t, 2)
         d = den_at(t)
         r = g / d
         r1 = (dg - d1 * r) / d
@@ -238,7 +233,7 @@ def _printed_wavefunction(exponents, poly, derivs, den, divergence, weight=None,
         return WaveFunctionSpec(raw, exponents, ratios, norm_finite=False, norm_reason=divergence)
     return WaveFunctionSpec(
         raw, exponents, ratios, norm_finite=True,
-        norm_quadrature=lambda: _weighted_norm(lambda t: poly(t) / den_at(t), *weight, degree),
+        norm_quadrature=lambda: _weighted_norm(lambda t: g_at(t) / den_at(t), *weight, degree),
     )
 
 
@@ -339,10 +334,7 @@ def wavefn_model2(m, alpha, beta, polynomial="classical") -> WaveFunctionSpec:
     if alpha <= -1 or beta <= -1 or alpha == beta:
         raise DomainError("need alpha, beta > -1 and alpha != beta")
     m = int(m)
-    poly_fn, rows_fn = (
-        (specfun.jacobi, specfun._jacobi_rows) if polynomial == "classical"
-        else (specfun.x1_jacobi, specfun._x1_rows)
-    )
+    rows_fn = specfun.jacobi_rows if polynomial == "classical" else specfun.x1_rows
     # Norm integrand (1-t)^alpha (1+t)^beta (poly/den)^2; alpha, beta > -1, so it
     # is finite iff the denominator's root t0 lies off [-1, 1] (alpha*beta > 0).
     t0 = -(alpha + beta) / (alpha - beta)
@@ -351,7 +343,7 @@ def wavefn_model2(m, alpha, beta, polynomial="classical") -> WaveFunctionSpec:
         "in [-1, 1]: the squared envelope is not integrable there"
     )
     return _printed_wavefunction(
-        ((alpha + 1.0) / 2.0, (beta + 1.0) / 2.0), lambda t: poly_fn(m + 1, alpha, beta, t),
-        lambda levels, t: rows_fn(np.asarray(levels) + 1, alpha, beta, t, 2), (alpha + beta, alpha - beta),
+        m, ((alpha + 1.0) / 2.0, (beta + 1.0) / 2.0),
+        lambda levels, t, d: rows_fn(np.asarray(levels) + 1, alpha, beta, t, d), (alpha + beta, alpha - beta),
         divergence, (alpha, beta), m + 1,
     )

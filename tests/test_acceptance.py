@@ -153,10 +153,10 @@ def test_criterion_6_forced_susy_invariant():
 
 def _reports():
     p1 = gauge.Model1Params.from_branch(0.4, 2.0, "half-up")
-    r1 = oracle.consistency_report(1, p1, 2.0, 1.0, levels=3)
+    r1 = oracle.consistency_report(p1, 2.0, 1.0, levels=3)
     alpha, beta = gauge.alpha_beta(2.0, "-", "+")
     p2 = gauge.model2_derive_params(0.5, beta - alpha, beta + alpha, 2.0)
-    r2 = oracle.consistency_report(2, p2, 2.0, 1.0, levels=3)
+    r2 = oracle.consistency_report(p2, 2.0, 1.0, levels=3)
     return r1, r2
 
 
@@ -179,9 +179,7 @@ def test_criterion_7_report_completeness():
     ok &= any(i.startswith("d.eigenfunction.classical") for i in ids2)
     ok &= any(i.startswith("d.eigenfunction.x1") for i in ids2)
     # determinism: a repeated run serializes identically
-    r1b = oracle.consistency_report(
-        1, gauge.Model1Params.from_branch(0.4, 2.0, "half-up"), 2.0, 1.0, levels=3
-    )
+    r1b = oracle.consistency_report(gauge.Model1Params.from_branch(0.4, 2.0, "half-up"), 2.0, 1.0, levels=3)
     ok &= json.dumps(r1.as_dict()) == json.dumps(r1b.as_dict())
     _announce(7, f"report completeness, {elapsed:.1f}s", ok)
 

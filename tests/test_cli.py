@@ -466,6 +466,33 @@ def test_figures_fig2_files_and_note(tmp_path):
         assert all(v != "nan" for _, v in crows)
 
 
+@pytest.mark.parametrize(
+    "args, out",
+    [
+        (["verify", "--config", example_config("model1.json")], "taken"),
+        (["spectrum", "--config", example_config("model1.json")], os.path.join("taken", "sub")),
+        (["figures", "fig1"], "taken"),
+        (["figures", "fig2"], "sets"),  # sets/fig2 is the file
+    ],
+    ids=["verify-out-is-a-file", "spectrum-out-under-a-file", "figures-out-is-a-file", "figures-set-is-a-file"],
+)
+def test_unwritable_output_path_exits_1_writes_nothing(tmp_path, capsys, args, out):
+    # an output directory that is a file, or lies under one, is a config
+    # error: one stderr line naming the path and the OS error, and neither a
+    # file nor a temporary one is left
+    (tmp_path / "taken").write_text("mine\n")
+    (tmp_path / "sets").mkdir()
+    (tmp_path / "sets" / "fig2").write_text("mine\n")
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(args + ["--out", str(tmp_path / out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"config error: cannot write {tmp_path / out}")
+    assert "[Errno " in captured.err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "taken").read_text() == "mine\n"
+
+
 def test_env_var_default_outdir(tmp_path, monkeypatch):
     monkeypatch.setenv("DIRAC_SPHERE_OUT", str(tmp_path / "envout"))
     cfg = write_config(tmp_path, model2_doc(grid={"L": 6.0, "N": 401}, levels=2))

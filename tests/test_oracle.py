@@ -638,10 +638,11 @@ def _galerkin(params, k, count):
 
 def test_galerkin_model1_half_up_levels():
     # the benchmark's Chebyshev-collocation reference (n = 128 against 256)
-    g = _galerkin(gauge.Model1Params.from_branch(0.4, 2.0, "half-up"), 2.0, 4)
+    p = gauge.Model1Params.from_branch(0.4, 2.0, "half-up")
+    g = _galerkin(p, 2.0, 4)
     assert g.levels == pytest.approx([2.3954946, 6.39933824, 12.3907119, 20.38667641], abs=1e-7)
     # V / cosh^2 -> 0 at both ends: nu = -1 there, and the exponents are 1
-    assert g.exponents == (1.0, 1.0) and g.n == 16
+    assert oracle.partner_exponents(oracle.model_spec(p, 2.0, 1.0).ends, 2.0).j1 == (1.0, 1.0) and g.n == 16
     assert np.all(g.gap <= 1e-9 * (1.0 + np.abs(g.levels)))
 
 
@@ -661,7 +662,7 @@ def test_galerkin_doubles_until_converged():
     k = 1.1
     p = m2_params(C1=1 / k, k=k)
     g = _galerkin(p, k, 4)
-    assert g.exponents[1] == pytest.approx(5.5) and g.n == 32
+    assert oracle.partner_exponents(oracle.model_spec(p, k, 1.0).ends, k).j1[1] == pytest.approx(5.5) and g.n == 32
     matched = np.array([spectra.energy_model2_matched(m, p) for m in range(4)])
     assert np.all(g.gap <= 1e-9 * (1.0 + np.abs(g.levels)))
     assert np.all(np.abs(g.levels - matched) <= 1e-9 * (1.0 + matched))
@@ -684,7 +685,7 @@ def test_galerkin_level_count_range():
         with pytest.raises(DomainError, match=r"level count must be in \[1, 60\]"):
             _galerkin(p, 2.0, count)
         with pytest.raises(DomainError, match=r"level count must be in \[1, 60\]"):
-            oracle.consistency_report(1, p, 2.0, 1.0, levels=count)
+            oracle.consistency_report(p, 2.0, 1.0, levels=count)
 
 
 _POLE_REFUSAL = r"potential pole at w = .*: the gauge profile is singular there"
@@ -699,7 +700,7 @@ def test_galerkin_refuses_a_pole_beyond_every_grid():
     p = gauge.model2_derive_params(0.5, beta - alpha, beta + alpha, 2.0)
     assert p.poles[0] == pytest.approx(-6.9077552789)
     with pytest.raises(PoleError, match=_POLE_REFUSAL) as info:
-        oracle.consistency_report(2, p, 2.0, 1.0, levels=2)
+        oracle.consistency_report(p, 2.0, 1.0, levels=2)
     assert info.value.location == p.poles[0]
     spec = oracle.model_spec(p, 2.0, 1.0)
     with pytest.raises(PoleError, match="Jacobi-Galerkin oracle needs V finite") as info:
@@ -722,7 +723,7 @@ def test_galerkin_refuses_a_closed_form_off_the_general_one(monkeypatch):
 
     monkeypatch.setattr(oracle, "_model1_spec", bent)
     with pytest.raises(DomainError, match="differs from the general form by more than a constant"):
-        oracle.consistency_report(1, p, 2.0, 1.0, levels=2)
+        oracle.consistency_report(p, 2.0, 1.0, levels=2)
 
 
 def test_galerkin_constancy_spread_is_relative_to_the_potential():
@@ -732,7 +733,7 @@ def test_galerkin_constancy_spread_is_relative_to_the_potential():
     # a.*/b.* spreads are read relative to 1 + max |general form|, so they sit
     # below their 1e-9 tolerance, and the levels still meet the doubling rule
     for k in (1.01, 1.02):
-        rep = oracle.consistency_report(2, m2_params(C1=1 / k, k=k), k, 1.0, levels=2)
+        rep = oracle.consistency_report(m2_params(C1=1 / k, k=k), k, 1.0, levels=2)
         for claim_id in ("a.veff1-expansion", "b.veff1-constrained"):
             c = rep.claim(claim_id)
             assert c.metric <= c.tolerance == 1e-9, (k, claim_id)
@@ -781,7 +782,7 @@ def test_partner_exponents_refuse_the_log_case():
     alpha, beta = gauge.alpha_beta(k, "+", "+")
     p = gauge.model2_derive_params(1 / k, beta - alpha, beta + alpha, k)
     with pytest.raises(DomainError, match=r"no unique exponent at t = \+1 .*the log case"):
-        oracle.consistency_report(2, p, k, 1.0, levels=2)
+        oracle.consistency_report(p, k, 1.0, levels=2)
 
 
 _BLAS_PROBE = """
@@ -821,21 +822,21 @@ def test_galerkin_levels_bitwise_across_blas_threads():
 
 def test_report_deterministic():
     p = gauge.Model1Params.from_branch(0.4, 2.0, "half-up")
-    r1 = oracle.consistency_report(1, p, 2.0, 1.0, levels=2)
-    r2 = oracle.consistency_report(1, p, 2.0, 1.0, levels=2)
+    r1 = oracle.consistency_report(p, 2.0, 1.0, levels=2)
+    r2 = oracle.consistency_report(p, 2.0, 1.0, levels=2)
     assert json.dumps(r1.as_dict()) == json.dumps(r2.as_dict())
 
 
 def test_report_model_mismatch_rejected():
+    # the report takes no model: the parameter type selects it, so only a
+    # wave number the parameters were not derived at can disagree with them
     p = m2_params()
-    with pytest.raises(DomainError):
-        oracle.consistency_report(1, p, 2.0, 1.0)
-    with pytest.raises(DomainError):
-        oracle.consistency_report(2, p, 3.0, 1.0)
+    with pytest.raises(DomainError, match="wave number mismatch"):
+        oracle.consistency_report(p, 3.0, 1.0)
     # half-up parameters at k = 2 sit on the half-down branch at k = 4
     p1 = gauge.Model1Params.from_branch(0.4, 2.0, "half-up")
     with pytest.raises(DomainError, match="are not on the 'half-up' branch"):
-        oracle.consistency_report(1, p1, 4.0, 1.0)
+        oracle.consistency_report(p1, 4.0, 1.0)
 
 
 def test_report_aborts_on_singular_branch(monkeypatch):
@@ -848,7 +849,7 @@ def test_report_aborts_on_singular_branch(monkeypatch):
     monkeypatch.setattr(oracle, "build_sl_matrix", never)
     p = gauge.model2_derive_params(0.5, -1 / 3 - 1.0, -1 / 3 + 1.0, 2.0)
     with pytest.raises(PoleError) as info:
-        oracle.consistency_report(2, p, 2.0, 1.0, levels=2)
+        oracle.consistency_report(p, 2.0, 1.0, levels=2)
     assert str(info.value) == (
         f"potential pole at w = {p.poles[0]}: the gauge profile is singular there, so "
         "no report operator is defined across it"
@@ -858,7 +859,7 @@ def test_report_aborts_on_singular_branch(monkeypatch):
 
 def test_report_corrupt_hook_fails_forced_claim(forced_fault):
     p = gauge.Model1Params.from_branch(0.4, 2.0, "half-up")
-    rep = oracle.consistency_report(1, p, 2.0, 1.0, levels=2)
+    rep = oracle.consistency_report(p, 2.0, 1.0, levels=2)
     bad = {c.claim_id for c in rep.forced_failures()}
     assert bad == {"f.isospectrality", "f.matrix-symmetry"}
 
@@ -875,7 +876,7 @@ def test_factorization_match_reads_the_continuum_identity(model, k, branch, monk
     p = gauge.Model1Params.from_branch(0.4, k, branch) if model == 1 else m2_params(C1=1 / k, k=k)
 
     def match():
-        rep = oracle.consistency_report(model, p, k, 1.0, levels=1)
+        rep = oracle.consistency_report(p, k, 1.0, levels=1)
         c = rep.claim("conventions.factorization-match")
         assert c.grid == oracle._CONSTANCY_GRID and c.details["convention"] == oracle._D_NAME
         return c.metric, c.details["match_j2"]
@@ -920,11 +921,11 @@ def test_report_partner_claims(model, k, branch, zero_level, levels):
     # by the a.* and b.veff1 additive constants (closed1 - gen1)
     grid = oracle.Grid(6.0, 801)
     p = gauge.Model1Params.from_branch(0.4, k, branch) if model == 1 else m2_params(C1=1 / k, k=k)
-    rep = oracle.consistency_report(model, p, k, 1.0, levels=levels)
+    rep = oracle.consistency_report(p, k, 1.0, levels=levels)
     partners = _partners(rep)
     assert [c.claim_id for c in partners] == [f"e.partner.m{m}" for m in range(1, levels)]
     # one level has no partner to pair
-    assert not _partners(oracle.consistency_report(model, p, k, 1.0, levels=1))
+    assert not _partners(oracle.consistency_report(p, k, 1.0, levels=1))
     spec = oracle.model_spec(p, k, 1.0)
     exps = oracle.partner_exponents(spec.ends, k)
     assert exps.zero_level == zero_level
@@ -964,7 +965,7 @@ def test_partner_pairing_within_the_galerkin_error_estimates(k):
     # at 4 levels the bases stop at 16 functions, where the doubling rule
     # allows 1e-9 (1 + |level|); at k = 1.5 the fourth j=1 level sits 4.4e-9 from
     # its 32-function value, and the pairing reads that gap, not more
-    rep = oracle.consistency_report(2, m2_params(C1=1 / k, k=k), k, 1.0, levels=4)
+    rep = oracle.consistency_report(m2_params(C1=1 / k, k=k), k, 1.0, levels=4)
     for c in _partners(rep):
         assert c.metric <= sum(c.details["gap_2n"]) + 1e-12, c.claim_id
 
@@ -981,7 +982,7 @@ def test_partner_claims_fail_on_principal_j2_exponents(monkeypatch):
 
     monkeypatch.setattr(oracle, "partner_exponents", principal)
     k = 2.0
-    rep = oracle.consistency_report(2, m2_params(C1=1 / k, k=k), k, 1.0, levels=4)
+    rep = oracle.consistency_report(m2_params(C1=1 / k, k=k), k, 1.0, levels=4)
     assert rep.claim("e.partner.m1").details["exponents_j2"] == pytest.approx([5 / 6, 1.5])
     assert min(c.metric for c in _partners(rep)) > 1e-3
 
@@ -1031,7 +1032,7 @@ def test_report_residuals_match_verify_eigenpair_bitwise(model, monkeypatch):
         return routine(wf, levels, V, lams)
 
     monkeypatch.setattr(oracle, "verify_eigenpair", counted)
-    rep = oracle.consistency_report(model, p, k, R, levels=3)
+    rep = oracle.consistency_report(p, k, R, levels=3)
     assert calls == ([([0, 1, 2], (3, 1))] if model == 1 else [([0, 1, 2], (3, 2))] * 2)
     _assert_residuals_match_one_level_calls(rep, model, p, k)
 
@@ -1046,7 +1047,7 @@ def test_report_residuals_at_60_levels_match_one_level_calls(model, nodes):
     path = os.path.join(os.path.dirname(__file__), "..", "examples", f"model{model}.json")
     cfg = cli.parse_config(cli._read_config(path))
     p = cfg.params()
-    rep = oracle.consistency_report(model, p, cfg.k, cfg.R, levels=60)
+    rep = oracle.consistency_report(p, cfg.k, cfg.R, levels=60)
     assert {c.grid["nodes"] for c in rep.claims if c.claim_id.startswith("d.")} == nodes
     _assert_residuals_match_one_level_calls(rep, model, p, cfg.k)
 
@@ -1078,11 +1079,11 @@ def test_report_raises_the_first_refused_level(monkeypatch, nan_level, zero_leve
         w0 = 0.5727809270804475  # the first node of 16 panels with tanh w > 0.5
         assert w0 == oracle._window_rules(16)[0][np.tanh(oracle._window_rules(16)[0]) > 0.5][0]
         with pytest.raises(PoleError, match=re.escape(f"eigenfunction is not finite at w = {w0}")) as info:
-            oracle.consistency_report(1, p, 2.0, 1.0, levels=5)
+            oracle.consistency_report(p, 2.0, 1.0, levels=5)
         assert info.value.location == w0
     else:
         with pytest.raises(DomainError, match="^eigenfunction vanishes on the residual window$"):
-            oracle.consistency_report(1, p, 2.0, 1.0, levels=5)
+            oracle.consistency_report(p, 2.0, 1.0, levels=5)
 
 
 def test_report_assembles_no_flux_matrix(monkeypatch):
@@ -1093,7 +1094,7 @@ def test_report_assembles_no_flux_matrix(monkeypatch):
 
     monkeypatch.setattr(oracle, "build_sl_matrix", never)
     for model in (1, 2):
-        rep = oracle.consistency_report(model, _report_params(model), 2.0, 1.0, levels=4)
+        rep = oracle.consistency_report(_report_params(model), 2.0, 1.0, levels=4)
         assert all(c.verdict == "pass" for c in rep.claims if c.claim_id.startswith("f."))
 
 
@@ -1101,7 +1102,7 @@ def test_report_assembles_no_flux_matrix(monkeypatch):
 def test_report_model1_residuals_finite_on_every_branch(branch):
     # the printed Model-I form is no eigenfunction: its continuum residuals
     # are large, but finite and converged on every branch
-    rep = oracle.consistency_report(1, gauge.Model1Params.from_branch(0.4, 2.0, branch), 2.0, 1.0, levels=4)
+    rep = oracle.consistency_report(gauge.Model1Params.from_branch(0.4, 2.0, branch), 2.0, 1.0, levels=4)
     for m in range(4):
         c = rep.claim(f"d.eigenfunction.m{m}")
         assert math.isfinite(c.metric) and c.metric > 1.0, c.claim_id
@@ -1122,7 +1123,7 @@ def test_report_solves_two_galerkin_series(monkeypatch):
     monkeypatch.setattr(oracle, "galerkin_levels", counted)
     for model in (1, 2):
         calls.clear()
-        oracle.consistency_report(model, _report_params(model), 2.0, 1.0, levels=4)
+        oracle.consistency_report(_report_params(model), 2.0, 1.0, levels=4)
         exps = oracle.partner_exponents(oracle.model_spec(_report_params(model), 2.0, 1.0).ends, 2.0)
         assert calls == [exps.j1, exps.j2], model
 
@@ -1149,7 +1150,7 @@ def test_report_samples_each_potential_once_on_the_constancy_grid(model, monkeyp
     names = ("v_eff_general", f"v_eff_model{model}", f"v_eff_model{model}_raw")
     for name in names:
         monkeypatch.setattr(oracle, name, counting(name, getattr(oracle, name)))
-    oracle.consistency_report(model, _report_params(model), 2.0, 1.0, levels=4)
+    oracle.consistency_report(_report_params(model), 2.0, 1.0, levels=4)
     general, closed, raw = names
     want = [f"{general}.j1", f"{general}.j2", raw, f"{closed}.j1", f"{closed}.j2"]
     assert seen == {label: 1 for label in want}
@@ -1167,7 +1168,7 @@ def test_forced_claims_sample_the_profile_once(model, monkeypatch):
         return lambda w: sizes.append(np.size(w)) or a(w)
 
     monkeypatch.setattr(oracle, f"a_u_model{model}", make)
-    oracle.consistency_report(model, _report_params(model), 2.0, 1.0, levels=4)
+    oracle.consistency_report(_report_params(model), 2.0, 1.0, levels=4)
     assert sizes.count(oracle._COMPOSE_GRID.N + 1) == 1, sizes
 
 
@@ -1180,7 +1181,7 @@ def test_verify_reads_no_norm(model, levels, monkeypatch):
         raise AssertionError("verify integrated an eigenfunction norm")
 
     monkeypatch.setattr(spectra, "_weighted_norm", refuse)
-    rep = oracle.consistency_report(model, _report_params(model), 2.0, 1.0, levels=levels)
+    rep = oracle.consistency_report(_report_params(model), 2.0, 1.0, levels=levels)
     eigen = [c for c in rep.claims if c.claim_id.startswith("d.")]
     assert len(eigen) == levels * model
     for c in eigen:
@@ -1241,7 +1242,7 @@ def test_report_layout_pinned(model):
         p = gauge.Model1Params.from_branch(0.4, k, "half-up")
     else:
         p = m2_params(C1=1 / k, k=k)
-    rep = oracle.consistency_report(model, p, k, 1.0, levels=3)
+    rep = oracle.consistency_report(p, k, 1.0, levels=3)
     claims = rep.as_dict()["claims"]
     layout = [(c["claim_id"], tuple(c["details"])) for c in claims]
     assert layout == _REPORT_LAYOUT[model]

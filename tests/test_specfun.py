@@ -21,9 +21,9 @@ def test_degree_zero_and_one_closed_forms():
 
 
 def test_derivative_examples():
-    assert specfun.jacobi_derivs(0, 2.0, 0.5, 0.3, 1)[1] == 0.0
-    assert specfun.jacobi_derivs(1, 1.0, 1 / 3, -0.4, 1)[1] == pytest.approx(5 / 3, rel=1e-14)
-    assert specfun.jacobi_derivs(2, 0.0, 0.0, 0.5, 1)[1] == pytest.approx(1.5, rel=1e-14)
+    assert specfun.jacobi_rows([0], 2.0, 0.5, 0.3, 1)[1][0] == 0.0
+    assert specfun.jacobi_rows([1], 1.0, 1 / 3, -0.4, 1)[1][0] == pytest.approx(5 / 3, rel=1e-14)
+    assert specfun.jacobi_rows([2], 0.0, 0.0, 0.5, 1)[1][0] == pytest.approx(1.5, rel=1e-14)
 
 
 def test_invalid_index_rejected():
@@ -97,7 +97,7 @@ def test_derivative_is_derivative():
     for x in (-0.8, -0.1, 0.4, 0.9):
         h = 1e-6
         fd = (specfun.jacobi(n, a, b, x + h) - specfun.jacobi(n, a, b, x - h)) / (2 * h)
-        assert specfun.jacobi_derivs(n, a, b, x, 1)[1] == pytest.approx(fd, rel=1e-7)
+        assert specfun.jacobi_rows([n], a, b, x, 1)[1][0] == pytest.approx(fd, rel=1e-7)
 
 
 @pytest.mark.parametrize("a, b", [(0.7, -0.2), (1.0, 1 / 3), (-0.4, -0.7), (-0.45, -0.5), (2.5, 0.25)])
@@ -112,7 +112,7 @@ def test_derivative_helpers_match_symbolic_differentiation(a, b):
     for n in range(6):
         p = sp.jacobi(n, sp.nsimplify(a), sp.nsimplify(b), x)
         want = [sp.lambdify(x, sp.diff(p, x, j))(pts) * np.ones_like(pts) for j in range(4)]
-        got = specfun.jacobi_derivs(n, a, b, pts, 3)
+        got = [rows[0] for rows in specfun.jacobi_rows([n], a, b, pts, 3)]
         for j in range(4):
             scale = 1.0 + np.abs(want[j]).max()
             assert np.abs(got[j] - want[j]).max() <= 1e-12 * scale, (n, j)
@@ -123,13 +123,13 @@ def test_derivative_helpers_match_symbolic_differentiation(a, b):
         u = acc * (x - (be + al) / (be - al)) + 2 * al * be / (al - be)
         x1 = u * p + (1 - x * x) * sp.diff(p, x)
         want = [sp.lambdify(x, sp.diff(x1, x, j))(pts) * np.ones_like(pts) for j in range(3)]
-        got = specfun.x1_jacobi_derivs(nu, a, b, pts, 2)
+        got = [rows[0] for rows in specfun.x1_rows([nu], a, b, pts, 2)]
         assert np.array_equal(got[0], specfun.x1_jacobi(nu, a, b, pts))
         for j in range(3):
             scale = 1.0 + np.abs(want[j]).max()
             assert np.abs(got[j] - want[j]).max() <= 1e-12 * scale, (nu, j)
     with pytest.raises(DomainError, match="derivative order must be 0 or 2"):
-        specfun.x1_jacobi_derivs(2, a, b, pts, 1)
+        specfun.x1_rows([2], a, b, pts, 1)
 
 
 def test_x1_degree_one_is_linear_with_known_root():
@@ -327,12 +327,12 @@ def _jacobi_loop(n, a, b, x):
 def test_batched_rows_match_the_loop_bitwise():
     # one table per shifted family serves every degree: each row is the bits
     # of the one-degree recurrence (its derivatives by the parameter shift),
-    # and each X1 row those of the one-degree call
+    # and each X1 row those of a one-degree batch
     pts = np.tanh(np.linspace(-6.0, 6.0, 41))
     a, b = 1.0, 1 / 3
     degrees = [0, 1, 2, 5, 13]
-    rows = specfun._jacobi_rows(degrees, a, b, pts, 3)
-    x1 = specfun._x1_rows([n + 1 for n in degrees], a, b, pts, 2)
+    rows = specfun.jacobi_rows(degrees, a, b, pts, 3)
+    x1 = specfun.x1_rows([n + 1 for n in degrees], a, b, pts, 2)
     for i, n in enumerate(degrees):
         assert np.array_equal(specfun.jacobi(n, a, b, pts), _jacobi_loop(n, a, b, pts))
         coef = 1.0
@@ -341,8 +341,8 @@ def test_batched_rows_match_the_loop_bitwise():
                 coef *= 0.5 * (n + a + b + j)
             want = coef * _jacobi_loop(n - j, a + j, b + j, pts) if j <= n else 0.0 * rows[0][i]
             assert np.array_equal(rows[j][i], want), (n, j)
-        for got, want in zip(x1, specfun.x1_jacobi_derivs(n + 1, a, b, pts, 2)):
-            assert np.array_equal(got[i], want)
+        for got, want in zip(x1, specfun.x1_rows([n + 1], a, b, pts, 2)):
+            assert np.array_equal(got[i], want[0])
 
 
 def test_gauss_jacobi_refuses_an_overflowing_mass():

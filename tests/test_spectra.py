@@ -17,6 +17,18 @@ def near_critical_params():
     return gauge.Model1Params.from_branch(0.4999, 2.0, "half-down")  # C3 = k - 1
 
 
+def _assert_ratio_reads_eval_raw(wf, level):
+    # eval_raw reads its polynomial as row 0 of the reading's rows and the
+    # residuals read r = g/den from the same rows: the envelope times r is
+    # the printed form eval_raw samples
+    w = np.linspace(-6.0, 6.0, 121)
+    t = np.tanh(w)
+    a, b = wf.exponents
+    got = (1.0 - t) ** a * (1.0 + t) ** b * wf.ratios(t, [level])[0][0]
+    want = wf.eval_raw(w)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), level
+
+
 # ------------------------------------------------------------- model 1
 
 
@@ -88,6 +100,8 @@ def test_wavefn_model1_prefactor_values():
     assert wf.norm_sq is None
     # unnormalized fallback: eval is the raw form
     assert wf.eval(0.3) == wf.eval_raw(0.3)
+    for n in range(4):
+        _assert_ratio_reads_eval_raw(spectra.wavefn_model1(n, fig1_params(), 2.0), n)
 
 
 # ------------------------------------------------------------- model 2
@@ -133,6 +147,8 @@ def test_wavefn_model2_normalization():
         wf = spectra.wavefn_model2(0, 1.0, 1 / 3, polynomial=variant)
         res = specfun.integrate(lambda w: wf.eval(w) ** 2, -25.0, 25.0, tol=1e-9)
         assert res.value == pytest.approx(1.0, abs=1e-7)
+        for m in range(4):
+            _assert_ratio_reads_eval_raw(spectra.wavefn_model2(m, 1.0, 1 / 3, polynomial=variant), m)
 
 
 def test_wavefn_model2_envelope_decay():
@@ -186,8 +202,8 @@ def test_spectral_line_derives_its_verdict():
     negative = spectra.SpectralLine(0, -1.0, 1.0, norm_finite=False)
     assert negative.E_plus is None and negative.E_minus is None
     assert negative.reason == "negative-radicand" and not negative.physical
-    unchecked = spectra.SpectralLine(0, 1.0, 1.0)
-    assert unchecked.physical and unchecked.reason is None
+    divergent = spectra.SpectralLine(0, 1.0, 1.0, norm_finite=False)
+    assert divergent.E_plus == 1.0 and divergent.reason == "divergent-norm" and not divergent.physical
 
 
 def test_wavefn_model2_rejects_bad_variant():
@@ -267,11 +283,13 @@ def test_wavefn_model2_norms_finite_and_exact(k, polynomial):
     for m in range(12):
         wf = spectra.wavefn_model2(m, alpha, beta, polynomial=polynomial)
         assert wf.norm_finite, (m, wf.norm_reason)
-        assert wf.norm_reason is None and wf.norm_nodes >= m + 2
+        details = wf.norm_details()
+        assert wf.norm_reason is None and details["norm_nodes"] >= m + 2
         assert wf.norm_sq == pytest.approx(_mp_norm_sq(m, alpha, beta, polynomial), rel=1e-10)
         # the normalized form has unit norm on the w axis (trapezoid rule)
         assert float(np.sum(wf.eval(w) ** 2) * (w[1] - w[0])) == pytest.approx(1.0, rel=1e-9)
-        assert wf.norm_details() == {"norm_rule": wf.norm_rule, "norm_nodes": wf.norm_nodes}
+        assert details == {"norm_rule": f"gauss-jacobi (alpha={alpha!r}, beta={beta!r})",
+                           "norm_nodes": details["norm_nodes"]}
 
 
 def test_divergence_reasons_are_analytic():
@@ -280,7 +298,7 @@ def test_divergence_reasons_are_analytic():
     assert wf1.norm_reason.startswith("s = ") and "t -> 1" in wf1.norm_reason
     assert wf1.norm_details() == {"norm_divergence": wf1.norm_reason}
     wf2 = spectra.wavefn_model2(0, 1.0, -1 / 3)
-    assert not wf2.norm_finite and wf2.norm_nodes is None
+    assert not wf2.norm_finite and wf2.norm_details() == {"norm_divergence": wf2.norm_reason}
     assert "t = -0.5" in wf2.norm_reason
     # a root on the boundary (beta = 0) is not integrable either
     assert not spectra.wavefn_model2(0, 1.0, 0.0).norm_finite
