@@ -32,7 +32,6 @@ import math
 import os
 import shutil
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -46,20 +45,19 @@ __all__ = ["RunConfig", "main", "console_main"]
 _DEFAULT_GRID = {"L": 12.0, "N": 4001}
 
 
-@dataclass
 class RunConfig:
-    """Validated run configuration; see README for the JSON schema."""
+    """Validated run configuration; see README for the JSON schema.
 
-    model: int
-    R: float
-    k: float
-    levels: int = 4
-    grid: Grid = Grid(**_DEFAULT_GRID)
-    # the model1/model2 block as parse_config validated it, defaults filled
-    # in: {C1, branch}, {C1, alpha, beta} or {C1, sign_a, sign_b}
-    block: Optional[dict] = None
-    out: Optional[str] = None
-    strict: bool = False
+    block is the model1/model2 block as parse_config validated it, defaults
+    filled in: {C1, branch}, {C1, alpha, beta} or {C1, sign_a, sign_b}.
+    """
+
+    __slots__ = ("model", "R", "k", "levels", "grid", "block", "out", "strict")
+
+    def __init__(self, model: int, R: float, k: float, levels: int = 4, grid: Grid = Grid(**_DEFAULT_GRID),
+                 block: Optional[dict] = None, out: Optional[str] = None, strict: bool = False):
+        self.model, self.R, self.k, self.levels, self.grid = model, R, k, levels, grid
+        self.block, self.out, self.strict = block, out, strict
 
     def params(self):
         """The model's parameter set; oracle.model_spec turns it into formulas."""
@@ -251,11 +249,31 @@ def _json_text(obj, indent="\n"):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(c) for c in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _write_set(files):
+    """Write each (path, text) of files with _atomic_write and return the
+    paths.  When one cannot be written, the files this call already wrote are
+    removed before the error propagates, so a refused set leaves none."""
+    written = []
+    try:
+        for path, text in files:
+            _atomic_write(path, text)
+            written.append(path)
+    except BaseException:
+        for path in written:
+            os.unlink(path)
+        raise
+    return written
+
+
+def _csv_text(header, rows):
+    """The CSV text of rows under header; a cell with a comma or a quote is
+    quoted, with its quotes doubled."""
+
+    def cell(c):
+        c = str(c)
+        return '"' + c.replace('"', '""') + '"' if "," in c or '"' in c else c
+
+    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
 
 
 def _resolve_out(cfg: Optional[RunConfig], cli_out):
@@ -278,18 +296,19 @@ def _spectrum_rows(cfg: RunConfig):
                 _fmt(ln.E_plus),
                 "true" if ln.physical else "false",
                 ln.reason or "",
+                ln.norm_reason or "",
             ]
         )
     return rows
 
 
-_SPECTRUM_HEADER = ["level", "E_sq_bar", "E_minus", "E_plus", "physical", "reason"]
+_SPECTRUM_HEADER = ["level", "E_sq_bar", "E_minus", "E_plus", "physical", "reason", "norm_divergence"]
 
 
 def cmd_spectrum(cfg: RunConfig, outdir):
-    path = os.path.join(outdir, "spectrum.csv")
-    _write_csv(path, _SPECTRUM_HEADER, _spectrum_rows(cfg))
-    return [path]
+    """The printed levels as a CSV table; norm_divergence is the reason the
+    level's printed eigenfunction has no finite norm, or empty."""
+    return _write_set([(os.path.join(outdir, "spectrum.csv"), _csv_text(_SPECTRUM_HEADER, _spectrum_rows(cfg)))])
 
 
 def _curve(cfg: RunConfig, which):
@@ -299,8 +318,9 @@ def _curve(cfg: RunConfig, which):
     return fn, spec.poles
 
 
-def _write_curve(cfg: RunConfig, fn, poles, path):
-    """Write fn sampled on the grid as a (w, value) CSV; return the paths written.
+def _curve_files(cfg: RunConfig, fn, poles, path):
+    """fn sampled on the grid as a (w, value) CSV at path: the (path, text)
+    of each file to write.
 
     fn is evaluated once on the whole grid.  Each pole inside the grid adds a
     `w,nan` gap-marker row, in sorted order, and the poles are named in a
@@ -324,17 +344,16 @@ def _write_curve(cfg: RunConfig, fn, poles, path):
     rows = [[_fmt(wi), _fmt(vi)] for wi, vi in zip(w, vals)]
     rows += [[_fmt(p0), "nan"] for p0 in poles]
     rows.sort(key=lambda r: float(r[0]))
-    _write_csv(path, ["w", "value"], rows)
-    if not poles:
-        return [path]
-    side = path[: -len(".csv")] + "_poles.json"
-    _atomic_write(side, _json_text({"poles_w": [float(p0) for p0 in poles]}) + "\n")
-    return [path, side]
+    files = [(path, _csv_text(["w", "value"], rows))]
+    if poles:
+        side = _json_text({"poles_w": [float(p0) for p0 in poles]}) + "\n"
+        files.append((path[: -len(".csv")] + "_poles.json", side))
+    return files
 
 
 def cmd_potential(cfg: RunConfig, which, outdir):
     fn, poles = _curve(cfg, which)
-    return _write_curve(cfg, fn, poles, os.path.join(outdir, f"potential_{which.lower()}.csv"))
+    return _write_set(_curve_files(cfg, fn, poles, os.path.join(outdir, f"potential_{which.lower()}.csv")))
 
 
 def cmd_wavefunction(cfg: RunConfig, level, polynomial, outdir):
@@ -345,7 +364,8 @@ def cmd_wavefunction(cfg: RunConfig, level, polynomial, outdir):
     how the norm was decided: `norm_rule`/`norm_nodes` for a finite norm, or
     `norm_divergence` (the analytic reason) for the raw printed form.  The
     norm is read before the curve is sampled, so a norm no rule resolves
-    (IntegrationError) writes nothing.
+    (IntegrationError) writes nothing, and the curve and its sidecars are
+    written as one set (_write_set).
     """
     if level < 0:
         raise ConfigError(f"--level must be a non-negative integer, got {level}")
@@ -362,10 +382,8 @@ def cmd_wavefunction(cfg: RunConfig, level, polynomial, outdir):
     # (and raises PoleError) where the profile's does: at tanh w = a2/a1, the
     # pole spec.poles holds
     path = os.path.join(outdir, f"wavefunction_l{level}{suffix}.csv")
-    written = _write_curve(cfg, wf.eval, spec.poles, path)
-    side = path[: -len(".csv")] + "_norm.json"
-    _atomic_write(side, _json_text(norm) + "\n")
-    return written + [side]
+    side = (path[: -len(".csv")] + "_norm.json", _json_text(norm) + "\n")
+    return _write_set(_curve_files(cfg, wf.eval, spec.poles, path) + [side])
 
 
 _REPORT_SCHEMA = "dirac-sphere-verification/1"
@@ -436,7 +454,7 @@ def cmd_figures(which, overrides, outdir):
         written = []
         for curve in ("A_u", "Veff1", "Veff2"):
             fn, poles = _curve(cfg, curve)
-            written += _write_curve(cfg, fn, poles, os.path.join(tmp, f"{curve.lower()}.csv"))
+            written += _write_set(_curve_files(cfg, fn, poles, os.path.join(tmp, f"{curve.lower()}.csv")))
         written += cmd_spectrum(spectrum_cfg, tmp)
         for name, text in notes.items():
             path = os.path.join(tmp, name)

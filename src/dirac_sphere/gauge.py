@@ -12,7 +12,6 @@ the oracle can measure (rather than hide) any transcription gaps.  Analytic
 derivatives are supplied everywhere; no numerical differentiation is used.
 """
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -60,14 +59,13 @@ def model1_branches(k):
     return [(c2, k + dc3) for c2, dc3 in BRANCH_LABELS.values()]
 
 
-@dataclass(frozen=True)
 class Model1Params:
     """Constants of the sech^2 + tanh + const gauge profile."""
 
-    C1: float
-    C2: float
-    C3: float
-    branch: Optional[str] = None
+    __slots__ = ("C1", "C2", "C3", "branch")
+
+    def __init__(self, C1: float, C2: float, C3: float, branch: Optional[str] = None):
+        self.C1, self.C2, self.C3, self.branch = C1, C2, C3, branch
 
     @classmethod
     def from_branch(cls, C1, k, branch):
@@ -108,7 +106,6 @@ def da_u_model1(p: Model1Params) -> Callable:
     return da
 
 
-@dataclass(frozen=True)
 class Model2Params:
     """Constants of the rational gauge profile, all derived from (C1, a1, a2, k).
 
@@ -119,29 +116,20 @@ class Model2Params:
     poles records it once for every potential of the model.
     """
 
-    C1: float
-    a1: float
-    a2: float
-    k: float
-    C2: float = field(init=False)
-    C3: float = field(init=False)
-    C4: float = field(init=False)
-    C5: float = field(init=False)
-    C6: float = field(init=False)
+    __slots__ = ("C1", "a1", "a2", "k", "C2", "C3", "C4", "C5", "C6")
 
-    def __post_init__(self):
-        if self.a1 == 0.0:
+    def __init__(self, C1: float, a1: float, a2: float, k: float):
+        if a1 == 0.0:
             raise DomainError("need a1 != 0")
-        d = self.a1 * self.a1 - self.a2 * self.a2
-        if d == 0.0 or abs(d) < 1e-14 * (self.a1 * self.a1 + self.a2 * self.a2):
-            raise DomainError(f"need a1^2 != a2^2, got a1={self.a1}, a2={self.a2}")
-        object.__setattr__(self, "C2", -self.a1 * self.C1)
-        object.__setattr__(
-            self, "C3", -(d - 2.0 * self.a1 * self.a2 * self.k) / (2.0 * d)
-        )
-        object.__setattr__(self, "C4", -self.a2 * self.a2 * self.k / d)
-        object.__setattr__(self, "C5", -2.0 * self.a1 * self.C1 * self.C3)
-        object.__setattr__(self, "C6", 2.0 * self.a1 * self.a1 * self.k * self.C1 / d)
+        d = a1 * a1 - a2 * a2
+        if d == 0.0 or abs(d) < 1e-14 * (a1 * a1 + a2 * a2):
+            raise DomainError(f"need a1^2 != a2^2, got a1={a1}, a2={a2}")
+        self.C1, self.a1, self.a2, self.k = C1, a1, a2, k
+        self.C2 = -a1 * C1
+        self.C3 = -(d - 2.0 * a1 * a2 * k) / (2.0 * d)
+        self.C4 = -a2 * a2 * k / d
+        self.C5 = -2.0 * a1 * C1 * self.C3
+        self.C6 = 2.0 * a1 * a1 * k * C1 / d
 
     @property
     def alpha(self):
@@ -221,7 +209,6 @@ def da_u_model2(p: Model2Params) -> Callable:
     return da
 
 
-@dataclass(frozen=True)
 class EffectivePotential:
     """Potential of one transformed spinor component, called like its fn,
     which maps w (scalar or array) to the value.  The record stays, rather
@@ -229,7 +216,10 @@ class EffectivePotential:
     a model's real poles belong to its parameters (Model2Params.poles).
     """
 
-    fn: Callable
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable):
+        self.fn = fn
 
     def __call__(self, w):
         return self.fn(w)

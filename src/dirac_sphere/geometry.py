@@ -6,7 +6,6 @@ brings the metric to conformal form with factor R*sech(w).  All coordinates
 are dimensionless; R carries the length unit.
 """
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,15 +33,15 @@ def v_from_w(w):
     return np.arcsin(np.tanh(w))
 
 
-@dataclass(frozen=True)
 class SphereChart:
     """Sphere of radius R > 0; energies scale as 1/R."""
 
-    R: float
+    __slots__ = ("R",)
 
-    def __post_init__(self):
-        if not self.R > 0:
-            raise DomainError(f"sphere radius must be positive, got {self.R}")
+    def __init__(self, R: float):
+        if not R > 0:
+            raise DomainError(f"sphere radius must be positive, got {R}")
+        self.R = R
 
 
 def conformal_factor(chart, w):

@@ -23,11 +23,12 @@ Every flux-form matrix is symmetric tridiagonal and is stored as its
 diagonal and off-diagonal arrays (SLMatrix diag, off), so real spectra are
 structural; the solves return eigenvalues only.  Every spectrum, Galerkin
 or flux-form (a band of width one), is solved by LAPACK dsbev, the one
-routine the package binds.  It comes from scipy's cython_lapack extension,
-loaded by path on the first solve and called through ctypes, which releases
-the GIL: the commands that never solve do not load scipy, verify never runs
-scipy.linalg's package init, and the two spectra of the forced
-isospectrality check are solved side by side on two threads.
+routine the package binds.  Its address comes from scipy's f2py extension
+_flapack, loaded by path on the first solve, and it is called through
+ctypes, which releases the GIL: the commands that never solve do not load
+scipy, verify runs neither scipy's package init nor scipy.linalg's, and the
+two spectra of the forced isospectrality check are solved side by side on
+two threads.
 
 The first-order operator D = cosh d/dw + f, f = cosh (A - k) + sinh/2, that
 factors the general j=1 potential is discretized on the staggered grid (nodes
@@ -57,7 +58,6 @@ import math
 import os
 import sys
 import threading
-from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -109,18 +109,17 @@ __all__ = [
 _EPS = np.finfo(float).eps
 
 
-@dataclass(frozen=True)
 class Grid:
     """Uniform interior grid on [-L, L] with Dirichlet boundaries at +-L."""
 
-    L: float
-    N: int
+    __slots__ = ("L", "N")
 
-    def __post_init__(self):
-        if not 0.0 < self.L < math.inf:
-            raise DomainError(f"grid half-width must be positive and finite, got {self.L}")
-        if self.N < 3 or int(self.N) != self.N:
-            raise DomainError(f"need at least 3 interior points, got {self.N}")
+    def __init__(self, L: float, N: int):
+        if not 0.0 < L < math.inf:
+            raise DomainError(f"grid half-width must be positive and finite, got {L}")
+        if N < 3 or int(N) != N:
+            raise DomainError(f"need at least 3 interior points, got {N}")
+        self.L, self.N = L, N
 
     @property
     def h(self):
@@ -133,7 +132,6 @@ class Grid:
         return -self.L + self.h * (np.arange(0, self.N + 1) + 0.5)
 
 
-@dataclass
 class SLMatrix:
     """Symmetric tridiagonal matrix: diag (order entries) and off, the
     order - 1 entries next to it.
@@ -142,8 +140,10 @@ class SLMatrix:
     points; the matrix does not carry its grid.
     """
 
-    diag: np.ndarray
-    off: np.ndarray
+    __slots__ = ("diag", "off")
+
+    def __init__(self, diag: np.ndarray, off: np.ndarray):
+        self.diag, self.off = diag, off
 
     @property
     def order(self):
@@ -191,39 +191,39 @@ def _require_finite(w, values, what):
     return values
 
 
-_CYTHON_LAPACK = "scipy.linalg.cython_lapack"
-# dsbev(JOBZ, UPLO, N, KD, AB, LDAB, W, Z, LDZ, WORK, INFO) as its capsule's name
-# spells it: LAPACK's Fortran interface with 32-bit integers, d scipy's double
-_D = "__pyx_t_5scipy_6linalg_13cython_lapack_d *"
-_DSBEV_SIGNATURE = f"void (char *, char *, int *, int *, {_D}, int *, {_D}, {_D}, int *, {_D}, int *)"
+_FLAPACK = "scipy.linalg._flapack"
 
 
 class _Lapack:
-    """dsbev from the capsule table capi of scipy's cython_lapack, the one
-    LAPACK routine the oracle calls, as a ctypes function: the call runs
-    without the GIL, so two threads solve side by side.
+    """dsbev from scipy's f2py extension _flapack, the one LAPACK routine the
+    oracle calls, as a ctypes function: the call runs without the GIL, so two
+    threads solve side by side.
 
-    The capsule's name is the routine's C signature; unless it is exactly the
-    expected one (an ILP64 build, say, passes 64-bit integers), ImportError
-    names the routine and the signature, and nothing is called.
+    The f2py routine object carries, in _cpointer, a capsule with no name
+    around the address of LAPACK's own dsbev, so there is no C signature to
+    check.  Two things are checked instead, before any call: the module is
+    scipy's _flapack, whose routines take 32-bit integers by scipy's own
+    contract (get_lapack_funcs(ilp64=False) serves them; the 64-bit-integer
+    build is _flapack_64), and dsbev._cpointer is a capsule with no name, as
+    f2py makes it.  Otherwise ImportError says which check failed.
     """
 
-    def __init__(self, capi):
-        capsule = capi["dsbev"]
-        get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
-        signature = get_name(capsule)
-        if signature != _DSBEV_SIGNATURE.encode():
-            raise ImportError(
-                f"scipy's LAPACK routine dsbev has the signature {signature.decode(errors='replace')!r}, "
-                f"not {_DSBEV_SIGNATURE!r}",
-                name=_CYTHON_LAPACK,
-            )
+    def __init__(self, flapack):
+        name = getattr(flapack, "__name__", None)
+        if name != _FLAPACK:
+            raise ImportError(f"dsbev must come from {_FLAPACK}, not from {name!r}", name=_FLAPACK)
+        capsule = getattr(flapack.dsbev, "_cpointer", None)
+        is_capsule = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.py_object, ctypes.c_char_p)(
+            ("PyCapsule_IsValid", ctypes.pythonapi)
+        )
+        if not is_capsule(capsule, None):
+            raise ImportError(f"{_FLAPACK}.dsbev carries no function capsule in _cpointer", name=_FLAPACK)
         get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
             ("PyCapsule_GetPointer", ctypes.pythonapi)
         )
         i, d = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
         prototype = ctypes.CFUNCTYPE(None, ctypes.c_char_p, ctypes.c_char_p, i, i, d, i, d, d, i, d, i)
-        self._dsbev = prototype(get_pointer(capsule, signature))
+        self._dsbev = prototype(get_pointer(capsule, None))
 
     def dsbev(self, band):
         """(values, info): all eigenvalues, ascending, of the symmetric band
@@ -243,32 +243,49 @@ class _Lapack:
         return w, info.value
 
 
-def _cython_lapack():
-    """scipy's cython_lapack extension module.
+def _load_flapack():
+    """scipy's _flapack extension, loaded by path from the scipy package's
+    directory, which importlib finds without importing scipy."""
+    import importlib.machinery
+    import importlib.util
 
-    `import scipy` runs the distributor init (on Windows wheels it registers
-    the DLL directory); the extension is then loaded by path, so scipy.linalg's
-    package init, which pulls in numpy.f2py, numpy.testing and
-    numpy.polynomial, never runs.  The module is registered under its own
-    name, as an import would, so a later `import scipy.linalg` reuses it; one
-    that scipy.linalg loaded first is reused here, because a Cython module
-    refuses a second init.
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("scipy is not installed", name="scipy")
+    paths = [
+        os.path.join(d, "linalg", "_flapack" + suffix)
+        for d in spec.submodule_search_locations
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES
+    ]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"scipy's LAPACK extension is missing: {paths[0]}", name=_FLAPACK, path=paths[0])
+    loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_FLAPACK, loader))
+    loader.exec_module(module)
+    return module
+
+
+def _flapack():
+    """scipy's f2py LAPACK extension module, _flapack.
+
+    It is loaded by path, so no scipy module runs: neither scipy's package
+    init nor scipy.linalg's, which pulls in numpy.f2py, numpy.testing and
+    numpy.polynomial.  Should the load fail, `import scipy` runs the
+    distributor init (on Windows wheels it puts the bundled LAPACK DLL on the
+    search path) and the load is tried once more.  The module is registered
+    under its own name, as an import would, so a later `import scipy.linalg`
+    reuses it, and one that scipy.linalg loaded first is reused here.
     """
-    module = sys.modules.get(_CYTHON_LAPACK)
+    module = sys.modules.get(_FLAPACK)
     if module is None:
-        import importlib.machinery
-        import importlib.util
+        try:
+            module = _load_flapack()
+        except ImportError:
+            import scipy  # noqa: F401
 
-        import scipy
-
-        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
-        path = os.path.join(os.path.dirname(scipy.__file__), "linalg", "cython_lapack" + suffix)
-        if not os.path.isfile(path):
-            raise ImportError(f"scipy's LAPACK extension is missing: {path}", name=_CYTHON_LAPACK, path=path)
-        loader = importlib.machinery.ExtensionFileLoader(_CYTHON_LAPACK, path)
-        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_CYTHON_LAPACK, loader))
-        loader.exec_module(module)
-        sys.modules[_CYTHON_LAPACK] = module
+            module = _load_flapack()
+        sys.modules[_FLAPACK] = module
     return module
 
 
@@ -277,13 +294,13 @@ _LAPACK = None  # the loaded _Lapack, once per process
 
 
 def _lapack():
-    """scipy's LAPACK dsbev (_Lapack), from its cython_lapack extension,
+    """scipy's LAPACK dsbev (_Lapack), from its f2py extension _flapack,
     loaded once per process under a lock, so threads that solve at once load
     the extension once."""
     global _LAPACK
     with _LAPACK_LOCK:
         if _LAPACK is None:
-            _LAPACK = _Lapack(_cython_lapack().__pyx_capi__)
+            _LAPACK = _Lapack(_flapack())
         return _LAPACK
 
 
@@ -496,7 +513,6 @@ _GALERKIN_TOL = 1e-9
 GALERKIN_MAX_LEVELS = (_GALERKIN_CAP // 2 - 8) // 2
 
 
-@dataclass(frozen=True)
 class GalerkinLevels:
     """The lowest levels of a Jacobi-Galerkin solve and how they were found.
 
@@ -504,9 +520,10 @@ class GalerkinLevels:
     the levels of the 2n basis, one per level.
     """
 
-    levels: np.ndarray
-    gap: np.ndarray
-    n: int
+    __slots__ = ("levels", "gap", "n")
+
+    def __init__(self, levels: np.ndarray, gap: np.ndarray, n: int):
+        self.levels, self.gap, self.n = levels, gap, n
 
 
 def _galerkin_eigenvalues(V, a, b, n):
@@ -561,7 +578,6 @@ def _band_eigenvalues(band):
 _ROOT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class PartnerExponents:
     """The Galerkin envelope exponents (a, b) at t = -1 and t = +1 of the two
     components, and which one carries the unpaired zero level.
@@ -571,9 +587,10 @@ class PartnerExponents:
     "j=2" or "neither".
     """
 
-    j1: Tuple[float, float]
-    j2: Tuple[float, float]
-    zero_level: str
+    __slots__ = ("j1", "j2", "zero_level")
+
+    def __init__(self, j1: Tuple[float, float], j2: Tuple[float, float], zero_level: str):
+        self.j1, self.j2, self.zero_level = j1, j2, zero_level
 
 
 def partner_exponents(ends, k) -> PartnerExponents:
@@ -793,13 +810,6 @@ def _residual_reading(terms, i):
     return np.array([math.sqrt(np.dot(q, sq) / norm) for sq in off_sq[i]])
 
 
-def _shallow(record):
-    """A dataclass's fields in declaration order, as one dict of the values
-    themselves (a shallow dict: the grid and details dicts are not copied)."""
-    return {f.name: getattr(record, f.name) for f in fields(record)}
-
-
-@dataclass
 class Claim:
     """One verified statement: metric against tolerance, with provenance.
 
@@ -808,37 +818,32 @@ class Claim:
     is 'recorded'.  tolerance is None for a claim with no threshold.
     """
 
-    claim_id: str
-    paper_ref: str
-    description: str
-    metric: float
-    tolerance: Optional[float] = field(default=None, kw_only=True)
-    verdict: str = field(init=False)
-    grid: Dict[str, float]
-    details: Dict[str, object] = field(default_factory=dict)
+    __slots__ = ("claim_id", "paper_ref", "description", "metric", "tolerance", "verdict", "grid", "details")
 
-    def __post_init__(self):
+    def __init__(self, claim_id: str, paper_ref: str, description: str, metric: float, grid: Dict[str, float],
+                 details: Optional[Dict[str, object]] = None, *, tolerance: Optional[float] = None):
+        self.claim_id, self.paper_ref, self.description, self.metric = claim_id, paper_ref, description, metric
+        self.tolerance, self.grid, self.details = tolerance, grid, {} if details is None else details
         self.verdict = "recorded"
-        if self.claim_id.startswith("f."):
-            self.verdict = "pass" if self.metric <= self.tolerance else "fail"
+        if claim_id.startswith("f."):
+            self.verdict = "pass" if metric <= tolerance else "fail"
 
     def as_dict(self):
-        return _shallow(self)
+        """The fields in __slots__ order, as one shallow dict (the grid and
+        details dicts themselves, not copies)."""
+        return {name: getattr(self, name) for name in Claim.__slots__}
 
 
-@dataclass
 class VerificationReport:
     """All claims for one model at one configuration, in fixed order."""
 
-    model: int
-    k: float
-    R: float
-    levels: int
-    params: Dict[str, float]
-    claims: List[Claim]
+    __slots__ = ("model", "k", "R", "levels", "params", "claims")
+
+    def __init__(self, model: int, k: float, R: float, levels: int, params: Dict[str, float], claims: List[Claim]):
+        self.model, self.k, self.R, self.levels, self.params, self.claims = model, k, R, levels, params, claims
 
     def as_dict(self):
-        out = _shallow(self)
+        out = {name: getattr(self, name) for name in VerificationReport.__slots__}
         out["claims"] = [c.as_dict() for c in self.claims]
         return out
 
@@ -873,7 +878,6 @@ _PRODUCT_TOL = 1e-12
 _COMPOSE_GRID = Grid(4.0, 401)
 
 
-@dataclass(frozen=True)
 class _ModelSpec:
     """What one gauge model brings to its report: the formulas and the words.
 
@@ -886,22 +890,35 @@ class _ModelSpec:
     reading's name to (description, level -> WaveFunctionSpec), in report order.
     """
 
-    model: int
-    params: Dict[str, object]
-    A: Callable
-    dA: Callable
-    raw1: EffectivePotential
-    closed1: EffectivePotential
-    closed2: EffectivePotential
-    poles: Tuple[float, ...]  # Model2Params.poles, or () for Model I
-    ends: Tuple[float, float]  # A at t = -1 and at t = +1
-    b_descriptions: Tuple[str, str]
-    printed: Callable  # level -> SpectralLine of the printed spectrum
-    implied: Callable  # level -> level constant implied by the identity, or None
-    spectrum_details: Callable  # (line, oracle, implied) -> extra c.* details
-    printed_key: str  # d.* details key of the printed level constant
-    eigenfunctions: Dict[str, Tuple[str, Callable]]
-    identity_claims: Callable  # (printed level-0 constant, closed1 at _CONSTANCY_W) -> the g.* claims
+    __slots__ = (
+        "model", "params", "A", "dA", "raw1", "closed1", "closed2", "poles", "ends", "b_descriptions",
+        "printed", "implied", "spectrum_details", "printed_key", "eigenfunctions", "identity_claims",
+    )
+
+    def __init__(
+        self,
+        model: int,
+        params: Dict[str, object],
+        A: Callable,
+        dA: Callable,
+        raw1: EffectivePotential,
+        closed1: EffectivePotential,
+        closed2: EffectivePotential,
+        poles: Tuple[float, ...],  # Model2Params.poles, or () for Model I
+        ends: Tuple[float, float],  # A at t = -1 and at t = +1
+        b_descriptions: Tuple[str, str],
+        printed: Callable,  # level -> SpectralLine of the printed spectrum
+        implied: Callable,  # level -> level constant implied by the identity, or None
+        spectrum_details: Callable,  # (line, oracle, implied) -> extra c.* details
+        printed_key: str,  # d.* details key of the printed level constant
+        eigenfunctions: Dict[str, Tuple[str, Callable]],
+        identity_claims: Callable,  # (printed level-0 constant, closed1 at _CONSTANCY_W) -> the g.* claims
+    ):
+        self.model, self.params, self.A, self.dA = model, params, A, dA
+        self.raw1, self.closed1, self.closed2, self.poles, self.ends = raw1, closed1, closed2, poles, ends
+        self.b_descriptions, self.printed, self.implied = b_descriptions, printed, implied
+        self.spectrum_details, self.printed_key = spectrum_details, printed_key
+        self.eigenfunctions, self.identity_claims = eigenfunctions, identity_claims
 
 
 def consistency_report(params, k, R, levels: int = 4) -> VerificationReport:

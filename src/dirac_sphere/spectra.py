@@ -4,15 +4,16 @@ Energies are computed first as the dimensionless square (E*R)^2; the pair
 E = -+sqrt/R exists only when the square is non-negative.  A level is
 *physical* when both the closed-form square is non-negative and the printed
 eigenfunction is square-integrable.  A SpectralLine stores only the square,
-R and the norm verdict; the energy pair, physicality and its reason are
-derived from them in one place (its properties), so no level can carry a
-verdict that contradicts its own numbers.  The two criteria disagree for
-Model I as printed (the Model-I envelope exponent is negative for
-0 < C1 < 1/2, so every printed eigenfunction has a divergent norm -- the
-package evaluates the form verbatim and flags it).  Each model decides norm
-finiteness in one predicate, shared by its level table and its eigenfunction
-records: _model1_divergence (s > 0 and B > 0) and _model2_norm_finite
-(alpha*beta > 0).
+R and the norm verdict (with the reason when the norm diverges); the energy
+pair, physicality and its reason are derived from them in one place (its
+properties), so no level can carry a verdict that contradicts its own
+numbers.  The two criteria disagree for Model I as printed (the Model-I
+envelope exponent is negative for 0 < C1 < 1/2, so every printed
+eigenfunction has a divergent norm -- the package evaluates the form
+verbatim and flags it).  Each model decides norm finiteness in one
+predicate, shared by its level table and its eigenfunction records:
+_model1_divergence (s > 0 and B > 0) and _model2_divergence
+(alpha*beta > 0), each of which gives the reason a norm diverges.
 
 Norms are computed in t = tanh(w), where every printed eigenfunction is an
 envelope (1-t)^a (1+t)^b times a polynomial or rational factor g.  The norm
@@ -25,7 +26,6 @@ scale-free and read none.  The Model-I exponent
 s = (-1 + sqrt(1 - 4 C1^2))/2 is <= 0, so its norm is never finite.
 """
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Tuple
 
@@ -46,15 +46,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class SpectralLine:
     """One level: dimensionless (E*R)^2, the radius, and the norm verdict;
-    the energy pair and physicality follow from them."""
+    the energy pair and physicality follow from them.  When the norm
+    diverges, norm_reason says why, as the printed eigenfunction's does."""
 
-    level: int
-    E_sq_bar: float
-    R: float
-    norm_finite: bool
+    __slots__ = ("level", "E_sq_bar", "R", "norm_finite", "norm_reason")
+
+    def __init__(self, level: int, E_sq_bar: float, R: float, norm_finite: bool, norm_reason: Optional[str] = None):
+        self.level, self.E_sq_bar, self.R = level, E_sq_bar, R
+        self.norm_finite, self.norm_reason = norm_finite, norm_reason
 
     @property
     def radicand_ok(self):
@@ -81,7 +82,6 @@ class SpectralLine:
         return None
 
 
-@dataclass
 class WaveFunctionSpec:
     """First-component eigenfunction candidate on the w axis.
 
@@ -98,12 +98,10 @@ class WaveFunctionSpec:
     for every later read.
     """
 
-    eval_raw: Callable
-    exponents: Tuple[float, float]
-    ratios: Callable
-    norm_finite: bool
-    norm_reason: Optional[str] = None
-    norm_quadrature: Optional[Callable] = None
+    def __init__(self, eval_raw: Callable, exponents: Tuple[float, float], ratios: Callable, norm_finite: bool,
+                 norm_reason: Optional[str] = None, norm_quadrature: Optional[Callable] = None):
+        self.eval_raw, self.exponents, self.ratios = eval_raw, exponents, ratios
+        self.norm_finite, self.norm_reason, self.norm_quadrature = norm_finite, norm_reason, norm_quadrature
 
     @cached_property
     def _norm(self):
@@ -172,7 +170,8 @@ def energy_model1(n, p: Model1Params, k, R) -> SpectralLine:
         - (s - n) ** 2
         - B * B / (s - n) ** 2
     )
-    return SpectralLine(n, e_sq, R, norm_finite=not _model1_divergence(s, B))
+    divergence = _model1_divergence(s, B)
+    return SpectralLine(n, e_sq, R, norm_finite=not divergence, norm_reason=divergence or None)
 
 
 def wavefn_model1(n, p: Model1Params, k) -> WaveFunctionSpec:
@@ -276,10 +275,17 @@ def _weighted_norm(g, alpha, beta, degree):
     }
 
 
-def _model2_norm_finite(alpha, beta):
-    """Whether the Model-II envelope denominator alpha + beta + (alpha - beta) t
-    has no root t in [-1, 1], i.e. whether the norm integral is finite."""
-    return alpha * beta > 0.0
+def _model2_divergence(alpha, beta):
+    """Why the Model-II norm integrand is not integrable, or "" when it is:
+    the envelope denominator alpha + beta + (alpha - beta) t has its root in
+    [-1, 1] unless alpha*beta > 0."""
+    if alpha * beta > 0.0:
+        return ""
+    t0 = -(alpha + beta) / (alpha - beta)
+    return (
+        f"denominator alpha + beta + (alpha - beta) t vanishes at t = {t0!r} "
+        "in [-1, 1]: the squared envelope is not integrable there"
+    )
 
 
 def energy_model2(m, alpha, beta, k, R) -> SpectralLine:
@@ -302,7 +308,8 @@ def energy_model2(m, alpha, beta, k, R) -> SpectralLine:
         - (alpha * alpha + beta * beta - 2.0) / 4.0
         - k * k / (1.0 + k * k) ** 2
     )
-    return SpectralLine(int(m), e_sq, R, norm_finite=_model2_norm_finite(alpha, beta))
+    divergence = _model2_divergence(alpha, beta)
+    return SpectralLine(int(m), e_sq, R, norm_finite=not divergence, norm_reason=divergence or None)
 
 
 def energy_model2_matched(m, p: Model2Params) -> float:
@@ -336,14 +343,9 @@ def wavefn_model2(m, alpha, beta, polynomial="classical") -> WaveFunctionSpec:
     m = int(m)
     rows_fn = specfun.jacobi_rows if polynomial == "classical" else specfun.x1_rows
     # Norm integrand (1-t)^alpha (1+t)^beta (poly/den)^2; alpha, beta > -1, so it
-    # is finite iff the denominator's root t0 lies off [-1, 1] (alpha*beta > 0).
-    t0 = -(alpha + beta) / (alpha - beta)
-    divergence = "" if _model2_norm_finite(alpha, beta) else (
-        f"denominator alpha + beta + (alpha - beta) t vanishes at t = {t0!r} "
-        "in [-1, 1]: the squared envelope is not integrable there"
-    )
+    # is finite iff the denominator's root lies off [-1, 1] (alpha*beta > 0).
     return _printed_wavefunction(
         m, ((alpha + 1.0) / 2.0, (beta + 1.0) / 2.0),
         lambda levels, t, d: rows_fn(np.asarray(levels) + 1, alpha, beta, t, d), (alpha + beta, alpha - beta),
-        divergence, (alpha, beta), m + 1,
+        _model2_divergence(alpha, beta), (alpha, beta), m + 1,
     )

@@ -120,7 +120,7 @@ def test_spectrum_model2_values(tmp_path):
     cfg = write_config(tmp_path, model2_doc())
     assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 0
     header, rows = read_csv(tmp_path / "spectrum.csv")
-    assert header == ["level", "E_sq_bar", "E_minus", "E_plus", "physical", "reason"]
+    assert header == ["level", "E_sq_bar", "E_minus", "E_plus", "physical", "reason", "norm_divergence"]
     assert len(rows) == 3
     assert float(rows[0][3]) == pytest.approx(math.sqrt(113 / 75), abs=1e-12)
     assert float(rows[1][3]) == pytest.approx(2.2, abs=1e-12)
@@ -142,6 +142,38 @@ def test_spectrum_model2_pole_branch_divergent_norm(tmp_path):
     assert cli.main(["spectrum", "--config", example, "--out", str(out)]) == 0
     _, rows = read_csv(out / "spectrum.csv")
     assert rows and all(r[4] == "true" and r[5] == "" for r in rows)
+
+
+@pytest.mark.parametrize(
+    "doc, divergent",
+    [
+        (model1_doc(), True),
+        ({"model": 2, "R": 1, "k": 0.5, "model2": {"sign_a": "+", "sign_b": "-"}}, True),
+        (model2_doc(), False),
+        # alpha <= -1 has no printed eigenfunction record, but a spectrum
+        (model2_doc(model2={"alpha": -1.5, "beta": 0.5}), True),
+    ],
+    ids=["model1", "model2-pole", "model2-regular", "model2-alpha-below-minus-one"],
+)
+def test_spectrum_names_why_a_norm_diverges(tmp_path, doc, divergent):
+    # the norm_divergence column is the reason the printed eigenfunction's
+    # norm diverges (its norm_reason), quoted where it holds a comma, and
+    # empty where the norm is finite; reason keeps its one word
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 0
+    header, rows = read_csv(tmp_path / "spectrum.csv")
+    assert header[-2:] == ["reason", "norm_divergence"] and all(len(r) == len(header) for r in rows)
+    assert all((r[6] != "") == divergent and (r[5] == "divergent-norm") <= divergent for r in rows)
+    c = cli.parse_config(doc)
+    spec = oracle.model_spec(c.params(), c.k, c.R)
+    for r in rows:
+        assert r[6] == (spec.printed(int(r[0])).norm_reason or "")
+        if "alpha" not in doc.get("model2", {}):
+            for _, wavefunction in spec.eigenfunctions.values():
+                assert r[6] == (wavefunction(int(r[0])).norm_reason or "")
+    if doc["model"] == 2 and doc["k"] == 0.5:
+        assert all("vanishes at t = -0.5" in r[6] and "in [-1, 1]:" in r[6] for r in rows)
+        assert ',"denominator alpha' in (tmp_path / "spectrum.csv").read_text()
 
 
 def test_spectrum_model1_fig1_nonphysical(tmp_path):
@@ -493,6 +525,26 @@ def test_unwritable_output_path_exits_1_writes_nothing(tmp_path, capsys, args, o
     assert (tmp_path / "taken").read_text() == "mine\n"
 
 
+@pytest.mark.parametrize(
+    "args, sidecar",
+    [
+        (["wavefunction", "--config", example_config("model1.json")], "wavefunction_l0_norm.json"),
+        (["potential", "--config", example_config("model2_pole.json"), "--which", "A_u"], "potential_a_u_poles.json"),
+    ],
+    ids=["wavefunction-norm", "potential-poles"],
+)
+def test_unwritable_sidecar_writes_no_curve(tmp_path, capsys, args, sidecar):
+    # a curve and its sidecar are one set: when the sidecar path cannot be
+    # written (here an existing directory), the command exits 1 and leaves
+    # neither the curve nor a temporary file
+    (tmp_path / sidecar).mkdir()
+    assert cli.main(args + ["--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: cannot write {tmp_path / sidecar}")
+    assert sorted(os.listdir(tmp_path)) == [sidecar]
+    assert not os.listdir(tmp_path / sidecar)
+
+
 def test_env_var_default_outdir(tmp_path, monkeypatch):
     monkeypatch.setenv("DIRAC_SPHERE_OUT", str(tmp_path / "envout"))
     cfg = write_config(tmp_path, model2_doc(grid={"L": 6.0, "N": 401}, levels=2))
@@ -842,9 +894,9 @@ print(json.dumps([code, [m for m in probe if m in sys.modules]]))
 )
 def test_only_verify_loads_scipy(tmp_path, args, solves):
     # a fresh interpreter per command: only verify solves, so only verify may
-    # pay for scipy, and it loads the cython_lapack extension alone: never
-    # the f2py wrappers of _flapack, nor the scipy.linalg package, whose init
-    # pulls in numpy.f2py, numpy.testing and numpy.polynomial
+    # pay for scipy, and it loads the f2py extension _flapack alone: never
+    # scipy's package init, nor the scipy.linalg package, whose init pulls in
+    # numpy.f2py, numpy.testing and numpy.polynomial
     res = subprocess.run(
         [sys.executable, "-c", _MODULE_PROBE, *args] + (["--out", str(tmp_path)] if args else []),
         capture_output=True, text=True, env=child_env(),
@@ -852,7 +904,7 @@ def test_only_verify_loads_scipy(tmp_path, args, solves):
     assert res.returncode == 0, res.stderr
     code, loaded = json.loads(res.stdout)
     assert code == 0
-    assert loaded == (["scipy", "scipy.linalg.cython_lapack"] if solves else [])
+    assert loaded == (["scipy.linalg._flapack"] if solves else [])
 
 
 _COEXIST_PROBE = """
@@ -864,15 +916,15 @@ from dirac_sphere import cli, oracle
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["verify", "--config", sys.argv[2], "--out", sys.argv[3]])
 import scipy.linalg
-from scipy.linalg import cython_lapack
+from scipy.linalg import lapack
 m = oracle.SLMatrix(diag=np.linspace(1.0, 9.0, 60) ** 2, off=np.full(59, -2.5))
 every = scipy.linalg.eigh_tridiagonal(m.diag, m.off, eigvals_only=True)
-dense = np.diag(m.diag) + np.diag(m.off, 1) + np.diag(m.off, -1)
-p, l, u = scipy.linalg.lu(dense)  # dgetrf through cython_lapack
+band = np.random.default_rng(3).standard_normal((40, 40))
+ref, _, info = lapack.dsbev(band, compute_v=0, lower=1)
 print(json.dumps([
     code,
-    cython_lapack is sys.modules["scipy.linalg.cython_lapack"],
-    bool(np.allclose(p @ l @ u, dense)),
+    oracle._flapack() is lapack._flapack is sys.modules["scipy.linalg._flapack"],
+    info == 0 and bool(np.array_equal(oracle._band_eigenvalues(band), ref)),
     bool(np.array_equal(oracle.eig_values(m), every)),
     bool(np.array_equal(oracle.eig_lowest(m, 5), every[:5])),
 ]))
@@ -880,9 +932,10 @@ print(json.dumps([
 
 
 def test_lapack_extension_and_scipy_linalg_coexist(tmp_path):
-    # verify's path-loaded cython_lapack and scipy.linalg's own import, in
-    # either order in one interpreter: one module, which scipy.linalg's own
-    # Cython code calls too, equal eigenvalues, equal reports
+    # verify's path-loaded _flapack and scipy.linalg's own import, in either
+    # order in one interpreter: one module object, whose dsbev gives the same
+    # bits through scipy.linalg's f2py wrapper and through the oracle's
+    # binding, equal eigenvalues, equal reports
     reports = []
     for order in ("verify-first", "package-first"):
         out = tmp_path / order
@@ -894,6 +947,33 @@ def test_lapack_extension_and_scipy_linalg_coexist(tmp_path):
         assert json.loads(res.stdout) == [0, True, True, True, True], order
         reports.append((out / "verify_model1.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+_RECORDS_PROBE = """
+import inspect, json, sys
+import numpy
+before = set(sys.modules)
+import dirac_sphere.cli
+added = set(sys.modules) - before
+from dirac_sphere import errors, gauge, geometry, oracle, specfun, spectra
+import dataclasses
+records = [
+    f"{mod.__name__}.{name}"
+    for mod in (dirac_sphere.cli, errors, gauge, geometry, oracle, specfun, spectra)
+    for name, obj in vars(mod).items()
+    if inspect.isclass(obj) and obj.__module__ == mod.__name__ and dataclasses.is_dataclass(obj)
+]
+print(json.dumps(["dataclasses" in added, records]))
+"""
+
+
+def test_package_defines_no_dataclass():
+    # a fresh interpreter: the package's records are plain classes, so
+    # importing the CLI after numpy loads no dataclasses module and runs no
+    # generated code
+    res = subprocess.run([sys.executable, "-c", _RECORDS_PROBE], capture_output=True, text=True, env=child_env())
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [False, []]
 
 
 def test_verify_lapack_failure_exits_2_writes_nothing(tmp_path, lapack_failure, capsys):

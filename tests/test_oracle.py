@@ -1,6 +1,6 @@
 import _thread
 import collections
-import dataclasses
+import copy
 import json
 import math
 import os
@@ -124,11 +124,11 @@ _COMPOSE_CASES += [(m2_params(C1=1 / k, k=k), k) for k in (1.5, 2.0, 3.0, 4.0)]
 
 @pytest.mark.parametrize("params, k", _COMPOSE_CASES)
 def test_eig_values_equals_dstevd_bitwise(params, k):
-    # eig_values runs dsbev on a band of width one through cython_lapack, so
-    # f.isospectrality reads the bits of dstevd, which runs the same
-    # tridiagonal iteration without eigenvectors, and of dsbev, both called
-    # through scipy's f2py wrappers, a second access path, on both
-    # compositions of D
+    # eig_values runs dsbev on a band of width one through the ctypes binding
+    # of _flapack's routine pointer, so f.isospectrality reads the bits of
+    # dstevd, which runs the same tridiagonal iteration without eigenvectors,
+    # and of dsbev, both called through scipy's f2py wrappers, a second
+    # access path, on both compositions of D
     from scipy.linalg import lapack
 
     spec = oracle.model_spec(params, k, 1.0)
@@ -141,8 +141,8 @@ def test_eig_values_equals_dstevd_bitwise(params, k):
 
 @pytest.mark.parametrize("n", [32, 64, 128, 256])
 def test_band_eigenvalues_equal_f2py_dsbev_bitwise(n):
-    # the Galerkin solves' dsbev through cython_lapack against scipy's f2py
-    # wrapper of the same routine, on a full lower band in either memory order
+    # the Galerkin solves' dsbev through its ctypes binding against scipy's
+    # f2py wrapper of the same routine, on a full lower band in either memory order
     from scipy.linalg import lapack
 
     rng = np.random.default_rng(n)
@@ -156,12 +156,15 @@ def test_band_eigenvalues_equal_f2py_dsbev_bitwise(n):
 
 
 def test_missing_lapack_extension_names_its_path(tmp_path, monkeypatch):
-    import scipy
+    import importlib.machinery
+    import importlib.util
 
-    monkeypatch.delitem(sys.modules, "scipy.linalg.cython_lapack", raising=False)
+    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
     monkeypatch.setattr(oracle, "_LAPACK", None)
-    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
-    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg" / "cython_lapack"))):
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec if name == "scipy" else None)
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg" / "_flapack"))):
         oracle.eig_values(box_matrix(9))
 
 
@@ -176,32 +179,64 @@ def _capsule(name):
     return new(ctypes.addressof(target), label, None), (target, label)
 
 
-_ILP64_DSBEV = (
-    "void (char *, char *, long *, long *, __pyx_t_5scipy_6linalg_13cython_lapack_d *, long *, "
-    "__pyx_t_5scipy_6linalg_13cython_lapack_d *, __pyx_t_5scipy_6linalg_13cython_lapack_d *, "
-    "long *, __pyx_t_5scipy_6linalg_13cython_lapack_d *, long *)"
-)
-
-
-@pytest.mark.parametrize("source", ["other-routine", "ilp64"])
-def test_lapack_refuses_a_mismatched_signature(monkeypatch, source):
-    # a capsule whose signature is not dsbev's, whether another routine's or
-    # one with 64-bit integers, is refused before any call through it
-    import scipy.linalg.cython_lapack as cython_lapack
-
-    capi = dict(cython_lapack.__pyx_capi__)
+@pytest.mark.parametrize("source", ["ilp64-module", "no-capsule", "named-capsule"])
+def test_lapack_refuses_a_routine_it_cannot_vouch_for(monkeypatch, source):
+    # the f2py capsule has no name and so no signature: dsbev is called only
+    # from scipy's _flapack (LP64; the ILP64 build is _flapack_64) and only
+    # through an unnamed capsule; anything else is refused before any call
+    flapack = oracle._flapack()
     keep = None
-    if source == "other-routine":
-        capi["dsbev"], shown = capi["dstevd"], "void (char *, int *, "
+    if source == "ilp64-module":
+        fake, shown = types.SimpleNamespace(__name__="scipy.linalg._flapack_64", dsbev=flapack.dsbev), "not from"
+    elif source == "no-capsule":
+        fake = types.SimpleNamespace(__name__=oracle._FLAPACK, dsbev=types.SimpleNamespace())
+        shown = "no function capsule"
     else:
-        (capi["dsbev"], keep), shown = _capsule(_ILP64_DSBEV), "void (char *, char *, long *, "
-    monkeypatch.setitem(sys.modules, "scipy.linalg.cython_lapack", types.SimpleNamespace(__pyx_capi__=capi))
+        capsule, keep = _capsule("dsbev")
+        fake = types.SimpleNamespace(__name__=oracle._FLAPACK, dsbev=types.SimpleNamespace(_cpointer=capsule))
+        shown = "no function capsule"
+    monkeypatch.setitem(sys.modules, "scipy.linalg._flapack", fake)
     monkeypatch.setattr(oracle, "_LAPACK", None)
-    with pytest.raises(ImportError) as info:
+    with pytest.raises(ImportError, match=shown):
         oracle.eig_values(box_matrix(9))
-    assert f"routine dsbev has the signature '{shown}" in str(info.value)
-    assert "not 'void (char *, char *, int *, int *, " in str(info.value)
     del keep
+
+
+def _child_env():
+    """The environment for a child interpreter that imports this package's source."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(oracle.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+_RETRY_PROBE = """
+import json, sys
+import numpy as np
+from dirac_sphere import oracle
+load, seen = oracle._load_flapack, []
+def fails_once():
+    seen.append("scipy" in sys.modules)
+    if len(seen) == 1:
+        raise ImportError("the bundled LAPACK library is not on the search path")
+    return load()
+oracle._load_flapack = fails_once
+m = oracle.SLMatrix(diag=np.linspace(1.0, 9.0, 60) ** 2, off=np.full(59, -2.5))
+values = oracle.eig_values(m)
+from scipy.linalg import lapack
+ref, _, info = lapack.dstevd(m.diag, m.off, compute_v=0)
+one = sys.modules["scipy.linalg._flapack"] is lapack._flapack
+print(json.dumps([seen, info, bool(np.array_equal(values, ref)), one]))
+"""
+
+
+def test_lapack_load_retries_once_after_scipy_init():
+    # on Windows wheels only scipy's package init puts the bundled LAPACK
+    # library on the search path: a by-path load that fails runs
+    # `import scipy` and loads once more
+    res = subprocess.run(
+        [sys.executable, "-c", _RETRY_PROBE], capture_output=True, text=True, env=_child_env(), timeout=120
+    )
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [[False, True], 0, True, True]
 
 
 def _closed_matrix(pot, grid):
@@ -437,7 +472,7 @@ _COLD_LOAD_PROBE = """
 import importlib.machinery, json, sys, threading
 import numpy as np
 from dirac_sphere import oracle
-assert "scipy.linalg.cython_lapack" not in sys.modules
+assert "scipy.linalg._flapack" not in sys.modules
 executed = []
 exec_module = importlib.machinery.ExtensionFileLoader.exec_module
 def counted(self, module):
@@ -468,19 +503,17 @@ finally:
 alive = sum(t.is_alive() for t in threads)
 serial = [oracle.eig_values(m) for m in matrices]
 equal = all(r is not None and np.array_equal(r, s) for r, s in zip(results, serial))
-print(json.dumps([executed.count("scipy.linalg.cython_lapack"), alive, errors, equal]))
+print(json.dumps([executed.count("scipy.linalg._flapack"), alive, errors, equal]))
 """
 
 
 def test_lapack_loads_once_from_many_threads():
     # a fresh interpreter, so the loader is cold: eight threads (more than the
     # cores) make their first solve at once, with the interpreter switching
-    # threads as often as it can; the extension is executed once (a second
-    # init of a Cython module raises) and every spectrum matches a serial one
-    src = os.path.dirname(os.path.dirname(os.path.abspath(oracle.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # threads as often as it can; the extension is executed once and every
+    # spectrum matches a serial one
     res = subprocess.run(
-        [sys.executable, "-c", _COLD_LOAD_PROBE], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", _COLD_LOAD_PROBE], capture_output=True, text=True, env=_child_env(), timeout=120
     )
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout) == [1, 0, [], True]
@@ -517,7 +550,9 @@ def _one_level(wf, level, V, lams):
 
 def _bent(wf, ratios):
     """wf with its reading's ratios(t, levels) replaced."""
-    return dataclasses.replace(wf, ratios=ratios)
+    return spectra.WaveFunctionSpec(
+        wf.eval_raw, wf.exponents, ratios, wf.norm_finite, wf.norm_reason, wf.norm_quadrature
+    )
 
 
 def _model2_readings(k, m, variant):
@@ -715,11 +750,10 @@ def test_galerkin_refuses_a_closed_form_off_the_general_one(monkeypatch):
     spec_of = oracle._model1_spec
 
     def bent(params, k, R):
-        spec = spec_of(params, k, R)
+        spec = copy.copy(spec_of(params, k, R))
         closed1 = spec.closed1
-        return dataclasses.replace(
-            spec, closed1=gauge.EffectivePotential(lambda w: closed1(w) + 1e-6 * np.tanh(w))
-        )
+        spec.closed1 = gauge.EffectivePotential(lambda w: closed1(w) + 1e-6 * np.tanh(w))
+        return spec
 
     monkeypatch.setattr(oracle, "_model1_spec", bent)
     with pytest.raises(DomainError, match="differs from the general form by more than a constant"):
@@ -978,7 +1012,8 @@ def test_partner_claims_fail_on_principal_j2_exponents(monkeypatch):
 
     def principal(ends, k):
         nu2 = [k - A - 0.5 * eps for A, eps in zip(ends, (-1.0, 1.0))]
-        return dataclasses.replace(exponents_of(ends, k), j2=tuple((1.0 + abs(nu)) / 2.0 for nu in nu2))
+        e = exponents_of(ends, k)
+        return oracle.PartnerExponents(e.j1, tuple((1.0 + abs(nu)) / 2.0 for nu in nu2), e.zero_level)
 
     monkeypatch.setattr(oracle, "partner_exponents", principal)
     k = 2.0
@@ -1143,7 +1178,7 @@ def test_report_samples_each_potential_once_on_the_constancy_grid(model, monkeyp
                 seen[label] += np.size(w) == oracle._CONSTANCY_GRID["n_pts"]
                 return pot(w)
 
-            return dataclasses.replace(pot, fn=fn)
+            return gauge.EffectivePotential(fn)
 
         return make
 
