@@ -15,29 +15,32 @@ verify and figures; --grid-L/--grid-N for potential, wavefunction and
 figures, since verify reads no grid; --strict for verify), and any other
 flag, or a flag's prefix, is a config error.
 
-All files are written atomically (temp + rename), with LF line endings and
-'.' decimal points; curve files are two-column CSV, sampled in one pass over
-the grid, reports are JSON.  The default output directory comes from --out,
-then the config, then the DIRAC_SPHERE_OUT environment variable, then the
-working directory.
+Each command's files are one set, written whole or not at all: every file
+goes to a temp file beside its path before any earlier file is replaced, so a
+set that cannot be written leaves every earlier file as it was.  Files have
+LF line endings and '.' decimal points; curve files are two-column CSV,
+sampled in one pass over the grid, reports are JSON.  The default output
+directory comes from --out, then the config, then the DIRAC_SPHERE_OUT
+environment variable, then the working directory.
 
 Each call builds the parser of the one command its arguments name (of all
-five when they name none); _json_text writes every JSON file, as json.dumps
-would with indent=2.  --help leaves this last paragraph out.
+five when they name none).  Every cmd_* only computes its (path, text) files;
+main hands them to _write_set, the one writer.  _json_text writes every JSON
+file, as json.dumps would with indent=2.  --help leaves this last paragraph out.
 """
 import argparse
+import errno
 import gc
 import json
 import math
 import os
-import shutil
 import sys
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, DiracSphereError, DomainError, PoleError
-from .gauge import BRANCH_LABELS, Model1Params, alpha_beta, model2_derive_params
+from .gauge import BRANCH_LABELS, Model1Params, alpha_beta, model2_derive_params, require_admissible
 from .oracle import GALERKIN_MAX_LEVELS, Grid, _require_finite, consistency_report, model_spec
 
 __all__ = ["RunConfig", "main", "console_main"]
@@ -66,6 +69,7 @@ class RunConfig:
             return Model1Params.from_branch(b["C1"], self.k, b["branch"])
         if "alpha" in b:
             al, be = b["alpha"], b["beta"]
+            require_admissible(al, be)
         else:
             al, be = alpha_beta(self.k, b["sign_a"], b["sign_b"])
         return model2_derive_params(b["C1"], be - al, be + al, self.k)
@@ -197,22 +201,21 @@ def _read_config(path):
 
 
 def _atomic_write(path, text):
-    """Write text to path by a temp file (opened 0666, so the umask sets the mode) and a rename.
-    A path that cannot be written is a ConfigError naming it and the OS error."""
+    """Write text in full to a new temp file beside path (opened 0666, so the
+    umask sets the mode) and return the temp's path: the write half of an
+    atomic replace, whose rename _write_set makes.  A temp this call cannot
+    finish is removed; the OSError propagates."""
     d = os.path.dirname(path) or "."
+    os.makedirs(d, exist_ok=True)
     tmp = os.path.join(d, f".tmp-{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
-        os.makedirs(d, exist_ok=True)
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        os.replace(tmp, path)
-    except BaseException as exc:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        if isinstance(exc, OSError):
-            raise ConfigError(f"cannot write {path}: {exc}") from exc
+    except BaseException:
+        os.unlink(tmp)
         raise
+    return tmp
 
 
 def _fmt(x):
@@ -250,19 +253,33 @@ def _json_text(obj, indent="\n"):
 
 
 def _write_set(files):
-    """Write each (path, text) of files with _atomic_write and return the
-    paths.  When one cannot be written, the files this call already wrote are
-    removed before the error propagates, so a refused set leaves none."""
-    written = []
+    """Write the (path, text) files of one command as one set, whole or not
+    at all, and return their paths.
+
+    A path that is a directory is refused before anything is written; every
+    text is then written in full beside its path (_atomic_write) before any
+    earlier file is replaced by a rename, so only a rename, onto a checked
+    path in a directory just written to, is left to fail.  A set that cannot
+    be written removes its temp files, leaves every earlier file as it was,
+    and is a ConfigError naming the path and the OS error.
+    """
+    staged = []
     try:
-        for path, text in files:
-            _atomic_write(path, text)
-            written.append(path)
-    except BaseException:
-        for path in written:
-            os.unlink(path)
+        for target, _ in files:
+            if os.path.isdir(target):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        for target, text in files:
+            staged.append((_atomic_write(target, text), target))
+        for tmp, target in staged:
+            os.replace(tmp, target)
+    except BaseException as exc:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):  # exc's own text would name the temp file
+            raise ConfigError(f"cannot write {target}: [Errno {exc.errno}] {exc.strerror}") from exc
         raise
-    return written
+    return [path for path, _ in files]
 
 
 def _csv_text(header, rows):
@@ -308,7 +325,7 @@ _SPECTRUM_HEADER = ["level", "E_sq_bar", "E_minus", "E_plus", "physical", "reaso
 def cmd_spectrum(cfg: RunConfig, outdir):
     """The printed levels as a CSV table; norm_divergence is the reason the
     level's printed eigenfunction has no finite norm, or empty."""
-    return _write_set([(os.path.join(outdir, "spectrum.csv"), _csv_text(_SPECTRUM_HEADER, _spectrum_rows(cfg)))])
+    return [(os.path.join(outdir, "spectrum.csv"), _csv_text(_SPECTRUM_HEADER, _spectrum_rows(cfg)))]
 
 
 def _curve(cfg: RunConfig, which):
@@ -353,7 +370,7 @@ def _curve_files(cfg: RunConfig, fn, poles, path):
 
 def cmd_potential(cfg: RunConfig, which, outdir):
     fn, poles = _curve(cfg, which)
-    return _write_set(_curve_files(cfg, fn, poles, os.path.join(outdir, f"potential_{which.lower()}.csv")))
+    return _curve_files(cfg, fn, poles, os.path.join(outdir, f"potential_{which.lower()}.csv"))
 
 
 def cmd_wavefunction(cfg: RunConfig, level, polynomial, outdir):
@@ -364,8 +381,7 @@ def cmd_wavefunction(cfg: RunConfig, level, polynomial, outdir):
     how the norm was decided: `norm_rule`/`norm_nodes` for a finite norm, or
     `norm_divergence` (the analytic reason) for the raw printed form.  The
     norm is read before the curve is sampled, so a norm no rule resolves
-    (IntegrationError) writes nothing, and the curve and its sidecars are
-    written as one set (_write_set).
+    (IntegrationError) leaves no file to write.
     """
     if level < 0:
         raise ConfigError(f"--level must be a non-negative integer, got {level}")
@@ -383,13 +399,15 @@ def cmd_wavefunction(cfg: RunConfig, level, polynomial, outdir):
     # pole spec.poles holds
     path = os.path.join(outdir, f"wavefunction_l{level}{suffix}.csv")
     side = (path[: -len(".csv")] + "_norm.json", _json_text(norm) + "\n")
-    return _write_set(_curve_files(cfg, wf.eval, spec.poles, path) + [side])
+    return _curve_files(cfg, wf.eval, spec.poles, path) + [side]
 
 
 _REPORT_SCHEMA = "dirac-sphere-verification/1"
 
 
 def cmd_verify(cfg: RunConfig, outdir):
+    """The report file, and the ids of the forced claims that failed when
+    the run is strict (none otherwise)."""
     if cfg.levels > GALERKIN_MAX_LEVELS:
         raise ConfigError(
             f"levels must be at most {GALERKIN_MAX_LEVELS}, the most the Galerkin oracle's "
@@ -398,13 +416,8 @@ def cmd_verify(cfg: RunConfig, outdir):
     report = consistency_report(cfg.params(), cfg.k, cfg.R, levels=cfg.levels)
     doc = {"schema": _REPORT_SCHEMA, "config": cfg.echo(), "report": report.as_dict()}
     path = os.path.join(outdir, f"verify_model{cfg.model}.json")
-    _atomic_write(path, _json_text(doc) + "\n")
-    failures = report.forced_failures()
-    if cfg.strict and failures:
-        ids = ", ".join(c.claim_id for c in failures)
-        print(f"strict mode: forced claim(s) failed: {ids}", file=sys.stderr)
-        return [path], 3
-    return [path], 0
+    failed = [c.claim_id for c in report.forced_failures()] if cfg.strict else []
+    return [(path, _json_text(doc) + "\n")], failed
 
 
 _FIG2_NOTE = """Data behind the second figure set.
@@ -432,45 +445,21 @@ _FIGURES = {
 
 
 def cmd_figures(which, overrides, outdir):
-    """Write one figure set; overrides replace keys of its config document.
-
-    The set is written into a temporary directory under outdir, and its
-    files are renamed into outdir/<which> only once every one is written, so
-    a refused curve, or an output path that cannot be written (ConfigError),
-    leaves nothing behind.  An existing outdir/<which> keeps any file the set
-    does not replace.
-    """
+    """The files of one figure set, under outdir/<which>; overrides replace
+    keys of its config document.  An existing outdir/<which> keeps any file
+    the set does not replace."""
     if which not in _FIGURES:
         raise ConfigError(f"figures takes fig1 or fig2, got {which!r}")
     base, spectrum_changes, notes = _FIGURES[which]
     doc = dict(base, **overrides)
     cfg = parse_config(doc)
-    spectrum_cfg = parse_config(dict(doc, **spectrum_changes))
     d = os.path.join(outdir, which)
-    tmp = os.path.join(outdir, f".tmp-{which}-{os.urandom(6).hex()}")
-    try:
-        os.makedirs(outdir, exist_ok=True)
-        os.mkdir(tmp)
-        written = []
-        for curve in ("A_u", "Veff1", "Veff2"):
-            fn, poles = _curve(cfg, curve)
-            written += _write_set(_curve_files(cfg, fn, poles, os.path.join(tmp, f"{curve.lower()}.csv")))
-        written += cmd_spectrum(spectrum_cfg, tmp)
-        for name, text in notes.items():
-            path = os.path.join(tmp, name)
-            _atomic_write(path, text)
-            written.append(path)
-        os.makedirs(d, exist_ok=True)
-        written = [os.path.join(d, os.path.basename(path)) for path in written]
-        for path in written:
-            os.replace(os.path.join(tmp, os.path.basename(path)), path)
-        os.rmdir(tmp)
-    except BaseException as exc:
-        shutil.rmtree(tmp, ignore_errors=True)
-        if isinstance(exc, OSError):
-            raise ConfigError(f"cannot write {d}: {exc}") from exc
-        raise
-    return written
+    files = []
+    for curve in ("A_u", "Veff1", "Veff2"):
+        fn, poles = _curve(cfg, curve)
+        files += _curve_files(cfg, fn, poles, os.path.join(d, f"{curve.lower()}.csv"))
+    files += cmd_spectrum(parse_config(dict(doc, **spectrum_changes)), d)
+    return files + [(os.path.join(d, name), text) for name, text in notes.items()]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -559,10 +548,10 @@ def main(argv=None):
         return 1
 
     try:
-        code = 0
+        failed = []
         if args.command == "figures":
             overrides = _overrides(args, _FIGURES[args.which][0])
-            written = cmd_figures(args.which, overrides, _resolve_out(None, args.out))
+            files = cmd_figures(args.which, overrides, _resolve_out(None, args.out))
         else:
             doc = _read_config(args.config)
             if isinstance(doc, dict):
@@ -570,16 +559,19 @@ def main(argv=None):
             cfg = parse_config(doc)
             outdir = _resolve_out(cfg, args.out)
             if args.command == "spectrum":
-                written = cmd_spectrum(cfg, outdir)
+                files = cmd_spectrum(cfg, outdir)
             elif args.command == "potential":
-                written = cmd_potential(cfg, args.which, outdir)
+                files = cmd_potential(cfg, args.which, outdir)
             elif args.command == "wavefunction":
-                written = cmd_wavefunction(cfg, args.level, args.polynomial, outdir)
+                files = cmd_wavefunction(cfg, args.level, args.polynomial, outdir)
             else:
-                written, code = cmd_verify(cfg, outdir)
-        for path in written:
+                files, failed = cmd_verify(cfg, outdir)
+        for path in _write_set(files):
             print(path)
-        return code
+        if failed:
+            print(f"strict mode: forced claim(s) failed: {', '.join(failed)}", file=sys.stderr)
+            return 3
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

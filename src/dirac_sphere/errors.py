@@ -2,7 +2,7 @@
 
 The CLI exits 1 on ConfigError and 2 on any other DiracSphereError (3 is a
 strict verification failure).  parse_config turns Grid's DomainError into a
-ConfigError; cli._write_curve answers a PoleError with the pole's gap
+ConfigError; cli._curve_files answers a PoleError with the pole's gap
 marker; an IntegrationError carries the unresolved estimate.
 """
 

@@ -36,6 +36,7 @@ __all__ = [
     "v_eff_model2",
     "model2_derive_params",
     "alpha_beta",
+    "require_admissible",
     "midya_constants",
     "midya_rhs",
 ]
@@ -151,11 +152,21 @@ def model2_derive_params(C1, a1, a2, k) -> Model2Params:
     return Model2Params(C1=C1, a1=a1, a2=a2, k=k)
 
 
-def alpha_beta(k, sign_a, sign_b):
-    """The (alpha, beta) pair sign_a/(1-k), sign_b/(1+k) with admissibility checks.
+def require_admissible(alpha, beta):
+    """Refuse a Model-II (alpha, beta) pair unless alpha, beta > -1 and
+    alpha != beta (DomainError): the one check of a sign branch and of an
+    explicit pair alike."""
+    if alpha <= -1.0 or beta <= -1.0:
+        raise DomainError(f"branch gives alpha={alpha}, beta={beta}; both must exceed -1")
+    if alpha == beta:
+        raise DomainError(f"branch gives alpha == beta == {alpha}")
 
-    Rejects k = +-1 (pole), and branches with alpha <= -1, beta <= -1 or
-    alpha == beta.  Signs are the strings '+' or '-'.
+
+def alpha_beta(k, sign_a, sign_b):
+    """The (alpha, beta) pair sign_a/(1-k), sign_b/(1+k), refused unless
+    admissible (require_admissible).
+
+    Rejects k = +-1 (pole) too.  Signs are the strings '+' or '-'.
     """
     signs = {"+": 1.0, "-": -1.0}
     sa, sb = signs.get(sign_a), signs.get(sign_b)
@@ -165,10 +176,7 @@ def alpha_beta(k, sign_a, sign_b):
         raise PoleError(f"k = {k} is a pole of the branch formulas", location=k)
     alpha = sa / (1.0 - k)
     beta = sb / (1.0 + k)
-    if alpha <= -1.0 or beta <= -1.0:
-        raise DomainError(f"branch gives alpha={alpha}, beta={beta}; both must exceed -1")
-    if alpha == beta:
-        raise DomainError(f"branch gives alpha == beta == {alpha}")
+    require_admissible(alpha, beta)
     return alpha, beta
 
 

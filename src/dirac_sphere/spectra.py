@@ -13,7 +13,8 @@ eigenfunction has a divergent norm -- the package evaluates the form
 verbatim and flags it).  Each model decides norm finiteness in one
 predicate, shared by its level table and its eigenfunction records:
 _model1_divergence (s > 0 and B > 0) and _model2_divergence
-(alpha*beta > 0), each of which gives the reason a norm diverges.
+(alpha, beta > -1 and alpha*beta > 0), each of which gives the reason a norm
+diverges.
 
 Norms are computed in t = tanh(w), where every printed eigenfunction is an
 envelope (1-t)^a (1+t)^b times a polynomial or rational factor g.  The norm
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError, IntegrationError, PoleError
-from .gauge import Model1Params, Model2Params, _model2_const, _require_constrained, midya_constants
+from .gauge import Model1Params, Model2Params, _model2_const, _require_constrained, midya_constants, require_admissible
 
 __all__ = [
     "SpectralLine",
@@ -276,9 +277,14 @@ def _weighted_norm(g, alpha, beta, degree):
 
 
 def _model2_divergence(alpha, beta):
-    """Why the Model-II norm integrand is not integrable, or "" when it is:
-    the envelope denominator alpha + beta + (alpha - beta) t has its root in
-    [-1, 1] unless alpha*beta > 0."""
+    """Why the Model-II norm integrand (1-t)^alpha (1+t)^beta (g/den)^2 is
+    not integrable on [-1, 1], or "" when it is: it is iff alpha, beta > -1
+    and the envelope denominator den = alpha + beta + (alpha - beta) t has
+    no root in [-1, 1] (alpha*beta > 0)."""
+    if alpha <= -1.0:
+        return f"weight exponent alpha = {alpha!r} <= -1: (1-t)^alpha is not integrable at t = 1"
+    if beta <= -1.0:
+        return f"weight exponent beta = {beta!r} <= -1: (1+t)^beta is not integrable at t = -1"
     if alpha * beta > 0.0:
         return ""
     t0 = -(alpha + beta) / (alpha - beta)
@@ -293,7 +299,7 @@ def energy_model2(m, alpha, beta, k, R) -> SpectralLine:
 
     (E*R)^2 = (m + (a+b)/2)(m + (a+b+2)/2) + b/a - (a^2 + b^2 - 2)/4 - k^2/(1+k^2)^2.
     The level index m is offset by one from the polynomial degree (m = n - 1).
-    The norm verdict is that of wavefn_model2: finite iff alpha*beta > 0.
+    The norm verdict is that of wavefn_model2 (_model2_divergence).
     """
     if alpha == 0.0:
         raise DomainError("energy formula needs alpha != 0")
@@ -338,8 +344,7 @@ def wavefn_model2(m, alpha, beta, polynomial="classical") -> WaveFunctionSpec:
         raise DomainError(f"polynomial must be 'classical' or 'x1', got {polynomial!r}")
     if m < 0 or int(m) != m:
         raise DomainError(f"level must be a non-negative integer, got {m}")
-    if alpha <= -1 or beta <= -1 or alpha == beta:
-        raise DomainError("need alpha, beta > -1 and alpha != beta")
+    require_admissible(alpha, beta)
     m = int(m)
     rows_fn = specfun.jacobi_rows if polynomial == "classical" else specfun.x1_rows
     # Norm integrand (1-t)^alpha (1+t)^beta (poly/den)^2; alpha, beta > -1, so it

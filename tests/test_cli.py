@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -150,10 +151,8 @@ def test_spectrum_model2_pole_branch_divergent_norm(tmp_path):
         (model1_doc(), True),
         ({"model": 2, "R": 1, "k": 0.5, "model2": {"sign_a": "+", "sign_b": "-"}}, True),
         (model2_doc(), False),
-        # alpha <= -1 has no printed eigenfunction record, but a spectrum
-        (model2_doc(model2={"alpha": -1.5, "beta": 0.5}), True),
     ],
-    ids=["model1", "model2-pole", "model2-regular", "model2-alpha-below-minus-one"],
+    ids=["model1", "model2-pole", "model2-regular"],
 )
 def test_spectrum_names_why_a_norm_diverges(tmp_path, doc, divergent):
     # the norm_divergence column is the reason the printed eigenfunction's
@@ -168,9 +167,8 @@ def test_spectrum_names_why_a_norm_diverges(tmp_path, doc, divergent):
     spec = oracle.model_spec(c.params(), c.k, c.R)
     for r in rows:
         assert r[6] == (spec.printed(int(r[0])).norm_reason or "")
-        if "alpha" not in doc.get("model2", {}):
-            for _, wavefunction in spec.eigenfunctions.values():
-                assert r[6] == (wavefunction(int(r[0])).norm_reason or "")
+        for _, wavefunction in spec.eigenfunctions.values():
+            assert r[6] == (wavefunction(int(r[0])).norm_reason or "")
     if doc["model"] == 2 and doc["k"] == 0.5:
         assert all("vanishes at t = -0.5" in r[6] and "in [-1, 1]:" in r[6] for r in rows)
         assert ',"denominator alpha' in (tmp_path / "spectrum.csv").read_text()
@@ -421,6 +419,18 @@ def test_sample_not_finite_exits_2_writes_nothing(tmp_path, capsys, args, err):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["spectrum", "potential", "wavefunction", "verify"])
+@pytest.mark.parametrize("pair", [(-1.5, -0.5), (0.5, -1.0), (0.5, 0.5)], ids=["alpha", "beta", "equal"])
+def test_explicit_pair_off_the_domain_exits_2_writes_nothing(tmp_path, capsys, command, pair):
+    # an explicit (alpha, beta) pair is held to the sign branches' rule:
+    # alpha, beta > -1 and alpha != beta, or a construction error
+    doc = {"model": 2, "R": 1, "k": 2, "model2": dict(zip(("alpha", "beta"), pair))}
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("construction error: branch gives alpha")
+    assert not out.exists()
+
+
 def test_verify_singular_branch_exits_2(tmp_path):
     doc = model2_doc(model2={"C1": 0.5, "alpha": 1.0, "beta": -1 / 3}, grid={"L": 6.0, "N": 801})
     cfg = write_config(tmp_path, doc)
@@ -536,13 +546,83 @@ def test_unwritable_output_path_exits_1_writes_nothing(tmp_path, capsys, args, o
 def test_unwritable_sidecar_writes_no_curve(tmp_path, capsys, args, sidecar):
     # a curve and its sidecar are one set: when the sidecar path cannot be
     # written (here an existing directory), the command exits 1 and leaves
-    # neither the curve nor a temporary file
+    # neither the curve nor a temporary file, and an older curve as it was
     (tmp_path / sidecar).mkdir()
     assert cli.main(args + ["--out", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"config error: cannot write {tmp_path / sidecar}")
     assert sorted(os.listdir(tmp_path)) == [sidecar]
     assert not os.listdir(tmp_path / sidecar)
+    curve = tmp_path / (sidecar.rsplit("_", 1)[0] + ".csv")
+    curve.write_bytes(b"older\n")
+    assert cli.main(args + ["--out", str(tmp_path)]) == 1
+    assert sorted(os.listdir(tmp_path)) == sorted([sidecar, curve.name])
+    assert curve.read_bytes() == b"older\n"
+
+
+def _tree(root):
+    """Every file under root, hidden ones included, with its bytes."""
+    return {os.path.join(base, name): pathlib.Path(base, name).read_bytes()
+            for base, _, names in os.walk(root) for name in names}
+
+
+def test_figures_directory_target_keeps_the_earlier_set(tmp_path, capsys):
+    # a set with a target that is a directory is refused before any file of
+    # it is replaced: one stderr line names that target (no temporary path),
+    # and the earlier set is kept byte for byte, with no temporary file left
+    assert cli.main(["figures", "fig1", "--out", str(tmp_path)]) == 0
+    target = tmp_path / "fig1" / "veff1.csv"
+    target.unlink()
+    target.mkdir()
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["figures", "fig1", "--grid-L", "5", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"config error: cannot write {target}: [Errno ")
+    assert ".tmp-" not in captured.err
+    assert _tree(tmp_path) == before
+
+
+def test_failed_write_mid_set_keeps_earlier_files(tmp_path, capsys, monkeypatch):
+    # a set that fails while its texts are written replaces no earlier file
+    # and removes every temporary file it wrote
+    out = tmp_path / "out"
+    args = ["wavefunction", "--config", example_config("model2_pole.json"), "--level", "1", "--out", str(out)]
+    assert cli.main(args) == 0
+    before = _tree(out)
+    write = cli._atomic_write
+
+    def refuse_sidecar(path, text):
+        if path.endswith("_norm.json"):
+            raise PermissionError(13, "Permission denied", path + ".tmp")
+        return write(path, text)
+
+    monkeypatch.setattr(cli, "_atomic_write", refuse_sidecar)
+    capsys.readouterr()
+    assert cli.main(args + ["--grid-N", "801"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot write {out / 'wavefunction_l1_classical_norm.json'}: [Errno 13] Permission denied\n"
+    assert _tree(out) == before
+
+
+_EACH_COMMAND = {
+    "spectrum": ["spectrum", "--config", example_config("model1.json")],
+    "potential": ["potential", "--config", example_config("model2_pole.json"), "--which", "A_u"],
+    "wavefunction": ["wavefunction", "--config", example_config("model2.json"), "--polynomial", "x1"],
+    "verify": ["verify", "--config", example_config("model1.json")],
+    "figures": ["figures", "fig2"],
+}
+
+
+@pytest.mark.parametrize("args", _EACH_COMMAND.values(), ids=_EACH_COMMAND)
+def test_successful_command_leaves_only_its_files(tmp_path, capsys, args):
+    # after a run that exits 0 the output directory holds exactly the files
+    # the command printed: no temporary file or directory is left
+    assert cli.main(args + ["--out", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed and sorted(_tree(tmp_path)) == sorted(printed)
+    assert sorted(os.listdir(tmp_path)) == sorted({os.path.relpath(p, tmp_path).split(os.sep)[0] for p in printed})
 
 
 def test_env_var_default_outdir(tmp_path, monkeypatch):

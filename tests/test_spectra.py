@@ -190,6 +190,19 @@ def test_energy_model2_pole_branch_not_physical():
     assert spectra.energy_model2(0, 1.0, 1 / 3, 2.0, 1.0).physical is True
 
 
+@pytest.mark.parametrize(
+    "alpha, beta, reason",
+    [(-1.5, -0.5, "(1-t)^alpha is not integrable at t = 1"),
+     (-0.5, -1.0, "(1+t)^beta is not integrable at t = -1")],
+)
+def test_energy_model2_weight_exponent_below_minus_one_not_physical(alpha, beta, reason):
+    # alpha*beta > 0 keeps the denominator's root off [-1, 1], but a weight
+    # exponent <= -1 still leaves the norm integrand non-integrable at an end
+    line = spectra.energy_model2(0, alpha, beta, 2.0, 1.0)
+    assert line.norm_finite is False and line.physical is False
+    assert line.reason == "divergent-norm" and reason in line.norm_reason
+
+
 @pytest.mark.parametrize("alpha, beta", [(2.0, -2 / 3), (1.0, 1 / 3), (-0.5, -0.25), (0.5, -0.9)])
 def test_energy_model2_norm_verdict_matches_wavefn(alpha, beta):
     line = spectra.energy_model2(0, alpha, beta, 2.0, 1.0)
