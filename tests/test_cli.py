@@ -339,11 +339,16 @@ def test_verify_report_structure_and_exit(tmp_path):
     assert "grid" not in doc["config"]
 
 
-def test_verify_strict_corrupt_exits_3(tmp_path, forced_fault):
+def test_verify_strict_corrupt_exits_3(tmp_path, forced_fault, capsys):
     doc = model2_doc(grid={"L": 8.0, "N": 1201})
     cfg = write_config(tmp_path, doc)
     assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
-    assert cli.main(["verify", "--config", cfg, "--strict", "--out", str(tmp_path)]) == 3
+    assert cli.main(["verify", "--config", cfg, "--strict", "--out", str(tmp_path / "strict")]) == 3
+    # the failing report is still written, and the failure named after it
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == str(tmp_path / "strict" / "verify_model2.json")
+    assert captured.err.startswith("strict mode: forced claim(s) failed: f.")
+    assert (tmp_path / "strict" / "verify_model2.json").read_bytes() == (tmp_path / "verify_model2.json").read_bytes()
 
 
 @pytest.mark.parametrize("example", ["model1.json", "model2.json"])
