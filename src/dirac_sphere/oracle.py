@@ -12,10 +12,11 @@ symmetric matrix goes to LAPACK dsbev, whose result does not depend on the
 BLAS thread count.
 
 The d.* residuals (verify_eigenpair) apply the operator to the printed
-eigenfunction exactly and integrate over |w| <= 8: the report reads no grid.
-One call serves every level of a reading: each quadrature rule is evaluated
-once for the levels that may read it (one tanh, potential sample, envelope
-and recurrence table per Jacobi family), while each level doubles its rule
+eigenfunction exactly and integrate over the whole line on Gauss-Jacobi
+rules whose weight carries the envelope: the report reads no grid.  One call
+serves every level of a reading: each rule is evaluated once for the levels
+that may read it (one potential sample and recurrence table per Jacobi
+family), while each level doubles its rule
 on its own and any error it meets is raised when its claim is built.
 The forced checks discretize it with a conservative (flux-form) finite-
 difference scheme on a uniform grid over [-L, L] with Dirichlet walls.
@@ -53,7 +54,6 @@ expose, not hide.
 """
 import _thread
 import ctypes
-import functools
 import math
 import os
 import sys
@@ -672,25 +672,29 @@ def galerkin_levels(V, exponents, count, poles=(), drift=0.0) -> GalerkinLevels:
     return GalerkinLevels(levels=levels, gap=gap, n=n)
 
 
-# The d.* residuals: 21-point Gauss-Legendre panels on |w| <= 8, 16 and 32
-# of them first, doubled until two readings agree; never past the cap
-_RESIDUAL_WINDOW = 8.0
-_RESIDUAL_PANELS = 16
-_RESIDUAL_MAX_PANELS = 256
+# The d.* residuals: Gauss-Jacobi rules of 16 and 32 nodes first, doubled
+# until two readings agree; never past the Galerkin cap
+_RESIDUAL_NODES = 16
 _RESIDUAL_TOL = 1e-6
+_MEASURES = ("dw", "sphere-area")  # by lift
 
 
-@functools.lru_cache(maxsize=None)
-def _window_rules(panels):
-    """(w, q): the nodes and weights of `panels` equal 21-point Gauss-Legendre
-    panels on |w| <= 8; read-only."""
-    x, q = gauss_jacobi(21, 0.0, 0.0)
-    edges = np.linspace(-_RESIDUAL_WINDOW, _RESIDUAL_WINDOW, panels + 1)
-    mid, half = 0.5 * (edges[1:] + edges[:-1])[:, None], 0.5 * np.diff(edges)[:, None]
-    w, q = (mid + half * x).ravel(), (half * q).ravel()
-    for arr in (w, q):  # cached: every caller shares these arrays
-        arr.flags.writeable = False
-    return w, q
+def _residual_weight(wf):
+    """(2a - 1 + lift, 2b - 1 + lift, lift), (a, b) = wf.exponents: the
+    Jacobi weight of the measure wf's reading is read in.  lift is 0, the
+    operator's own dw = dt/(1-t^2), when 2a - 1 and 2b - 1 exceed -1, else 1,
+    the sphere's area sech^2 w dw = dt; a weight that is still not a Jacobi
+    weight raises DomainError."""
+    a, b = wf.exponents
+    lift = 0 if min(2.0 * a - 1.0, 2.0 * b - 1.0) > -1.0 else 1
+    alpha, beta = 2.0 * a - 1.0 + lift, 2.0 * b - 1.0 + lift
+    if not min(alpha, beta) > -1.0:
+        raise DomainError(
+            f"no residual measure for the envelope exponents (a, b) = ({a!r}, {b!r}): the "
+            f"sphere-area weight (1-t)^{alpha:.6g} (1+t)^{beta:.6g} is not integrable, so phi is "
+            "not square-integrable on the sphere"
+        )
+    return alpha, beta, lift
 
 
 def _local_terms(wf, levels, t, v):
@@ -703,19 +707,6 @@ def _local_terms(wf, levels, t, v):
     dlog = -a / (1.0 - t) + b / (1.0 + t)
     d2log = -a / (1.0 - t) ** 2 - b / (1.0 + t) ** 2
     return r, -(1.0 - t * t) * (r2 + 2.0 * dlog * r1 + (dlog * dlog + d2log) * r) + v * r
-
-
-def _sampled_once(V):
-    """V, sampled once per node set, which its size names: a _window_rules
-    set, or the half points of _COMPOSE_GRID."""
-    samples = {}
-
-    def sampled(w):
-        if w.size not in samples:
-            samples[w.size] = V(w)
-        return samples[w.size]
-
-    return sampled
 
 
 def _deferred(fn, *args):
@@ -735,78 +726,80 @@ def _deferred(fn, *args):
 
 
 def verify_eigenpair(wf, levels, V, lams):
-    """Relative residuals ||(H - lam) phi|| / ||phi|| in L^2(|w| <= 8) of the
-    printed eigenfunctions phi of wf's reading (wf a WaveFunctionSpec of any
-    of its levels) at each level index in levels, one per level constant in
-    that level's row of lams, under H phi = -(cosh^2 phi')' + V phi, applied
+    """Relative residuals ||(H - lam) phi|| / ||phi|| of the printed
+    eigenfunctions phi of wf's reading (wf a WaveFunctionSpec of any of its
+    levels) at each level index in levels, one per level constant in that
+    level's row of lams, under H phi = -(cosh^2 phi')' + V phi, applied
     exactly.
 
-    Each level's readings are taken on P and 2P panels (_window_rules) from
-    P = 16, P doubled by _doubled while any two differ by more than
-    1e-6 (1 + reading); every level stops at its own P.  A rule is
-    evaluated once, the first time a level reads it, for that level and
-    every later one: one tanh, potential sample, envelope and recurrence
-    table per Jacobi family serve all of them and their level constants.  A
-    rule whose evaluation raises refuses the level that read it, and the
-    next level to read it evaluates it again.
+    With phi = E r and H phi = E K (_local_terms, E the envelope) and the
+    n-node Gauss-Jacobi rule (t_i, q_i) of the reading's weight
+    (_residual_weight), each reading is
+    sqrt(sum q_i (1-t_i^2)^(2 lift) (K_i - lam r_i)^2 / sum q_i r_i^2): that
+    of H - lam in L^2(dw) at lift 0, of sech^2 w (H - lam) in L^2 of the
+    sphere's area at lift 1, over the whole line.  Each level's readings are
+    taken on rules of n and 2n nodes from n = 16, n doubled by _doubled
+    while any two differ by more than 1e-6 (1 + reading); every level stops
+    at its own n.  A rule is evaluated once, the first time a level reads
+    it, for that level and every later one: one potential sample and
+    recurrence table per Jacobi family serve all of them and their level
+    constants.  A rule whose evaluation raises refuses the level that read
+    it, and the next level to read it evaluates it again.
     Returns one thunk per level, to be called when its claim is built: it
-    gives (readings on P panels, node count 21 P, each reading's distance to
-    2P), or raises what refused that level.  A 2P past 256, or a phi that
-    vanishes on the window, raises DomainError; a sample that is not finite
-    raises PoleError naming its w.
+    gives (readings on n nodes, n, each reading's distance to 2n, the
+    measure, "dw" or "sphere-area"), or raises what refused that level.  A
+    2n past 256, or a phi that vanishes on the rule, raises DomainError; a
+    sample that is not finite raises PoleError naming its w.
     """
+    alpha, beta, lift = _residual_weight(wf)
     levels = list(levels)
     lams = np.asarray(lams, dtype=float).reshape(len(levels), -1)
     rules = {}
 
-    def reading(panels, i):
+    def reading(n, i):
         # levels settle in order, so a rule is evaluated for the first level
         # that reads it and every later one; each level reads its own row
-        if panels not in rules:
-            rules[panels] = i, _residual_terms(wf, levels[i:], V, lams[i:], panels)
-        first, terms = rules[panels]
+        if n not in rules:
+            rules[n] = i, _residual_terms(wf, levels[i:], V, lams[i:], gauss_jacobi(n, alpha, beta), lift)
+        first, terms = rules[n]
         return _residual_reading(terms, i - first)
 
     def level(i):
-        res, gap, panels = _doubled(
-            lambda panels: reading(panels, i), _RESIDUAL_PANELS, _RESIDUAL_MAX_PANELS, _RESIDUAL_TOL,
-            "eigenpair residuals", "{} and {} panels",
+        res, gap, n = _doubled(
+            lambda n: reading(n, i), _RESIDUAL_NODES, _GALERKIN_CAP, _RESIDUAL_TOL,
+            "eigenpair residuals", "rules of {} and {} nodes",
         )
-        return res.tolist(), _window_rules(panels)[0].size, gap.tolist()
+        return res.tolist(), n, gap.tolist(), _MEASURES[lift]
 
     return [_deferred(level, i) for i in range(len(levels))]
 
 
-def _residual_terms(wf, levels, V, lams, panels):
-    """What every level of verify_eigenpair reads on `panels` panels, each
-    array with one row per level: (w, q, phi, E K, whether each row of either
-    is finite, phi^2, (E (K - lam r))^2 per level constant), E the envelope
-    and H phi = E K.  A potential sample that is not finite raises PoleError
-    naming its w."""
-    w, q = _window_rules(panels)
-    t = np.tanh(w)
-    a, b = wf.exponents
+def _residual_terms(wf, levels, V, lams, rule, lift):
+    """What every level of verify_eigenpair reads on the Gauss-Jacobi rule
+    (t, q), with one row per level: (w = artanh t, q, r, K, whether each row
+    of either is finite, r^2, ((1-t^2)^lift (K - lam r))^2 per level
+    constant).  A potential sample that is not finite raises PoleError."""
+    t, q = rule
+    w = np.arctanh(t)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         v = _require_finite(w, np.asarray(V(w), dtype=float), "potential")
         r, k_r = _local_terms(wf, levels, t, v)
-        env = (1.0 - t) ** a * (1.0 + t) ** b
-        phi, h_phi = env * r, env * k_r
-        finite = np.isfinite(phi).all(axis=1) & np.isfinite(h_phi).all(axis=1)
-        off = env * (k_r[:, None] - lams[:, :, None] * r[:, None])
-        return w, q, phi, h_phi, finite, phi**2, off**2
+        finite = np.isfinite(r).all(axis=1) & np.isfinite(k_r).all(axis=1)
+        off = (1.0 - t * t) ** lift * (k_r[:, None] - lams[:, :, None] * r[:, None])
+        return w, q, r, k_r, finite, r * r, off * off
 
 
 def _residual_reading(terms, i):
     """Row i's readings from terms, what _residual_terms returned: a sample
     of phi or H phi that is not finite raises PoleError naming its w, and a
-    phi that vanishes on the window DomainError."""
-    w, q, phi, h_phi, finite, phi_sq, off_sq = terms
+    phi that vanishes on the rule DomainError."""
+    w, q, r, k_r, finite, r_sq, off_sq = terms
     if not finite[i]:
-        _require_finite(w, phi[i], "eigenfunction")
-        _require_finite(w, h_phi[i], "H applied to the eigenfunction")
-    norm = np.dot(q, phi_sq[i])
+        _require_finite(w, r[i], "eigenfunction")
+        _require_finite(w, k_r[i], "H applied to the eigenfunction")
+    norm = np.dot(q, r_sq[i])
     if norm == 0.0:
-        raise DomainError("eigenfunction vanishes on the residual window")
+        raise DomainError("eigenfunction vanishes on the rule")
     return np.array([math.sqrt(np.dot(q, sq) / norm) for sq in off_sq[i]])
 
 
@@ -928,12 +921,12 @@ def consistency_report(params, k, R, levels: int = 4) -> VerificationReport:
     identities of the factorization (conventions.*), transcription constancy
     checks (a.*, b.*, each spread relative to 1 + max |general form|),
     closed-form spectrum versus Jacobi-Galerkin eigenvalues (c.*, grid
-    {"n": basis size}), continuum eigenfunction residuals (d.*, grid
-    {"w_lo": -8, "w_hi": 8, "nodes": quadrature nodes}), the pairing of the
-    Jacobi-Galerkin levels of the general j=1 and j=2 potentials, Dt*D and
-    D*Dt, past the unpaired zero level of the component partner_exponents
-    names (e.*, grid {"n": basis size}), and the model's solvable-structure
-    identity (g.*).  Both models run through one assembler over the spec
+    {"n": basis size}), continuum eigenfunction residuals in each reading's
+    own measure (d.*, grid {"nodes": Gauss-Jacobi nodes}), the pairing of
+    the Jacobi-Galerkin levels of the general j=1 and j=2 potentials, Dt*D
+    and D*Dt, past the unpaired zero level of the component
+    partner_exponents names (e.*, grid {"n": basis size}), and the model's
+    solvable-structure identity (g.*).  Both models run through one assembler over the spec
     model_spec selects by the type of params.  A level count past
     GALERKIN_MAX_LEVELS raises DomainError, and a real pole (spec.poles)
     PoleError, before any claim is computed; nu_1 = 0 at a pole, where the
@@ -974,11 +967,15 @@ def _forced_claims(A, dA, k, gen1, gen2):
     tie its f to gen1/gen2, the general-form j=1/j=2 potentials (not the
     printed closed forms) sampled at _CONSTANCY_W."""
     claims = []
-    # one sample of A at the half points serves both compose_factorized and
-    # _product_defect
-    a_half = _sampled_once(A)
-    dtd, ddt = compose_factorized(a_half, k, _COMPOSE_GRID)
-    defect = _product_defect(a_half, k, _COMPOSE_GRID, dtd, ddt)
+    # one sample of A at the half points, the only points either reads,
+    # serves both compose_factorized and _product_defect
+    a_half = A(_COMPOSE_GRID.half_points())
+
+    def at_half(w):
+        return a_half
+
+    dtd, ddt = compose_factorized(at_half, k, _COMPOSE_GRID)
+    defect = _product_defect(at_half, k, _COMPOSE_GRID, dtd, ddt)
     claims.append(
         Claim(
             claim_id="f.matrix-symmetry",
@@ -1116,7 +1113,6 @@ def _model_report(spec: _ModelSpec, k, R, levels):
             )
         )
 
-    v1 = _sampled_once(spec.closed1)
     lams = [(lam,) if matched is None else (lam, matched) for lam, matched in zip(printed, implied)]
     residuals = {}
     for n in range(levels):
@@ -1125,13 +1121,13 @@ def _model_report(spec: _ModelSpec, k, R, levels):
             infix = f"{reading}." if len(spec.eigenfunctions) > 1 else ""
             wf = wavefn(n)
             if not n:  # one call per reading: every level's residuals, each raised at its claim
-                residuals[reading] = verify_eigenpair(wf, range(levels), v1, lams)
-            res, nodes, gap = residuals[reading][n]()
+                residuals[reading] = verify_eigenpair(wf, range(levels), spec.closed1, lams)
+            res, nodes, gap, measure = residuals[reading][n]()
             details = {spec.printed_key: lam}
             if matched is not None:
                 details.update(residual_at_identity_energy=res[1], lambda_identity=matched)
             # the residual is scale-free, so no norm is read: only its analytic verdict
-            details.update(window=_RESIDUAL_WINDOW, nodes=nodes, gap_2n=gap, norm_finite=wf.norm_finite)
+            details.update(measure=measure, nodes=nodes, gap_2n=gap, norm_finite=wf.norm_finite)
             if not wf.norm_finite:
                 details.update(norm_divergence=wf.norm_reason)
             claims.append(
@@ -1140,7 +1136,7 @@ def _model_report(spec: _ModelSpec, k, R, levels):
                     f"{ref}.eigenfunction.closed",
                     description,
                     res[0],
-                    {"w_lo": -_RESIDUAL_WINDOW, "w_hi": _RESIDUAL_WINDOW, "nodes": nodes},
+                    {"nodes": nodes},
                     details,
                 )
             )
@@ -1224,7 +1220,8 @@ def _model1_spec(p: Model1Params, k, R) -> _ModelSpec:
         printed_key="lambda",
         eigenfunctions={
             "classical": (
-                "windowed eigenpair residual of the printed eigenfunction at the printed level constant",
+                "eigenpair residual of the printed eigenfunction at the printed level constant, "
+                "in the sphere's area measure on its Gauss-Jacobi rule",
                 lambda n: wavefn_model1(n, p, k),
             ),
         },
@@ -1259,8 +1256,8 @@ def _model2_spec(p: Model2Params, k, R) -> _ModelSpec:
 
     def reading(variant):
         return (
-            f"windowed eigenpair residual of the {variant} polynomial "
-            "interpretation at the printed level constant",
+            f"eigenpair residual of the {variant} polynomial interpretation at the printed "
+            "level constant, in L^2(dw) on its Gauss-Jacobi rule",
             lambda m: wavefn_model2(m, alpha, beta, polynomial=variant),
         )
 

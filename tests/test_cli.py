@@ -332,8 +332,8 @@ def test_verify_report_structure_and_exit(tmp_path):
             # the larger of the two components' basis sizes
             assert c["grid"] == {"n": max(c["details"]["n"])}
         elif c["claim_id"].startswith("d."):
-            # the residual window and its quadrature nodes, not the config grid
-            assert c["grid"] == {"w_lo": -8.0, "w_hi": 8.0, "nodes": c["details"]["nodes"]}
+            # the Gauss-Jacobi rule's nodes in Model II's measure, dw, not the config grid
+            assert c["grid"] == {"nodes": c["details"]["nodes"]} and c["details"]["measure"] == "dw"
         else:
             assert "L" in c["grid"] or "w_lo" in c["grid"]
     assert "grid" not in doc["config"]

@@ -543,8 +543,8 @@ def test_factorization_match_second_order(branch):
 
 
 def _one_level(wf, level, V, lams):
-    """verify_eigenpair's batch of one: the level's (readings, nodes, gap),
-    or the error that refused it, raised."""
+    """verify_eigenpair's batch of one: the level's (readings, nodes, gap,
+    measure), or the error that refused it, raised."""
     return oracle.verify_eigenpair(wf, [level], V, [lams])[0]()
 
 
@@ -570,21 +570,22 @@ def test_verify_eigenpair_negative_control():
     # at either level constant: its residual at the identity level stays >= 1
     for k in (1.5, 2.0, 3.0, 4.0):
         for m in range(4):
-            ((at_printed, at_identity), _, _), _ = _model2_readings(k, m, "classical")
+            ((at_printed, at_identity), _, _, _), _ = _model2_readings(k, m, "classical")
             assert at_printed >= 1.0 and at_identity >= 1.0, (k, m)
 
 
 def test_verify_eigenpair_x1_candidate():
     # the rational-extension eigenfunction solves the closed potential exactly
     # at the identity-implied level, not at the printed one; the continuum
-    # residual reads rounding (the cosh^2 8 terms), no discretization error.
-    # At the printed level it reads the level offset itself (0.2225 at k = 3)
+    # residual in L^2(dw) reads rounding (at most 3.4e-14 here), no
+    # discretization error. At the printed level it reads the level offset
+    # itself (0.2225 at k = 3)
     for k in (1.5, 2.0, 3.0, 4.0):
         for m in range(4):
-            ((at_printed, at_identity), nodes, gap), offset = _model2_readings(k, m, "x1")
-            assert at_identity <= 1e-6 and at_printed >= 0.2, (k, m)
+            ((at_printed, at_identity), nodes, gap, measure), offset = _model2_readings(k, m, "x1")
+            assert at_identity <= 1e-13 and at_printed >= 0.2, (k, m)
             assert at_printed == pytest.approx(offset, rel=1e-9), (k, m)
-            assert nodes == 21 * 16 and max(gap) <= 1e-6, (k, m)
+            assert nodes == 16 and max(gap) <= 1e-6 and measure == "dw", (k, m)
 
 
 def test_verify_eigenpair_refusals():
@@ -603,38 +604,50 @@ def test_verify_eigenpair_refusals():
     bent = _bent(wf, lambda t, levels: (*ratios(t, levels)[:2], np.where(t < 0.0, np.inf, 0.0)))
     with pytest.raises(PoleError, match="H applied to the eigenfunction is not finite at w = "):
         _one_level(bent, 1, pot, [1.0])
-    # an eigenfunction that vanishes on the window cannot be judged
+    # an eigenfunction that vanishes on the rule cannot be judged
     zero = _bent(wf, lambda t, levels: tuple(np.zeros((len(levels), t.size)) for _ in range(3)))
-    with pytest.raises(DomainError, match="vanishes on the residual window"):
+    with pytest.raises(DomainError, match="^eigenfunction vanishes on the rule$"):
         _one_level(zero, 1, pot, [1.0])
 
 
-def test_verify_eigenpair_panel_cap(monkeypatch):
-    # readings that never agree double the panels up to the cap, then refuse
+def test_verify_eigenpair_refuses_an_envelope_with_no_measure():
+    # a reading whose exponent 2a - 1 is -2.2 even lifted to the sphere's
+    # area (-1.2) has no Jacobi weight: no rule is built, and the call itself
+    # refuses, naming the exponents and the weight
+    wf = spectra.wavefn_model1(0, gauge.Model1Params.from_branch(0.4, 2.0, "half-up"), 2.0)
+    synthetic = spectra.WaveFunctionSpec(wf.eval_raw, (-0.6, 0.4), wf.ratios, False, "synthetic")
+    with pytest.raises(DomainError, match=re.escape(
+        "no residual measure for the envelope exponents (a, b) = (-0.6, 0.4): the sphere-area "
+        "weight (1-t)^-1.2 (1+t)^0.8")):
+        oracle.verify_eigenpair(synthetic, [0], lambda w: 0.0 * w, [[1.0]])
+
+
+def test_verify_eigenpair_node_cap(monkeypatch):
+    # readings that never agree double the nodes up to the Galerkin cap, then refuse
     p = m2_params()
     wf = spectra.wavefn_model2(0, p.alpha, p.beta, polynomial="x1")
     pot = gauge.v_eff_model2(p, 1)
     seen = []
-    rules = oracle._window_rules
+    rules = oracle.gauss_jacobi
 
-    def counted(panels):
-        seen.append(panels)
-        return rules(panels)
+    def counted(n, alpha, beta):
+        seen.append(n)
+        return rules(n, alpha, beta)
 
-    monkeypatch.setattr(oracle, "_window_rules", counted)
+    monkeypatch.setattr(oracle, "gauss_jacobi", counted)
     monkeypatch.setattr(oracle, "_RESIDUAL_TOL", -1.0)
-    with pytest.raises(DomainError, match="128 and 256 panels differ by .*, and 512 is past the cap of 256"):
+    with pytest.raises(DomainError, match="rules of 128 and 256 nodes differ by .*, and 512 is past the cap of 256"):
         _one_level(wf, 0, pot, [1.0])
-    # each rule is read once: the reading on 2P serves the next comparison
+    # each rule is read once: the reading on 2n serves the next comparison
     assert seen == [16, 32, 64, 128, 256]
 
 
 def test_verify_eigenpair_evaluates_each_rule_once_for_every_level(monkeypatch):
     # one call serves all 60 levels of a reading: a rule is evaluated once,
     # the first time a level reads it, for that level and every later one
-    # (27 levels settle at 16 panels, 30 at 32 and 3 at 64, so the 128-panel
-    # rule serves the last three alone), while each level keeps the rule of
-    # its own n/2n decision
+    # (8 levels settle at 16 nodes, 16 at 32, 32 at 64 and 4 at 128, so the
+    # 256-node rule serves the last four alone), while each level keeps the
+    # rule of its own n/2n decision
     k = 2.0
     p = m2_params(C1=1 / k, k=k)
     wf = spectra.wavefn_model2(0, p.alpha, p.beta, polynomial="classical")
@@ -642,25 +655,37 @@ def test_verify_eigenpair_evaluates_each_rule_once_for_every_level(monkeypatch):
     lams = [[spectra.energy_model2(m, p.alpha, p.beta, k, 1.0).E_sq_bar] for m in range(60)]
     terms, seen = oracle._residual_terms, []
 
-    def counted(wf, levels, V, lams, panels):
-        seen.append((panels, levels[0], len(levels)))
-        return terms(wf, levels, V, lams, panels)
+    def counted(wf, levels, V, lams, rule, lift):
+        seen.append((rule[0].size, levels[0], len(levels)))
+        return terms(wf, levels, V, lams, rule, lift)
 
     monkeypatch.setattr(oracle, "_residual_terms", counted)
     out = [thunk() for thunk in oracle.verify_eigenpair(wf, range(60), pot, lams)]
-    assert seen == [(16, 0, 60), (32, 0, 60), (64, 27, 33), (128, 57, 3)]
-    assert [nodes for _, nodes, _ in out] == [336] * 27 + [672] * 30 + [1344] * 3
+    assert seen == [(16, 0, 60), (32, 0, 60), (64, 8, 52), (128, 24, 36), (256, 56, 4)]
+    assert [nodes for _, nodes, _, _ in out] == [16] * 8 + [32] * 16 + [64] * 32 + [128] * 4
 
 
-def test_window_rules_integrate_on_the_window():
-    # one rule of P panels per call: it integrates 1 and cosh^2 over
-    # |w| <= 8, 16 and 8 + sinh(16)/2, and is one cached, read-only pair
-    for panels in (16, 32):
-        w, q = oracle._window_rules(panels)
-        assert w.size == q.size == 21 * panels
-        assert np.abs(w).max() < 8.0 and float(q.sum()) == pytest.approx(16.0, rel=1e-14)
-        assert float(np.dot(q, np.cosh(w) ** 2)) == pytest.approx(math.sinh(16.0) / 2 + 8.0, rel=1e-12)
-        assert oracle._window_rules(panels)[0] is w and not any(a.flags.writeable for a in (w, q))
+def test_residual_rule_integrates_in_the_readings_measure():
+    # the rule's weight is E^2 (1-t^2)^(lift - 1), E the envelope: Model II's
+    # exponents give lift 0, and the rule's sum of r^2 is the L^2(dw) norm of
+    # phi that the record's own Gauss-Jacobi norm integrates; Model I's give
+    # lift 1, and its weights sum to the sphere-area integral of E^2,
+    # 2^(2s + 2B + 1) Gamma(2s + 1) Gamma(2B + 1) / Gamma(2s + 2B + 2)
+    p = m2_params()
+    wf = spectra.wavefn_model2(2, p.alpha, p.beta, polynomial="classical")
+    alpha, beta, lift = oracle._residual_weight(wf)
+    assert lift == 0 and (alpha, beta) == pytest.approx((p.alpha, p.beta), abs=1e-15)
+    t, q = oracle.gauss_jacobi(64, alpha, beta)
+    r = wf.ratios(t, [2])[0][0]
+    assert float(np.dot(q, r * r)) == pytest.approx(wf.norm_sq, rel=1e-12)
+    for branch in gauge.BRANCH_LABELS:
+        wf = spectra.wavefn_model1(1, gauge.Model1Params.from_branch(0.4, 2.0, branch), 2.0)
+        s, b = wf.exponents
+        alpha, beta, lift = oracle._residual_weight(wf)
+        assert lift == 1 and (alpha, beta) == pytest.approx((2 * s, 2 * b), abs=1e-15)
+        area = 2 ** (2 * s + 2 * b + 1) * math.gamma(2 * s + 1) * math.gamma(2 * b + 1)
+        area /= math.gamma(2 * s + 2 * b + 2)
+        assert float(oracle.gauss_jacobi(16, alpha, beta)[1].sum()) == pytest.approx(area, rel=1e-13), branch
 
 
 # ----------------------------------------------------------- Jacobi-Galerkin oracle
@@ -898,6 +923,18 @@ def test_report_corrupt_hook_fails_forced_claim(forced_fault):
     assert bad == {"f.isospectrality", "f.matrix-symmetry"}
 
 
+def test_forced_fault_fails_both_forced_claims_and_no_residual(forced_fault):
+    # the forced claims read the one sample of A that compose_factorized and
+    # the product check share; a fault in the composition fails both on
+    # Model II too, while every d.* number, on its own rule, is still that
+    # of a one-level verify_eigenpair call
+    k = 2.0
+    p = _report_params(2, k)
+    rep = oracle.consistency_report(p, k, 1.0, levels=3)
+    assert {c.claim_id for c in rep.forced_failures()} == {"f.isospectrality", "f.matrix-symmetry"}
+    _assert_residuals_match_one_level_calls(rep, 2, p, k)
+
+
 @pytest.mark.parametrize(
     "model, k, branch",
     [(1, 2.0, b) for b in ("neg-half", "half-down", "half-up", "three-half")]
@@ -1033,19 +1070,19 @@ def _assert_residuals_match_one_level_calls(rep, model, p, k):
     for m in range(rep.levels):
         if model == 1:
             claim = rep.claim(f"d.eigenfunction.m{m}")
-            res, nodes, gap = _one_level(spectra.wavefn_model1(m, p, k), m, pot, [claim.details["lambda"]])
+            res, nodes, gap, measure = _one_level(spectra.wavefn_model1(m, p, k), m, pot, [claim.details["lambda"]])
             assert (claim.metric, claim.details["nodes"], claim.details["gap_2n"]) == (res[0], nodes, gap)
-            assert claim.grid == {"w_lo": -8.0, "w_hi": 8.0, "nodes": nodes}
+            assert claim.grid == {"nodes": nodes} and claim.details["measure"] == measure == "sphere-area"
             assert "norm_divergence" in claim.details
             continue
         for variant in ("classical", "x1"):
             claim = rep.claim(f"d.eigenfunction.{variant}.m{m}")
             wf = spectra.wavefn_model2(m, p.alpha, p.beta, polynomial=variant)
             d = claim.details
-            res, nodes, gap = _one_level(wf, m, pot, [d["lambda_printed"], d["lambda_identity"]])
+            res, nodes, gap, measure = _one_level(wf, m, pot, [d["lambda_printed"], d["lambda_identity"]])
             assert [claim.metric, d["residual_at_identity_energy"]] == res
             assert (d["nodes"], d["gap_2n"]) == (nodes, gap)
-            assert claim.grid == {"w_lo": -8.0, "w_hi": 8.0, "nodes": nodes} and d["window"] == 8.0
+            assert claim.grid == {"nodes": nodes} and d["measure"] == measure == "dw"
             # the residual is scale-free: the report records the norm's analytic
             # verdict and no quadrature
             assert d["norm_finite"] is wf.norm_finite is True
@@ -1072,11 +1109,11 @@ def test_report_residuals_match_verify_eigenpair_bitwise(model, monkeypatch):
     _assert_residuals_match_one_level_calls(rep, model, p, k)
 
 
-@pytest.mark.parametrize("model, nodes", [(1, {336, 672}), (2, {336, 672, 1344})])
+@pytest.mark.parametrize("model, nodes", [(1, {16, 32, 64}), (2, {16, 32, 64, 128})])
 def test_report_residuals_at_60_levels_match_one_level_calls(model, nodes):
     # at the most levels a report serves, the levels of one reading settle
     # on rules of different sizes, each on its own: a level that agrees at
-    # 16 panels records 336 nodes however many another level needs
+    # 16 nodes records 16 however many another level needs
     from dirac_sphere import cli
 
     path = os.path.join(os.path.dirname(__file__), "..", "examples", f"model{model}.json")
@@ -1111,13 +1148,16 @@ def test_report_raises_the_first_refused_level(monkeypatch, nan_level, zero_leve
     monkeypatch.setattr(oracle, "wavefn_model1", broken)
     p = gauge.Model1Params.from_branch(0.4, 2.0, "half-up")
     if nan_level < zero_level:
-        w0 = 0.5727809270804475  # the first node of 16 panels with tanh w > 0.5
-        assert w0 == oracle._window_rules(16)[0][np.tanh(oracle._window_rules(16)[0]) > 0.5][0]
+        # the first node with tanh w > 0.5 of the 16-node rule of half-up's
+        # sphere-area weight (1-t)^(2s) (1+t)^(2B), s = -0.2 and B = 0.4
+        w0 = 0.55253531303957
+        t = oracle.gauss_jacobi(16, *oracle._residual_weight(wavefn(0, p, 2.0))[:2])[0]
+        assert w0 == float(np.arctanh(t[t > 0.5][0]))
         with pytest.raises(PoleError, match=re.escape(f"eigenfunction is not finite at w = {w0}")) as info:
             oracle.consistency_report(p, 2.0, 1.0, levels=5)
         assert info.value.location == w0
     else:
-        with pytest.raises(DomainError, match="^eigenfunction vanishes on the residual window$"):
+        with pytest.raises(DomainError, match="^eigenfunction vanishes on the rule$"):
             oracle.consistency_report(p, 2.0, 1.0, levels=5)
 
 
@@ -1136,11 +1176,13 @@ def test_report_assembles_no_flux_matrix(monkeypatch):
 @pytest.mark.parametrize("branch", ["neg-half", "half-down", "half-up", "three-half"])
 def test_report_model1_residuals_finite_on_every_branch(branch):
     # the printed Model-I form is no eigenfunction: its continuum residuals
-    # are large, but finite and converged on every branch
+    # in the sphere's area measure are far above rounding (at least 0.689,
+    # neg-half's level 0), finite and settled on the first rule on every branch
     rep = oracle.consistency_report(gauge.Model1Params.from_branch(0.4, 2.0, branch), 2.0, 1.0, levels=4)
     for m in range(4):
         c = rep.claim(f"d.eigenfunction.m{m}")
-        assert math.isfinite(c.metric) and c.metric > 1.0, c.claim_id
+        assert math.isfinite(c.metric) and c.metric > 0.5, c.claim_id
+        assert c.grid == {"nodes": 16} and c.details["measure"] == "sphere-area", c.claim_id
         assert max(c.details["gap_2n"]) <= 1e-6 * (1.0 + c.metric)
     g = rep.claim("g.local-energy-constancy")
     assert math.isfinite(g.metric) and math.isfinite(g.details["mean_local_energy"])
@@ -1240,13 +1282,13 @@ _PARTNER = (
 _GALERKIN = ("solver", "exponents", "n", "gap_2n")
 _M2_EIGEN = (
     "lambda_printed", "residual_at_identity_energy", "lambda_identity",
-    "window", "nodes", "gap_2n", "norm_finite",
+    "measure", "nodes", "gap_2n", "norm_finite",
 )
 _REPORT_LAYOUT = {
     1: _SHARED_HEAD
     + [(f"c.spectrum.m{n}", ("closed_form", "oracle", "radicand_ok") + _GALERKIN) for n in range(3)]
     + [
-        (f"d.eigenfunction.m{n}", ("lambda", "window", "nodes", "gap_2n", "norm_finite", "norm_divergence"))
+        (f"d.eigenfunction.m{n}", ("lambda", "measure", "nodes", "gap_2n", "norm_finite", "norm_divergence"))
         for n in range(3)
     ]
     + [("e.partner.m1", _PARTNER), ("e.partner.m2", _PARTNER)]

@@ -292,15 +292,17 @@ def test_gauss_jacobi_caches_no_eigenvectors():
 def test_jacobi_degree_60_against_mpmath():
     # a report's highest degree: P_60 of the example Model-II (alpha, beta)
     # and of (alpha + 3, beta + 3), the shift behind the X1 reading's third
-    # derivative, on the 1344 nodes of the residual window's 64-panel rule,
-    # against 50-digit arithmetic: within 1e-13 of the largest value
+    # derivative, on the 256 nodes of the largest Gauss-Jacobi rule a
+    # 60-level residual of that example reads (its last levels settle at 128
+    # nodes against 256), against 50-digit arithmetic: within 1e-13 of the
+    # largest value
     import mpmath
 
-    from dirac_sphere import gauge, oracle
+    from dirac_sphere import gauge, oracle, spectra
 
     alpha, beta = gauge.alpha_beta(2.0, "-", "+")
-    t = np.tanh(oracle._window_rules(64)[0])
-    assert t.size == 1344
+    weight = oracle._residual_weight(spectra.wavefn_model2(0, alpha, beta))[:2]
+    t = specfun.gauss_jacobi(256, *weight)[0]
     with mpmath.workdps(50):
         for a, b in ((alpha, beta), (alpha + 3.0, beta + 3.0)):
             want = np.array([float(mpmath.jacobi(60, a, b, mpmath.mpf(x))) for x in t])
