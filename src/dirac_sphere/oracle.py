@@ -1,10 +1,11 @@
 """Independent numerical ground truth for the transformed Dirac eigenproblems.
 
-The c.* and e.* levels come from galerkin_levels, a Jacobi-Galerkin solve in
-t = tanh w, where -(cosh^2 w phi')' + V phi becomes -(1-t^2) phi'' + V phi on
-(-1, 1).  Its basis (1+t)^a (1-t)^b p_m(t) carries Frobenius exponents a, b
-that follow from the gauge profile's end values (partner_exponents, never a
-fit): the principal ones for j=1, for j=2 the exponents of D's image.  The
+The c.* and e.* levels, and those of the forced isospectrality check, come
+from galerkin_levels, a Jacobi-Galerkin solve in t = tanh w, where
+-(cosh^2 w phi')' + V phi becomes -(1-t^2) phi'' + V phi on (-1, 1).  Its
+basis (1+t)^a (1-t)^b p_m(t) carries Frobenius exponents a, b that follow
+from the gauge profile's end values (partner_exponents, never a fit): the
+principal ones for j=1, for j=2 the exponents of D's image.  The
 orthonormal Jacobi polynomials p_m are read from the eigenvectors of
 specfun's Golub-Welsch solve; the basis doubles until n and 2n functions
 agree, up to a cap, so every level carries its own error estimate.  Its
@@ -16,48 +17,44 @@ eigenfunction exactly and integrate over the whole line on Gauss-Jacobi
 rules whose weight carries the envelope: the report reads no grid.  One call
 serves every level of a reading: each rule is evaluated once for the levels
 that may read it (one potential sample and recurrence table per Jacobi
-family), while each level doubles its rule
-on its own and any error it meets is raised when its claim is built.
-The forced checks discretize it with a conservative (flux-form) finite-
-difference scheme on a uniform grid over [-L, L] with Dirichlet walls.
-Every flux-form matrix is symmetric tridiagonal and is stored as its
+family, the sample shared with readings on the same rule), while each level
+doubles its rule on its own and any error it meets is raised when its claim
+is built.  The flux-form checks discretize the operator with a conservative
+finite-difference scheme on a uniform grid over [-L, L] with Dirichlet
+walls.  Every flux-form matrix is symmetric tridiagonal and is stored as its
 diagonal and off-diagonal arrays (SLMatrix diag, off), so real spectra are
 structural; the solves return eigenvalues only.  Every spectrum, Galerkin
 or flux-form (a band of width one), is solved by LAPACK dsbev, the one
-routine the package binds.  Its address comes from scipy's f2py extension
-_flapack, loaded by path on the first solve, and it is called through
-ctypes, which releases the GIL: the commands that never solve do not load
-scipy, verify runs neither scipy's package init nor scipy.linalg's, and the
-two spectra of the forced isospectrality check are solved side by side on
-two threads.
+routine the package calls, through scipy's f2py extension _flapack, loaded
+by path on the first solve: the commands that never solve do not load
+scipy, and verify runs neither scipy's package init nor scipy.linalg's.
 
 The first-order operator D = cosh d/dw + f, f = cosh (A - k) + sinh/2, that
-factors the general j=1 potential is discretized on the staggered grid (nodes
-to half points); Dt*D then carries exactly the flux-form kinetic stencil, and
-the two compositions Dt*D and D*Dt share their nonzero spectrum -- the forced
-isospectrality check.  The forced matrix-symmetry check compares their
-assembled bands with D and Dt applied in turn as bidiagonal maps, read
-through three probe vectors, in O(N) and with no dense product.  The same f
-ties D to the general potentials through two continuum identities, which the
-report samples with no eigensolve.  One consistency-report engine attaches a
-verdict to every closed-form formula of both gauge models; each model enters
-it as a small spec of its formulas (potentials, levels, eigenfunction
-readings and solvable-structure identity), so both reports share every claim
-family.  model_spec is the one place where a parameter set selects its model;
-the CLI commands read their curves, levels, eigenfunctions and poles from the
-same spec; a real pole is refused before any claim.
+factors the general j=1 potential, makes the two general potentials partners:
+Dt*D is the j=1 operator and D*Dt the j=2 one, so their levels pair up past
+one unpaired zero level -- the forced isospectrality check, read on the
+Galerkin levels of both.  On the staggered grid (nodes to half points) Dt*D
+carries exactly the flux-form kinetic stencil; the forced matrix-symmetry
+check compares the assembled bands of Dt*D and D*Dt with D and Dt applied in
+turn as bidiagonal maps, read through three probe vectors, in O(N) and with
+no dense product.  The same f ties D to the general potentials through two
+continuum identities, which the report samples with no eigensolve.  One
+consistency-report engine attaches a verdict to every closed-form formula of
+both gauge models; each model enters it as a small spec of its formulas
+(potentials, levels, eigenfunction readings and solvable-structure
+identity), so both reports share every claim family.  model_spec is the one
+place where a parameter set selects its model; the CLI commands read their
+curves, levels, eigenfunctions and poles from the same spec; a real pole is
+refused before any claim.
 
 Verdict policy (applied by Claim alone): mathematically forced claims (f.*)
 must PASS; transcription claims are always 'recorded' with their metric,
 because the closed forms contain apparent typos that this package is meant to
 expose, not hide.
 """
-import _thread
-import ctypes
 import math
 import os
 import sys
-import threading
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -194,55 +191,6 @@ def _require_finite(w, values, what):
 _FLAPACK = "scipy.linalg._flapack"
 
 
-class _Lapack:
-    """dsbev from scipy's f2py extension _flapack, the one LAPACK routine the
-    oracle calls, as a ctypes function: the call runs without the GIL, so two
-    threads solve side by side.
-
-    The f2py routine object carries, in _cpointer, a capsule with no name
-    around the address of LAPACK's own dsbev, so there is no C signature to
-    check.  Two things are checked instead, before any call: the module is
-    scipy's _flapack, whose routines take 32-bit integers by scipy's own
-    contract (get_lapack_funcs(ilp64=False) serves them; the 64-bit-integer
-    build is _flapack_64), and dsbev._cpointer is a capsule with no name, as
-    f2py makes it.  Otherwise ImportError says which check failed.
-    """
-
-    def __init__(self, flapack):
-        name = getattr(flapack, "__name__", None)
-        if name != _FLAPACK:
-            raise ImportError(f"dsbev must come from {_FLAPACK}, not from {name!r}", name=_FLAPACK)
-        capsule = getattr(flapack.dsbev, "_cpointer", None)
-        is_capsule = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.py_object, ctypes.c_char_p)(
-            ("PyCapsule_IsValid", ctypes.pythonapi)
-        )
-        if not is_capsule(capsule, None):
-            raise ImportError(f"{_FLAPACK}.dsbev carries no function capsule in _cpointer", name=_FLAPACK)
-        get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-            ("PyCapsule_GetPointer", ctypes.pythonapi)
-        )
-        i, d = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
-        prototype = ctypes.CFUNCTYPE(None, ctypes.c_char_p, ctypes.c_char_p, i, i, d, i, d, d, i, d, i)
-        self._dsbev = prototype(get_pointer(capsule, None))
-
-    def dsbev(self, band):
-        """(values, info): all eigenvalues, ascending, of the symmetric band
-        matrix whose lower band (row d the d-th subdiagonal) band holds, and
-        LAPACK's INFO.  band is copied, so no caller's array is overwritten."""
-        ab = np.array(band, dtype=float, order="F")
-        if ab.ndim != 2:
-            raise ValueError(f"expected a band of two dimensions, got shape {ab.shape}")
-        kd, n = ab.shape[0] - 1, ab.shape[1]
-        w, work, info = np.empty(n), np.empty(max(1, 3 * n - 2)), ctypes.c_int()
-        # each array as a ctypes array over its data (ab's a Fortran-order
-        # view), which the routine writes; each integer by reference
-        ab_p, w_p, work_p = ((ctypes.c_double * a.size).from_buffer(a.ravel(order="F")) for a in (ab, w, work))
-        n_p, kd_p, ldab_p, ldz_p = (ctypes.byref(ctypes.c_int(i)) for i in (n, kd, kd + 1, 1))
-        z = ctypes.byref(ctypes.c_double())  # not referenced: no eigenvectors
-        self._dsbev(b"N", b"L", n_p, kd_p, ab_p, ldab_p, w_p, z, ldz_p, work_p, ctypes.byref(info))
-        return w, info.value
-
-
 def _load_flapack():
     """scipy's _flapack extension, loaded by path from the scipy package's
     directory, which importlib finds without importing scipy."""
@@ -289,21 +237,6 @@ def _flapack():
     return module
 
 
-_LAPACK_LOCK = threading.Lock()
-_LAPACK = None  # the loaded _Lapack, once per process
-
-
-def _lapack():
-    """scipy's LAPACK dsbev (_Lapack), from its f2py extension _flapack,
-    loaded once per process under a lock, so threads that solve at once load
-    the extension once."""
-    global _LAPACK
-    with _LAPACK_LOCK:
-        if _LAPACK is None:
-            _LAPACK = _Lapack(_flapack())
-        return _LAPACK
-
-
 def _bands(m: SLMatrix):
     """m's two bands, refused with DomainError unless every entry is finite."""
     if not (np.isfinite(m.diag).all() and np.isfinite(m.off).all()):
@@ -329,9 +262,8 @@ def eig_values(m: SLMatrix):
     root-free QL/QR iteration as dstevd on a tridiagonal matrix when no
     eigenvectors are asked for, so the bits are dstevd's; the drivers' norm
     test rescales only a matrix whose largest entry lies outside
-    [1.5e-146, 7e145], and every flux-form matrix lies inside.  The call runs
-    without the GIL (_Lapack).  Non-finite bands or a LAPACK failure raise
-    DomainError.
+    [1.5e-146, 7e145], and every flux-form matrix lies inside.  Non-finite
+    bands or a LAPACK failure raise DomainError.
     """
     diag, off = _bands(m)
     return _band_eigenvalues(np.stack((diag, np.append(off, 0.0))))
@@ -432,48 +364,14 @@ def isospectrality_metric(m1: SLMatrix, m2: SLMatrix):
     differ by exactly that one, so the same number of eigenvalues is left
     above it.  Returns (metric, floor, larger count below the floor).
 
-    The two spectra are computed side by side: m2's on a worker thread, m1's
-    on the calling one, each a dsbev call that runs without the GIL
-    (eig_values).  The worker is started without waiting for it to run, and
-    whichever thread comes to m2 first solves it: the calling thread waits
-    only for a worker that has begun, so a worker that the system is slow to
-    schedule costs at most the serial time.  At N = 401 the pair takes 4.2 ms on two
-    CPUs against 7.2 ms for two serial solves, and 7.4 ms against 7.1 ms on
-    one CPU, where the two threads share it.  Both bands are checked before
-    the worker starts, and a failed solve raises in argument order, m1's
-    first.
+    The two spectra are two eig_values calls, m1's first, so a failed solve
+    raises in argument order.  The report does not call this: its
+    f.isospectrality pairs continuum levels, and acceptance criterion 6
+    checks the staggered compositions with it.
     """
     if abs(m1.order - m2.order) > 1:
         raise DomainError(f"orders {m1.order} and {m2.order} differ by more than one")
-    for m in (m1, m2):
-        _bands(m)
-    _lapack()
-    claim = threading.Lock()  # taken by whichever thread solves m2
-    solved = threading.Lock()  # held until a worker that took m2 is done
-    solved.acquire()
-    second = []  # the worker's spectrum of m2, or the error its solve raised
-
-    def solve_second():
-        if claim.acquire(blocking=False):
-            try:
-                second.append(eig_values(m2))
-            except BaseException as exc:  # raised on the calling thread below
-                second.append(exc)
-            finally:
-                solved.release()
-
-    _thread.start_new_thread(solve_second, ())
-    try:
-        s1 = eig_values(m1)
-    finally:
-        if not claim.acquire(blocking=False):
-            solved.acquire()
-    if second:
-        (s2,) = second
-        if isinstance(s2, BaseException):
-            raise s2
-    else:  # the worker had not begun: m2 is solved here
-        s2 = eig_values(m2)
+    s1, s2 = eig_values(m1), eig_values(m2)
     scale = max(np.abs(s1).max(), np.abs(s2).max())
     floor = 1e8 * _EPS * scale
     above1 = s1[np.abs(s1) > floor]
@@ -564,10 +462,11 @@ def _band_eigenvalues(band):
     dsbev reduces the band to tridiagonal form by Givens rotations alone, so
     its result is the same bits for every BLAS thread count; the blocked
     reduction behind numpy.linalg.eigvalsh is not (its levels differ in the
-    last bits between 1 and 2 OpenBLAS threads at 256 rows).  A LAPACK
-    failure raises DomainError.
+    last bits between 1 and 2 OpenBLAS threads at 256 rows).  The routine is
+    scipy's f2py wrapper from _flapack, told not to overwrite band, so no
+    caller's array is changed.  A LAPACK failure raises DomainError.
     """
-    w, info = _lapack().dsbev(band)
+    w, _, info = _flapack().dsbev(band, compute_v=0, lower=1, overwrite_ab=0)
     if info:
         raise DomainError(f"LAPACK dsbev failed (info={info})")
     return w
@@ -725,7 +624,7 @@ def _deferred(fn, *args):
     return lambda: value
 
 
-def verify_eigenpair(wf, levels, V, lams):
+def verify_eigenpair(wf, levels, V, lams, samples=None):
     """Relative residuals ||(H - lam) phi|| / ||phi|| of the printed
     eigenfunctions phi of wf's reading (wf a WaveFunctionSpec of any of its
     levels) at each level index in levels, one per level constant in that
@@ -744,7 +643,10 @@ def verify_eigenpair(wf, levels, V, lams):
     it, for that level and every later one: one potential sample and
     recurrence table per Jacobi family serve all of them and their level
     constants.  A rule whose evaluation raises refuses the level that read
-    it, and the next level to read it evaluates it again.
+    it, and the next level to read it evaluates it again.  samples, a dict
+    that calls with the same V may share, keeps V sampled on each rule by
+    its (n, alpha, beta), so readings with the same envelope exponents
+    sample V once per rule.
     Returns one thunk per level, to be called when its claim is built: it
     gives (readings on n nodes, n, each reading's distance to 2n, the
     measure, "dw" or "sphere-area"), or raises what refused that level.  A
@@ -754,13 +656,15 @@ def verify_eigenpair(wf, levels, V, lams):
     alpha, beta, lift = _residual_weight(wf)
     levels = list(levels)
     lams = np.asarray(lams, dtype=float).reshape(len(levels), -1)
-    rules = {}
+    rules, samples = {}, {} if samples is None else samples
 
     def reading(n, i):
         # levels settle in order, so a rule is evaluated for the first level
         # that reads it and every later one; each level reads its own row
         if n not in rules:
-            rules[n] = i, _residual_terms(wf, levels[i:], V, lams[i:], gauss_jacobi(n, alpha, beta), lift)
+            rule = gauss_jacobi(n, alpha, beta)
+            sample = _sampled(V, rule, samples, (n, alpha, beta))
+            rules[n] = i, _residual_terms(wf, levels[i:], sample, lams[i:], rule, lift)
         first, terms = rules[n]
         return _residual_reading(terms, i - first)
 
@@ -774,15 +678,25 @@ def verify_eigenpair(wf, levels, V, lams):
     return [_deferred(level, i) for i in range(len(levels))]
 
 
-def _residual_terms(wf, levels, V, lams, rule, lift):
+def _sampled(V, rule, samples, key):
+    """(w = artanh t, V at w) on the rule (t, q): samples[key] when there,
+    else sampled and kept there.  A sample that is not finite raises
+    PoleError and is not kept."""
+    if key not in samples:
+        w = np.arctanh(rule[0])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            samples[key] = w, _require_finite(w, np.asarray(V(w), dtype=float), "potential")
+    return samples[key]
+
+
+def _residual_terms(wf, levels, sample, lams, rule, lift):
     """What every level of verify_eigenpair reads on the Gauss-Jacobi rule
-    (t, q), with one row per level: (w = artanh t, q, r, K, whether each row
-    of either is finite, r^2, ((1-t^2)^lift (K - lam r))^2 per level
-    constant).  A potential sample that is not finite raises PoleError."""
+    (t, q), with one row per level, from sample = (w = artanh t, V at w):
+    (w, q, r, K, whether each row of either is finite, r^2,
+    ((1-t^2)^lift (K - lam r))^2 per level constant)."""
     t, q = rule
-    w = np.arctanh(t)
+    w, v = sample
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v = _require_finite(w, np.asarray(V(w), dtype=float), "potential")
         r, k_r = _local_terms(wf, levels, t, v)
         finite = np.isfinite(r).all(axis=1) & np.isfinite(k_r).all(axis=1)
         off = (1.0 - t * t) ** lift * (k_r[:, None] - lams[:, :, None] * r[:, None])
@@ -917,9 +831,12 @@ class _ModelSpec:
 def consistency_report(params, k, R, levels: int = 4) -> VerificationReport:
     """Assemble the full verification report for the model of params.
 
-    Claim families: forced linear-algebra invariants (f.*), the continuum
-    identities of the factorization (conventions.*), transcription constancy
-    checks (a.*, b.*, each spread relative to 1 + max |general form|),
+    Claim families: forced invariants of the factorization (f.*: the
+    staggered compositions' bands, and the pairing of the general j=1 and
+    j=2 Galerkin levels with the zero level read, grid {"n": basis size}),
+    the continuum identities of the factorization (conventions.*),
+    transcription constancy checks (a.*, b.*, each spread relative to
+    1 + max |general form|),
     closed-form spectrum versus Jacobi-Galerkin eigenvalues (c.*, grid
     {"n": basis size}), continuum eigenfunction residuals in each reading's
     own measure (d.*, grid {"nodes": Gauss-Jacobi nodes}), the pairing of
@@ -958,14 +875,13 @@ def model_spec(params, k, R) -> _ModelSpec:
     return _model2_spec(params, k, R)
 
 
-def _gdict(g: Grid):
-    return {"L": g.L, "N": g.N}
-
-
-def _forced_claims(A, dA, k, gen1, gen2):
-    """Forced claims on the factorization, then the continuum identities that
-    tie its f to gen1/gen2, the general-form j=1/j=2 potentials (not the
-    printed closed forms) sampled at _CONSTANCY_W."""
+def _forced_claims(A, dA, k, gen1, gen2, exps, partner):
+    """The forced claims, f.matrix-symmetry on the staggered factorization
+    and f.isospectrality on partner, the Jacobi-Galerkin levels of the
+    general j=1 and j=2 potentials on the exponents exps; then the continuum
+    identities that tie the staggered f to gen1/gen2, the general-form
+    j=1/j=2 potentials (not the printed closed forms) sampled at
+    _CONSTANCY_W."""
     claims = []
     # one sample of A at the half points, the only points either reads,
     # serves both compose_factorized and _product_defect
@@ -987,26 +903,11 @@ def _forced_claims(A, dA, k, gen1, gen2):
             ),
             metric=defect,
             tolerance=_PRODUCT_TOL,
-            grid=_gdict(_COMPOSE_GRID),
+            grid={"L": _COMPOSE_GRID.L, "N": _COMPOSE_GRID.N},
         )
     )
 
-    metric, floor, n_zero = isospectrality_metric(dtd, ddt)
-    claims.append(
-        Claim(
-            claim_id="f.isospectrality",
-            paper_ref="factorization.first-order",
-            description=(
-                "nonzero spectra of Dt*D (nodes) and D*Dt (half points) agree "
-                "(forced); eigenvalues below the numerical-zero floor are excluded "
-                "and counted, D*Dt's one-vector kernel among them"
-            ),
-            metric=metric,
-            tolerance=_ISO_TOL,
-            grid=_gdict(_COMPOSE_GRID),
-            details={"zero_floor": floor, "n_below_floor": n_zero},
-        )
-    )
+    claims.append(_isospectrality_claim(exps, partner))
 
     # Dt*D and D*Dt carry V_1 = f^2 - sinh f - cosh f' and
     # V_2 = f^2 + cosh f' - sinh f - cosh^2 exactly, for every A
@@ -1034,12 +935,55 @@ def _forced_claims(A, dA, k, gen1, gen2):
     return claims
 
 
+def _isospectrality_claim(exps, partner):
+    """f.isospectrality: the levels of the general j=1 and j=2 potentials
+    (partner, solved on exps.j1 and exps.j2), the continuum Dt*D and D*Dt,
+    agree past the unpaired zero level of the component exps.zero_level
+    names, and that level reads 0.
+
+    The metric is the larger of max |e1 - e2| / (1 + |e1|) over the paired
+    levels and |zero level| / (1 + max |level|); with no zero level
+    ("neither") every level pairs and the second term is 0.
+    """
+    lam1, lam2 = (g.levels for g in partner)
+    zero, e1, e2 = {
+        "j=1": (lam1[0], lam1[1:], lam2[:-1]),
+        "j=2": (lam2[0], lam1[:-1], lam2[1:]),
+        "neither": (None, lam1, lam2),
+    }[exps.zero_level]
+    paired = np.max(np.abs(e1 - e2) / (1.0 + np.abs(e1)), initial=0.0)
+    unpaired = 0.0 if zero is None else abs(zero) / (1.0 + max(np.abs(lam1).max(), np.abs(lam2).max()))
+    return Claim(
+        claim_id="f.isospectrality",
+        paper_ref="factorization.first-order",
+        description=(
+            "Jacobi-Galerkin levels of the general j=1 (principal exponents) and j=2 "
+            "(image-of-D exponents) potentials, the continuum Dt*D and D*Dt, agree past the "
+            "unpaired zero level, which reads 0 (forced): the larger of max |e1 - e2| / (1 + |e1|) "
+            "over the paired levels and |zero level| / (1 + max |level|)"
+        ),
+        metric=float(np.maximum(paired, unpaired)),
+        tolerance=_ISO_TOL,
+        grid={"n": max(g.n for g in partner)},
+        details={
+            "zero_level": exps.zero_level,
+            "zero_reading": None if zero is None else float(zero),
+            "exponents_j1": list(exps.j1),
+            "exponents_j2": list(exps.j2),
+            "n": [g.n for g in partner],
+            "gap_2n": [float(g.gap.max()) for g in partner],
+        },
+    )
+
+
 def _model_report(spec: _ModelSpec, k, R, levels):
     """The claims of one model in report order, built from its spec.
 
-    The potentials are sampled once on _CONSTANCY_W, in report order, before
-    the first claim; everything else is evaluated in report order, so the
-    first claim an invalid configuration breaks is the one that raises.  A
+    The potentials are sampled once on _CONSTANCY_W, in report order, and
+    the general j=1 and j=2 levels solved, before the first claim (the
+    second, f.isospectrality, reads them); everything else is evaluated in
+    report order, so the first claim an invalid configuration breaks is the
+    one that raises.  A
     model with more than one eigenfunction reading names each in its d.*
     claim ids.
     """
@@ -1049,7 +993,11 @@ def _model_report(spec: _ModelSpec, k, R, levels):
     # each potential sampled once at _CONSTANCY_W, serving every claim that reads it
     pots = (gen1, gen2, spec.raw1, spec.closed1, spec.closed2)
     g1, g2, r1, c1, c2 = (np.asarray(v(_CONSTANCY_W), dtype=float) for v in pots)
-    claims = _forced_claims(spec.A, spec.dA, k, g1, g2)
+    # the Galerkin levels of the general potentials, the continuum Dt*D and
+    # D*Dt: f.isospectrality pairs them, and e.* reads the j=2 ones
+    exps = partner_exponents(spec.ends, k)
+    partner = [galerkin_levels(gen1, exps.j1, levels), galerkin_levels(gen2, exps.j2, levels)]
+    claims = _forced_claims(spec.A, spec.dA, k, g1, g2, exps, partner)
 
     b1, b2 = spec.b_descriptions
     drift, mean_of = {}, {}
@@ -1080,7 +1028,6 @@ def _model_report(spec: _ModelSpec, k, R, levels):
             )
         )
 
-    exps = partner_exponents(spec.ends, k)
     # closed1 - gen1 = (closed1 - raw1) + (raw1 - gen1) is constant when the
     # a.* and b.veff1 spreads both are, up to the rounding of V's own size
     gal = galerkin_levels(
@@ -1114,14 +1061,16 @@ def _model_report(spec: _ModelSpec, k, R, levels):
         )
 
     lams = [(lam,) if matched is None else (lam, matched) for lam, matched in zip(printed, implied)]
-    residuals = {}
+    # one V sample per Gauss-Jacobi rule, shared by readings whose envelope
+    # exponents, and so rules, coincide (Model II's classical and X1)
+    residuals, samples = {}, {}
     for n in range(levels):
         lam, matched = printed[n], implied[n]
         for reading, (description, wavefn) in spec.eigenfunctions.items():
             infix = f"{reading}." if len(spec.eigenfunctions) > 1 else ""
             wf = wavefn(n)
             if not n:  # one call per reading: every level's residuals, each raised at its claim
-                residuals[reading] = verify_eigenpair(wf, range(levels), spec.closed1, lams)
+                residuals[reading] = verify_eigenpair(wf, range(levels), spec.closed1, lams, samples)
             res, nodes, gap, measure = residuals[reading][n]()
             details = {spec.printed_key: lam}
             if matched is not None:
@@ -1143,10 +1092,10 @@ def _model_report(spec: _ModelSpec, k, R, levels):
 
     # D*Dt and Dt*D share their nonzero levels; the component whose kernel
     # has its exponents carries one more, the zero level, which stays unpaired.
-    # The general j=1 levels are the c.* ones less closed1 - gen1 (a.* and
-    # b.veff1 additive constants), so only j=2 needs a solve of its own
+    # e.* reads the general j=1 levels as the c.* ones less closed1 - gen1
+    # (a.* and b.veff1 additive constants), and the j=2 solve of f.isospectrality
     offset = mean_of["a.veff1-expansion"] + mean_of["b.veff1-constrained"]
-    part = [gal, galerkin_levels(gen2, exps.j2, levels)]
+    part = [gal, partner[1]]
     shift = {"j=1": 1, "j=2": -1, "neither": 0}[exps.zero_level]
     for m in range(1, levels):
         i1, i2 = m - max(-shift, 0), m - max(shift, 0)

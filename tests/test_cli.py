@@ -328,7 +328,7 @@ def test_verify_report_structure_and_exit(tmp_path):
         if c["claim_id"].startswith("c."):
             # the Galerkin oracle's grid is its basis size
             assert list(c["grid"]) == ["n"] and c["grid"]["n"] == c["details"]["n"]
-        elif c["claim_id"].startswith("e."):
+        elif c["claim_id"].startswith("e.") or c["claim_id"] == "f.isospectrality":
             # the larger of the two components' basis sizes
             assert c["grid"] == {"n": max(c["details"]["n"])}
         elif c["claim_id"].startswith("d."):

@@ -3,9 +3,11 @@
 The grid has no random draws, so a failure names its config: 8 wave numbers
 spread evenly over [1.05, 8] at 6 levels; Model I at C1 in {0.05, 0.2, 0.4,
 0.49} on each of its four branches, Model II on each of its four sign
-branches.  Every report that runs must pass its forced claims, read the
-factorization identities at rounding, pair the Dt*D and D*Dt levels
-within the Galerkin doubling tolerance, and read every d.* residual finite,
+branches.  Every report that runs must pass its forced claims, with
+f.isospectrality's continuum pairing under ISO_BOUND on a basis of at most
+64 functions and the zero level e.* names, read the factorization
+identities at rounding, pair the Dt*D and D*Dt levels within the Galerkin
+doubling tolerance, and read every d.* residual finite,
 in its model's measure, on a rule of at most 64 nodes, with the exact X1
 pair at rounding; every other branch must be refused with the error its
 region calls for.  The (+, -) levels are not asserted:
@@ -31,6 +33,10 @@ C1S = (0.05, 0.2, 0.4, 0.49)
 # most 8.4e-13 on (-,+) (k = 1.05) and 6.1e-12 on (+,-) (k = 2.043, where
 # alpha = -0.96 nears the weight's limit -1; 1.02e-12 on the dense grid)
 X1_IDENTITY_BOUND = {("-", "+"): 1e-12, ("+", "-"): 1e-11}
+# f.isospectrality, the general j=1 and j=2 Galerkin levels paired: measured
+# at most 4.7e-10 on both grids (Model II (-,+) at k = 1.05, the Galerkin
+# gap; 6.1e-13 elsewhere), on bases of at most 40 functions
+ISO_BOUND = 1e-9
 
 
 def _config(k, model, block):
@@ -68,6 +74,9 @@ def test_report_invariants(k, model, block):
     assert match.metric <= 1e-12 and match.details["match_j2"] <= 1e-12, (match.metric, match.details)
     partners = [c for i, c in claims.items() if i.startswith("e.partner.")]
     assert len(partners) == LEVELS - 1
+    iso = claims["f.isospectrality"]
+    assert iso.metric <= ISO_BOUND and max(iso.details["n"]) <= 64, (iso.metric, iso.details)
+    assert {c.details["zero_level"] for c in partners} == {iso.details["zero_level"]}, iso.details
     for c in partners:
         e1, e2 = c.details["e1"], c.details["e2"]
         assert c.metric <= 1e-9 * (1.0 + max(abs(e1), abs(e2))), (c.claim_id, e1, e2)

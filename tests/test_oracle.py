@@ -8,8 +8,6 @@ import re
 import subprocess
 import sys
 import threading
-import time
-import types
 
 import numpy as np
 import pytest
@@ -124,11 +122,10 @@ _COMPOSE_CASES += [(m2_params(C1=1 / k, k=k), k) for k in (1.5, 2.0, 3.0, 4.0)]
 
 @pytest.mark.parametrize("params, k", _COMPOSE_CASES)
 def test_eig_values_equals_dstevd_bitwise(params, k):
-    # eig_values runs dsbev on a band of width one through the ctypes binding
-    # of _flapack's routine pointer, so f.isospectrality reads the bits of
-    # dstevd, which runs the same tridiagonal iteration without eigenvectors,
-    # and of dsbev, both called through scipy's f2py wrappers, a second
-    # access path, on both compositions of D
+    # eig_values runs _flapack's dsbev on a band of width one, so
+    # isospectrality_metric reads the bits of dstevd, which runs the same
+    # tridiagonal iteration without eigenvectors, and of dsbev, both called
+    # through scipy.linalg's own route, on both compositions of D
     from scipy.linalg import lapack
 
     spec = oracle.model_spec(params, k, 1.0)
@@ -141,8 +138,9 @@ def test_eig_values_equals_dstevd_bitwise(params, k):
 
 @pytest.mark.parametrize("n", [32, 64, 128, 256])
 def test_band_eigenvalues_equal_f2py_dsbev_bitwise(n):
-    # the Galerkin solves' dsbev through its ctypes binding against scipy's
-    # f2py wrapper of the same routine, on a full lower band in either memory order
+    # the Galerkin solves' dsbev, from the path-loaded _flapack, against the
+    # same routine through scipy.linalg's own route, on a full lower band in
+    # either memory order, which is left as it was
     from scipy.linalg import lapack
 
     rng = np.random.default_rng(n)
@@ -162,44 +160,9 @@ def test_missing_lapack_extension_names_its_path(tmp_path, monkeypatch):
     spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
     spec.submodule_search_locations = [str(tmp_path)]
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
-    monkeypatch.setattr(oracle, "_LAPACK", None)
     monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec if name == "scipy" else None)
     with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg" / "_flapack"))):
         oracle.eig_values(box_matrix(9))
-
-
-def _capsule(name):
-    """A capsule named `name` around a dummy pointer, kept alive with it."""
-    import ctypes
-
-    new = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_void_p, ctypes.c_char_p, ctypes.c_void_p)(
-        ("PyCapsule_New", ctypes.pythonapi)
-    )
-    target, label = ctypes.c_int(), ctypes.create_string_buffer(name.encode())
-    return new(ctypes.addressof(target), label, None), (target, label)
-
-
-@pytest.mark.parametrize("source", ["ilp64-module", "no-capsule", "named-capsule"])
-def test_lapack_refuses_a_routine_it_cannot_vouch_for(monkeypatch, source):
-    # the f2py capsule has no name and so no signature: dsbev is called only
-    # from scipy's _flapack (LP64; the ILP64 build is _flapack_64) and only
-    # through an unnamed capsule; anything else is refused before any call
-    flapack = oracle._flapack()
-    keep = None
-    if source == "ilp64-module":
-        fake, shown = types.SimpleNamespace(__name__="scipy.linalg._flapack_64", dsbev=flapack.dsbev), "not from"
-    elif source == "no-capsule":
-        fake = types.SimpleNamespace(__name__=oracle._FLAPACK, dsbev=types.SimpleNamespace())
-        shown = "no function capsule"
-    else:
-        capsule, keep = _capsule("dsbev")
-        fake = types.SimpleNamespace(__name__=oracle._FLAPACK, dsbev=types.SimpleNamespace(_cpointer=capsule))
-        shown = "no function capsule"
-    monkeypatch.setitem(sys.modules, "scipy.linalg._flapack", fake)
-    monkeypatch.setattr(oracle, "_LAPACK", None)
-    with pytest.raises(ImportError, match=shown):
-        oracle.eig_values(box_matrix(9))
-    del keep
 
 
 def _child_env():
@@ -380,143 +343,54 @@ def test_isospectrality_counts_one_kernel_vector():
         )
 
 
-def _start_inline(function, args):
-    # the worker runs to its end before the calling thread goes on
-    function(*args)
-
-
-def _start_never(function, args):
-    # the worker never runs: the calling thread comes to m2 first
-    pass
-
-
-def _metric_bits(result):
-    metric, floor, n_below = result
-    return float(metric).hex(), float(floor).hex(), n_below
-
-
-@pytest.mark.parametrize("params, k", _COMPOSE_CASES)
-def test_concurrent_isospectrality_equals_serial(params, k, monkeypatch):
-    # the two spectra solved side by side read the same bits as one after the
-    # other, whichever thread solves m2: metric, floor and kernel count
-    spec = oracle.model_spec(params, k, 1.0)
-    dtd, ddt = oracle.compose_factorized(spec.A, k, oracle._COMPOSE_GRID)
-    results = [oracle.isospectrality_metric(dtd, ddt) for _ in range(3)]
-    for start in (_start_inline, _start_never):
-        with monkeypatch.context() as patch:
-            patch.setattr(_thread, "start_new_thread", start)
-            results.append(oracle.isospectrality_metric(dtd, ddt))
-    assert len({_metric_bits(result) for result in results}) == 1
-
-
 class _FailingOrders:
-    # dsbev failing, with info = the order, on the matrices of given orders
-    def __init__(self, lapack, orders):
-        self.lapack, self.orders = lapack, orders
+    # f2py's dsbev failing, with info = the order, on the matrices of given orders
+    def __init__(self, flapack, orders):
+        self.flapack, self.orders = flapack, orders
 
-    def dsbev(self, band):
+    def dsbev(self, band, **options):
         order = band.shape[1]
         if order in self.orders:
-            return np.zeros(order), order
-        return self.lapack.dsbev(band)
+            return np.zeros(order), np.zeros((1, 1)), order
+        return self.flapack.dsbev(band, **options)
 
 
 @pytest.mark.parametrize("start", ["threaded", "inline", "never"])
 @pytest.mark.parametrize("failing, raised", [({401}, 401), ({402}, 402), ({401, 402}, 401)])
 def test_isospectrality_failure_raises_in_argument_order(monkeypatch, start, failing, raised):
-    # a failed solve raises, m1's first when both fail, whether the worker
-    # solves m2 alongside (taking it first and ending last), before the
-    # calling thread begins, or not at all; no solve is still running when it
-    # raises, and the worker ends
-    fake = _FailingOrders(oracle._lapack(), failing)
-    monkeypatch.setattr(oracle, "_lapack", lambda: fake)
+    # a failed solve raises, m1's first when both fail: the two spectra are
+    # solved one after the other, m1's first, so a failed m1 solves no m2.
+    # No thread is started, whether a started one would run alongside, run
+    # to its end at once, or never run
+    fake = _FailingOrders(oracle._flapack(), failing)
+    monkeypatch.setattr(oracle, "_flapack", lambda: fake)
     a = gauge.a_u_model2(m2_params())
     dtd, ddt = oracle.compose_factorized(a, 2.0, oracle._COMPOSE_GRID)
-    begun, finished = [], []
-    second_begun = threading.Event()
-    solve = oracle.eig_values
+    begun, started, solve = [], [], oracle.eig_values
 
     def counted(m):
         begun.append(m.order)
-        try:
-            if m is ddt:
-                second_begun.set()
-                time.sleep(0.05)
-            elif start == "threaded":
-                assert second_begun.wait(timeout=30)
-            return solve(m)
-        finally:
-            finished.append(m.order)
+        return solve(m)
+
+    start_new_thread, thread_start = _thread.start_new_thread, threading.Thread.start
+
+    def tracked_new_thread(function, args, *rest):
+        started.append(function)
+        {"threaded": lambda: start_new_thread(function, args, *rest),
+         "inline": lambda: function(*args), "never": lambda: None}[start]()
+
+    def tracked_start(thread):
+        started.append(thread)
+        {"threaded": lambda: thread_start(thread), "inline": thread.run,
+         "never": lambda: None}[start]()
 
     monkeypatch.setattr(oracle, "eig_values", counted)
-    ended = threading.Event()
-    start_new_thread = _thread.start_new_thread
-
-    def tracked(function, args):
-        def worker():
-            try:
-                function(*args)
-            finally:
-                ended.set()
-
-        {"threaded": lambda: start_new_thread(worker, ()), "inline": worker, "never": ended.set}[start]()
-
-    monkeypatch.setattr(_thread, "start_new_thread", tracked)
+    monkeypatch.setattr(_thread, "start_new_thread", tracked_new_thread)
+    monkeypatch.setattr(threading.Thread, "start", tracked_start)
     with pytest.raises(DomainError, match=rf"dsbev failed \(info={raised}\)"):
         oracle.isospectrality_metric(dtd, ddt)
-    assert len(finished) == len(begun) > 0
-    assert ended.wait(timeout=30)
-
-
-_COLD_LOAD_PROBE = """
-import importlib.machinery, json, sys, threading
-import numpy as np
-from dirac_sphere import oracle
-assert "scipy.linalg._flapack" not in sys.modules
-executed = []
-exec_module = importlib.machinery.ExtensionFileLoader.exec_module
-def counted(self, module):
-    executed.append(module.__name__)
-    return exec_module(self, module)
-importlib.machinery.ExtensionFileLoader.exec_module = counted
-count = 8
-matrices = [
-    oracle.SLMatrix(diag=np.linspace(1.0, 9.0 + i, 300) ** 2, off=np.full(299, -2.5 - i))
-    for i in range(count)
-]
-results, errors = [None] * count, []
-def solve(i):
-    try:
-        results[i] = oracle.eig_values(matrices[i])
-    except Exception as exc:
-        errors.append(repr(exc))
-interval = sys.getswitchinterval()
-sys.setswitchinterval(1e-6)
-try:
-    threads = [threading.Thread(target=solve, args=(i,)) for i in range(count)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-finally:
-    sys.setswitchinterval(interval)
-alive = sum(t.is_alive() for t in threads)
-serial = [oracle.eig_values(m) for m in matrices]
-equal = all(r is not None and np.array_equal(r, s) for r, s in zip(results, serial))
-print(json.dumps([executed.count("scipy.linalg._flapack"), alive, errors, equal]))
-"""
-
-
-def test_lapack_loads_once_from_many_threads():
-    # a fresh interpreter, so the loader is cold: eight threads (more than the
-    # cores) make their first solve at once, with the interpreter switching
-    # threads as often as it can; the extension is executed once and every
-    # spectrum matches a serial one
-    res = subprocess.run(
-        [sys.executable, "-c", _COLD_LOAD_PROBE], capture_output=True, text=True, env=_child_env(), timeout=120
-    )
-    assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout) == [1, 0, [], True]
+    assert begun == ([401] if 401 in failing else [401, 402])
+    assert started == []
 
 
 @pytest.mark.parametrize("branch", ["neg-half", "half-up"])
@@ -935,6 +809,65 @@ def test_forced_fault_fails_both_forced_claims_and_no_residual(forced_fault):
     _assert_residuals_match_one_level_calls(rep, 2, p, k)
 
 
+def test_isospectrality_fails_on_principal_j2_exponents(monkeypatch):
+    # the j=2 levels on the principal roots of its own Frobenius pairs are
+    # not D*Dt's: on Model II (-,+) at k = 1.5 they miss the j=1 levels by
+    # far more than the Galerkin gap, which the image-of-D exponents read
+    k = 1.5
+    p = m2_params(C1=1 / k, k=k)
+    iso = oracle.consistency_report(p, k, 1.0, levels=4).claim("f.isospectrality")
+    assert iso.verdict == "pass" and iso.metric <= 1e-9
+    image = oracle.partner_exponents
+
+    def principal(ends, k):
+        exps = image(ends, k)
+        nu2 = [k - A - 0.5 * eps for A, eps in zip(ends, (-1.0, 1.0))]
+        return oracle.PartnerExponents(exps.j1, tuple((1.0 + abs(nu)) / 2.0 for nu in nu2), exps.zero_level)
+
+    monkeypatch.setattr(oracle, "partner_exponents", principal)
+    iso = oracle.consistency_report(p, k, 1.0, levels=4).claim("f.isospectrality")
+    assert iso.verdict == "fail" and iso.metric > 0.1, iso.metric
+    assert iso.details["exponents_j2"] == list(principal(oracle.model_spec(p, k, 1.0).ends, k).j2)
+
+
+@pytest.mark.parametrize("branch, zero", [("neg-half", "j=2"), ("three-half", "j=1")])
+def test_isospectrality_reads_the_zero_level(branch, zero):
+    # the component whose kernel has its exponents carries one unpaired
+    # level, which reads 0 at rounding, the same component e.* names
+    p = gauge.Model1Params.from_branch(0.4, 2.0, branch)
+    rep = oracle.consistency_report(p, 2.0, 1.0, levels=4)
+    iso = rep.claim("f.isospectrality")
+    assert iso.details["zero_level"] == rep.claim("e.partner.m1").details["zero_level"] == zero
+    assert abs(iso.details["zero_reading"]) <= 1e-12 and iso.verdict == "pass", iso.details
+
+
+def test_model2_readings_sample_the_potential_once_per_rule(monkeypatch):
+    # the classical and X1 readings share their envelope exponents, so their
+    # Gauss-Jacobi rules: the closed j=1 potential is sampled once on each,
+    # beside the Galerkin solve's own samples and the constancy sample, and
+    # every d.* number is still that of a one-level verify_eigenpair call
+    sizes = collections.Counter()
+    factory = oracle.v_eff_model2
+
+    def make(p, j):
+        pot = factory(p, j)
+
+        def fn(w):
+            sizes[np.size(w)] += j == 1
+            return pot(w)
+
+        return gauge.EffectivePotential(fn)
+
+    monkeypatch.setattr(oracle, "v_eff_model2", make)
+    p = _report_params(2)
+    rep = oracle.consistency_report(p, 2.0, 1.0, levels=4)
+    assert {c.grid["nodes"] for c in rep.claims if c.claim_id.startswith("d.")} == {16}
+    # Galerkin and residuals each read 16 and 32 nodes
+    assert sizes == {oracle._CONSTANCY_GRID["n_pts"]: 1, 16: 2, 32: 2}, sizes
+    monkeypatch.setattr(oracle, "v_eff_model2", factory)
+    _assert_residuals_match_one_level_calls(rep, 2, p, 2.0)
+
+
 @pytest.mark.parametrize(
     "model, k, branch",
     [(1, 2.0, b) for b in ("neg-half", "half-down", "half-up", "three-half")]
@@ -1099,9 +1032,9 @@ def test_report_residuals_match_verify_eigenpair_bitwise(model, monkeypatch):
     p = _report_params(model, k)
     routine, calls = oracle.verify_eigenpair, []
 
-    def counted(wf, levels, V, lams):
+    def counted(wf, levels, V, lams, samples=None):
         calls.append((list(levels), np.shape(lams)))
-        return routine(wf, levels, V, lams)
+        return routine(wf, levels, V, lams, samples)
 
     monkeypatch.setattr(oracle, "verify_eigenpair", counted)
     rep = oracle.consistency_report(p, k, R, levels=3)
@@ -1188,21 +1121,26 @@ def test_report_model1_residuals_finite_on_every_branch(branch):
     assert math.isfinite(g.metric) and math.isfinite(g.details["mean_local_energy"])
 
 
-def test_report_solves_two_galerkin_series(monkeypatch):
-    # c.* solves the closed j=1 potential and e.* reuses it, shifted by the
-    # constant closed1 - gen1; only the general j=2 potential needs its own
+def test_report_solves_three_galerkin_series(monkeypatch):
+    # f.isospectrality solves the general j=1 and j=2 potentials, c.* the
+    # closed j=1 one; e.* reuses the c.* levels, shifted by the constant
+    # closed1 - gen1, and the j=2 solve, so no solve is made twice
     routine, calls = oracle.galerkin_levels, []
 
+    w = np.array([0.3])
+
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        calls.append((float(args[0](w)[0]), args[1]))
         return routine(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "galerkin_levels", counted)
     for model in (1, 2):
         calls.clear()
         oracle.consistency_report(_report_params(model), 2.0, 1.0, levels=4)
-        exps = oracle.partner_exponents(oracle.model_spec(_report_params(model), 2.0, 1.0).ends, 2.0)
-        assert calls == [exps.j1, exps.j2], model
+        spec = oracle.model_spec(_report_params(model), 2.0, 1.0)
+        exps = oracle.partner_exponents(spec.ends, 2.0)
+        gen1, gen2 = (gauge.v_eff_general(spec.A, spec.dA, 2.0, j)(w)[0] for j in (1, 2))
+        assert calls == [(gen1, exps.j1), (gen2, exps.j2), (spec.closed1(w)[0], exps.j1)], model
 
 
 @pytest.mark.parametrize("model", [1, 2])
@@ -1269,7 +1207,7 @@ def test_verify_reads_no_norm(model, levels, monkeypatch):
 
 _SHARED_HEAD = [
     ("f.matrix-symmetry", ()),
-    ("f.isospectrality", ("zero_floor", "n_below_floor")),
+    ("f.isospectrality", ("zero_level", "zero_reading", "exponents_j1", "exponents_j2", "n", "gap_2n")),
     ("conventions.factorization-match", ("convention", "match_j2")),
     ("a.veff1-expansion", ("additive_constant",)),
     ("b.veff1-constrained", ("additive_constant",)),
