@@ -23,18 +23,21 @@ sampled in one pass over the grid, reports are JSON.  The default output
 directory comes from --out, then the config, then the DIRAC_SPHERE_OUT
 environment variable, then the working directory.
 
-Each call builds the parser of the one command its arguments name (of all
-five when they name none).  Every cmd_* only computes its (path, text) files;
-main hands them to _write_set, the one writer.  _json_text writes every JSON
-file, as json.dumps would with indent=2.  --help leaves this last paragraph out.
+A plain call of a --config command (_plain_args) is parsed from the same
+tables without argparse.  Anything else -- help, an error, figures -- goes to
+argparse, which builds the parser of the one command its arguments name (of
+all five when they name none), so every message and help text is argparse's
+own.  Every cmd_* only computes its (path, text) files; main hands them to
+_write_set, the one writer.  _json_text writes every JSON file, as json.dumps
+would with indent=2.  --help leaves this last paragraph out.
 """
-import argparse
 import errno
 import gc
 import json
 import math
 import os
 import sys
+import types
 from typing import Optional
 
 import numpy as np
@@ -462,11 +465,6 @@ def cmd_figures(which, overrides, outdir):
     return files + [(os.path.join(d, name), text) for name, text in notes.items()]
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise ConfigError(message)
-
-
 # The config overrides a command may declare: each replaces one setting of the
 # config document, and a command declares only those whose settings it reads.
 _OVERRIDES = {
@@ -517,35 +515,101 @@ _COMMANDS = {
 }
 
 
+def _arguments(name):
+    """The (flag, add_argument keywords) of command name, in the order its
+    parser declares them."""
+    _, overrides, config, own = _COMMANDS[name]
+    head = [("--config", dict(required=True, help="path to the JSON run configuration"))] if config else []
+    head.append(("--out", dict(help="output directory (overrides config and environment)")))
+    return head + [(flag, _OVERRIDES[flag]) for flag in ("--k",) + overrides] + list(own)
+
+
 def _parser(argv):
-    """The parser, with the subparser of the command argv[0] names, or of every
-    command when it names none, so that the listing and the invalid-choice
-    message still name all five."""
+    """The argparse parser, with the subparser of the command argv[0] names, or
+    of every command when it names none, so that the listing and the
+    invalid-choice message still name all five.  argparse is imported here, on
+    the calls _plain_args leaves to it."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise ConfigError(message)
+
     # the docstring's last paragraph is about the code, not the commands
     parser = _Parser(prog="dirac-sphere", description=__doc__.rsplit("\n\n", 1)[0], allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     names = argv[:1] if argv[:1] and argv[0] in _COMMANDS else _COMMANDS
     for name in names:
-        help_text, overrides, config, own = _COMMANDS[name]
-        sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        if config:
-            sp.add_argument("--config", required=True, help="path to the JSON run configuration")
-        sp.add_argument("--out", help="output directory (overrides config and environment)")
-        for flag in ("--k",) + overrides:
-            sp.add_argument(flag, **_OVERRIDES[flag])
-        for flag, kwargs in own:
+        sp = sub.add_parser(name, help=_COMMANDS[name][0], allow_abbrev=False)
+        for flag, kwargs in _arguments(name):
             sp.add_argument(flag, **kwargs)
     return parser
 
 
+# the flag-spec keys _plain_args reads; a spec with any other key, or with an
+# action other than store_true, is left to argparse
+_PLAIN_KEYS = {"type", "choices", "default", "dest", "help", "action", "required"}
+
+
+def _plain_args(argv):
+    """The namespace _parser(argv).parse_args(argv) returns, read from the
+    same tables without argparse, when argv is a plain call of a --config
+    command: the command, then each of its flags at most once, as its own
+    token, with a value that does not start with '-' and that its type and
+    choices accept; every required flag (--config) is given.
+
+    None for anything else, which argparse then parses: help, `--`, a
+    --flag=value, a repeated or unknown flag, a value it refuses, a
+    positional argument (figures), a flag spec with a key outside
+    _PLAIN_KEYS.
+    """
+    if not argv or argv[0] not in _COMMANDS or not all(isinstance(arg, str) for arg in argv):
+        return None
+    specs = dict(_arguments(argv[0]))
+    for flag, spec in specs.items():
+        if not flag.startswith("--") or set(spec) - _PLAIN_KEYS or spec.get("action", "store_true") != "store_true":
+            return None
+    given, i = {}, 1
+    while i < len(argv):
+        flag = argv[i]
+        spec = specs.get(flag)
+        if spec is None or flag in given:
+            return None
+        if "action" in spec:
+            given[flag], i = True, i + 1
+            continue
+        if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+            return None
+        try:
+            value = spec["type"](argv[i + 1]) if "type" in spec else argv[i + 1]
+        except (TypeError, ValueError):
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[flag], i = value, i + 2
+    if any(spec.get("required") and flag not in given for flag, spec in specs.items()):
+        return None
+    args = types.SimpleNamespace(command=argv[0])
+    for flag, spec in specs.items():
+        if flag in given:
+            value = given[flag]
+        else:  # argparse's default, which it passes through type when it is a string
+            value = spec.get("default", False if "action" in spec else None)
+            if isinstance(value, str) and "type" in spec:
+                value = spec["type"](value)
+        setattr(args, spec.get("dest", flag[2:].replace("-", "_")), value)
+    return args
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    parser = _parser(argv)
-    try:
-        args = parser.parse_args(argv)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = _parser(argv).parse_args(argv)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 1
 
     try:
         failed = []
@@ -586,7 +650,9 @@ def console_main():
     Runs main() on the command line, then freezes the objects the garbage
     collector tracks (gc.freeze) before the interpreter shuts down, so its
     exit-time collections skip the tens of thousands of objects numpy and
-    scipy leave behind; no output depends on them.  main() itself changes no
+    scipy leave behind; no output depends on them.  A plain call of a
+    --config command imports neither argparse nor gettext: only help, a usage
+    error and figures build argparse's parser.  main() itself changes no
     process-wide state, because tests and warm callers run it in-process.
     """
     code = main()

@@ -30,6 +30,7 @@ __all__ = [
     "a_u_model2",
     "da_u_model2",
     "v_eff_general",
+    "general_form",
     "v_eff_model1_raw",
     "v_eff_model1",
     "v_eff_model2_raw",
@@ -241,21 +242,21 @@ def v_eff_general(A, dA, k, j) -> EffectivePotential:
     """
     if j not in (1, 2):
         raise DomainError(f"component index must be 1 or 2, got {j}")
-    sgn = -1.0 if j == 1 else 1.0
 
     @_elementwise
     def v(w):
         ch = np.cosh(w)
         sh = np.sinh(w)
-        aw = A(w)
-        return (
-            ((k - aw) ** 2 + sgn * dA(w)) * ch * ch
-            + sgn * (aw - k) * ch * sh
-            - 0.75 * ch * ch
-            + 0.25
-        )
+        return general_form(A(w), dA(w), k, j, ch, sh)
 
     return EffectivePotential(fn=v)
+
+
+def general_form(a, da, k, j, ch, sh):
+    """v_eff_general's value of component j from samples at the same w: a of
+    A, da of dA, ch of cosh and sh of sinh; the bits v_eff_general returns."""
+    sgn = -1.0 if j == 1 else 1.0
+    return ((k - a) ** 2 + sgn * da) * ch * ch + sgn * (a - k) * ch * sh - 0.75 * ch * ch + 0.25
 
 
 def v_eff_model1_raw(p: Model1Params, k) -> EffectivePotential:

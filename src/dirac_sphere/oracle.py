@@ -52,6 +52,7 @@ must PASS; transcription claims are always 'recorded' with their metric,
 because the closed forms contain apparent typos that this package is meant to
 expose, not hide.
 """
+import functools
 import math
 import os
 import sys
@@ -68,6 +69,7 @@ from .gauge import (
     a_u_model2,
     da_u_model1,
     da_u_model2,
+    general_form,
     midya_rhs,
     v_eff_general,
     v_eff_model1,
@@ -147,9 +149,10 @@ class SLMatrix:
         return self.diag.size
 
     def matvec(self, x):
+        """The product with x, or with each row of x (shape (..., order))."""
         y = self.diag * x
-        y[1:] += self.off * x[:-1]
-        y[:-1] += self.off * x[1:]
+        y[..., 1:] += self.off * x[..., :-1]
+        y[..., :-1] += self.off * x[..., 1:]
         return y
 
 
@@ -316,18 +319,18 @@ def compose_factorized(A, k, grid: Grid):
 
 def _band_deviation(m: SLMatrix, product):
     """max |product - m| / max |m| over every band entry of m, where product
-    applies the matrix m should equal to a vector.
+    applies the matrix m should equal to each row of a (3, order) array.
 
     Three probes recover a tridiagonal matrix in O(order): the unit vectors
-    summed with stride 3 at offsets 0, 1 and 2.  Row i of M p meets exactly
-    one of columns i-1, i, i+1 of a probe, so each entry of M p is one band
-    entry of M, and the three probes between them reach all of them.
+    summed with stride 3 at offsets 0, 1 and 2, read in one pass as the rows
+    of one array.  Row i of M p meets exactly one of columns i-1, i, i+1 of a
+    probe, so each entry of M p is one band entry of M, and the three probes
+    between them reach all of them.
     """
-    dev = 0.0
+    p = np.zeros((3, m.order))
     for offset in range(3):
-        p = np.zeros(m.order)
-        p[offset::3] = 1.0
-        dev = max(dev, np.abs(product(p) - m.matvec(p)).max())
+        p[offset, offset::3] = 1.0
+    dev = np.abs(product(p) - m.matvec(p)).max()
     return float(dev / max(np.abs(m.diag).max(), np.abs(m.off).max()))
 
 
@@ -340,13 +343,13 @@ def _product_defect(A, k, grid: Grid, dtd: SLMatrix, ddt: SLMatrix):
     """
     lo, up = _staggered_factor(A, k, grid)
 
-    def d(x):  # N nodes -> N + 1 half points
-        y = up * np.append(x, 0.0)
-        y[1:] += lo[1:] * x
+    def d(x):  # N nodes -> N + 1 half points, row by row
+        y = up * np.concatenate((x, np.zeros((len(x), 1))), axis=1)
+        y[:, 1:] += lo[1:] * x
         return y
 
-    def dt(y):  # N + 1 half points -> N nodes
-        return up[:-1] * y[:-1] + lo[1:] * y[1:]
+    def dt(y):  # N + 1 half points -> N nodes, row by row
+        return up[:-1] * y[:, :-1] + lo[1:] * y[:, 1:]
 
     return max(
         _band_deviation(dtd, lambda x: dt(d(x))), _band_deviation(ddt, lambda y: d(dt(y)))
@@ -447,10 +450,24 @@ def _galerkin_eigenvalues(V, a, b, n):
     h = (basis * q) @ basis.T
     m = np.arange(n)
     h[m, m] += m * (m + alpha + beta + 1.0)
+    src, dst = _band_layout(n)
+    band = np.zeros(n * n)  # h's lower triangle as one full band, in column order
+    band[dst] = h.ravel()[src]
+    return _band_eigenvalues(band.reshape((n, n), order="F"))
+
+
+@functools.lru_cache(maxsize=256)
+def _band_layout(n):
+    """Where each lower-triangle entry (i, j) of an n x n Galerkin matrix goes
+    in its band, as flat indexes in np.tril_indices(n) order: src = i n + j
+    into the row-major matrix, dst = (i - j) + j n into the column-major
+    band, whose row i - j is the (i - j)-th subdiagonal.  Cached by n, like
+    the Golub-Welsch rules; the arrays are read-only."""
     i, j = np.tril_indices(n)
-    band = np.zeros((n, n), order="F")  # h's lower triangle as one full band
-    band[i - j, j] = h[i, j]
-    return _band_eigenvalues(band)
+    layout = i * n + j, i - j + j * n
+    for arr in layout:
+        arr.flags.writeable = False
+    return layout
 
 
 def _band_eigenvalues(band):
@@ -875,13 +892,14 @@ def model_spec(params, k, R) -> _ModelSpec:
     return _model2_spec(params, k, R)
 
 
-def _forced_claims(A, dA, k, gen1, gen2, exps, partner):
+def _forced_claims(A, k, profile, general, exps, partner):
     """The forced claims, f.matrix-symmetry on the staggered factorization
     and f.isospectrality on partner, the Jacobi-Galerkin levels of the
     general j=1 and j=2 potentials on the exponents exps; then the continuum
-    identities that tie the staggered f to gen1/gen2, the general-form
-    j=1/j=2 potentials (not the printed closed forms) sampled at
-    _CONSTANCY_W."""
+    identities that tie the staggered f to general, the general-form j=1 and
+    j=2 potentials (not the printed closed forms) sampled at _CONSTANCY_W.
+    profile holds A, dA, cosh and sinh sampled there, from which both f and
+    general are read."""
     claims = []
     # one sample of A at the half points, the only points either reads,
     # serves both compose_factorized and _product_defect
@@ -911,13 +929,11 @@ def _forced_claims(A, dA, k, gen1, gen2, exps, partner):
 
     # Dt*D and D*Dt carry V_1 = f^2 - sinh f - cosh f' and
     # V_2 = f^2 + cosh f' - sinh f - cosh^2 exactly, for every A
-    w = _CONSTANCY_W
-    a = np.asarray(A(w), dtype=float)
-    ch, sh = np.cosh(w), np.sinh(w)
-    f = _factor_f(a, k, w)
-    df = sh * (a - k) + ch * dA(w) + 0.5 * ch
+    a, da, ch, sh = profile
+    f = _factor_f(a, k, _CONSTANCY_W)
+    df = sh * (a - k) + ch * da + 0.5 * ch
     match = []
-    for v, g in ((f * f - sh * f - ch * df, gen1), (f * f + ch * df - sh * f - ch * ch, gen2)):
+    for v, g in zip((f * f - sh * f - ch * df, f * f + ch * df - sh * f - ch * ch), general):
         match.append(float(np.abs(v - g).max() / (1.0 + np.abs(g).max())))
     claims.append(
         Claim(
@@ -979,25 +995,27 @@ def _isospectrality_claim(exps, partner):
 def _model_report(spec: _ModelSpec, k, R, levels):
     """The claims of one model in report order, built from its spec.
 
-    The potentials are sampled once on _CONSTANCY_W, in report order, and
-    the general j=1 and j=2 levels solved, before the first claim (the
-    second, f.isospectrality, reads them); everything else is evaluated in
-    report order, so the first claim an invalid configuration breaks is the
-    one that raises.  A
-    model with more than one eigenfunction reading names each in its d.*
-    claim ids.
+    The profile A, dA and the potentials are sampled once on _CONSTANCY_W
+    (the general forms read from the profile's sample, as v_eff_general
+    would), and the general j=1 and j=2 levels solved, before the first claim
+    (the second, f.isospectrality, reads them); everything else is evaluated
+    in report order, so the first claim an invalid configuration breaks is
+    the one that raises.  A model with more than one eigenfunction reading
+    names each in its d.* claim ids.
     """
     ref = f"model{spec.model}"
-    gen1 = v_eff_general(spec.A, spec.dA, k, 1)
-    gen2 = v_eff_general(spec.A, spec.dA, k, 2)
-    # each potential sampled once at _CONSTANCY_W, serving every claim that reads it
-    pots = (gen1, gen2, spec.raw1, spec.closed1, spec.closed2)
-    g1, g2, r1, c1, c2 = (np.asarray(v(_CONSTANCY_W), dtype=float) for v in pots)
+    # each function sampled once at _CONSTANCY_W, serving every claim that reads it
+    a, da, r1, c1, c2 = (
+        np.asarray(v(_CONSTANCY_W), dtype=float) for v in (spec.A, spec.dA, spec.raw1, spec.closed1, spec.closed2)
+    )
+    ch, sh = np.cosh(_CONSTANCY_W), np.sinh(_CONSTANCY_W)
+    g1, g2 = (general_form(a, da, k, j, ch, sh) for j in (1, 2))
     # the Galerkin levels of the general potentials, the continuum Dt*D and
     # D*Dt: f.isospectrality pairs them, and e.* reads the j=2 ones
     exps = partner_exponents(spec.ends, k)
+    gen1, gen2 = (v_eff_general(spec.A, spec.dA, k, j) for j in (1, 2))
     partner = [galerkin_levels(gen1, exps.j1, levels), galerkin_levels(gen2, exps.j2, levels)]
-    claims = _forced_claims(spec.A, spec.dA, k, g1, g2, exps, partner)
+    claims = _forced_claims(spec.A, k, (a, da, ch, sh), (g1, g2), exps, partner)
 
     b1, b2 = spec.b_descriptions
     drift, mean_of = {}, {}

@@ -49,25 +49,30 @@ def _check_index(n, alpha, beta):
         raise DomainError(f"Jacobi parameters must exceed -1, got alpha={alpha}, beta={beta}")
 
 
-def _jacobi_table(top, alpha, beta, x):
-    """[P_0, P_1, ..., P_top] of P_m^(alpha,beta) at x by the ascending
-    three-term recurrence: every degree of the family at the cost of the
-    highest.  A divisor that rounds to 0 raises DomainError (see jacobi)."""
+def _jacobi_table(top, alpha, beta, x, shifts=0):
+    """[P_0, P_1, ..., P_top] of P_m^(alpha + j, beta + j) at x for each j in
+    0..shifts, by the ascending three-term recurrence: every degree of every
+    family at the cost of the highest.  Each P_m is an array of shape
+    (shifts + 1,) + x.shape whose row j is family j, computed with the
+    operations, in the order, of that family's own recurrence.  A divisor
+    that rounds to 0 raises DomainError (see jacobi)."""
     x = np.asarray(x, dtype=float)
-    tab = [np.ones_like(x)]
+    j = np.arange(shifts + 1).reshape((-1,) + (1,) * x.ndim)
+    al, be = alpha + j, beta + j
+    tab = [np.ones((shifts + 1,) + x.shape)]
     if top:
-        tab.append((alpha - beta) / 2.0 + (alpha + beta + 2.0) / 2.0 * x)
+        tab.append((al - be) / 2.0 + (al + be + 2.0) / 2.0 * x)
     for m in range(2, top + 1):
-        s = 2.0 * m + alpha + beta
-        a = 2.0 * m * (m + alpha + beta) * (s - 2.0)
-        if a == 0.0:
+        s = 2.0 * m + al + be
+        a = 2.0 * m * (m + al + be) * (s - 2.0)
+        if not a.all():
             raise DomainError(
                 f"Jacobi recurrence divisor is 0 at degree {m}: alpha + beta = "
                 f"{alpha + beta!r} is -2 to rounding"
             )
-        b = (s - 1.0) * (alpha * alpha - beta * beta)
+        b = (s - 1.0) * (al * al - be * be)
         c = (s - 1.0) * s * (s - 2.0)
-        d = 2.0 * (m + alpha - 1.0) * (m + beta - 1.0) * s
+        d = 2.0 * (m + al - 1.0) * (m + be - 1.0) * s
         tab.append(((b + c * x) * tab[m - 1] - d * tab[m - 2]) / a)
     return tab
 
@@ -90,25 +95,24 @@ def jacobi(n, alpha, beta, x):
     relative); a divisor that rounds to 0 raises DomainError.
     """
     _check_index(n, alpha, beta)
-    return _scalar_or_array(_jacobi_table(int(n), alpha, beta, x)[-1])
+    return _scalar_or_array(_jacobi_table(int(n), alpha, beta, x)[-1][0])
 
 
 def jacobi_rows(degrees, alpha, beta, x, d=0):
     """[P_n, P_n', ..., P_n^(d)] of P_n^(alpha,beta) at x for every n in
     degrees, each an array with one row per degree, by the parameter shift
     P_n^(j) = prod_{i=1..j} (n + alpha + beta + i)/2 * P_{n-j}^(alpha+j, beta+j),
-    0 for j > n: one _jacobi_table per shifted family, up to the highest
-    degree, serves every degree; the rows of P_n are jacobi's bits."""
+    0 for j > n: one _jacobi_table runs the recurrence of every shifted
+    family at once, up to the highest degree, and serves every degree; the
+    rows of P_n are jacobi's bits."""
     for n in degrees:
         _check_index(n, alpha, beta)
     degrees = [int(n) for n in degrees]
-    top = max(degrees)
-    tab = _jacobi_table(top, alpha, beta, x)
-    out, coef = [[tab[n] for n in degrees]], [1.0] * len(degrees)
+    tab = _jacobi_table(max(degrees), alpha, beta, x, d)
+    out, coef = [[tab[n][0] for n in degrees]], [1.0] * len(degrees)
     for j in range(1, d + 1):
-        tab = _jacobi_table(max(top - j, 0), alpha + j, beta + j, x)
         coef = [c * (0.5 * (n + alpha + beta + j)) for c, n in zip(coef, degrees)]
-        out.append([c * tab[n - j] if j <= n else 0.0 * p for c, n, p in zip(coef, degrees, out[0])])
+        out.append([c * tab[n - j][j] if j <= n else 0.0 * p for c, n, p in zip(coef, degrees, out[0])])
     return [np.array(rows) for rows in out]
 
 

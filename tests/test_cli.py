@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import csv
 import gc
+import io
 import json
 import math
 import os
@@ -11,10 +13,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirac_sphere import cli, oracle
+from dirac_sphere.errors import ConfigError
 
 # A numpy RuntimeWarning (a division by zero, an invalid value) on a CLI path
 # is a defect even when the command exits 0.
@@ -751,6 +754,106 @@ def test_parser_is_built_for_the_named_command_alone(monkeypatch):
     assert list(_subparsers(cli._parser(["--help", "verify"]))) == list(_COMMAND_FLAGS)
 
 
+# every flag any command declares, flags none does, and the token forms
+# argparse alone serves: help, `--`, `=` forms, abbreviations
+_ARGV_FLAGS = sorted({flag for flags in _COMMAND_FLAGS.values() for flag in flags if flag.startswith("--")})
+_ARGV_TOKENS = _ARGV_FLAGS + [
+    "-h", "--help", "--", "--bogus", "--lev", "--conf", "-k", "--k=2", "--levels=3", "--config=c.json",
+    "--strict=1", "which",
+]
+_ARGV_VALUES = [
+    "c.json", "out", "", " 3 ", "0", "2", "3", "60", "1.5", "1e3", "1_0", "-2", "-1.5", "-", "-x", "nan",
+    "inf", "-inf", "NaN", "x", "Veff1", "Veff2", "A_u", "a_u", "classical", "x1", "fig1", "verify", "--k",
+]
+# values each flag accepts, drawn for it most of the time so that many argv
+# parse in full
+_ARGV_GOOD = {
+    "--config": ["c.json"], "--out": ["out", ""], "--k": ["2", "1.5", "nan", "1e3"], "--levels": ["3", " 60 "],
+    "--grid-L": ["6", "inf"], "--grid-N": ["301", "1_0"], "--which": ["A_u", "Veff2"], "--level": ["0", "2"],
+    "--polynomial": ["x1", "classical"],
+}
+
+
+@st.composite
+def _argv(draw):
+    """An argv of any command: mostly its own flags, each once, with values
+    they accept; now and then a token argparse alone serves, a repeated
+    flag, or a value its flag refuses."""
+    command = draw(st.sampled_from(list(_COMMAND_FLAGS) * 2 + ["bogus", "-h"]))
+    own = [flag for flag in _COMMAND_FLAGS.get(command, ()) if flag.startswith("--")] or _ARGV_FLAGS
+    flags = list(draw(st.permutations(own))[: draw(st.integers(0, 5))])
+    if not draw(st.integers(0, 3)):
+        flags.insert(draw(st.integers(0, len(flags))), draw(st.sampled_from(_ARGV_TOKENS)))
+    argv = [command]
+    for flag in flags:
+        argv.append(flag)
+        if flag in _ARGV_GOOD and draw(st.integers(0, 7)):
+            argv.append(draw(st.sampled_from(_ARGV_GOOD[flag])))
+        elif not draw(st.integers(0, 3)):
+            argv.append(draw(st.sampled_from(_ARGV_VALUES)))
+    if "--config" not in flags and draw(st.integers(0, 3)):
+        at = draw(st.integers(1, len(argv)))
+        argv[at:at] = ["--config", "c.json"]
+    return argv
+
+
+def _same_namespace(got, want):
+    """vars of both equal, value types included, a NaN equal to a NaN."""
+    def key(value):
+        return type(value), "nan" if isinstance(value, float) and math.isnan(value) else value
+
+    return {k: key(v) for k, v in vars(got).items()} == {k: key(v) for k, v in vars(want).items()}
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argv())
+@example(["verify", "--config", "c.json", "--k", "nan", "--strict", "--out", "", "--levels", " 3 "])
+@example(["wavefunction", "--config", "c.json", "--level", "1_0", "--polynomial", "x1", "--grid-L", "inf"])
+@example(["verify", "--config", "c.json", "--k", "-2"])
+@example(["potential", "--config", "c.json", "--which", "bogus"])
+def test_plain_args_is_argparse_or_none(argv):
+    # the argparse-free parse returns the namespace argparse returns, or
+    # None; wherever argparse refuses (or prints help), it returns None
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            want = cli._parser(argv).parse_args(argv)
+        except (ConfigError, SystemExit):
+            want = None
+    got = cli._plain_args(argv)
+    if want is None:
+        assert got is None
+    elif got is not None:
+        assert _same_namespace(got, want), (vars(got), vars(want))
+
+
+@pytest.mark.parametrize("argv", [["verify", "--config", "c.json", *tail] for tail in (
+    ["-h"], ["--help"], ["--k=2"], ["--k", "1", "--k", "2"], ["--config", "d.json"], ["--"], ["--", "--k", "2"],
+    ["--k", "-2"], ["--out", "-x"], ["--out", "-"], ["--bogus", "1"], ["--lev", "3"], ["--levels", "x"],
+    ["--levels", "1.5"], ["--strict", "1"], ["--k"], ["extra"],
+)] + [
+    ["verify"], ["verify", "--out", "o"], ["figures", "fig1"], ["potential", "--config", "c.json", "--which", "x"],
+    ["wavefunction", "--config", "c.json", "--level", "one"], [], ["bogus", "--config", "c.json"],
+])
+def test_plain_args_leaves_the_rest_to_argparse(argv):
+    # help, `=` forms, repeats, `--`, a value that starts with '-', an unknown
+    # flag, a value argparse refuses, no --config, figures: None, whatever
+    # argparse makes of it
+    assert cli._plain_args(argv) is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--config", "c.json"],
+    ["verify", "--out", "o", "--config", "c.json", "--levels", "12", "--strict", "--k", "1.5"],
+    ["spectrum", "--config", "c.json", "--levels", "3"],
+    ["potential", "--config", "c.json", "--which", "A_u", "--grid-L", "6", "--grid-N", "301"],
+    ["wavefunction", "--config", "c.json", "--level", "2", "--polynomial", "x1"],
+])
+def test_plain_args_reads_every_plain_call(argv):
+    # a plain call of a --config command never needs argparse
+    got = cli._plain_args(argv)
+    assert got is not None and _same_namespace(got, cli._parser(argv).parse_args(argv))
+
+
 _json_leaves = (
     st.none() | st.booleans() | st.integers() | st.integers(min_value=2**63, max_value=2**200)
     | st.floats(allow_nan=True, allow_infinity=True)
@@ -990,6 +1093,39 @@ def test_only_verify_loads_scipy(tmp_path, args, solves):
     code, loaded = json.loads(res.stdout)
     assert code == 0
     assert loaded == (["scipy.linalg._flapack"] if solves else [])
+
+
+_ARGPARSE_PROBE = """
+import contextlib, io, json, sys
+from dirac_sphere.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, [m for m in ("argparse", "gettext") if m in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize(
+    "args, code, parses",
+    [
+        (["verify", "--config", example_config("model1.json"), "--levels", "3", "--strict"], 0, False),
+        (["verify", "--config", example_config("model2.json")], 0, False),
+        (["spectrum", "--config", example_config("model1.json")], 0, False),
+        (["wavefunction", "--config", example_config("model2.json"), "--polynomial", "x1"], 0, False),
+        (["verify", "--config", example_config("model1.json"), "--levels=3"], 0, True),
+        (["verify", "--config", example_config("model1.json"), "--lev", "3"], 1, True),
+        (["figures", "fig2"], 0, True),
+    ],
+    ids=["verify-m1", "verify-m2", "spectrum", "wavefunction", "equals-form", "usage-error", "figures"],
+)
+def test_only_help_errors_and_figures_import_argparse(tmp_path, args, code, parses):
+    # a fresh interpreter per call: a plain call of a --config command is
+    # parsed without argparse, so neither argparse nor gettext is imported
+    res = subprocess.run(
+        [sys.executable, "-c", _ARGPARSE_PROBE, *args, "--out", str(tmp_path)],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [code, ["argparse", "gettext"] if parses else []]
 
 
 _COEXIST_PROBE = """

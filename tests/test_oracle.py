@@ -1121,6 +1121,21 @@ def test_report_model1_residuals_finite_on_every_branch(branch):
     assert math.isfinite(g.metric) and math.isfinite(g.details["mean_local_energy"])
 
 
+@pytest.mark.parametrize("n", [1, 2, 16, 256])
+def test_galerkin_band_layout_is_cached_read_only_tril(n):
+    # each lower-triangle entry (i, j), in np.tril_indices order, goes from
+    # flat i n + j of the matrix to flat (i - j) + j n of the column-major
+    # band; one read-only layout per basis size, cached
+    src, dst = oracle._band_layout(n)
+    assert oracle._band_layout(n)[0] is src
+    assert not src.flags.writeable and not dst.flags.writeable
+    i, j = np.tril_indices(n)
+    assert np.array_equal(np.divmod(src, n), (i, j))
+    assert np.array_equal(np.divmod(dst, n), (j, i - j))
+    with pytest.raises(ValueError):
+        src[0] = 1
+
+
 def test_report_solves_three_galerkin_series(monkeypatch):
     # f.isospectrality solves the general j=1 and j=2 potentials, c.* the
     # closed j=1 one; e.* reuses the c.* levels, shifted by the constant
@@ -1143,48 +1158,78 @@ def test_report_solves_three_galerkin_series(monkeypatch):
         assert calls == [(gen1, exps.j1), (gen2, exps.j2), (spec.closed1(w)[0], exps.j1)], model
 
 
+def _count_samples(monkeypatch, factories):
+    """Patch each oracle factory named in factories (name -> label of what it
+    builds, or a callable of its last argument, the component, giving the
+    label) so that every function it builds counts its samples; returns the
+    Counter of (label, number of points) it fills."""
+    seen = collections.Counter()
+    for name, label in factories.items():
+        factory = getattr(oracle, name)
+
+        def make(*args, factory=factory, label=label):
+            fn, key = factory(*args), label(args[-1]) if callable(label) else label
+            return lambda w: seen.update([(key, np.size(w))]) or fn(w)
+
+        monkeypatch.setattr(oracle, name, make)
+    return seen
+
+
+def _general_samples(model, k):
+    """A, dA and the general j=1 and j=2 potentials sampled at _CONSTANCY_W,
+    each by its own gauge call."""
+    p, w = _report_params(model, k), oracle._CONSTANCY_W
+    A, dA = getattr(gauge, f"a_u_model{model}")(p), getattr(gauge, f"da_u_model{model}")(p)
+    return A(w), dA(w), [gauge.v_eff_general(A, dA, k, j)(w) for j in (1, 2)]
+
+
 @pytest.mark.parametrize("model", [1, 2])
 def test_report_samples_each_potential_once_on_the_constancy_grid(model, monkeypatch):
-    # conventions.*, a.*, b.* and g.* read one sample of each potential on
-    # _CONSTANCY_W: gen1 and gen2 (the general forms), raw1, closed1, closed2
-    seen = collections.Counter()
-
-    def counting(name, factory):
-        def make(*args):
-            pot = factory(*args)
-            label = name if name.endswith("raw") else f"{name}.j{args[-1]}"
-
-            def fn(w):
-                seen[label] += np.size(w) == oracle._CONSTANCY_GRID["n_pts"]
-                return pot(w)
-
-            return gauge.EffectivePotential(fn)
-
-        return make
-
-    names = ("v_eff_general", f"v_eff_model{model}", f"v_eff_model{model}_raw")
-    for name in names:
-        monkeypatch.setattr(oracle, name, counting(name, getattr(oracle, name)))
+    # conventions.*, a.*, b.* and g.* read one sample of each function on
+    # _CONSTANCY_W: the profile A and dA, raw1, closed1 and closed2; the
+    # general forms are read from the profile's sample, bit for bit what
+    # v_eff_general returns there, and are never sampled there themselves
+    seen = _count_samples(monkeypatch, {
+        f"a_u_model{model}": "A",
+        f"da_u_model{model}": "dA",
+        "v_eff_general": lambda j: f"general.j{j}",
+        f"v_eff_model{model}_raw": "raw1",
+        f"v_eff_model{model}": lambda j: f"closed{j}",
+    })
+    forced, routine = [], oracle._forced_claims
+    monkeypatch.setattr(oracle, "_forced_claims", lambda *args: forced.append(args) or routine(*args))
     oracle.consistency_report(_report_params(model), 2.0, 1.0, levels=4)
-    general, closed, raw = names
-    want = [f"{general}.j1", f"{general}.j2", raw, f"{closed}.j1", f"{closed}.j2"]
-    assert seen == {label: 1 for label in want}
+    n_pts = oracle._CONSTANCY_GRID["n_pts"]
+    on_grid = {label: count for (label, size), count in seen.items() if size == n_pts}
+    assert on_grid == {"A": 1, "dA": 1, "raw1": 1, "closed1": 1, "closed2": 1}, seen
+    (_, _, (a, da, ch, sh), general, _, _), = forced
+    want_a, want_da, want_general = _general_samples(model, 2.0)
+    w = oracle._CONSTANCY_W
+    for got, want in [(a, want_a), (da, want_da), (ch, np.cosh(w)), (sh, np.sinh(w))] + list(zip(general, want_general)):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("model", [1, 2])
 def test_forced_claims_sample_the_profile_once(model, monkeypatch):
     # compose_factorized and the product defect read one sample of A at the
-    # half points of _COMPOSE_GRID
-    sizes = []
-    factory = getattr(oracle, f"a_u_model{model}")
-
-    def make(*args):
-        a = factory(*args)
-        return lambda w: sizes.append(np.size(w)) or a(w)
-
-    monkeypatch.setattr(oracle, f"a_u_model{model}", make)
-    oracle.consistency_report(_report_params(model), 2.0, 1.0, levels=4)
-    assert sizes.count(oracle._COMPOSE_GRID.N + 1) == 1, sizes
+    # half points of _COMPOSE_GRID; the factorization check reads f and f'
+    # from the one sample of A and dA at _CONSTANCY_W, and its metrics are
+    # the bits of f and f' from samples of their own
+    seen = _count_samples(monkeypatch, {f"a_u_model{model}": "A", f"da_u_model{model}": "dA"})
+    rep = oracle.consistency_report(_report_params(model), 2.0, 1.0, levels=4)
+    n_pts = oracle._CONSTANCY_GRID["n_pts"]
+    assert seen[("A", oracle._COMPOSE_GRID.N + 1)] == seen[("A", n_pts)] == seen[("dA", n_pts)] == 1, seen
+    a, da, general = _general_samples(model, 2.0)
+    w, k = oracle._CONSTANCY_W, 2.0
+    ch, sh = np.cosh(w), np.sinh(w)
+    f = oracle._factor_f(a, k, w)
+    df = sh * (a - k) + ch * da + 0.5 * ch
+    want = [
+        float(np.abs(v - g).max() / (1.0 + np.abs(g).max()))
+        for v, g in zip((f * f - sh * f - ch * df, f * f + ch * df - sh * f - ch * ch), general)
+    ]
+    c = rep.claim("conventions.factorization-match")
+    assert [c.metric, c.details["match_j2"]] == want
 
 
 @pytest.mark.parametrize("levels", [4, 12])

@@ -347,6 +347,70 @@ def test_batched_rows_match_the_loop_bitwise():
             assert np.array_equal(got[i], want[0])
 
 
+def _family_table(top, a, b, x):
+    """[P_0, ..., P_top] of one family by the ascending recurrence in Python
+    floats, one family per call: the table jacobi_rows built for each
+    shifted family before one recurrence ran them all."""
+    tab = [np.ones_like(x)]
+    if top:
+        tab.append((a - b) / 2.0 + (a + b + 2.0) / 2.0 * x)
+    for m in range(2, top + 1):
+        s = 2.0 * m + a + b
+        c2 = 2.0 * m * (m + a + b) * (s - 2.0)
+        c1 = (s - 1.0) * (a * a - b * b)
+        c0 = (s - 1.0) * s * (s - 2.0)
+        c3 = 2.0 * (m + a - 1.0) * (m + b - 1.0) * s
+        tab.append(((c1 + c0 * x) * tab[m - 1] - c3 * tab[m - 2]) / c2)
+    return tab
+
+
+def _per_family_rows(degrees, a, b, x, d=0):
+    """jacobi_rows as it was, with one _family_table per shifted family."""
+    top = max(degrees)
+    tab = _family_table(top, a, b, x)
+    out, coef = [[tab[n] for n in degrees]], [1.0] * len(degrees)
+    for j in range(1, d + 1):
+        tab = _family_table(max(top - j, 0), a + j, b + j, x)
+        coef = [c * (0.5 * (n + a + b + j)) for c, n in zip(coef, degrees)]
+        out.append([c * tab[n - j] if j <= n else 0.0 * p for c, n, p in zip(coef, degrees, out[0])])
+    return [np.array(rows) for rows in out]
+
+
+def _bits(rows):
+    """Each row's values as 64-bit patterns: equal lists hold the same bits,
+    as float.hex would show them."""
+    return [np.asarray(row, dtype=float).view(np.uint64).tolist() for row in rows]
+
+
+def _report_rule_nodes():
+    """The nodes of the largest Gauss-Jacobi rules the report's readings
+    take at --levels 60 on both examples, and the poles and centre."""
+    from dirac_sphere import gauge, oracle, spectra
+
+    alpha, beta = gauge.alpha_beta(2.0, "-", "+")
+    m1 = gauge.Model1Params.from_branch(0.4, 2.0, "half-up")
+    wfs = [spectra.wavefn_model2(0, alpha, beta), spectra.wavefn_model1(0, m1, 2.0)]
+    rules = [specfun.gauss_jacobi(256, *oracle._residual_weight(wf)[:2])[0] for wf in wfs]
+    return np.concatenate(rules + [np.array([-1.0, 0.0, 1.0])]), (alpha, beta), tuple(2.0 * e for e in wfs[1].exponents)
+
+
+def test_shared_recurrence_rows_match_the_per_family_tables_bitwise(monkeypatch):
+    # one recurrence over every shifted family at once gives each row the
+    # bits of that family's own table: P_n and its derivatives up to the
+    # third at every degree through 61 (the rows a --levels 60 report reads),
+    # and the X1 rows built from them
+    x, model2, model1 = _report_rule_nodes()
+    degrees = list(range(62))
+    for a, b in (model2, model1, (-0.5, 0.7), (3.5, 0.25)):
+        for d in range(4):
+            assert _bits(specfun.jacobi_rows(degrees, a, b, x, d)) == _bits(_per_family_rows(degrees, a, b, x, d)), (a, b, d)
+        assert _bits(specfun.jacobi_rows([0, 3, 61], a, b, 0.3, 3)) == _bits(_per_family_rows([0, 3, 61], a, b, 0.3, 3))
+    a, b = model2
+    got = [_bits(specfun.x1_rows(range(1, 63), a, b, x, d)) for d in (0, 2)]
+    monkeypatch.setattr(specfun, "jacobi_rows", _per_family_rows)
+    assert got == [_bits(specfun.x1_rows(range(1, 63), a, b, x, d)) for d in (0, 2)]
+
+
 def test_gauss_jacobi_refuses_an_overflowing_mass():
     # the mass 2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2) overflows at
     # a = 1e4: a DomainError (exit 2), not an OverflowError traceback
