@@ -229,29 +229,41 @@ _encode_str = json.encoder.encode_basestring_ascii
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+def _float_text(x):
+    text = float.__repr__(x)
+    return _FLOAT_WORDS.get(text, text)
+
+
+# Each JSON scalar's text by its exact type; a subclass of str, int or float
+# is written as its base, as json.dumps writes it
+_SCALAR_TEXT = {
+    str: _encode_str, type(None): lambda _: "null", bool: lambda x: "true" if x else "false",
+    int: int.__repr__, float: _float_text,
+}
+
+
 def _json_text(obj, indent="\n"):
     """json.dumps(obj, indent=2, allow_nan=True), byte for byte, without the
     pure-Python encoder json falls back to when it indents.  Takes str, int,
     float, bool, None, lists, tuples and dicts with str keys; anything else,
-    a non-str key included, raises TypeError."""
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        text = float.__repr__(obj)
-        return _FLOAT_WORDS.get(text, text)
+    a non-str key included, raises TypeError.  A list's or dict's scalars
+    are written in its own loop by _SCALAR_TEXT, with no recursive call."""
+    scalar = _SCALAR_TEXT.get(type(obj))
+    if scalar:
+        return scalar(obj)
     inner = indent + "  "
     if isinstance(obj, (list, tuple)):
-        items = [_json_text(val, inner) for val in obj]
+        items = [(s(val) if (s := _SCALAR_TEXT.get(type(val))) else _json_text(val, inner)) for val in obj]
         return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
     if isinstance(obj, dict):  # _encode_str raises TypeError on a key that is no str
-        items = [_encode_str(key) + ": " + _json_text(val, inner) for key, val in obj.items()]
+        items = [
+            f"{_encode_str(key)}: {s(val) if (s := _SCALAR_TEXT.get(type(val))) else _json_text(val, inner)}"
+            for key, val in obj.items()
+        ]
         return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    for base in (str, int, float):
+        if isinstance(obj, base):
+            return _SCALAR_TEXT[base](obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 

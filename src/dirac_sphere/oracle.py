@@ -388,15 +388,17 @@ def isospectrality_metric(m1: SLMatrix, m2: SLMatrix):
 
 
 def _doubled(read, n, cap, tol, what, sizes):
-    """(read(n), |read(n) - read(2n)|, n) for the first n, doubling from the
-    one given, at which every reading agrees with 2n's within
-    tol (1 + |reading|); each read(n) is taken once.  A 2n past cap raises
+    """(reading at n, |reading at n - reading at 2n|, n) for the first n,
+    doubling from the one given, at which every reading agrees with 2n's
+    within tol (1 + |reading|).  read(ns) gives the readings at the sizes
+    ns, in order: first at (n, 2n), so both can be taken in one pass, then
+    at each next 2n alone; no size is read twice.  A 2n past cap raises
     DomainError naming the last two sizes (sizes formats them), the gap and
     the cap; the first 2n must not be past it.
     """
-    lo = read(n)
+    lo, *ahead = read((n, 2 * n))
     while 2 * n <= cap:
-        hi = read(2 * n)
+        hi = ahead.pop() if ahead else read((2 * n,))[0]
         gap = np.abs(lo - hi)
         if np.all(gap <= tol * (1.0 + np.abs(lo))):
             return lo, gap, n
@@ -427,33 +429,40 @@ class GalerkinLevels:
         self.levels, self.gap, self.n = levels, gap, n
 
 
-def _galerkin_eigenvalues(V, a, b, n):
+def _galerkin_eigenvalues(V, a, b, sizes):
     """All n eigenvalues of -(1-t^2) phi'' + V phi in the basis
     (1+t)^a (1-t)^b p_m(t), m < n, with p_m the Jacobi polynomials of
-    (alpha, beta) = (2b - 1, 2a - 1) orthonormal under their weight.
+    (alpha, beta) = (2b - 1, 2a - 1) orthonormal under their weight, for
+    each basis size n in sizes, one array per size.
 
     The basis turns the operator into the Jacobi operator, diagonal with
     m (m + alpha + beta + 1), plus the bounded potential
     q = V - a(a-1)(1-t)/(1+t) - b(b-1)(1+t)/(1-t) + 2ab; q enters as
     B diag(q) B^T over the n-node Gauss-Jacobi rule, B its eigenvector
-    matrix, so the basis is orthonormal with no polynomial evaluated.  V
-    maps w = artanh t to the potential; a sample that is not finite raises
-    PoleError naming its w.
+    matrix, so the basis is orthonormal with no polynomial evaluated.  V,
+    mapping w = artanh t to the potential, is sampled and q formed once on
+    every size's nodes joined in order, and each size solves its own
+    matrix; a sample that is not finite raises PoleError naming the first
+    such w.
     """
     alpha, beta = 2.0 * b - 1.0, 2.0 * a - 1.0
-    (t, _), basis = _golub_welsch(n, alpha, beta)
+    rules = [_golub_welsch(n, alpha, beta) for n in sizes]
+    t = np.concatenate([nodes for (nodes, _), _ in rules])
     w = np.arctanh(t)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         v = _require_finite(w, np.asarray(V(w), dtype=float), "potential")
     q = v - a * (a - 1.0) * (1.0 - t) / (1.0 + t) - b * (b - 1.0) * (1.0 + t) / (1.0 - t)
     q += 2.0 * a * b
-    h = (basis * q) @ basis.T
-    m = np.arange(n)
-    h[m, m] += m * (m + alpha + beta + 1.0)
-    src, dst = _band_layout(n)
-    band = np.zeros(n * n)  # h's lower triangle as one full band, in column order
-    band[dst] = h.ravel()[src]
-    return _band_eigenvalues(band.reshape((n, n), order="F"))
+    out = []
+    for n, (_, basis), q_n in zip(sizes, rules, np.split(q, np.cumsum(sizes)[:-1])):
+        h = (basis * q_n) @ basis.T
+        m = np.arange(n)
+        h[m, m] += m * (m + alpha + beta + 1.0)
+        src, dst = _band_layout(n)
+        band = np.zeros(n * n)  # h's lower triangle as one full band, in column order
+        band[dst] = h.ravel()[src]
+        out.append(_band_eigenvalues(band.reshape((n, n), order="F")))
+    return out
 
 
 @functools.lru_cache(maxsize=256)
@@ -561,7 +570,9 @@ def galerkin_levels(V, exponents, count, poles=(), drift=0.0) -> GalerkinLevels:
     1 + max |V|, and one past 1e-9 raises DomainError rather than guess the
     exponents.  The basis grows from max(16, 2 count + 8) functions by
     doubling until the levels of n and 2n functions agree within
-    1e-9 (1 + |level|), and the n levels are returned.  A 2n past 256 raises
+    1e-9 (1 + |level|), and the n levels are returned.  The first two bases
+    share one sample of V (_galerkin_eigenvalues), each still solving its
+    own matrix; a basis past the pair is read alone.  A 2n past 256 raises
     DomainError, as does a count past GALERKIN_MAX_LEVELS; a real pole (one
     in poles) raises PoleError first, since it lies inside (-1, 1) whatever
     the grid.
@@ -582,7 +593,7 @@ def galerkin_levels(V, exponents, count, poles=(), drift=0.0) -> GalerkinLevels:
         )
     a, b = exponents
     levels, gap, n = _doubled(
-        lambda n: _galerkin_eigenvalues(V, a, b, n)[:count], max(16, 2 * count + 8),
+        lambda sizes: [e[:count] for e in _galerkin_eigenvalues(V, a, b, sizes)], max(16, 2 * count + 8),
         _GALERKIN_CAP, _GALERKIN_TOL, "Jacobi-Galerkin levels", "bases of {} and {} functions",
     )
     return GalerkinLevels(levels=levels, gap=gap, n=n)
@@ -659,11 +670,14 @@ def verify_eigenpair(wf, levels, V, lams, samples=None):
     at its own n.  A rule is evaluated once, the first time a level reads
     it, for that level and every later one: one potential sample and
     recurrence table per Jacobi family serve all of them and their level
-    constants.  A rule whose evaluation raises refuses the level that read
-    it, and the next level to read it evaluates it again.  samples, a dict
-    that calls with the same V may share, keeps V sampled on each rule by
-    its (n, alpha, beta), so readings with the same envelope exponents
-    sample V once per rule.
+    constants.  The rules of 16 and 32 nodes are evaluated in one pass over
+    their joined nodes, 16's first, and each later rule alone; the sums
+    stay per rule, so every reading has the bits of its rule alone.  An
+    evaluation that raises refuses the level that read it, and the next
+    level to read it evaluates it again.  samples, a dict that calls with
+    the same V may share, keeps V sampled on each pass's nodes by its
+    (sizes, alpha, beta), so readings with the same envelope exponents
+    sample V once per pass.
     Returns one thunk per level, to be called when its claim is built: it
     gives (readings on n nodes, n, each reading's distance to 2n, the
     measure, "dw" or "sphere-area"), or raises what refused that level.  A
@@ -675,19 +689,19 @@ def verify_eigenpair(wf, levels, V, lams, samples=None):
     lams = np.asarray(lams, dtype=float).reshape(len(levels), -1)
     rules, samples = {}, {} if samples is None else samples
 
-    def reading(n, i):
-        # levels settle in order, so a rule is evaluated for the first level
-        # that reads it and every later one; each level reads its own row
-        if n not in rules:
-            rule = gauss_jacobi(n, alpha, beta)
-            sample = _sampled(V, rule, samples, (n, alpha, beta))
-            rules[n] = i, _residual_terms(wf, levels[i:], sample, lams[i:], rule, lift)
-        first, terms = rules[n]
-        return _residual_reading(terms, i - first)
+    def reading(ns, i):
+        # levels settle in order, so rules are evaluated for the first level
+        # that reads them and every later one; each level reads its own row
+        if ns[0] not in rules:
+            got = [gauss_jacobi(n, alpha, beta) for n in ns]
+            sample = _sampled(V, got, samples, (ns, alpha, beta))
+            for n, terms in zip(ns, _residual_terms(wf, levels[i:], sample, lams[i:], got, lift)):
+                rules[n] = i, terms
+        return [_residual_reading(rules[n][1], i - rules[n][0]) for n in ns]
 
     def level(i):
         res, gap, n = _doubled(
-            lambda n: reading(n, i), _RESIDUAL_NODES, _GALERKIN_CAP, _RESIDUAL_TOL,
+            lambda ns: reading(ns, i), _RESIDUAL_NODES, _GALERKIN_CAP, _RESIDUAL_TOL,
             "eigenpair residuals", "rules of {} and {} nodes",
         )
         return res.tolist(), n, gap.tolist(), _MEASURES[lift]
@@ -695,35 +709,44 @@ def verify_eigenpair(wf, levels, V, lams, samples=None):
     return [_deferred(level, i) for i in range(len(levels))]
 
 
-def _sampled(V, rule, samples, key):
-    """(w = artanh t, V at w) on the rule (t, q): samples[key] when there,
-    else sampled and kept there.  A sample that is not finite raises
-    PoleError and is not kept."""
+def _sampled(V, rules, samples, key):
+    """(t, w = artanh t, V at w) on the nodes t of the rules (t, q), joined
+    in order: samples[key] when there, else sampled and kept there.  A
+    sample that is not finite raises PoleError naming the first such w and
+    is not kept."""
     if key not in samples:
-        w = np.arctanh(rule[0])
+        t = np.concatenate([t for t, _ in rules])
+        w = np.arctanh(t)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            samples[key] = w, _require_finite(w, np.asarray(V(w), dtype=float), "potential")
+            samples[key] = t, w, _require_finite(w, np.asarray(V(w), dtype=float), "potential")
     return samples[key]
 
 
-def _residual_terms(wf, levels, sample, lams, rule, lift):
-    """What every level of verify_eigenpair reads on the Gauss-Jacobi rule
-    (t, q), with one row per level, from sample = (w = artanh t, V at w):
+def _residual_terms(wf, levels, sample, lams, rules, lift):
+    """What every level of verify_eigenpair reads on each Gauss-Jacobi rule
+    (t, q) in rules, one tuple per rule with one row per level, from
+    sample = (t, w = artanh t, V at w) on the rules' nodes joined in order:
     (w, q, r, K, whether each row of either is finite, r^2,
-    ((1-t^2)^lift (K - lam r))^2 per level constant)."""
-    t, q = rule
-    w, v = sample
+    ((1-t^2)^lift (K - lam r))^2 per level constant).  r and K come from
+    one pass over the joined nodes, the rest from each rule's own part."""
+    t_all, w, v = sample
+    out, at = [], 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        r, k_r = _local_terms(wf, levels, t, v)
-        finite = np.isfinite(r).all(axis=1) & np.isfinite(k_r).all(axis=1)
-        off = (1.0 - t * t) ** lift * (k_r[:, None] - lams[:, :, None] * r[:, None])
-        return w, q, r, k_r, finite, r * r, off * off
+        r_all, k_all = _local_terms(wf, levels, t_all, v)
+        for t, q in rules:
+            part = slice(at, at + t.size)
+            at += t.size
+            r, k_r = r_all[:, part], k_all[:, part]
+            finite = np.isfinite(r).all(axis=1) & np.isfinite(k_r).all(axis=1)
+            off = (1.0 - t * t) ** lift * (k_r[:, None] - lams[:, :, None] * r[:, None])
+            out.append((w[part], q, r, k_r, finite, r * r, off * off))
+    return out
 
 
 def _residual_reading(terms, i):
-    """Row i's readings from terms, what _residual_terms returned: a sample
-    of phi or H phi that is not finite raises PoleError naming its w, and a
-    phi that vanishes on the rule DomainError."""
+    """Row i's readings from terms, one rule's tuple from _residual_terms: a
+    sample of phi or H phi that is not finite raises PoleError naming its w,
+    and a phi that vanishes on the rule DomainError."""
     w, q, r, k_r, finite, r_sq, off_sq = terms
     if not finite[i]:
         _require_finite(w, r[i], "eigenfunction")

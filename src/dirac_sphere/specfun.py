@@ -54,26 +54,31 @@ def _jacobi_table(top, alpha, beta, x, shifts=0):
     0..shifts, by the ascending three-term recurrence: every degree of every
     family at the cost of the highest.  Each P_m is an array of shape
     (shifts + 1,) + x.shape whose row j is family j, computed with the
-    operations, in the order, of that family's own recurrence.  A divisor
-    that rounds to 0 raises DomainError (see jacobi)."""
+    operations, in the order, of that family's own recurrence.  The
+    coefficients of every degree and family come from one array pass, row
+    m - 2 for degree m; a divisor that rounds to 0 raises DomainError naming
+    the first such degree (see jacobi)."""
     x = np.asarray(x, dtype=float)
     j = np.arange(shifts + 1).reshape((-1,) + (1,) * x.ndim)
     al, be = alpha + j, beta + j
     tab = [np.ones((shifts + 1,) + x.shape)]
     if top:
         tab.append((al - be) / 2.0 + (al + be + 2.0) / 2.0 * x)
-    for m in range(2, top + 1):
+    if top > 1:
+        m = np.arange(2, top + 1).reshape((-1,) + (1,) * j.ndim)
         s = 2.0 * m + al + be
         a = 2.0 * m * (m + al + be) * (s - 2.0)
         if not a.all():
+            first = 2 + int(np.argmin(a.reshape(len(a), -1).all(axis=1)))
             raise DomainError(
-                f"Jacobi recurrence divisor is 0 at degree {m}: alpha + beta = "
+                f"Jacobi recurrence divisor is 0 at degree {first}: alpha + beta = "
                 f"{alpha + beta!r} is -2 to rounding"
             )
         b = (s - 1.0) * (al * al - be * be)
         c = (s - 1.0) * s * (s - 2.0)
         d = 2.0 * (m + al - 1.0) * (m + be - 1.0) * s
-        tab.append(((b + c * x) * tab[m - 1] - d * tab[m - 2]) / a)
+        for ai, bi, ci, di in zip(a, b, c, d):
+            tab.append(((bi + ci * x) * tab[-1] - di * tab[-2]) / ai)
     return tab
 
 

@@ -874,6 +874,23 @@ def test_json_text_matches_json_dumps(value):
     assert cli._json_text(value) == json.dumps(value, indent=2, allow_nan=True)
 
 
+def test_json_text_writes_a_subclass_as_its_base():
+    # a scalar whose type is no exact key of the encoder table (numpy's
+    # float64, an IntEnum, a str subclass) is written as json.dumps writes
+    # its base type, alone and inside a list or dict
+    import enum
+
+    class Level(enum.IntEnum):
+        TOP = 7
+
+    class Name(str):
+        pass
+
+    for value in (np.float64(0.1), np.float64("nan"), Level.TOP, Name("a\"b")):
+        for doc in (value, [value, 1.5], {"x": value, "y": [value]}):
+            assert cli._json_text(doc) == json.dumps(doc, indent=2, allow_nan=True)
+
+
 def test_json_text_refuses_what_it_does_not_write():
     # json.dumps refuses the first three too, but writes a number key as a string
     for value in (np.int64(1), np.bool_(True), {1, 2}, {1: "a"}, [{"a": {2.5: None}}]):

@@ -518,24 +518,31 @@ def test_verify_eigenpair_node_cap(monkeypatch):
 
 def test_verify_eigenpair_evaluates_each_rule_once_for_every_level(monkeypatch):
     # one call serves all 60 levels of a reading: a rule is evaluated once,
-    # the first time a level reads it, for that level and every later one
-    # (8 levels settle at 16 nodes, 16 at 32, 32 at 64 and 4 at 128, so the
-    # 256-node rule serves the last four alone), while each level keeps the
-    # rule of its own n/2n decision
+    # the first time a level reads it, for that level and every later one;
+    # the first level reads 16 and 32 nodes in one pass, on one potential
+    # sample, and each rule past the pair alone (8 levels settle at 16
+    # nodes, 16 at 32, 32 at 64 and 4 at 128, so the 256-node rule serves
+    # the last four alone), while each level keeps the rule of its own n/2n
+    # decision
     k = 2.0
     p = m2_params(C1=1 / k, k=k)
     wf = spectra.wavefn_model2(0, p.alpha, p.beta, polynomial="classical")
     pot = gauge.v_eff_model2(p, 1)
     lams = [[spectra.energy_model2(m, p.alpha, p.beta, k, 1.0).E_sq_bar] for m in range(60)]
-    terms, seen = oracle._residual_terms, []
+    terms, seen, sampled = oracle._residual_terms, [], []
 
-    def counted(wf, levels, V, lams, rule, lift):
-        seen.append((rule[0].size, levels[0], len(levels)))
-        return terms(wf, levels, V, lams, rule, lift)
+    def counted(wf, levels, sample, lams, rules, lift):
+        seen.append((tuple(t.size for t, _ in rules), levels[0], len(levels)))
+        return terms(wf, levels, sample, lams, rules, lift)
+
+    def potential(w):
+        sampled.append(np.size(w))
+        return pot(w)
 
     monkeypatch.setattr(oracle, "_residual_terms", counted)
-    out = [thunk() for thunk in oracle.verify_eigenpair(wf, range(60), pot, lams)]
-    assert seen == [(16, 0, 60), (32, 0, 60), (64, 8, 52), (128, 24, 36), (256, 56, 4)]
+    out = [thunk() for thunk in oracle.verify_eigenpair(wf, range(60), potential, lams)]
+    assert seen == [((16, 32), 0, 60), ((64,), 8, 52), ((128,), 24, 36), ((256,), 56, 4)]
+    assert sampled == [16 + 32, 64, 128, 256]
     assert [nodes for _, nodes, _, _ in out] == [16] * 8 + [32] * 16 + [64] * 32 + [128] * 4
 
 
@@ -843,9 +850,10 @@ def test_isospectrality_reads_the_zero_level(branch, zero):
 
 def test_model2_readings_sample_the_potential_once_per_rule(monkeypatch):
     # the classical and X1 readings share their envelope exponents, so their
-    # Gauss-Jacobi rules: the closed j=1 potential is sampled once on each,
-    # beside the Galerkin solve's own samples and the constancy sample, and
-    # every d.* number is still that of a one-level verify_eigenpair call
+    # Gauss-Jacobi rules: the closed j=1 potential is sampled once on the
+    # 16- and 32-node pair, beside the Galerkin solve's own sample of its
+    # 16- and 32-function pair and the constancy sample, and every d.*
+    # number is still that of a one-level verify_eigenpair call
     sizes = collections.Counter()
     factory = oracle.v_eff_model2
 
@@ -862,8 +870,8 @@ def test_model2_readings_sample_the_potential_once_per_rule(monkeypatch):
     p = _report_params(2)
     rep = oracle.consistency_report(p, 2.0, 1.0, levels=4)
     assert {c.grid["nodes"] for c in rep.claims if c.claim_id.startswith("d.")} == {16}
-    # Galerkin and residuals each read 16 and 32 nodes
-    assert sizes == {oracle._CONSTANCY_GRID["n_pts"]: 1, 16: 2, 32: 2}, sizes
+    # Galerkin and residuals each read 16 and 32 nodes, in one sample each
+    assert sizes == {oracle._CONSTANCY_GRID["n_pts"]: 1, 16 + 32: 2}, sizes
     monkeypatch.setattr(oracle, "v_eff_model2", factory)
     _assert_residuals_match_one_level_calls(rep, 2, p, 2.0)
 
@@ -1055,6 +1063,137 @@ def test_report_residuals_at_60_levels_match_one_level_calls(model, nodes):
     rep = oracle.consistency_report(p, cfg.k, cfg.R, levels=60)
     assert {c.grid["nodes"] for c in rep.claims if c.claim_id.startswith("d.")} == nodes
     _assert_residuals_match_one_level_calls(rep, model, p, cfg.k)
+
+
+def _bits(x):
+    """The 64-bit patterns of x's floats."""
+    return np.asarray(x, dtype=float).view(np.uint64).tolist()
+
+
+def _outcome(fn, *args):
+    """fn(*args) as bit patterns, or the package error it raised as
+    (type, message, location)."""
+    try:
+        return [_bits(x) if isinstance(x, (list, np.ndarray)) else x for x in fn(*args)]
+    except (DomainError, PoleError) as err:
+        return type(err), str(err), getattr(err, "location", None)
+
+
+def _residuals_rule_by_rule(wf, levels, V, lams):
+    """verify_eigenpair's (readings, n, gap, measure) per level, with every
+    rule of every level evaluated alone, on its own sample of V."""
+    alpha, beta, lift = oracle._residual_weight(wf)
+    lams = np.asarray(lams, dtype=float).reshape(len(levels), -1)
+
+    def level(i):
+        def alone(n):
+            rule = oracle.gauss_jacobi(n, alpha, beta)
+            sample = oracle._sampled(V, [rule], {}, n)
+            (terms,) = oracle._residual_terms(wf, [levels[i]], sample, lams[i : i + 1], [rule], lift)
+            return oracle._residual_reading(terms, 0)
+
+        res, gap, n = oracle._doubled(
+            lambda ns: [alone(n) for n in ns], oracle._RESIDUAL_NODES, oracle._GALERKIN_CAP,
+            oracle._RESIDUAL_TOL, "eigenpair residuals", "rules of {} and {} nodes",
+        )
+        return res.tolist(), n, gap.tolist(), oracle._MEASURES[lift]
+
+    return [_outcome(level, i) for i in range(len(levels))]
+
+
+def _galerkin_size_by_size(V, exponents, count, poles=(), drift=0.0):
+    """galerkin_levels's (levels, gap, n) with every basis size solved
+    alone, on its own sample of V; poles and drift, which galerkin_levels
+    only checks, are taken so its arguments can be passed on."""
+    a, b = exponents
+    return _outcome(
+        oracle._doubled, lambda ns: [oracle._galerkin_eigenvalues(V, a, b, (n,))[0][:count] for n in ns],
+        max(16, 2 * count + 8), oracle._GALERKIN_CAP, oracle._GALERKIN_TOL, "Jacobi-Galerkin levels",
+        "bases of {} and {} functions",
+    )
+
+
+def _m2_signs(k, sign_a, sign_b):
+    alpha, beta = gauge.alpha_beta(k, sign_a, sign_b)
+    return gauge.model2_derive_params(1 / k, beta - alpha, beta + alpha, k)
+
+
+@pytest.mark.parametrize(
+    "model, k, signs, levels",
+    [(m, 2.0, None, lv) for m in (1, 2) for lv in (4, 12, 60)]
+    + [(2, k, ("+", "-"), 12) for k in (2.5, 3.0, 5.0)],
+)
+def test_paired_rules_read_the_bits_of_each_rule_alone(model, k, signs, levels, monkeypatch):
+    # the first n/2n pair of a doubling is evaluated in one pass over both
+    # rules' nodes; every residual and Galerkin level of the report is still
+    # the 64-bit pattern of the same rule or basis evaluated alone
+    p = _m2_signs(k, *signs) if signs else _report_params(model, k)
+    calls = {"verify_eigenpair": [], "galerkin_levels": []}
+    for name, log in calls.items():
+        def recorded(*args, _fn=getattr(oracle, name), _log=log, **kw):
+            out = _fn(*args, **kw)
+            _log.append((args, kw, out))
+            return out
+
+        monkeypatch.setattr(oracle, name, recorded)
+    oracle.consistency_report(p, k, 1.0, levels=levels)
+    assert len(calls["verify_eigenpair"]) == model and len(calls["galerkin_levels"]) == 3
+    for (wf, lvs, V, lams, _), _, thunks in calls["verify_eigenpair"]:
+        paired = [_outcome(thunk) for thunk in thunks]
+        assert paired == _residuals_rule_by_rule(wf, list(lvs), V, lams)
+    for args, kw, got in calls["galerkin_levels"]:
+        assert [_bits(got.levels), _bits(got.gap), got.n] == _galerkin_size_by_size(*args, **kw)
+
+
+@pytest.mark.parametrize("bad_rule", [0, 1])
+def test_paired_rules_refuse_as_each_rule_alone(bad_rule):
+    # a potential that is not finite on one node of the n rule only, or of
+    # the 2n rule only, raises the PoleError that rule raises alone, with
+    # its message and location; it refuses the level that read the pair,
+    # and the next level evaluates the pair again: here V is not finite at
+    # that node on its first sample only, so the next level reads what a
+    # clean V gives, as it did when each rule was read alone
+    p = m2_params()
+    pot = gauge.v_eff_model2(p, 1)
+    wf = spectra.wavefn_model2(0, p.alpha, p.beta, polynomial="x1")
+    alpha, beta, _ = oracle._residual_weight(wf)
+    rule = oracle.gauss_jacobi((16, 32)[bad_rule], alpha, beta)
+    bad = np.arctanh(rule[0][5])
+
+    def poisoned(w):
+        return np.where(w == bad, np.inf, pot(w))
+
+    with pytest.raises(PoleError) as alone:
+        oracle._sampled(poisoned, [rule], {}, None)
+    assert alone.value.location == bad
+    sizes, armed = [], [True]
+
+    def once(w):
+        sizes.append(np.size(w))
+        if armed[0] and np.any(w == bad):
+            armed[0] = False
+            return poisoned(w)
+        return pot(w)
+
+    lams = [[spectra.energy_model2_matched(m, p)] for m in range(3)]
+    got = oracle.verify_eigenpair(wf, range(3), once, lams)
+    with pytest.raises(PoleError) as paired:
+        got[0]()
+    assert (str(paired.value), paired.value.location) == (str(alone.value), alone.value.location)
+    assert sizes == [16 + 32, 16 + 32]
+    clean = oracle.verify_eigenpair(wf, range(3), pot, lams)
+    assert [_outcome(t) for t in got[1:]] == [_outcome(t) for t in clean[1:]]
+    # the Galerkin oracle raises what that size's basis raises alone
+    exps = oracle.partner_exponents(oracle.model_spec(p, 2.0, 1.0).ends, 2.0).j1
+    a, b = exps
+    basis_nodes = oracle._golub_welsch((16, 32)[bad_rule], 2.0 * b - 1.0, 2.0 * a - 1.0)[0][0]
+    bad = np.arctanh(basis_nodes[5])
+    with pytest.raises(PoleError) as alone:
+        oracle._galerkin_eigenvalues(poisoned, a, b, ((16, 32)[bad_rule],))
+    with pytest.raises(PoleError) as paired:
+        oracle.galerkin_levels(poisoned, exps, 4)
+    assert (str(paired.value), paired.value.location) == (str(alone.value), alone.value.location)
+    assert paired.value.location == bad
 
 
 @pytest.mark.parametrize("nan_level, zero_level", [(1, 3), (3, 1)])

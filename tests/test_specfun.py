@@ -44,6 +44,50 @@ def test_recurrence_divisor_zero_rejected():
             specfun.jacobi(n, a, a, 0.3)
 
 
+def test_recurrence_divisor_error_names_the_first_zero_degree():
+    # every degree's divisor is formed in one pass: the error names the
+    # lowest degree whose divisor is 0 over every shifted family; at
+    # alpha + beta = -4 family 0's divisor first vanishes at degree 3, and
+    # family 1's (alpha + beta = -2) at degree 2
+    for shifts, degree in ((0, 3), (1, 2)):
+        with pytest.raises(DomainError, match=rf"divisor is 0 at degree {degree}: alpha \+ beta = -4\.0 is"):
+            specfun._jacobi_table(6, -2.0, -2.0, 0.3, shifts)
+
+
+def _table_degree_by_degree(top, alpha, beta, x, shifts):
+    """_jacobi_table with each degree's coefficients formed in its own step."""
+    x = np.asarray(x, dtype=float)
+    j = np.arange(shifts + 1).reshape((-1,) + (1,) * x.ndim)
+    al, be = alpha + j, beta + j
+    tab = [np.ones((shifts + 1,) + x.shape)]
+    if top:
+        tab.append((al - be) / 2.0 + (al + be + 2.0) / 2.0 * x)
+    for m in range(2, top + 1):
+        s = 2.0 * m + al + be
+        a = 2.0 * m * (m + al + be) * (s - 2.0)
+        b = (s - 1.0) * (al * al - be * be)
+        c = (s - 1.0) * s * (s - 2.0)
+        d = 2.0 * (m + al - 1.0) * (m + be - 1.0) * s
+        tab.append(((b + c * x) * tab[m - 1] - d * tab[m - 2]) / a)
+    return tab
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(min_value=-0.99, max_value=8.0),
+    st.floats(min_value=-0.99, max_value=8.0),
+    st.integers(min_value=0, max_value=70),
+    st.integers(min_value=0, max_value=3),
+)
+def test_table_matches_the_degree_by_degree_recurrence_bitwise(a, b, top, shifts):
+    x = np.cos(np.linspace(0.1, 3.0, 37))
+    got = specfun._jacobi_table(top, a, b, x, shifts)
+    want = _table_degree_by_degree(top, a, b, x, shifts)
+    assert len(got) == len(want) == top + 1
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
 def test_outside_domain_evaluates_the_continuation():
     assert specfun.jacobi(2, 0.0, 0.0, 1.5) == pytest.approx((3 * 1.5**2 - 1) / 2, rel=1e-14)
 
