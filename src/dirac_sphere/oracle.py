@@ -15,19 +15,19 @@ BLAS thread count.
 The d.* residuals (verify_eigenpair) apply the operator to the printed
 eigenfunction exactly and integrate over the whole line on Gauss-Jacobi
 rules whose weight carries the envelope: the report reads no grid.  One call
-serves every level of a reading: each rule is evaluated once for the levels
-that may read it (one potential sample and recurrence table per Jacobi
-family, the sample shared with readings on the same rule), while each level
-doubles its rule on its own and any error it meets is raised when its claim
-is built.  The flux-form checks discretize the operator with a conservative
-finite-difference scheme on a uniform grid over [-L, L] with Dirichlet
-walls.  Every flux-form matrix is symmetric tridiagonal and is stored as its
-diagonal and off-diagonal arrays (SLMatrix diag, off), so real spectra are
-structural; the solves return eigenvalues only.  Every spectrum, Galerkin
-or flux-form (a band of width one), is solved by LAPACK dsbev, the one
-routine the package calls, through scipy's f2py extension _flapack, loaded
-by path on the first solve: the commands that never solve do not load
-scipy, and verify runs neither scipy's package init nor scipy.linalg's.
+per reading returns a reader that evaluates a level when its claim is built:
+each level doubles its own rule and raises any error it meets, and a rule is
+evaluated once for every level of the reading (one potential sample and
+recurrence table per Jacobi family, the sample shared with readings on the
+same rule).  The flux-form checks discretize the operator with a
+conservative finite-difference scheme on a uniform grid over [-L, L] with
+Dirichlet walls.  Every flux-form matrix is symmetric tridiagonal and is
+stored as its diagonal and off-diagonal arrays (SLMatrix diag, off), so real
+spectra are structural; the solves return eigenvalues only.  Every spectrum,
+Galerkin or flux-form (a band of width one), is solved by LAPACK dsbev, the
+one routine the package calls, through scipy's f2py extension _flapack,
+loaded by path on the first solve: the commands that never solve do not
+load scipy, and verify runs neither scipy's package init nor scipy.linalg's.
 
 The first-order operator D = cosh d/dw + f, f = cosh (A - k) + sinh/2, that
 factors the general j=1 potential, makes the two general potentials partners:
@@ -52,7 +52,6 @@ must PASS; transcription claims are always 'recorded' with their metric,
 because the closed forms contain apparent typos that this package is meant to
 expose, not hide.
 """
-import functools
 import math
 import os
 import sys
@@ -60,7 +59,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DiracSphereError, DomainError, PoleError
+from .errors import DomainError, PoleError
 from .gauge import (
     EffectivePotential,
     Model1Params,
@@ -447,36 +446,20 @@ def _galerkin_eigenvalues(V, a, b, sizes):
     """
     alpha, beta = 2.0 * b - 1.0, 2.0 * a - 1.0
     rules = [_golub_welsch(n, alpha, beta) for n in sizes]
-    t = np.concatenate([nodes for (nodes, _), _ in rules])
-    w = np.arctanh(t)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v = _require_finite(w, np.asarray(V(w), dtype=float), "potential")
+    t, _, v = _sampled(V, [rule for rule, _ in rules], {}, None)
     q = v - a * (a - 1.0) * (1.0 - t) / (1.0 + t) - b * (b - 1.0) * (1.0 + t) / (1.0 - t)
     q += 2.0 * a * b
     out = []
     for n, (_, basis), q_n in zip(sizes, rules, np.split(q, np.cumsum(sizes)[:-1])):
-        h = (basis * q_n) @ basis.T
+        h = np.zeros((2 * n, n))  # the matrix on top of n zero rows
+        np.matmul(basis * q_n, basis.T, out=h[:n])
         m = np.arange(n)
         h[m, m] += m * (m + alpha + beta + 1.0)
-        src, dst = _band_layout(n)
-        band = np.zeros(n * n)  # h's lower triangle as one full band, in column order
-        band[dst] = h.ravel()[src]
-        out.append(_band_eigenvalues(band.reshape((n, n), order="F")))
+        # row d of the view reads h[j + d, j] at column j, the d-th
+        # subdiagonal (zeros below the matrix, since j + d < 2n): the band
+        band = np.lib.stride_tricks.as_strided(h, (n, n), (h.strides[0], h.strides[0] + h.strides[1]))
+        out.append(_band_eigenvalues(band))
     return out
-
-
-@functools.lru_cache(maxsize=256)
-def _band_layout(n):
-    """Where each lower-triangle entry (i, j) of an n x n Galerkin matrix goes
-    in its band, as flat indexes in np.tril_indices(n) order: src = i n + j
-    into the row-major matrix, dst = (i - j) + j n into the column-major
-    band, whose row i - j is the (i - j)-th subdiagonal.  Cached by n, like
-    the Golub-Welsch rules; the arrays are read-only."""
-    i, j = np.tril_indices(n)
-    layout = i * n + j, i - j + j * n
-    for arr in layout:
-        arr.flags.writeable = False
-    return layout
 
 
 def _band_eigenvalues(band):
@@ -636,22 +619,6 @@ def _local_terms(wf, levels, t, v):
     return r, -(1.0 - t * t) * (r2 + 2.0 * dlog * r1 + (dlog * dlog + d2log) * r) + v * r
 
 
-def _deferred(fn, *args):
-    """fn(*args), evaluated now and returned as a thunk: calling it gives the
-    value, or raises the package error fn raised (any other exception
-    propagates at once)."""
-    try:
-        value = fn(*args)
-    except DiracSphereError as err:  # re-raised by the thunk, never dropped
-        error = err
-
-        def refused():
-            raise error
-
-        return refused
-    return lambda: value
-
-
 def verify_eigenpair(wf, levels, V, lams, samples=None):
     """Relative residuals ||(H - lam) phi|| / ||phi|| of the printed
     eigenfunctions phi of wf's reading (wf a WaveFunctionSpec of any of its
@@ -668,21 +635,20 @@ def verify_eigenpair(wf, levels, V, lams, samples=None):
     taken on rules of n and 2n nodes from n = 16, n doubled by _doubled
     while any two differ by more than 1e-6 (1 + reading); every level stops
     at its own n.  A rule is evaluated once, the first time a level reads
-    it, for that level and every later one: one potential sample and
-    recurrence table per Jacobi family serve all of them and their level
-    constants.  The rules of 16 and 32 nodes are evaluated in one pass over
-    their joined nodes, 16's first, and each later rule alone; the sums
-    stay per rule, so every reading has the bits of its rule alone.  An
-    evaluation that raises refuses the level that read it, and the next
-    level to read it evaluates it again.  samples, a dict that calls with
-    the same V may share, keeps V sampled on each pass's nodes by its
-    (sizes, alpha, beta), so readings with the same envelope exponents
-    sample V once per pass.
-    Returns one thunk per level, to be called when its claim is built: it
-    gives (readings on n nodes, n, each reading's distance to 2n, the
-    measure, "dw" or "sphere-area"), or raises what refused that level.  A
-    2n past 256, or a phi that vanishes on the rule, raises DomainError; a
-    sample that is not finite raises PoleError naming its w.
+    it, for every level of the reading: one potential sample and recurrence
+    table per Jacobi family serve all of them and their level constants.
+    The rules of 16 and 32 nodes are evaluated in one pass over their joined
+    nodes, 16's first, and each later rule alone; the sums stay per rule, so
+    every reading has the bits of its rule alone.  An evaluation that raises
+    refuses the level that read it, and the next level to read it evaluates
+    it again.  samples, a dict that calls with the same V may share, keeps V
+    sampled on each pass's nodes by its (sizes, alpha, beta), so readings
+    with the same envelope exponents sample V once per pass.
+    Returns read(i), called when the claim of the i-th level is built: it
+    evaluates that level and gives (readings on n nodes, n, each reading's
+    distance to 2n, the measure, "dw" or "sphere-area"), or raises what
+    refused it: DomainError for a 2n past 256 or a phi that vanishes on the
+    rule, PoleError naming its w for a sample that is not finite.
     """
     alpha, beta, lift = _residual_weight(wf)
     levels = list(levels)
@@ -690,23 +656,20 @@ def verify_eigenpair(wf, levels, V, lams, samples=None):
     rules, samples = {}, {} if samples is None else samples
 
     def reading(ns, i):
-        # levels settle in order, so rules are evaluated for the first level
-        # that reads them and every later one; each level reads its own row
         if ns[0] not in rules:
             got = [gauss_jacobi(n, alpha, beta) for n in ns]
             sample = _sampled(V, got, samples, (ns, alpha, beta))
-            for n, terms in zip(ns, _residual_terms(wf, levels[i:], sample, lams[i:], got, lift)):
-                rules[n] = i, terms
-        return [_residual_reading(rules[n][1], i - rules[n][0]) for n in ns]
+            rules.update(zip(ns, _residual_terms(wf, levels, sample, lams, got, lift)))
+        return [_residual_reading(rules[n], i) for n in ns]
 
-    def level(i):
+    def read(i):
         res, gap, n = _doubled(
             lambda ns: reading(ns, i), _RESIDUAL_NODES, _GALERKIN_CAP, _RESIDUAL_TOL,
             "eigenpair residuals", "rules of {} and {} nodes",
         )
         return res.tolist(), n, gap.tolist(), _MEASURES[lift]
 
-    return [_deferred(level, i) for i in range(len(levels))]
+    return read
 
 
 def _sampled(V, rules, samples, key):
@@ -974,6 +937,13 @@ def _forced_claims(A, k, profile, general, exps, partner):
     return claims
 
 
+def _paired(zero_level, count):
+    """The (j=1, j=2) index arrays of the levels, count of each, that pair up
+    past the unpaired zero level 0 of the component zero_level names."""
+    m = np.arange(count - (zero_level != "neither"))
+    return m + (zero_level == "j=1"), m + (zero_level == "j=2")
+
+
 def _isospectrality_claim(exps, partner):
     """f.isospectrality: the levels of the general j=1 and j=2 potentials
     (partner, solved on exps.j1 and exps.j2), the continuum Dt*D and D*Dt,
@@ -985,11 +955,9 @@ def _isospectrality_claim(exps, partner):
     ("neither") every level pairs and the second term is 0.
     """
     lam1, lam2 = (g.levels for g in partner)
-    zero, e1, e2 = {
-        "j=1": (lam1[0], lam1[1:], lam2[:-1]),
-        "j=2": (lam2[0], lam1[:-1], lam2[1:]),
-        "neither": (None, lam1, lam2),
-    }[exps.zero_level]
+    i1, i2 = _paired(exps.zero_level, lam1.size)
+    e1, e2 = lam1[i1], lam2[i2]
+    zero = {"j=1": lam1, "j=2": lam2}.get(exps.zero_level, [None])[0]
     paired = np.max(np.abs(e1 - e2) / (1.0 + np.abs(e1)), initial=0.0)
     unpaired = 0.0 if zero is None else abs(zero) / (1.0 + max(np.abs(lam1).max(), np.abs(lam2).max()))
     return Claim(
@@ -1110,9 +1078,9 @@ def _model_report(spec: _ModelSpec, k, R, levels):
         for reading, (description, wavefn) in spec.eigenfunctions.items():
             infix = f"{reading}." if len(spec.eigenfunctions) > 1 else ""
             wf = wavefn(n)
-            if not n:  # one call per reading: every level's residuals, each raised at its claim
+            if not n:  # one reader per reading, which evaluates each level at its claim
                 residuals[reading] = verify_eigenpair(wf, range(levels), spec.closed1, lams, samples)
-            res, nodes, gap, measure = residuals[reading][n]()
+            res, nodes, gap, measure = residuals[reading](n)
             details = {spec.printed_key: lam}
             if matched is not None:
                 details.update(residual_at_identity_energy=res[1], lambda_identity=matched)
@@ -1137,9 +1105,10 @@ def _model_report(spec: _ModelSpec, k, R, levels):
     # (a.* and b.veff1 additive constants), and the j=2 solve of f.isospectrality
     offset = mean_of["a.veff1-expansion"] + mean_of["b.veff1-constrained"]
     part = [gal, partner[1]]
-    shift = {"j=1": 1, "j=2": -1, "neither": 0}[exps.zero_level]
-    for m in range(1, levels):
-        i1, i2 = m - max(-shift, 0), m - max(shift, 0)
+    for i1, i2 in zip(*_paired(exps.zero_level, levels)):
+        m = max(i1, i2)  # the higher level of the pair names it, from m1
+        if not m:
+            continue
         e1, e2 = part[0].levels[i1] - offset, part[1].levels[i2]
         claims.append(
             Claim(

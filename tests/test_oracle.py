@@ -417,9 +417,9 @@ def test_factorization_match_second_order(branch):
 
 
 def _one_level(wf, level, V, lams):
-    """verify_eigenpair's batch of one: the level's (readings, nodes, gap,
-    measure), or the error that refused it, raised."""
-    return oracle.verify_eigenpair(wf, [level], V, [lams])[0]()
+    """verify_eigenpair's reader of one level, read: the level's (readings,
+    nodes, gap, measure), or the error that refused it, raised."""
+    return oracle.verify_eigenpair(wf, [level], V, [lams])(0)
 
 
 def _bent(wf, ratios):
@@ -517,13 +517,13 @@ def test_verify_eigenpair_node_cap(monkeypatch):
 
 
 def test_verify_eigenpair_evaluates_each_rule_once_for_every_level(monkeypatch):
-    # one call serves all 60 levels of a reading: a rule is evaluated once,
-    # the first time a level reads it, for that level and every later one;
+    # one reader serves all 60 levels of a reading: a rule is evaluated
+    # once, the first time a level reads it, for every level of the reading;
     # the first level reads 16 and 32 nodes in one pass, on one potential
     # sample, and each rule past the pair alone (8 levels settle at 16
-    # nodes, 16 at 32, 32 at 64 and 4 at 128, so the 256-node rule serves
-    # the last four alone), while each level keeps the rule of its own n/2n
-    # decision
+    # nodes, 16 at 32, 32 at 64 and 4 at 128, so the 256-node rule is
+    # first read by level 56), while each level keeps the rule of its own
+    # n/2n decision
     k = 2.0
     p = m2_params(C1=1 / k, k=k)
     wf = spectra.wavefn_model2(0, p.alpha, p.beta, polynomial="classical")
@@ -532,7 +532,7 @@ def test_verify_eigenpair_evaluates_each_rule_once_for_every_level(monkeypatch):
     terms, seen, sampled = oracle._residual_terms, [], []
 
     def counted(wf, levels, sample, lams, rules, lift):
-        seen.append((tuple(t.size for t, _ in rules), levels[0], len(levels)))
+        seen.append((tuple(t.size for t, _ in rules), len(levels)))
         return terms(wf, levels, sample, lams, rules, lift)
 
     def potential(w):
@@ -540,8 +540,10 @@ def test_verify_eigenpair_evaluates_each_rule_once_for_every_level(monkeypatch):
         return pot(w)
 
     monkeypatch.setattr(oracle, "_residual_terms", counted)
-    out = [thunk() for thunk in oracle.verify_eigenpair(wf, range(60), potential, lams)]
-    assert seen == [((16, 32), 0, 60), ((64,), 8, 52), ((128,), 24, 36), ((256,), 56, 4)]
+    read = oracle.verify_eigenpair(wf, range(60), potential, lams)
+    assert seen == [] and sampled == []  # nothing is evaluated before a level is read
+    out = [read(i) for i in range(60)]
+    assert seen == [((16, 32), 60), ((64,), 60), ((128,), 60), ((256,), 60)]
     assert sampled == [16 + 32, 64, 128, 256]
     assert [nodes for _, nodes, _, _ in out] == [16] * 8 + [32] * 16 + [64] * 32 + [128] * 4
 
@@ -1138,8 +1140,8 @@ def test_paired_rules_read_the_bits_of_each_rule_alone(model, k, signs, levels, 
         monkeypatch.setattr(oracle, name, recorded)
     oracle.consistency_report(p, k, 1.0, levels=levels)
     assert len(calls["verify_eigenpair"]) == model and len(calls["galerkin_levels"]) == 3
-    for (wf, lvs, V, lams, _), _, thunks in calls["verify_eigenpair"]:
-        paired = [_outcome(thunk) for thunk in thunks]
+    for (wf, lvs, V, lams, _), _, read in calls["verify_eigenpair"]:
+        paired = [_outcome(read, i) for i in range(len(lvs))]
         assert paired == _residuals_rule_by_rule(wf, list(lvs), V, lams)
     for args, kw, got in calls["galerkin_levels"]:
         assert [_bits(got.levels), _bits(got.gap), got.n] == _galerkin_size_by_size(*args, **kw)
@@ -1176,13 +1178,14 @@ def test_paired_rules_refuse_as_each_rule_alone(bad_rule):
         return pot(w)
 
     lams = [[spectra.energy_model2_matched(m, p)] for m in range(3)]
-    got = oracle.verify_eigenpair(wf, range(3), once, lams)
+    read = oracle.verify_eigenpair(wf, range(3), once, lams)
     with pytest.raises(PoleError) as paired:
-        got[0]()
+        read(0)
     assert (str(paired.value), paired.value.location) == (str(alone.value), alone.value.location)
-    assert sizes == [16 + 32, 16 + 32]
+    assert sizes == [16 + 32]
     clean = oracle.verify_eigenpair(wf, range(3), pot, lams)
-    assert [_outcome(t) for t in got[1:]] == [_outcome(t) for t in clean[1:]]
+    assert [_outcome(read, i) for i in (1, 2)] == [_outcome(clean, i) for i in (1, 2)]
+    assert sizes == [16 + 32, 16 + 32]
     # the Galerkin oracle raises what that size's basis raises alone
     exps = oracle.partner_exponents(oracle.model_spec(p, 2.0, 1.0).ends, 2.0).j1
     a, b = exps
@@ -1233,6 +1236,45 @@ def test_report_raises_the_first_refused_level(monkeypatch, nan_level, zero_leve
             oracle.consistency_report(p, 2.0, 1.0, levels=5)
 
 
+def test_report_raises_from_the_first_level_that_reads_a_refused_rule(monkeypatch):
+    # Model II at k = 1.5 and 12 levels: the classical reading's levels 0-4
+    # settle at 16 nodes, level 5 is the first to read the 64-node rule
+    # (32 against 64), and no other sample of the closed j=1 potential has
+    # 64 points.  With that potential not finite on 64-point samples only,
+    # every claim before d.eigenfunction.classical.m5 is built and that
+    # level raises the 64-node rule's PoleError, naming its first node
+    k = 1.5
+    p = m2_params(C1=1 / k, k=k)
+    clean = oracle.consistency_report(p, k, 1.0, levels=12)
+    nodes = [c.grid["nodes"] for c in clean.claims if c.claim_id.startswith("d.eigenfunction.classical.")]
+    assert nodes == [16] * 5 + [32] * 7
+    closed, routine, reads = oracle.v_eff_model2, oracle.verify_eigenpair, []
+
+    def poisoned(p, j):
+        v = closed(p, j)
+        return v if j == 2 else lambda w: np.full(64, np.inf) if np.size(w) == 64 else v(w)
+
+    def logged(*args):  # one log of the levels read per reading, classical's first
+        read, log = routine(*args), []
+        reads.append(log)
+
+        def logged_read(i):
+            log.append(i)
+            return read(i)
+
+        return logged_read
+
+    monkeypatch.setattr(oracle, "v_eff_model2", poisoned)
+    monkeypatch.setattr(oracle, "verify_eigenpair", logged)
+    w0 = -3.779736069446877
+    wf = spectra.wavefn_model2(5, p.alpha, p.beta, polynomial="classical")
+    assert w0 == float(np.arctanh(oracle.gauss_jacobi(64, *oracle._residual_weight(wf)[:2])[0][0]))
+    with pytest.raises(PoleError, match=re.escape(f"potential is not finite at w = {w0}")) as info:
+        oracle.consistency_report(p, k, 1.0, levels=12)
+    assert info.value.location == w0
+    assert reads == [list(range(6)), list(range(5))]
+
+
 def test_report_assembles_no_flux_matrix(monkeypatch):
     # the report reads no grid: with build_sl_matrix refusing, both models'
     # reports still complete, and only the forced claims' compositions assemble
@@ -1261,18 +1303,36 @@ def test_report_model1_residuals_finite_on_every_branch(branch):
 
 
 @pytest.mark.parametrize("n", [1, 2, 16, 256])
-def test_galerkin_band_layout_is_cached_read_only_tril(n):
-    # each lower-triangle entry (i, j), in np.tril_indices order, goes from
-    # flat i n + j of the matrix to flat (i - j) + j n of the column-major
-    # band; one read-only layout per basis size, cached
-    src, dst = oracle._band_layout(n)
-    assert oracle._band_layout(n)[0] is src
-    assert not src.flags.writeable and not dst.flags.writeable
-    i, j = np.tril_indices(n)
-    assert np.array_equal(np.divmod(src, n), (i, j))
-    assert np.array_equal(np.divmod(dst, n), (j, i - j))
-    with pytest.raises(ValueError):
-        src[0] = 1
+def test_galerkin_band_holds_each_subdiagonal(n, monkeypatch):
+    # the band dsbev reads holds the Galerkin matrix's d-th subdiagonal in
+    # row d, from column 0, and zeros past its end; the matrix is built here
+    # as B diag(q) B^T plus the Jacobi operator's diagonal, B the rule's
+    # eigenvector matrix
+    bands, solve = [], oracle._band_eigenvalues
+
+    def captured(band):
+        bands.append(band.copy())
+        return solve(band)
+
+    monkeypatch.setattr(oracle, "_band_eigenvalues", captured)
+    a, b = 0.9, 1.4
+    alpha, beta = 2.0 * b - 1.0, 2.0 * a - 1.0
+    (t, _), basis = oracle._golub_welsch(n, alpha, beta)
+
+    def pot(w):
+        return 3.0 / np.cosh(w) ** 2 - 1.0
+
+    (levels,) = oracle._galerkin_eigenvalues(pot, a, b, (n,))
+    q = pot(np.arctanh(t)) - a * (a - 1.0) * (1.0 - t) / (1.0 + t) - b * (b - 1.0) * (1.0 + t) / (1.0 - t)
+    h = (basis * (q + 2.0 * a * b)) @ basis.T
+    m = np.arange(n)
+    h[m, m] += m * (m + alpha + beta + 1.0)
+    (band,) = bands
+    assert band.shape == (n, n)
+    for d in range(n):
+        assert np.array_equal(band[d, : n - d], np.diagonal(h, -d))
+        assert not band[d, n - d :].any()
+    assert np.array_equal(levels, solve(band))
 
 
 def test_report_solves_three_galerkin_series(monkeypatch):

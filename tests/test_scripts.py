@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -5,11 +6,17 @@ import sys
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 
-def test_scan_model1_levels_smoke():
+def _env():
+    """The environment with the tree's src/ first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    return env
+
+
+def test_scan_model1_levels_smoke():
+    env = _env()
     res = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "scan_model1_levels.py"),
          "--points", "3", "--n-max", "2"],
@@ -26,3 +33,32 @@ def test_scan_model1_levels_smoke():
         c1, count, _ = row.split()
         assert 0.0 < float(c1) < 0.5 and 0 <= int(count) <= 3
     assert lines[-1] == "count non-decreasing in C1: True"
+
+
+def test_verify_digests_smoke(tmp_path):
+    # one line per configuration of the matrix, every run exits 0, and the
+    # examples' digests at their own 4 levels are those of the reports that
+    # `dirac-sphere verify` writes, here through its module entry
+    env = _env()
+    res = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "verify_digests.py")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert res.returncode == 0, res.stderr
+    rows = [line.split() for line in res.stdout.splitlines()]
+    assert len(rows) == 10 + 1 + 6 + 8 and all(len(row) == 3 for row in rows)
+    assert all(code == "0" for _, code, _ in rows)
+    digests = {name: digest for digest, _, name in rows}
+    assert len(digests) == len(rows)
+    for model in (1, 2):
+        subprocess.run(
+            [sys.executable, "-m", "dirac_sphere.cli", "verify", "--config",
+             os.path.join(ROOT, "examples", f"model{model}.json"), "--out", str(tmp_path)],
+            check=True,
+            capture_output=True,
+            env=env,
+        )
+        written = (tmp_path / f"verify_model{model}.json").read_bytes()
+        assert digests[f"model{model}.lv4"] == hashlib.sha256(written).hexdigest()
