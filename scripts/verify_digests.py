@@ -3,11 +3,13 @@
 configuration in a fixed matrix, each run in-process through cli.main.
 
 The matrix: both examples at 1, 4, 12, 30 and 60 levels; Model II at
-k = 1.5 with 12 levels; Model II's (+,-) sign branch at k = 2.5, 3 and 5,
-at 4 and 12 levels; Model I on all four branches at 8 and 12 levels.  Two
-runs that print the same lines wrote the same reports with the same exit
-codes, so diffing the output compares every report across BLAS thread
-counts (OPENBLAS_NUM_THREADS), CPU pinning (taskset) or source trees
+k = 1.5, 3 and 4 with 12 levels; Model II at k = 3 with 12 levels given
+by an explicit alpha/beta block, the (-,+) pair (0.5, 0.25) written out;
+Model II's (+,-) sign branch at k = 2.5, 3 and 5, at 4 and 12 levels;
+Model I on all four branches at 8 and 12 levels.  Two runs that print the
+same lines wrote the same reports with the same exit codes, so diffing the
+output compares every report across BLAS thread counts
+(OPENBLAS_NUM_THREADS), CPU pinning (taskset) or source trees
 (PYTHONPATH=<tree>/src).  A run that exits non-zero writes no report: its
 digest reads "-".
 
@@ -43,7 +45,10 @@ def matrix(tmp):
     for model in (1, 2):
         cfg = os.path.join(EXAMPLES, f"model{model}.json")
         runs += [(f"model{model}.lv{lv}", model, ["--config", cfg, "--levels", str(lv)]) for lv in (1, 4, 12, 30, 60)]
-    runs.append(("model2.k1.5.lv12", 2, ["--config", os.path.join(EXAMPLES, "model2.json"), "--k", "1.5", "--levels", "12"]))
+    for k in ("1.5", "3", "4"):
+        runs.append((f"model2.k{k}.lv12", 2, ["--config", os.path.join(EXAMPLES, "model2.json"), "--k", k, "--levels", "12"]))
+    explicit = _variant("model2.json", {"alpha": 0.5, "beta": 0.25}, tmp, "alpha-beta")
+    runs.append(("model2.alpha-beta.k3.lv12", 2, ["--config", explicit, "--k", "3", "--levels", "12"]))
     plus_minus = _variant("model2.json", {"sign_a": "+", "sign_b": "-"}, tmp, "plus-minus")
     for k in ("2.5", "3", "5"):
         runs += [(f"model2.pm.k{k}.lv{lv}", 2, ["--config", plus_minus, "--k", k, "--levels", str(lv)]) for lv in (4, 12)]

@@ -590,32 +590,32 @@ _MEASURES = ("dw", "sphere-area")  # by lift
 
 
 def _residual_weight(wf):
-    """(2a - 1 + lift, 2b - 1 + lift, lift), (a, b) = wf.exponents: the
-    Jacobi weight of the measure wf's reading is read in.  lift is 0, the
-    operator's own dw = dt/(1-t^2), when 2a - 1 and 2b - 1 exceed -1, else 1,
-    the sphere's area sech^2 w dw = dt; a weight that is still not a Jacobi
-    weight raises DomainError."""
+    """(2b - 1 + lift, 2a - 1 + lift, lift), (a, b) = wf.exponents at t = -1
+    and t = +1: the Jacobi weight (1-t)^alpha (1+t)^beta of the measure wf's
+    reading is read in.  lift is 0, the operator's own dw = dt/(1-t^2), when
+    2a - 1, 2b - 1 > -1, else 1, the sphere's area sech^2 w dw = dt; a weight
+    that is still not a Jacobi weight raises DomainError naming both poles."""
     a, b = wf.exponents
-    lift = 0 if min(2.0 * a - 1.0, 2.0 * b - 1.0) > -1.0 else 1
-    alpha, beta = 2.0 * a - 1.0 + lift, 2.0 * b - 1.0 + lift
+    lift = 0 if min(2.0 * b - 1.0, 2.0 * a - 1.0) > -1.0 else 1
+    alpha, beta = 2.0 * b - 1.0 + lift, 2.0 * a - 1.0 + lift
     if not min(alpha, beta) > -1.0:
         raise DomainError(
-            f"no residual measure for the envelope exponents (a, b) = ({a!r}, {b!r}): the "
-            f"sphere-area weight (1-t)^{alpha:.6g} (1+t)^{beta:.6g} is not integrable, so phi is "
-            "not square-integrable on the sphere"
+            f"no residual measure for the envelope exponents {a!r} at t = -1 and {b!r} at t = +1: "
+            f"the sphere-area weight (1-t)^{alpha:.6g} (1+t)^{beta:.6g} is not integrable, so phi "
+            "is not square-integrable on the sphere"
         )
     return alpha, beta, lift
 
 
 def _local_terms(wf, levels, t, v):
     """(r, K), one row per level index in levels, with phi = E r and
-    H phi = E K at t = tanh w for the levels of wf's reading, E = (1-t)^a (1+t)^b
-    the envelope and H phi = -(1-t^2) phi_tt + V phi, V sampled as v: exact,
-    from phi_tt = E (r'' + 2 L r' + (L^2 + L') r) with L = -a/(1-t) + b/(1+t)."""
+    H phi = E K at t = tanh w for the levels of wf's reading: E = (1+t)^a (1-t)^b,
+    (a, b) = wf.exponents, H phi = -(1-t^2) phi_tt + V phi with V sampled as v,
+    exactly, by phi_tt = E (r'' + 2 L r' + (L^2 + L') r), L = a/(1+t) - b/(1-t)."""
     a, b = wf.exponents
     r, r1, r2 = wf.ratios(t, levels)
-    dlog = -a / (1.0 - t) + b / (1.0 + t)
-    d2log = -a / (1.0 - t) ** 2 - b / (1.0 + t) ** 2
+    dlog = -b / (1.0 - t) + a / (1.0 + t)
+    d2log = -b / (1.0 - t) ** 2 - a / (1.0 + t) ** 2
     return r, -(1.0 - t * t) * (r2 + 2.0 * dlog * r1 + (dlog * dlog + d2log) * r) + v * r
 
 
@@ -626,9 +626,9 @@ def verify_eigenpair(wf, levels, V, lams, samples=None):
     level's row of lams, under H phi = -(cosh^2 phi')' + V phi, applied
     exactly.
 
-    With phi = E r and H phi = E K (_local_terms, E the envelope) and the
-    n-node Gauss-Jacobi rule (t_i, q_i) of the reading's weight
-    (_residual_weight), each reading is
+    With phi = E r and H phi = E K (_local_terms, E = (1+t)^a (1-t)^b the
+    envelope of wf.exponents (a, b) at t = -1 and t = +1) and the n-node
+    Gauss-Jacobi rule (t_i, q_i) of its weight (_residual_weight), each reading is
     sqrt(sum q_i (1-t_i^2)^(2 lift) (K_i - lam r_i)^2 / sum q_i r_i^2): that
     of H - lam in L^2(dw) at lift 0, of sech^2 w (H - lam) in L^2 of the
     sphere's area at lift 1, over the whole line.  Each level's readings are
@@ -1074,16 +1074,16 @@ def _model_report(spec: _ModelSpec, k, R, levels):
     # exponents, and so rules, coincide (Model II's classical and X1)
     residuals, samples = {}, {}
     for n in range(levels):
-        lam, matched = printed[n], implied[n]
         for reading, (description, wavefn) in spec.eigenfunctions.items():
             infix = f"{reading}." if len(spec.eigenfunctions) > 1 else ""
-            wf = wavefn(n)
-            if not n:  # one reader per reading, which evaluates each level at its claim
-                residuals[reading] = verify_eigenpair(wf, range(levels), spec.closed1, lams, samples)
-            res, nodes, gap, measure = residuals[reading](n)
-            details = {spec.printed_key: lam}
-            if matched is not None:
-                details.update(residual_at_identity_energy=res[1], lambda_identity=matched)
+            if not n:  # one record and one reader per reading; the reader evaluates each level at its claim
+                wf = wavefn(0)
+                residuals[reading] = wf, verify_eigenpair(wf, range(levels), spec.closed1, lams, samples)
+            wf, read = residuals[reading]
+            res, nodes, gap, measure = read(n)
+            details = {spec.printed_key: printed[n]}
+            if implied[n] is not None:
+                details.update(residual_at_identity_energy=res[1], lambda_identity=implied[n])
             # the residual is scale-free, so no norm is read: only its analytic verdict
             details.update(measure=measure, nodes=nodes, gap_2n=gap, norm_finite=wf.norm_finite)
             if not wf.norm_finite:

@@ -12,13 +12,13 @@ envelope exponent is negative for 0 < C1 < 1/2, so every printed
 eigenfunction has a divergent norm -- the package evaluates the form
 verbatim and flags it).  Each model decides norm finiteness in one
 predicate, shared by its level table and its eigenfunction records:
-_model1_divergence (s > 0 and B > 0) and _model2_divergence
+_model1_divergence (B > 0 and s > 0) and _model2_divergence
 (alpha, beta > -1 and alpha*beta > 0), each of which gives the reason a norm
 diverges.
 
 Norms are computed in t = tanh(w), where every printed eigenfunction is an
-envelope (1-t)^a (1+t)^b times a polynomial or rational factor g.  The norm
-integral is then the Jacobi weight (1-t)^(2a-1) (1+t)^(2b-1) against g^2:
+envelope (1+t)^a (1-t)^b times a polynomial or rational factor g.  The norm
+integral is then the Jacobi weight (1-t)^(2b-1) (1+t)^(2a-1) against g^2:
 finiteness is decided from the exponents and the poles of g when the record
 is built, before any quadrature.  Only Model II's rational g is ever
 integrated, by Gauss-Jacobi rules of that weight converged by node doubling,
@@ -86,17 +86,17 @@ class SpectralLine:
 class WaveFunctionSpec:
     """First-component eigenfunction candidate on the w axis.
 
-    eval_raw is the unnormalized printed form (1-t)^a (1+t)^b r(t) of
-    t = tanh w, with (a, b) = exponents, which every level of its reading
-    shares.  ratios(t, levels) is (r, r', r'') of that reading at every
-    level index in levels, each an array with one row per level: what an
-    operator needs to act on them exactly, from one recurrence table per
-    Jacobi family up to the highest level's degree.  norm_finite is decided
-    analytically when the record is built; when the norm diverges,
-    norm_reason says why.  A finite norm is integrated by norm_quadrature
-    (a _weighted_norm call) the first time norm_sq, norm_details() or eval()
-    reads it, which raises its IntegrationError; the record keeps the result
-    for every later read.
+    eval_raw is the unnormalized printed form (1+t)^a (1-t)^b r(t) of
+    t = tanh w, whose reading shares (a, b) = exponents at t = -1 and t = +1,
+    the one order of every exponent pair in the package.  ratios(t, levels)
+    is (r, r', r'') of that reading at every level index in levels, each an
+    array with one row per level: what an operator needs to act on them
+    exactly, from one recurrence table per Jacobi family up to the highest
+    level's degree.  norm_finite is decided analytically when the record is
+    built; when the norm diverges, norm_reason says why.  A finite norm is
+    integrated by norm_quadrature (a _weighted_norm call) the first time
+    norm_sq, norm_details() or eval() reads it, which raises its
+    IntegrationError; the record keeps the result for every later read.
     """
 
     def __init__(self, eval_raw: Callable, exponents: Tuple[float, float], ratios: Callable, norm_finite: bool,
@@ -127,9 +127,9 @@ class WaveFunctionSpec:
 
 
 def _model1_exponents(n, p: Model1Params, k):
-    """The Model-I exponents (s, B) of level n: s = (-1 + sqrt(1 - 4 C1^2))/2
-    and B = C1 (1 + 2 C2)/2, once the parameters sit on a constraint branch,
-    n is a level index, s is real and the level denominator s - n is nonzero."""
+    """Level n's Model-I exponents (B, s), B = C1 (1 + 2 C2)/2 at t = -1 and
+    s = (-1 + sqrt(1 - 4 C1^2))/2 at t = +1, once the parameters sit on a
+    constraint branch, n is a level index, s is real and s - n is nonzero."""
     _require_constrained(p, k)
     if n < 0 or int(n) != n:
         raise DomainError(f"level must be a non-negative integer, got {n}")
@@ -139,10 +139,10 @@ def _model1_exponents(n, p: Model1Params, k):
     s = (-1.0 + math.sqrt(rad)) / 2.0
     if s - n == 0.0:
         raise DomainError(f"level denominator s - n vanishes at n={n} (s={s})")
-    return s, p.C1 * (1.0 + 2.0 * p.C2) / 2.0
+    return p.C1 * (1.0 + 2.0 * p.C2) / 2.0, s
 
 
-def _model1_divergence(s, B):
+def _model1_divergence(B, s):
     """Why the Model-I norm integrand (1-t)^(2s-1) (1+t)^(2B-1) P_n^2 is not
     integrable, or "" when it is (s > 0 and B > 0)."""
     divergent = []
@@ -163,7 +163,7 @@ def energy_model1(n, p: Model1Params, k, R) -> SpectralLine:
     """
     if not R > 0:
         raise DomainError(f"radius must be positive, got {R}")
-    s, B = _model1_exponents(n, p, k)
+    B, s = _model1_exponents(n, p, k)
     e_sq = (
         0.5
         + 2.0 * p.C1 * (k - p.C3)
@@ -171,7 +171,7 @@ def energy_model1(n, p: Model1Params, k, R) -> SpectralLine:
         - (s - n) ** 2
         - B * B / (s - n) ** 2
     )
-    divergence = _model1_divergence(s, B)
+    divergence = _model1_divergence(B, s)
     return SpectralLine(n, e_sq, R, norm_finite=not divergence, norm_reason=divergence or None)
 
 
@@ -179,27 +179,27 @@ def wavefn_model1(n, p: Model1Params, k) -> WaveFunctionSpec:
     """Printed Model-I eigenfunction, evaluated verbatim.
 
     (1 - tanh w)^s (1 + tanh w)^B P_n^(2s, 2B)(tanh w) with s as in the
-    energy formula and B = C1 (1 + 2 C2) / 2.  Since sqrt(1 - 4 C1^2) <= 1,
-    s <= 0 for every accepted C1 and the norm integral diverges at w -> +inf;
-    the record is returned unnormalized with norm_finite=False and the reason.
+    energy formula and B = C1 (1 + 2 C2) / 2: exponents (B, s).  As s <= 0
+    for every accepted C1, the norm integral diverges at w -> +inf; the
+    record is returned unnormalized with norm_finite=False and the reason.
     """
-    s, B = _model1_exponents(n, p, k)
+    B, s = _model1_exponents(n, p, k)
     return _printed_wavefunction(
-        int(n), (s, B), lambda levels, t, d: specfun.jacobi_rows(levels, 2.0 * s, 2.0 * B, t, d),
-        (1.0, 0.0), _model1_divergence(s, B),
+        int(n), (B, s), lambda levels, t, d: specfun.jacobi_rows(levels, 2.0 * s, 2.0 * B, t, d),
+        (1.0, 0.0), _model1_divergence(B, s),
     )
 
 
 def _printed_wavefunction(level, exponents, rows, den, divergence, weight=None, degree=None):
-    """The printed eigenfunction (1-t)^a (1+t)^b g(t)/den(t) of t = tanh w at
-    `level`, (a, b) = exponents, with den = d0 + d1 t for den = (d0, d1), and
-    rows(levels, t, d) the rows [g] (d = 0) or [g, g', g''] (d = 2) of its
-    reading's polynomial g at every level in levels: eval_raw reads g as
-    row 0, and its ratios divide the d = 2 rows by den.  Unless divergence
-    gives the reason it diverges, its norm, when first read, integrates
-    (g/den)^2 (numerator degree `degree`) against the Jacobi weight
-    (1-t)^weight[0] (1+t)^weight[1]; Model I passes no weight, since its
-    norm always diverges.  Both raise PoleError at a sample where den
+    """The printed eigenfunction (1+t)^a (1-t)^b g(t)/den(t) of t = tanh w at
+    `level`, (a, b) = exponents at t = -1 and t = +1, den = d0 + d1 t for
+    den = (d0, d1) and rows(levels, t, d) the rows [g] (d = 0) or [g, g', g'']
+    (d = 2) of its reading's polynomial g at every level in levels: eval_raw
+    reads g as row 0, and its ratios divide the d = 2 rows by den.  Unless
+    divergence gives the reason it diverges, its norm, when first read,
+    integrates (g/den)^2 (numerator degree `degree`) against the Jacobi
+    weight (1-t)^weight[0] (1+t)^weight[1]; Model I passes no weight, since
+    its norm always diverges.  Both raise PoleError at a sample where den
     vanishes, as the gauge profile does at its pole.
     """
     a, b = exponents
@@ -219,7 +219,7 @@ def _printed_wavefunction(level, exponents, rows, den, divergence, weight=None, 
         # (envelope * g) / den: this order keeps the sampled values as the
         # printed form has always been evaluated
         t = np.tanh(w)
-        return (1.0 - t) ** a * (1.0 + t) ** b * g_at(t) / den_at(t)
+        return (1.0 - t) ** b * (1.0 + t) ** a * g_at(t) / den_at(t)
 
     def ratios(t, levels):
         # r = g/den with den linear: r' = (g' - d1 r)/den, r'' = (g'' - 2 d1 r')/den
@@ -335,9 +335,9 @@ def wavefn_model2(m, alpha, beta, polynomial="classical") -> WaveFunctionSpec:
 
     polynomial='classical' uses the ordinary Jacobi polynomial of degree m+1,
     exactly as typeset; polynomial='x1' substitutes the rational-extension
-    member of the same degree.  Both share the envelope
-    (1-t)^((alpha+1)/2) (1+t)^((beta+1)/2) / (alpha + beta + (alpha-beta) t).
-    The denominator vanishes inside [-1, 1] when alpha*beta <= 0; the record
+    member of the same degree.  Both share the envelope of exponents
+    ((beta+1)/2, (alpha+1)/2) over alpha + beta + (alpha-beta) t, a
+    denominator that vanishes inside [-1, 1] when alpha*beta <= 0; the record
     then carries a divergent norm and, in norm_reason, where the root lies.
     """
     if polynomial not in ("classical", "x1"):
@@ -350,7 +350,7 @@ def wavefn_model2(m, alpha, beta, polynomial="classical") -> WaveFunctionSpec:
     # Norm integrand (1-t)^alpha (1+t)^beta (poly/den)^2; alpha, beta > -1, so it
     # is finite iff the denominator's root lies off [-1, 1] (alpha*beta > 0).
     return _printed_wavefunction(
-        m, ((alpha + 1.0) / 2.0, (beta + 1.0) / 2.0),
+        m, ((beta + 1.0) / 2.0, (alpha + 1.0) / 2.0),
         lambda levels, t, d: rows_fn(np.asarray(levels) + 1, alpha, beta, t, d), (alpha + beta, alpha - beta),
         _model2_divergence(alpha, beta), (alpha, beta), m + 1,
     )

@@ -485,14 +485,15 @@ def test_verify_eigenpair_refusals():
 
 
 def test_verify_eigenpair_refuses_an_envelope_with_no_measure():
-    # a reading whose exponent 2a - 1 is -2.2 even lifted to the sphere's
-    # area (-1.2) has no Jacobi weight: no rule is built, and the call itself
-    # refuses, naming the exponents and the weight
+    # a reading whose exponent 2b - 1 at t = +1 is -2.2 even lifted to the
+    # sphere's area (-1.2) has no Jacobi weight: no rule is built, and the
+    # call itself refuses, naming the exponent at each pole and the weight
     wf = spectra.wavefn_model1(0, gauge.Model1Params.from_branch(0.4, 2.0, "half-up"), 2.0)
-    synthetic = spectra.WaveFunctionSpec(wf.eval_raw, (-0.6, 0.4), wf.ratios, False, "synthetic")
+    synthetic = spectra.WaveFunctionSpec(wf.eval_raw, (0.4, -0.6), wf.ratios, False, "synthetic")
     with pytest.raises(DomainError, match=re.escape(
-        "no residual measure for the envelope exponents (a, b) = (-0.6, 0.4): the sphere-area "
-        "weight (1-t)^-1.2 (1+t)^0.8")):
+        "no residual measure for the envelope exponents 0.4 at t = -1 and -0.6 at t = +1: the "
+        "sphere-area weight (1-t)^-1.2 (1+t)^0.8 is not integrable, so phi is not "
+        "square-integrable on the sphere")):
         oracle.verify_eigenpair(synthetic, [0], lambda w: 0.0 * w, [[1.0]])
 
 
@@ -563,7 +564,7 @@ def test_residual_rule_integrates_in_the_readings_measure():
     assert float(np.dot(q, r * r)) == pytest.approx(wf.norm_sq, rel=1e-12)
     for branch in gauge.BRANCH_LABELS:
         wf = spectra.wavefn_model1(1, gauge.Model1Params.from_branch(0.4, 2.0, branch), 2.0)
-        s, b = wf.exponents
+        b, s = wf.exponents  # B at t = -1, s at t = +1
         alpha, beta, lift = oracle._residual_weight(wf)
         assert lift == 1 and (alpha, beta) == pytest.approx((2 * s, 2 * b), abs=1e-15)
         area = 2 ** (2 * s + 2 * b + 1) * math.gamma(2 * s + 1) * math.gamma(2 * b + 1)
@@ -1118,6 +1119,57 @@ def _galerkin_size_by_size(V, exponents, count, poles=(), drift=0.0):
 def _m2_signs(k, sign_a, sign_b):
     alpha, beta = gauge.alpha_beta(k, sign_a, sign_b)
     return gauge.model2_derive_params(1 / k, beta - alpha, beta + alpha, k)
+
+
+def _frobenius_root(printed, principal):
+    """Which Frobenius root of the closed j=1 potential's pair
+    (principal, 1 - principal) a printed envelope exponent is, within
+    _ROOT_TOL: "principal", "non-principal" or None."""
+    if abs(printed - principal) <= oracle._ROOT_TOL:
+        return "principal"
+    if abs(printed + principal - 1.0) <= oracle._ROOT_TOL:
+        return "non-principal"
+    return None
+
+
+@pytest.mark.parametrize(
+    "params, k, roots",
+    [(gauge.Model1Params.from_branch(0.4, 2.0, b), 2.0, (r, None))
+     for b, r in (("neg-half", "non-principal"), ("half-down", None), ("half-up", None), ("three-half", None))]
+    + [(_m2_signs(k, "-", "+"), k, ("principal", "principal")) for k in (1.5, 2.0, 3.0, 4.0)]
+    + [(_m2_signs(k, "+", "-"), k, ("non-principal", "non-principal")) for k in (2.5, 3.0, 5.0)],
+)
+def test_printed_exponents_against_the_galerkin_ones_pole_by_pole(params, k, roots):
+    # every exponent pair is ordered (t = -1, t = +1), so a printed reading's
+    # envelope exponents and the c.* basis's principal ones compare pole by
+    # pole.  (-,+) prints the principal roots, equal to rounding but not to
+    # the bit (1.0 against 1.0000000000000004 at k = 2); (+,-) the
+    # non-principal ones, 1 - principal within one ulp of 1; Model I's
+    # s = -0.2 at t = +1 is never a root of {0, 1}, and its B at t = -1 is
+    # the root 0 on neg-half (C2 = -1/2) alone
+    spec = oracle.model_spec(params, k, 1.0)
+    principal = oracle.partner_exponents(spec.ends, k).j1
+    for reading, (_, wavefn) in spec.eigenfunctions.items():
+        printed = wavefn(0).exponents
+        assert tuple(map(_frobenius_root, printed, principal)) == roots, (reading, printed, principal)
+        for e, p, root in zip(printed, principal, roots):
+            if root == "non-principal":
+                assert abs(e + p - 1.0) <= 2.0 ** -52, (reading, e, p)
+
+
+@pytest.mark.parametrize("model", [1, 2])
+def test_report_builds_one_eigenfunction_record_per_reading(model, monkeypatch):
+    # a 12-level report builds each reading's eigenfunction record once, at
+    # level 0 where its reader is made, and every level reads the
+    # reading-wide norm verdict from it: Model II's two readings make two
+    # wavefn_model2 calls, not 24; Model I's one reading and the ground
+    # state of g.local-energy-constancy make two wavefn_model1 calls, not 13
+    name = f"wavefn_model{model}"
+    made, wavefn = [], getattr(oracle, name)
+    monkeypatch.setattr(oracle, name, lambda *args, **kw: made.append(args[0]) or wavefn(*args, **kw))
+    rep = oracle.consistency_report(_report_params(model), 2.0, 1.0, levels=12)
+    assert made == [0, 0]
+    assert len([c for c in rep.claims if c.claim_id.startswith("d.")]) == 12 * model
 
 
 @pytest.mark.parametrize(

@@ -48,7 +48,7 @@ def test_verify_digests_smoke(tmp_path):
     )
     assert res.returncode == 0, res.stderr
     rows = [line.split() for line in res.stdout.splitlines()]
-    assert len(rows) == 10 + 1 + 6 + 8 and all(len(row) == 3 for row in rows)
+    assert len(rows) == 10 + 3 + 1 + 6 + 8 and all(len(row) == 3 for row in rows)
     assert all(code == "0" for _, code, _ in rows)
     digests = {name: digest for digest, _, name in rows}
     assert len(digests) == len(rows)

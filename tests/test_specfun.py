@@ -428,14 +428,16 @@ def _bits(rows):
 
 def _report_rule_nodes():
     """The nodes of the largest Gauss-Jacobi rules the report's readings
-    take at --levels 60 on both examples, and the poles and centre."""
+    take at --levels 60 on both examples, and the poles and centre; then
+    the Jacobi parameters of both examples' classical families, Model I's
+    (2s, 2B) from its exponents (B, s) at t = -1 and t = +1."""
     from dirac_sphere import gauge, oracle, spectra
 
     alpha, beta = gauge.alpha_beta(2.0, "-", "+")
     m1 = gauge.Model1Params.from_branch(0.4, 2.0, "half-up")
     wfs = [spectra.wavefn_model2(0, alpha, beta), spectra.wavefn_model1(0, m1, 2.0)]
     rules = [specfun.gauss_jacobi(256, *oracle._residual_weight(wf)[:2])[0] for wf in wfs]
-    return np.concatenate(rules + [np.array([-1.0, 0.0, 1.0])]), (alpha, beta), tuple(2.0 * e for e in wfs[1].exponents)
+    return np.concatenate(rules + [np.array([-1.0, 0.0, 1.0])]), (alpha, beta), tuple(2.0 * e for e in reversed(wfs[1].exponents))
 
 
 def test_shared_recurrence_rows_match_the_per_family_tables_bitwise(monkeypatch):
@@ -444,6 +446,7 @@ def test_shared_recurrence_rows_match_the_per_family_tables_bitwise(monkeypatch)
     # third at every degree through 61 (the rows a --levels 60 report reads),
     # and the X1 rows built from them
     x, model2, model1 = _report_rule_nodes()
+    assert model1 == pytest.approx((-0.4, 0.8), abs=1e-15)  # half-up's (2s, 2B): s = -0.2, B = 0.4
     degrees = list(range(62))
     for a, b in (model2, model1, (-0.5, 0.7), (3.5, 0.25)):
         for d in range(4):

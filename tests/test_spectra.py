@@ -23,8 +23,8 @@ def _assert_ratio_reads_eval_raw(wf, level):
     # the printed form eval_raw samples
     w = np.linspace(-6.0, 6.0, 121)
     t = np.tanh(w)
-    a, b = wf.exponents
-    got = (1.0 - t) ** a * (1.0 + t) ** b * wf.ratios(t, [level])[0][0]
+    a, b = wf.exponents  # at t = -1 and t = +1
+    got = (1.0 - t) ** b * (1.0 + t) ** a * wf.ratios(t, [level])[0][0]
     want = wf.eval_raw(w)
     assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), level
 
