@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
 """Print `sha256 exit-code name` for the `verify` report of each
-configuration in a fixed matrix, each run in-process through cli.main.
+configuration in a fixed matrix, each run in-process through cli.main, and
+after it one line `digest exit-code name:family` per claim family of the
+report (f, conventions, a, b, c, d, e, g; the family is the claim id up to
+its first dot), in report order: the first 16 hex digits of the sha256 of
+the family's claims as JSON.
 
 The matrix: both examples at 1, 4, 12, 30 and 60 levels; Model II at
 k = 1.5, 3 and 4 with 12 levels; Model II at k = 3 with 12 levels given
@@ -10,8 +14,9 @@ Model I on all four branches at 8 and 12 levels.  Two runs that print the
 same lines wrote the same reports with the same exit codes, so diffing the
 output compares every report across BLAS thread counts
 (OPENBLAS_NUM_THREADS), CPU pinning (taskset) or source trees
-(PYTHONPATH=<tree>/src).  A run that exits non-zero writes no report: its
-digest reads "-".
+(PYTHONPATH=<tree>/src), and the family lines that differ name the claim
+families a change moved.  A run that exits non-zero writes no report: its
+digest reads "-", and no family line follows.
 
     PYTHONPATH=src python scripts/verify_digests.py
 """
@@ -58,6 +63,18 @@ def matrix(tmp):
     return runs
 
 
+def family_digests(doc):
+    """{family: short digest of its claims}, in report order, for the
+    report document doc."""
+    families = {}
+    for claim in doc["report"]["claims"]:
+        families.setdefault(claim["claim_id"].split(".", 1)[0], []).append(claim)
+    return {
+        family: hashlib.sha256(json.dumps(claims).encode("utf-8")).hexdigest()[:16]
+        for family, claims in families.items()
+    }
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         for name, model, args in matrix(tmp):
@@ -65,11 +82,14 @@ def main():
             with contextlib.redirect_stdout(io.StringIO()):  # main prints the paths it wrote
                 code = cli.main(["verify", *args, "--out", out])
             path = os.path.join(out, f"verify_model{model}.json")
-            digest = "-"
-            if code == 0:
-                with open(path, "rb") as fh:
-                    digest = hashlib.sha256(fh.read()).hexdigest()
-            print(digest, code, name)
+            if code:
+                print("-", code, name)
+                continue
+            with open(path, "rb") as fh:
+                data = fh.read()
+            print(hashlib.sha256(data).hexdigest(), code, name)
+            for family, digest in family_digests(json.loads(data)).items():
+                print(digest, code, f"{name}:{family}")
     return 0
 
 

@@ -1,6 +1,8 @@
 """Exact solutions of the conformally reduced Dirac operator on the sphere
 under hyperbolic gauge fields, cross-checked against an independent
-Sturm-Liouville finite-difference oracle.
+Jacobi-Galerkin eigensolver in t = tanh w, the source of every level a
+report holds; finite differences serve only the staggered factorization
+check and the flux-form cross-checks.
 
 The package evaluates the published closed forms verbatim (potentials,
 spectra, eigenfunctions for both gauge-field models), and the oracle module

@@ -33,19 +33,20 @@ The first-order operator D = cosh d/dw + f, f = cosh (A - k) + sinh/2, that
 factors the general j=1 potential, makes the two general potentials partners:
 Dt*D is the j=1 operator and D*Dt the j=2 one, so their levels pair up past
 one unpaired zero level -- the forced isospectrality check, read on the
-Galerkin levels of both.  On the staggered grid (nodes to half points) Dt*D
-carries exactly the flux-form kinetic stencil; the forced matrix-symmetry
-check compares the assembled bands of Dt*D and D*Dt with D and Dt applied in
-turn as bidiagonal maps, read through three probe vectors, in O(N) and with
-no dense product.  The same f ties D to the general potentials through two
-continuum identities, which the report samples with no eigensolve.  One
-consistency-report engine attaches a verdict to every closed-form formula of
-both gauge models; each model enters it as a small spec of its formulas
-(potentials, levels, eigenfunction readings and solvable-structure
-identity), so both reports share every claim family.  model_spec is the one
-place where a parameter set selects its model; the CLI commands read their
-curves, levels, eigenfunctions and poles from the same spec; a real pole is
-refused before any claim.
+Galerkin levels of both, whose pairs the e.* claims record.  On the
+staggered grid (nodes to half points) Dt*D carries exactly the flux-form
+kinetic stencil; the forced matrix-symmetry check compares the assembled
+bands of Dt*D and D*Dt with D and Dt applied in turn as bidiagonal maps,
+read through three probe vectors, in O(N) and with no dense product.  The
+same f ties D to the general potentials through two continuum identities,
+which the report samples with no eigensolve.  One consistency-report engine
+attaches a verdict to every closed-form formula of both gauge models; each
+model enters it as a small spec of its formulas (potentials, levels,
+eigenfunction readings and solvable-structure identity), so both reports
+share every claim family.  model_spec is the one place where a parameter set
+selects its model; the CLI commands read their curves, levels,
+eigenfunctions and poles from the same spec; a real pole is refused before
+any claim.
 
 Verdict policy (applied by Claim alone): mathematically forced claims (f.*)
 must PASS; transcription claims are always 'recorded' with their metric,
@@ -542,20 +543,19 @@ def partner_exponents(ends, k) -> PartnerExponents:
     return PartnerExponents(j1=j1, j2=tuple(j2), zero_level=zero)
 
 
-def galerkin_levels(V, exponents, count, poles=(), drift=0.0) -> GalerkinLevels:
+def galerkin_levels(V, exponents, count, poles=()) -> GalerkinLevels:
     """The `count` lowest levels of the operator -(cosh^2 phi')' + V phi.
 
     In t = tanh w the operator is -(1-t^2) phi'' + V phi on (-1, 1).
     exponents are the envelope exponents (a, b) at t = -1 and t = +1
     (partner_exponents), which belong to the general potential of a
     component; they hold for V only while V differs from that potential by
-    a constant: drift is the measured spread of that difference relative to
-    1 + max |V|, and one past 1e-9 raises DomainError rather than guess the
-    exponents.  The basis grows from max(16, 2 count + 8) functions by
-    doubling until the levels of n and 2n functions agree within
-    1e-9 (1 + |level|), and the n levels are returned.  The first two bases
-    share one sample of V (_galerkin_eigenvalues), each still solving its
-    own matrix; a basis past the pair is read alone.  A 2n past 256 raises
+    a constant, which the caller checks.  The basis grows from
+    max(16, 2 count + 8) functions by doubling until the levels of n and 2n
+    functions agree within 1e-9 (1 + |level|), and the n levels are
+    returned.  The first two bases share one sample of V
+    (_galerkin_eigenvalues), each still solving its own matrix; a basis past
+    the pair is read alone.  A 2n past 256 raises
     DomainError, as does a count past GALERKIN_MAX_LEVELS; a real pole (one
     in poles) raises PoleError first, since it lies inside (-1, 1) whatever
     the grid.
@@ -568,12 +568,6 @@ def galerkin_levels(V, exponents, count, poles=(), drift=0.0) -> GalerkinLevels:
         )
     if not 1 <= count <= GALERKIN_MAX_LEVELS:
         raise DomainError(f"level count must be in [1, {GALERKIN_MAX_LEVELS}], got {count}")
-    if not drift <= _GALERKIN_TOL:
-        raise DomainError(
-            f"the potential differs from the general form by more than a constant "
-            f"(spread {drift:.3e} of 1 + max |V| > {_GALERKIN_TOL:g}): the end values do not "
-            "fix its Frobenius exponents"
-        )
     a, b = exponents
     levels, gap, n = _doubled(
         lambda sizes: [e[:count] for e in _galerkin_eigenvalues(V, a, b, sizes)], max(16, 2 * count + 8),
@@ -878,10 +872,9 @@ def model_spec(params, k, R) -> _ModelSpec:
     return _model2_spec(params, k, R)
 
 
-def _forced_claims(A, k, profile, general, exps, partner):
+def _forced_claims(A, k, profile, general, isospectrality):
     """The forced claims, f.matrix-symmetry on the staggered factorization
-    and f.isospectrality on partner, the Jacobi-Galerkin levels of the
-    general j=1 and j=2 potentials on the exponents exps; then the continuum
+    and the f.isospectrality claim given (_partner_claims); then the continuum
     identities that tie the staggered f to general, the general-form j=1 and
     j=2 potentials (not the printed closed forms) sampled at _CONSTANCY_W.
     profile holds A, dA, cosh and sinh sampled there, from which both f and
@@ -911,7 +904,7 @@ def _forced_claims(A, k, profile, general, exps, partner):
         )
     )
 
-    claims.append(_isospectrality_claim(exps, partner))
+    claims.append(isospectrality)
 
     # Dt*D and D*Dt carry V_1 = f^2 - sinh f - cosh f' and
     # V_2 = f^2 + cosh f' - sinh f - cosh^2 exactly, for every A
@@ -937,30 +930,29 @@ def _forced_claims(A, k, profile, general, exps, partner):
     return claims
 
 
-def _paired(zero_level, count):
-    """The (j=1, j=2) index arrays of the levels, count of each, that pair up
-    past the unpaired zero level 0 of the component zero_level names."""
-    m = np.arange(count - (zero_level != "neither"))
-    return m + (zero_level == "j=1"), m + (zero_level == "j=2")
+def _partner_claims(exps, partner):
+    """(f.isospectrality, the e.partner.mN claims) from one pairing of
+    partner, the Jacobi-Galerkin levels of the general j=1 and j=2
+    potentials (solved on exps.j1 and exps.j2), the continuum Dt*D and D*Dt.
 
-
-def _isospectrality_claim(exps, partner):
-    """f.isospectrality: the levels of the general j=1 and j=2 potentials
-    (partner, solved on exps.j1 and exps.j2), the continuum Dt*D and D*Dt,
-    agree past the unpaired zero level of the component exps.zero_level
-    names, and that level reads 0.
-
-    The metric is the larger of max |e1 - e2| / (1 + |e1|) over the paired
-    levels and |zero level| / (1 + max |level|); with no zero level
-    ("neither") every level pairs and the second term is 0.
+    D*Dt and Dt*D share their nonzero levels; the component whose kernel has
+    its exponents (exps.zero_level) carries one more, the zero level 0,
+    which stays unpaired.  f.isospectrality asks every pair to agree and the
+    zero level to read 0: its metric is the larger of
+    max |e1 - e2| / (1 + |e1|) over the pairs and
+    |zero level| / (1 + max |level|), the second 0 with no zero level
+    ("neither", where every level pairs).  Each pair past level 0 is also
+    recorded as e.partner.mN, named by its higher level.
     """
     lam1, lam2 = (g.levels for g in partner)
-    i1, i2 = _paired(exps.zero_level, lam1.size)
+    m = np.arange(lam1.size - (exps.zero_level != "neither"))
+    i1, i2 = m + (exps.zero_level == "j=1"), m + (exps.zero_level == "j=2")
     e1, e2 = lam1[i1], lam2[i2]
     zero = {"j=1": lam1, "j=2": lam2}.get(exps.zero_level, [None])[0]
     paired = np.max(np.abs(e1 - e2) / (1.0 + np.abs(e1)), initial=0.0)
     unpaired = 0.0 if zero is None else abs(zero) / (1.0 + max(np.abs(lam1).max(), np.abs(lam2).max()))
-    return Claim(
+    n = max(g.n for g in partner)
+    iso = Claim(
         claim_id="f.isospectrality",
         paper_ref="factorization.first-order",
         description=(
@@ -971,7 +963,7 @@ def _isospectrality_claim(exps, partner):
         ),
         metric=float(np.maximum(paired, unpaired)),
         tolerance=_ISO_TOL,
-        grid={"n": max(g.n for g in partner)},
+        grid={"n": n},
         details={
             "zero_level": exps.zero_level,
             "zero_reading": None if zero is None else float(zero),
@@ -981,6 +973,33 @@ def _isospectrality_claim(exps, partner):
             "gap_2n": [float(g.gap.max()) for g in partner],
         },
     )
+    partners = [
+        Claim(
+            f"e.partner.m{max(a, b)}",
+            "partner.level-pairing",
+            "Jacobi-Galerkin levels of the general j=1 and j=2 potentials (Dt*D and D*Dt), "
+            "paired past the unpaired zero level of the component whose kernel has its "
+            "exponents: the pairs f.isospectrality reads (basis of n functions each; gap_2n is "
+            "each level's distance to 2n)",
+            abs(lam1[a] - lam2[b]),
+            {"n": n},
+            {
+                "e1": lam1[a],
+                "e2": lam2[b],
+                "zero_level": exps.zero_level,
+                "solver": "jacobi-galerkin",
+                "exponents_j1": list(exps.j1),
+                "rule_j1": "principal",
+                "exponents_j2": list(exps.j2),
+                "rule_j2": "image-of-D",
+                "n": [partner[0].n, partner[1].n],
+                "gap_2n": [partner[0].gap[a], partner[1].gap[b]],
+            },
+        )
+        for a, b in zip(i1, i2)
+        if max(a, b)
+    ]
+    return iso, partners
 
 
 def _model_report(spec: _ModelSpec, k, R, levels):
@@ -988,10 +1007,10 @@ def _model_report(spec: _ModelSpec, k, R, levels):
 
     The profile A, dA and the potentials are sampled once on _CONSTANCY_W
     (the general forms read from the profile's sample, as v_eff_general
-    would), and the general j=1 and j=2 levels solved, before the first claim
-    (the second, f.isospectrality, reads them); everything else is evaluated
-    in report order, so the first claim an invalid configuration breaks is
-    the one that raises.  A model with more than one eigenfunction reading
+    would), and the general j=1 and j=2 levels solved and paired, before the
+    first claim (f.isospectrality, the second, and every e.* claim read that
+    one pairing); everything else is evaluated in report order, so the first
+    claim an invalid configuration breaks is the one that raises.  A model with more than one eigenfunction reading
     names each in its d.* claim ids.
     """
     ref = f"model{spec.model}"
@@ -1002,14 +1021,16 @@ def _model_report(spec: _ModelSpec, k, R, levels):
     ch, sh = np.cosh(_CONSTANCY_W), np.sinh(_CONSTANCY_W)
     g1, g2 = (general_form(a, da, k, j, ch, sh) for j in (1, 2))
     # the Galerkin levels of the general potentials, the continuum Dt*D and
-    # D*Dt: f.isospectrality pairs them, and e.* reads the j=2 ones
+    # D*Dt, in one pairing that f.isospectrality and e.* read
     exps = partner_exponents(spec.ends, k)
     gen1, gen2 = (v_eff_general(spec.A, spec.dA, k, j) for j in (1, 2))
-    partner = [galerkin_levels(gen1, exps.j1, levels), galerkin_levels(gen2, exps.j2, levels)]
-    claims = _forced_claims(spec.A, k, (a, da, ch, sh), (g1, g2), exps, partner)
+    iso, partners = _partner_claims(
+        exps, [galerkin_levels(gen1, exps.j1, levels), galerkin_levels(gen2, exps.j2, levels)]
+    )
+    claims = _forced_claims(spec.A, k, (a, da, ch, sh), (g1, g2), iso)
 
     b1, b2 = spec.b_descriptions
-    drift, mean_of = {}, {}
+    drift = {}
     for claim_id, formula, description, diff, gen in (
         (
             "a.veff1-expansion",
@@ -1023,25 +1044,31 @@ def _model_report(spec: _ModelSpec, k, R, levels):
     ):
         # the spread is read against the size of the component's potential,
         # whose rounding it cannot beat (near k = 1 Model II's reaches 7e6)
-        spread, mean_of[claim_id] = _constancy(diff)
-        drift[claim_id] = spread / (1.0 + np.abs(gen).max())
+        spread, mean = _constancy(diff)
+        drift[claim_id] = float(spread / (1.0 + np.abs(gen).max()))
         claims.append(
             Claim(
                 claim_id=claim_id,
                 paper_ref=f"{ref}.{formula}",
                 description=f"{description}; spread relative to 1 + max |general form|",
-                metric=float(drift[claim_id]),
+                metric=drift[claim_id],
                 tolerance=_CONSTANCY_TOL,
                 grid=_CONSTANCY_GRID,
-                details={"additive_constant": mean_of[claim_id]},
+                details={"additive_constant": mean},
             )
         )
 
     # closed1 - gen1 = (closed1 - raw1) + (raw1 - gen1) is constant when the
-    # a.* and b.veff1 spreads both are, up to the rounding of V's own size
-    gal = galerkin_levels(
-        spec.closed1, exps.j1, levels, drift=float(max(drift["a.veff1-expansion"], drift["b.veff1-constrained"]))
-    )
+    # a.* and b.veff1 spreads both are, up to the rounding of V's own size;
+    # only then do the general form's end values fix the c.* exponents
+    drift1 = max(drift["a.veff1-expansion"], drift["b.veff1-constrained"])
+    if not drift1 <= _GALERKIN_TOL:
+        raise DomainError(
+            f"the potential differs from the general form by more than a constant "
+            f"(spread {drift1:.3e} of 1 + max |V| > {_GALERKIN_TOL:g}): the end values do not "
+            "fix its Frobenius exponents"
+        )
+    gal = galerkin_levels(spec.closed1, exps.j1, levels)
 
     printed, implied = [], []
     for n in range(levels):
@@ -1099,42 +1126,7 @@ def _model_report(spec: _ModelSpec, k, R, levels):
                 )
             )
 
-    # D*Dt and Dt*D share their nonzero levels; the component whose kernel
-    # has its exponents carries one more, the zero level, which stays unpaired.
-    # e.* reads the general j=1 levels as the c.* ones less closed1 - gen1
-    # (a.* and b.veff1 additive constants), and the j=2 solve of f.isospectrality
-    offset = mean_of["a.veff1-expansion"] + mean_of["b.veff1-constrained"]
-    part = [gal, partner[1]]
-    for i1, i2 in zip(*_paired(exps.zero_level, levels)):
-        m = max(i1, i2)  # the higher level of the pair names it, from m1
-        if not m:
-            continue
-        e1, e2 = part[0].levels[i1] - offset, part[1].levels[i2]
-        claims.append(
-            Claim(
-                f"e.partner.m{m}",
-                "partner.level-pairing",
-                "Jacobi-Galerkin levels of the general j=1 and j=2 potentials (Dt*D and D*Dt), "
-                "paired past the unpaired zero level of the component whose kernel has its "
-                "exponents; the j=1 levels are the c.* ones less the a.* and b.veff1 additive "
-                "constants (basis of n functions each; gap_2n is each level's distance to 2n)",
-                abs(e1 - e2),
-                {"n": max(g.n for g in part)},
-                {
-                    "e1": e1,
-                    "e2": e2,
-                    "zero_level": exps.zero_level,
-                    "solver": "jacobi-galerkin",
-                    "exponents_j1": list(exps.j1),
-                    "rule_j1": "principal",
-                    "exponents_j2": list(exps.j2),
-                    "rule_j2": "image-of-D",
-                    "n": [part[0].n, part[1].n],
-                    "gap_2n": [part[0].gap[i1], part[1].gap[i2]],
-                },
-            )
-        )
-
+    claims.extend(partners)
     claims.extend(spec.identity_claims(printed[0], c1))
     return VerificationReport(
         model=spec.model, k=k, R=R, levels=levels, params=spec.params, claims=claims

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -992,6 +993,21 @@ def test_verify_model2_galerkin_levels_equal_identity_levels(tmp_path):
     for c in spectrum:
         assert abs(c["details"]["oracle_minus_matched"]) <= 1e-9, c["claim_id"]
         assert c["details"]["solver"] == "jacobi-galerkin" and c["grid"] == {"n": 16}
+
+
+def test_verify_readme_explicit_model2_block(tmp_path):
+    # the README's explicit alpha/beta block is the (-, +) pair at k = 2
+    # written out: it verifies, and its claims are the sign form's, bit for bit
+    readme = pathlib.Path(__file__).resolve().parent.parent.joinpath("README.md").read_text(encoding="utf-8")
+    blocks = [json.loads(b) for b in re.findall(r"`(\{\"C1\"[^`]*\"alpha\"[^`]*\})`", readme)]
+    assert len(blocks) == 1 and blocks[0]["beta"] == 1 / 3, blocks
+    claims = []
+    for name, block in (("explicit", blocks[0]), ("signs", {"sign_a": "-", "sign_b": "+"})):
+        out = tmp_path / name
+        config = write_config(tmp_path, model2_doc(levels=4, model2=block), f"{name}.json")
+        assert cli.main(["verify", "--config", config, "--out", str(out)]) == 0
+        claims.append(json.loads((out / "verify_model2.json").read_text())["report"]["claims"])
+    assert claims[0] == claims[1]
 
 
 def test_verify_log_case_exits_2_writes_nothing(tmp_path, capsys):

@@ -620,6 +620,27 @@ def test_galerkin_cap_refusal(monkeypatch):
         _galerkin(m2_params(C1=1 / 1.1, k=1.1), 1.1, 4)
 
 
+def test_galerkin_refuses_a_profile_outside_its_convergence_class():
+    # tanh(w/2) = t / (1 + sqrt(1 - t^2)) is not analytic in t at the poles,
+    # so the polynomial basis converges only algebraically there: both general
+    # potentials of A = 0.3 + 0.5 tanh(w/2) are refused at the cap (bases of
+    # 128 and 256 differ by 5.4e-7 for j=1 and 1.3e-4 for j=2), never
+    # reported.  A = 0.3 + 0.5 tanh w, rational in t with the same end
+    # values, converges at 16 functions.  Not every tanh(w/2) profile is
+    # refused: 0.2 + 0.8 tanh(w/2) at k = 3 converges for j=1 at 128
+    k = 2.0
+    exps = oracle.partner_exponents((-0.2, 0.8), k)
+    components = ((1, exps.j1), (2, exps.j2))
+    half = (lambda w: 0.3 + 0.5 * np.tanh(w / 2), lambda w: 0.25 / np.cosh(w / 2) ** 2)
+    for j, e in components:
+        with pytest.raises(DomainError, match="did not converge: bases of 128 and 256 functions"):
+            oracle.galerkin_levels(gauge.v_eff_general(*half, k, j), e, 4)
+    whole = (lambda w: 0.3 + 0.5 * np.tanh(w), lambda w: 0.5 / np.cosh(w) ** 2)
+    control = [oracle.galerkin_levels(gauge.v_eff_general(*whole, k, j), e, 4) for j, e in components]
+    assert [g.n for g in control] == [16, 16] and exps.zero_level == "neither"
+    assert np.abs(control[0].levels - control[1].levels).max() <= 1e-9
+
+
 def test_galerkin_level_count_range():
     p = gauge.Model1Params.from_branch(0.4, 2.0, "half-up")
     # 2 * max(16, 2 * 60 + 8) = 256, the cap: 60 is the most levels it serves
@@ -738,7 +759,7 @@ for k, count, j in ((2.0, 4, 1), (1.1, 12, 1), (1.5, 60, 1), (1.5, 60, 2)):
     spec = oracle.model_spec(p, k, 1.0)
     exps = oracle.partner_exponents(spec.ends, k)
     V = spec.closed1 if j == 1 else gauge.v_eff_general(spec.A, spec.dA, k, 2)
-    g = oracle.galerkin_levels(V, exps.j1 if j == 1 else exps.j2, count, drift=0.0)
+    g = oracle.galerkin_levels(V, exps.j1 if j == 1 else exps.j2, count)
     out.append([g.n, [float(x).hex() for x in g.levels], [float(x).hex() for x in g.gap]])
 print(json.dumps(out))
 """
@@ -932,8 +953,8 @@ def test_report_partner_claims(model, k, branch, zero_level, levels):
     # e.partner.mN pairs the Galerkin levels of Dt*D (general j=1 potential,
     # principal exponents) and D*Dt (general j=2, image-of-D exponents) past
     # the zero level of the component whose kernel has its exponents; every
-    # pair agrees within 1e-9.  The j=1 levels are the c.* solve's, shifted
-    # by the a.* and b.veff1 additive constants (closed1 - gen1)
+    # pair agrees within 1e-9, and both levels are those of the two general
+    # solves, bit for bit
     grid = oracle.Grid(6.0, 801)
     p = gauge.Model1Params.from_branch(0.4, k, branch) if model == 1 else m2_params(C1=1 / k, k=k)
     rep = oracle.consistency_report(p, k, 1.0, levels=levels)
@@ -956,15 +977,28 @@ def test_report_partner_claims(model, k, branch, zero_level, levels):
     for m, c in enumerate(partners, start=1):
         i1, i2 = m - max(-shift, 0), m - max(shift, 0)
         d = c.details
-        closed = rep.claim(f"c.spectrum.m{i1}").details
-        assert d["e1"] == closed["oracle"] - offset
-        assert d["n"][0] == closed["n"] and d["gap_2n"][0] == closed["gap_2n"]
-        assert abs(d["e1"] - g1.levels[i1]) <= 1e-9 * (1.0 + abs(g1.levels[i1]))
-        assert (d["e2"], d["zero_level"]) == (g2.levels[i2], zero_level)
+        assert (d["e1"], d["e2"], d["zero_level"]) == (g1.levels[i1], g2.levels[i2], zero_level)
+        assert d["n"] == [g1.n, g2.n] and d["gap_2n"] == [g1.gap[i1], g2.gap[i2]]
         assert d["exponents_j1"] == list(exps.j1) and d["exponents_j2"] == list(exps.j2)
         assert (d["rule_j1"], d["rule_j2"]) == ("principal", "image-of-D")
-        assert d["n"][1] == g2.n and c.grid == {"n": max(d["n"])}
+        assert c.grid == {"n": max(d["n"])}
         assert c.metric == abs(d["e1"] - d["e2"]) <= 1e-9
+    # f.isospectrality reads the same pairing: its metric, recomputed from
+    # the pairs the e.* claims record (with the ground pair on "neither",
+    # which no e.* claim names) and the zero level it reports, is its own
+    iso = rep.claim("f.isospectrality")
+    zero = iso.details["zero_reading"]
+    pairs = [(c.details["e1"], c.details["e2"]) for c in partners]
+    if shift:
+        assert zero == (g1 if shift == 1 else g2).levels[0]
+    else:
+        assert zero is None
+        pairs.insert(0, (g1.levels[0], g2.levels[0]))
+    e1, e2 = np.array(pairs).T
+    paired = np.max(np.abs(e1 - e2) / (1.0 + np.abs(e1)), initial=0.0)
+    unpaired = 0.0 if zero is None else abs(zero) / (1.0 + max(np.abs(g1.levels).max(), np.abs(g2.levels).max()))
+    assert iso.metric == max(paired, unpaired) <= iso.tolerance
+    assert iso.details["n"] == [g1.n, g2.n] and iso.grid == {"n": max(g1.n, g2.n)}
     # a cross-check by another method: flux solves of the closed j=1
     # potential on the grid sit near the c.* levels, and the general form's
     # levels are those shifted by the a.* and b.veff1 additive constants
@@ -1104,10 +1138,10 @@ def _residuals_rule_by_rule(wf, levels, V, lams):
     return [_outcome(level, i) for i in range(len(levels))]
 
 
-def _galerkin_size_by_size(V, exponents, count, poles=(), drift=0.0):
+def _galerkin_size_by_size(V, exponents, count, poles=()):
     """galerkin_levels's (levels, gap, n) with every basis size solved
-    alone, on its own sample of V; poles and drift, which galerkin_levels
-    only checks, are taken so its arguments can be passed on."""
+    alone, on its own sample of V; poles, which galerkin_levels only
+    checks, is taken so its arguments can be passed on."""
     a, b = exponents
     return _outcome(
         oracle._doubled, lambda ns: [oracle._galerkin_eigenvalues(V, a, b, (n,))[0][:count] for n in ns],
@@ -1389,8 +1423,8 @@ def test_galerkin_band_holds_each_subdiagonal(n, monkeypatch):
 
 def test_report_solves_three_galerkin_series(monkeypatch):
     # f.isospectrality solves the general j=1 and j=2 potentials, c.* the
-    # closed j=1 one; e.* reuses the c.* levels, shifted by the constant
-    # closed1 - gen1, and the j=2 solve, so no solve is made twice
+    # closed j=1 one; e.* reads the pairing of the two general solves, so no
+    # solve is made twice
     routine, calls = oracle.galerkin_levels, []
 
     w = np.array([0.3])
@@ -1453,7 +1487,7 @@ def test_report_samples_each_potential_once_on_the_constancy_grid(model, monkeyp
     n_pts = oracle._CONSTANCY_GRID["n_pts"]
     on_grid = {label: count for (label, size), count in seen.items() if size == n_pts}
     assert on_grid == {"A": 1, "dA": 1, "raw1": 1, "closed1": 1, "closed2": 1}, seen
-    (_, _, (a, da, ch, sh), general, _, _), = forced
+    (_, _, (a, da, ch, sh), general, _), = forced
     want_a, want_da, want_general = _general_samples(model, 2.0)
     w = oracle._CONSTANCY_W
     for got, want in [(a, want_a), (da, want_da), (ch, np.cosh(w)), (sh, np.sinh(w))] + list(zip(general, want_general)):

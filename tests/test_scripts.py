@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -36,9 +37,11 @@ def test_scan_model1_levels_smoke():
 
 
 def test_verify_digests_smoke(tmp_path):
-    # one line per configuration of the matrix, every run exits 0, and the
-    # examples' digests at their own 4 levels are those of the reports that
-    # `dirac-sphere verify` writes, here through its module entry
+    # one line per configuration of the matrix, every run exits 0, each
+    # followed by one line per claim family of its report; the examples'
+    # digests at their own 4 levels are those of the reports that
+    # `dirac-sphere verify` writes, here through its module entry, and so
+    # are their family digests
     env = _env()
     res = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "verify_digests.py")],
@@ -48,10 +51,23 @@ def test_verify_digests_smoke(tmp_path):
     )
     assert res.returncode == 0, res.stderr
     rows = [line.split() for line in res.stdout.splitlines()]
-    assert len(rows) == 10 + 3 + 1 + 6 + 8 and all(len(row) == 3 for row in rows)
+    assert all(len(row) == 3 for row in rows)
     assert all(code == "0" for _, code, _ in rows)
     digests = {name: digest for digest, _, name in rows}
     assert len(digests) == len(rows)
+    reports = [name for _, _, name in rows if ":" not in name]
+    assert len(reports) == 10 + 3 + 1 + 6 + 8
+    families = ["f", "conventions", "a", "b", "c", "d", "e", "g"]
+    expected = []
+    for name in reports:
+        # one level has no partner to pair, so no e.* claim
+        expected += [name] + [f"{name}:{f}" for f in families if f != "e" or not name.endswith(".lv1")]
+    assert [name for _, _, name in rows] == expected
+    sys.path.insert(0, os.path.join(ROOT, "scripts"))
+    try:
+        import verify_digests
+    finally:
+        sys.path.pop(0)
     for model in (1, 2):
         subprocess.run(
             [sys.executable, "-m", "dirac_sphere.cli", "verify", "--config",
@@ -62,3 +78,5 @@ def test_verify_digests_smoke(tmp_path):
         )
         written = (tmp_path / f"verify_model{model}.json").read_bytes()
         assert digests[f"model{model}.lv4"] == hashlib.sha256(written).hexdigest()
+        for family, digest in verify_digests.family_digests(json.loads(written)).items():
+            assert digests[f"model{model}.lv4:{family}"] == digest
