@@ -981,11 +981,11 @@ def _partner_claims(exps, partner):
             "paired past the unpaired zero level of the component whose kernel has its "
             "exponents: the pairs f.isospectrality reads (basis of n functions each; gap_2n is "
             "each level's distance to 2n)",
-            abs(lam1[a] - lam2[b]),
+            abs(x1 - x2),
             {"n": n},
             {
-                "e1": lam1[a],
-                "e2": lam2[b],
+                "e1": x1,
+                "e2": x2,
                 "zero_level": exps.zero_level,
                 "solver": "jacobi-galerkin",
                 "exponents_j1": list(exps.j1),
@@ -996,7 +996,7 @@ def _partner_claims(exps, partner):
                 "gap_2n": [partner[0].gap[a], partner[1].gap[b]],
             },
         )
-        for a, b in zip(i1, i2)
+        for a, b, x1, x2 in zip(i1, i2, e1, e2)
         if max(a, b)
     ]
     return iso, partners
@@ -1010,8 +1010,8 @@ def _model_report(spec: _ModelSpec, k, R, levels):
     would), and the general j=1 and j=2 levels solved and paired, before the
     first claim (f.isospectrality, the second, and every e.* claim read that
     one pairing); everything else is evaluated in report order, so the first
-    claim an invalid configuration breaks is the one that raises.  A model with more than one eigenfunction reading
-    names each in its d.* claim ids.
+    claim an invalid configuration breaks is the one that raises.  A model
+    with more than one eigenfunction reading names each in its d.* claim ids.
     """
     ref = f"model{spec.model}"
     # each function sampled once at _CONSTANCY_W, serving every claim that reads it
