@@ -15,11 +15,10 @@ BLAS thread count.
 The d.* residuals (verify_eigenpair) apply the operator to the printed
 eigenfunction exactly and integrate over the whole line on Gauss-Jacobi
 rules whose weight carries the envelope: the report reads no grid.  One call
-per reading returns a reader that evaluates a level when its claim is built:
-each level doubles its own rule and raises any error it meets, and a rule is
-evaluated once for every level of the reading (one potential sample and
-recurrence table per Jacobi family, the sample shared with readings on the
-same rule).  The flux-form checks discretize the operator with a
+per reading doubles one rule for all its levels, as the Galerkin bases
+double, and evaluates each rule once for all of them (one potential sample
+and recurrence table per Jacobi family, the sample shared with readings on
+the same rule).  The flux-form checks discretize the operator with a
 conservative finite-difference scheme on a uniform grid over [-L, L] with
 Dirichlet walls.  Every flux-form matrix is symmetric tridiagonal and is
 stored as its diagonal and off-diagonal arrays (SLMatrix diag, off), so real
@@ -625,45 +624,36 @@ def verify_eigenpair(wf, levels, V, lams, samples=None):
     Gauss-Jacobi rule (t_i, q_i) of its weight (_residual_weight), each reading is
     sqrt(sum q_i (1-t_i^2)^(2 lift) (K_i - lam r_i)^2 / sum q_i r_i^2): that
     of H - lam in L^2(dw) at lift 0, of sech^2 w (H - lam) in L^2 of the
-    sphere's area at lift 1, over the whole line.  Each level's readings are
-    taken on rules of n and 2n nodes from n = 16, n doubled by _doubled
-    while any two differ by more than 1e-6 (1 + reading); every level stops
-    at its own n.  A rule is evaluated once, the first time a level reads
-    it, for every level of the reading: one potential sample and recurrence
-    table per Jacobi family serve all of them and their level constants.
+    sphere's area at lift 1, over the whole line.  The readings of every
+    level and constant are taken together on rules of n and 2n nodes from
+    n = 16, n doubled by _doubled, as the Galerkin bases are, until every
+    two agree within 1e-6 (1 + reading).  Each rule is evaluated once for
+    all of them: one potential sample and recurrence table per Jacobi family.
     The rules of 16 and 32 nodes are evaluated in one pass over their joined
     nodes, 16's first, and each later rule alone; the sums stay per rule, so
-    every reading has the bits of its rule alone.  An evaluation that raises
-    refuses the level that read it, and the next level to read it evaluates
-    it again.  samples, a dict that calls with the same V may share, keeps V
-    sampled on each pass's nodes by its (sizes, alpha, beta), so readings
-    with the same envelope exponents sample V once per pass.
-    Returns read(i), called when the claim of the i-th level is built: it
-    evaluates that level and gives (readings on n nodes, n, each reading's
-    distance to 2n, the measure, "dw" or "sphere-area"), or raises what
-    refused it: DomainError for a 2n past 256 or a phi that vanishes on the
-    rule, PoleError naming its w for a sample that is not finite.
+    every reading has the bits of its rule alone.  samples, a dict that
+    calls with the same V may share, keeps V sampled on each pass's nodes by
+    its (sizes, alpha, beta), so readings with the same envelope exponents
+    sample V once per pass.
+    Returns (readings on n nodes, their distances to 2n, n, the measure,
+    "dw" or "sphere-area"), the arrays with one row per level and one column
+    per constant.  Raises DomainError for a 2n past 256 or a phi that
+    vanishes on a rule, PoleError naming its w for a sample that is not
+    finite.
     """
     alpha, beta, lift = _residual_weight(wf)
     levels = list(levels)
     lams = np.asarray(lams, dtype=float).reshape(len(levels), -1)
-    rules, samples = {}, {} if samples is None else samples
+    samples = {} if samples is None else samples
 
-    def reading(ns, i):
-        if ns[0] not in rules:
-            got = [gauss_jacobi(n, alpha, beta) for n in ns]
-            sample = _sampled(V, got, samples, (ns, alpha, beta))
-            rules.update(zip(ns, _residual_terms(wf, levels, sample, lams, got, lift)))
-        return [_residual_reading(rules[n], i) for n in ns]
+    def read(ns):
+        rules = [gauss_jacobi(n, alpha, beta) for n in ns]
+        return _residual_terms(wf, levels, _sampled(V, rules, samples, (ns, alpha, beta)), lams, rules, lift)
 
-    def read(i):
-        res, gap, n = _doubled(
-            lambda ns: reading(ns, i), _RESIDUAL_NODES, _GALERKIN_CAP, _RESIDUAL_TOL,
-            "eigenpair residuals", "rules of {} and {} nodes",
-        )
-        return res.tolist(), n, gap.tolist(), _MEASURES[lift]
-
-    return read
+    res, gap, n = _doubled(
+        read, _RESIDUAL_NODES, _GALERKIN_CAP, _RESIDUAL_TOL, "eigenpair residuals", "rules of {} and {} nodes"
+    )
+    return res, gap, n, _MEASURES[lift]
 
 
 def _sampled(V, rules, samples, key):
@@ -680,38 +670,35 @@ def _sampled(V, rules, samples, key):
 
 
 def _residual_terms(wf, levels, sample, lams, rules, lift):
-    """What every level of verify_eigenpair reads on each Gauss-Jacobi rule
-    (t, q) in rules, one tuple per rule with one row per level, from
-    sample = (t, w = artanh t, V at w) on the rules' nodes joined in order:
-    (w, q, r, K, whether each row of either is finite, r^2,
-    ((1-t^2)^lift (K - lam r))^2 per level constant).  r and K come from
-    one pass over the joined nodes, the rest from each rule's own part."""
-    t_all, w, v = sample
+    """verify_eigenpair's readings on each Gauss-Jacobi rule (t, q) in
+    rules, one array per rule with one row per level and one column per
+    level constant, from sample = (t, w = artanh t, V at w) on the rules'
+    nodes joined in order.  r and K come from one pass over the joined
+    nodes, the sums from each rule's own part, one np.dot per level and
+    constant.  Rule by rule and level by level, a sample of phi or H phi
+    that is not finite raises PoleError naming its w, and a phi that
+    vanishes on the rule DomainError."""
+    t_all, w_all, v = sample
     out, at = [], 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         r_all, k_all = _local_terms(wf, levels, t_all, v)
         for t, q in rules:
             part = slice(at, at + t.size)
             at += t.size
-            r, k_r = r_all[:, part], k_all[:, part]
+            w, r, k_r = w_all[part], r_all[:, part], k_all[:, part]
             finite = np.isfinite(r).all(axis=1) & np.isfinite(k_r).all(axis=1)
             off = (1.0 - t * t) ** lift * (k_r[:, None] - lams[:, :, None] * r[:, None])
-            out.append((w[part], q, r, k_r, finite, r * r, off * off))
+            rows = []
+            for ok, r_i, k_i, r_sq, off_sq in zip(finite, r, k_r, r * r, off * off):
+                if not ok:
+                    _require_finite(w, r_i, "eigenfunction")
+                    _require_finite(w, k_i, "H applied to the eigenfunction")
+                norm = np.dot(q, r_sq)
+                if norm == 0.0:
+                    raise DomainError("eigenfunction vanishes on the rule")
+                rows.append([math.sqrt(np.dot(q, sq) / norm) for sq in off_sq])
+            out.append(np.array(rows))
     return out
-
-
-def _residual_reading(terms, i):
-    """Row i's readings from terms, one rule's tuple from _residual_terms: a
-    sample of phi or H phi that is not finite raises PoleError naming its w,
-    and a phi that vanishes on the rule DomainError."""
-    w, q, r, k_r, finite, r_sq, off_sq = terms
-    if not finite[i]:
-        _require_finite(w, r[i], "eigenfunction")
-        _require_finite(w, k_r[i], "H applied to the eigenfunction")
-    norm = np.dot(q, r_sq[i])
-    if norm == 0.0:
-        raise DomainError("eigenfunction vanishes on the rule")
-    return np.array([math.sqrt(np.dot(q, sq) / norm) for sq in off_sq[i]])
 
 
 class Claim:
@@ -836,7 +823,8 @@ def consistency_report(params, k, R, levels: int = 4) -> VerificationReport:
     1 + max |general form|),
     closed-form spectrum versus Jacobi-Galerkin eigenvalues (c.*, grid
     {"n": basis size}), continuum eigenfunction residuals in each reading's
-    own measure (d.*, grid {"nodes": Gauss-Jacobi nodes}), the pairing of
+    own measure (d.*, grid {"nodes": the Gauss-Jacobi nodes of the one rule
+    all levels of the reading settle on}), the pairing of
     the Jacobi-Galerkin levels of the general j=1 and j=2 potentials, Dt*D
     and D*Dt, past the unpaired zero level of the component
     partner_exponents names (e.*, grid {"n": basis size}), and the model's
@@ -1009,9 +997,10 @@ def _model_report(spec: _ModelSpec, k, R, levels):
     (the general forms read from the profile's sample, as v_eff_general
     would), and the general j=1 and j=2 levels solved and paired, before the
     first claim (f.isospectrality, the second, and every e.* claim read that
-    one pairing); everything else is evaluated in report order, so the first
-    claim an invalid configuration breaks is the one that raises.  A model
-    with more than one eigenfunction reading names each in its d.* claim ids.
+    one pairing).  Each eigenfunction reading is evaluated once, for every
+    level, in one verify_eigenpair call before the d.* claims, in spec order;
+    everything else is evaluated in report order.  A model with more than one
+    eigenfunction reading names each in its d.* claim ids.
     """
     ref = f"model{spec.model}"
     # each function sampled once at _CONSTANCY_W, serving every claim that reads it
@@ -1097,22 +1086,22 @@ def _model_report(spec: _ModelSpec, k, R, levels):
         )
 
     lams = [(lam,) if matched is None else (lam, matched) for lam, matched in zip(printed, implied)]
-    # one V sample per Gauss-Jacobi rule, shared by readings whose envelope
-    # exponents, and so rules, coincide (Model II's classical and X1)
-    residuals, samples = {}, {}
+    # each reading evaluated once, for every level, on one V sample per
+    # Gauss-Jacobi rule, shared by readings whose envelope exponents, and
+    # so rules, coincide (Model II's classical and X1)
+    readings, samples = [], {}
+    for reading, (description, wavefn) in spec.eigenfunctions.items():
+        wf = wavefn(0)
+        res, gap, nodes, measure = verify_eigenpair(wf, range(levels), spec.closed1, lams, samples)
+        infix = f"{reading}." if len(spec.eigenfunctions) > 1 else ""
+        readings.append((infix, description, wf, res.tolist(), gap.tolist(), nodes, measure))
     for n in range(levels):
-        for reading, (description, wavefn) in spec.eigenfunctions.items():
-            infix = f"{reading}." if len(spec.eigenfunctions) > 1 else ""
-            if not n:  # one record and one reader per reading; the reader evaluates each level at its claim
-                wf = wavefn(0)
-                residuals[reading] = wf, verify_eigenpair(wf, range(levels), spec.closed1, lams, samples)
-            wf, read = residuals[reading]
-            res, nodes, gap, measure = read(n)
+        for infix, description, wf, res, gap, nodes, measure in readings:
             details = {spec.printed_key: printed[n]}
             if implied[n] is not None:
-                details.update(residual_at_identity_energy=res[1], lambda_identity=implied[n])
+                details.update(residual_at_identity_energy=res[n][1], lambda_identity=implied[n])
             # the residual is scale-free, so no norm is read: only its analytic verdict
-            details.update(measure=measure, nodes=nodes, gap_2n=gap, norm_finite=wf.norm_finite)
+            details.update(measure=measure, nodes=nodes, gap_2n=gap[n], norm_finite=wf.norm_finite)
             if not wf.norm_finite:
                 details.update(norm_divergence=wf.norm_reason)
             claims.append(
@@ -1120,7 +1109,7 @@ def _model_report(spec: _ModelSpec, k, R, levels):
                     f"d.eigenfunction.{infix}m{n}",
                     f"{ref}.eigenfunction.closed",
                     description,
-                    res[0],
+                    res[n][0],
                     {"nodes": nodes},
                     details,
                 )

@@ -269,9 +269,10 @@ def integrate(f, a, b, tol=1e-10, max_panels=4096):
     Each panel is estimated with a 10/21-point Gauss-Legendre pair; the pair
     difference drives bisection, worst panel first, until the summed error
     estimate falls below tol.  Running out of the panel budget raises
-    IntegrationError carrying the partial estimate (this is the designed
-    detector for divergent norm integrals).  Semi-infinite domains are the
-    caller's job, via the t = tanh(w) substitution.
+    IntegrationError carrying the partial estimate: the integral was not
+    resolved, which never decides that it diverges (norm divergence is
+    decided analytically).  Semi-infinite domains are the caller's job, via
+    the t = tanh(w) substitution.
     """
     if not b > a:
         raise DomainError(f"need a < b, got a={a}, b={b}")

@@ -417,9 +417,20 @@ def test_factorization_match_second_order(branch):
 
 
 def _one_level(wf, level, V, lams):
-    """verify_eigenpair's reader of one level, read: the level's (readings,
-    nodes, gap, measure), or the error that refused it, raised."""
-    return oracle.verify_eigenpair(wf, [level], V, [lams])(0)
+    """verify_eigenpair on one level: its (readings, gaps, nodes, measure),
+    or the error that refused it, raised."""
+    res, gap, nodes, measure = oracle.verify_eigenpair(wf, [level], V, [lams])
+    return res[0].tolist(), gap[0].tolist(), nodes, measure
+
+
+def _on_rule_alone(wf, level, V, lams, n):
+    """One level's readings at its level constants lams on the n-node rule,
+    evaluated alone, on its own sample of V."""
+    alpha, beta, lift = oracle._residual_weight(wf)
+    rule = oracle.gauss_jacobi(n, alpha, beta)
+    sample = oracle._sampled(V, [rule], {}, None)
+    (res,) = oracle._residual_terms(wf, [level], sample, np.reshape(np.asarray(lams, dtype=float), (1, -1)), [rule], lift)
+    return res[0]
 
 
 def _bent(wf, ratios):
@@ -456,7 +467,7 @@ def test_verify_eigenpair_x1_candidate():
     # itself (0.2225 at k = 3)
     for k in (1.5, 2.0, 3.0, 4.0):
         for m in range(4):
-            ((at_printed, at_identity), nodes, gap, measure), offset = _model2_readings(k, m, "x1")
+            ((at_printed, at_identity), gap, nodes, measure), offset = _model2_readings(k, m, "x1")
             assert at_identity <= 1e-13 and at_printed >= 0.2, (k, m)
             assert at_printed == pytest.approx(offset, rel=1e-9), (k, m)
             assert nodes == 16 and max(gap) <= 1e-6 and measure == "dw", (k, m)
@@ -518,13 +529,11 @@ def test_verify_eigenpair_node_cap(monkeypatch):
 
 
 def test_verify_eigenpair_evaluates_each_rule_once_for_every_level(monkeypatch):
-    # one reader serves all 60 levels of a reading: a rule is evaluated
-    # once, the first time a level reads it, for every level of the reading;
-    # the first level reads 16 and 32 nodes in one pass, on one potential
-    # sample, and each rule past the pair alone (8 levels settle at 16
-    # nodes, 16 at 32, 32 at 64 and 4 at 128, so the 256-node rule is
-    # first read by level 56), while each level keeps the rule of its own
-    # n/2n decision
+    # one call serves all 60 levels of a reading: each rule is evaluated
+    # once for every level, 16 and 32 nodes in one pass on one potential
+    # sample and each rule past the pair alone, and the reading doubles
+    # until every level agrees (the last at 128 against 256 nodes), so
+    # every level records that one rule
     k = 2.0
     p = m2_params(C1=1 / k, k=k)
     wf = spectra.wavefn_model2(0, p.alpha, p.beta, polynomial="classical")
@@ -541,12 +550,10 @@ def test_verify_eigenpair_evaluates_each_rule_once_for_every_level(monkeypatch):
         return pot(w)
 
     monkeypatch.setattr(oracle, "_residual_terms", counted)
-    read = oracle.verify_eigenpair(wf, range(60), potential, lams)
-    assert seen == [] and sampled == []  # nothing is evaluated before a level is read
-    out = [read(i) for i in range(60)]
+    res, gap, nodes, measure = oracle.verify_eigenpair(wf, range(60), potential, lams)
     assert seen == [((16, 32), 60), ((64,), 60), ((128,), 60), ((256,), 60)]
     assert sampled == [16 + 32, 64, 128, 256]
-    assert [nodes for _, nodes, _, _ in out] == [16] * 8 + [32] * 16 + [64] * 32 + [128] * 4
+    assert res.shape == gap.shape == (60, 1) and nodes == 128 and measure == "dw"
 
 
 def test_residual_rule_integrates_in_the_readings_measure():
@@ -831,13 +838,13 @@ def test_report_corrupt_hook_fails_forced_claim(forced_fault):
 def test_forced_fault_fails_both_forced_claims_and_no_residual(forced_fault):
     # the forced claims read the one sample of A that compose_factorized and
     # the product check share; a fault in the composition fails both on
-    # Model II too, while every d.* number, on its own rule, is still that
-    # of a one-level verify_eigenpair call
+    # Model II too, while every d.* number is still its level's reading on
+    # its rule alone
     k = 2.0
     p = _report_params(2, k)
     rep = oracle.consistency_report(p, k, 1.0, levels=3)
     assert {c.claim_id for c in rep.forced_failures()} == {"f.isospectrality", "f.matrix-symmetry"}
-    _assert_residuals_match_one_level_calls(rep, 2, p, k)
+    _assert_residuals_read_their_rule_alone(rep, 2, p, k)
 
 
 def test_isospectrality_fails_on_principal_j2_exponents(monkeypatch):
@@ -877,7 +884,7 @@ def test_model2_readings_sample_the_potential_once_per_rule(monkeypatch):
     # Gauss-Jacobi rules: the closed j=1 potential is sampled once on the
     # 16- and 32-node pair, beside the Galerkin solve's own sample of its
     # 16- and 32-function pair and the constancy sample, and every d.*
-    # number is still that of a one-level verify_eigenpair call
+    # number is still its level's reading on its rule alone
     sizes = collections.Counter()
     factory = oracle.v_eff_model2
 
@@ -897,7 +904,7 @@ def test_model2_readings_sample_the_potential_once_per_rule(monkeypatch):
     # Galerkin and residuals each read 16 and 32 nodes, in one sample each
     assert sizes == {oracle._CONSTANCY_GRID["n_pts"]: 1, 16 + 32: 2}, sizes
     monkeypatch.setattr(oracle, "v_eff_model2", factory)
-    _assert_residuals_match_one_level_calls(rep, 2, p, 2.0)
+    _assert_residuals_read_their_rule_alone(rep, 2, p, 2.0)
 
 
 @pytest.mark.parametrize(
@@ -1044,38 +1051,42 @@ def _report_params(model, k=2.0):
     return gauge.Model1Params.from_branch(0.4, k, "half-up") if model == 1 else m2_params(C1=1 / k, k=k)
 
 
-def _assert_residuals_match_one_level_calls(rep, model, p, k):
-    """Every d.* number of rep equals a one-level verify_eigenpair call on
-    the same eigenfunction and closed j=1 potential, bit for bit."""
+def _assert_residuals_read_their_rule_alone(rep, model, p, k):
+    """Every d.* number of rep is its level's reading on the claim's rule
+    evaluated alone, on the same eigenfunction and closed j=1 potential, bit
+    for bit, and its gap_2n the distance to the reading on twice the nodes;
+    every level of a reading records the same rule."""
     pot = gauge.v_eff_model1(p, k, 1) if model == 1 else gauge.v_eff_model2(p, 1)
-    for m in range(rep.levels):
-        if model == 1:
-            claim = rep.claim(f"d.eigenfunction.m{m}")
-            res, nodes, gap, measure = _one_level(spectra.wavefn_model1(m, p, k), m, pot, [claim.details["lambda"]])
-            assert (claim.metric, claim.details["nodes"], claim.details["gap_2n"]) == (res[0], nodes, gap)
-            assert claim.grid == {"nodes": nodes} and claim.details["measure"] == measure == "sphere-area"
-            assert "norm_divergence" in claim.details
-            continue
-        for variant in ("classical", "x1"):
-            claim = rep.claim(f"d.eigenfunction.{variant}.m{m}")
-            wf = spectra.wavefn_model2(m, p.alpha, p.beta, polynomial=variant)
+    for variant in ("classical",) if model == 1 else ("classical", "x1"):
+        infix = "" if model == 1 else f"{variant}."
+        claims = [rep.claim(f"d.eigenfunction.{infix}m{m}") for m in range(rep.levels)]
+        (nodes,) = {c.grid["nodes"] for c in claims}
+        for m, claim in enumerate(claims):
             d = claim.details
-            res, nodes, gap, measure = _one_level(wf, m, pot, [d["lambda_printed"], d["lambda_identity"]])
-            assert [claim.metric, d["residual_at_identity_energy"]] == res
-            assert (d["nodes"], d["gap_2n"]) == (nodes, gap)
-            assert claim.grid == {"nodes": nodes} and d["measure"] == measure == "dw"
-            # the residual is scale-free: the report records the norm's analytic
-            # verdict and no quadrature
-            assert d["norm_finite"] is wf.norm_finite is True
-            assert "norm_rule" not in d and "norm_nodes" not in d
+            if model == 1:
+                wf, lams, got = spectra.wavefn_model1(m, p, k), [d["lambda"]], [claim.metric]
+            else:
+                wf = spectra.wavefn_model2(m, p.alpha, p.beta, polynomial=variant)
+                lams = [d["lambda_printed"], d["lambda_identity"]]
+                got = [claim.metric, d["residual_at_identity_energy"]]
+            lo, hi = (_on_rule_alone(wf, m, pot, lams, n) for n in (nodes, 2 * nodes))
+            assert got == lo.tolist() and d["gap_2n"] == np.abs(lo - hi).tolist(), claim.claim_id
+            assert d["nodes"] == nodes and d["measure"] == ("sphere-area" if model == 1 else "dw")
+            if model == 1:
+                assert "norm_divergence" in d
+            else:
+                # the residual is scale-free: the report records the norm's
+                # analytic verdict and no quadrature
+                assert d["norm_finite"] is wf.norm_finite is True
+                assert "norm_rule" not in d and "norm_nodes" not in d
 
 
 @pytest.mark.parametrize("model", [1, 2])
 def test_report_residuals_match_verify_eigenpair_bitwise(model, monkeypatch):
     # the d.* numbers come from the public routine, one call per reading
     # with every level and both level constants, and each level's numbers
-    # are exactly those of a one-level call made here on the same
-    # eigenfunction and closed j=1 potential
+    # are exactly its readings on the reading's rule evaluated alone here,
+    # on the same eigenfunction and closed j=1 potential
     k, R = 2.0, 1.0
     p = _report_params(model, k)
     routine, calls = oracle.verify_eigenpair, []
@@ -1087,14 +1098,14 @@ def test_report_residuals_match_verify_eigenpair_bitwise(model, monkeypatch):
     monkeypatch.setattr(oracle, "verify_eigenpair", counted)
     rep = oracle.consistency_report(p, k, R, levels=3)
     assert calls == ([([0, 1, 2], (3, 1))] if model == 1 else [([0, 1, 2], (3, 2))] * 2)
-    _assert_residuals_match_one_level_calls(rep, model, p, k)
+    _assert_residuals_read_their_rule_alone(rep, model, p, k)
 
 
-@pytest.mark.parametrize("model, nodes", [(1, {16, 32, 64}), (2, {16, 32, 64, 128})])
-def test_report_residuals_at_60_levels_match_one_level_calls(model, nodes):
-    # at the most levels a report serves, the levels of one reading settle
-    # on rules of different sizes, each on its own: a level that agrees at
-    # 16 nodes records 16 however many another level needs
+@pytest.mark.parametrize("model, nodes", [(1, {64}), (2, {16, 128})])
+def test_report_residuals_at_60_levels_read_one_rule_per_reading(model, nodes):
+    # at the most levels a report serves, every level of a reading records
+    # the one rule the reading settles on: Model I's at 64 nodes, Model
+    # II's classical at 128 and its X1 at 16
     from dirac_sphere import cli
 
     path = os.path.join(os.path.dirname(__file__), "..", "examples", f"model{model}.json")
@@ -1102,7 +1113,7 @@ def test_report_residuals_at_60_levels_match_one_level_calls(model, nodes):
     p = cfg.params()
     rep = oracle.consistency_report(p, cfg.k, cfg.R, levels=60)
     assert {c.grid["nodes"] for c in rep.claims if c.claim_id.startswith("d.")} == nodes
-    _assert_residuals_match_one_level_calls(rep, model, p, cfg.k)
+    _assert_residuals_read_their_rule_alone(rep, model, p, cfg.k)
 
 
 def _bits(x):
@@ -1120,25 +1131,22 @@ def _outcome(fn, *args):
 
 
 def _residuals_rule_by_rule(wf, levels, V, lams):
-    """verify_eigenpair's (readings, n, gap, measure) per level, with every
-    rule of every level evaluated alone, on its own sample of V."""
-    alpha, beta, lift = oracle._residual_weight(wf)
+    """verify_eigenpair's (readings, gap, n, measure), or the error it
+    raised, with every rule evaluated alone for each level in turn, on its
+    own sample of V."""
     lams = np.asarray(lams, dtype=float).reshape(len(levels), -1)
 
-    def level(i):
-        def alone(n):
-            rule = oracle.gauss_jacobi(n, alpha, beta)
-            sample = oracle._sampled(V, [rule], {}, n)
-            (terms,) = oracle._residual_terms(wf, [levels[i]], sample, lams[i : i + 1], [rule], lift)
-            return oracle._residual_reading(terms, 0)
+    def alone(n):
+        return np.array([_on_rule_alone(wf, m, V, row, n) for m, row in zip(levels, lams)])
 
+    def doubled():
         res, gap, n = oracle._doubled(
             lambda ns: [alone(n) for n in ns], oracle._RESIDUAL_NODES, oracle._GALERKIN_CAP,
             oracle._RESIDUAL_TOL, "eigenpair residuals", "rules of {} and {} nodes",
         )
-        return res.tolist(), n, gap.tolist(), oracle._MEASURES[lift]
+        return res, gap, n, oracle._MEASURES[oracle._residual_weight(wf)[2]]
 
-    return [_outcome(level, i) for i in range(len(levels))]
+    return _outcome(doubled)
 
 
 def _galerkin_size_by_size(V, exponents, count, poles=()):
@@ -1196,11 +1204,12 @@ def test_printed_exponents_against_the_galerkin_ones_pole_by_pole(params, k, roo
 
 @pytest.mark.parametrize("model", [1, 2])
 def test_report_builds_one_eigenfunction_record_per_reading(model, monkeypatch):
-    # a 12-level report builds each reading's eigenfunction record once, at
-    # level 0 where its reader is made, and every level reads the
-    # reading-wide norm verdict from it: Model II's two readings make two
-    # wavefn_model2 calls, not 24; Model I's one reading and the ground
-    # state of g.local-energy-constancy make two wavefn_model1 calls, not 13
+    # a 12-level report builds each reading's eigenfunction record once,
+    # level 0's, which evaluates the residuals of every level, and every
+    # level reads the reading-wide norm verdict from it: Model II's two
+    # readings make two wavefn_model2 calls, not 24; Model I's one reading
+    # and the ground state of g.local-energy-constancy make two
+    # wavefn_model1 calls, not 13
     name = f"wavefn_model{model}"
     made, wavefn = [], getattr(oracle, name)
     monkeypatch.setattr(oracle, name, lambda *args, **kw: made.append(args[0]) or wavefn(*args, **kw))
@@ -1229,9 +1238,8 @@ def test_paired_rules_read_the_bits_of_each_rule_alone(model, k, signs, levels, 
         monkeypatch.setattr(oracle, name, recorded)
     oracle.consistency_report(p, k, 1.0, levels=levels)
     assert len(calls["verify_eigenpair"]) == model and len(calls["galerkin_levels"]) == 3
-    for (wf, lvs, V, lams, _), _, read in calls["verify_eigenpair"]:
-        paired = [_outcome(read, i) for i in range(len(lvs))]
-        assert paired == _residuals_rule_by_rule(wf, list(lvs), V, lams)
+    for (wf, lvs, V, lams, _), _, got in calls["verify_eigenpair"]:
+        assert _outcome(lambda: got) == _residuals_rule_by_rule(wf, list(lvs), V, lams)
     for args, kw, got in calls["galerkin_levels"]:
         assert [_bits(got.levels), _bits(got.gap), got.n] == _galerkin_size_by_size(*args, **kw)
 
@@ -1240,41 +1248,27 @@ def test_paired_rules_read_the_bits_of_each_rule_alone(model, k, signs, levels, 
 def test_paired_rules_refuse_as_each_rule_alone(bad_rule):
     # a potential that is not finite on one node of the n rule only, or of
     # the 2n rule only, raises the PoleError that rule raises alone, with
-    # its message and location; it refuses the level that read the pair,
-    # and the next level evaluates the pair again: here V is not finite at
-    # that node on its first sample only, so the next level reads what a
-    # clean V gives, as it did when each rule was read alone
+    # its message and location, from the one pass over both rules' nodes
     p = m2_params()
     pot = gauge.v_eff_model2(p, 1)
     wf = spectra.wavefn_model2(0, p.alpha, p.beta, polynomial="x1")
     alpha, beta, _ = oracle._residual_weight(wf)
     rule = oracle.gauss_jacobi((16, 32)[bad_rule], alpha, beta)
     bad = np.arctanh(rule[0][5])
+    sizes = []
 
     def poisoned(w):
+        sizes.append(np.size(w))
         return np.where(w == bad, np.inf, pot(w))
 
     with pytest.raises(PoleError) as alone:
         oracle._sampled(poisoned, [rule], {}, None)
     assert alone.value.location == bad
-    sizes, armed = [], [True]
-
-    def once(w):
-        sizes.append(np.size(w))
-        if armed[0] and np.any(w == bad):
-            armed[0] = False
-            return poisoned(w)
-        return pot(w)
-
     lams = [[spectra.energy_model2_matched(m, p)] for m in range(3)]
-    read = oracle.verify_eigenpair(wf, range(3), once, lams)
     with pytest.raises(PoleError) as paired:
-        read(0)
+        oracle.verify_eigenpair(wf, range(3), poisoned, lams)
     assert (str(paired.value), paired.value.location) == (str(alone.value), alone.value.location)
-    assert sizes == [16 + 32]
-    clean = oracle.verify_eigenpair(wf, range(3), pot, lams)
-    assert [_outcome(read, i) for i in (1, 2)] == [_outcome(clean, i) for i in (1, 2)]
-    assert sizes == [16 + 32, 16 + 32]
+    assert sizes == [(16, 32)[bad_rule], 16 + 32]
     # the Galerkin oracle raises what that size's basis raises alone
     exps = oracle.partner_exponents(oracle.model_spec(p, 2.0, 1.0).ends, 2.0).j1
     a, b = exps
@@ -1290,9 +1284,9 @@ def test_paired_rules_refuse_as_each_rule_alone(bad_rule):
 
 @pytest.mark.parametrize("nan_level, zero_level", [(1, 3), (3, 1)])
 def test_report_raises_the_first_refused_level(monkeypatch, nan_level, zero_level):
-    # every level's residuals come from one call, but a level's error is
-    # raised when its claim is built: of two broken levels, the lower one's
-    # error leaves the report, as it did when each level had its own call
+    # every level's residuals come from one call, which checks each rule
+    # level by level: of two broken levels, the lower one's error leaves
+    # the report
     wavefn = oracle.wavefn_model1
 
     def broken(n, p, k):
@@ -1325,43 +1319,58 @@ def test_report_raises_the_first_refused_level(monkeypatch, nan_level, zero_leve
             oracle.consistency_report(p, 2.0, 1.0, levels=5)
 
 
-def test_report_raises_from_the_first_level_that_reads_a_refused_rule(monkeypatch):
-    # Model II at k = 1.5 and 12 levels: the classical reading's levels 0-4
-    # settle at 16 nodes, level 5 is the first to read the 64-node rule
-    # (32 against 64), and no other sample of the closed j=1 potential has
-    # 64 points.  With that potential not finite on 64-point samples only,
-    # every claim before d.eigenfunction.classical.m5 is built and that
-    # level raises the 64-node rule's PoleError, naming its first node
+def test_report_raises_the_refused_rule_of_the_first_reading(monkeypatch):
+    # Model II at k = 1.5 and 12 levels: the classical reading settles on
+    # 32 nodes, so it reads the 64-node rule, and no other sample of the
+    # closed j=1 potential has 64 points.  With that potential not finite
+    # on 64-point samples only, the classical reading, evaluated before any
+    # d.* claim, raises the 64-node rule's PoleError, naming its first node,
+    # and the X1 reading is never evaluated
     k = 1.5
     p = m2_params(C1=1 / k, k=k)
     clean = oracle.consistency_report(p, k, 1.0, levels=12)
-    nodes = [c.grid["nodes"] for c in clean.claims if c.claim_id.startswith("d.eigenfunction.classical.")]
-    assert nodes == [16] * 5 + [32] * 7
-    closed, routine, reads = oracle.v_eff_model2, oracle.verify_eigenpair, []
+    nodes = [c.grid["nodes"] for c in clean.claims if c.claim_id.startswith("d.eigenfunction.")]
+    assert nodes == [32, 16] * 12
+    closed, routine, calls = oracle.v_eff_model2, oracle.verify_eigenpair, []
 
     def poisoned(p, j):
         v = closed(p, j)
         return v if j == 2 else lambda w: np.full(64, np.inf) if np.size(w) == 64 else v(w)
 
-    def logged(*args):  # one log of the levels read per reading, classical's first
-        read, log = routine(*args), []
-        reads.append(log)
-
-        def logged_read(i):
-            log.append(i)
-            return read(i)
-
-        return logged_read
-
     monkeypatch.setattr(oracle, "v_eff_model2", poisoned)
-    monkeypatch.setattr(oracle, "verify_eigenpair", logged)
+    monkeypatch.setattr(oracle, "verify_eigenpair", lambda *args: calls.append(args) or routine(*args))
     w0 = -3.779736069446877
-    wf = spectra.wavefn_model2(5, p.alpha, p.beta, polynomial="classical")
+    wf = spectra.wavefn_model2(0, p.alpha, p.beta, polynomial="classical")
     assert w0 == float(np.arctanh(oracle.gauss_jacobi(64, *oracle._residual_weight(wf)[:2])[0][0]))
     with pytest.raises(PoleError, match=re.escape(f"potential is not finite at w = {w0}")) as info:
         oracle.consistency_report(p, k, 1.0, levels=12)
     assert info.value.location == w0
-    assert reads == [list(range(6)), list(range(5))]
+    assert len(calls) == 1
+
+
+def test_residual_rule_is_the_first_every_level_agrees_on():
+    # examples/model2.json at 12 levels: every level of the classical reading
+    # records the 32-node rule, and 16 would not do: there at least one
+    # level's 16- and 32-node readings differ by more than 1e-6 (1 + reading)
+    from dirac_sphere import cli
+
+    cfg = cli.parse_config(cli._read_config(os.path.join(os.path.dirname(__file__), "..", "examples", "model2.json")))
+    p = cfg.params()
+    rep = oracle.consistency_report(p, cfg.k, cfg.R, levels=12)
+    claims = [c for c in rep.claims if c.claim_id.startswith("d.eigenfunction.classical.")]
+    assert [c.details["nodes"] for c in claims] == [32] * 12
+    pot = gauge.v_eff_model2(p, 1)
+    lo, hi = (
+        np.array([
+            _on_rule_alone(
+                spectra.wavefn_model2(m, p.alpha, p.beta, polynomial="classical"), m, pot,
+                [c.details["lambda_printed"], c.details["lambda_identity"]], n,
+            )
+            for m, c in enumerate(claims)
+        ])
+        for n in (16, 32)
+    )
+    assert np.any(np.abs(lo - hi) > oracle._RESIDUAL_TOL * (1.0 + np.abs(lo)))
 
 
 def test_report_assembles_no_flux_matrix(monkeypatch):
